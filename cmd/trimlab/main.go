@@ -7,7 +7,7 @@
 //	trimlab -experiment fig4 [-scale quick|bench|paper] [-points N] [-seed S]
 //	trimlab worker -listen :7101 [-seed S] [-rejoin] [-spill-dir D]
 //	trimlab aggregator -listen :7201 -children host1:7101,host2:7101 [-rejoin] [-compress B] [-obs-addr :9301]
-//	trimlab coordinator -workers host1:7101,host2:7101 [-seed S] [-local] [-pipeline] [-rounds N] [-batch N]
+//	trimlab coordinator -workers host1:7101,host2:7101 [-seed S] [-pipeline] [-rounds N] [-batch N]
 //	    [-subshards C] [-focus-tighten T] [-focus-width W]
 //	    [-heartbeat D] [-hb-timeout D] [-rejoin] [-checkpoint-dir DIR] [-checkpoint-every K] [-resume]
 //
@@ -15,20 +15,28 @@
 // fig8, fig9, variants, blackbox, sharded, distributed, fleet, pipeline,
 // all.
 //
-// -pipeline (requires -local) turns on the overlapped round schedule
-// (DESIGN.md §9): round r's classify broadcast carries round r+1's
-// generator specs, so a steady-state round costs one RTT instead of two.
-// The board is unchanged — the -local verification against the
-// single-process reference still demands record-for-record equality.
+// The coordinator/worker subcommands run the scalar collection game as a
+// real multi-process cluster: start one `trimlab worker` per machine (or
+// port), then point a `trimlab coordinator` at their addresses. The cluster
+// runs the shard-local data plane (DESIGN.md §7): workers generate their
+// own arrivals from seed streams derived off the coordinator's -seed, and
+// round directives are O(1). After the game the coordinator replays it on
+// the single-process sharded reference and verifies the multi-process
+// board record for record — exiting non-zero on any divergence — and
+// reports its per-round egress bytes.
 //
-// -subshards C (requires -local) splits each worker's generation into C
-// per-core sub-shards drawn and summarized in parallel goroutines and
-// merged locally, so a worker saturates its cores instead of one
-// (DESIGN.md §12). The board equals the flat (workers · C)-shard reference,
-// which the -local verification checks. -focus-tighten T (with optional
-// -focus-width W) makes the summaries keep T× denser rank coverage around
-// the trim threshold, spending the fixed summary budget where the game
-// actually queries.
+// -pipeline turns on the overlapped round schedule (DESIGN.md §9): round
+// r's classify broadcast carries round r+1's generator specs, so a
+// steady-state round costs one RTT instead of two. The board is unchanged,
+// which the verification checks.
+//
+// -subshards C splits each worker's generation into C per-core sub-shards
+// drawn and summarized in parallel goroutines and merged locally, so a
+// worker saturates its cores instead of one (DESIGN.md §12). The board
+// equals the flat (workers · C)-shard reference, which the verification
+// checks. -focus-tighten T (with optional -focus-width W) makes the
+// summaries keep T× denser rank coverage around the trim threshold,
+// spending the fixed summary budget where the game actually queries.
 //
 // The fleet flags drive the supervision runtime (DESIGN.md §8): -heartbeat
 // starts background liveness probes over the game transport, -rejoin lets
@@ -36,8 +44,8 @@
 // `trimlab worker -rejoin` on the old address), -checkpoint-dir persists a
 // full coordinator snapshot every -checkpoint-every rounds, and -resume
 // restarts a killed coordinator from the latest snapshot — both re-join and
-// resume reproduce the uninterrupted shard-local reference record for
-// record outside the degraded window, which -local verifies.
+// resume reproduce the uninterrupted reference record for record outside
+// the degraded window, which the verification checks.
 //
 // In the row game the kept rows live on the workers (DESIGN.md §14): the
 // coordinator sees only per-coordinate center deltas and per-leaf pool
@@ -48,29 +56,17 @@
 //
 // Every mode takes the same -seed flag (default 1, must be ≥ 1): the
 // experiment mode uses it as the base RNG seed (repetition seeds are
-// base + i), the coordinator as the game seed — in -local mode the master
-// seed every shard and round stream derives from. The worker accepts it
-// only for launch-script symmetry: a worker draws nothing of its own, its
-// per-round seeds arrive derived inside the coordinator's directives.
+// base + i), the coordinator as the master seed every shard and round
+// stream derives from. The worker accepts it only for launch-script
+// symmetry: a worker draws nothing of its own, its per-round seeds arrive
+// derived inside the coordinator's directives.
 //
-// The coordinator/worker subcommands run the scalar collection game as a
-// real multi-process cluster: start one `trimlab worker` per machine (or
-// port), then point a `trimlab coordinator` at their addresses. For wide
-// fleets, interpose `trimlab aggregator` processes (DESIGN.md §13): each
-// aggregator dials a group of workers (or deeper aggregators) as its
-// -children and serves the merged subtree upstream, so the coordinator's
-// -workers list names only the tree's top slots and its per-round merge
-// stays O(fan-in) instead of O(fleet). The tier requires -local (a
-// coordinator-fed shard cannot be split across a subtree); the board is
-// verified against the flat reference over the tree's total leaf count. By default
-// the coordinator generates arrivals and ships raw slices, then replays
-// the identical game unsharded on the same seed and verifies the final
-// trim threshold drifted no more than the allowed rank-space bound. With
-// -local the cluster runs the shard-local data plane — workers generate
-// their own arrivals from derived seed streams, round directives are O(1)
-// — and the coordinator instead verifies the multi-process board against
-// the single-process sharded reference record for record, reporting its
-// per-round egress bytes.
+// For wide fleets, interpose `trimlab aggregator` processes (DESIGN.md
+// §13): each aggregator dials a group of workers (or deeper aggregators)
+// as its -children and serves the merged subtree upstream, so the
+// coordinator's -workers list names only the tree's top slots and its
+// per-round merge stays O(fan-in) instead of O(fleet). The board is
+// verified against the flat reference over the tree's total leaf count.
 package main
 
 import (
@@ -436,10 +432,8 @@ func aggregatorMain(args []string) error {
 }
 
 // coordinatorMain is the `trimlab coordinator` subcommand: run the scalar
-// collection game across TCP workers, then verify it — against an
-// unsharded replay of the same seed (threshold-drift bound) by default, or
-// against the single-process shard-local reference (record for record) in
-// -local mode.
+// collection game across TCP workers, then verify it against the
+// single-process shard-local reference record for record.
 func coordinatorMain(args []string) error {
 	fs := flag.NewFlagSet("coordinator", flag.ExitOnError)
 	var (
@@ -448,20 +442,18 @@ func coordinatorMain(args []string) error {
 		batch     = fs.Int("batch", 20000, "honest arrivals per round")
 		ratio     = fs.Float64("ratio", 0.2, "attack ratio")
 		seed      = seedFlag(fs)
-		local     = fs.Bool("local", false, "shard-local data plane: workers generate their own arrivals from seeds derived off -seed; round directives are O(1)")
-		pipeline  = fs.Bool("pipeline", false, "overlapped round schedule: piggyback round r+1's generation onto round r's classify broadcast — one RTT per round (requires -local)")
-		subshards = fs.Int("subshards", 1, "per-core sub-shards per worker: each worker generates and summarizes C sub-shards in parallel goroutines and merges locally (requires -local); the board equals the flat workers x C reference")
+		pipeline  = fs.Bool("pipeline", false, "overlapped round schedule: piggyback round r+1's generation onto round r's classify broadcast — one RTT per round")
+		subshards = fs.Int("subshards", 1, "per-core sub-shards per worker: each worker generates and summarizes C sub-shards in parallel goroutines and merges locally; the board equals the flat workers x C reference")
 		focusT    = fs.Int("focus-tighten", 0, "adaptive summary focus: keep Tx denser rank coverage around the trim threshold (0/1 = off)")
 		focusW    = fs.Float64("focus-width", 0, "half-width of the focus rank window (0 = default ±0.05)")
 		eps       = fs.Float64("eps", 0, "summary rank-error budget (0 = package default)")
-		bound     = fs.Float64("bound", 0.05, "allowed final-threshold drift vs the unsharded run, in reference-rank space (ignored with -local, which verifies exact equality)")
 		wait      = fs.Duration("wait", 10*time.Second, "how long to retry dialing workers")
 		heartbeat = fs.Duration("heartbeat", 0, "fleet liveness-probe interval (0 disables the background monitor)")
 		hbTimeout = fs.Duration("hb-timeout", 0, "how long a worker may go uncontacted before a round-boundary drop (0 = 4x heartbeat)")
 		rejoin    = fs.Bool("rejoin", false, "fleet supervision: re-admit lost workers at round boundaries (re-spawn them with `trimlab worker -rejoin`)")
-		ckDir     = fs.String("checkpoint-dir", "", "persist a coordinator snapshot every -checkpoint-every rounds into this directory (requires -local)")
+		ckDir     = fs.String("checkpoint-dir", "", "persist a coordinator snapshot every -checkpoint-every rounds into this directory")
 		ckEvery   = fs.Int("checkpoint-every", 5, "rounds between checkpoints")
-		resume    = fs.Bool("resume", false, "resume the game from the latest snapshot in -checkpoint-dir (requires -local)")
+		resume    = fs.Bool("resume", false, "resume the game from the latest snapshot in -checkpoint-dir")
 		obsAddr   = fs.String("obs-addr", "", "serve the observability endpoint on this address while the game runs: /metrics (Prometheus text), /events (structured event ring, NDJSON), /debug/pprof/")
 		obsEvents = fs.String("obs-events", "", "append every structured event to this file as JSON lines")
 	)
@@ -475,15 +467,6 @@ func coordinatorMain(args []string) error {
 	if *workers == "" || len(addrs) == 0 {
 		return fmt.Errorf("coordinator: -workers is required (e.g. -workers host1:7101,host2:7101)")
 	}
-	if (*ckDir != "" || *resume) && !*local {
-		return fmt.Errorf("coordinator: checkpointing and resume require the shard-local data plane (-local)")
-	}
-	if *pipeline && !*local {
-		return fmt.Errorf("coordinator: pipelined rounds require the shard-local data plane (-local)")
-	}
-	if *subshards > 1 && !*local {
-		return fmt.Errorf("coordinator: sub-shards require the shard-local data plane (-local)")
-	}
 	if *resume && *ckDir == "" {
 		return fmt.Errorf("coordinator: -resume needs -checkpoint-dir")
 	}
@@ -494,7 +477,7 @@ func coordinatorMain(args []string) error {
 		if err != nil {
 			return collect.Config{}, err
 		}
-		c := collect.Config{
+		return collect.Config{
 			Rounds: *rounds, Batch: *batch, AttackRatio: *ratio,
 			Reference: ref,
 			Collector: sch.Collector, Adversary: sch.Adversary,
@@ -502,16 +485,7 @@ func coordinatorMain(args []string) error {
 			SummaryEpsilon: *eps,
 			FocusTighten:   *focusT,
 			FocusWidth:     *focusW,
-		}
-		if !*local {
-			honest, err := collect.PoolSampler(ref)
-			if err != nil {
-				return collect.Config{}, err
-			}
-			c.Honest = honest
-			c.Rng = stats.NewRand(*seed + 1)
-		}
-		return c, nil
+		}, nil
 	}
 
 	logf := func(format string, a ...any) {
@@ -572,10 +546,7 @@ func coordinatorMain(args []string) error {
 	if err != nil {
 		return err
 	}
-	var gen *collect.ShardGen
-	if *local {
-		gen = &collect.ShardGen{MasterSeed: *seed}
-	}
+	gen := &collect.ShardGen{MasterSeed: *seed}
 	start := obs.Now()
 	clustered, err := collect.RunCluster(collect.ClusterConfig{
 		Config:     ccfg,
@@ -603,8 +574,8 @@ func coordinatorMain(args []string) error {
 		clustered.EgressBytes, clustered.EgressConfigBytes,
 		float64(clustered.EgressBytes-clustered.EgressConfigBytes)/float64(*rounds))
 	tm := clustered.Timing
-	fmt.Printf("  phase timing: summarize %v, generate %v, classify %v, configure %v, admission %v — %v/round over %d rounds\n",
-		tm.Summarize.Round(time.Millisecond), tm.Generate.Round(time.Millisecond),
+	fmt.Printf("  phase timing: generate %v, classify %v, configure %v, admission %v — %v/round over %d rounds\n",
+		tm.Generate.Round(time.Millisecond),
 		tm.Classify.Round(time.Millisecond), tm.Configure.Round(time.Millisecond),
 		tm.Admission.Round(time.Millisecond), tm.PerRound().Round(time.Microsecond), tm.Rounds)
 	if clustered.TreeHeight > 0 {
@@ -626,34 +597,22 @@ func coordinatorMain(args []string) error {
 	}
 	printObsSummary(met, len(addrs))
 
-	if *local {
-		// The flat reference layout: the tree's total leaf count (learned by
-		// the coordinator from the replies), each leaf running C sub-shards
-		// in C flat slots. A flat fleet that ended short of workers reports
-		// end-of-run leaves below len(addrs); the launch width is the
-		// reference there. A TREE fleet that ended short of leaves has no
-		// wire-visible launch width — verification then runs over the
-		// end-of-run width and reports the pre-loss rounds as divergence,
-		// which is the loud failure an operator should see.
-		flat := clustered.TreeLeaves
-		if flat < len(addrs) {
-			flat = len(addrs)
-		}
-		if *subshards > 1 {
-			flat *= *subshards
-		}
-		return verifyShardLocal(cfg, gen, clustered, flat, *rounds, *rejoin)
+	// The flat reference layout: the tree's total leaf count (learned by the
+	// coordinator from the replies), each leaf running C sub-shards in C
+	// flat slots. A flat fleet that ended short of workers reports
+	// end-of-run leaves below len(addrs); the launch width is the reference
+	// there. A TREE fleet that ended short of leaves has no wire-visible
+	// launch width — verification then runs over the end-of-run width and
+	// reports the pre-loss rounds as divergence, which is the loud failure
+	// an operator should see.
+	flat := clustered.TreeLeaves
+	if flat < len(addrs) {
+		flat = len(addrs)
 	}
-
-	ucfg, err := cfg()
-	if err != nil {
-		return err
+	if *subshards > 1 {
+		flat *= *subshards
 	}
-	unsharded, err := collect.Run(ucfg)
-	if err != nil {
-		return err
-	}
-	return verifyThresholdDrift(ucfg, clustered, unsharded, *bound)
+	return verifyShardLocal(cfg, gen, clustered, flat, *rounds, *rejoin)
 }
 
 // printObsSummary digests the run's metrics registry into the end-of-run
@@ -662,7 +621,7 @@ func coordinatorMain(args []string) error {
 // reported busy time), and a straggler ranking of the workers by mean
 // busy time per answered call.
 func printObsSummary(met *obs.Registry, workers int) {
-	phases := []string{"configure", "join", "scale", "generate", "summarize", "classify", "classify+generate", "admission"}
+	phases := []string{"configure", "join", "scale", "generate", "classify", "classify+generate", "admission"}
 	header := false
 	for _, ph := range phases {
 		h := met.Histogram("trimlab_phase_seconds", obs.TimeBuckets, "phase", ph)
@@ -757,7 +716,7 @@ func quantileDuration(h *obs.Histogram, q float64) time.Duration {
 	return time.Duration(h.Quantile(q) * float64(time.Second)).Round(time.Microsecond)
 }
 
-// verifyShardLocal checks a -local run against the single-process
+// verifyShardLocal checks a cluster run against the single-process
 // shard-local reference record for record, skipping only the degraded
 // window of a supervised run — the rounds from the first shard loss up to
 // (but excluding) the round the membership became whole again. With -rejoin
@@ -807,26 +766,5 @@ func verifyShardLocal(cfg func() (collect.Config, error), gen *collect.ShardGen,
 		fmt.Printf("pre-loss records (%d of %d) match the shard-local reference record for record: OK (fleet ended degraded)\n",
 			verified, rounds)
 	}
-	return nil
-}
-
-// verifyThresholdDrift is the coordinator-fed acceptance check: final
-// threshold within the rank-space bound of the unsharded replay.
-func verifyThresholdDrift(ucfg collect.Config, clustered, unsharded *collect.Result, bound float64) error {
-	refSorted := append([]float64(nil), ucfg.Reference...)
-	sort.Float64s(refSorted)
-	last := len(clustered.Board.Records) - 1
-	ct := clustered.Board.Records[last].ThresholdValue
-	ut := unsharded.Board.Records[last].ThresholdValue
-	drift := stats.PercentileRankSorted(refSorted, ct) - stats.PercentileRankSorted(refSorted, ut)
-	if drift < 0 {
-		drift = -drift
-	}
-	fmt.Printf("final threshold: cluster %.6f vs unsharded %.6f (rank drift %.5f, bound %.5f)\n",
-		ct, ut, drift, bound)
-	if drift > bound {
-		return fmt.Errorf("coordinator: final-threshold drift %.5f exceeds bound %.5f", drift, bound)
-	}
-	fmt.Println("threshold drift within bound: OK")
 	return nil
 }

@@ -90,15 +90,15 @@ func TestNodeNesting(t *testing.T) {
 	}
 }
 
-// Coordinator-fed shards cannot be split across a subtree: the node must
-// reject the coordinator-fed summarize ops outright instead of silently
-// duplicating the shard on every leaf.
+// The retired coordinator-fed op codes (2 and 3) carried raw shards that
+// cannot be split across a subtree: the node must refuse them outright —
+// they no longer decode — instead of forwarding the directive to every leaf.
 func TestNodeRejectsCoordinatorFedOps(t *testing.T) {
 	n, err := NewNode(0, HandlerChild(cluster.NewWorker(0)), HandlerChild(cluster.NewWorker(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []wire.Op{wire.OpSummarize, wire.OpSummarizeRows} {
+	for _, op := range []wire.Op{2, 3} {
 		_, err := n.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: op, Round: 1}))
 		if err == nil || !strings.Contains(err.Error(), "shard-local") {
 			t.Errorf("op %d: error = %v, want a shard-local data plane refusal", op, err)

@@ -220,8 +220,8 @@ func leavesOf(rep *wire.Report) int {
 
 // Handle decodes one directive, fans it out to the live children, and
 // returns the merged subtree report. It fails only when the directive is
-// undecodable, violates the protocol (a coordinator-fed shard cannot be
-// split across a subtree), or the whole subtree is gone — a partial loss is
+// undecodable (the retired coordinator-fed op codes included) or violates
+// the protocol, or the whole subtree is gone — a partial loss is
 // reported in-band as LostLeaves on an otherwise ordinary report, so the
 // coordinator charges the lost shards without dropping the slot.
 func (n *Node) Handle(req []byte) ([]byte, error) {
@@ -233,8 +233,6 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 		return nil, err
 	}
 	switch d.Op {
-	case wire.OpSummarize, wire.OpSummarizeRows:
-		return nil, fmt.Errorf("agg: node %d: op %d carries a coordinator-fed shard, which cannot be split across a subtree; aggregator trees require the shard-local data plane", n.id, d.Op)
 	case wire.OpHello:
 		n.helloConfigured = n.hasConf
 	case wire.OpJoin:
@@ -267,9 +265,9 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 		rep.Epoch = n.epoch
 	case wire.OpStop:
 		n.stopOnce.Do(func() { close(n.done) })
-	case wire.OpHello, wire.OpHeartbeat, wire.OpTreeInfo, wire.OpSummarize,
-		wire.OpSummarizeRows, wire.OpScale, wire.OpGenerate, wire.OpGenerateRows,
-		wire.OpClassify, wire.OpClassifyGenerate, wire.OpFetchRows, wire.OpPoolTrim:
+	case wire.OpHello, wire.OpHeartbeat, wire.OpTreeInfo, wire.OpScale,
+		wire.OpGenerate, wire.OpGenerateRows, wire.OpClassify,
+		wire.OpClassifyGenerate, wire.OpFetchRows, wire.OpPoolTrim:
 		// No node-side state transition after the fan-out.
 	}
 	// The subtree is configured only when the node itself has seen a

@@ -1,12 +1,13 @@
 package cluster
 
 import (
-	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/attack"
+	"repro/internal/stats/summary"
 	"repro/internal/wire"
 )
 
@@ -23,43 +24,75 @@ func call(t *testing.T, tr Transport, w int, d *wire.Directive) *wire.Report {
 	return rep
 }
 
-// One full worker round over the loopback: configure, summarize, classify.
+// scalarConf configures a scalar worker whose honest pool is all 2s and
+// whose reference tops out at 10: with a point injection at the top
+// percentile and no jitter, every generated arrival is known exactly.
+func scalarConf() *wire.Directive {
+	return &wire.Directive{
+		Op: wire.OpConfigure, Epsilon: 0.01,
+		Pool:      []float64{2},
+		RefSorted: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+	}
+}
+
+// scalarGen is a generate directive drawing honest arrivals from
+// scalarConf's pool and poison at the reference's top (value 10).
+func scalarGen(round, honest, poison int) *wire.Directive {
+	return &wire.Directive{Op: wire.OpGenerate, Round: round, Gen: &wire.GenSpec{
+		Seed: 1, HonestN: honest, PoisonN: poison,
+		InjectKind: byte(attack.SpecPoint), InjectHi: 1,
+	}}
+}
+
+// One full worker round over the loopback: configure, generate, classify.
 func TestWorkerRound(t *testing.T) {
 	tr := NewLoopback(1)
-	call(t, tr, 0, &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01})
+	call(t, tr, 0, scalarConf())
 
-	values := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	rep := call(t, tr, 0, &wire.Directive{Op: wire.OpSummarize, Round: 1, Values: values, PoisonFrom: 8})
-	if rep.Count != len(values) || rep.ValueSum != 55 {
-		t.Fatalf("summarize report: count %d sum %v", rep.Count, rep.ValueSum)
+	// Eight honest 2s, then two poison arrivals at 10.
+	rep := call(t, tr, 0, scalarGen(1, 8, 2))
+	if rep.Count != 10 || rep.ValueSum != 36 {
+		t.Fatalf("generate report: count %d sum %v", rep.Count, rep.ValueSum)
 	}
-	if got := rep.Sum.Query(0.5); math.Abs(got-5) > 1.5 {
+	if got := rep.Sum.Query(0.5); got != 2 {
 		t.Fatalf("median of shard summary = %v", got)
+	}
+	if rep.PctSum != 2 {
+		t.Fatalf("injection percentile sum %v, want 2", rep.PctSum)
 	}
 
 	rep = call(t, tr, 0, &wire.Directive{Op: wire.OpClassify, Round: 1, Threshold: 8.5})
 	want := wire.Counts{HonestKept: 8, HonestTrimmed: 0, PoisonKept: 0, PoisonTrimmed: 2}
-	// values 9,10 are poison (PoisonFrom 8) and above threshold 8.5.
+	// The two poison arrivals sit at 10, above threshold 8.5.
 	if rep.Counts != want {
 		t.Fatalf("counts %+v, want %+v", rep.Counts, want)
 	}
-	if rep.KeptCount != 8 || rep.KeptSum != 36 {
+	if rep.KeptCount != 8 || rep.KeptSum != 16 {
 		t.Fatalf("kept aggregates: count %d sum %v", rep.KeptCount, rep.KeptSum)
 	}
 }
 
-// The row phase: distances from the shipped center, kept indices, and a
-// vector delta of the accepted rows.
+// The row phase: distances from the broadcast center, kept rows appended to
+// the worker's own pool (only the pool total travels), and a vector delta
+// of the accepted rows.
 func TestWorkerRowRound(t *testing.T) {
 	tr := NewLoopback(1)
-	call(t, tr, 0, &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01})
-
-	rows := [][]float64{{0, 0}, {3, 4}, {6, 8}} // distances 0, 5, 10 from origin
-	rep := call(t, tr, 0, &wire.Directive{
-		Op: wire.OpSummarizeRows, Round: 1,
-		Rows: rows, Center: []float64{0, 0}, PoisonFrom: 2,
+	call(t, tr, 0, &wire.Directive{
+		Op: wire.OpConfigure, Epsilon: 0.01,
+		Rows: [][]float64{{3, 4}}, Labels: []int{1}, Clusters: 2, PoisonLabel: 0,
 	})
-	if rep.Count != 3 || rep.ValueSum != 15 {
+
+	// Two honest rows at distance 5 from the origin, one poison row pushed
+	// out to distance 10 (the clean scale's top).
+	rep := call(t, tr, 0, &wire.Directive{
+		Op: wire.OpGenerateRows, Round: 1, Center: []float64{0, 0},
+		Gen: &wire.GenSpec{
+			Seed: 1, HonestN: 2, PoisonN: 1,
+			InjectKind: byte(attack.SpecPoint), InjectHi: 1,
+			Scale: summary.FromUnsorted([]float64{10}),
+		},
+	})
+	if rep.Count != 3 || rep.ValueSum != 20 {
 		t.Fatalf("distance aggregates: count %d sum %v", rep.Count, rep.ValueSum)
 	}
 
@@ -67,15 +100,19 @@ func TestWorkerRowRound(t *testing.T) {
 	if got, want := rep.Counts, (wire.Counts{HonestKept: 2, PoisonTrimmed: 1}); got != want {
 		t.Fatalf("counts %+v, want %+v", got, want)
 	}
-	if len(rep.KeptIdx) != 2 || rep.KeptIdx[0] != 0 || rep.KeptIdx[1] != 1 {
-		t.Fatalf("kept indices %v", rep.KeptIdx)
+	if len(rep.KeptRows) != 0 || len(rep.PoolRows) != 1 || rep.PoolRows[0] != 2 {
+		t.Fatalf("classify shipped rows %v / pool totals %v, want no rows and pool [2]", rep.KeptRows, rep.PoolRows)
 	}
 	if rep.Vec == nil || rep.Vec.Count != 2 || len(rep.Vec.Dims) != 2 {
 		t.Fatalf("vector delta %+v", rep.Vec)
 	}
-	// Kept rows (0,0) and (3,4): coordinate sums 3 and 4.
-	if rep.Vec.Sums[0] != 3 || rep.Vec.Sums[1] != 4 {
+	// Kept rows (3,4) twice: coordinate sums 6 and 8.
+	if rep.Vec.Sums[0] != 6 || rep.Vec.Sums[1] != 8 {
 		t.Fatalf("vector sums %v", rep.Vec.Sums)
+	}
+	page := call(t, tr, 0, &wire.Directive{Op: wire.OpFetchRows, Lo: 0, Hi: 2})
+	if len(page.KeptRows) != 2 || page.KeptLabels[0] != 1 {
+		t.Fatalf("fetched page %v labels %v", page.KeptRows, page.KeptLabels)
 	}
 }
 
@@ -83,13 +120,25 @@ func TestWorkerRowRound(t *testing.T) {
 func TestWorkerPhaseErrors(t *testing.T) {
 	w := NewWorker(0)
 	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpClassify, Round: 1})); err == nil {
-		t.Fatal("classify before summarize succeeded")
+		t.Fatal("classify before generate succeeded")
 	}
 	if _, err := w.Handle([]byte("not a directive")); err == nil {
 		t.Fatal("garbage request succeeded")
 	}
-	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpSummarizeRows, Round: 1, Rows: [][]float64{{1}}})); err == nil {
-		t.Fatal("summarize-rows without center succeeded")
+	if _, err := w.Handle(wire.EncodeDirective(nil, scalarGen(1, 1, 0))); err == nil {
+		t.Fatal("generate before configure succeeded")
+	}
+	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpConfigure, Rows: [][]float64{{1}}})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpGenerateRows, Round: 1, Gen: &wire.GenSpec{HonestN: 1}})); err == nil {
+		t.Fatal("generate-rows without center succeeded")
+	}
+	// The retired coordinator-fed op codes do not decode.
+	for _, op := range []wire.Op{2, 3} {
+		if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: op, Round: 1})); err == nil {
+			t.Fatalf("retired op %d succeeded", op)
+		}
 	}
 }
 

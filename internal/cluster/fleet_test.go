@@ -29,15 +29,16 @@ func TestWorkerHeartbeatHello(t *testing.T) {
 	if hb.Worker != 3 || hb.Configured || hb.Epoch != 0 {
 		t.Fatalf("fresh heartbeat = %+v", hb)
 	}
-	handle(t, w, &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01})
+	handle(t, w, scalarConf())
 	hello := handle(t, w, &wire.Directive{Op: wire.OpHello})
 	if !hello.Configured {
 		t.Fatal("hello after configure reports unconfigured")
 	}
-	handle(t, w, &wire.Directive{Op: wire.OpSummarize, Round: 1, Values: []float64{1, 2, 3}, PoisonFrom: 3})
+	// Two honest arrivals at 2, one poison arrival at 10.
+	handle(t, w, scalarGen(1, 2, 1))
 	handle(t, w, &wire.Directive{Op: wire.OpHeartbeat})
 	rep := handle(t, w, &wire.Directive{Op: wire.OpClassify, Round: 1, Threshold: 2.5})
-	if rep.Counts.HonestKept != 2 || rep.Counts.HonestTrimmed != 1 {
+	if rep.Counts.HonestKept != 2 || rep.Counts.PoisonTrimmed != 1 {
 		t.Fatalf("probe disturbed the held round: %+v", rep.Counts)
 	}
 }
@@ -98,12 +99,12 @@ func TestWorkerJoinSurvivorWithoutRejoinFlag(t *testing.T) {
 }
 
 // Re-configuring a worker mid-game (the re-admission path) discards any
-// held round state: the next classify without a fresh summarize fails.
+// held round state: the next classify without a fresh generate fails.
 func TestWorkerReconfigureClearsRound(t *testing.T) {
 	w := NewWorker(0)
-	handle(t, w, &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01})
-	handle(t, w, &wire.Directive{Op: wire.OpSummarize, Round: 1, Values: []float64{1}, PoisonFrom: 1})
-	handle(t, w, &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01})
+	handle(t, w, scalarConf())
+	handle(t, w, scalarGen(1, 1, 0))
+	handle(t, w, scalarConf())
 	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpClassify, Round: 1})); err == nil {
 		t.Fatal("classify after reconfigure used stale round state")
 	}

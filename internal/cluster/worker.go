@@ -2,14 +2,13 @@
 // coordinator/worker protocol in which workers hold one round's shard of
 // arrivals, ship ε-approximate summary deltas back to the coordinator, and
 // classify their shard against the trim threshold the coordinator resolves
-// from the merged summaries. Workers obtain their shard either from the
-// coordinator (Summarize directives carrying raw slices) or — the
-// shard-local data plane of DESIGN.md §7 — by generating it themselves
-// from an O(1) Generate directive carrying a derived RNG seed and compact
-// parameters. All traffic is internal/wire messages, so the same worker
-// serves the in-process loopback transport (deterministic tests, `trimlab
-// -experiment distributed`) and the TCP/net-rpc transport (`trimlab
-// worker` / `trimlab coordinator`). The game loops themselves live in
+// from the merged summaries. Workers generate their shard themselves — the
+// shard-local data plane of DESIGN.md §7 — from an O(1) Generate directive
+// carrying a derived RNG seed and compact parameters; raw arrivals never
+// cross the process boundary. All traffic is internal/wire messages, so the
+// same worker serves the in-process loopback transport (deterministic
+// tests, `trimlab -experiment distributed`) and the TCP/net-rpc transport
+// (`trimlab worker` / `trimlab coordinator`). The game loops themselves live in
 // internal/collect (RunCluster, RunClusterRows, RunClusterLDP); this
 // package knows nothing about strategies, boards or quality standards —
 // generation is pure data plane (internal/arrival).
@@ -32,11 +31,10 @@ import (
 
 // Worker executes game shards. It is a request/reply state machine over
 // wire.Directive messages: Configure sets the sketch budget and installs
-// any shard-local generator state (honest pool, reference, dataset,
-// mechanism), Summarize/SummarizeRows store a coordinator-fed shard and
-// return its summary delta, Generate/GenerateRows draw the shard locally
-// from a derived seed, Scale summarizes a dataset range's distances from a
-// broadcast center, Classify tallies the stored shard against the
+// the game's generator state (honest pool, reference, dataset, mechanism),
+// Generate/GenerateRows draw the shard locally from a derived seed and
+// return its summary delta, Scale summarizes a dataset range's distances
+// from a broadcast center, Classify tallies the stored shard against the
 // threshold and returns counts plus kept-pool deltas, Stop releases the
 // worker. One worker serves one coordinator; Handle is serialized by an
 // internal mutex so transports may deliver from any goroutine.
@@ -62,13 +60,13 @@ type Worker struct {
 	rejoin          bool
 	helloConfigured bool
 
-	// Shard-local data plane, installed by Configure.
+	// Generator state, installed by Configure.
 	scalarGen *arrival.Scalar
 	ldpGen    *arrival.LDP
 	catGen    *arrival.Categorical
 	rowGen    *arrival.Rows
 
-	// Kept-row pool (shard-local row game, DESIGN.md §14): classify
+	// Kept-row pool (row game, DESIGN.md §14): classify
 	// appends this worker's kept rows here instead of shipping them, and
 	// OpFetchRows pages them out at game end. Created at the row-game
 	// configure — via poolOpen when set (`trimlab worker -spill-dir`
@@ -80,18 +78,16 @@ type Worker struct {
 	pool     rowstore.Pool
 	poolOpen func() (rowstore.Pool, error)
 
-	// Round state, valid between a Summarize/Generate and its Classify.
-	// held is the authoritative "a summarize happened" flag — an empty
-	// shard slice decodes to a nil dists, so nil-ness cannot stand in for
-	// it.
-	held      bool
-	round     int
-	dists     []float64   // scalar arrivals, or row distances from center
-	rows      [][]float64 // row game only
-	labels    []int       // row game, shard-local generation only
-	dim       int         // row game only: len(center)
-	poison    []poisonSeg // poison layout of dists (sub-shards concatenate)
-	localRows bool        // classify ships kept rows (worker generated them)
+	// Round state, valid between a Generate and its Classify. held is the
+	// authoritative "a generate happened" flag — an empty shard draws a nil
+	// dists, so nil-ness cannot stand in for it.
+	held   bool
+	round  int
+	dists  []float64   // scalar arrivals, or row distances from center
+	rows   [][]float64 // row game only
+	labels []int       // row game only (nil when unlabeled)
+	dim    int         // row game only: len(center)
+	poison []poisonSeg // poison layout of dists (sub-shards concatenate)
 
 	stopOnce sync.Once
 	done     chan struct{}
@@ -149,7 +145,7 @@ func (w *Worker) Done() <-chan struct{} { return w.done }
 // Handle decodes one directive, executes it, and returns the encoded
 // report. Every error is a protocol error (bad bytes, out-of-order phases);
 // the worker's round state is only cleared by a successful Classify or a
-// new Summarize/Generate.
+// new Generate.
 func (w *Worker) Handle(req []byte) ([]byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -187,28 +183,6 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 		}
 		w.epoch = d.Epoch
 		rep.Epoch = w.epoch
-
-	case wire.OpSummarize:
-		w.setHeld(d.Round, d.Values, nil, nil, 0, singleSeg(d.PoisonFrom), false)
-		if err := w.summarize(d, rep); err != nil {
-			return nil, err
-		}
-
-	case wire.OpSummarizeRows:
-		if len(d.Center) == 0 {
-			return nil, fmt.Errorf("cluster: worker %d: summarize-rows without a center", w.id)
-		}
-		dists := make([]float64, len(d.Rows))
-		for i, row := range d.Rows {
-			if len(row) != len(d.Center) {
-				return nil, fmt.Errorf("cluster: worker %d: row dim %d, center dim %d", w.id, len(row), len(d.Center))
-			}
-			dists[i] = stats.Euclidean(row, d.Center)
-		}
-		w.setHeld(d.Round, dists, d.Rows, nil, len(d.Center), singleSeg(d.PoisonFrom), false)
-		if err := w.summarize(d, rep); err != nil {
-			return nil, err
-		}
 
 	case wire.OpGenerate:
 		if err := w.generate(d, rep); err != nil {
@@ -292,16 +266,15 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 	return wire.EncodeReport(nil, rep), nil
 }
 
-// configure installs the sketch budget and, for shard-local games, the
-// generator state: pool + reference (scalar), pool + mechanism (LDP,
-// categorical LDP), or dataset rows + labels (row game). A coordinator-fed
-// game ships only the budget. Re-configuring mid-game (the re-admission
+// configure installs the sketch budget and the generator state: pool +
+// reference (scalar), pool + mechanism (LDP, categorical LDP), or dataset
+// rows + labels (row game). Re-configuring mid-game (the re-admission
 // path) discards any held round state: a re-joined worker starts cold at
 // the next round boundary.
 func (w *Worker) configure(d *wire.Directive) error {
 	w.eps = d.Epsilon
 	w.scalarGen, w.ldpGen, w.catGen, w.rowGen = nil, nil, nil, nil
-	w.held, w.dists, w.rows, w.labels, w.dim, w.poison, w.localRows = false, nil, nil, nil, 0, nil, false
+	w.held, w.dists, w.rows, w.labels, w.dim, w.poison = false, nil, nil, nil, 0, nil
 	switch {
 	case arrival.Mech(d.MechKind) == arrival.MechGRR:
 		gen, err := arrival.NewCategoricalFromWire(d.Pool, d.MechEps, d.MechK)
@@ -358,12 +331,12 @@ func (w *Worker) classifyHeld(d *wire.Directive, rep *wire.Report) error {
 	if err := w.classify(d.Threshold, rep); err != nil {
 		return err
 	}
-	w.held, w.dists, w.rows, w.labels, w.dim, w.poison, w.localRows = false, nil, nil, nil, 0, nil, false
+	w.held, w.dists, w.rows, w.labels, w.dim, w.poison = false, nil, nil, nil, 0, nil
 	return nil
 }
 
 // setHeld installs one round's shard.
-func (w *Worker) setHeld(round int, dists []float64, rows [][]float64, labels []int, dim int, poison []poisonSeg, localRows bool) {
+func (w *Worker) setHeld(round int, dists []float64, rows [][]float64, labels []int, dim int, poison []poisonSeg) {
 	w.held = true
 	w.round = round
 	w.dists = dists
@@ -371,13 +344,12 @@ func (w *Worker) setHeld(round int, dists []float64, rows [][]float64, labels []
 	w.labels = labels
 	w.dim = dim
 	w.poison = poison
-	w.localRows = localRows
 }
 
 // focusStream applies the directive's adaptive-ε focus window (wire v6) to
 // a freshly built stream: when the coordinator announced a trim-threshold
 // window, the worker keeps FocusTighten× denser rank coverage around it.
-// Tighten ≤ 1 — every pre-v6 directive — is a no-op.
+// Tighten ≤ 1 is a no-op.
 func focusStream(st *summary.Stream, d *wire.Directive) {
 	if d.FocusTighten > 1 {
 		st.SetFocus(d.FocusPct, d.FocusWidth, d.FocusTighten)
@@ -423,7 +395,7 @@ func (w *Worker) draw(rng *rand.Rand, spec arrival.Spec) (values []float64, inpu
 }
 
 // generate draws the shard locally from the directive's seed and spec —
-// the scalar and LDP shard-local rounds (which generator runs was fixed at
+// the scalar and LDP rounds (which generator runs was fixed at
 // configure time). A directive carrying sub-shard specs (wire v6) splits
 // the draw across per-core goroutines instead; see generateSubs.
 func (w *Worker) generate(d *wire.Directive, rep *wire.Report) error {
@@ -441,7 +413,7 @@ func (w *Worker) generate(d *wire.Directive, rep *wire.Report) error {
 	}
 	rep.InputSum = inputSum
 	rep.PctSum = pctSum
-	w.setHeld(d.Round, values, nil, nil, 0, singleSeg(spec.HonestN), false)
+	w.setHeld(d.Round, values, nil, nil, 0, singleSeg(spec.HonestN))
 	rep.GenerateNanos += obs.Since(start).Nanoseconds()
 	return w.summarize(d, rep)
 }
@@ -494,7 +466,7 @@ func (w *Worker) generateSubs(d *wire.Directive, rep *wire.Report, agg arrival.S
 		rep.PctSum += draws[c].pctSum
 		rep.InputSum += draws[c].inputSum
 	}
-	w.setHeld(d.Round, dists, nil, nil, 0, segs, false)
+	w.setHeld(d.Round, dists, nil, nil, 0, segs)
 	rep.GenerateNanos += obs.Since(start).Nanoseconds()
 	return w.summarizeChunks(d, rep, chunks)
 }
@@ -573,7 +545,7 @@ func (w *Worker) generateRows(d *wire.Directive, rep *wire.Report) error {
 		}
 		dists[i] = stats.Euclidean(row, d.Center)
 	}
-	w.setHeld(d.Round, dists, rows, labels, len(d.Center), singleSeg(spec.HonestN), true)
+	w.setHeld(d.Round, dists, rows, labels, len(d.Center), singleSeg(spec.HonestN))
 	rep.PctSum = pctSum
 	rep.GenerateNanos += obs.Since(start).Nanoseconds()
 	return w.summarize(d, rep)
@@ -642,7 +614,7 @@ func (w *Worker) generateRowsSubs(d *wire.Directive, rep *wire.Report, agg arriv
 		rep.PctSums[c] = draws[c].pctSum
 		rep.PctSum += draws[c].pctSum
 	}
-	w.setHeld(d.Round, dists, rows, labels, len(d.Center), segs, true)
+	w.setHeld(d.Round, dists, rows, labels, len(d.Center), segs)
 	rep.GenerateNanos += obs.Since(start).Nanoseconds()
 	return w.summarizeChunks(d, rep, chunks)
 }
@@ -756,12 +728,9 @@ func (w *Worker) summarize(d *wire.Directive, rep *wire.Report) error {
 
 // classify tallies the held shard against the threshold and builds the
 // kept-pool deltas: a kept-value summary (plus exact count/sum) always,
-// and for the row game the accepted-row vector delta plus either the kept
-// row indices (coordinator-fed rounds — the coordinator holds the rows) or
-// — shard-local rounds, where only the worker ever held the rows — an
-// append of the kept rows to the worker's own pool, with just the pool
-// total reported (wire v8: rows never travel per round; OpFetchRows pages
-// them out at game end).
+// and for the row game the accepted-row vector delta plus an append of the
+// kept rows to the worker's own pool, with just the pool total reported
+// (rows never travel per round; OpFetchRows pages them out at game end).
 func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 	start := obs.Now()
 	kept, err := summary.New(w.eps, len(w.dists))
@@ -801,19 +770,15 @@ func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 			if err := vec.PushRow(w.rows[i]); err != nil {
 				return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 			}
-			if w.localRows {
-				keptRows = append(keptRows, w.rows[i])
-				if w.labels != nil {
-					keptLabels = append(keptLabels, w.labels[i])
-				}
-			} else {
-				rep.KeptIdx = append(rep.KeptIdx, i)
+			keptRows = append(keptRows, w.rows[i])
+			if w.labels != nil {
+				keptLabels = append(keptLabels, w.labels[i])
 			}
 		}
 	}
-	if w.localRows {
+	if w.rowGen != nil {
 		if w.pool == nil {
-			return fmt.Errorf("cluster: worker %d: shard-local classify without a kept-row pool", w.id)
+			return fmt.Errorf("cluster: worker %d: row classify without a kept-row pool", w.id)
 		}
 		if w.labels == nil {
 			keptLabels = nil

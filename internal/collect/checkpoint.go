@@ -11,63 +11,58 @@ import (
 	"repro/internal/wire"
 )
 
-// Checkpointed resumable games (DESIGN.md §8). A shard-local scalar cluster
-// game is a pure function of (master seed, worker slot count), and its
-// coordinator state between rounds is compact: the public board, the
-// game-long Received/Kept streams, loss history, egress counters, and the
-// round index — which IS the RNG cell, since every draw derives from
-// (master seed, slot, round). A wire.Snapshot captures exactly that; the
-// strategies are not serialized but replayed deterministically over the
-// restored board, with the recorded thresholds double-checking the replay.
+// Checkpointed resumable games (DESIGN.md §8). A cluster game is a pure
+// function of (master seed, worker slot count), and its coordinator state
+// between rounds is compact: the public board, the game's own O(1/ε)
+// sketch state, loss history, egress counters, and the round index — which
+// IS the RNG cell, since every draw derives from (master seed, slot,
+// round). A wire.Snapshot captures exactly that; the strategies are not
+// serialized but replayed deterministically over the restored board, with
+// the recorded thresholds double-checking the replay. The engine
+// constructor (clusterOpts.newEngine) wires the shared header and history;
+// the scalar and row games add their state through snapshotter.
 
-// scalarSnapshot captures the coordinator state after round r was posted.
-func scalarSnapshot(cfg *ClusterConfig, res *Result, pool *workerPool, baselineQ float64, r int) *wire.Snapshot {
-	ft, fw := focusParams(cfg.FocusTighten, cfg.FocusWidth)
-	return &wire.Snapshot{
-		Game:         wire.SnapScalar,
-		Seed:         cfg.Gen.MasterSeed,
-		Rounds:       cfg.Rounds,
-		Batch:        cfg.Batch,
-		Ratio:        cfg.AttackRatio,
-		Epsilon:      cfg.SummaryEpsilon,
-		Workers:      cfg.Transport.Workers(),
-		SubShards:    cfg.subShards(),
-		FocusTighten: ft,
-		FocusWidth:   fw,
-		NextRound:    r + 1,
-		Epoch:        len(pool.fleetLog()),
-		BaselineQ:    baselineQ,
-		Records:      recordsToSnap(res.Board.Records),
-		Losses:       lossesToSnap(pool.losses),
-		Events:       eventsToSnap(pool.fleetLog()),
-		Received:     res.Received.State(),
-		Kept:         res.Kept.State(),
-		Egress:       pool.egress,
-		EgressConfig: pool.egressConfig,
-	}
+// snapshotHistory fills the state every snapshot carries beyond its
+// configuration fingerprint: the round to resume at, the board, the loss
+// and membership history, the egress account, and the baseline quality the
+// resume re-derives as its purity check.
+func (en *engine) snapshotHistory(s *wire.Snapshot, r int) {
+	p := en.pool
+	s.NextRound = r + 1
+	s.Epoch = len(p.fleetLog())
+	s.BaselineQ = en.baselineQ
+	s.Records = recordsToSnap(en.board.Records)
+	s.Losses = lossesToSnap(p.losses)
+	s.Events = eventsToSnap(p.fleetLog())
+	s.Egress = p.egress
+	s.EgressConfig = p.egressConfig
 }
 
-// restoreScalarSnapshot loads a snapshot into a fresh result and pool,
-// returning the round to resume at. The streams are rebuilt from their full
-// states, so every later estimate matches the uninterrupted run bit for
-// bit; the loss and membership history are restored so the resumed run
-// reports the same degraded windows (WholeSince) the original would have;
-// the egress counters continue from the snapshot (the resumed run's own
-// re-configure fan-out comes on top).
-func restoreScalarSnapshot(snap *wire.Snapshot, res *Result, pool *workerPool) (startRound int, err error) {
-	if res.Received, err = summary.FromState(snap.Received); err != nil {
-		return 0, fmt.Errorf("collect: resume received stream: %w", err)
+func (g *scalarGame) snapGame() wire.SnapGame { return wire.SnapScalar }
+
+// save adds the game-long Received/Kept stream states.
+func (g *scalarGame) save(_ *engine, s *wire.Snapshot) {
+	s.Received = g.res.Received.State()
+	s.Kept = g.res.Kept.State()
+}
+
+// load rebuilds the streams from their full states, so every later
+// estimate matches the uninterrupted run bit for bit.
+func (g *scalarGame) load(_ *engine, s *wire.Snapshot) (err error) {
+	if g.res.Received, err = summary.FromState(s.Received); err != nil {
+		return fmt.Errorf("collect: resume received stream: %w", err)
 	}
-	if res.Kept, err = summary.FromState(snap.Kept); err != nil {
-		return 0, fmt.Errorf("collect: resume kept stream: %w", err)
+	if g.res.Kept, err = summary.FromState(s.Kept); err != nil {
+		return fmt.Errorf("collect: resume kept stream: %w", err)
 	}
-	res.Board = Board{Records: snapToRecords(snap.Records)}
-	restorePoolHistory(snap, pool)
-	return snap.NextRound, nil
+	return nil
 }
 
 // restorePoolHistory loads the game-independent pool bookkeeping — loss and
-// membership history and the egress account — from a snapshot.
+// membership history and the egress account — from a snapshot, so the
+// resumed run reports the same degraded windows (WholeSince) the original
+// would have; the egress counters continue from the snapshot (the resumed
+// run's own re-configure fan-out comes on top).
 func restorePoolHistory(snap *wire.Snapshot, pool *workerPool) {
 	pool.losses = snapToLosses(snap.Losses)
 	pool.priorEvents = snapToEvents(snap.Events)
@@ -84,7 +79,7 @@ func restorePoolHistory(snap *wire.Snapshot, pool *workerPool) {
 		case fleet.EventAdmit:
 			delete(down, ev.Worker)
 		case fleet.EventGrow:
-			// Elastic runs refuse checkpointing (ClusterConfig.validate), so
+			// Elastic runs refuse checkpointing (clusterOpts.validate), so
 			// a restored log never carries growth; nothing to track.
 		}
 	}
@@ -99,73 +94,50 @@ func restorePoolHistory(snap *wire.Snapshot, pool *workerPool) {
 	pool.egressConfig += snap.EgressConfig
 }
 
-// rowsSnapshot captures the row game's coordinator state after round r was
-// posted. Unlike the scalar game there is no raw data here at all: the
-// accepted-pool state is the O(dim/ε) per-coordinate summary vector plus the
-// one-round-delayed center, and the kept rows themselves stay worker-side —
-// the snapshot carries only their per-leaf manifest, which resume verifies
-// against the live pools (OpPoolTrim). Coordinator snapshot size is flat in
-// the total number of kept rows.
-func rowsSnapshot(cfg *RowClusterConfig, res *RowResult, pool *workerPool, g *rowsGame, baselineQ float64, r int) *wire.Snapshot {
-	ft, fw := focusParams(cfg.FocusTighten, cfg.FocusWidth)
-	return &wire.Snapshot{
-		Game:         wire.SnapRows,
-		Seed:         cfg.Gen.MasterSeed,
-		Rounds:       cfg.Rounds,
-		Batch:        cfg.Batch,
-		Ratio:        cfg.AttackRatio,
-		Epsilon:      cfg.SummaryEpsilon,
-		Workers:      cfg.Transport.Workers(),
-		SubShards:    cfg.subShards(),
-		FocusTighten: ft,
-		FocusWidth:   fw,
-		NextRound:    r + 1,
-		Epoch:        len(pool.fleetLog()),
-		BaselineQ:    baselineQ,
-		Records:      recordsToSnap(res.Board.Records),
-		Losses:       lossesToSnap(pool.losses),
-		Events:       eventsToSnap(pool.fleetLog()),
-		Egress:       pool.egress,
-		EgressConfig: pool.egressConfig,
-		LateCenter:   cfg.LateCenter,
-		KeptPoison:   res.KeptPoison,
-		VecState:     g.acceptedVec.States(),
-		PrevCenter:   append([]float64(nil), g.prevCenter...),
-		Prev2Center:  append([]float64(nil), g.prev2Center...),
-		PoolRows:     g.flatPoolRows(pool),
-	}
+func (g *rowsGame) snapGame() wire.SnapGame { return wire.SnapRows }
+
+// save adds the row game's coordinator state. Unlike the scalar game there
+// is no raw data here at all: the accepted-pool state is the O(dim/ε)
+// per-coordinate summary vector plus the delayed centers, and the kept rows
+// themselves stay worker-side — the snapshot carries only their per-leaf
+// manifest, which resume verifies against the live pools (OpPoolTrim).
+// Coordinator snapshot size is flat in the total number of kept rows.
+func (g *rowsGame) save(en *engine, s *wire.Snapshot) {
+	s.LateCenter = g.cfg.LateCenter
+	s.KeptPoison = g.res.KeptPoison
+	s.VecState = g.acceptedVec.States()
+	s.PrevCenter = append([]float64(nil), g.prevCenter...)
+	s.Prev2Center = append([]float64(nil), g.prev2Center...)
+	s.PoolRows = g.flatPoolRows(en.pool)
 }
 
-// restoreRowsSnapshot loads a row-game snapshot into a fresh result, pool
-// and game, returning the round to resume at. The accepted-pool vector is
-// rebuilt from its full per-coordinate states and the current center
-// re-derived from it (Medians is a pure function of the absorbed deltas, so
-// the resumed center matches the uninterrupted run bit for bit); the delay
-// line's trailing center comes from the snapshot. The worker pools
-// themselves are rolled back separately (rowsGame.restorePools) once the
-// membership is live.
-func restoreRowsSnapshot(snap *wire.Snapshot, res *RowResult, pool *workerPool, g *rowsGame) (startRound int, err error) {
-	vec, err := summary.VectorFromState(snap.VecState)
+// load restores the row game's state: the accepted-pool vector is rebuilt
+// from its full per-coordinate states and the current center re-derived
+// from it (Medians is a pure function of the absorbed deltas, so the
+// resumed center matches the uninterrupted run bit for bit); the delay
+// line's trailing centers come from the snapshot. Then every worker pool is
+// rolled back to the snapshot's manifest: rows the original run appended
+// after the checkpoint round must not survive into the resumed run's pools.
+func (g *rowsGame) load(en *engine, s *wire.Snapshot) error {
+	vec, err := summary.VectorFromState(s.VecState)
 	if err != nil {
-		return 0, fmt.Errorf("collect: resume accepted vector: %w", err)
+		return fmt.Errorf("collect: resume accepted vector: %w", err)
 	}
 	if vec.Dim() != g.dim {
-		return 0, fmt.Errorf("collect: snapshot accepted vector has %d coordinates, dataset has %d", vec.Dim(), g.dim)
+		return fmt.Errorf("collect: snapshot accepted vector has %d coordinates, dataset has %d", vec.Dim(), g.dim)
 	}
-	if len(snap.PrevCenter) != g.dim {
-		return 0, fmt.Errorf("collect: snapshot trailing center has %d coordinates, dataset has %d", len(snap.PrevCenter), g.dim)
+	if len(s.PrevCenter) != g.dim {
+		return fmt.Errorf("collect: snapshot trailing center has %d coordinates, dataset has %d", len(s.PrevCenter), g.dim)
 	}
-	if len(snap.Prev2Center) != g.dim {
-		return 0, fmt.Errorf("collect: snapshot third-tap center has %d coordinates, dataset has %d", len(snap.Prev2Center), g.dim)
+	if len(s.Prev2Center) != g.dim {
+		return fmt.Errorf("collect: snapshot third-tap center has %d coordinates, dataset has %d", len(s.Prev2Center), g.dim)
 	}
 	g.acceptedVec = vec
 	g.curCenter = vec.Medians(nil)
-	g.prevCenter = append([]float64(nil), snap.PrevCenter...)
-	g.prev2Center = append([]float64(nil), snap.Prev2Center...)
-	res.KeptPoison = snap.KeptPoison
-	res.Board = Board{Records: snapToRecords(snap.Records)}
-	restorePoolHistory(snap, pool)
-	return snap.NextRound, nil
+	g.prevCenter = append([]float64(nil), s.PrevCenter...)
+	g.prev2Center = append([]float64(nil), s.Prev2Center...)
+	g.res.KeptPoison = s.KeptPoison
+	return g.restorePools(en.pool, s.PoolRows, s.NextRound)
 }
 
 // replayStrategies re-advances the collector's and adversary's internal

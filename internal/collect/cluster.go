@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/arrival"
-	"repro/internal/attack"
 	"repro/internal/cluster"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -16,15 +15,13 @@ import (
 // ClusterConfig parameterizes a scalar collection game distributed over a
 // cluster.Transport: the same game as RunSharded, but each shard lives
 // behind a transport boundary (in-process loopback or TCP worker
-// processes). By default arrival generation stays on the coordinator — it
-// owns the single RNG, so a run is reproducible given (seed, worker count);
-// with a Gen each worker generates its own arrivals from derived seed
-// streams (DESIGN.md §7) and a run is a pure function of (master seed,
-// worker count). In either mode, over the loopback with the same worker
-// count the cluster reproduces RunSharded's board record for record.
-// Workers only ever see their shard of each round and the resolved
-// threshold; the coordinator only ever sees wire-encoded summary deltas
-// and counts.
+// processes). Every round runs on the shard-local data plane (DESIGN.md
+// §7): each worker generates its own arrivals from derived seed streams,
+// so a run is a pure function of (master seed, worker count), and over the
+// loopback it reproduces RunSharded with the same Gen and shard count
+// record for record. Workers only ever see O(1) generator specs and the
+// resolved threshold; the coordinator only ever sees wire-encoded summary
+// deltas and counts.
 type ClusterConfig struct {
 	Config
 
@@ -32,30 +29,29 @@ type ClusterConfig struct {
 	// is the shard order.
 	Transport cluster.Transport
 
-	// Gen, when non-nil, switches the cluster to the shard-local data
-	// plane: the configure fan-out ships the honest pool and reference
-	// once, and every round directive shrinks to an O(1) generator spec
-	// (derived seed + counts + injection parameters) — coordinator egress
-	// per round drops from O(batch) to O(workers). The run reproduces
-	// RunSharded with the same Gen and worker count record for record.
+	// Gen seeds the shard-local data plane and is required: the configure
+	// fan-out ships the honest pool and reference once, and every round
+	// directive is an O(1) generator spec (derived seed + counts +
+	// injection parameters), so coordinator egress per round is
+	// O(workers). The run reproduces RunSharded with the same Gen and
+	// worker count record for record.
 	Gen *ShardGen
 
 	// SubShards splits each worker's per-round generation into this many
 	// independently seeded sub-shards, drawn and summarized on parallel
 	// goroutines and folded locally in sub order (wire v6, DESIGN.md §12) —
 	// per-core parallelism inside each worker process on top of the
-	// per-worker parallelism across the cluster. Requires a Gen (the subs
-	// are cells of the flat derived-seed space); ≤ 1 means one shard per
-	// worker. The board is shape-invariant: a W-worker run with C sub-shards
-	// reproduces a flat (W·C)-shard RunSharded reference record for record.
+	// per-worker parallelism across the cluster. The subs are cells of the
+	// flat derived-seed space; ≤ 1 means one shard per worker. The board is
+	// shape-invariant: a W-worker run with C sub-shards reproduces a flat
+	// (W·C)-shard RunSharded reference record for record.
 	SubShards int
 
 	// Pipeline enables the overlapped round schedule (DESIGN.md §9):
 	// round r's classify broadcast carries round r+1's generator specs
 	// (wire.OpClassifyGenerate), so workers overlap next-round generation
 	// with the current classify and a steady-state round costs one RTT
-	// instead of two. Requires a Gen — speculation is safe only in
-	// shard-local mode. The board is unchanged: a pipelined run reproduces
+	// instead of two. The board is unchanged: a pipelined run reproduces
 	// the unpipelined run (and hence the RunSharded reference) record for
 	// record; membership changes, checkpoints and resume flush the pipeline
 	// at the round boundary, so the fleet invariants are preserved.
@@ -80,24 +76,24 @@ type ClusterConfig struct {
 	// heartbeat liveness over the transport, an epoch-numbered membership
 	// view, and — with Fleet.Rejoin — re-admission of lost workers at round
 	// boundaries (transport Revive, then the Hello/Configure/Join
-	// handshake). Under a ShardGen, arrivals repartition deterministically
-	// over the live slot set, so a run that loses a worker and re-admits it
+	// handshake). Arrivals repartition deterministically over the live slot
+	// set, so a run that loses a worker and re-admits it
 	// matches the uninterrupted reference record for record from the first
 	// round the membership is whole again.
 	Fleet *fleet.Config
 
 	// Checkpoint, when non-nil, persists a wire-encoded Snapshot of the
-	// full coordinator game state every k rounds (fleet.Checkpointer).
-	// Requires a ShardGen: only a game that is a pure function of (master
-	// seed, slot count) can be resumed reproducibly.
+	// full coordinator game state every k rounds (fleet.Checkpointer). The
+	// game is a pure function of (master seed, slot count), which is what
+	// lets it resume reproducibly.
 	Checkpoint *fleet.Checkpointer
 
 	// Resume restarts the game from a decoded checkpoint: the board, the
 	// game-long Received/Kept streams, loss history and egress counters are
 	// restored bit for bit, strategies are replayed over the restored board,
 	// and play continues at Snapshot.NextRound. The snapshot's
-	// configuration fingerprint must match this config. Requires the same
-	// ShardGen the checkpointing run used.
+	// configuration fingerprint must match this config, including the
+	// master seed of the checkpointing run's Gen.
 	Resume *wire.Snapshot
 
 	// Elastic admits new worker slots mid-game (DESIGN.md §13): before
@@ -107,10 +103,9 @@ type ClusterConfig struct {
 	// their derived seed streams — growth only opens new streams — so a run
 	// that grows by k before round 1 reproduces the (W+k)-worker run record
 	// for record, and a mid-game grow matches it from the grow round on.
-	// Requires the shard-local data plane (a ShardGen) and a transport
-	// implementing cluster.Grower; incompatible with Fleet supervision,
-	// checkpointing and resume. Steps must be in strictly ascending round
-	// order with Add > 0.
+	// Requires a transport implementing cluster.Grower; incompatible with
+	// Fleet supervision, checkpointing and resume. Steps must be in
+	// strictly ascending round order with Add > 0.
 	Elastic []GrowStep
 }
 
@@ -121,117 +116,36 @@ type GrowStep struct {
 	Add   int
 }
 
-func (c *ClusterConfig) validate() error {
-	if err := validateTransport(c.Transport); err != nil {
-		return err
+// opts is the config's view of the knobs every cluster game shares.
+func (c *ClusterConfig) opts() *clusterOpts {
+	return &clusterOpts{
+		transport: c.Transport, gen: c.Gen, adversary: c.Adversary,
+		rounds: c.Rounds, batch: c.Batch, ratio: c.AttackRatio, epsilon: c.SummaryEpsilon,
+		subShards: c.SubShards, focusTighten: c.FocusTighten, focusWidth: c.FocusWidth, pipeline: c.Pipeline,
+		log: c.Log, metrics: c.Metrics, fleet: c.Fleet, checkpoint: c.Checkpoint, resume: c.Resume, elastic: c.Elastic,
+	}
+}
+
+func (c *ClusterConfig) validate() (*clusterOpts, error) {
+	o := c.opts()
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
 	if c.ExactQuantiles {
-		return fmt.Errorf("collect: cluster collection requires summaries (ExactQuantiles must be false)")
+		return nil, fmt.Errorf("collect: cluster collection requires summaries (ExactQuantiles must be false)")
 	}
-	if err := validatePipeline(c.Pipeline, c.Gen); err != nil {
-		return err
-	}
-	if err := validateScaleKnobs(c.SubShards, c.Gen, c.FocusTighten, c.FocusWidth); err != nil {
-		return err
-	}
-	if (c.Checkpoint != nil || c.Resume != nil) && c.Gen == nil {
-		return fmt.Errorf("collect: checkpoint/resume requires the shard-local data plane (a ShardGen)")
+	if err := c.Config.validateMode(true); err != nil {
+		return nil, err
 	}
 	if c.Resume != nil {
-		if err := c.validateResume(); err != nil {
-			return err
+		if err := o.checkResume(wire.SnapScalar); err != nil {
+			return nil, err
+		}
+		if c.Resume.Received == nil || c.Resume.Kept == nil {
+			return nil, fmt.Errorf("collect: snapshot carries no stream state")
 		}
 	}
-	if err := c.validateElastic(); err != nil {
-		return err
-	}
-	if c.Gen != nil {
-		if _, err := specInjector(c.Adversary); err != nil {
-			return err
-		}
-		return c.Config.validateMode(true)
-	}
-	return c.Config.validate()
-}
-
-// validateElastic checks the growth schedule against the run modes that can
-// host it: only the shard-local data plane repartitions deterministically
-// over a wider slot set, and a growing slot space has no stable fingerprint
-// for supervision epochs or snapshots to pin.
-func (c *ClusterConfig) validateElastic() error {
-	if len(c.Elastic) == 0 {
-		return nil
-	}
-	if c.Gen == nil {
-		return fmt.Errorf("collect: elastic growth requires the shard-local data plane (a ShardGen)")
-	}
-	if _, ok := c.Transport.(cluster.Grower); !ok {
-		return fmt.Errorf("collect: elastic growth requires a transport implementing cluster.Grower")
-	}
-	if c.Fleet != nil || c.Checkpoint != nil || c.Resume != nil {
-		return fmt.Errorf("collect: elastic growth is incompatible with fleet supervision, checkpoint and resume")
-	}
-	last := 0
-	for _, s := range c.Elastic {
-		if s.Round < 1 || s.Round > c.Rounds {
-			return fmt.Errorf("collect: elastic step at round %d outside the %d-round game", s.Round, c.Rounds)
-		}
-		if s.Round <= last {
-			return fmt.Errorf("collect: elastic steps must be in strictly ascending round order")
-		}
-		if s.Add <= 0 {
-			return fmt.Errorf("collect: elastic step at round %d adds %d workers", s.Round, s.Add)
-		}
-		last = s.Round
-	}
-	return nil
-}
-
-// validateResume pins the snapshot's configuration fingerprint to this
-// config: resuming a different game is an operator error, never a merge.
-func (c *ClusterConfig) validateResume() error {
-	s := c.Resume
-	if s.Game != wire.SnapScalar {
-		return fmt.Errorf("collect: snapshot is for game %d, not the scalar cluster game", s.Game)
-	}
-	if s.Seed != c.Gen.MasterSeed {
-		return fmt.Errorf("collect: snapshot master seed %d, config %d", s.Seed, c.Gen.MasterSeed)
-	}
-	if s.Rounds != c.Rounds || s.Batch != c.Batch {
-		return fmt.Errorf("collect: snapshot game %d rounds x batch %d, config %d x %d",
-			s.Rounds, s.Batch, c.Rounds, c.Batch)
-	}
-	if s.Ratio != c.AttackRatio {
-		return fmt.Errorf("collect: snapshot attack ratio %v, config %v", s.Ratio, c.AttackRatio)
-	}
-	if s.Epsilon != c.SummaryEpsilon {
-		return fmt.Errorf("collect: snapshot summary epsilon %v, config %v", s.Epsilon, c.SummaryEpsilon)
-	}
-	if s.Workers != c.Transport.Workers() {
-		return fmt.Errorf("collect: snapshot cut over %d worker slots, transport has %d",
-			s.Workers, c.Transport.Workers())
-	}
-	if s.SubShards != c.subShards() {
-		return fmt.Errorf("collect: snapshot cut at %d sub-shards per worker, config %d", s.SubShards, c.subShards())
-	}
-	if ft, fw := focusParams(c.FocusTighten, c.FocusWidth); s.FocusTighten != ft || s.FocusWidth != fw {
-		return fmt.Errorf("collect: snapshot focus %d× / ±%v, config %d× / ±%v", s.FocusTighten, s.FocusWidth, ft, fw)
-	}
-	if s.NextRound > c.Rounds+1 {
-		return fmt.Errorf("collect: snapshot next round %d beyond the %d-round game", s.NextRound, c.Rounds)
-	}
-	if s.Received == nil || s.Kept == nil {
-		return fmt.Errorf("collect: snapshot carries no stream state")
-	}
-	return nil
-}
-
-// subShards normalizes the sub-shard knob: 0 and 1 are the same layout.
-func (c *ClusterConfig) subShards() int {
-	if c.SubShards < 1 {
-		return 1
-	}
-	return c.SubShards
+	return o, nil
 }
 
 // scalarGame adapts the scalar collection game to the round engine: scalar
@@ -241,21 +155,12 @@ type scalarGame struct {
 	cfg     *ClusterConfig
 	res     *Result
 	ref     []float64 // sorted clean reference
-	genPool []float64 // shard-local honest pool (nil when coordinator-fed)
+	genPool []float64 // the honest pool workers sample
 	jscale  float64
-
-	// Coordinator-fed round state.
-	values []float64
-	bounds map[int][2]int
 }
 
 func (g *scalarGame) confDirective() wire.Directive {
-	conf := wire.Directive{Epsilon: g.cfg.SummaryEpsilon}
-	if g.cfg.Gen != nil {
-		conf.Pool = g.genPool
-		conf.RefSorted = g.ref
-	}
-	return conf
+	return wire.Directive{Epsilon: g.cfg.SummaryEpsilon, Pool: g.genPool, RefSorted: g.ref}
 }
 
 func (g *scalarGame) preRound(*engine, int) error      { return nil }
@@ -267,14 +172,6 @@ func (g *scalarGame) speculative() bool                { return true }
 
 func (g *scalarGame) specAttach(*engine, int, []*wire.Directive) {}
 
-func (g *scalarGame) feed(en *engine, r int) ([]*wire.Directive, float64, error) {
-	inject := g.cfg.Adversary.Injection(r, g.res.Board.adversaryView())
-	values, pctSum := drawArrivals(&g.cfg.Config, inject, g.ref, g.jscale, en.poison)
-	dirs, bounds := en.pool.scalarSummarizeDirs(r, values, g.cfg.Batch)
-	g.values, g.bounds = values, bounds
-	return dirs, pctSum, nil
-}
-
 func (g *scalarGame) foldGen(*wire.Report, arrival.Spec) {}
 
 func (g *scalarGame) threshold(pct float64, merged *summary.Summary) float64 {
@@ -285,9 +182,6 @@ func (g *scalarGame) threshold(pct float64, merged *summary.Summary) float64 {
 }
 
 func (g *scalarGame) quality(merged *summary.Summary) float64 {
-	if g.cfg.Quality != nil { // central generation only; rejected under Gen
-		return g.cfg.Quality(g.values, g.ref)
-	}
 	return ExcessMassQualitySummary(merged, g.ref)
 }
 
@@ -306,52 +200,34 @@ func (g *scalarGame) endRound(merged *summary.Summary, count int, sum float64) {
 
 // RunCluster plays the scalar collection game across a worker cluster. See
 // ClusterConfig for the protocol split; per round it is two fan-outs:
-// obtain the shard summaries (ship value slices, or — under a ShardGen —
-// broadcast O(1) generator specs and let each worker draw its own slice)
-// and merge the returned deltas, then broadcast the resolved threshold and
-// reduce the returned classification counts and kept-pool deltas. With
-// Pipeline the two fan-outs of consecutive rounds overlap (one RTT per
-// steady-state round); the board is identical either way.
+// broadcast O(1) generator specs, let each worker draw and summarize its
+// own slice and merge the returned deltas, then broadcast the resolved
+// threshold and reduce the returned classification counts and kept-pool
+// deltas. With Pipeline the two fan-outs of consecutive rounds overlap (one
+// RTT per steady-state round); the board is identical either way.
 func RunCluster(cfg ClusterConfig) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	o, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	cfg.Collector.Reset()
 	cfg.Adversary.Reset()
 	ref := sortedCopy(cfg.Reference)
-
-	var genPool []float64
-	var si attack.SpecInjector
-	if cfg.Gen != nil {
-		genPool = cfg.Gen.Pool
-		if genPool == nil {
-			genPool = cfg.Reference
-		}
-		si, _ = specInjector(cfg.Adversary) // validated above
+	genPool := cfg.Gen.Pool
+	if genPool == nil {
+		genPool = cfg.Reference
 	}
 
-	// Baseline quality: the same draw as RunSharded in the matching mode,
-	// so the boards stay comparable record for record.
-	var baseline []float64
-	if cfg.Gen != nil {
-		gen := &arrival.Scalar{Pool: genPool, Ref: ref}
-		var err error
-		if baseline, _, err = gen.Draw(cfg.Gen.preRand(), arrival.Spec{HonestN: cfg.Batch}); err != nil {
-			return nil, err
-		}
-	} else {
-		baseline = cleanBatch(cfg.Config)
-	}
-	var baselineQ float64
-	if cfg.Quality != nil {
-		baselineQ = cfg.Quality(baseline, ref)
-	} else {
-		baselineQ = ExcessMassQuality(baseline, ref)
+	// Baseline quality: the same pre-game draw as RunSharded with the same
+	// Gen, so the boards stay comparable record for record.
+	gen := &arrival.Scalar{Pool: genPool, Ref: ref}
+	baseline, _, err := gen.Draw(cfg.Gen.preRand(), arrival.Spec{HonestN: cfg.Batch})
+	if err != nil {
+		return nil, err
 	}
 
 	roundLen := cfg.Batch + cfg.poisonPerRound()
 	res := &Result{}
-	var err error
 	if res.Received, err = summary.New(cfg.SummaryEpsilon, cfg.Rounds*roundLen); err != nil {
 		return nil, err
 	}
@@ -359,70 +235,12 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 		return nil, err
 	}
 
-	pool := newWorkerPool(cfg.Transport, cfg.Log, cfg.Metrics, cfg.Fleet)
-	defer pool.stop()
-
-	ft, fw := focusParams(cfg.FocusTighten, cfg.FocusWidth)
-	en := &engine{
-		game: &scalarGame{
-			cfg: &cfg, res: res,
-			ref: ref, genPool: genPool, jscale: jitterScale(ref),
-		},
-		pool:         pool,
-		board:        &res.Board,
-		collector:    cfg.Collector,
-		rounds:       cfg.Rounds,
-		batch:        cfg.Batch,
-		poison:       cfg.poisonPerRound(),
-		baselineQ:    baselineQ,
-		gen:          cfg.Gen,
-		si:           si,
-		subShards:    cfg.subShards(),
-		focusTighten: ft,
-		focusWidth:   fw,
-		pipeline:     cfg.Pipeline,
-		onRound:      cfg.OnRound,
-		elastic:      cfg.Elastic,
-	}
-	if cfg.Resume != nil {
-		en.resume = func() (int, error) {
-			// The baseline re-derived above is the purity check: a snapshot
-			// cut from the same (master seed, pool) reproduces it bit for bit.
-			if !sameQuality(cfg.Resume.BaselineQ, baselineQ) {
-				return 0, fmt.Errorf("collect: snapshot baseline quality %v, recomputed %v (snapshot is from a different game)",
-					cfg.Resume.BaselineQ, baselineQ)
-			}
-			start, err := restoreScalarSnapshot(cfg.Resume, res, pool)
-			if err != nil {
-				return 0, err
-			}
-			if err := replayStrategies(cfg.Collector, si, res.Board.Records); err != nil {
-				return 0, err
-			}
-			// Re-anchor the focus schedule: the resumed run's first round
-			// anchors on the last posted round's percentile, exactly as the
-			// uninterrupted run would have.
-			if n := len(res.Board.Records); n > 0 {
-				en.lastPct, en.haveLast = res.Board.Records[n-1].ThresholdPct, true
-			}
-			return start, nil
-		}
-	}
-	if cfg.Checkpoint != nil {
-		en.checkpointDue = cfg.Checkpoint.Due
-		en.checkpoint = func(r int) error {
-			path, err := cfg.Checkpoint.Write(scalarSnapshot(&cfg, res, pool, baselineQ, r))
-			if err != nil {
-				return err
-			}
-			pool.log.Checkpoint(r, path)
-			pool.met.Counter("trimlab_checkpoints_total").Inc()
-			return nil
-		}
-	}
+	g := &scalarGame{cfg: &cfg, res: res, ref: ref, genPool: genPool, jscale: jitterScale(ref)}
+	en := o.newEngine(g, &res.Board, cfg.Collector, cfg.OnRound, cfg.poisonPerRound(), ExcessMassQuality(baseline, ref))
+	defer en.pool.stop()
 	if err := en.run(); err != nil {
 		return nil, err
 	}
-	pool.finishStats(&res.ClusterStats)
+	en.pool.finishStats(&res.ClusterStats)
 	return res, nil
 }

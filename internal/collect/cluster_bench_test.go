@@ -16,12 +16,8 @@ import (
 // withObs the full observability stack rides along — metrics registry,
 // event logger, ring — so BenchmarkClusterRoundObs prices the
 // instrumentation against the unobserved BenchmarkClusterRound.
-func benchClusterRound(b *testing.B, workers int, gen *ShardGen, withObs bool) {
+func benchClusterRound(b *testing.B, workers int, withObs bool) {
 	ref := stats.NormalSlice(stats.NewRand(1), 5000, 0, 1)
-	honest, err := PoolSampler(ref)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var egressPerRound float64
 	for i := 0; i < b.N; i++ {
 		static, err := newStaticForBench()
@@ -40,16 +36,12 @@ func benchClusterRound(b *testing.B, workers int, gen *ShardGen, withObs bool) {
 				TrimOnBatch: true,
 			},
 			Transport: cluster.NewLoopback(workers),
-			Gen:       gen,
+			Gen:       &ShardGen{MasterSeed: 1},
 		}
 		if withObs {
 			ring := obs.NewRing(256)
 			cfg.Log = obs.NewLogger(ring.Sink())
 			cfg.Metrics = obs.NewRegistry()
-		}
-		if gen == nil {
-			cfg.Honest = honest
-			cfg.Rng = stats.NewRand(int64(i))
 		}
 		res, err := RunCluster(cfg)
 		if err != nil {
@@ -60,16 +52,18 @@ func benchClusterRound(b *testing.B, workers int, gen *ShardGen, withObs bool) {
 	b.ReportMetric(egressPerRound, "egressB/round")
 }
 
-// BenchmarkClusterRound measures the coordinator-fed cluster — the wire
-// encode/decode and two-phase fan-out added on top of BenchmarkRunSharded's
-// raw goroutine fan-out. Every round ships the full batch: per-round egress
-// is O(batch) (~2.4 MB at batch 100k).
+// BenchmarkClusterRound measures the cluster game — worker-side generation,
+// the wire encode/decode and the two-phase fan-out on top of
+// BenchmarkRunSharded's raw goroutine fan-out. Workers draw their own
+// arrivals from derived seed streams and the coordinator broadcasts O(1)
+// seed directives: per-round egress is O(workers) (a few hundred bytes),
+// independent of the batch.
 //
 // Run with: go test ./internal/collect -bench=ClusterRound -benchmem
 func BenchmarkClusterRound(b *testing.B) {
 	for _, workers := range []int{4, 16} {
 		b.Run(fmt.Sprintf("Workers%d", workers), func(b *testing.B) {
-			benchClusterRound(b, workers, nil, false)
+			benchClusterRound(b, workers, false)
 		})
 	}
 }
@@ -81,19 +75,7 @@ func BenchmarkClusterRound(b *testing.B) {
 func BenchmarkClusterRoundObs(b *testing.B) {
 	for _, workers := range []int{4, 16} {
 		b.Run(fmt.Sprintf("Workers%d", workers), func(b *testing.B) {
-			benchClusterRound(b, workers, nil, true)
-		})
-	}
-}
-
-// BenchmarkClusterRoundLocal measures the same game on the shard-local
-// data plane: workers generate their own arrivals from derived seed
-// streams, and the coordinator broadcasts O(1) seed directives — per-round
-// egress is O(workers) (a few hundred bytes), independent of the batch.
-func BenchmarkClusterRoundLocal(b *testing.B) {
-	for _, workers := range []int{4, 16} {
-		b.Run(fmt.Sprintf("Workers%d", workers), func(b *testing.B) {
-			benchClusterRound(b, workers, &ShardGen{MasterSeed: 1}, false)
+			benchClusterRound(b, workers, true)
 		})
 	}
 }

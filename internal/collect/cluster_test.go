@@ -12,18 +12,20 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/cluster"
-	"repro/internal/dataset"
-	"repro/internal/ldp"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/trim"
 )
 
+// clusterConfig is the scalar cluster game on baseConfig's game, seeded
+// for the shard-local data plane from the same seed (the central
+// Honest/Rng ride along unused).
 func clusterConfig(t *testing.T, seed int64, workers int) ClusterConfig {
 	t.Helper()
 	return ClusterConfig{
 		Config:    baseConfig(t, seed),
 		Transport: cluster.NewLoopback(workers),
+		Gen:       &ShardGen{MasterSeed: seed},
 	}
 }
 
@@ -33,7 +35,8 @@ func TestRunClusterValidation(t *testing.T) {
 		func(c *ClusterConfig) { c.Transport = cluster.NewLoopback(0) },
 		func(c *ClusterConfig) { c.ExactQuantiles = true },
 		func(c *ClusterConfig) { c.Rounds = 0 },
-		func(c *ClusterConfig) { c.Rng = nil },
+		func(c *ClusterConfig) { c.Gen = nil },
+		func(c *ClusterConfig) { c.SummaryEpsilon = 1 },
 	}
 	for i, mutate := range bad {
 		cfg := clusterConfig(t, 30, 4)
@@ -44,13 +47,51 @@ func TestRunClusterValidation(t *testing.T) {
 	}
 }
 
+// Every cluster entry point, and the sharded wrappers that run the cluster
+// game over the loopback, refuses a config without a ShardGen up front,
+// with the same error: cluster rounds exist only on the shard-local data
+// plane.
+func TestClusterGamesRequireShardGen(t *testing.T) {
+	rows := func() RowConfig { return rowsPipelineConfig(t, 40) }
+	ldpCfg := func() LDPConfig { return shardLocalLDPConfig(t) }
+	runs := map[string]func() error{
+		"RunCluster": func() error {
+			cfg := clusterConfig(t, 30, 2)
+			cfg.Gen = nil
+			_, err := RunCluster(cfg)
+			return err
+		},
+		"RunClusterRows": func() error {
+			_, err := RunClusterRows(RowClusterConfig{RowConfig: rows(), Transport: cluster.NewLoopback(2)})
+			return err
+		},
+		"RunClusterLDP": func() error {
+			_, err := RunClusterLDP(LDPClusterConfig{LDPConfig: ldpCfg(), Transport: cluster.NewLoopback(2)})
+			return err
+		},
+		"RunShardedRows": func() error {
+			_, err := RunShardedRows(RowShardedConfig{RowConfig: rows(), Shards: 2})
+			return err
+		},
+		"RunShardedLDP": func() error {
+			_, err := RunShardedLDP(LDPShardedConfig{LDPConfig: ldpCfg(), Shards: 2})
+			return err
+		},
+	}
+	for name, run := range runs {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "Gen (a ShardGen) is required") {
+			t.Errorf("%s without Gen: err = %v, want the shard-local data plane refusal", name, err)
+		}
+	}
+}
+
 // The loopback cluster must reproduce the in-process sharded game exactly:
-// same seed, same shard count, same contiguous partition, same shard-order
+// same seed, same shard count, same derived streams, same shard-order
 // merge — the wire encoding in between is bit-exact, so every resolved
 // threshold (and the whole board) is equal, not merely within ε.
 func TestRunClusterEqualsRunSharded(t *testing.T) {
 	const workers = 5
-	scfg := ShardedConfig{Config: baseConfig(t, 31), Shards: workers}
+	scfg := ShardedConfig{Config: baseConfig(t, 31), Shards: workers, Gen: &ShardGen{MasterSeed: 31}}
 	scfg.TrimOnBatch = true
 	sharded, err := RunSharded(scfg)
 	if err != nil {
@@ -73,36 +114,6 @@ func TestRunClusterEqualsRunSharded(t *testing.T) {
 	}
 	if clustered.LostShards != 0 {
 		t.Errorf("lost shards = %d on a healthy cluster", clustered.LostShards)
-	}
-}
-
-// The cluster's thresholds must stay within the summary rank-error budget
-// of the unsharded game on the same seed — the acceptance bound of the
-// distributed collector, asserted deterministically over the loopback.
-func TestRunClusterThresholdWithinEpsilonOfRun(t *testing.T) {
-	cfg := baseConfig(t, 32)
-	cfg.TrimOnBatch = true
-	single, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := clusterConfig(t, 32, 4)
-	ccfg.TrimOnBatch = true
-	clustered, err := RunCluster(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSorted := sortedCopy(cfg.Reference)
-	for i := range single.Board.Records {
-		a, b := single.Board.Records[i], clustered.Board.Records[i]
-		if a.ThresholdPct != b.ThresholdPct {
-			t.Fatalf("round %d: strategies diverged", i+1)
-		}
-		ra := stats.PercentileRankSorted(refSorted, a.ThresholdValue)
-		rb := stats.PercentileRankSorted(refSorted, b.ThresholdValue)
-		if math.Abs(ra-rb) > 0.05 {
-			t.Errorf("round %d: threshold ranks %v vs %v diverged beyond the budget", i+1, ra, rb)
-		}
 	}
 }
 
@@ -135,6 +146,7 @@ func TestRunClusterWorkerLoss(t *testing.T) {
 	cfg := ClusterConfig{
 		Config:    baseConfig(t, 34),
 		Transport: lb,
+		Gen:       &ShardGen{MasterSeed: 34},
 		Log: obs.NewLogger(obs.PrintfSink(func(format string, args ...any) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -182,9 +194,9 @@ func TestRunClusterWorkerLoss(t *testing.T) {
 	}
 }
 
-// More workers than arrivals: some shards get empty slices every round.
-// Empty shards must complete both phases (regression: an empty Values
-// slice decodes to nil and once tripped the classify "no summarize" guard,
+// More workers than arrivals: some shards draw empty slices every round.
+// Empty shards must complete both phases (regression: an empty shard
+// slice is nil and once tripped the classify "no summarize" guard,
 // dropping healthy workers as lost shards).
 func TestRunClusterEmptyShards(t *testing.T) {
 	cfg := clusterConfig(t, 44, 8)
@@ -209,7 +221,7 @@ func TestRunClusterEmptyShards(t *testing.T) {
 // tallies: the lost slice is missing from both.
 func TestRunClusterWorkerLossKeptConsistency(t *testing.T) {
 	lb := cluster.NewLoopback(4)
-	cfg := ClusterConfig{Config: baseConfig(t, 45), Transport: lb}
+	cfg := ClusterConfig{Config: baseConfig(t, 45), Transport: lb, Gen: &ShardGen{MasterSeed: 45}}
 	cfg.TrimOnBatch = true
 	rounds := 0
 	cfg.OnRound = func(RoundRecord) {
@@ -236,7 +248,7 @@ func TestRunClusterWorkerLossKeptConsistency(t *testing.T) {
 
 func TestRunClusterAllWorkersLost(t *testing.T) {
 	lb := cluster.NewLoopback(2)
-	cfg := ClusterConfig{Config: baseConfig(t, 35), Transport: lb}
+	cfg := ClusterConfig{Config: baseConfig(t, 35), Transport: lb, Gen: &ShardGen{MasterSeed: 35}}
 	cfg.TrimOnBatch = true
 	cfg.OnRound = func(RoundRecord) {
 		lb.Fail(0)
@@ -270,7 +282,7 @@ func TestRunClusterOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg := ClusterConfig{Config: baseConfig(t, 36), Transport: tr}
+	ccfg := ClusterConfig{Config: baseConfig(t, 36), Transport: tr, Gen: &ShardGen{MasterSeed: 36}}
 	ccfg.TrimOnBatch = true
 	overTCP, err := RunCluster(ccfg)
 	if err != nil {
@@ -289,21 +301,28 @@ func TestRunClusterOverTCP(t *testing.T) {
 	}
 }
 
-// Kept-pool estimators: every engine plays the same game over the same
-// stream, so the Kept counts must match the tallies exactly and the
-// summary-driven mean/quantiles must agree across engines (exact running
-// sums for the mean; the ε budget plus merge slack for quantiles).
+// Kept-pool estimators: engines that play the same game over the same
+// stream — the central Run and RunSharded on one RNG, the shard-local
+// RunSharded and RunCluster on one master seed — must match the tallies
+// exactly in their Kept counts, and the summary-driven mean/quantiles must
+// agree within each pair (exact running sums for the mean; the ε budget
+// plus merge slack for quantiles).
 func TestKeptEstimatorsAgreeAcrossEngines(t *testing.T) {
 	cfg := baseConfig(t, 37)
 	cfg.TrimOnBatch = true
+	gen := &ShardGen{MasterSeed: 38}
 	engines := []struct {
 		name string
+		pair bool // compare against the previous engine
 		run  func() (*Result, error)
 	}{
-		{"run", func() (*Result, error) { return Run(cfg) }},
-		{"sharded", func() (*Result, error) { return RunSharded(ShardedConfig{Config: cfg, Shards: 3}) }},
-		{"cluster", func() (*Result, error) {
-			return RunCluster(ClusterConfig{Config: cfg, Transport: cluster.NewLoopback(3)})
+		{"run", false, func() (*Result, error) { return Run(cfg) }},
+		{"sharded", true, func() (*Result, error) { return RunSharded(ShardedConfig{Config: cfg, Shards: 3}) }},
+		{"sharded-local", false, func() (*Result, error) {
+			return RunSharded(ShardedConfig{Config: cfg, Shards: 3, Gen: gen})
+		}},
+		{"cluster", true, func() (*Result, error) {
+			return RunCluster(ClusterConfig{Config: cfg, Transport: cluster.NewLoopback(3), Gen: gen})
 		}},
 	}
 	var ref *Result
@@ -323,7 +342,7 @@ func TestKeptEstimatorsAgreeAcrossEngines(t *testing.T) {
 		if res.Kept.Count() != tallied {
 			t.Errorf("%s: kept count %d, tallies %d", en.name, res.Kept.Count(), tallied)
 		}
-		if ref == nil {
+		if !en.pair {
 			ref = res
 			continue
 		}
@@ -362,132 +381,10 @@ func TestKeptEstimatorsExactModeNaN(t *testing.T) {
 	}
 }
 
-// The sharded row game must agree with the unsharded row game on the
-// observable outcomes within the summary budget, and be deterministic.
-func TestRunShardedRowsAgreesWithRunRows(t *testing.T) {
-	mk := func() RowConfig {
-		d := dataset.VehicleN(stats.NewRand(40), 400)
-		static, err := trim.NewStatic("s", 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adv, err := attack.NewPoint("p", 0.99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RowConfig{
-			Rounds: 5, Batch: 100, AttackRatio: 0.2,
-			Data: d, Collector: static, Adversary: adv,
-			PoisonLabel: -1,
-			Rng:         stats.NewRand(41),
-		}
-	}
-	single, err := RunRows(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := RunShardedRows(RowShardedConfig{RowConfig: mk(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(single.Board.PoisonRetention()-sharded.Board.PoisonRetention()) > 0.05 {
-		t.Errorf("retention %v (single) vs %v (sharded)",
-			single.Board.PoisonRetention(), sharded.Board.PoisonRetention())
-	}
-	if math.Abs(single.Board.HonestLoss()-sharded.Board.HonestLoss()) > 0.05 {
-		t.Errorf("loss %v (single) vs %v (sharded)",
-			single.Board.HonestLoss(), sharded.Board.HonestLoss())
-	}
-	var kept int
-	for _, rec := range sharded.Board.Records {
-		kept += rec.HonestKept + rec.PoisonKept
-	}
-	if got := sharded.Kept.Len(); got != kept {
-		t.Errorf("kept dataset %d rows, accounting says %d", got, kept)
-	}
-	again, err := RunShardedRows(RowShardedConfig{RowConfig: mk(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sharded.Board.Records {
-		if sharded.Board.Records[i] != again.Board.Records[i] {
-			t.Fatalf("round %d diverged between identical seeds", i+1)
-		}
-	}
-}
-
-// The sharded LDP game must agree with the unsharded LDP game on mean
-// estimate and retention within summary-budget tolerances, and be
-// deterministic.
-func TestRunShardedLDPAgreesWithRunLDP(t *testing.T) {
-	mk := func() LDPConfig {
-		inputs := make([]float64, 3000)
-		rng := stats.NewRand(42)
-		for i := range inputs {
-			inputs[i] = stats.Clamp(rng.NormFloat64()*0.3, -1, 1)
-		}
-		// Piecewise has continuous report support, so quantile thresholds
-		// are well-conditioned; Duchi's two-atom output would make the
-		// exact and ε-approximate 0.9-quantiles land on opposite atoms.
-		mech, err := ldp.NewPiecewise(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		static, err := trim.NewStatic("s", 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adv, err := attack.NewPoint("p", 0.99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return LDPConfig{
-			Rounds: 8, Batch: 400, AttackRatio: 0.2,
-			Inputs: inputs, Mechanism: mech,
-			Collector: static, Adversary: adv,
-			TrimOnBatch: true,
-			Rng:         stats.NewRand(43),
-		}
-	}
-	single, err := RunLDP(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := RunShardedLDP(LDPShardedConfig{LDPConfig: mk(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same seed, same arrivals; thresholds differ within ε, so the kept
-	// pools (and the mean estimates over them) stay close.
-	if math.Abs(single.MeanEstimate-sharded.MeanEstimate) > 0.1 {
-		t.Errorf("mean estimate %v (single) vs %v (sharded)", single.MeanEstimate, sharded.MeanEstimate)
-	}
-	if single.TrueMean != sharded.TrueMean {
-		t.Errorf("true mean diverged: %v vs %v (RNG streams out of sync)", single.TrueMean, sharded.TrueMean)
-	}
-	if math.Abs(single.Board.PoisonRetention()-sharded.Board.PoisonRetention()) > 0.05 {
-		t.Errorf("retention %v (single) vs %v (sharded)",
-			single.Board.PoisonRetention(), sharded.Board.PoisonRetention())
-	}
-	if len(sharded.AllReports) != 0 {
-		t.Errorf("sharded LDP pooled %d raw reports; should pool none", len(sharded.AllReports))
-	}
-	again, err := RunShardedLDP(LDPShardedConfig{LDPConfig: mk(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.MeanEstimate == 0 && sharded.MeanEstimate == 0 {
-		t.Error("degenerate zero estimates")
-	}
-	if sharded.MeanEstimate != again.MeanEstimate {
-		t.Fatalf("mean estimate diverged between identical seeds")
-	}
-}
-
 // RunClusterLDP must reject mechanisms whose mean estimate cannot be
 // reduced from (sum, count) aggregates.
 func TestRunClusterLDPRequiresSumEstimator(t *testing.T) {
-	cfg := LDPShardedConfig{Shards: 2}
+	cfg := LDPShardedConfig{Shards: 2, Gen: &ShardGen{MasterSeed: 1}}
 	cfg.LDPConfig = LDPConfig{
 		Rounds: 1, Batch: 10,
 		Inputs:    []float64{0.1, 0.2},

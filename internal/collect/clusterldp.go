@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"repro/internal/arrival"
-	"repro/internal/attack"
 	"repro/internal/cluster"
 	"repro/internal/fleet"
 	"repro/internal/ldp"
@@ -17,17 +16,13 @@ import (
 )
 
 // LDPClusterConfig parameterizes the privacy-preserving collection game
-// distributed over a cluster.Transport. By default the coordinator owns
-// the RNG and the mechanism (it perturbs honest inputs and runs the
-// manipulation attack) and workers summarize and classify report slices
-// exactly like the scalar game. With a Gen the data plane is shard-local:
-// the configure fan-out ships the clean input pool and the mechanism's
-// wire code once, and each worker perturbs its own honest draws and runs
-// its own input-manipulation poison from its derived seed stream — the
-// per-round directive is O(1). The mean estimate is reduced from the
-// workers' exact (kept sum, kept count) aggregates, so the mechanism must
-// implement ldp.SumMeanEstimator — no raw report ever returns from a
-// worker; shard-local mode additionally requires the mechanism to be
+// distributed over a cluster.Transport. The data plane is shard-local: the
+// configure fan-out ships the clean input pool and the mechanism's wire
+// code once, and each worker perturbs its own honest draws and runs its own
+// input-manipulation poison from its derived seed stream — the per-round
+// directive is O(1). The mean estimate is reduced from the workers' exact
+// (kept sum, kept count) aggregates, so the mechanism must implement
+// ldp.SumMeanEstimator — no raw report ever returns from a worker — and be
 // wire-codable (arrival.MechToWire).
 type LDPClusterConfig struct {
 	LDPConfig
@@ -41,8 +36,8 @@ type LDPClusterConfig struct {
 	// worker order).
 	Transport cluster.Transport
 
-	// Gen selects shard-local report generation (see ShardGen; Pool is
-	// ignored — inputs come from LDPConfig.Inputs).
+	// Gen seeds the shard-local report generation and is required (see
+	// ShardGen; Pool is ignored — inputs come from LDPConfig.Inputs).
 	Gen *ShardGen
 
 	// SubShards splits each worker's shard-local generation into this many
@@ -59,7 +54,7 @@ type LDPClusterConfig struct {
 	// (see ClusterConfig.Pipeline), the LDP game's next-round generation
 	// depends only on derived seed streams and the published threshold, so
 	// round r+1's generate rides on round r's classify broadcast and the
-	// board is reproduced record for record. Requires a Gen.
+	// board is reproduced record for record.
 	Pipeline bool
 
 	// Log receives shard-loss and lifecycle events; nil discards. Failure
@@ -73,75 +68,57 @@ type LDPClusterConfig struct {
 	// Fleet enables the supervision runtime — heartbeats, membership
 	// epochs, worker re-join at round boundaries. See ClusterConfig.Fleet.
 	Fleet *fleet.Config
-
-	// KeepAllReports retains every report in LDPResult.AllReports (the
-	// EMF baseline consumes it). Only the coordinator-fed mode can honor
-	// it (it generated the reports); shard-local validation rejects it.
-	KeepAllReports bool
 }
 
-func (c *LDPClusterConfig) validate() error {
-	if err := validateTransport(c.Transport); err != nil {
-		return err
+// opts is the config's view of the knobs every cluster game shares.
+func (c *LDPClusterConfig) opts() *clusterOpts {
+	return &clusterOpts{
+		transport: c.Transport, gen: c.Gen, adversary: c.Adversary,
+		rounds: c.Rounds, batch: c.Batch, ratio: c.AttackRatio, epsilon: c.SummaryEpsilon,
+		subShards: c.SubShards, focusTighten: c.FocusTighten, focusWidth: c.FocusWidth, pipeline: c.Pipeline,
+		log: c.Log, metrics: c.Metrics, fleet: c.Fleet,
 	}
-	if c.SummaryEpsilon < 0 || c.SummaryEpsilon >= 1 {
-		return fmt.Errorf("collect: summary epsilon = %v", c.SummaryEpsilon)
+}
+
+func (c *LDPClusterConfig) validate() (*clusterOpts, error) {
+	o := c.opts()
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
-	if err := validatePipeline(c.Pipeline, c.Gen); err != nil {
-		return err
-	}
-	if err := validateScaleKnobs(c.SubShards, c.Gen, c.FocusTighten, c.FocusWidth); err != nil {
-		return err
-	}
-	if err := c.LDPConfig.validateMode(c.Gen != nil); err != nil {
-		return err
+	if err := c.LDPConfig.validateMode(true); err != nil {
+		return nil, err
 	}
 	if _, ok := c.Mechanism.(ldp.SumMeanEstimator); !ok {
-		return fmt.Errorf("collect: cluster LDP requires a sum-decomposable mean estimator (ldp.SumMeanEstimator); %T is not", c.Mechanism)
+		return nil, fmt.Errorf("collect: cluster LDP requires a sum-decomposable mean estimator (ldp.SumMeanEstimator); %T is not", c.Mechanism)
 	}
-	if c.Gen != nil {
-		if _, err := specInjector(c.Adversary); err != nil {
-			return err
-		}
-		if _, _, _, err := arrival.MechToWire(c.Mechanism); err != nil {
-			return err
-		}
-		if c.KeepAllReports {
-			return fmt.Errorf("collect: shard-local LDP collection cannot pool raw reports (KeepAllReports)")
-		}
+	if _, _, _, err := arrival.MechToWire(c.Mechanism); err != nil {
+		return nil, err
 	}
-	return nil
+	return o, nil
 }
 
 // ldpGame adapts the LDP collection game to the round engine: perturbed
 // reports, thresholds on the clean perturbed reference, and exact
 // (sum, count) kept aggregates the mean estimate reduces from.
 type ldpGame struct {
-	cfg          *LDPClusterConfig
-	res          *LDPResult
-	inputsSorted []float64
-	refReports   []float64 // sorted clean perturbed reference
+	cfg        *LDPClusterConfig
+	res        *LDPResult
+	refReports []float64 // sorted clean perturbed reference
 
 	// Game-long aggregates.
 	keptSum   float64
 	keptN     int
 	honestSum float64
 	honestN   int
-
-	// Coordinator-fed round state.
-	reports []float64
 }
 
 func (g *ldpGame) confDirective() wire.Directive {
-	conf := wire.Directive{Epsilon: g.cfg.SummaryEpsilon}
-	if g.cfg.Gen != nil {
-		kind, eps, k, _ := arrival.MechToWire(g.cfg.Mechanism) // validated
-		conf.Pool = g.cfg.Inputs
-		conf.MechKind = byte(kind)
-		conf.MechEps = eps
-		conf.MechK = k
+	kind, eps, k, _ := arrival.MechToWire(g.cfg.Mechanism) // validated
+	return wire.Directive{
+		Epsilon:  g.cfg.SummaryEpsilon,
+		Pool:     g.cfg.Inputs,
+		MechKind: byte(kind), MechEps: eps, MechK: k,
 	}
-	return conf
 }
 
 func (g *ldpGame) preRound(*engine, int) error      { return nil }
@@ -153,35 +130,8 @@ func (g *ldpGame) speculative() bool                { return true }
 
 func (g *ldpGame) specAttach(*engine, int, []*wire.Directive) {}
 
-func (g *ldpGame) feed(en *engine, r int) ([]*wire.Directive, float64, error) {
-	cfg := g.cfg
-	inject := cfg.Adversary.Injection(r, g.res.Board.adversaryView())
-	reports := make([]float64, 0, cfg.Batch+en.poison)
-	for i := 0; i < cfg.Batch; i++ {
-		x := cfg.Inputs[cfg.Rng.Intn(len(cfg.Inputs))]
-		g.honestSum += x
-		g.honestN++
-		reports = append(reports, cfg.Mechanism.Perturb(cfg.Rng, x))
-	}
-	var pctSum float64
-	poisonStart := len(reports)
-	for i := 0; i < en.poison; i++ {
-		pct := inject(cfg.Rng)
-		pctSum += pct
-		forged := stats.QuantileSorted(g.inputsSorted, pct)
-		m, err := ldp.NewInputManipulator(cfg.Mechanism, forged)
-		if err != nil {
-			return nil, 0, err
-		}
-		reports = append(reports, m.Report(cfg.Rng))
-	}
-	g.reports = reports
-	dirs, _ := en.pool.scalarSummarizeDirs(r, reports, poisonStart)
-	return dirs, pctSum, nil
-}
-
-// foldGen accumulates the exact honest-input aggregates behind a locally
-// generated shard — the TrueMean the estimate is measured against.
+// foldGen accumulates the exact honest-input aggregates behind a generated
+// shard — the TrueMean the estimate is measured against.
 func (g *ldpGame) foldGen(rep *wire.Report, spec arrival.Spec) {
 	g.honestSum += rep.InputSum
 	g.honestN += spec.HonestN
@@ -206,72 +156,34 @@ func (g *ldpGame) foldClassify(_ *engine, _ int, _ *RoundRecord, rep *wire.Repor
 	return nil
 }
 
-func (g *ldpGame) endRound(*summary.Summary, int, float64) {
-	if g.cfg.KeepAllReports { // coordinator-fed only; rejected under Gen
-		g.res.AllReports = append(g.res.AllReports, g.reports...)
-	}
-}
+func (g *ldpGame) endRound(*summary.Summary, int, float64) {}
 
 // RunClusterLDP plays the LDP collection game across a worker cluster.
 func RunClusterLDP(cfg LDPClusterConfig) (*LDPResult, error) {
-	if err := cfg.validate(); err != nil {
+	o, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	cfg.Collector.Reset()
 	cfg.Adversary.Reset()
 
-	var si attack.SpecInjector
-	if cfg.Gen != nil {
-		si, _ = specInjector(cfg.Adversary) // validated above
-	}
-
 	// The report-space reference for quality evaluation: what clean
-	// perturbed traffic looks like. One synthetic clean round, drawn on
-	// the coordinator — from the derived pre-game stream in shard-local
-	// mode so the run stays a pure function of (master seed, workers).
-	preRng := cfg.Rng
-	if cfg.Gen != nil {
-		preRng = cfg.Gen.preRand()
-	}
+	// perturbed traffic looks like. One synthetic clean round, drawn on the
+	// coordinator from the derived pre-game stream so the run stays a pure
+	// function of (master seed, workers).
+	preRng := cfg.Gen.preRand()
 	cleanReports := make([]float64, cfg.Batch)
 	for i := range cleanReports {
 		x := cfg.Inputs[preRng.Intn(len(cfg.Inputs))]
 		cleanReports[i] = cfg.Mechanism.Perturb(preRng, x)
 	}
 	refReports := sortedCopy(cleanReports)
-	baselineQ := ExcessMassQuality(cleanReports, refReports)
 
 	res := &LDPResult{}
-	pool := newWorkerPool(cfg.Transport, cfg.Log, cfg.Metrics, cfg.Fleet)
-	defer pool.stop()
-
-	g := &ldpGame{
-		cfg: &cfg, res: res,
-		inputsSorted: sortedCopy(cfg.Inputs),
-		refReports:   refReports,
-	}
-	ft, fw := focusParams(cfg.FocusTighten, cfg.FocusWidth)
-	subs := cfg.SubShards
-	if subs < 1 {
-		subs = 1
-	}
-	en := &engine{
-		game:         g,
-		pool:         pool,
-		board:        &res.Board,
-		collector:    cfg.Collector,
-		rounds:       cfg.Rounds,
-		batch:        cfg.Batch,
-		poison:       int(math.Round(cfg.AttackRatio * float64(cfg.Batch))),
-		baselineQ:    baselineQ,
-		gen:          cfg.Gen,
-		si:           si,
-		pipeline:     cfg.Pipeline,
-		subShards:    subs,
-		focusTighten: ft,
-		focusWidth:   fw,
-		onRound:      cfg.OnRound,
-	}
+	g := &ldpGame{cfg: &cfg, res: res, refReports: refReports}
+	poison := int(math.Round(cfg.AttackRatio * float64(cfg.Batch)))
+	en := o.newEngine(g, &res.Board, cfg.Collector, cfg.OnRound, poison, ExcessMassQuality(cleanReports, refReports))
+	defer en.pool.stop()
 	if err := en.run(); err != nil {
 		return nil, err
 	}
@@ -279,7 +191,7 @@ func RunClusterLDP(cfg LDPClusterConfig) (*LDPResult, error) {
 	if g.honestN > 0 {
 		res.TrueMean = g.honestSum / float64(g.honestN)
 	}
-	pool.finishStats(&res.ClusterStats)
+	en.pool.finishStats(&res.ClusterStats)
 	return res, nil
 }
 
@@ -294,7 +206,8 @@ type LDPShardedConfig struct {
 	// Shards is the number of in-process workers; GOMAXPROCS when 0.
 	Shards int
 
-	// Gen selects shard-local report generation (see LDPClusterConfig.Gen).
+	// Gen seeds the shard-local report generation and is required (see
+	// LDPClusterConfig.Gen).
 	Gen *ShardGen
 
 	// SubShards / FocusTighten / FocusWidth mirror the LDPClusterConfig

@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"repro/internal/arrival"
-	"repro/internal/attack"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/fleet"
@@ -27,17 +26,14 @@ import (
 // from raw accepted rows, which is what lets the accepted pool live on the
 // workers at scale.
 //
-// Generation is coordinator-fed by default (the coordinator draws arrivals
-// and ships row slices; workers reply with kept-row indices the coordinator
-// materializes); with a Gen it is shard-local: each worker draws its own
-// rows from its derived seed stream, the per-round directive shrinks to a
-// generator spec plus the center and the merged clean-scale summary —
-// O(dim + 1/ε) per worker instead of O(batch · dim) — and the kept rows
-// themselves never travel per round. Each worker appends them to its own
-// rowstore.Pool (in-memory, or spill-to-disk under `trimlab worker
-// -spill-dir`) and classify replies carry only the per-leaf pool totals, so
-// coordinator memory and per-round ingress stay flat in the total kept-row
-// count (DESIGN.md §14). The pools are paged out at game end (CollectKept /
+// Generation is shard-local: each worker draws its own rows from its
+// derived seed stream, the per-round directive is a generator spec plus the
+// center and the merged clean-scale summary — O(dim + 1/ε) per worker — and
+// the kept rows themselves never travel per round. Each worker appends them
+// to its own rowstore.Pool (in-memory, or spill-to-disk under `trimlab
+// worker -spill-dir`) and classify replies carry only the per-leaf pool
+// totals, so coordinator memory and per-round ingress stay flat in the
+// total kept-row count (DESIGN.md §14). The pools are paged out at game end (CollectKept /
 // Consume) or left worker-side entirely.
 type RowClusterConfig struct {
 	RowConfig
@@ -46,8 +42,8 @@ type RowClusterConfig struct {
 	// worker order).
 	Transport cluster.Transport
 
-	// Gen selects shard-local row generation (see ShardGen; Pool is
-	// ignored — rows come from the configured dataset).
+	// Gen seeds the shard-local row generation and is required (see
+	// ShardGen; Pool is ignored — rows come from the configured dataset).
 	Gen *ShardGen
 
 	// SubShards splits each worker's shard-local row generation into this
@@ -84,10 +80,10 @@ type RowClusterConfig struct {
 	Pipeline bool
 
 	// CollectKept materializes the worker-held kept pools into
-	// RowResult.Kept at game end, paged leaf by leaf over OpFetchRows
-	// (shard-local games only; coordinator-fed games always materialize).
-	// Off by default: the collected dataset stays worker-side and only the
-	// per-leaf manifest (RowResult.PoolRows) comes back.
+	// RowResult.Kept at game end, paged leaf by leaf over OpFetchRows in
+	// pages of fetchPageRows. Off by default: the collected dataset stays
+	// worker-side and only the per-leaf manifest (RowResult.PoolRows) comes
+	// back.
 	CollectKept bool
 
 	// Consume, when non-nil, streams the worker-held kept pools at game end
@@ -95,13 +91,8 @@ type RowClusterConfig struct {
 	// the global leaf index, the page's rows and — for labeled datasets —
 	// the matching labels, leaves in merge (slot-major) order and rows in
 	// append order within a leaf. The slices must not be retained across
-	// calls. An error aborts the run. Composable with CollectKept; shard-
-	// local games only.
+	// calls. An error aborts the run. Composable with CollectKept.
 	Consume func(leaf int, rows [][]float64, labels []int) error
-
-	// FetchPage bounds the rows per OpFetchRows page the game-end fetch
-	// requests; 4096 when 0.
-	FetchPage int
 
 	// Log receives shard-loss and lifecycle events; nil discards. Failure
 	// semantics match ClusterConfig: drop-and-continue, the lost shard's
@@ -130,8 +121,7 @@ type RowClusterConfig struct {
 	// snapshot is O(dim/ε + rounds) — the accepted-pool vector sketch, the
 	// late-center delay line, the board, and the per-leaf pool manifest —
 	// never any rows: the kept rows stay in the worker pools, which is what
-	// keeps row-game snapshots flat in the collected-data size. Requires a
-	// ShardGen.
+	// keeps row-game snapshots flat in the collected-data size.
 	Checkpoint *fleet.Checkpointer
 
 	// Resume restarts the game from a decoded row-game checkpoint: board,
@@ -140,106 +130,51 @@ type RowClusterConfig struct {
 	// board, and every worker pool is rolled back to the snapshot's
 	// manifest (OpPoolTrim) — so the pools must have survived, i.e. the
 	// workers run spill-backed pools or kept their processes. A pool that
-	// cannot reach its manifest count fails the resume. Requires the same
-	// ShardGen the checkpointing run used.
+	// cannot reach its manifest count fails the resume. The master seed
+	// must be the checkpointing run's.
 	Resume *wire.Snapshot
 }
 
-// fetchPage resolves the game-end fetch page size.
-func (c *RowClusterConfig) fetchPage() int {
-	if c.FetchPage <= 0 {
-		return 4096
+// fetchPageRows bounds the rows per OpFetchRows page the game-end fetch
+// requests: the coordinator holds at most one page at a time.
+const fetchPageRows = 4096
+
+// opts is the config's view of the knobs every cluster game shares.
+func (c *RowClusterConfig) opts() *clusterOpts {
+	return &clusterOpts{
+		transport: c.Transport, gen: c.Gen, adversary: c.Adversary,
+		rounds: c.Rounds, batch: c.Batch, ratio: c.AttackRatio, epsilon: c.SummaryEpsilon,
+		subShards: c.SubShards, focusTighten: c.FocusTighten, focusWidth: c.FocusWidth, pipeline: c.Pipeline,
+		log: c.Log, metrics: c.Metrics, fleet: c.Fleet, checkpoint: c.Checkpoint, resume: c.Resume,
 	}
-	return c.FetchPage
 }
 
-// subShards normalizes the sub-shard knob: 0 and 1 are the same layout.
-func (c *RowClusterConfig) subShards() int {
-	if c.SubShards < 1 {
-		return 1
-	}
-	return c.SubShards
-}
-
-func (c *RowClusterConfig) validate() error {
-	if err := validateTransport(c.Transport); err != nil {
-		return err
+func (c *RowClusterConfig) validate() (*clusterOpts, error) {
+	o := c.opts()
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
 	if c.ExactQuantiles {
-		return fmt.Errorf("collect: cluster collection requires summaries (ExactQuantiles must be false)")
-	}
-	if err := validatePipeline(c.Pipeline, c.Gen); err != nil {
-		return err
+		return nil, fmt.Errorf("collect: cluster collection requires summaries (ExactQuantiles must be false)")
 	}
 	if c.Pipeline && !c.LateCenter {
-		return fmt.Errorf("collect: pipelined row rounds require LateCenter — generation can only overlap the classify broadcast against the one-round-late center (DESIGN.md §14)")
+		return nil, fmt.Errorf("collect: pipelined row rounds require LateCenter — generation can only overlap the classify broadcast against the one-round-late center (DESIGN.md §14)")
 	}
-	if err := validateScaleKnobs(c.SubShards, c.Gen, c.FocusTighten, c.FocusWidth); err != nil {
-		return err
+	if err := c.RowConfig.validateMode(true); err != nil {
+		return nil, err
 	}
-	if c.Gen == nil && (c.CollectKept || c.Consume != nil) {
-		return fmt.Errorf("collect: worker-held kept pools exist only under the shard-local data plane (a Gen); coordinator-fed games materialize Kept directly")
-	}
-	if c.FetchPage < 0 {
-		return fmt.Errorf("collect: fetch page = %d", c.FetchPage)
-	}
-	if (c.Checkpoint != nil || c.Resume != nil) && c.Gen == nil {
-		return fmt.Errorf("collect: checkpoint/resume requires the shard-local data plane (a ShardGen)")
-	}
-	if c.Resume != nil {
-		if err := c.validateResume(); err != nil {
-			return err
+	if s := c.Resume; s != nil {
+		if err := o.checkResume(wire.SnapRows); err != nil {
+			return nil, err
+		}
+		if s.LateCenter != c.LateCenter {
+			return nil, fmt.Errorf("collect: snapshot late-center %v, config %v — the center schedule is part of the game", s.LateCenter, c.LateCenter)
+		}
+		if len(s.VecState) == 0 {
+			return nil, fmt.Errorf("collect: snapshot carries no accepted-vector state")
 		}
 	}
-	if c.Gen != nil {
-		if _, err := specInjector(c.Adversary); err != nil {
-			return err
-		}
-		return c.RowConfig.validateMode(true)
-	}
-	return c.RowConfig.validate()
-}
-
-// validateResume pins the snapshot's configuration fingerprint to this
-// config, mirroring ClusterConfig.validateResume for the row game.
-func (c *RowClusterConfig) validateResume() error {
-	s := c.Resume
-	if s.Game != wire.SnapRows {
-		return fmt.Errorf("collect: snapshot is for game %d, not the row cluster game", s.Game)
-	}
-	if s.Seed != c.Gen.MasterSeed {
-		return fmt.Errorf("collect: snapshot master seed %d, config %d", s.Seed, c.Gen.MasterSeed)
-	}
-	if s.Rounds != c.Rounds || s.Batch != c.Batch {
-		return fmt.Errorf("collect: snapshot game %d rounds x batch %d, config %d x %d",
-			s.Rounds, s.Batch, c.Rounds, c.Batch)
-	}
-	if s.Ratio != c.AttackRatio {
-		return fmt.Errorf("collect: snapshot attack ratio %v, config %v", s.Ratio, c.AttackRatio)
-	}
-	if s.Epsilon != c.SummaryEpsilon {
-		return fmt.Errorf("collect: snapshot summary epsilon %v, config %v", s.Epsilon, c.SummaryEpsilon)
-	}
-	if s.Workers != c.Transport.Workers() {
-		return fmt.Errorf("collect: snapshot cut over %d worker slots, transport has %d",
-			s.Workers, c.Transport.Workers())
-	}
-	if s.SubShards != c.subShards() {
-		return fmt.Errorf("collect: snapshot cut at %d sub-shards per worker, config %d", s.SubShards, c.subShards())
-	}
-	if ft, fw := focusParams(c.FocusTighten, c.FocusWidth); s.FocusTighten != ft || s.FocusWidth != fw {
-		return fmt.Errorf("collect: snapshot focus %d× / ±%v, config %d× / ±%v", s.FocusTighten, s.FocusWidth, ft, fw)
-	}
-	if s.LateCenter != c.LateCenter {
-		return fmt.Errorf("collect: snapshot late-center %v, config %v — the center schedule is part of the game", s.LateCenter, c.LateCenter)
-	}
-	if s.NextRound > c.Rounds+1 {
-		return fmt.Errorf("collect: snapshot next round %d beyond the %d-round game", s.NextRound, c.Rounds)
-	}
-	if len(s.VecState) == 0 {
-		return fmt.Errorf("collect: snapshot carries no accepted-vector state")
-	}
-	return nil
+	return o, nil
 }
 
 // scaleDirs builds the clean-scale fan-out: each live leaf worker
@@ -293,17 +228,10 @@ func scaleRange(reps []*wire.Report) (min, max float64) {
 	return min, max
 }
 
-// arrivalRow is one coordinator-drawn row arrival (coordinator-fed mode).
-type arrivalRow struct {
-	row    []float64
-	label  int
-	poison bool
-}
-
 // rowsGame adapts the row collection game to the round engine: a
 // clean-scale pre-phase, distance thresholds, a robust center maintained
-// from worker vector deltas, and — shard-local — worker-held kept pools
-// tracked only by their per-leaf totals.
+// from worker vector deltas, and worker-held kept pools tracked only by
+// their per-leaf totals.
 type rowsGame struct {
 	cfg       *RowClusterConfig
 	res       *RowResult
@@ -329,7 +257,7 @@ type rowsGame struct {
 	prevCenter  []float64
 	prev2Center []float64
 
-	// Round state, refreshed by scalePass / feed. refCentroid is the center
+	// Round state, refreshed by scalePass. refCentroid is the center
 	// the current round's directives carry; scaleRound stamps which round
 	// the clean-scale state is valid for (a speculated scale pass runs one
 	// round ahead, and preRound must not redo it).
@@ -337,8 +265,6 @@ type rowsGame struct {
 	scaleRound  int
 	scaleSum    *summary.Summary
 	jscale      float64
-	arrivals    []arrivalRow // coordinator-fed only
-	bounds      map[int][2]int
 
 	// poolRows is the fleet-wide kept-pool manifest: each slot's per-leaf
 	// pool totals as of its last classify (or trim) reply, leaves in the
@@ -516,59 +442,6 @@ func (g *rowsGame) decorate(d *wire.Directive) {
 // deltas, and the pipeline stays off.
 func (g *rowsGame) speculative() bool { return g.cfg.LateCenter }
 
-func (g *rowsGame) feed(en *engine, r int) ([]*wire.Directive, float64, error) {
-	cfg := g.cfg
-	arrivals := make([]arrivalRow, 0, cfg.Batch+en.poison)
-	for i := 0; i < cfg.Batch; i++ {
-		j := cfg.Rng.Intn(cfg.Data.Len())
-		a := arrivalRow{row: cfg.Data.X[j]}
-		if cfg.Data.Labeled() {
-			a.label = cfg.Data.Y[j]
-		}
-		arrivals = append(arrivals, a)
-	}
-	inject := cfg.Adversary.Injection(r, g.res.Board.adversaryView())
-	var pctSum float64
-	for i := 0; i < en.poison; i++ {
-		pct := inject(cfg.Rng)
-		pctSum += pct
-		dist := g.scaleSum.Query(pct) + (cfg.Rng.Float64()-0.5)*g.jscale
-		if dist < 0 {
-			dist = 0
-		}
-		base := cfg.Data.X[cfg.Rng.Intn(cfg.Data.Len())]
-		row := arrival.PoisonRow(g.refCentroid, base, dist)
-		label := cfg.PoisonLabel
-		if label < 0 && cfg.Data.Labeled() {
-			label = cfg.Rng.Intn(cfg.Data.Clusters)
-		}
-		arrivals = append(arrivals, arrivalRow{row: row, label: label, poison: true})
-	}
-
-	// Ship row slices plus the center; record each worker's bounds so kept
-	// indices can be mapped back after the classify phase.
-	alive := en.pool.alive()
-	dirs := make([]*wire.Directive, len(alive))
-	bounds := make(map[int][2]int, len(alive))
-	for i, w := range alive {
-		lo, hi := shardBounds(len(arrivals), len(alive), i)
-		rows := make([][]float64, hi-lo)
-		for j := range rows {
-			rows[j] = arrivals[lo+j].row
-		}
-		dirs[i] = &wire.Directive{
-			Op: wire.OpSummarizeRows, Round: r,
-			Rows:       rows,
-			Center:     g.refCentroid,
-			PoisonFrom: slicePoisonFrom(cfg.Batch, lo, hi),
-		}
-		bounds[w] = [2]int{lo, hi}
-	}
-	en.pool.setFlatRanges(bounds)
-	g.arrivals, g.bounds = arrivals, bounds
-	return dirs, pctSum, nil
-}
-
 func (g *rowsGame) foldGen(*wire.Report, arrival.Spec) {}
 
 func (g *rowsGame) threshold(pct float64, merged *summary.Summary) float64 {
@@ -579,51 +452,20 @@ func (g *rowsGame) threshold(pct float64, merged *summary.Summary) float64 {
 }
 
 func (g *rowsGame) quality(merged *summary.Summary) float64 {
-	if g.cfg.Quality != nil { // central generation only; rejected under Gen
-		// A custom quality standard needs the raw distance slice; the
-		// coordinator recomputes it locally (it holds rows and center).
-		dists := make([]float64, len(g.arrivals))
-		for i, a := range g.arrivals {
-			dists[i] = stats.Euclidean(a.row, g.refCentroid)
-		}
-		return g.cfg.Quality(dists, g.refSorted)
-	}
 	return ExcessMassQualitySummary(merged, g.refSorted)
 }
 
 // foldClassify absorbs one worker's classify payload: the per-leaf pool
-// totals of the worker-held kept rows (shard-local — since wire v8 the rows
-// themselves never ride on classify replies) or the kept-row indices into
-// the shipped slice (coordinator-fed), plus the accepted-row vector delta
-// the robust center is maintained from.
+// totals of the worker-held kept rows (the rows themselves never ride on
+// classify replies) plus the accepted-row vector delta the robust center is
+// maintained from.
 func (g *rowsGame) foldClassify(en *engine, r int, _ *RoundRecord, rep *wire.Report) error {
-	if g.cfg.Gen != nil {
-		if len(rep.KeptRows) != 0 {
-			return fmt.Errorf("collect: round %d: worker %d shipped %d kept rows on a classify reply (kept rows are worker-held since format 8)",
-				r, rep.Worker, len(rep.KeptRows))
-		}
-		g.poolRows[rep.Worker] = append(g.poolRows[rep.Worker][:0], rep.PoolRows...)
-		g.res.KeptPoison += rep.Counts.PoisonKept
-	} else {
-		b, ok := g.bounds[rep.Worker]
-		if !ok {
-			en.pool.log.Logf("collect: round %d: report from worker %d with no recorded bounds", r, rep.Worker)
-			return nil
-		}
-		for _, idx := range rep.KeptIdx {
-			if idx < 0 || b[0]+idx >= b[1] {
-				return fmt.Errorf("collect: round %d: worker %d kept index %d outside its slice", r, rep.Worker, idx)
-			}
-			a := g.arrivals[b[0]+idx]
-			g.res.Kept.X = append(g.res.Kept.X, append([]float64(nil), a.row...))
-			if g.res.Kept.Y != nil {
-				g.res.Kept.Y = append(g.res.Kept.Y, a.label)
-			}
-			if a.poison {
-				g.res.KeptPoison++
-			}
-		}
+	if len(rep.KeptRows) != 0 {
+		return fmt.Errorf("collect: round %d: worker %d shipped %d kept rows on a classify reply (kept rows are worker-held)",
+			r, rep.Worker, len(rep.KeptRows))
 	}
+	g.poolRows[rep.Worker] = append(g.poolRows[rep.Worker][:0], rep.PoolRows...)
+	g.res.KeptPoison += rep.Counts.PoisonKept
 	// An aggregator forwards its leaves' deltas concatenated in leaf order
 	// (Report.Vecs) instead of merging them: AbsorbCounted compresses per
 	// absorbed delta, so only absorbing exactly one delta per leaf — in
@@ -707,7 +549,7 @@ func (g *rowsGame) flatPoolRows(pool *workerPool) []int {
 // appending it to res.Kept (CollectKept). The coordinator holds at most one
 // page at a time.
 func (g *rowsGame) fetchKept(pool *workerPool) error {
-	page := g.cfg.fetchPage()
+	page := fetchPageRows
 	leaf := 0
 	for _, w := range pool.alive() {
 		counts := g.poolRows[w]
@@ -799,20 +641,16 @@ func (g *rowsGame) restorePools(pool *workerPool, targets []int, round int) erro
 }
 
 // RunClusterRows plays the row collection game across a worker cluster:
-// three fan-outs per round (clean scale, summarize/generate, classify)
-// driven by the shared round engine — collapsing to one combined fan-out
-// per steady-state round under Pipeline.
+// three fan-outs per round (clean scale, generate, classify) driven by the
+// shared round engine — collapsing to one combined fan-out per steady-state
+// round under Pipeline.
 func RunClusterRows(cfg RowClusterConfig) (*RowResult, error) {
-	if err := cfg.validate(); err != nil {
+	o, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	cfg.Collector.Reset()
 	cfg.Adversary.Reset()
-
-	var si attack.SpecInjector
-	if cfg.Gen != nil {
-		si, _ = specInjector(cfg.Adversary) // validated above
-	}
 
 	// Clean reference center and distance scale: one-time setup over clean
 	// data, identical to RunRows.
@@ -825,20 +663,10 @@ func RunClusterRows(cfg RowClusterConfig) (*RowResult, error) {
 	refSorted := sortedCopy(refDistances)
 
 	// Pre-game coordinator draws: the clean baseline batch and the X0 seed
-	// of the accepted pool. Shard-local games use the derived pre-game
-	// stream so the whole run is a pure function of (master seed, workers).
-	preRng := cfg.Rng
-	if cfg.Gen != nil {
-		preRng = cfg.Gen.preRand()
-	}
+	// of the accepted pool, from the derived pre-game stream so the whole
+	// run is a pure function of (master seed, workers).
+	preRng := cfg.Gen.preRand()
 	baseline := sampleDistances(preRng, cfg.Batch, refSorted)
-	var baselineQ float64
-	if cfg.Quality != nil {
-		baselineQ = cfg.Quality(baseline, refSorted)
-	} else {
-		baselineQ = ExcessMassQuality(baseline, refSorted)
-	}
-
 	poisonCount := int(math.Round(cfg.AttackRatio * float64(cfg.Batch)))
 
 	res := &RowResult{Kept: &dataset.Dataset{
@@ -859,9 +687,6 @@ func RunClusterRows(cfg RowClusterConfig) (*RowResult, error) {
 		}
 	}
 
-	pool := newWorkerPool(cfg.Transport, cfg.Log, cfg.Metrics, cfg.Fleet)
-	defer pool.stop()
-
 	// The delay line starts flat at D_0: in LateCenter mode rounds 1 and 2
 	// generate against the X0 seed center (D_{max(r−2,0)}) and rounds 1–3
 	// scale against it (D_{max(r−3,0)}).
@@ -875,76 +700,20 @@ func RunClusterRows(cfg RowClusterConfig) (*RowResult, error) {
 		prev2Center: d0,
 		poolRows:    make(map[int][]int),
 	}
-	ft, fw := focusParams(cfg.FocusTighten, cfg.FocusWidth)
-	en := &engine{
-		game:         g,
-		pool:         pool,
-		board:        &res.Board,
-		collector:    cfg.Collector,
-		rounds:       cfg.Rounds,
-		batch:        cfg.Batch,
-		poison:       poisonCount,
-		baselineQ:    baselineQ,
-		gen:          cfg.Gen,
-		si:           si,
-		pipeline:     cfg.Pipeline,
-		subShards:    cfg.subShards(),
-		focusTighten: ft,
-		focusWidth:   fw,
-		onRound:      cfg.OnRound,
-	}
-	if cfg.Resume != nil {
-		en.resume = func() (int, error) {
-			// The baseline re-derived above is the purity check: a snapshot
-			// cut from the same (master seed, dataset) reproduces it bit for
-			// bit.
-			if !sameQuality(cfg.Resume.BaselineQ, baselineQ) {
-				return 0, fmt.Errorf("collect: snapshot baseline quality %v, recomputed %v (snapshot is from a different game)",
-					cfg.Resume.BaselineQ, baselineQ)
-			}
-			start, err := restoreRowsSnapshot(cfg.Resume, res, pool, g)
-			if err != nil {
-				return 0, err
-			}
-			if err := replayStrategies(cfg.Collector, si, res.Board.Records); err != nil {
-				return 0, err
-			}
-			// Re-anchor the focus schedule: the resumed run's first round
-			// anchors on the last posted round's percentile, exactly as the
-			// uninterrupted run would have.
-			if n := len(res.Board.Records); n > 0 {
-				en.lastPct, en.haveLast = res.Board.Records[n-1].ThresholdPct, true
-			}
-			// Roll the worker pools back to the snapshot's manifest: rows
-			// the original run appended after the checkpoint round must not
-			// survive into the resumed run's pools.
-			return start, g.restorePools(pool, cfg.Resume.PoolRows, start)
-		}
-	}
-	if cfg.Checkpoint != nil {
-		en.checkpointDue = cfg.Checkpoint.Due
-		en.checkpoint = func(r int) error {
-			path, err := cfg.Checkpoint.Write(rowsSnapshot(&cfg, res, pool, g, baselineQ, r))
-			if err != nil {
-				return err
-			}
-			pool.log.Checkpoint(r, path)
-			pool.met.Counter("trimlab_checkpoints_total").Inc()
-			return nil
-		}
-	}
+	en := o.newEngine(g, &res.Board, cfg.Collector, cfg.OnRound, poisonCount, ExcessMassQuality(baseline, refSorted))
+	defer en.pool.stop()
 	if err := en.run(); err != nil {
 		return nil, err
 	}
 	// Page the worker-held pools out while the transport is still up (the
 	// deferred stop releases the workers only after this).
-	if cfg.Gen != nil && (cfg.CollectKept || cfg.Consume != nil) {
-		if err := g.fetchKept(pool); err != nil {
+	if cfg.CollectKept || cfg.Consume != nil {
+		if err := g.fetchKept(en.pool); err != nil {
 			return nil, err
 		}
 	}
-	res.PoolRows = g.flatPoolRows(pool)
-	pool.finishStats(&res.ClusterStats)
+	res.PoolRows = g.flatPoolRows(en.pool)
+	en.pool.finishStats(&res.ClusterStats)
 	return res, nil
 }
 
@@ -957,7 +726,8 @@ type RowShardedConfig struct {
 	// reproducibility.
 	Shards int
 
-	// Gen selects shard-local row generation (see RowClusterConfig.Gen).
+	// Gen seeds the shard-local row generation and is required (see
+	// RowClusterConfig.Gen).
 	Gen *ShardGen
 
 	// LateCenter switches the trimming reference to the one-round-late
@@ -975,7 +745,8 @@ type RowShardedConfig struct {
 // clean-scale and distance summarization and a robust center merged from
 // per-shard summary.Vector deltas. It is the cluster game over the
 // in-process loopback transport — the same wire messages and merge order
-// as a TCP run, one process.
+// as a TCP run, one process — with the kept pools collected into
+// RowResult.Kept at game end.
 func RunShardedRows(cfg RowShardedConfig) (*RowResult, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("collect: shards = %d", cfg.Shards)
@@ -989,7 +760,7 @@ func RunShardedRows(cfg RowShardedConfig) (*RowResult, error) {
 		Transport:    cluster.NewLoopback(shards),
 		Gen:          cfg.Gen,
 		LateCenter:   cfg.LateCenter,
-		CollectKept:  cfg.Gen != nil, // coordinator-fed games materialize Kept directly
+		CollectKept:  true,
 		SubShards:    cfg.SubShards,
 		FocusTighten: cfg.FocusTighten,
 		FocusWidth:   cfg.FocusWidth,

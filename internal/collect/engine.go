@@ -26,7 +26,11 @@ import (
 // schedule. What differs between the games (directive payloads, threshold
 // semantics, kept-pool folding) plugs in through the Game interface.
 //
-// Pipelined rounds (DESIGN.md §9): a shard-local round is two fan-outs —
+// Every round runs on the shard-local data plane (DESIGN.md §7): workers
+// draw their own arrivals from derived seed streams, and the coordinator
+// ships only O(1) generator specs and resolved thresholds.
+//
+// Pipelined rounds (DESIGN.md §9): a round is two fan-outs —
 // generate/summarize, then classify. Generation of round r+1 depends only
 // on derived seed streams and the adversary's view of round r, which is
 // {Round, ThresholdPct} — both fixed before round r's classify broadcast
@@ -66,31 +70,25 @@ type Game interface {
 	// clean-scale pass against the round's (late) center.
 	preSpec(en *engine, r int, flush bool) error
 
-	// genOp is the shard-local phase-1 operation code.
+	// genOp is the phase-1 operation code.
 	genOp() wire.Op
 
 	// jitter is the tie-break jitter width generated poison percentiles
 	// resolve with, for the current round (valid after preRound).
 	jitter() float64
 
-	// decorate finishes one shard-local generate directive with per-round
-	// game state (the row game attaches the center and merged clean scale).
+	// decorate finishes one generate directive with per-round game state
+	// (the row game attaches the center and merged clean scale).
 	decorate(d *wire.Directive)
 
-	// feed draws one round centrally (coordinator-fed generation) and
-	// builds the phase-1 directives, registering loss ranges on the pool.
-	// It returns the summed injection percentile of the drawn poison.
-	feed(en *engine, r int) ([]*wire.Directive, float64, error)
-
-	// foldGen folds one shard-local phase-1 report beyond the engine's
-	// common accounting (the LDP game's honest-input aggregates).
+	// foldGen folds one phase-1 report beyond the engine's common
+	// accounting (the LDP game's honest-input aggregates).
 	foldGen(rep *wire.Report, spec arrival.Spec)
 
 	// threshold resolves the round's threshold percentile to a value.
 	threshold(pct float64, merged *summary.Summary) float64
 
-	// quality scores the round — from the merged summary, or from raw
-	// values the game retained during feed.
+	// quality scores the round from the merged summary.
 	quality(merged *summary.Summary) float64
 
 	// foldClassify folds one classify report into the round record and the
@@ -127,16 +125,14 @@ type Game interface {
 // Timing is the coordinator's per-phase wall-clock account of a cluster
 // run: how long it sat blocked on each phase's fan-out, summed over the
 // game. Configure covers the one-time configure broadcast and initial
-// membership grant; Scale the row game's clean-scale pass; Summarize the
-// coordinator-fed phase-1 fan-outs; Generate the standalone shard-local
-// phase-1 fan-outs; Classify every threshold broadcast — including the
-// combined classify+generate broadcasts of a pipelined run, which is why
-// pipelining shows up as the Generate share collapsing into Classify;
-// Admission the re-admission handshakes of a supervised run.
+// membership grant; Scale the row game's clean-scale pass; Generate the
+// standalone phase-1 fan-outs; Classify every threshold broadcast —
+// including the combined classify+generate broadcasts of a pipelined run,
+// which is why pipelining shows up as the Generate share collapsing into
+// Classify; Admission the re-admission handshakes of a supervised run.
 type Timing struct {
 	Configure time.Duration
 	Scale     time.Duration
-	Summarize time.Duration
 	Generate  time.Duration
 	Classify  time.Duration
 	Admission time.Duration
@@ -158,7 +154,7 @@ type Timing struct {
 // DataPlane is the total round fan-out time: everything but the one-time
 // configure and the supervision-plane admissions.
 func (t Timing) DataPlane() time.Duration {
-	return t.Scale + t.Summarize + t.Generate + t.Classify
+	return t.Scale + t.Generate + t.Classify
 }
 
 // PerRound is the average data-plane fan-out time per round played — the
@@ -177,8 +173,6 @@ func (t *Timing) add(phase string, d time.Duration) {
 		t.Configure += d
 	case "scale":
 		t.Scale += d
-	case "summarize":
-		t.Summarize += d
 	case "generate":
 		t.Generate += d
 	case "classify", "classify+generate":
@@ -223,8 +217,7 @@ type ClusterStats struct {
 	// over the transport (configure + every round fan-out, before the final
 	// stop broadcast); EgressConfigBytes is the one-time configure share.
 	// Per-round data-plane egress is (EgressBytes − EgressConfigBytes) /
-	// rounds: O(batch) under coordinator-fed generation, O(workers) under a
-	// ShardGen.
+	// rounds: O(workers), independent of the batch.
 	EgressBytes       int64
 	EgressConfigBytes int64
 
@@ -241,48 +234,6 @@ type ShardLoss struct {
 	Phase  string
 	Worker int
 	Lo, Hi int
-}
-
-// validateTransport is the transport check shared by every cluster game.
-func validateTransport(tr cluster.Transport) error {
-	if tr == nil {
-		return fmt.Errorf("collect: nil cluster transport")
-	}
-	if tr.Workers() < 1 {
-		return fmt.Errorf("collect: cluster transport has no workers")
-	}
-	return nil
-}
-
-// validatePipeline is the pipelining precondition shared by every cluster
-// game: speculation is safe only in shard-local mode — a coordinator-fed
-// round's arrivals are drawn on the coordinator from a sequential RNG, so
-// overlapping rounds would reorder the stream.
-func validatePipeline(pipeline bool, gen *ShardGen) error {
-	if pipeline && gen == nil {
-		return fmt.Errorf("collect: pipelined rounds require the shard-local data plane (a ShardGen)")
-	}
-	return nil
-}
-
-// validateScaleKnobs checks the wire-v6 ingest knobs shared by the cluster
-// configs: the per-worker sub-shard split (needs the shard-local data plane
-// — a coordinator-fed round has no per-sub seeds to hand out) and the
-// adaptive-ε focus window.
-func validateScaleKnobs(subShards int, gen *ShardGen, focusTighten int, focusWidth float64) error {
-	if subShards < 0 {
-		return fmt.Errorf("collect: sub-shards = %d", subShards)
-	}
-	if subShards > 1 && gen == nil {
-		return fmt.Errorf("collect: sub-sharded generation requires the shard-local data plane (a ShardGen)")
-	}
-	if focusTighten < 0 {
-		return fmt.Errorf("collect: focus tighten = %d", focusTighten)
-	}
-	if focusWidth < 0 || math.IsNaN(focusWidth) {
-		return fmt.Errorf("collect: focus width = %v", focusWidth)
-	}
-	return nil
 }
 
 // focusParams resolves the adaptive-ε focus knobs: tighten ≤ 1 disables
@@ -432,16 +383,6 @@ func (p *workerPool) treeHeight() int {
 		}
 	}
 	return h
-}
-
-// treed reports whether any live slot fronts an aggregator subtree.
-func (p *workerPool) treed() bool {
-	for _, w := range p.alive() {
-		if p.leavesOf(w) > 1 || p.heights[w] > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // noteShape refreshes slot w's subtree shape from a reply, bumping the
@@ -757,9 +698,9 @@ func (p *workerPool) call1(w int, d *wire.Directive, isConfig bool) (*wire.Repor
 }
 
 // configure broadcasts one directive template to every worker — the sketch
-// budget plus, for shard-local games, the one-time data-plane state (pool,
-// reference, dataset, mechanism) — and saves it for re-admissions. Under
-// fleet supervision the initial membership grant (Join, epoch 0) follows.
+// budget plus the one-time data-plane state (pool, reference, dataset,
+// mechanism) — and saves it for re-admissions. Under fleet supervision the
+// initial membership grant (Join, epoch 0) follows.
 func (p *workerPool) configure(template wire.Directive) error {
 	template.Op = wire.OpConfigure
 	p.conf = template
@@ -799,56 +740,11 @@ func (p *workerPool) stop() {
 	}
 }
 
-// slicePoisonFrom maps the global poison start index onto one shard's
-// [lo, hi) slice: the index within the slice where poison begins (= slice
-// length when the slice is all honest).
-func slicePoisonFrom(poisonStart, lo, hi int) int {
-	pf := poisonStart - lo
-	if pf < 0 {
-		pf = 0
-	}
-	if pf > hi-lo {
-		pf = hi - lo
-	}
-	return pf
-}
-
 // setRanges records each live slot's per-leaf honest-batch shares for the
 // round — the loss-report payload should a call to it (or a subtree leaf
 // below it) fail.
 func (p *workerPool) setRanges(bounds map[int][][2]int) {
 	p.ranges = bounds
-}
-
-// setFlatRanges is setRanges for the coordinator-fed phases, where every
-// slot holds exactly one range.
-func (p *workerPool) setFlatRanges(bounds map[int][2]int) {
-	ranges := make(map[int][][2]int, len(bounds))
-	for w, b := range bounds {
-		ranges[w] = [][2]int{b}
-	}
-	p.ranges = ranges
-}
-
-// scalarSummarizeDirs partitions a round's scalar arrivals across the live
-// workers and builds the phase-1 directives, returning the [lo, hi) bounds
-// each worker was handed, keyed by worker index (the scalar and LDP games
-// share this; the row game ships rows and a center instead).
-func (p *workerPool) scalarSummarizeDirs(round int, values []float64, poisonStart int) ([]*wire.Directive, map[int][2]int) {
-	alive := p.alive()
-	dirs := make([]*wire.Directive, len(alive))
-	bounds := make(map[int][2]int, len(alive))
-	for i, w := range alive {
-		lo, hi := shardBounds(len(values), len(alive), i)
-		dirs[i] = &wire.Directive{
-			Op: wire.OpSummarize, Round: round,
-			Values:     values[lo:hi],
-			PoisonFrom: slicePoisonFrom(poisonStart, lo, hi),
-		}
-		bounds[w] = [2]int{lo, hi}
-	}
-	p.setFlatRanges(bounds)
-	return dirs, bounds
 }
 
 // classifyDirs builds the phase-2 threshold broadcast for the live workers.
@@ -936,14 +832,14 @@ type engine struct {
 	poison    int
 	baselineQ float64
 
-	// gen and si select shard-local generation (nil = coordinator-fed).
+	// gen derives every (cell, round) seed; si draws each round's
+	// injection spec from the adversary.
 	gen *ShardGen
 	si  attack.SpecInjector
 
-	// subShards is the per-worker sub-shard count C of a shard-local game
-	// (wire v6): each worker's slot is split into C independently seeded
-	// sub-draws generated and summarized in parallel. ≤ 1 = one shard per
-	// worker (the legacy layout, byte-identical directives).
+	// subShards is the per-worker sub-shard count C (≥ 1): each worker's
+	// slot is split into C independently seeded sub-draws generated and
+	// summarized in parallel. 1 = one shard per worker.
 	subShards int
 
 	// focusTighten/focusWidth are the resolved adaptive-ε focus knobs
@@ -961,7 +857,7 @@ type engine struct {
 	lastPct  float64
 	haveLast bool
 
-	// pipeline enables the overlapped round schedule (shard-local only).
+	// pipeline enables the overlapped round schedule.
 	pipeline bool
 
 	// elastic is the remaining fleet-growth schedule (ClusterConfig
@@ -977,8 +873,8 @@ type engine struct {
 	// configure fan-out and returns the round to continue at.
 	resume func() (int, error)
 
-	// checkpointDue/checkpoint implement the snapshot cadence (scalar game
-	// only today); nil disables.
+	// checkpointDue/checkpoint implement the snapshot cadence (the scalar and
+	// row games); nil disables.
 	checkpointDue func(r int) bool
 	checkpoint    func(r int) error
 }
@@ -987,9 +883,6 @@ type engine struct {
 func (en *engine) run() error {
 	if err := en.pool.configure(en.game.confDirective()); err != nil {
 		return err
-	}
-	if en.pool.treed() && en.gen == nil {
-		return fmt.Errorf("collect: aggregator subtrees require the shard-local data plane (a ShardGen) — a coordinator-fed phase cannot be split below a slot")
 	}
 	start := 1
 	if en.resume != nil {
@@ -1015,31 +908,29 @@ func (en *engine) run() error {
 
 		// Phase 1: obtain the round's shard summaries — from the pipeline's
 		// speculative fan-out when it is still valid, else a fresh fan-out.
-		reps, byWorker, pctSum, err := en.phase1(r, pct, &pend)
+		reps, byWorker, err := en.phase1(r, pct, &pend)
 		if err != nil {
 			return err
 		}
-		roundPoison := en.poison
-		if en.gen != nil {
-			roundPoison = 0
-			for _, rep := range reps {
-				// A partial subtree reply covers fewer cells than directed:
-				// subtract the lost leaves' cells from the expectations.
-				spec := byWorker[rep.Worker].lessLost(rep.LostLeaves, en.subShards)
-				// Sub-sharded and aggregated reports carry per-cell percentile
-				// subtotals; the flat cell-order fold matches an L·C-shard
-				// RunSharded's fold bit for bit, which is what keeps
-				// MeanInjectionPct — and hence the records — shape-invariant.
-				if len(rep.PctSums) > 0 {
-					for _, p := range rep.PctSums {
-						pctSum += p
-					}
-				} else {
-					pctSum += rep.PctSum
+		var pctSum float64
+		roundPoison := 0
+		for _, rep := range reps {
+			// A partial subtree reply covers fewer cells than directed:
+			// subtract the lost leaves' cells from the expectations.
+			spec := byWorker[rep.Worker].lessLost(rep.LostLeaves, en.subShards)
+			// Sub-sharded and aggregated reports carry per-cell percentile
+			// subtotals; the flat cell-order fold matches an L·C-shard
+			// RunSharded's fold bit for bit, which is what keeps
+			// MeanInjectionPct — and hence the records — shape-invariant.
+			if len(rep.PctSums) > 0 {
+				for _, p := range rep.PctSums {
+					pctSum += p
 				}
-				roundPoison += spec.PoisonN
-				en.game.foldGen(rep, spec)
+			} else {
+				pctSum += rep.PctSum
 			}
+			roundPoison += spec.PoisonN
+			en.game.foldGen(rep, spec)
 		}
 		mergeStart := obs.Now()
 		merged, mCount, mSum := mergeSummarizeReports(reps)
@@ -1122,10 +1013,10 @@ func (en *engine) stampFocus(d *wire.Directive, anchor float64) {
 
 // phase1 produces round r's summarize reports. Order of preference: consume
 // the speculated fan-out (no RTT), rebuild it from the already-drawn spec
-// after a flush, fan a fresh shard-local generate, or fan a coordinator-fed
-// summarize built by the game. pct is round r's threshold percentile — the
-// focus anchor of round 1 only (later rounds anchor on lastPct).
-func (en *engine) phase1(r int, pct float64, pend **pending) ([]*wire.Report, map[int]genShare, float64, error) {
+// after a flush, or fan a fresh generate. pct is round r's threshold
+// percentile — the focus anchor of round 1 only (later rounds anchor on
+// lastPct).
+func (en *engine) phase1(r int, pct float64, pend **pending) ([]*wire.Report, map[int]genShare, error) {
 	anchor := pct
 	if en.haveLast {
 		anchor = en.lastPct
@@ -1136,7 +1027,7 @@ func (en *engine) phase1(r int, pct float64, pend **pending) ([]*wire.Report, ma
 			// The speculation is still valid: this round's phase 1 already
 			// rode on the previous classify broadcast.
 			en.pool.setRanges(p.bounds)
-			return p.reps, p.byWorker, 0, nil
+			return p.reps, p.byWorker, nil
 		}
 		// Flush: the membership changed between speculation and consumption
 		// (a worker lost during the combined call, or a boundary drop or
@@ -1146,28 +1037,14 @@ func (en *engine) phase1(r int, pct float64, pend **pending) ([]*wire.Report, ma
 		en.pool.log.PipelineFlush(r, p.epoch, en.pool.epoch())
 		en.pool.met.Counter("trimlab_pipeline_flush_total").Inc()
 		if err := en.game.preSpec(en, r, true); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		reps, byWorker, err := en.generate(r, anchor, p.inject)
-		return reps, byWorker, 0, err
+		return en.generate(r, anchor, p.inject)
 	}
-	if en.gen != nil {
-		inject := en.si.InjectionSpec(r, en.board.adversaryView())
-		reps, byWorker, err := en.generate(r, anchor, inject)
-		return reps, byWorker, 0, err
-	}
-	dirs, pctSum, err := en.game.feed(en, r)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	for _, d := range dirs {
-		en.stampFocus(d, anchor)
-	}
-	reps, err := en.pool.callAll(r, "summarize", dirs)
-	return reps, nil, pctSum, err
+	return en.generate(r, anchor, en.si.InjectionSpec(r, en.board.adversaryView()))
 }
 
-// genDirs builds the shard-local phase-1 directives for round r from a
+// genDirs builds the phase-1 directives for round r from a
 // drawn injection spec: one O(1) generator spec per live slot, the RNG
 // seeds derived per (leaf cell, round). The flat seed space has one cell
 // per (leaf, sub-shard), L·C cells in all, cut on shardBounds — so the
@@ -1229,7 +1106,7 @@ func (en *engine) genDirs(r int, anchor float64, inject attack.InjectionSpec) ([
 	return dirs, byWorker, bounds
 }
 
-// generate fans a standalone shard-local phase 1 out for round r.
+// generate fans a standalone phase 1 out for round r.
 func (en *engine) generate(r int, anchor float64, inject attack.InjectionSpec) ([]*wire.Report, map[int]genShare, error) {
 	dirs, byWorker, bounds := en.genDirs(r, anchor, inject)
 	en.pool.setRanges(bounds)
@@ -1327,11 +1204,11 @@ func (en *engine) classifyRound(r int, pct, threshold float64, pend **pending) (
 }
 
 // speculate reports whether round r+1's generation may ride on round r's
-// classify broadcast: the pipeline is on, the game is shard-local and
-// speculation-safe, a next round exists, and no checkpoint is due at this
+// classify broadcast: the pipeline is on, the game is speculation-safe, a
+// next round exists, and no checkpoint is due at this
 // boundary — checkpoints cut at a drained pipeline, so a resumed run
 // replays exactly what the checkpointing run did.
 func (en *engine) speculate(r int) bool {
-	return en.pipeline && en.gen != nil && en.game.speculative() && r < en.rounds &&
+	return en.pipeline && en.game.speculative() && r < en.rounds &&
 		!(en.checkpointDue != nil && en.checkpointDue(r))
 }

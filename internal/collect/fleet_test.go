@@ -714,6 +714,7 @@ func TestClusterResumeValidation(t *testing.T) {
 
 	// Checkpointing without the shard-local data plane is rejected too.
 	nolocal := clusterConfig(t, 75, workers)
+	nolocal.Gen = nil
 	nolocal.Checkpoint = ck
 	if _, err := RunCluster(nolocal); err == nil ||
 		!strings.Contains(err.Error(), "shard-local") {

@@ -77,8 +77,8 @@ type LDPResult struct {
 	// Fig 9's MSE is measured against.
 	TrueMean float64
 	// AllReports pools every report (kept or trimmed) — the EMF baseline
-	// consumes this, since it filters rather than trims. Cluster runs only
-	// fill it when LDPClusterConfig.KeepAllReports is set.
+	// consumes this, since it filters rather than trims. Only the
+	// in-process RunLDP fills it: cluster runs never pool raw reports.
 	AllReports []float64
 	// ClusterStats carries the loss, membership, egress and per-phase
 	// timing account of a cluster run (all zero for in-process games).

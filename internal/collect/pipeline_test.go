@@ -555,9 +555,11 @@ func TestRowsCheckpointResumeTCP(t *testing.T) {
 	assertSameRowResult(t, "TCP resumed vs full", full, resumed)
 }
 
-// Pipelining requires the shard-local data plane on every game.
+// Pipelining requires the shard-local data plane on every game: a
+// pipelined config without a ShardGen is refused.
 func TestPipelineRequiresShardGen(t *testing.T) {
 	ccfg := clusterConfig(t, 94, 2)
+	ccfg.Gen = nil
 	ccfg.Pipeline = true
 	if _, err := RunCluster(ccfg); err == nil || !strings.Contains(err.Error(), "shard-local") {
 		t.Errorf("scalar: err = %v, want shard-local rejection", err)

@@ -101,8 +101,8 @@ type RowResult struct {
 	// KeptPoison counts poison rows that survived trimming.
 	KeptPoison int
 	// PoolRows is the per-leaf manifest of worker-held kept-row pools at
-	// game end (leaf order; empty for in-process and coordinator-fed
-	// games, where Kept is materialized directly).
+	// game end (leaf order; empty for the in-process RunRows, where Kept
+	// is materialized directly).
 	PoolRows []int
 	// ClusterStats carries the loss, membership, egress and per-phase
 	// timing account of a cluster run (all zero for in-process games).

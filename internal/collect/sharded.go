@@ -303,6 +303,20 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 	return res, nil
 }
 
+// slicePoisonFrom maps the global poison start index onto one shard's
+// [lo, hi) slice: the index within the slice where poison begins (= slice
+// length when the slice is all honest).
+func slicePoisonFrom(poisonStart, lo, hi int) int {
+	pf := poisonStart - lo
+	if pf < 0 {
+		pf = 0
+	}
+	if pf > hi-lo {
+		pf = hi - lo
+	}
+	return pf
+}
+
 // shardBounds splits n items into near-equal contiguous ranges.
 func shardBounds(n, shards, s int) (lo, hi int) {
 	lo = n * s / shards

@@ -9,14 +9,16 @@ import (
 	"repro/internal/stats"
 )
 
-// ShardGen selects the shard-local data plane (DESIGN.md §7): when a
-// sharded or cluster config carries one, arrivals are no longer drawn by a
-// central generator and fanned out — each shard derives its own RNG stream
-// stats.NewRand(stats.DeriveSeed(MasterSeed, shard, round)) and draws its
-// slice of every round locally. A cluster coordinator then broadcasts an
-// O(1) round directive (seed material, counts, the injection spec, the
-// resolved threshold) instead of an O(batch) value slice, and a run is a
-// pure function of (MasterSeed, shard count).
+// ShardGen seeds the shard-local data plane (DESIGN.md §7): arrivals are
+// not drawn by a central generator and fanned out — each shard derives its
+// own RNG stream stats.NewRand(stats.DeriveSeed(MasterSeed, shard, round))
+// and draws its slice of every round locally. A cluster coordinator
+// broadcasts an O(1) round directive (seed material, counts, the injection
+// spec, the resolved threshold) instead of an O(batch) value slice, and a
+// run is a pure function of (MasterSeed, shard count). Every cluster
+// config and the RunSharded{Rows,LDP} wrappers require one; the scalar
+// RunSharded takes one optionally (without it, it slices a centrally drawn
+// batch).
 //
 // The mode trades generality for locality, enforced at validation:
 //

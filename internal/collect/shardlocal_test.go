@@ -211,17 +211,10 @@ func TestShardLocalValidation(t *testing.T) {
 	}
 }
 
-// Per-round coordinator egress must drop from O(batch) under slice
-// shipping to O(workers) under seed directives — the point of the
-// shard-local data plane.
+// Per-round coordinator egress is O(workers) — seed directives, never an
+// arrival — the point of the shard-local data plane.
 func TestShardLocalEgressOWorkers(t *testing.T) {
 	const workers = 4
-	fed, err := RunCluster(ClusterConfig{
-		Config: baseConfig(t, 53), Transport: cluster.NewLoopback(workers),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	local, err := RunCluster(ClusterConfig{
 		Config:    shardLocalConfig(t),
 		Transport: cluster.NewLoopback(workers),
@@ -232,13 +225,12 @@ func TestShardLocalEgressOWorkers(t *testing.T) {
 	}
 	cfg := shardLocalConfig(t)
 	rounds := int64(cfg.Rounds)
-	fedPerRound := (fed.EgressBytes - fed.EgressConfigBytes) / rounds
 	localPerRound := (local.EgressBytes - local.EgressConfigBytes) / rounds
-	// Coordinator-fed rounds ship every arrival: ≥ 8 bytes × (batch+poison).
-	if minimum := int64(8 * cfg.Batch); fedPerRound < minimum {
-		t.Errorf("coordinator-fed egress %d B/round, expected ≥ %d", fedPerRound, minimum)
+	// Shard-local rounds ship two fixed-size directives per worker — far
+	// below one raw slice of the batch (≥ 8 bytes per arrival).
+	if localPerRound >= int64(8*cfg.Batch) {
+		t.Errorf("shard-local egress %d B/round is O(batch)", localPerRound)
 	}
-	// Shard-local rounds ship two fixed-size directives per worker.
 	if maximum := int64(workers * 1024); localPerRound > maximum {
 		t.Errorf("shard-local egress %d B/round, expected ≤ %d (O(workers))", localPerRound, maximum)
 	}
@@ -293,7 +285,8 @@ func TestShardLocalWorkerLoss(t *testing.T) {
 }
 
 // Shard-local row game: deterministic, self-consistent, and within
-// tolerance of the coordinator-fed row game.
+// tolerance of the in-process central row game (different RNG streams,
+// same distributions).
 func TestShardLocalRows(t *testing.T) {
 	mk := func() RowConfig {
 		d := dataset.VehicleN(stats.NewRand(60), 400)
@@ -341,22 +334,22 @@ func TestShardLocalRows(t *testing.T) {
 		t.Errorf("%d labels for %d kept rows", len(local.Kept.Y), local.Kept.Len())
 	}
 
-	fedCfg := mk()
-	fedCfg.Rng = stats.NewRand(62)
-	fed, err := RunShardedRows(RowShardedConfig{RowConfig: fedCfg, Shards: 4})
+	centralCfg := mk()
+	centralCfg.Rng = stats.NewRand(62)
+	central, err := RunRows(centralCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := fed.Board.PoisonRetention(), local.Board.PoisonRetention(); math.Abs(a-b) > 0.05 {
-		t.Errorf("retention %v (fed) vs %v (shard-local)", a, b)
+	if a, b := central.Board.PoisonRetention(), local.Board.PoisonRetention(); math.Abs(a-b) > 0.05 {
+		t.Errorf("retention %v (central) vs %v (shard-local)", a, b)
 	}
-	if a, b := fed.Board.HonestLoss(), local.Board.HonestLoss(); math.Abs(a-b) > 0.05 {
-		t.Errorf("honest loss %v (fed) vs %v (shard-local)", a, b)
+	if a, b := central.Board.HonestLoss(), local.Board.HonestLoss(); math.Abs(a-b) > 0.05 {
+		t.Errorf("honest loss %v (central) vs %v (shard-local)", a, b)
 	}
 }
 
 // Shard-local LDP game: deterministic, mean estimate and true mean agree
-// with the coordinator-fed game within mechanism noise.
+// with the in-process central game within mechanism noise.
 func TestShardLocalLDP(t *testing.T) {
 	mkInputs := func() []float64 {
 		inputs := make([]float64, 3000)
@@ -412,18 +405,18 @@ func TestShardLocalLDP(t *testing.T) {
 		t.Errorf("mean estimate %v far from true mean %v", local.MeanEstimate, local.TrueMean)
 	}
 
-	fedCfg := mk()
-	fedCfg.Rng = stats.NewRand(65)
-	fed, err := RunShardedLDP(LDPShardedConfig{LDPConfig: fedCfg, Shards: 4})
+	centralCfg := mk()
+	centralCfg.Rng = stats.NewRand(65)
+	central, err := RunLDP(centralCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(fed.MeanEstimate-local.MeanEstimate) > 0.15 {
-		t.Errorf("mean estimate %v (fed) vs %v (shard-local)", fed.MeanEstimate, local.MeanEstimate)
+	if math.Abs(central.MeanEstimate-local.MeanEstimate) > 0.15 {
+		t.Errorf("mean estimate %v (central) vs %v (shard-local)", central.MeanEstimate, local.MeanEstimate)
 	}
-	if math.Abs(fed.Board.PoisonRetention()-local.Board.PoisonRetention()) > 0.05 {
-		t.Errorf("retention %v (fed) vs %v (shard-local)",
-			fed.Board.PoisonRetention(), local.Board.PoisonRetention())
+	if math.Abs(central.Board.PoisonRetention()-local.Board.PoisonRetention()) > 0.05 {
+		t.Errorf("retention %v (central) vs %v (shard-local)",
+			central.Board.PoisonRetention(), local.Board.PoisonRetention())
 	}
 
 	// Non-codable mechanisms are rejected up front in shard-local mode.

@@ -333,8 +333,7 @@ func TestScaleKnobValidation(t *testing.T) {
 			t.Errorf("scalar %s: accepted", name)
 		}
 	}
-	// Valid shapes pass: sub-sharding with a Gen, and focus knobs alone
-	// (coordinator-fed runs may focus without the shard-local plane).
+	// Valid shapes pass: sub-sharding and focus knobs together.
 	if err := scalar(func(c *ClusterConfig) { c.SubShards = 4; c.FocusTighten = 2 }); err != nil {
 		t.Errorf("valid scalar knobs rejected: %v", err)
 	}

@@ -25,10 +25,11 @@ type DistributedRow struct {
 	// MaxRankDelta is the largest per-round threshold difference from the
 	// unsharded run, in reference-rank space — the observable cost of
 	// merging (possibly wire-hopped) shard summaries instead of
-	// summarizing centrally. Bounded by the summary ε budget for variants
-	// that replay the identical arrivals; for shard-local variants (their
-	// arrivals come from derived per-shard streams, not the baseline's
-	// RNG) it additionally carries the batch sampling noise.
+	// summarizing centrally. Bounded by the summary ε budget for the
+	// in-process sharded variants, which replay the identical arrivals; the
+	// cluster variants draw their arrivals from derived per-shard streams,
+	// not the baseline's RNG, so theirs additionally carries the batch
+	// sampling noise.
 	MaxRankDelta    float64
 	PoisonRetention float64
 	HonestLoss      float64
@@ -39,21 +40,20 @@ type DistributedRow struct {
 	KeptP99  float64
 	// EgressPerRound is the coordinator's outbound directive traffic per
 	// round in bytes (0 for in-process variants); EgressConfig the
-	// one-time configure shipment. The shard-local variants are the point:
-	// per-round egress collapses from O(batch) to O(workers).
+	// one-time configure shipment. Per-round egress is O(workers),
+	// independent of the batch: the coordinator never ships an arrival.
 	EgressPerRound float64
 	EgressConfig   float64
 }
 
 // DistributedResult compares the same heavy-batch scalar game run
-// unsharded, sharded in-process (goroutine fan-out), across a loopback
-// worker cluster shipping raw slices (full wire protocol, two fan-outs per
-// round), and across the same cluster on the shard-local data plane
-// (workers generate their own arrivals from derived seed streams; the
-// coordinator ships O(1) seed directives). It is the reproduction's
-// distributed-collector study: the cluster must track the unsharded
-// thresholds within tolerance while the per-round coordinator egress
-// collapses.
+// unsharded, sharded in-process (goroutine fan-out), and across a loopback
+// worker cluster on the shard-local data plane (full wire protocol, two
+// fan-outs per round; workers generate their own arrivals from derived
+// seed streams and the coordinator ships O(1) seed directives). It is the
+// reproduction's distributed-collector study: the cluster must track the
+// unsharded thresholds within tolerance while its per-round coordinator
+// egress stays O(workers).
 type DistributedResult struct {
 	Rounds      int
 	Batch       int
@@ -154,18 +154,9 @@ func Distributed(sc Scale, workerCounts []int) (*DistributedResult, error) {
 	}
 	for _, n := range workerCounts {
 		out, millis, err := timed(func(cfg collect.Config) (*collect.Result, error) {
-			return collect.RunCluster(collect.ClusterConfig{Config: cfg, Transport: cluster.NewLoopback(n)})
-		})
-		if err != nil {
-			return nil, err
-		}
-		record(fmt.Sprintf("cluster-%d", n), out, millis, baseline)
-	}
-	for _, n := range workerCounts {
-		out, millis, err := timed(func(cfg collect.Config) (*collect.Result, error) {
-			// Shard-local data plane: workers generate their own arrivals;
-			// the central Honest/Rng are unused (the run is a pure function
-			// of the master seed and the worker count).
+			// Workers generate their own arrivals; the central Honest/Rng
+			// are unused (the run is a pure function of the master seed and
+			// the worker count).
 			cfg.Honest = nil
 			cfg.Rng = nil
 			return collect.RunCluster(collect.ClusterConfig{

@@ -18,7 +18,7 @@ func TestDistributed(t *testing.T) {
 	for _, row := range res.Rows {
 		byVariant[row.Variant] = row
 	}
-	for _, want := range []string{"unsharded", "sharded-2", "cluster-2", "local-2"} {
+	for _, want := range []string{"unsharded", "sharded-2", "local-2"} {
 		if _, ok := byVariant[want]; !ok {
 			t.Fatalf("variant %q missing from %v", want, res.Rows)
 		}
@@ -27,12 +27,8 @@ func TestDistributed(t *testing.T) {
 	if byVariant["unsharded"].EgressPerRound != 0 || byVariant["sharded-2"].EgressPerRound != 0 {
 		t.Error("in-process variants report nonzero egress")
 	}
-	// Slice shipping is O(batch); seed directives are O(workers). The study
-	// must show the collapse.
-	fed, local := byVariant["cluster-2"], byVariant["local-2"]
-	if fed.EgressPerRound < float64(8*res.Batch) {
-		t.Errorf("cluster egress %v B/round below the raw-slice floor %d", fed.EgressPerRound, 8*res.Batch)
-	}
+	// Seed directives are O(workers), far below one raw slice of the batch.
+	local := byVariant["local-2"]
 	if local.EgressPerRound > 2*1024 {
 		t.Errorf("shard-local egress %v B/round is not O(workers)", local.EgressPerRound)
 	}
@@ -41,8 +37,8 @@ func TestDistributed(t *testing.T) {
 	}
 	// Identical arrivals → within the summary budget; shard-local arrivals
 	// → within budget plus batch sampling noise.
-	if fed.MaxRankDelta > 0.05 {
-		t.Errorf("cluster max rank delta %v", fed.MaxRankDelta)
+	if sharded := byVariant["sharded-2"]; sharded.MaxRankDelta > 0.05 {
+		t.Errorf("sharded max rank delta %v", sharded.MaxRankDelta)
 	}
 	if local.MaxRankDelta > 0.1 {
 		t.Errorf("shard-local max rank delta %v", local.MaxRankDelta)

@@ -9,29 +9,29 @@ import (
 // Op is the coordinator → worker operation code inside a Directive.
 type Op byte
 
-// The protocol operations of format version 4. A coordinator-fed round is
-// two phases: Summarize (ship arrivals, get summary deltas back) then
-// Classify (broadcast the resolved threshold, get counts and kept-pool
-// deltas back). A shard-local round replaces the Summarize phase with
-// Generate: the directive carries a derived RNG seed plus compact
-// generation parameters instead of raw arrivals, and each worker draws its
-// own slice of the round locally (DESIGN.md §7). Scale fans the row game's
-// clean-scale pass out over worker-held dataset ranges. Heartbeat, Hello
-// and Join belong to the fleet runtime (DESIGN.md §8): Heartbeat is the
-// supervisor's liveness probe, Hello the admission handshake that asks a
-// candidate worker for its state, and Join the membership grant that tells
-// an admitted worker which epoch it serves from.
+// The protocol operations. A round is two phases: Generate (the directive
+// carries a derived RNG seed plus compact generation parameters, and each
+// worker draws and summarizes its own slice of the round locally, DESIGN.md
+// §7) then Classify (broadcast the resolved threshold, get counts and
+// kept-pool deltas back). Scale fans the row game's clean-scale pass out over
+// worker-held dataset ranges. Heartbeat, Hello and Join belong to the fleet
+// runtime (DESIGN.md §8): Heartbeat is the supervisor's liveness probe, Hello
+// the admission handshake that asks a candidate worker for its state, and
+// Join the membership grant that tells an admitted worker which epoch it
+// serves from.
 //
 // ClassifyGenerate is the pipelined round schedule (DESIGN.md §9): one
 // broadcast that classifies the held round (Round, Threshold) and then
 // draws the NEXT round's shard locally from Gen — the worker holds the
 // generated slice as round Round+1 and its reply carries both the classify
 // tallies of round Round and the summarize delta of round Round+1, so a
-// steady-state shard-local round costs one RTT instead of two.
+// steady-state round costs one RTT instead of two.
+//
+// Codes 2 and 3 belonged to the coordinator-fed Summarize/SummarizeRows ops
+// (raw arrival slices shipped per round), retired in format 9. They are never
+// reused: a directive carrying either fails to decode.
 const (
 	OpConfigure        Op = 1  // set the worker's ε budget and data-plane state
-	OpSummarize        Op = 2  // scalar arrivals: build the shard summary
-	OpSummarizeRows    Op = 3  // row arrivals + center: summarize distances
 	OpClassify         Op = 4  // classify the held arrivals against Threshold
 	OpStop             Op = 5  // end of game; the worker may shut down
 	OpGenerate         Op = 6  // draw scalar/LDP arrivals locally from Gen, then summarize
@@ -46,7 +46,10 @@ const (
 	OpPoolTrim         Op = 15 // roll kept-row pools back to per-leaf row counts (resume)
 )
 
-func (o Op) valid() bool { return o >= OpConfigure && o <= OpPoolTrim }
+// retiredOp reports whether o is one of the retired coordinator-fed op codes.
+func retiredOp(o Op) bool { return o == 2 || o == 3 }
+
+func (o Op) valid() bool { return o >= OpConfigure && o <= OpPoolTrim && !retiredOp(o) }
 
 // Counts are one shard's classification tallies for a round — the partial
 // RoundRecord the coordinator reduces across shards.
@@ -104,8 +107,8 @@ type SubSpec struct {
 
 // Report is one worker → coordinator message: the reply to every directive.
 // Which fields are populated depends on the phase — Sum/Count/ValueSum
-// (plus PctSum/InputSum after a local Generate, ScaleMin/ScaleMax after a
-// Scale) after a summarize, Counts/Kept*/Vec after a classify. Exact counts
+// (plus PctSum/InputSum after a Generate, ScaleMin/ScaleMax after a Scale)
+// after a summarize, Counts/Kept*/Vec after a classify. Exact counts
 // and sums ride alongside each sketch so the coordinator's Count/Mean
 // estimators stay exact across shard hops (summary.Stream.AbsorbCounted).
 type Report struct {
@@ -140,12 +143,12 @@ type Report struct {
 	// coordinator's merged budget is the max across shards.
 	Epsilon float64
 
-	// Summarize/Generate/Scale phase: the shard's summary of its slice.
+	// Generate/Scale phase: the shard's summary of its slice.
 	Sum      *summary.Summary
 	Count    int     // observations behind Sum (exact)
 	ValueSum float64 // Σ of summarized values (exact)
 
-	// Generate phase (shard-local generation only).
+	// Generate phase.
 	PctSum   float64 // Σ injection percentiles this shard drew
 	InputSum float64 // LDP: Σ honest inputs behind the perturbed reports
 
@@ -176,7 +179,6 @@ type Report struct {
 	Kept      *summary.Summary // summary of the values this shard kept
 	KeptCount int
 	KeptSum   float64
-	KeptIdx   []int        // indices into the shard's slice that were kept (coordinator-fed rows)
 	Vec       *VectorDelta // accepted-row vector delta (row game)
 
 	// KeptRows/KeptLabels are one page of a worker-held kept-row pool —
@@ -253,7 +255,6 @@ func EncodeReport(buf []byte, rep *Report) []byte {
 	buf = appendU64(buf, uint64(rep.KeptCount))
 	buf = appendF64(buf, rep.KeptSum)
 	buf = appendSummaryBlock(buf, rep.Kept)
-	buf = appendIntList(buf, rep.KeptIdx)
 	buf = appendRowsBlock(buf, rep.KeptRows)
 	buf = appendIntList(buf, rep.KeptLabels)
 	buf = appendIntList(buf, rep.PoolRows)
@@ -328,7 +329,6 @@ func DecodeReport(buf []byte) (*Report, error) {
 	if rep.Kept, err = readSummaryBlock(r); err != nil {
 		return nil, err
 	}
-	rep.KeptIdx = readIntList(r, "kept index")
 	rep.KeptRows = readRowsBlock(r, "kept row")
 	rep.KeptLabels = readIntList(r, "kept label")
 	rep.PoolRows = readIntList(r, "pool rows")
@@ -367,13 +367,11 @@ func DecodeReport(buf []byte) (*Report, error) {
 // Directive is one coordinator → worker message. Which fields are
 // meaningful depends on Op:
 //
-//   - Configure carries Epsilon plus the one-time data-plane state of a
-//     shard-local game: Pool/RefSorted (scalar), Pool/MechKind/MechEps
-//     (LDP), or Rows/Labels/Clusters/PoisonLabel (row dataset).
-//   - Summarize carries Values and PoisonFrom; SummarizeRows carries Rows,
-//     Center and PoisonFrom (coordinator-fed generation).
+//   - Configure carries Epsilon plus the one-time data-plane state of the
+//     game: Pool/RefSorted (scalar), Pool/MechKind/MechEps (LDP), or
+//     Rows/Labels/Clusters/PoisonLabel (row dataset).
 //   - Generate/GenerateRows carry Gen (and, for rows, Center) — the O(1)
-//     shard-local round directive.
+//     round directive.
 //   - Scale carries Center and the dataset range [Lo, Hi).
 //   - Classify carries Threshold (and Pct for the record); Stop nothing.
 //   - Heartbeat and Hello carry nothing beyond the op; Join carries Epoch.
@@ -396,11 +394,8 @@ type Directive struct {
 
 	Epsilon float64 // Configure: worker sketch budget
 
-	Values     []float64 // Summarize: the shard's slice of scalar arrivals
-	PoisonFrom int       // index in Values/Rows where poison starts (= len: none)
-
-	Rows   [][]float64 // SummarizeRows: arrival slice; Configure: the dataset
-	Center []float64   // SummarizeRows/GenerateRows/Scale: current robust center
+	Rows   [][]float64 // Configure: the row game's dataset
+	Center []float64   // GenerateRows/Scale: current robust center
 
 	Pct       float64 // Classify: the percentile the threshold resolved from
 	Threshold float64 // Classify: resolved trim threshold (value domain)
@@ -408,13 +403,13 @@ type Directive struct {
 	// FocusPct/FocusWidth/FocusTighten ask the worker to keep its summarize
 	// sketches tighten× denser in the rank window FocusPct ± FocusWidth —
 	// the adaptive-ε focus around the trim threshold (DESIGN.md §12).
-	// FocusTighten ≤ 1 means no focus (the fields ride on generate and
-	// summarize directives; classify ignores them).
+	// FocusTighten ≤ 1 means no focus (the fields ride on generate
+	// directives; classify ignores them).
 	FocusPct     float64
 	FocusWidth   float64
 	FocusTighten int
 
-	// Configure, shard-local data plane.
+	// Configure: the game's one-time data-plane state.
 	Pool        []float64 // honest pool (scalar) / clean input pool (LDP)
 	RefSorted   []float64 // sorted clean reference (scalar percentile scale)
 	Labels      []int     // dataset labels (row game; nil when unlabeled)
@@ -427,7 +422,7 @@ type Directive struct {
 	// Scale: the worker's dataset range for this round's clean-scale pass.
 	Lo, Hi int
 
-	// Generate/GenerateRows: the shard-local generation recipe.
+	// Generate/GenerateRows: the generation recipe.
 	Gen *GenSpec
 
 	// Cuts are the per-leaf dataset boundaries of a Scale directive sent to
@@ -464,13 +459,11 @@ func EncodeDirective(buf []byte, d *Directive) []byte {
 	buf = appendU32(buf, uint32(d.Epoch))
 	buf = appendU64(buf, d.Trace)
 	buf = appendF64(buf, d.Epsilon)
-	buf = appendU32(buf, uint32(d.PoisonFrom))
 	buf = appendF64(buf, d.Pct)
 	buf = appendF64(buf, d.Threshold)
 	buf = appendF64(buf, d.FocusPct)
 	buf = appendF64(buf, d.FocusWidth)
 	buf = appendU32(buf, uint32(d.FocusTighten))
-	buf = appendF64s(buf, d.Values)
 	buf = appendRowsBlock(buf, d.Rows)
 	buf = appendF64s(buf, d.Center)
 	buf = appendF64s(buf, d.Pool)
@@ -523,13 +516,11 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 		Trace: r.u64("trace"),
 	}
 	d.Epsilon = r.f64("epsilon")
-	d.PoisonFrom = int(r.u32("poison offset"))
 	d.Pct = r.f64("pct")
 	d.Threshold = r.f64("threshold")
 	d.FocusPct = r.f64("focus pct")
 	d.FocusWidth = r.f64("focus width")
 	d.FocusTighten = int(r.u32("focus tighten"))
-	d.Values = r.f64s("values")
 	d.Rows = readRowsBlock(r, "row")
 	d.Center = r.f64s("center")
 	d.Pool = r.f64s("pool")
@@ -571,6 +562,9 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	d.ScaleCenter = r.f64s("scale center")
 	if err := r.finish(); err != nil {
 		return nil, err
+	}
+	if retiredOp(d.Op) {
+		return nil, fmt.Errorf("wire: directive op %d is a retired coordinator-fed op (format 9 serves only the shard-local data plane)", d.Op)
 	}
 	if !d.Op.valid() {
 		return nil, fmt.Errorf("wire: unknown directive op %d", d.Op)

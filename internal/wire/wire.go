@@ -55,15 +55,19 @@ import (
 // resume (OpFetchRows with Directive.Leaf addressing, OpPoolTrim), and
 // row-game snapshots (SnapRows) checkpoint O(1/ε) coordinator state —
 // the robust-center vector sketch, the late-center delay line, and the
-// per-leaf pool manifest — instead of any rows.
-const Version = 8
+// per-leaf pool manifest — instead of any rows; 9 retired the
+// coordinator-fed data plane: the Summarize/SummarizeRows ops (codes 2 and
+// 3, never reused), the raw arrival slice and poison offset they carried
+// and the kept-row indices their classify replies returned — every cluster
+// round is shard-local.
+const Version = 9
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game), so its predecessor is retired: a
 // mixed-version cluster fails loudly at the configure fan-out instead of
 // misparsing or dying rounds later.
-const MinVersion = 8
+const MinVersion = 9
 
 const (
 	magic0 = 'T'

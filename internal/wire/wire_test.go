@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/stats/summary"
@@ -139,8 +140,7 @@ func TestReportRoundTrip(t *testing.T) {
 			Counts:    Counts{HonestKept: 10, HonestTrimmed: 2, PoisonKept: 1, PoisonTrimmed: 4},
 			Kept:      randomSummary(t, rng, "heavy", 300, 0),
 			KeptCount: 11, KeptSum: -9.5,
-			KeptIdx: []int{0, 3, 4, 9, 17},
-			Vec:     DeltaFromVector(vec),
+			Vec: DeltaFromVector(vec),
 		},
 		{ // shard-local generate reply
 			Round: 3, Worker: 2, Epsilon: 0.01,
@@ -206,12 +206,6 @@ func TestReportRoundTrip(t *testing.T) {
 func TestDirectiveRoundTrip(t *testing.T) {
 	dirs := []*Directive{
 		{Op: OpConfigure, Epsilon: 0.01},
-		{Op: OpSummarize, Round: 4, Values: []float64{1, 2, math.Pi, -7}, PoisonFrom: 3},
-		{
-			Op: OpSummarizeRows, Round: 5,
-			Rows:   [][]float64{{1, 2}, {3, 4}, {5, 6}},
-			Center: []float64{0.5, -0.5}, PoisonFrom: 2,
-		},
 		{Op: OpClassify, Round: 6, Pct: 0.9, Threshold: 1.234},
 		{Op: OpStop},
 		{ // shard-local configure: scalar pool + reference
@@ -308,10 +302,10 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	msgs := map[string][]byte{
 		"summary": EncodeSummary(nil, s),
 		"report": EncodeReport(nil, &Report{
-			Round: 1, Sum: s, Count: 64, ValueSum: 30, KeptIdx: []int{1, 2},
+			Round: 1, Sum: s, Count: 64, ValueSum: 30, PoolRows: []int{1, 2},
 		}),
 		"directive": EncodeDirective(nil, &Directive{
-			Op: OpSummarize, Round: 1, Values: []float64{1, 2, 3}, PoisonFrom: 1,
+			Op: OpGenerate, Round: 1, Center: []float64{1, 2, 3}, Gen: &GenSpec{Seed: 1, HonestN: 2},
 		}),
 	}
 	decode := map[string]func([]byte) error{
@@ -332,6 +326,27 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		if err := decode[name](append(append([]byte(nil), msg...), 0)); err == nil {
 			t.Fatalf("%s with trailing byte: decode succeeded", name)
 		}
+	}
+}
+
+// The coordinator-fed Summarize/SummarizeRows op codes (2 and 3) are retired
+// in format 9 and never reused: a directive carrying either must fail to
+// decode, so no worker or aggregator acts on one. Their neighbours stay
+// valid — the remaining ops keep their numbers.
+func TestDecodeRejectsRetiredOps(t *testing.T) {
+	for _, op := range []Op{2, 3} {
+		_, err := DecodeDirective(EncodeDirective(nil, &Directive{Op: op, Round: 1}))
+		if err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("op %d: error = %v, want a retired-op refusal", op, err)
+		}
+	}
+	for _, op := range []Op{OpConfigure, OpClassify} {
+		if _, err := DecodeDirective(EncodeDirective(nil, &Directive{Op: op})); err != nil {
+			t.Errorf("op %d: %v", op, err)
+		}
+	}
+	if OpClassify != 4 || OpPoolTrim != 15 {
+		t.Errorf("op codes renumbered: classify %d, pool trim %d", OpClassify, OpPoolTrim)
 	}
 }
 

@@ -6,7 +6,7 @@
 # re-spawned with `-rejoin` on its old address; the coordinator must
 # re-admit it at a round boundary and the run must match the uninterrupted
 # shard-local reference record for record outside the degraded window
-# (`-local` verifies and fails otherwise).
+# (the coordinator verifies and fails otherwise).
 #
 # Scenario B — coordinator kill + resume: the coordinator is killed
 # mid-game and restarted with `-resume`; it must finish from its latest
@@ -18,13 +18,13 @@
 # mid-game — the coordinator must charge all four of that subtree's leaves
 # as per-leaf shard losses — and a fresh aggregator re-spawned with
 # `-rejoin` on the old address (re-dialling the still-running workers)
-# must be re-admitted at a round boundary, after which `-local` verifies
-# the post-recovery records against the flat 8-shard reference.
+# must be re-admitted at a round boundary, after which the coordinator
+# verifies the post-recovery records against the flat 8-shard reference.
 #
 # COORD_FLAGS adds extra coordinator flags to every run — CI runs the
 # whole script a second time with COORD_FLAGS=-pipeline so the overlapped
 # round schedule survives the same kill -9 chaos (speculation must flush at
-# the membership change and the -local verification must still pass).
+# the membership change and the verification must still pass).
 #
 # Scenario A also exercises the observability endpoint mid-chaos: the
 # coordinator serves -obs-addr, and while the game is still running the
@@ -72,7 +72,7 @@ echo "== scenario A: worker kill + re-join =="
 "$TRIMLAB" worker -listen "127.0.0.1:$PORT1" -id 1 >"$WORKDIR/w1.log" 2>&1 &
 W1_PID=$!
 "$TRIMLAB" coordinator -workers "127.0.0.1:$PORT0,127.0.0.1:$PORT1" \
-  -local -rejoin -heartbeat 100ms -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" \
+  -rejoin -heartbeat 100ms -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" \
   -obs-addr "127.0.0.1:$OBS_PORT" $COORD_FLAGS \
   >"$WORKDIR/coordA.log" 2>&1 &
 COORD_PID=$!
@@ -120,7 +120,7 @@ CKPT="$WORKDIR/ckpt"
 "$TRIMLAB" worker -listen "127.0.0.1:$PORT0" -id 0 >"$WORKDIR/w0b.log" 2>&1 &
 "$TRIMLAB" worker -listen "127.0.0.1:$PORT1" -id 1 >"$WORKDIR/w1c.log" 2>&1 &
 "$TRIMLAB" coordinator -workers "127.0.0.1:$PORT0,127.0.0.1:$PORT1" \
-  -local -checkpoint-dir "$CKPT" -checkpoint-every 10 -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" $COORD_FLAGS \
+  -checkpoint-dir "$CKPT" -checkpoint-every 10 -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" $COORD_FLAGS \
   >"$WORKDIR/coordB1.log" 2>&1 &
 COORD_PID=$!
 sleep 2.5
@@ -133,7 +133,7 @@ ls "$CKPT"/checkpoint-*.tq >/dev/null 2>&1 || {
 }
 # The workers survive the dead coordinator; the resumed one redials them.
 if ! "$TRIMLAB" coordinator -workers "127.0.0.1:$PORT0,127.0.0.1:$PORT1" \
-  -local -checkpoint-dir "$CKPT" -resume -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" $COORD_FLAGS \
+  -checkpoint-dir "$CKPT" -resume -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" $COORD_FLAGS \
   >"$WORKDIR/coordB2.log" 2>&1; then
   echo "FAIL: resumed coordinator exited non-zero" >&2
   cat "$WORKDIR/coordB2.log" >&2
@@ -170,7 +170,7 @@ done
 "$TRIMLAB" aggregator -listen "127.0.0.1:$AGG_PORT1" -id 1 -children "$KIDS1" >"$WORKDIR/agg1.log" 2>&1 &
 AGG1_PID=$!
 "$TRIMLAB" coordinator -workers "127.0.0.1:$AGG_PORT0,127.0.0.1:$AGG_PORT1" \
-  -local -rejoin -heartbeat 100ms -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" $COORD_FLAGS \
+  -rejoin -heartbeat 100ms -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" $COORD_FLAGS \
   >"$WORKDIR/coordC.log" 2>&1 &
 COORD_PID=$!
 sleep 1.5
