@@ -72,7 +72,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -127,155 +129,53 @@ func main() {
 	}
 	sc.Seed = *seed
 
-	runners := map[string]func() error{
-		"table1": func() error {
-			res, err := experiments.TableI(game.UltimatumPayoffs{PBar: 100, TBar: 50, P: 3, T: 1})
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"table2": func() error {
-			res, err := experiments.TableII(sc.Seed, *scale == "paper")
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"table3": func() error {
-			res, err := experiments.TableIII(sc)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"table4": func() error {
-			res, err := experiments.TableIV(0.9)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"fig4": func() error {
-			res, err := experiments.Fig4(sc, *points)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"fig5": func() error {
-			res, err := experiments.Fig5(sc, *points)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"fig6": func() error {
-			res, err := experiments.Fig6(sc)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"fig7": func() error {
-			res, err := experiments.Fig7(sc)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"fig8": func() error {
-			res, err := experiments.Fig8(sc)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"fig9": func() error {
+	// The experiments in "all" order; each returns its result table, which
+	// timed prints.
+	exps := []struct {
+		name string
+		run  func() (printer, error)
+	}{
+		{"table1", func() (printer, error) {
+			return experiments.TableI(game.UltimatumPayoffs{PBar: 100, TBar: 50, P: 3, T: 1})
+		}},
+		{"table2", func() (printer, error) { return experiments.TableII(sc.Seed, *scale == "paper") }},
+		{"table3", func() (printer, error) { return experiments.TableIII(sc) }},
+		{"table4", func() (printer, error) { return experiments.TableIV(0.9) }},
+		{"fig4", func() (printer, error) { return experiments.Fig4(sc, *points) }},
+		{"fig5", func() (printer, error) { return experiments.Fig5(sc, *points) }},
+		{"fig6", func() (printer, error) { return experiments.Fig6(sc) }},
+		{"fig7", func() (printer, error) { return experiments.Fig7(sc) }},
+		{"fig8", func() (printer, error) { return experiments.Fig8(sc) }},
+		{"fig9", func() (printer, error) {
 			ratios, epsilons := fig9Grids(*scale)
-			res, err := experiments.Fig9(sc, ratios, epsilons)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"variants": func() error {
-			res, err := experiments.Variants(sc)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"blackbox": func() error {
-			res, err := experiments.BlackBox(sc)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"sharded": func() error {
-			res, err := experiments.Sharded(sc, nil)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"distributed": func() error {
-			res, err := experiments.Distributed(sc, nil)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"fleet": func() error {
-			res, err := experiments.FaultTolerance(sc, 0)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
-		"pipeline": func() error {
-			res, err := experiments.Pipelining(sc, nil, nil)
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		},
+			return experiments.Fig9(sc, ratios, epsilons)
+		}},
+		{"variants", func() (printer, error) { return experiments.Variants(sc) }},
+		{"blackbox", func() (printer, error) { return experiments.BlackBox(sc) }},
+		{"sharded", func() (printer, error) { return experiments.Sharded(sc, nil) }},
+		{"distributed", func() (printer, error) { return experiments.Distributed(sc, nil) }},
+		{"fleet", func() (printer, error) { return experiments.FaultTolerance(sc, 0) }},
+		{"pipeline", func() (printer, error) { return experiments.Pipelining(sc, nil, nil) }},
+	}
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
 	}
 
-	order := []string{"table1", "table2", "table3", "table4",
-		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "variants", "blackbox", "sharded", "distributed", "fleet", "pipeline"}
-
 	if *exp == "all" {
-		for _, name := range order {
-			if err := timed(name, runners[name]); err != nil {
+		for _, e := range exps {
+			if err := timed(e.name, e.run); err != nil {
 				fatal(err)
 			}
 			fmt.Println()
 		}
 		return
 	}
-	run, ok := runners[*exp]
-	if !ok {
-		fatal(fmt.Errorf("unknown experiment %q (want one of %v or all)", *exp, order))
+	i := slices.Index(names, *exp)
+	if i < 0 {
+		fatal(fmt.Errorf("unknown experiment %q (want one of %v or all)", *exp, names))
 	}
-	if err := timed(*exp, run); err != nil {
+	if err := timed(*exp, exps[i].run); err != nil {
 		fatal(err)
 	}
 }
@@ -301,12 +201,19 @@ func fig9Grids(scale string) (ratios, epsilons []float64) {
 	return []float64{0.05, 0.2, 0.45}, []float64{1, 2, 3, 4, 5}
 }
 
-func timed(name string, run func() error) error {
+// printer is an experiment's result: every one prints its own table.
+type printer interface{ Print(io.Writer) }
+
+// timed runs one experiment between a banner and its wall-clock footer and
+// prints its result table to stdout.
+func timed(name string, run func() (printer, error)) error {
 	start := obs.Now()
 	fmt.Printf("=== %s ===\n", name)
-	if err := run(); err != nil {
+	res, err := run()
+	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
+	res.Print(os.Stdout)
 	fmt.Printf("--- %s done in %v\n", name, obs.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -91,9 +91,9 @@ func CompressBudget(eps float64, height int) int {
 
 // Node is one aggregator: a cluster.Handler that stands for a subtree of
 // worker slots. Handle decodes the coordinator's directive, splits it
-// positionally among its children (generator sub-shard cells and scale cuts
-// slice by child leaf counts; everything else broadcasts verbatim), fans
-// out in parallel, and merges the replies strictly in child order — child
+// positionally among its children (generator cells, scale cuts and pool-trim
+// targets slice by child leaf counts; everything else broadcasts verbatim),
+// fans out in parallel, and merges the replies strictly in child order — child
 // order is leaf order, so every order-sensitive fold at the coordinator
 // sees the same sequence a flat fleet would produce.
 type Node struct {
@@ -243,7 +243,7 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 			return nil, fmt.Errorf("agg: node %d: join (epoch %d) before configure", n.id, d.Epoch)
 		}
 	case wire.OpConfigure, wire.OpStop, wire.OpHeartbeat, wire.OpTreeInfo,
-		wire.OpScale, wire.OpGenerate, wire.OpGenerateRows, wire.OpClassify,
+		wire.OpScale, wire.OpGenerate, wire.OpClassify,
 		wire.OpClassifyGenerate, wire.OpFetchRows, wire.OpPoolTrim:
 		// No node-side pre-check before the fan-out.
 	}
@@ -266,7 +266,7 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 	case wire.OpStop:
 		n.stopOnce.Do(func() { close(n.done) })
 	case wire.OpHello, wire.OpHeartbeat, wire.OpTreeInfo, wire.OpScale,
-		wire.OpGenerate, wire.OpGenerateRows, wire.OpClassify,
+		wire.OpGenerate, wire.OpClassify,
 		wire.OpClassifyGenerate, wire.OpFetchRows, wire.OpPoolTrim:
 		// No node-side state transition after the fan-out.
 	}
@@ -278,30 +278,31 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 }
 
 // split builds the per-child request list (aligned with n.children; dead
-// children get nil). Broadcast ops forward the raw request bytes — a leaf
-// worker then receives exactly the bytes a flat coordinator would have sent
-// it. Generate-family ops slice the directive's sub-shard cells, Scale and
-// PoolTrim their per-leaf cuts, positionally by child leaf counts; a
-// FetchRows routes to the one child owning the addressed leaf.
+// children get nil). A FetchRows routes to the one child owning the
+// addressed leaf. Otherwise one rule covers every op: a subtree of one live
+// leaf, and any directive with nothing positional in it, forwards the raw
+// request bytes — a leaf worker then receives exactly the bytes a flat
+// coordinator would have sent its slot — and a directive with positional
+// parts (generator cells, a clean-scale attachment's per-leaf cuts, pool-trim
+// targets) is sliced by child leaf counts (splitLeaves).
 func (n *Node) split(d *wire.Directive, raw []byte) ([][]byte, error) {
-	reqs := make([][]byte, len(n.children))
-	switch d.Op {
-	case wire.OpGenerate, wire.OpGenerateRows, wire.OpClassifyGenerate:
-		return n.splitGen(d, raw)
-	case wire.OpScale:
-		return n.splitScale(d, raw)
-	case wire.OpFetchRows:
+	switch {
+	case d.Op == wire.OpFetchRows:
 		return n.splitFetch(d)
-	case wire.OpPoolTrim:
-		return n.splitTrim(d)
-	default:
-		for i := range n.children {
-			if n.live[i] {
-				reqs[i] = raw
-			}
-		}
-		return reqs, nil
+	case (d.Op == wire.OpGenerate || d.Op == wire.OpClassifyGenerate) && d.Gen == nil,
+		d.Op == wire.OpScale && len(d.ScaleCenter) == 0:
+		return nil, fmt.Errorf("agg: node %d: op %d without its generator spec or scale center", n.id, d.Op)
 	}
+	if n.totalLeaves() > 1 && (d.Gen != nil || len(d.ScaleCenter) > 0 || d.Op == wire.OpPoolTrim) {
+		return n.splitLeaves(d)
+	}
+	reqs := make([][]byte, len(n.children))
+	for i := range n.children {
+		if n.live[i] {
+			reqs[i] = raw
+		}
+	}
+	return reqs, nil
 }
 
 // splitFetch routes a kept-row page request to the single child owning the
@@ -326,131 +327,57 @@ func (n *Node) splitFetch(d *wire.Directive) ([][]byte, error) {
 	return nil, fmt.Errorf("agg: node %d: fetch-rows leaf %d beyond %d live leaves", n.id, d.Leaf, off)
 }
 
-// splitTrim slices the per-leaf pool row targets (Cuts, len = leaves)
-// positionally by child leaf counts, like splitScale without the shared
-// boundary element.
-func (n *Node) splitTrim(d *wire.Directive) ([][]byte, error) {
-	reqs := make([][]byte, len(n.children))
+// splitLeaves is the positional split of a directive over a subtree of
+// more than one leaf: child i with l leaves takes, at its leaf offset,
+//
+//   - its run of l·C consecutive generator cells (the subtree's cells are
+//     the flat (leaf, sub-shard) cell run it covers, C per leaf);
+//   - for a clean-scale attachment, the cut segment covering its leaves — as
+//     Lo/Hi, plus a narrower Cuts list when it aggregates further down (a
+//     one-leaf child's directive omits Cuts, like a flat worker's);
+//   - for a PoolTrim, its l per-leaf row targets.
+//
+// Everything else in the directive is forwarded unchanged.
+func (n *Node) splitLeaves(d *wire.Directive) ([][]byte, error) {
 	total := n.totalLeaves()
-	if len(d.Cuts) != total {
-		return nil, fmt.Errorf("agg: node %d: %d pool-trim targets for %d leaves", n.id, len(d.Cuts), total)
+	per := 0
+	if d.Gen != nil {
+		if len(d.Gen.Cells)%total != 0 {
+			return nil, fmt.Errorf("agg: node %d: %d generator cells do not divide over %d leaves", n.id, len(d.Gen.Cells), total)
+		}
+		per = len(d.Gen.Cells) / total
 	}
-	off := 0
-	for i := range n.children {
-		if !n.live[i] {
-			continue
-		}
-		cd := *d
-		cd.Cuts = d.Cuts[off : off+n.leaves[i]]
-		off += n.leaves[i]
-		reqs[i] = wire.EncodeDirective(nil, &cd)
-	}
-	return reqs, nil
-}
-
-// splitGen slices Gen.Subs — the flat per-(leaf, sub-shard) cell list of
-// this subtree — into per-child runs of leaves·C consecutive cells. A child
-// receiving one cell gets a plain directive (Seed/HonestN/PoisonN, no Subs):
-// byte-identical to what a flat coordinator sends a 1-leaf worker.
-func (n *Node) splitGen(d *wire.Directive, raw []byte) ([][]byte, error) {
-	reqs := make([][]byte, len(n.children))
-	total := n.totalLeaves()
-	if d.Gen == nil {
-		return nil, fmt.Errorf("agg: node %d: op %d without a generator spec", n.id, d.Op)
-	}
-	if len(d.Gen.Subs) == 0 {
-		// One cell for the whole subtree: only a single-leaf subtree can
-		// serve it, and its one worker takes the directive as-is.
-		if total != 1 {
-			return nil, fmt.Errorf("agg: node %d: one generator cell for %d leaves", n.id, total)
-		}
-		for i := range n.children {
-			if n.live[i] {
-				reqs[i] = raw
-			}
-		}
-		return reqs, nil
-	}
-	if total < 1 || len(d.Gen.Subs)%total != 0 {
-		return nil, fmt.Errorf("agg: node %d: %d generator cells do not divide over %d leaves", n.id, len(d.Gen.Subs), total)
-	}
-	per := len(d.Gen.Subs) / total
-	if len(d.ScaleCenter) > 0 && len(d.Cuts) != total+1 {
-		return nil, fmt.Errorf("agg: node %d: %d piggybacked scale cuts for %d leaves", n.id, len(d.Cuts), total)
-	}
-	off := 0
-	for i := range n.children {
-		if !n.live[i] {
-			continue
-		}
-		cells := d.Gen.Subs[off*per : (off+n.leaves[i])*per]
-		cd := *d
-		g := *d.Gen
-		g.Seed = cells[0].Seed
-		g.HonestN, g.PoisonN = 0, 0
-		for _, c := range cells {
-			g.HonestN += c.HonestN
-			g.PoisonN += c.PoisonN
-		}
-		if len(cells) > 1 {
-			g.Subs = cells
-		} else {
-			g.Subs = nil
-		}
-		cd.Gen = &g
-		if len(d.ScaleCenter) > 0 {
-			// A piggybacked scale request rides the combined directive: its
-			// per-leaf dataset cuts split exactly like a standalone Scale.
-			seg := d.Cuts[off : off+n.leaves[i]+1]
-			cd.Lo, cd.Hi = seg[0], seg[len(seg)-1]
-			if n.leaves[i] > 1 {
-				cd.Cuts = seg
-			} else {
-				cd.Cuts = nil
-			}
-		} else {
-			cd.Cuts = nil
-		}
-		off += n.leaves[i]
-		reqs[i] = wire.EncodeDirective(nil, &cd)
-	}
-	return reqs, nil
-}
-
-// splitScale slices the directive's per-leaf dataset cuts: child i with l
-// leaves takes the cut segment covering its leaves, as Lo/Hi when it is a
-// single leaf and as a narrower Cuts list when it aggregates further down.
-func (n *Node) splitScale(d *wire.Directive, raw []byte) ([][]byte, error) {
-	reqs := make([][]byte, len(n.children))
-	total := n.totalLeaves()
-	if len(d.Cuts) == 0 {
-		if total != 1 {
-			return nil, fmt.Errorf("agg: node %d: scale range without per-leaf cuts for %d leaves", n.id, total)
-		}
-		for i := range n.children {
-			if n.live[i] {
-				reqs[i] = raw
-			}
-		}
-		return reqs, nil
-	}
-	if len(d.Cuts) != total+1 {
+	scaled := len(d.ScaleCenter) > 0
+	if scaled && len(d.Cuts) != total+1 {
 		return nil, fmt.Errorf("agg: node %d: %d scale cuts for %d leaves", n.id, len(d.Cuts), total)
 	}
+	if d.Op == wire.OpPoolTrim && len(d.Cuts) != total {
+		return nil, fmt.Errorf("agg: node %d: %d pool-trim targets for %d leaves", n.id, len(d.Cuts), total)
+	}
+	reqs := make([][]byte, len(n.children))
 	off := 0
 	for i := range n.children {
 		if !n.live[i] {
 			continue
 		}
-		seg := d.Cuts[off : off+n.leaves[i]+1]
-		off += n.leaves[i]
+		l := n.leaves[i]
 		cd := *d
-		cd.Lo, cd.Hi = seg[0], seg[len(seg)-1]
-		if n.leaves[i] > 1 {
-			cd.Cuts = seg
-		} else {
-			cd.Cuts = nil
+		if d.Gen != nil {
+			g := *d.Gen
+			g.Cells = d.Gen.Cells[off*per : (off+l)*per]
+			cd.Gen = &g
 		}
+		switch {
+		case scaled:
+			seg := d.Cuts[off : off+l+1]
+			cd.Lo, cd.Hi, cd.Cuts = seg[0], seg[l], nil
+			if l > 1 {
+				cd.Cuts = seg
+			}
+		case d.Op == wire.OpPoolTrim:
+			cd.Cuts = d.Cuts[off : off+l]
+		}
+		off += l
 		reqs[i] = wire.EncodeDirective(nil, &cd)
 	}
 	return reqs, nil
@@ -487,10 +414,6 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 
 	start := obs.Now()
 	out := &wire.Report{Round: d.Round, Worker: n.id, Epoch: n.epoch, Trace: d.Trace}
-	if d.Op == wire.OpScale {
-		out.ScaleMin, out.ScaleMax = math.Inf(1), math.Inf(-1)
-	}
-	genOp := d.Op == wire.OpGenerate || d.Op == wire.OpGenerateRows || d.Op == wire.OpClassifyGenerate
 	var mergeNanos []int64
 	confAll := true
 	anyLive := false
@@ -515,7 +438,7 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 		}
 		rep := replies[i].rep
 		anyLive = true
-		n.mergeChild(d, out, rep, genOp)
+		mergeChild(out, rep)
 		for _, rel := range rep.LostLeaves {
 			out.LostLeaves = append(out.LostLeaves, off+rel)
 		}
@@ -536,12 +459,6 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 	}
 	if !anyLive {
 		return nil, fmt.Errorf("agg: node %d: every child subtree is lost", n.id)
-	}
-	if d.Op == wire.OpScale && out.Count == 0 {
-		out.ScaleMin, out.ScaleMax = 0, 0 // all ranges empty; match a fresh report
-	}
-	if out.ScaleSum != nil && out.ScaleSum.TotalWeight() == 0 {
-		out.ScaleMin, out.ScaleMax = 0, 0
 	}
 	if n.compress > 0 {
 		if out.Sum != nil {
@@ -569,7 +486,7 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 // here; order-sensitive float sequences (per-cell percentile subtotals,
 // per-leaf vector deltas) concatenate in leaf order so the coordinator
 // folds the exact sequence a flat fleet would have produced.
-func (n *Node) mergeChild(d *wire.Directive, out, rep *wire.Report, genOp bool) {
+func mergeChild(out, rep *wire.Report) {
 	if rep.Epsilon > out.Epsilon {
 		out.Epsilon = rep.Epsilon
 	}
@@ -581,39 +498,22 @@ func (n *Node) mergeChild(d *wire.Directive, out, rep *wire.Report, genOp bool) 
 	}
 	out.Count += rep.Count
 	out.ValueSum += rep.ValueSum
-	out.PctSum += rep.PctSum
 	out.InputSum += rep.InputSum
-	if genOp {
-		if len(rep.PctSums) > 0 {
-			out.PctSums = append(out.PctSums, rep.PctSums...)
-		} else {
-			out.PctSums = append(out.PctSums, rep.PctSum)
-		}
-	}
-	if d.Op == wire.OpScale && rep.Count > 0 {
-		if rep.ScaleMin < out.ScaleMin {
-			out.ScaleMin = rep.ScaleMin
-		}
-		if rep.ScaleMax > out.ScaleMax {
-			out.ScaleMax = rep.ScaleMax
-		}
-	}
-	// Piggybacked scale summaries of a ClassifyGenerate reply fold like a
-	// standalone Scale's Sum/extrema, on their own fields (Sum carries the
-	// speculated round's arrival summary).
-	if rep.ScaleSum != nil {
+	out.PctSums = append(out.PctSums, rep.PctSums...)
+	// A clean-scale attachment's summaries and extrema, from a standalone
+	// Scale or a ClassifyGenerate reply alike (an empty dataset range
+	// contributes neither).
+	if rep.ScaleSum != nil && rep.ScaleSum.TotalWeight() > 0 {
 		if out.ScaleSum == nil {
 			out.ScaleSum = &summary.Summary{}
 			out.ScaleMin, out.ScaleMax = math.Inf(1), math.Inf(-1)
 		}
 		out.ScaleSum.Merge(rep.ScaleSum)
-		if rep.ScaleSum.TotalWeight() > 0 {
-			if rep.ScaleMin < out.ScaleMin {
-				out.ScaleMin = rep.ScaleMin
-			}
-			if rep.ScaleMax > out.ScaleMax {
-				out.ScaleMax = rep.ScaleMax
-			}
+		if rep.ScaleMin < out.ScaleMin {
+			out.ScaleMin = rep.ScaleMin
+		}
+		if rep.ScaleMax > out.ScaleMax {
+			out.ScaleMax = rep.ScaleMax
 		}
 	}
 	out.Counts.HonestKept += rep.Counts.HonestKept

@@ -40,45 +40,49 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// SpecToWire packs a spec and its derived seed into the wire form.
-func SpecToWire(seed int64, s Spec) *wire.GenSpec {
-	return &wire.GenSpec{
-		Seed:       seed,
-		HonestN:    s.HonestN,
-		PoisonN:    s.PoisonN,
-		InjectKind: byte(s.Inject.Kind),
-		InjectP:    s.Inject.P,
-		InjectLo:   s.Inject.Lo,
-		InjectHi:   s.Inject.Hi,
-		Jitter:     s.Jitter,
+// SpecToWire packs one slot's cells — each cell's spec and its derived
+// seed, in cell order — into the wire form. The cells of a round share one
+// injection distribution and jitter width; the first cell's are shipped.
+func SpecToWire(seeds []int64, cells []Spec) *wire.GenSpec {
+	g := &wire.GenSpec{
+		Cells:      make([]wire.Cell, len(cells)),
+		InjectKind: byte(cells[0].Inject.Kind),
+		InjectP:    cells[0].Inject.P,
+		InjectLo:   cells[0].Inject.Lo,
+		InjectHi:   cells[0].Inject.Hi,
+		Jitter:     cells[0].Jitter,
 	}
+	for c, s := range cells {
+		g.Cells[c] = wire.Cell{Seed: seeds[c], HonestN: s.HonestN, PoisonN: s.PoisonN}
+	}
+	return g
 }
 
-// SpecFromWire unpacks and validates a decoded wire.GenSpec — the worker-
-// side guard: a malformed generator directive is a protocol error, never a
+// SpecFromWire unpacks and validates a decoded wire.GenSpec into one spec
+// per cell, in cell order (the seeds stay on g.Cells) — the worker-side
+// guard: a malformed generator directive is a protocol error, never a
 // silently skewed draw.
-func SpecFromWire(g *wire.GenSpec) (Spec, error) {
-	if g == nil {
-		return Spec{}, fmt.Errorf("arrival: directive carries no generator spec")
-	}
-	s := Spec{
-		HonestN: g.HonestN,
-		PoisonN: g.PoisonN,
-		Inject: attack.InjectionSpec{
-			Kind: attack.SpecKind(g.InjectKind),
-			P:    g.InjectP,
-			Lo:   g.InjectLo,
-			Hi:   g.InjectHi,
-		},
-		Jitter: g.Jitter,
-	}
-	if err := s.validate(); err != nil {
-		return Spec{}, err
+func SpecFromWire(g *wire.GenSpec) ([]Spec, error) {
+	if g == nil || len(g.Cells) == 0 {
+		return nil, fmt.Errorf("arrival: directive carries no generator cells")
 	}
 	if !(g.Jitter >= 0) || math.IsInf(g.Jitter, 0) {
-		return Spec{}, fmt.Errorf("arrival: jitter %v", g.Jitter)
+		return nil, fmt.Errorf("arrival: jitter %v", g.Jitter)
 	}
-	return s, nil
+	inject := attack.InjectionSpec{
+		Kind: attack.SpecKind(g.InjectKind),
+		P:    g.InjectP,
+		Lo:   g.InjectLo,
+		Hi:   g.InjectHi,
+	}
+	specs := make([]Spec, len(g.Cells))
+	for c, cell := range g.Cells {
+		specs[c] = Spec{HonestN: cell.HonestN, PoisonN: cell.PoisonN, Inject: inject, Jitter: g.Jitter}
+		if err := specs[c].validate(); err != nil {
+			return nil, fmt.Errorf("cell %d: %w", c, err)
+		}
+	}
+	return specs, nil
 }
 
 // Scalar draws one shard's slice of a scalar round: honest values sampled

@@ -24,26 +24,35 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		Inject: attack.InjectionSpec{Kind: attack.SpecMixture, P: 0.7, Lo: 0.9, Hi: 0.99},
 		Jitter: 0.5,
 	}
-	got, err := SpecFromWire(SpecToWire(42, s))
+	s2 := s
+	s2.HonestN, s2.PoisonN = 99, 21
+	cells := []Spec{s, s2}
+	g := SpecToWire([]int64{42, 43}, cells)
+	got, err := SpecFromWire(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != s {
-		t.Fatalf("round trip: %+v != %+v", got, s)
+	if len(got) != 2 || got[0] != s || got[1] != s2 {
+		t.Fatalf("round trip: %+v != %+v", got, cells)
 	}
-	if SpecToWire(42, s).Seed != 42 {
-		t.Fatal("seed not carried")
+	if g.Cells[0].Seed != 42 || g.Cells[1].Seed != 43 {
+		t.Fatalf("seeds not carried: %+v", g.Cells)
 	}
 	if _, err := SpecFromWire(nil); err == nil {
 		t.Fatal("nil gen spec accepted")
 	}
-	bad := SpecToWire(1, s)
+	empty := SpecToWire([]int64{1}, []Spec{s})
+	empty.Cells = nil
+	if _, err := SpecFromWire(empty); err == nil {
+		t.Fatal("gen spec without cells accepted")
+	}
+	bad := SpecToWire([]int64{1}, []Spec{s})
 	bad.InjectKind = 99
 	if _, err := SpecFromWire(bad); err == nil {
 		t.Fatal("bad inject kind accepted")
 	}
-	neg := SpecToWire(1, s)
-	neg.HonestN = -1
+	neg := SpecToWire([]int64{1, 2}, cells)
+	neg.Cells[1].HonestN = -1
 	if _, err := SpecFromWire(neg); err == nil {
 		t.Fatal("negative count accepted")
 	}

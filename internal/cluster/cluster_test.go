@@ -39,7 +39,7 @@ func scalarConf() *wire.Directive {
 // scalarConf's pool and poison at the reference's top (value 10).
 func scalarGen(round, honest, poison int) *wire.Directive {
 	return &wire.Directive{Op: wire.OpGenerate, Round: round, Gen: &wire.GenSpec{
-		Seed: 1, HonestN: honest, PoisonN: poison,
+		Cells:      []wire.Cell{{Seed: 1, HonestN: honest, PoisonN: poison}},
 		InjectKind: byte(attack.SpecPoint), InjectHi: 1,
 	}}
 }
@@ -57,8 +57,8 @@ func TestWorkerRound(t *testing.T) {
 	if got := rep.Sum.Query(0.5); got != 2 {
 		t.Fatalf("median of shard summary = %v", got)
 	}
-	if rep.PctSum != 2 {
-		t.Fatalf("injection percentile sum %v, want 2", rep.PctSum)
+	if len(rep.PctSums) != 1 || rep.PctSums[0] != 2 {
+		t.Fatalf("injection percentile sums %v, want [2]", rep.PctSums)
 	}
 
 	rep = call(t, tr, 0, &wire.Directive{Op: wire.OpClassify, Round: 1, Threshold: 8.5})
@@ -85,9 +85,9 @@ func TestWorkerRowRound(t *testing.T) {
 	// Two honest rows at distance 5 from the origin, one poison row pushed
 	// out to distance 10 (the clean scale's top).
 	rep := call(t, tr, 0, &wire.Directive{
-		Op: wire.OpGenerateRows, Round: 1, Center: []float64{0, 0},
+		Op: wire.OpGenerate, Round: 1, Center: []float64{0, 0},
 		Gen: &wire.GenSpec{
-			Seed: 1, HonestN: 2, PoisonN: 1,
+			Cells:      []wire.Cell{{Seed: 1, HonestN: 2, PoisonN: 1}},
 			InjectKind: byte(attack.SpecPoint), InjectHi: 1,
 			Scale: summary.FromUnsorted([]float64{10}),
 		},
@@ -131,11 +131,11 @@ func TestWorkerPhaseErrors(t *testing.T) {
 	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpConfigure, Rows: [][]float64{{1}}})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpGenerateRows, Round: 1, Gen: &wire.GenSpec{HonestN: 1}})); err == nil {
-		t.Fatal("generate-rows without center succeeded")
+	if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpGenerate, Round: 1, Gen: &wire.GenSpec{Cells: []wire.Cell{{HonestN: 1}}}})); err == nil {
+		t.Fatal("row generate without center succeeded")
 	}
-	// The retired coordinator-fed op codes do not decode.
-	for _, op := range []wire.Op{2, 3} {
+	// The retired op codes do not decode.
+	for _, op := range []wire.Op{2, 3, 7} {
 		if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: op, Round: 1})); err == nil {
 			t.Fatalf("retired op %d succeeded", op)
 		}

@@ -4,7 +4,7 @@
 // classify their shard against the trim threshold the coordinator resolves
 // from the merged summaries. Workers generate their shard themselves — the
 // shard-local data plane of DESIGN.md §7 — from an O(1) Generate directive
-// carrying a derived RNG seed and compact parameters; raw arrivals never
+// carrying derived RNG seeds and compact parameters; raw arrivals never
 // cross the process boundary. All traffic is internal/wire messages, so the
 // same worker serves the in-process loopback transport (deterministic
 // tests, `trimlab -experiment distributed`) and the TCP/net-rpc transport
@@ -17,7 +17,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -32,12 +31,13 @@ import (
 // Worker executes game shards. It is a request/reply state machine over
 // wire.Directive messages: Configure sets the sketch budget and installs
 // the game's generator state (honest pool, reference, dataset, mechanism),
-// Generate/GenerateRows draw the shard locally from a derived seed and
-// return its summary delta, Scale summarizes a dataset range's distances
-// from a broadcast center, Classify tallies the stored shard against the
-// threshold and returns counts plus kept-pool deltas, Stop releases the
-// worker. One worker serves one coordinator; Handle is serialized by an
-// internal mutex so transports may deliver from any goroutine.
+// Generate draws the shard's cells locally from derived seeds with that
+// generator and returns their summary delta, Scale answers a clean-scale
+// attachment (a dataset range's distances from a broadcast center),
+// Classify tallies the stored shard against the threshold and returns
+// counts plus kept-pool deltas, Stop releases the worker. One worker
+// serves one coordinator; Handle is serialized by an internal mutex so
+// transports may deliver from any goroutine.
 type Worker struct {
 	mu  sync.Mutex
 	id  int
@@ -87,24 +87,18 @@ type Worker struct {
 	rows   [][]float64 // row game only
 	labels []int       // row game only (nil when unlabeled)
 	dim    int         // row game only: len(center)
-	poison []poisonSeg // poison layout of dists (sub-shards concatenate)
+	poison []poisonSeg // poison layout of dists (cells concatenate)
 
 	stopOnce sync.Once
 	done     chan struct{}
 }
 
-// poisonSeg marks one sub-shard's slice of the held round: the segment
-// starts at start and is poison from poisonFrom on (both absolute indices
-// into dists). A single-shard round is one segment {0, poisonFrom}; a
-// sub-sharded generate concatenates one segment per sub, each honest-first.
+// poisonSeg marks one cell's slice of the held round: the segment starts at
+// start and is poison from poisonFrom on (both absolute indices into
+// dists). A generate concatenates one segment per cell, each honest-first.
 type poisonSeg struct {
 	start      int
 	poisonFrom int
-}
-
-// singleSeg is the legacy poison layout: one honest prefix, poison tail.
-func singleSeg(poisonFrom int) []poisonSeg {
-	return []poisonSeg{{start: 0, poisonFrom: poisonFrom}}
 }
 
 // NewWorker returns a worker with the given id (its shard index; echoed in
@@ -189,11 +183,6 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 			return nil, err
 		}
 
-	case wire.OpGenerateRows:
-		if err := w.generateRows(d, rep); err != nil {
-			return nil, err
-		}
-
 	case wire.OpScale:
 		if err := w.scale(d, rep); err != nil {
 			return nil, err
@@ -216,27 +205,17 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 		}
 		next := *d
 		next.Round = d.Round + 1
-		if w.rowGen != nil {
-			if err := w.generateRows(&next, rep); err != nil {
-				return nil, err
-			}
-		} else if err := w.generate(&next, rep); err != nil {
+		if err := w.generate(&next, rep); err != nil {
 			return nil, err
 		}
 		if len(d.ScaleCenter) > 0 {
-			// Piggybacked clean-scale request for round d.Round+2: the
+			// Piggybacked clean-scale attachment for round d.Round+2: the
 			// distances of the dataset range from a center one round staler
-			// than the speculated generation's, returned in the scale-only
-			// fields so the reply carries all three phases at once.
-			start := obs.Now()
-			sum, min, max, err := w.scaleSummarize(d.ScaleCenter, d.Lo, d.Hi)
-			if err != nil {
+			// than the speculated generation's, answered in the scale fields
+			// so the reply carries all three phases at once.
+			if err := w.scale(d, rep); err != nil {
 				return nil, err
 			}
-			rep.ScaleSum = sum.Snapshot()
-			rep.ScaleMin = min
-			rep.ScaleMax = max
-			rep.SummarizeNanos += obs.Since(start).Nanoseconds()
 		}
 
 	case wire.OpTreeInfo:
@@ -335,17 +314,6 @@ func (w *Worker) classifyHeld(d *wire.Directive, rep *wire.Report) error {
 	return nil
 }
 
-// setHeld installs one round's shard.
-func (w *Worker) setHeld(round int, dists []float64, rows [][]float64, labels []int, dim int, poison []poisonSeg) {
-	w.held = true
-	w.round = round
-	w.dists = dists
-	w.rows = rows
-	w.labels = labels
-	w.dim = dim
-	w.poison = poison
-}
-
 // focusStream applies the directive's adaptive-ε focus window (wire v6) to
 // a freshly built stream: when the coordinator announced a trim-threshold
 // window, the worker keeps FocusTighten× denser rank coverage around it.
@@ -356,372 +324,229 @@ func focusStream(st *summary.Stream, d *wire.Directive) {
 	}
 }
 
-// subSlices resolves a sub-sharded generator spec: the per-sub specs (the
-// aggregate spec's injection parameters with each sub's own seed and
-// counts) and a consistency check that the sub counts add up to the
-// aggregate the directive announced.
-func subSlices(d *wire.Directive, agg arrival.Spec) ([]arrival.Spec, error) {
-	subs := d.Gen.Subs
-	specs := make([]arrival.Spec, len(subs))
-	var honest, poison int
-	for c, sub := range subs {
-		s := agg
-		s.HonestN, s.PoisonN = sub.HonestN, sub.PoisonN
-		specs[c] = s
-		honest += sub.HonestN
-		poison += sub.PoisonN
+// parallel runs f(0) … f(n−1): inline when n is 1, else on one goroutine
+// each, returning when all are done.
+func parallel(n int, f func(i int)) {
+	if n == 1 {
+		f(0)
+		return
 	}
-	if honest != agg.HonestN || poison != agg.PoisonN {
-		return nil, fmt.Errorf("cluster: sub-shard counts %d/%d do not add up to the aggregate spec %d/%d",
-			honest, poison, agg.HonestN, agg.PoisonN)
-	}
-	return specs, nil
-}
-
-// draw dispatches one spec to the configured scalar-valued generator.
-// inputSum is zero for the plain scalar game (its reports never carry one).
-func (w *Worker) draw(rng *rand.Rand, spec arrival.Spec) (values []float64, inputSum, pctSum float64, err error) {
-	switch {
-	case w.catGen != nil:
-		return w.catGen.Draw(rng, spec)
-	case w.ldpGen != nil:
-		return w.ldpGen.Draw(rng, spec)
-	case w.scalarGen != nil:
-		values, pctSum, err = w.scalarGen.Draw(rng, spec)
-		return values, 0, pctSum, err
-	default:
-		return nil, 0, 0, fmt.Errorf("cluster: worker %d: generate without a configured generator", w.id)
-	}
-}
-
-// generate draws the shard locally from the directive's seed and spec —
-// the scalar and LDP rounds (which generator runs was fixed at
-// configure time). A directive carrying sub-shard specs (wire v6) splits
-// the draw across per-core goroutines instead; see generateSubs.
-func (w *Worker) generate(d *wire.Directive, rep *wire.Report) error {
-	spec, err := arrival.SpecFromWire(d.Gen)
-	if err != nil {
-		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-	}
-	if len(d.Gen.Subs) > 0 {
-		return w.generateSubs(d, rep, spec)
-	}
-	start := obs.Now()
-	values, inputSum, pctSum, err := w.draw(stats.NewRand(d.Gen.Seed), spec)
-	if err != nil {
-		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-	}
-	rep.InputSum = inputSum
-	rep.PctSum = pctSum
-	w.setHeld(d.Round, values, nil, nil, 0, singleSeg(spec.HonestN))
-	rep.GenerateNanos += obs.Since(start).Nanoseconds()
-	return w.summarize(d, rep)
-}
-
-// generateSubs is the per-core generate path: each sub-shard is an
-// independent (seed, counts) slice of the worker's slot, drawn and then
-// summarized on its own goroutine, with every fold over the subs done
-// sequentially in sub order afterwards — so the report is a pure function
-// of the directive, independent of goroutine scheduling, and a W×C
-// cluster's merged summaries match a flat W·C-shard reference (the subs
-// sit at slots worker·C…worker·C+C−1 of the same flat seed space).
-func (w *Worker) generateSubs(d *wire.Directive, rep *wire.Report, agg arrival.Spec) error {
-	specs, err := subSlices(d, agg)
-	if err != nil {
-		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-	}
-	start := obs.Now()
-	type subDraw struct {
-		values           []float64
-		inputSum, pctSum float64
-		err              error
-	}
-	draws := make([]subDraw, len(specs))
 	var wg sync.WaitGroup
-	for c := range specs {
-		wg.Add(1)
-		go func(c int) {
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
 			defer wg.Done()
-			o := &draws[c]
-			o.values, o.inputSum, o.pctSum, o.err = w.draw(stats.NewRand(d.Gen.Subs[c].Seed), specs[c])
-		}(c)
+			f(i)
+		}()
 	}
 	wg.Wait()
-	total := 0
+}
+
+// concat joins per-cell slices in cell order. A single cell's slice is held
+// as is, and cells that drew nothing join to nil — so an unlabeled
+// dataset's nil labels stay nil however many cells drew.
+func concat[T any](parts [][]T) []T {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// cellDraw is one cell's generated slice.
+type cellDraw struct {
+	values           []float64   // scalar/LDP arrivals, or row distances from the center
+	rows             [][]float64 // row game only
+	labels           []int       // row game only (nil when unlabeled)
+	pctSum, inputSum float64     // inputSum: LDP games only
+	err              error
+}
+
+// draw generates one cell from its derived seed with the generator the
+// configure installed; a row cell resolves its poison percentiles on the
+// directive's clean scale (Summary.Query is a pure read, so cells may draw
+// concurrently) and measures its rows' distances from the center.
+func (w *Worker) draw(d *wire.Directive, seed int64, spec arrival.Spec) (c cellDraw) {
+	rng := stats.NewRand(seed)
+	switch {
+	case w.rowGen != nil:
+		c.rows, c.labels, c.pctSum, c.err = w.rowGen.Draw(rng, spec, d.Center, func(pct float64) float64 {
+			return d.Gen.Scale.Query(pct)
+		})
+		if c.err != nil {
+			return c
+		}
+		c.values = make([]float64, len(c.rows))
+		for i, row := range c.rows {
+			if len(row) != len(d.Center) {
+				c.err = fmt.Errorf("generated row dim %d, center dim %d", len(row), len(d.Center))
+				return c
+			}
+			c.values[i] = stats.Euclidean(row, d.Center)
+		}
+	case w.catGen != nil:
+		c.values, c.inputSum, c.pctSum, c.err = w.catGen.Draw(rng, spec)
+	case w.ldpGen != nil:
+		c.values, c.inputSum, c.pctSum, c.err = w.ldpGen.Draw(rng, spec)
+	case w.scalarGen != nil:
+		c.values, c.pctSum, c.err = w.scalarGen.Draw(rng, spec)
+	default:
+		c.err = fmt.Errorf("generate without a configured generator")
+	}
+	return c
+}
+
+// generate draws the directive's cells with the configured generator,
+// holds them as the round's shard, and summarizes them — the one generate
+// path of every game. A one-cell directive draws inline; several cells
+// (per-core sub-shards, or a slot's share of them) draw on one goroutine
+// each, with every fold over the cells done sequentially in cell order
+// afterwards — so the report is a pure function of the directive,
+// independent of goroutine scheduling, and a W×C cluster's merged
+// summaries match a flat W·C-shard reference (the cells sit at slots
+// worker·C…worker·C+C−1 of the same flat seed space). The reply carries
+// one percentile sum per cell.
+func (w *Worker) generate(d *wire.Directive, rep *wire.Report) error {
+	specs, err := arrival.SpecFromWire(d.Gen)
+	if err != nil {
+		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
+	}
+	if w.rowGen != nil {
+		if len(d.Center) == 0 {
+			return fmt.Errorf("cluster: worker %d: row generate without a center", w.id)
+		}
+		for _, s := range specs {
+			if s.PoisonN > 0 && (d.Gen.Scale == nil || d.Gen.Scale.Size() == 0) {
+				return fmt.Errorf("cluster: worker %d: row generate without a clean scale", w.id)
+			}
+		}
+	}
+	start := obs.Now()
+	draws := make([]cellDraw, len(specs))
+	parallel(len(specs), func(c int) { draws[c] = w.draw(d, d.Gen.Cells[c].Seed, specs[c]) })
+	values := make([][]float64, len(draws))
+	rows := make([][][]float64, len(draws))
+	labels := make([][]int, len(draws))
+	segs := make([]poisonSeg, len(draws))
+	rep.PctSums = make([]float64, len(draws))
+	off := 0
 	for c := range draws {
 		if draws[c].err != nil {
-			return fmt.Errorf("cluster: worker %d: sub %d: %w", w.id, c, draws[c].err)
+			return fmt.Errorf("cluster: worker %d: cell %d: %w", w.id, c, draws[c].err)
 		}
-		total += len(draws[c].values)
-	}
-	dists := make([]float64, 0, total)
-	segs := make([]poisonSeg, len(specs))
-	chunks := make([][]float64, len(specs))
-	rep.PctSums = make([]float64, len(specs))
-	for c := range draws {
-		segs[c] = poisonSeg{start: len(dists), poisonFrom: len(dists) + specs[c].HonestN}
-		dists = append(dists, draws[c].values...)
-		chunks[c] = draws[c].values
+		values[c], rows[c], labels[c] = draws[c].values, draws[c].rows, draws[c].labels
+		segs[c] = poisonSeg{start: off, poisonFrom: off + specs[c].HonestN}
+		off += len(values[c])
 		rep.PctSums[c] = draws[c].pctSum
-		rep.PctSum += draws[c].pctSum
 		rep.InputSum += draws[c].inputSum
 	}
-	w.setHeld(d.Round, dists, nil, nil, 0, segs)
+	w.held, w.round = true, d.Round
+	w.dists, w.rows, w.labels, w.dim, w.poison = concat(values), concat(rows), concat(labels), len(d.Center), segs
 	rep.GenerateNanos += obs.Since(start).Nanoseconds()
-	return w.summarizeChunks(d, rep, chunks)
+	return w.summarize(d, rep, values)
 }
 
-// summarizeChunks is the summarize half of a sub-sharded generate: one
-// stream per sub, each fed through the pooled batch path on its own
-// goroutine, folded into one merged delta strictly in sub order.
-func (w *Worker) summarizeChunks(d *wire.Directive, rep *wire.Report, chunks [][]float64) error {
+// summarize builds the held round's summary delta: one stream per cell
+// through the pooled batch path, sized exactly like collect.RunSharded's
+// shard streams (hint = cell length) and fed through the same PushBatch
+// call with the same focus window, so a loopback cluster reproduces
+// RunSharded's merged summaries bit for bit. Several cells summarize in
+// parallel and fold into one merged delta strictly in cell order.
+func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float64) error {
 	start := obs.Now()
-	sums := make([]*summary.Stream, len(chunks))
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for c := range chunks {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			st, err := summary.New(w.eps, len(chunks[c]))
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			focusStream(st, d)
-			st.PushBatch(chunks[c])
-			sums[c] = st
-		}(c)
-	}
-	wg.Wait()
-	merged := &summary.Summary{}
+	sums := make([]*summary.Stream, len(cells))
+	errs := make([]error, len(cells))
+	parallel(len(cells), func(c int) {
+		st, err := summary.New(w.eps, len(cells[c]))
+		if err != nil {
+			errs[c] = err
+			return
+		}
+		focusStream(st, d)
+		st.PushBatch(cells[c])
+		sums[c] = st
+	})
 	for c, st := range sums {
 		if errs[c] != nil {
-			return fmt.Errorf("cluster: worker %d: sub %d: %w", w.id, c, errs[c])
+			return fmt.Errorf("cluster: worker %d: cell %d: %w", w.id, c, errs[c])
 		}
-		merged.Merge(st.Snapshot())
 		rep.Count += st.Count()
 		rep.ValueSum += st.Sum()
 	}
 	rep.Epsilon = sums[0].Epsilon()
-	rep.Sum = merged
+	if len(sums) == 1 {
+		rep.Sum = sums[0].Snapshot()
+	} else {
+		rep.Sum = &summary.Summary{}
+		for _, st := range sums {
+			rep.Sum.Merge(st.Snapshot())
+		}
+	}
 	rep.SummarizeNanos += obs.Since(start).Nanoseconds()
 	return nil
 }
 
-// generateRows draws a row shard locally: the directive carries the
-// current center and the merged clean-scale summary poison percentiles
-// resolve against. Sub-sharded directives split the draw across per-core
-// goroutines like the scalar path.
-func (w *Worker) generateRows(d *wire.Directive, rep *wire.Report) error {
-	if w.rowGen == nil {
-		return fmt.Errorf("cluster: worker %d: generate-rows without a configured dataset", w.id)
-	}
-	if len(d.Center) == 0 {
-		return fmt.Errorf("cluster: worker %d: generate-rows without a center", w.id)
-	}
-	spec, err := arrival.SpecFromWire(d.Gen)
-	if err != nil {
-		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-	}
-	if spec.PoisonN > 0 && (d.Gen.Scale == nil || d.Gen.Scale.Size() == 0) {
-		return fmt.Errorf("cluster: worker %d: generate-rows without a clean scale", w.id)
-	}
-	if len(d.Gen.Subs) > 0 {
-		return w.generateRowsSubs(d, rep, spec)
-	}
-	start := obs.Now()
-	rng := stats.NewRand(d.Gen.Seed)
-	rows, labels, pctSum, err := w.rowGen.Draw(rng, spec, d.Center, func(pct float64) float64 {
-		return d.Gen.Scale.Query(pct)
-	})
-	if err != nil {
-		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-	}
-	dists := make([]float64, len(rows))
-	for i, row := range rows {
-		if len(row) != len(d.Center) {
-			return fmt.Errorf("cluster: worker %d: generated row dim %d, center dim %d", w.id, len(row), len(d.Center))
-		}
-		dists[i] = stats.Euclidean(row, d.Center)
-	}
-	w.setHeld(d.Round, dists, rows, labels, len(d.Center), singleSeg(spec.HonestN))
-	rep.PctSum = pctSum
-	rep.GenerateNanos += obs.Since(start).Nanoseconds()
-	return w.summarize(d, rep)
-}
-
-// generateRowsSubs is generateSubs for the row game: per-sub draws against
-// the shared center and clean scale (Summary.Query is a pure read, so the
-// subs may resolve poison percentiles concurrently), concatenated in sub
-// order with per-sub summaries folded the same way.
-func (w *Worker) generateRowsSubs(d *wire.Directive, rep *wire.Report, agg arrival.Spec) error {
-	specs, err := subSlices(d, agg)
-	if err != nil {
-		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-	}
-	start := obs.Now()
-	scaleQ := func(pct float64) float64 { return d.Gen.Scale.Query(pct) }
-	type subDraw struct {
-		rows   [][]float64
-		labels []int
-		dists  []float64
-		pctSum float64
-		err    error
-	}
-	draws := make([]subDraw, len(specs))
-	var wg sync.WaitGroup
-	for c := range specs {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			o := &draws[c]
-			rng := stats.NewRand(d.Gen.Subs[c].Seed)
-			o.rows, o.labels, o.pctSum, o.err = w.rowGen.Draw(rng, specs[c], d.Center, scaleQ)
-			if o.err != nil {
-				return
-			}
-			o.dists = make([]float64, len(o.rows))
-			for i, row := range o.rows {
-				if len(row) != len(d.Center) {
-					o.err = fmt.Errorf("generated row dim %d, center dim %d", len(row), len(d.Center))
-					return
-				}
-				o.dists[i] = stats.Euclidean(row, d.Center)
-			}
-		}(c)
-	}
-	wg.Wait()
-	total := 0
-	for c := range draws {
-		if draws[c].err != nil {
-			return fmt.Errorf("cluster: worker %d: sub %d: %w", w.id, c, draws[c].err)
-		}
-		total += len(draws[c].rows)
-	}
-	dists := make([]float64, 0, total)
-	rows := make([][]float64, 0, total)
-	labels := make([]int, 0, total)
-	segs := make([]poisonSeg, len(specs))
-	chunks := make([][]float64, len(specs))
-	rep.PctSums = make([]float64, len(specs))
-	for c := range draws {
-		segs[c] = poisonSeg{start: len(dists), poisonFrom: len(dists) + specs[c].HonestN}
-		dists = append(dists, draws[c].dists...)
-		rows = append(rows, draws[c].rows...)
-		labels = append(labels, draws[c].labels...)
-		chunks[c] = draws[c].dists
-		rep.PctSums[c] = draws[c].pctSum
-		rep.PctSum += draws[c].pctSum
-	}
-	w.setHeld(d.Round, dists, rows, labels, len(d.Center), segs)
-	rep.GenerateNanos += obs.Since(start).Nanoseconds()
-	return w.summarizeChunks(d, rep, chunks)
-}
-
-// scale summarizes the distances of the configured dataset's [Lo, Hi)
-// range from the broadcast center — one shard of the row game's
-// clean-scale pass. It does not touch the held round state: scale runs as
-// its own phase before generation.
+// scale answers a clean-scale attachment, whether it came alone (OpScale)
+// or riding a ClassifyGenerate: the Euclidean distances of dataset rows
+// [Lo, Hi) from ScaleCenter, summarized, with their exact extrema. It never
+// touches the held round state. Distance computation is embarrassingly
+// parallel (each slot writes its own index); the stream ingest stays one
+// PushBatch so the sketch is independent of the chunking.
 func (w *Worker) scale(d *wire.Directive, rep *wire.Report) error {
 	start := obs.Now()
-	sum, min, max, err := w.scaleSummarize(d.Center, d.Lo, d.Hi)
-	if err != nil {
-		return err
-	}
-	rep.Epsilon = sum.Epsilon()
-	rep.Sum = sum.Snapshot()
-	rep.Count = sum.Count()
-	rep.ValueSum = sum.Sum()
-	rep.ScaleMin = min
-	rep.ScaleMax = max
-	rep.SummarizeNanos += obs.Since(start).Nanoseconds()
-	return nil
-}
-
-// scaleSummarize computes the dataset-distance summary shared by the
-// standalone Scale op and the ScaleCenter piggyback of a ClassifyGenerate
-// directive: Euclidean distances of dataset rows [lo, hi) from center,
-// summarized, with their exact extrema.
-func (w *Worker) scaleSummarize(center []float64, lo, hi int) (*summary.Stream, float64, float64, error) {
+	center := d.ScaleCenter
 	if w.rowGen == nil {
-		return nil, 0, 0, fmt.Errorf("cluster: worker %d: scale without a configured dataset", w.id)
+		return fmt.Errorf("cluster: worker %d: scale without a configured dataset", w.id)
 	}
 	if len(center) == 0 {
-		return nil, 0, 0, fmt.Errorf("cluster: worker %d: scale without a center", w.id)
+		return fmt.Errorf("cluster: worker %d: scale without a center", w.id)
 	}
-	n := len(w.rowGen.X)
-	if lo < 0 || hi < lo || hi > n {
-		return nil, 0, 0, fmt.Errorf("cluster: worker %d: scale range [%d, %d) outside dataset of %d", w.id, lo, hi, n)
+	if n := len(w.rowGen.X); d.Lo < 0 || d.Hi < d.Lo || d.Hi > n {
+		return fmt.Errorf("cluster: worker %d: scale range [%d, %d) outside dataset of %d", w.id, d.Lo, d.Hi, n)
 	}
-	// Distance computation is embarrassingly parallel (each slot writes its
-	// own index); the stream ingest stays sequential via one PushBatch so
-	// the sketch is independent of the chunking.
-	rows := w.rowGen.X[lo:hi]
+	rows := w.rowGen.X[d.Lo:d.Hi]
 	dists := make([]float64, len(rows))
-	par := runtime.GOMAXPROCS(0)
-	if par > len(rows) {
-		par = len(rows)
-	}
-	if par < 1 {
-		par = 1
-	}
+	par := max(1, min(runtime.GOMAXPROCS(0), len(rows)))
 	errs := make([]error, par)
-	var wg sync.WaitGroup
-	for k := 0; k < par; k++ {
-		clo, chi := len(rows)*k/par, len(rows)*(k+1)/par
-		wg.Add(1)
-		go func(k, clo, chi int) {
-			defer wg.Done()
-			for i := clo; i < chi; i++ {
-				if len(rows[i]) != len(center) {
-					errs[k] = fmt.Errorf("cluster: worker %d: dataset row dim %d, center dim %d", w.id, len(rows[i]), len(center))
-					return
-				}
-				dists[i] = stats.Euclidean(rows[i], center)
+	parallel(par, func(k int) {
+		for i := len(rows) * k / par; i < len(rows)*(k+1)/par; i++ {
+			if len(rows[i]) != len(center) {
+				errs[k] = fmt.Errorf("cluster: worker %d: dataset row dim %d, center dim %d", w.id, len(rows[i]), len(center))
+				return
 			}
-		}(k, clo, chi)
-	}
-	wg.Wait()
+			dists[i] = stats.Euclidean(rows[i], center)
+		}
+	})
 	for _, e := range errs {
 		if e != nil {
-			return nil, 0, 0, e
+			return e
 		}
 	}
 	sum, err := summary.New(w.eps, len(dists))
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("cluster: worker %d: %w", w.id, err)
-	}
-	sum.PushBatch(dists)
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, dist := range dists {
-		if dist < min {
-			min = dist
-		}
-		if dist > max {
-			max = dist
-		}
-	}
-	return sum, min, max, nil
-}
-
-// summarize builds the shard's summary of the held values through the
-// pooled batch path. The stream is sized exactly like collect.RunSharded's
-// shard streams (hint = slice length) and RunSharded ingests through the
-// same PushBatch call with the same focus window, so a loopback cluster
-// reproduces RunSharded's merged summaries bit for bit.
-func (w *Worker) summarize(d *wire.Directive, rep *wire.Report) error {
-	start := obs.Now()
-	sum, err := summary.New(w.eps, len(w.dists))
-	if err != nil {
 		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 	}
-	focusStream(sum, d)
-	sum.PushBatch(w.dists)
-	rep.Epsilon = sum.Epsilon()
-	rep.Sum = sum.Snapshot()
-	rep.Count = sum.Count()
-	rep.ValueSum = sum.Sum()
+	sum.PushBatch(dists)
+	rep.ScaleSum = sum.Snapshot()
+	rep.ScaleMin, rep.ScaleMax = math.Inf(1), math.Inf(-1)
+	for _, dist := range dists {
+		if dist < rep.ScaleMin {
+			rep.ScaleMin = dist
+		}
+		if dist > rep.ScaleMax {
+			rep.ScaleMax = dist
+		}
+	}
 	rep.SummarizeNanos += obs.Since(start).Nanoseconds()
 	return nil
 }

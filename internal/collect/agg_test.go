@@ -171,7 +171,9 @@ func TestAggTreeEqualsFlatRows(t *testing.T) {
 // piggybacked summaries merge up the tree in child order with the same
 // compression as a standalone pass — so the pipelined tree run reproduces
 // the unpipelined LateCenter tree run record for record, kept row for kept
-// row.
+// row, without losing a shard on a healthy tree. The 3-leaf fan-in-2 shape
+// puts a one-leaf aggregator at the second top slot, and its sub-shards give
+// that aggregator two generator cells to pass through with the scale request.
 func TestAggTreePipelinedRowsEqualsUnpipelined(t *testing.T) {
 	mk := func() RowConfig {
 		d := dataset.VehicleN(stats.NewRand(209), 400)
@@ -185,27 +187,41 @@ func TestAggTreePipelinedRowsEqualsUnpipelined(t *testing.T) {
 			PoisonLabel: -1,
 		}
 	}
-	const leaves = 8
-	gen := &ShardGen{MasterSeed: 210}
-	run := func(pipeline bool) *RowResult {
-		tr, err := agg.NewTree(leaves, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunClusterRows(RowClusterConfig{
-			RowConfig: mk(), Transport: tr, Gen: gen,
-			LateCenter: true, Pipeline: pipeline, CollectKept: true,
+	for _, tc := range []struct {
+		name                string
+		leaves, fanin, subs int
+	}{
+		{"8-leaves-fanin2", 8, 2, 1},
+		{"3-leaves-fanin2-one-leaf-aggregator-subs2", 3, 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := &ShardGen{MasterSeed: 210}
+			run := func(pipeline bool) *RowResult {
+				tr, err := agg.NewTree(tc.leaves, tc.fanin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := RunClusterRows(RowClusterConfig{
+					RowConfig: mk(), Transport: tr, Gen: gen, SubShards: tc.subs,
+					LateCenter: true, Pipeline: pipeline, CollectKept: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			plain := run(false)
+			piped := run(true)
+			for name, res := range map[string]*RowResult{"unpipelined": plain, "pipelined": piped} {
+				if res.LostShards != 0 {
+					t.Errorf("%s run lost shards on a healthy tree: %+v", name, res.Losses)
+				}
+			}
+			assertSameRowResult(t, "tree pipelined vs unpipelined late-center", plain, piped)
+			if len(plain.Kept.X) == 0 {
+				t.Fatal("late-center tree run kept no rows")
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain := run(false)
-	piped := run(true)
-	assertSameRowResult(t, "tree pipelined vs unpipelined late-center", plain, piped)
-	if len(plain.Kept.X) == 0 {
-		t.Fatal("late-center tree run kept no rows")
 	}
 }
 

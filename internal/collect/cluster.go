@@ -165,7 +165,6 @@ func (g *scalarGame) confDirective() wire.Directive {
 
 func (g *scalarGame) preRound(*engine, int) error      { return nil }
 func (g *scalarGame) preSpec(*engine, int, bool) error { return nil }
-func (g *scalarGame) genOp() wire.Op                   { return wire.OpGenerate }
 func (g *scalarGame) jitter() float64                  { return g.jscale }
 func (g *scalarGame) decorate(*wire.Directive)         {}
 func (g *scalarGame) speculative() bool                { return true }

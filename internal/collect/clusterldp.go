@@ -123,7 +123,6 @@ func (g *ldpGame) confDirective() wire.Directive {
 
 func (g *ldpGame) preRound(*engine, int) error      { return nil }
 func (g *ldpGame) preSpec(*engine, int, bool) error { return nil }
-func (g *ldpGame) genOp() wire.Op                   { return wire.OpGenerate }
 func (g *ldpGame) jitter() float64                  { return 0 }
 func (g *ldpGame) decorate(*wire.Directive)         {}
 func (g *ldpGame) speculative() bool                { return true }

@@ -177,55 +177,68 @@ func (c *RowClusterConfig) validate() (*clusterOpts, error) {
 	return o, nil
 }
 
-// scaleDirs builds the clean-scale fan-out: each live leaf worker
-// summarizes the distances of its dataset range from the broadcast center.
-// The dataset is cut per LEAF (shardBounds over the live leaf count), so
-// the merged scale is identical however the leaves are grouped: a plain
-// worker slot gets its one range as Lo/Hi, an aggregator slot gets its
-// leaves' consecutive ranges as Cuts to slice among its children.
-func (p *workerPool) scaleDirs(round int, center []float64, dataLen int) []*wire.Directive {
-	alive := p.alive()
-	leavesTotal := p.totalLeaves()
-	dirs := make([]*wire.Directive, len(alive))
+// attachScale writes one clean-scale request onto dirs (one per live slot,
+// alive order) — the directives of a standalone scale fan-out and the
+// combined broadcast a request piggybacks on alike: the center each live
+// leaf worker measures its dataset range's distances from, and each slot's
+// cut. The dataset is cut per LEAF (shardBounds over the live leaf count),
+// so the merged scale is identical however the leaves are grouped: a plain
+// worker slot gets its one range as Lo/Hi, an aggregator slot also gets
+// its leaves' consecutive ranges as Cuts to slice among its children. It
+// returns each slot's per-leaf ranges — the loss-report payload of a
+// standalone pass.
+func (g *rowsGame) attachScale(pool *workerPool, center []float64, dirs []*wire.Directive) map[int][][2]int {
+	alive := pool.alive()
+	leavesTotal := pool.totalLeaves()
 	bounds := make(map[int][][2]int, len(alive))
 	off := 0
 	for i, w := range alive {
-		l := p.leavesOf(w)
+		l := pool.leavesOf(w)
 		cuts := make([]int, l+1)
 		bs := make([][2]int, l)
 		for j := 0; j < l; j++ {
-			lo, hi := shardBounds(dataLen, leavesTotal, off+j)
+			lo, hi := shardBounds(g.cfg.Data.Len(), leavesTotal, off+j)
 			cuts[j], cuts[j+1] = lo, hi
 			bs[j] = [2]int{lo, hi}
 		}
-		d := &wire.Directive{Op: wire.OpScale, Round: round, Center: center, Lo: cuts[0], Hi: cuts[l]}
+		dirs[i].ScaleCenter = center
+		dirs[i].Lo, dirs[i].Hi = cuts[0], cuts[l]
 		if l > 1 {
-			d.Cuts = cuts
+			dirs[i].Cuts = cuts
 		}
-		dirs[i] = d
 		bounds[w] = bs
 		off += l
 	}
-	p.setRanges(bounds)
-	return dirs
+	return bounds
 }
 
-// scaleRange reduces the exact distance extrema of the scale reports (the
-// jitter width derives from the merged range).
-func scaleRange(reps []*wire.Report) (min, max float64) {
-	min, max = math.Inf(1), math.Inf(-1)
-	for _, rep := range reps {
-		if rep.Count == 0 {
-			continue
-		}
-		if rep.ScaleMin < min {
-			min = rep.ScaleMin
-		}
-		if rep.ScaleMax > max {
-			max = rep.ScaleMax
-		}
+// scaleFold is one clean-scale pass folded from the replies to its
+// requests, in report order — the slot order of the fan-out — so a pass
+// folded from a standalone fan-out and one folded from piggybacked replies
+// over the same membership are bit-identical: the merged distance summary
+// and the exact extrema the jitter width derives from.
+type scaleFold struct {
+	sum      *summary.Summary
+	min, max float64
+}
+
+func newScaleFold() *scaleFold {
+	return &scaleFold{sum: &summary.Summary{}, min: math.Inf(1), max: math.Inf(-1)}
+}
+
+// add folds one reply's ScaleSum/ScaleMin/ScaleMax; an empty dataset range
+// contributes neither a summary nor extrema.
+func (f *scaleFold) add(rep *wire.Report) {
+	if rep.ScaleSum == nil || rep.ScaleSum.TotalWeight() == 0 {
+		return
 	}
-	return min, max
+	f.sum.Merge(rep.ScaleSum)
+	if rep.ScaleMin < f.min {
+		f.min = rep.ScaleMin
+	}
+	if rep.ScaleMax > f.max {
+		f.max = rep.ScaleMax
+	}
 }
 
 // rowsGame adapts the row collection game to the round engine: a
@@ -272,18 +285,16 @@ type rowsGame struct {
 	// pages against it.
 	poolRows map[int][]int
 
-	// The piggybacked scale state: combined classify+generate replies of
-	// round r carry each worker's clean-scale summary for round r+2
-	// (Report.ScaleSum), folded here as they arrive. pendRound stamps which
-	// round the accumulating state is for; pendEpoch/pendTopo stamp the
-	// membership it was merged over — preSpec consumes it only when all
-	// three still match, otherwise it fans a standalone scale pass.
-	pendScale    *summary.Summary
-	pendScaleMin float64
-	pendScaleMax float64
-	pendRound    int
-	pendEpoch    int
-	pendTopo     int
+	// The piggybacked scale pass: combined classify+generate replies of
+	// round r answer the clean-scale request for round r+2 that specAttach
+	// put on the broadcast, folded here as they arrive. pendRound stamps
+	// which round the pass is for; pendEpoch/pendTopo stamp the membership
+	// it was merged over — preSpec consumes it only when all three still
+	// match, otherwise it fans a standalone scale pass.
+	pend      *scaleFold
+	pendRound int
+	pendEpoch int
+	pendTopo  int
 }
 
 // roundCenter is the center the round being prepared generates against,
@@ -333,23 +344,30 @@ func (g *rowsGame) scalePass(en *engine, r int, scaleCenter, genCenter []float64
 	if !force && g.scaleRound == r {
 		return nil
 	}
-	reps, err := en.pool.callAll(r, "scale", en.pool.scaleDirs(r, scaleCenter, g.cfg.Data.Len()))
+	dirs := make([]*wire.Directive, len(en.pool.alive()))
+	for i := range dirs {
+		dirs[i] = &wire.Directive{Op: wire.OpScale, Round: r}
+	}
+	en.pool.setRanges(g.attachScale(en.pool, scaleCenter, dirs))
+	reps, err := en.pool.callAll(r, "scale", dirs)
 	if err != nil {
 		return err
 	}
-	sum, _, _ := mergeSummarizeReports(reps)
-	min, max := scaleRange(reps)
-	g.installScale(r, genCenter, sum, min, max)
+	f := newScaleFold()
+	for _, rep := range reps {
+		f.add(rep)
+	}
+	g.installScale(r, genCenter, f)
 	return nil
 }
 
-// installScale commits round r's threshold/jitter state, however it arrived
-// (a standalone scale fan-out, or the piggybacked summaries of the previous
-// combined broadcast).
-func (g *rowsGame) installScale(r int, genCenter []float64, sum *summary.Summary, min, max float64) {
+// installScale commits round r's threshold/jitter state, however its pass
+// arrived (a standalone scale fan-out, or the piggybacked replies of the
+// previous combined broadcast).
+func (g *rowsGame) installScale(r int, genCenter []float64, f *scaleFold) {
 	g.refCentroid = genCenter
-	g.scaleSum = sum
-	g.jscale = jitterRange(min, max)
+	g.scaleSum = f.sum
+	g.jscale = jitterRange(f.min, f.max)
 	g.scaleRound = r
 }
 
@@ -377,13 +395,12 @@ func (g *rowsGame) preSpec(en *engine, r int, flush bool) error {
 	if flush {
 		return g.scalePass(en, r, g.scaleCenter(), g.roundCenter(), true)
 	}
-	if g.pendScale != nil && g.pendRound == r &&
-		g.pendEpoch == en.pool.epoch() && g.pendTopo == en.pool.topo {
-		g.installScale(r, g.curCenter, g.pendScale, g.pendScaleMin, g.pendScaleMax)
-		g.pendScale = nil
+	pend := g.pend
+	g.pend = nil
+	if pend != nil && g.pendRound == r && g.pendEpoch == en.pool.epoch() && g.pendTopo == en.pool.topo {
+		g.installScale(r, g.curCenter, pend)
 		return nil
 	}
-	g.pendScale = nil
 	saved := en.pool.ranges
 	err := g.scalePass(en, r, g.prevCenter, g.curCenter, false)
 	en.pool.ranges = saved
@@ -392,40 +409,20 @@ func (g *rowsGame) preSpec(en *engine, r int, flush bool) error {
 
 // specAttach piggybacks the clean-scale request for round r+1 onto
 // speculated round r's combined directives: under the doubly-late schedule
-// round r+1 scales against D_{(r+1)−3} = D_{r−2}, which is curCenter while
-// round r−1 is still in flight — already fixed, so the request can go out
-// before round r−1 even resolves. The workers return their scale summaries
-// in the same replies (Report.ScaleSum) and foldClassify accumulates them
-// for preSpec(r+1) to consume, which is what makes the steady-state
-// pipelined row round a single fan-out (DESIGN.md §14). The dataset is cut
-// per leaf exactly as scaleDirs cuts it; loss ranges are NOT re-registered —
-// the combined call's losses charge the in-flight round's batch ranges, and
-// a membership change invalidates the piggybacked state anyway.
+// (speculation implies LateCenter) round r+1 scales against D_{(r+1)−3} =
+// D_{r−2}, which is curCenter while round r−1 is still in flight — already
+// fixed, so the request can go out before round r−1 even resolves. The
+// workers answer it in the same replies and foldClassify folds them into a
+// fresh pending pass for preSpec(r+1) to consume, which is what makes the
+// steady-state pipelined row round a single fan-out (DESIGN.md §14). Loss
+// ranges are NOT re-registered — the combined call's losses charge the
+// in-flight round's batch ranges, and a membership change invalidates the
+// pending pass anyway.
 func (g *rowsGame) specAttach(en *engine, r int, dirs []*wire.Directive) {
-	if !g.cfg.LateCenter {
-		return
-	}
-	alive := en.pool.alive()
-	leavesTotal := en.pool.totalLeaves()
-	dataLen := g.cfg.Data.Len()
-	off := 0
-	for i, w := range alive {
-		l := en.pool.leavesOf(w)
-		cuts := make([]int, l+1)
-		for j := 0; j < l; j++ {
-			lo, hi := shardBounds(dataLen, leavesTotal, off+j)
-			cuts[j], cuts[j+1] = lo, hi
-		}
-		dirs[i].ScaleCenter = g.curCenter
-		dirs[i].Lo, dirs[i].Hi = cuts[0], cuts[l]
-		if l > 1 {
-			dirs[i].Cuts = cuts
-		}
-		off += l
-	}
+	g.attachScale(en.pool, g.curCenter, dirs)
+	g.pend, g.pendRound = newScaleFold(), r+1
 }
 
-func (g *rowsGame) genOp() wire.Op  { return wire.OpGenerateRows }
 func (g *rowsGame) jitter() float64 { return g.jscale }
 
 // decorate attaches the per-round row-generation state: the round's robust
@@ -484,30 +481,15 @@ func (g *rowsGame) foldClassify(en *engine, r int, _ *RoundRecord, rep *wire.Rep
 			g.acceptedVec.Coord(i).AbsorbCounted(d.Dims[i], d.Count, d.Sums[i])
 		}
 	}
-	// Piggybacked scale summaries (round r's combined replies carry round
-	// r+2's clean scale) fold in report order — the same slot order a
-	// standalone scale pass merges in, so the consumed state is
-	// bit-identical to a fan-out over the same membership. The stamps are
-	// refreshed per report: they end up describing the membership after any
-	// mid-call losses, which is exactly the set the surviving summaries
-	// cover.
-	if rep.ScaleSum != nil {
-		if g.pendScale == nil || g.pendRound != r+2 {
-			g.pendScale = &summary.Summary{}
-			g.pendScaleMin, g.pendScaleMax = math.Inf(1), math.Inf(-1)
-			g.pendRound = r + 2
-		}
-		g.pendScale.Merge(rep.ScaleSum)
-		if rep.ScaleSum.TotalWeight() > 0 {
-			if rep.ScaleMin < g.pendScaleMin {
-				g.pendScaleMin = rep.ScaleMin
-			}
-			if rep.ScaleMax > g.pendScaleMax {
-				g.pendScaleMax = rep.ScaleMax
-			}
-		}
-		g.pendEpoch = en.pool.epoch()
-		g.pendTopo = en.pool.topo
+	// The replies of round r's combined broadcast answer round r+2's
+	// piggybacked scale request: they fold into the pending pass in report
+	// order, exactly as a standalone pass over the same membership would.
+	// The stamps are refreshed per report: they end up describing the
+	// membership after any mid-call losses, which is exactly the set the
+	// surviving replies cover.
+	if g.pend != nil && g.pendRound == r+2 {
+		g.pend.add(rep)
+		g.pendEpoch, g.pendTopo = en.pool.epoch(), en.pool.topo
 	}
 	return nil
 }

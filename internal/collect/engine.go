@@ -3,6 +3,7 @@ package collect
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -69,9 +70,6 @@ type Game interface {
 	// directives carry no pre-phase state no-op; the row game refreshes the
 	// clean-scale pass against the round's (late) center.
 	preSpec(en *engine, r int, flush bool) error
-
-	// genOp is the phase-1 operation code.
-	genOp() wire.Op
 
 	// jitter is the tie-break jitter width generated poison percentiles
 	// resolve with, for the current round (valid after preRound).
@@ -782,24 +780,20 @@ func mergeSummarizeReports(reps []*wire.Report) (merged *summary.Summary, count 
 }
 
 // genShare is the generation accounting behind one top-level slot: the
-// aggregate spec over all cells its subtree draws, plus the per-cell specs
-// (leaf-major, sub-shards within a leaf) so a partial subtree loss reported
-// back by an aggregator can be subtracted out of the round's expectations.
-type genShare struct {
-	spec  arrival.Spec
-	cells []arrival.Spec
-}
+// specs of the cells its subtree draws (leaf-major, sub-shards within a
+// leaf), so a partial subtree loss reported back by an aggregator can be
+// left out of the round's expectations.
+type genShare []arrival.Spec
 
-// lessLost returns the aggregate spec minus the cells of the lost leaves
-// (subs cells per leaf).
-func (g genShare) lessLost(lostLeaves []int, subs int) arrival.Spec {
-	spec := g.spec
-	for _, rel := range lostLeaves {
-		for c := 0; c < subs; c++ {
-			if idx := rel*subs + c; idx >= 0 && idx < len(g.cells) {
-				spec.HonestN -= g.cells[idx].HonestN
-				spec.PoisonN -= g.cells[idx].PoisonN
-			}
+// drawn totals the cells a reply covers — all of the slot's cells except
+// those of its lost leaves (subs cells per leaf).
+func (g genShare) drawn(lostLeaves []int, subs int) arrival.Spec {
+	spec := g[0]
+	spec.HonestN, spec.PoisonN = 0, 0
+	for c, cell := range g {
+		if !slices.Contains(lostLeaves, c/subs) {
+			spec.HonestN += cell.HonestN
+			spec.PoisonN += cell.PoisonN
 		}
 	}
 	return spec
@@ -915,19 +909,15 @@ func (en *engine) run() error {
 		var pctSum float64
 		roundPoison := 0
 		for _, rep := range reps {
-			// A partial subtree reply covers fewer cells than directed:
-			// subtract the lost leaves' cells from the expectations.
-			spec := byWorker[rep.Worker].lessLost(rep.LostLeaves, en.subShards)
-			// Sub-sharded and aggregated reports carry per-cell percentile
-			// subtotals; the flat cell-order fold matches an L·C-shard
-			// RunSharded's fold bit for bit, which is what keeps
-			// MeanInjectionPct — and hence the records — shape-invariant.
-			if len(rep.PctSums) > 0 {
-				for _, p := range rep.PctSums {
-					pctSum += p
-				}
-			} else {
-				pctSum += rep.PctSum
+			// A partial subtree reply covers fewer cells than directed: the
+			// lost leaves' cells drop out of the expectations.
+			spec := byWorker[rep.Worker].drawn(rep.LostLeaves, en.subShards)
+			// Reports carry one percentile subtotal per cell drawn; the flat
+			// cell-order fold matches an L·C-shard RunSharded's fold bit for
+			// bit, which is what keeps MeanInjectionPct — and hence the
+			// records — shape-invariant.
+			for _, p := range rep.PctSums {
+				pctSum += p
 			}
 			roundPoison += spec.PoisonN
 			en.game.foldGen(rep, spec)
@@ -1050,20 +1040,15 @@ func (en *engine) phase1(r int, pct float64, pend **pending) ([]*wire.Report, ma
 // per (leaf, sub-shard), L·C cells in all, cut on shardBounds — so the
 // union of all draws equals a flat L·C-shard reference draw exactly
 // (shardBounds composes: the flat split refines every coarser split on the
-// same boundaries). A flat fleet is the L = live-worker-count special case
-// and produces byte-identical v6 directives; an aggregator slot fronting l
-// leaves receives its l·C consecutive cells as Gen.Subs and splits them
-// positionally among its children, leaf workers receiving exactly C (and
-// plain single-cell directives when C = 1). anchor is the focus anchor
-// percentile. Loss ranges are NOT registered here: a speculative build must
-// not clobber the in-flight round's ranges (the caller registers them at
-// consumption).
+// same boundaries). A flat fleet is the L = live-worker-count special case;
+// an aggregator slot fronting l leaves receives its l·C consecutive cells
+// and splits them positionally among its children, leaf workers receiving
+// exactly C. anchor is the focus anchor percentile. Loss ranges are NOT
+// registered here: a speculative build must not clobber the in-flight
+// round's ranges (the caller registers them at consumption).
 func (en *engine) genDirs(r int, anchor float64, inject attack.InjectionSpec) ([]*wire.Directive, map[int]genShare, map[int][][2]int) {
 	alive := en.pool.alive()
 	subs := en.subShards
-	if subs < 1 {
-		subs = 1
-	}
 	leafCount := make([]int, len(alive))
 	leavesTotal := 0
 	for i, w := range alive {
@@ -1078,23 +1063,14 @@ func (en *engine) genDirs(r int, anchor float64, inject attack.InjectionSpec) ([
 	for i, w := range alive {
 		l := leafCount[i]
 		cells := flat[off*subs : (off+l)*subs]
-		agg := cells[0]
-		gen := arrival.SpecToWire(en.gen.seed(off*subs, r), agg)
-		if len(cells) > 1 {
-			gen.Subs = make([]wire.SubSpec, len(cells))
-			for c := range cells {
-				gen.Subs[c] = wire.SubSpec{Seed: en.gen.seed((off*subs)+c, r), HonestN: cells[c].HonestN, PoisonN: cells[c].PoisonN}
-				if c > 0 {
-					agg.HonestN += cells[c].HonestN
-					agg.PoisonN += cells[c].PoisonN
-				}
-			}
-			gen.HonestN, gen.PoisonN = agg.HonestN, agg.PoisonN
+		seeds := make([]int64, len(cells))
+		for c := range cells {
+			seeds[c] = en.gen.seed(off*subs+c, r)
 		}
-		dirs[i] = &wire.Directive{Op: en.game.genOp(), Round: r, Gen: gen}
+		dirs[i] = &wire.Directive{Op: wire.OpGenerate, Round: r, Gen: arrival.SpecToWire(seeds, cells)}
 		en.game.decorate(dirs[i])
 		en.stampFocus(dirs[i], anchor)
-		byWorker[w] = genShare{spec: agg, cells: cells}
+		byWorker[w] = cells
 		bs := make([][2]int, l)
 		for j := 0; j < l; j++ {
 			lo, hi := shardBounds(en.batch, leavesTotal, off+j)

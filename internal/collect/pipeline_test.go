@@ -748,11 +748,16 @@ func TestPipelinedCheckpointResume(t *testing.T) {
 	assertSameFinalState(t, piped, resumed)
 }
 
+// raceDetector is set in -race builds (race_test.go), whose instrumentation
+// overhead distorts wall-clock ratios; timing gates skip under it.
+var raceDetector bool
+
 // The delay-injecting transport makes the RTT win observable without real
 // sockets: with a 2 ms per-call latency the pipelined run's data-plane
 // wall clock must undercut the unpipelined run's by a clear margin (the
 // sleep floor alone guarantees ~2× at these fan-out counts; the assertion
-// keeps slack for scheduler noise on a loaded machine).
+// keeps slack for scheduler noise on a loaded machine, and is checked
+// outside the race detector only — the plain test run keeps the gate).
 func TestPipelinedUndercutsDelayedUnpipelined(t *testing.T) {
 	gen := &ShardGen{MasterSeed: 98}
 	cfg := shardLocalConfig(t)
@@ -776,7 +781,7 @@ func TestPipelinedUndercutsDelayedUnpipelined(t *testing.T) {
 	// Sleep floors: unpipelined ≥ 2R fan-outs × 2 ms, pipelined ≥ (R+1) ×
 	// 2 ms. Demand the pipelined run beat 3/4 of the unpipelined one —
 	// far above the expected ~1/2, immune to one-sided sleep jitter.
-	if piped.DataPlane() >= plain.DataPlane()*3/4 {
+	if piped.DataPlane() >= plain.DataPlane()*3/4 && !raceDetector {
 		t.Errorf("pipelined data plane %v did not undercut unpipelined %v", piped.DataPlane(), plain.DataPlane())
 	}
 	if piped.PerRound() <= 0 {

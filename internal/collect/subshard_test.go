@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"testing"
@@ -74,7 +75,7 @@ func TestSubShardClusterEqualsFlatShardedReference(t *testing.T) {
 }
 
 // SubShards 0 and 1 are the same layout as no sub-sharding at all: the
-// directives carry no sub specs and the board matches the flat reference at
+// directives carry one cell each and the board matches the flat reference at
 // the worker count.
 func TestSubShardOneIsLegacyLayout(t *testing.T) {
 	gen := &ShardGen{MasterSeed: 82}
@@ -259,50 +260,66 @@ func TestSubShardLDPEqualsFlat(t *testing.T) {
 	}
 }
 
-// The row game under sub-shards: deterministic given the master seed, and
-// the kept-pool accounting stays exact.
+// The row game under sub-shards: deterministic given the master seed, the
+// kept-pool accounting stays exact, and 2 workers × 2 sub-shards reproduce
+// the flat 4-shard reference record for record — labeled or not (an
+// unlabeled dataset draws nil labels in every cell).
 func TestSubShardRowsDeterministic(t *testing.T) {
-	mk := func() RowConfig {
-		d := dataset.VehicleN(stats.NewRand(86), 400)
-		static, err := trim.NewStatic("s", 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		adv, err := attack.NewPoint("p", 0.99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RowConfig{
-			Rounds: 5, Batch: 100, AttackRatio: 0.2,
-			Data: d, Collector: static, Adversary: adv,
-			PoisonLabel: -1,
-		}
-	}
-	run := func() *RowResult {
-		res, err := RunShardedRows(RowShardedConfig{
-			RowConfig: mk(), Shards: 2, SubShards: 2,
-			Gen: &ShardGen{MasterSeed: 87},
+	for _, labeled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("labeled=%v", labeled), func(t *testing.T) {
+			mk := func() RowConfig {
+				d := dataset.VehicleN(stats.NewRand(86), 400)
+				if !labeled {
+					d.Y = nil
+				}
+				static, err := trim.NewStatic("s", 0.9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				adv, err := attack.NewPoint("p", 0.99)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return RowConfig{
+					Rounds: 5, Batch: 100, AttackRatio: 0.2,
+					Data: d, Collector: static, Adversary: adv,
+					PoisonLabel: -1,
+				}
+			}
+			run := func(shards, subs int) *RowResult {
+				res, err := RunShardedRows(RowShardedConfig{
+					RowConfig: mk(), Shards: shards, SubShards: subs,
+					Gen: &ShardGen{MasterSeed: 87},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			local, again, flat := run(2, 2), run(2, 2), run(4, 1)
+			for i := range local.Board.Records {
+				if local.Board.Records[i] != again.Board.Records[i] {
+					t.Fatalf("round %d diverged between identical master seeds", i+1)
+				}
+				if !flat.Board.Records[i].Equal(local.Board.Records[i]) {
+					t.Errorf("round %d diverged:\nflat 4 shards   %+v\n2 workers x 2 subs %+v",
+						i+1, flat.Board.Records[i], local.Board.Records[i])
+				}
+			}
+			var kept int
+			for _, rec := range local.Board.Records {
+				kept += rec.HonestKept + rec.PoisonKept
+			}
+			if got := local.Kept.Len(); got != kept {
+				t.Errorf("kept dataset %d rows, accounting says %d", got, kept)
+			}
+			if labeled && len(local.Kept.Y) != local.Kept.Len() {
+				t.Errorf("%d labels for %d kept rows", len(local.Kept.Y), local.Kept.Len())
+			}
+			if !labeled && local.Kept.Y != nil {
+				t.Errorf("unlabeled run collected %d labels", len(local.Kept.Y))
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	local, again := run(), run()
-	for i := range local.Board.Records {
-		if local.Board.Records[i] != again.Board.Records[i] {
-			t.Fatalf("round %d diverged between identical master seeds", i+1)
-		}
-	}
-	var kept int
-	for _, rec := range local.Board.Records {
-		kept += rec.HonestKept + rec.PoisonKept
-	}
-	if got := local.Kept.Len(); got != kept {
-		t.Errorf("kept dataset %d rows, accounting says %d", got, kept)
-	}
-	if local.Kept.Y != nil && len(local.Kept.Y) != local.Kept.Len() {
-		t.Errorf("%d labels for %d kept rows", len(local.Kept.Y), local.Kept.Len())
 	}
 }
 

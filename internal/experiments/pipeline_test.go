@@ -6,9 +6,14 @@ import (
 	"time"
 )
 
+// raceDetector is set in -race builds (race_test.go), whose instrumentation
+// overhead distorts wall-clock ratios; timing gates skip under it.
+var raceDetector bool
+
 // The pipelining study at a tiny scale: the boards must verify identical
 // (Pipelining errors otherwise), every cell must report positive timings,
-// and under a latency-dominated 5 ms delay the pipelined schedule must win.
+// and under a latency-dominated 5 ms delay the pipelined schedule must win
+// (checked outside the race detector; the plain test run keeps the gate).
 func TestPipeliningStudy(t *testing.T) {
 	sc := Quick
 	sc.Rounds = 6
@@ -24,7 +29,7 @@ func TestPipeliningStudy(t *testing.T) {
 		t.Fatalf("non-positive timings: %+v", row)
 	}
 	// Sleep floors: 2 fan-outs/round vs ~1; demand a clear win with slack.
-	if row.Speedup < 1.3 {
+	if row.Speedup < 1.3 && !raceDetector {
 		t.Errorf("speedup %.2f under 5 ms injected latency, want ≥ 1.3", row.Speedup)
 	}
 	var buf bytes.Buffer

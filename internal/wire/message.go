@@ -10,15 +10,16 @@ import (
 type Op byte
 
 // The protocol operations. A round is two phases: Generate (the directive
-// carries a derived RNG seed plus compact generation parameters, and each
-// worker draws and summarizes its own slice of the round locally, DESIGN.md
-// §7) then Classify (broadcast the resolved threshold, get counts and
-// kept-pool deltas back). Scale fans the row game's clean-scale pass out over
-// worker-held dataset ranges. Heartbeat, Hello and Join belong to the fleet
-// runtime (DESIGN.md §8): Heartbeat is the supervisor's liveness probe, Hello
-// the admission handshake that asks a candidate worker for its state, and
-// Join the membership grant that tells an admitted worker which epoch it
-// serves from.
+// carries one derived RNG seed per cell plus compact generation parameters,
+// and each worker draws and summarizes its own slice of the round locally,
+// DESIGN.md §7) then Classify (broadcast the resolved threshold, get counts
+// and kept-pool deltas back). Which generator a Generate runs — scalar, LDP
+// or rows — was fixed by the game's Configure. Scale fans the row game's
+// clean-scale pass out over worker-held dataset ranges. Heartbeat, Hello and
+// Join belong to the fleet runtime (DESIGN.md §8): Heartbeat is the
+// supervisor's liveness probe, Hello the admission handshake that asks a
+// candidate worker for its state, and Join the membership grant that tells
+// an admitted worker which epoch it serves from.
 //
 // ClassifyGenerate is the pipelined round schedule (DESIGN.md §9): one
 // broadcast that classifies the held round (Round, Threshold) and then
@@ -28,15 +29,16 @@ type Op byte
 // steady-state round costs one RTT instead of two.
 //
 // Codes 2 and 3 belonged to the coordinator-fed Summarize/SummarizeRows ops
-// (raw arrival slices shipped per round), retired in format 9. They are never
-// reused: a directive carrying either fails to decode.
+// (raw arrival slices shipped per round), retired in format 9; code 7 to the
+// row game's GenerateRows, retired in format 10 (Generate serves every
+// game). They are never reused: a directive carrying any of them fails to
+// decode.
 const (
 	OpConfigure        Op = 1  // set the worker's ε budget and data-plane state
 	OpClassify         Op = 4  // classify the held arrivals against Threshold
 	OpStop             Op = 5  // end of game; the worker may shut down
-	OpGenerate         Op = 6  // draw scalar/LDP arrivals locally from Gen, then summarize
-	OpGenerateRows     Op = 7  // draw row arrivals locally from Gen + Center, then summarize
-	OpScale            Op = 8  // summarize distances of dataset[Lo:Hi] from Center
+	OpGenerate         Op = 6  // draw the slot's cells locally from Gen (rows: around Center), then summarize
+	OpScale            Op = 8  // answer the clean-scale attachment (ScaleCenter + Lo/Hi/Cuts) alone
 	OpHeartbeat        Op = 9  // liveness probe; reply echoes state, mutates nothing
 	OpHello            Op = 10 // admission handshake: report Configured, mutate nothing
 	OpJoin             Op = 11 // membership grant: serve shard slots from Epoch on
@@ -46,8 +48,8 @@ const (
 	OpPoolTrim         Op = 15 // roll kept-row pools back to per-leaf row counts (resume)
 )
 
-// retiredOp reports whether o is one of the retired coordinator-fed op codes.
-func retiredOp(o Op) bool { return o == 2 || o == 3 }
+// retiredOp reports whether o is a retired op code.
+func retiredOp(o Op) bool { return o == 2 || o == 3 || o == 7 }
 
 func (o Op) valid() bool { return o >= OpConfigure && o <= OpPoolTrim && !retiredOp(o) }
 
@@ -62,16 +64,17 @@ type Counts struct {
 
 // GenSpec is the compact generation recipe inside a Generate directive:
 // everything a worker needs to draw its shard of one round's arrivals from
-// a derived RNG stream. It is O(1) in the batch size — shipping it instead
-// of raw arrivals is what turns per-round coordinator egress from O(batch)
-// into O(workers).
+// derived RNG streams. It is O(cells) in the fleet shape and O(1) in the
+// batch size — shipping it instead of raw arrivals is what turns per-round
+// coordinator egress from O(batch) into O(workers).
 type GenSpec struct {
-	// Seed is the derived RNG seed of this (shard, round) cell
-	// (stats.DeriveSeed); the worker never learns the master seed.
-	Seed int64
-
-	HonestN int // honest arrivals this shard draws
-	PoisonN int // poison arrivals this shard draws (drawn after the honest)
+	// Cells are the slot's draws, at least one: the consecutive run of the
+	// flat (leaf, sub-shard) cell space the receiving subtree covers. A
+	// worker draws each cell from its own seed (in parallel when there are
+	// several) and folds the cell summaries strictly in cell order, so its
+	// report is independent of how many goroutines ran it; an aggregator
+	// slices the run positionally among its children.
+	Cells []Cell
 
 	// InjectKind/InjectP/InjectLo/InjectHi mirror attack.InjectionSpec —
 	// the closed-form injection distribution poison percentiles are drawn
@@ -86,29 +89,21 @@ type GenSpec struct {
 	// percentiles resolve against (nil for the scalar and LDP games,
 	// which resolve on the reference configured once).
 	Scale *summary.Summary
-
-	// Subs splits this shard's draw into per-core sub-shards: sub c draws
-	// Subs[c].HonestN + Subs[c].PoisonN arrivals from its own derived seed,
-	// and the worker merges the sub summaries in slice order, so the shard
-	// report is independent of how many goroutines ran it. When empty the
-	// shard is one sub (Seed/HonestN/PoisonN above). When present, the
-	// aggregate Seed/HonestN/PoisonN still describe the whole shard
-	// (HonestN/PoisonN equal the column sums; Seed is sub 0's).
-	Subs []SubSpec
 }
 
-// SubSpec is one sub-shard's slice of a GenSpec: its derived seed (its own
-// DeriveSeed slot, as if it were a narrower shard) and draw counts.
-type SubSpec struct {
+// Cell is one slot of the flat (leaf, sub-shard) seed space: its derived
+// RNG seed (stats.DeriveSeed — the worker never learns the master seed) and
+// the honest and poison arrivals it draws, poison after honest.
+type Cell struct {
 	Seed    int64
 	HonestN int
 	PoisonN int
 }
 
 // Report is one worker → coordinator message: the reply to every directive.
-// Which fields are populated depends on the phase — Sum/Count/ValueSum
-// (plus PctSum/InputSum after a Generate, ScaleMin/ScaleMax after a Scale)
-// after a summarize, Counts/Kept*/Vec after a classify. Exact counts
+// Which fields are populated depends on the phase — Sum/Count/ValueSum plus
+// PctSums/InputSum after a Generate, Counts/Kept*/Vec after a classify, and
+// ScaleSum/ScaleMin/ScaleMax after a clean-scale attachment. Exact counts
 // and sums ride alongside each sketch so the coordinator's Count/Mean
 // estimators stay exact across shard hops (summary.Stream.AbsorbCounted).
 type Report struct {
@@ -143,36 +138,34 @@ type Report struct {
 	// coordinator's merged budget is the max across shards.
 	Epsilon float64
 
-	// Generate/Scale phase: the shard's summary of its slice.
+	// Generate phase: the shard's summary of the arrivals it drew.
 	Sum      *summary.Summary
-	Count    int     // observations behind Sum (exact)
+	Count    int     // arrivals behind Sum (exact)
 	ValueSum float64 // Σ of summarized values (exact)
 
-	// Generate phase.
-	PctSum   float64 // Σ injection percentiles this shard drew
-	InputSum float64 // LDP: Σ honest inputs behind the perturbed reports
+	// InputSum is the LDP game's Σ honest inputs behind the perturbed
+	// reports of a Generate.
+	InputSum float64
 
-	// PctSums are the per-sub-shard percentile sums when the directive
-	// carried Gen.Subs (PctSum is their total). The coordinator folds the
-	// flat (worker, sub) list in slot order, so the recorded percentile
-	// mean is bit-identical however the sub-shards are spread over workers.
+	// PctSums are the injection-percentile sums a Generate drew, one per
+	// directive cell in cell order (aggregators concatenate in leaf order).
+	// The coordinator folds the flat cell list in slot order, so the
+	// recorded percentile mean is bit-identical however the cells are
+	// spread over workers, sub-shards and aggregators.
 	PctSums []float64
 
-	// Scale phase: exact extrema of the summarized distances (the
-	// coordinator derives the jitter width from the merged range). A
-	// ClassifyGenerate reply fills them alongside ScaleSum when the
-	// directive piggybacked a speculative scale request (ScaleCenter).
+	// ScaleSum/ScaleMin/ScaleMax answer a clean-scale attachment
+	// (Directive.ScaleCenter), whether it travelled alone as OpScale or rode
+	// a ClassifyGenerate: the summarized distances of the worker's dataset
+	// range from ScaleCenter and their exact extrema (the coordinator
+	// derives the jitter width from the merged range). They ride their own
+	// fields because a ClassifyGenerate reply's Sum already carries the
+	// speculated round's arrival summary — with them, a steady-state
+	// pipelined row round needs no standalone Scale fan-out (DESIGN.md
+	// §14). Extrema are meaningless when ScaleSum is empty.
+	ScaleSum *summary.Summary
 	ScaleMin float64
 	ScaleMax float64
-
-	// ScaleSum is the piggybacked clean-scale summary of a ClassifyGenerate
-	// reply: the distances of the worker's dataset range from the
-	// directive's ScaleCenter, summarized for the round after the one being
-	// speculated. It rides its own field because Sum already carries the
-	// speculated round's arrival summary — with it, a steady-state
-	// pipelined row round needs no standalone Scale fan-out (DESIGN.md
-	// §14). Nil everywhere else.
-	ScaleSum *summary.Summary
 
 	// Classify phase.
 	Counts    Counts
@@ -243,7 +236,6 @@ func EncodeReport(buf []byte, rep *Report) []byte {
 	buf = appendU64(buf, uint64(rep.Count))
 	buf = appendF64(buf, rep.ValueSum)
 	buf = appendSummaryBlock(buf, rep.Sum)
-	buf = appendF64(buf, rep.PctSum)
 	buf = appendF64s(buf, rep.PctSums)
 	buf = appendF64(buf, rep.InputSum)
 	buf = appendF64(buf, rep.ScaleMin)
@@ -315,7 +307,6 @@ func DecodeReport(buf []byte) (*Report, error) {
 	if rep.Sum, err = readSummaryBlock(r); err != nil {
 		return nil, err
 	}
-	rep.PctSum = r.f64("pct sum")
 	rep.PctSums = r.f64s("pct sums")
 	rep.InputSum = r.f64("input sum")
 	rep.ScaleMin = r.f64("scale min")
@@ -370,9 +361,11 @@ func DecodeReport(buf []byte) (*Report, error) {
 //   - Configure carries Epsilon plus the one-time data-plane state of the
 //     game: Pool/RefSorted (scalar), Pool/MechKind/MechEps (LDP), or
 //     Rows/Labels/Clusters/PoisonLabel (row dataset).
-//   - Generate/GenerateRows carry Gen (and, for rows, Center) — the O(1)
-//     round directive.
-//   - Scale carries Center and the dataset range [Lo, Hi).
+//   - Generate carries Gen (and, for rows, Center) — the O(1) round
+//     directive.
+//   - Scale carries the clean-scale attachment: ScaleCenter and the dataset
+//     range [Lo, Hi) (plus Cuts for an aggregator subtree). The same
+//     attachment may ride a ClassifyGenerate.
 //   - Classify carries Threshold (and Pct for the record); Stop nothing.
 //   - Heartbeat and Hello carry nothing beyond the op; Join carries Epoch.
 //   - FetchRows carries Leaf (which kept-row pool) and the page range
@@ -395,7 +388,7 @@ type Directive struct {
 	Epsilon float64 // Configure: worker sketch budget
 
 	Rows   [][]float64 // Configure: the row game's dataset
-	Center []float64   // GenerateRows/Scale: current robust center
+	Center []float64   // Generate (rows): the center the round generates around
 
 	Pct       float64 // Classify: the percentile the threshold resolved from
 	Threshold float64 // Classify: resolved trim threshold (value domain)
@@ -419,19 +412,20 @@ type Directive struct {
 	MechEps     float64   // LDP mechanism privacy budget
 	MechK       int       // LDP mechanism arity (GRR category count; 0 otherwise)
 
-	// Scale: the worker's dataset range for this round's clean-scale pass.
+	// Lo, Hi: the dataset range of a clean-scale attachment (and the page
+	// range of a FetchRows).
 	Lo, Hi int
 
-	// Generate/GenerateRows: the generation recipe.
+	// Generate/ClassifyGenerate: the generation recipe.
 	Gen *GenSpec
 
-	// Cuts are the per-leaf dataset boundaries of a Scale directive sent to
-	// an aggregator subtree: leaf i of the subtree scales [Cuts[i], Cuts[i+1])
-	// (so len(Cuts) = leaves+1, Lo = Cuts[0], Hi = Cuts[len-1]). The
-	// aggregator slices Cuts positionally among its children; a plain worker
-	// directive omits it and uses Lo/Hi. A PoolTrim directive reuses Cuts as
-	// the per-leaf pool row targets (len = leaves; a plain worker reads
-	// Cuts[0]). Nil everywhere else.
+	// Cuts are the per-leaf dataset boundaries of a clean-scale attachment
+	// sent to a subtree of more than one leaf: leaf i of the subtree scales
+	// [Cuts[i], Cuts[i+1]) (so len(Cuts) = leaves+1, Lo = Cuts[0], Hi =
+	// Cuts[len-1]). The aggregator slices Cuts positionally among its
+	// children; a one-leaf subtree's directive omits it and uses Lo/Hi. A
+	// PoolTrim directive reuses Cuts as the per-leaf pool row targets (len =
+	// leaves; a plain worker reads Cuts[0]). Nil everywhere else.
 	Cuts []int
 
 	// Leaf addresses one kept-row pool in a FetchRows directive: the leaf
@@ -440,14 +434,14 @@ type Directive struct {
 	// fetch to the child that owns the leaf.
 	Leaf int
 
-	// ScaleCenter piggybacks a speculative clean-scale request onto a
-	// ClassifyGenerate directive: summarize the distances of dataset
-	// [Lo, Hi) (Cuts per leaf under an aggregator) from this center and
-	// return them as Report.ScaleSum/ScaleMin/ScaleMax — the scale state of
-	// the round after the one being speculated, fetched a full round early
-	// so a steady-state pipelined row round is one RTT (DESIGN.md §14).
-	// Distinct from Center, which is the speculated generation's center one
-	// round newer. Nil when no scale request rides along.
+	// ScaleCenter is the clean-scale attachment: summarize the distances of
+	// dataset [Lo, Hi) (Cuts per leaf under an aggregator) from this center
+	// and return them as Report.ScaleSum/ScaleMin/ScaleMax. An OpScale
+	// directive carries nothing else; riding a ClassifyGenerate it asks for
+	// the scale state of the round after the one being speculated, fetched
+	// a full round early so a steady-state pipelined row round is one RTT
+	// (DESIGN.md §14) — distinct from Center, the speculated generation's
+	// center one round newer. Nil when no scale request is attached.
 	ScaleCenter []float64
 }
 
@@ -480,21 +474,18 @@ func EncodeDirective(buf []byte, d *Directive) []byte {
 		buf = append(buf, 0)
 	} else {
 		buf = append(buf, 1)
-		buf = appendU64(buf, uint64(d.Gen.Seed))
-		buf = appendU32(buf, uint32(d.Gen.HonestN))
-		buf = appendU32(buf, uint32(d.Gen.PoisonN))
+		buf = appendU32(buf, uint32(len(d.Gen.Cells)))
+		for _, c := range d.Gen.Cells {
+			buf = appendU64(buf, uint64(c.Seed))
+			buf = appendU32(buf, uint32(c.HonestN))
+			buf = appendU32(buf, uint32(c.PoisonN))
+		}
 		buf = append(buf, d.Gen.InjectKind)
 		buf = appendF64(buf, d.Gen.InjectP)
 		buf = appendF64(buf, d.Gen.InjectLo)
 		buf = appendF64(buf, d.Gen.InjectHi)
 		buf = appendF64(buf, d.Gen.Jitter)
 		buf = appendSummaryBlock(buf, d.Gen.Scale)
-		buf = appendU32(buf, uint32(len(d.Gen.Subs)))
-		for _, sub := range d.Gen.Subs {
-			buf = appendU64(buf, uint64(sub.Seed))
-			buf = appendU32(buf, uint32(sub.HonestN))
-			buf = appendU32(buf, uint32(sub.PoisonN))
-		}
 	}
 	buf = appendIntList(buf, d.Cuts)
 	buf = appendU32(buf, uint32(d.Leaf))
@@ -534,26 +525,22 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	d.Lo = int(r.u32("scale lo"))
 	d.Hi = int(r.u32("scale hi"))
 	if r.u8("gen flag") == 1 {
-		g := &GenSpec{
-			Seed:       int64(r.u64("gen seed")),
-			HonestN:    int(r.u32("gen honest count")),
-			PoisonN:    int(r.u32("gen poison count")),
-			InjectKind: r.u8("gen inject kind"),
-			InjectP:    r.f64("gen inject p"),
-			InjectLo:   r.f64("gen inject lo"),
-			InjectHi:   r.f64("gen inject hi"),
-			Jitter:     r.f64("gen jitter"),
+		g := &GenSpec{Cells: make([]Cell, r.count("gen cells", 16))}
+		if r.err == nil && len(g.Cells) == 0 {
+			return nil, fmt.Errorf("wire: generator spec without cells")
 		}
+		for i := range g.Cells {
+			g.Cells[i].Seed = int64(r.u64("gen cell seed"))
+			g.Cells[i].HonestN = int(r.u32("gen cell honest count"))
+			g.Cells[i].PoisonN = int(r.u32("gen cell poison count"))
+		}
+		g.InjectKind = r.u8("gen inject kind")
+		g.InjectP = r.f64("gen inject p")
+		g.InjectLo = r.f64("gen inject lo")
+		g.InjectHi = r.f64("gen inject hi")
+		g.Jitter = r.f64("gen jitter")
 		if g.Scale, err = readSummaryBlock(r); err != nil {
 			return nil, err
-		}
-		if nSubs := r.count("gen subs", 16); nSubs > 0 {
-			g.Subs = make([]SubSpec, nSubs)
-			for i := range g.Subs {
-				g.Subs[i].Seed = int64(r.u64("gen sub seed"))
-				g.Subs[i].HonestN = int(r.u32("gen sub honest count"))
-				g.Subs[i].PoisonN = int(r.u32("gen sub poison count"))
-			}
 		}
 		d.Gen = g
 	}
@@ -564,7 +551,7 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 		return nil, err
 	}
 	if retiredOp(d.Op) {
-		return nil, fmt.Errorf("wire: directive op %d is a retired coordinator-fed op (format 9 serves only the shard-local data plane)", d.Op)
+		return nil, fmt.Errorf("wire: directive op %d is retired (format 10 serves only the shard-local data plane, every game through Generate)", d.Op)
 	}
 	if !d.Op.valid() {
 		return nil, fmt.Errorf("wire: unknown directive op %d", d.Op)

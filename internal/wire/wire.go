@@ -59,15 +59,22 @@ import (
 // coordinator-fed data plane: the Summarize/SummarizeRows ops (codes 2 and
 // 3, never reused), the raw arrival slice and poison offset they carried
 // and the kept-row indices their classify replies returned — every cluster
-// round is shard-local.
-const Version = 9
+// round is shard-local; 10 gave every phase one representation: a
+// generator spec carries its draws only as a list of cells (the aggregate
+// seed and counts and the sub-shard list are gone; at least one cell),
+// reports carry only per-cell percentile sums (the total is gone), the
+// row game's GenerateRows op (code 7, never reused) folds into Generate,
+// and a clean-scale request is one attachment (ScaleCenter plus the
+// dataset range, answered in ScaleSum/ScaleMin/ScaleMax) whether it
+// travels alone as Scale or rides ClassifyGenerate.
+const Version = 10
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game), so its predecessor is retired: a
 // mixed-version cluster fails loudly at the configure fan-out instead of
 // misparsing or dying rounds later.
-const MinVersion = 9
+const MinVersion = 10
 
 const (
 	magic0 = 'T'

@@ -118,7 +118,9 @@ func TestVectorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReportRoundTrip(t *testing.T) {
+// roundTripReports are the report shapes every phase produces — the
+// round-trip table and the report fuzzer's seed corpus.
+func roundTripReports(t testing.TB) []*Report {
 	rng := rand.New(rand.NewSource(3))
 	vec, err := summary.NewVector(3, 0.02, 100)
 	if err != nil {
@@ -129,7 +131,7 @@ func TestReportRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reps := []*Report{
+	return []*Report{
 		{}, // zero report (a bare ack)
 		{
 			Round: 7, Worker: 3, Epsilon: 0.01,
@@ -145,11 +147,11 @@ func TestReportRoundTrip(t *testing.T) {
 		{ // shard-local generate reply
 			Round: 3, Worker: 2, Epsilon: 0.01,
 			Sum: randomSummary(t, rng, "uniform", 200, 16), Count: 200, ValueSum: 55.5,
-			PctSum: 3.96, InputSum: -1.25,
+			PctSums: []float64{3.96}, InputSum: -1.25,
 		},
 		{ // scale reply
-			Round: 4, Worker: 0, Epsilon: 0.01,
-			Sum: randomSummary(t, rng, "heavy", 100, 16), Count: 100, ValueSum: 9.75,
+			Round:    4,
+			ScaleSum: randomSummary(t, rng, "heavy", 100, 16),
 			ScaleMin: 0.001, ScaleMax: 17.5,
 		},
 		{ // shard-local rows classify reply
@@ -168,16 +170,16 @@ func TestReportRoundTrip(t *testing.T) {
 			Sum: randomSummary(t, rng, "uniform", 64, 16), Count: 64, ValueSum: 12.5,
 			Counts: Counts{HonestKept: 60, HonestTrimmed: 4},
 		},
-		{ // v6: sub-sharded generate reply with per-sub percentile sums
+		{ // v6: sub-sharded generate reply with per-cell percentile sums
 			Round: 12, Worker: 1, Epsilon: 0.01,
 			Sum: randomSummary(t, rng, "uniform", 128, 16), Count: 128, ValueSum: 64.25,
-			PctSum: 5.5, PctSums: []float64{1.25, 1.75, 2.5},
+			PctSums: []float64{1.25, 1.75, 2.5},
 		},
 		{ // v7: aggregated subtree reply with losses and per-level merge timings
 			Round: 13, Worker: 0, Epsilon: 0.01,
 			Sum: randomSummary(t, rng, "heavy", 256, 16), Count: 256, ValueSum: 19.5,
-			PctSum: 2.5, PctSums: []float64{0.5, 0.75, 1.25},
-			Leaves: 3, Height: 2, LostLeaves: []int{1, 3},
+			PctSums: []float64{0.5, 0.75, 1.25},
+			Leaves:  3, Height: 2, LostLeaves: []int{1, 3},
 			Vecs:       []*VectorDelta{DeltaFromVector(vec), DeltaFromVector(vec)},
 			MergeNanos: []int64{40_000, 125_000},
 		},
@@ -192,7 +194,10 @@ func TestReportRoundTrip(t *testing.T) {
 			Vec: DeltaFromVector(vec),
 		},
 	}
-	for i, rep := range reps {
+}
+
+func TestReportRoundTrip(t *testing.T) {
+	for i, rep := range roundTripReports(t) {
 		got, err := DecodeReport(EncodeReport(nil, rep))
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
@@ -203,8 +208,10 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDirectiveRoundTrip(t *testing.T) {
-	dirs := []*Directive{
+// roundTripDirectives are the directive shapes every op produces — the
+// round-trip table and the directive fuzzer's seed corpus.
+func roundTripDirectives() []*Directive {
+	return []*Directive{
 		{Op: OpConfigure, Epsilon: 0.01},
 		{Op: OpClassify, Round: 6, Pct: 0.9, Threshold: 1.234},
 		{Op: OpStop},
@@ -224,21 +231,21 @@ func TestDirectiveRoundTrip(t *testing.T) {
 			Labels:   []int{1, 0},
 			Clusters: 2, PoisonLabel: -1,
 		},
-		{ // scale pass over a dataset range
-			Op: OpScale, Round: 2, Center: []float64{0.1, 0.2, 0.3}, Lo: 10, Hi: 20,
+		{ // standalone scale attachment over a dataset range
+			Op: OpScale, Round: 2, ScaleCenter: []float64{0.1, 0.2, 0.3}, Lo: 10, Hi: 20,
 		},
-		{ // O(1) shard-local round directive
+		{ // O(1) shard-local round directive: one cell
 			Op: OpGenerate, Round: 3,
 			Gen: &GenSpec{
-				Seed: -12345, HonestN: 250, PoisonN: 50,
+				Cells:      []Cell{{Seed: -12345, HonestN: 250, PoisonN: 50}},
 				InjectKind: 2, InjectP: 0.5, InjectLo: 0.9, InjectHi: 1,
 				Jitter: 1e-6,
 			},
 		},
-		{ // rows variant carries the center and the merged scale summary
-			Op: OpGenerateRows, Round: 4, Center: []float64{1, 2},
+		{ // the row game's generate carries the center and the merged scale summary
+			Op: OpGenerate, Round: 4, Center: []float64{1, 2},
 			Gen: &GenSpec{
-				Seed: 99, HonestN: 100, PoisonN: 20,
+				Cells:      []Cell{{Seed: 99, HonestN: 100, PoisonN: 20}},
 				InjectKind: 1, InjectHi: 0.99, Jitter: 0.001,
 				Scale: summary.FromUnsorted([]float64{0.5, 1.5, 2.5}),
 			},
@@ -246,7 +253,7 @@ func TestDirectiveRoundTrip(t *testing.T) {
 		{ // pipelined combined op: classify round 5, generate round 6
 			Op: OpClassifyGenerate, Round: 5, Pct: 0.9, Threshold: 1.5,
 			Gen: &GenSpec{
-				Seed: 7, HonestN: 100, PoisonN: 20,
+				Cells:      []Cell{{Seed: 7, HonestN: 100, PoisonN: 20}},
 				InjectKind: 1, InjectHi: 0.99, Jitter: 1e-6,
 			},
 		},
@@ -255,35 +262,39 @@ func TestDirectiveRoundTrip(t *testing.T) {
 			Trace: 0xbf58476d1ce4e5b9,
 		},
 		{Op: OpTreeInfo}, // v7: topology probe
-		{ // v7: scale over an aggregator subtree carries per-leaf cuts
-			Op: OpScale, Round: 6, Center: []float64{0.1, 0.2}, Lo: 0, Hi: 40,
+		{ // v7: a scale attachment for an aggregator subtree carries per-leaf cuts
+			Op: OpScale, Round: 6, ScaleCenter: []float64{0.1, 0.2}, Lo: 0, Hi: 40,
 			Cuts: []int{0, 10, 20, 30, 40},
 		},
-		{ // v6: sub-sharded generate with the adaptive-ε focus window
+		{ // v6: multi-cell generate with the adaptive-ε focus window
 			Op: OpClassifyGenerate, Round: 9, Pct: 0.9, Threshold: 1.75,
 			FocusPct: 0.9, FocusWidth: 0.05, FocusTighten: 8,
 			Gen: &GenSpec{
-				Seed: 42, HonestN: 300, PoisonN: 60,
-				InjectKind: 1, InjectHi: 0.99, Jitter: 1e-6,
-				Subs: []SubSpec{
+				Cells: []Cell{
 					{Seed: 42, HonestN: 100, PoisonN: 20},
 					{Seed: 43, HonestN: 100, PoisonN: 20},
 					{Seed: 44, HonestN: 100, PoisonN: 20},
 				},
+				InjectKind: 1, InjectHi: 0.99, Jitter: 1e-6,
 			},
 		},
-		{ // v8: combined op carrying a piggybacked scale request for round+2
+		{ // v8: combined op carrying a piggybacked scale attachment for round+2
 			Op: OpClassifyGenerate, Round: 10, Pct: 0.9, Threshold: 2.25,
 			Center: []float64{0.5, 1.5},
 			Gen: &GenSpec{
-				Seed: 17, HonestN: 100, PoisonN: 20,
+				Cells:      []Cell{{Seed: 17, HonestN: 100, PoisonN: 20}, {Seed: 18, HonestN: 100}},
 				InjectKind: 1, InjectHi: 0.99, Jitter: 1e-6,
 			},
 			ScaleCenter: []float64{0.75, 1.25},
 			Lo:          0, Hi: 40, Cuts: []int{0, 20, 40},
 		},
+		{Op: OpFetchRows, Leaf: 3, Lo: 4096, Hi: 8192},       // v8: kept-row page
+		{Op: OpPoolTrim, Round: 7, Lo: 5, Cuts: []int{5, 9}}, // v8: pool rollback targets
 	}
-	for i, d := range dirs {
+}
+
+func TestDirectiveRoundTrip(t *testing.T) {
+	for i, d := range roundTripDirectives() {
 		got, err := DecodeDirective(EncodeDirective(nil, d))
 		if err != nil {
 			t.Fatalf("directive %d: %v", i, err)
@@ -305,7 +316,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 			Round: 1, Sum: s, Count: 64, ValueSum: 30, PoolRows: []int{1, 2},
 		}),
 		"directive": EncodeDirective(nil, &Directive{
-			Op: OpGenerate, Round: 1, Center: []float64{1, 2, 3}, Gen: &GenSpec{Seed: 1, HonestN: 2},
+			Op: OpGenerate, Round: 1, Center: []float64{1, 2, 3}, Gen: &GenSpec{Cells: []Cell{{Seed: 1, HonestN: 2}}},
 		}),
 	}
 	decode := map[string]func([]byte) error{
@@ -329,24 +340,53 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
-// The coordinator-fed Summarize/SummarizeRows op codes (2 and 3) are retired
-// in format 9 and never reused: a directive carrying either must fail to
-// decode, so no worker or aggregator acts on one. Their neighbours stay
-// valid — the remaining ops keep their numbers.
+// The coordinator-fed Summarize/SummarizeRows op codes (2 and 3, retired in
+// format 9) and the row game's GenerateRows (7, retired in format 10) are
+// never reused: a directive carrying any of them must fail to decode, so no
+// worker or aggregator acts on one. Their neighbours stay valid — the
+// remaining ops keep their numbers.
 func TestDecodeRejectsRetiredOps(t *testing.T) {
-	for _, op := range []Op{2, 3} {
+	for _, op := range []Op{2, 3, 7} {
 		_, err := DecodeDirective(EncodeDirective(nil, &Directive{Op: op, Round: 1}))
 		if err == nil || !strings.Contains(err.Error(), "retired") {
 			t.Errorf("op %d: error = %v, want a retired-op refusal", op, err)
 		}
 	}
-	for _, op := range []Op{OpConfigure, OpClassify} {
+	for _, op := range []Op{OpConfigure, OpClassify, OpGenerate, OpScale} {
 		if _, err := DecodeDirective(EncodeDirective(nil, &Directive{Op: op})); err != nil {
 			t.Errorf("op %d: %v", op, err)
 		}
 	}
-	if OpClassify != 4 || OpPoolTrim != 15 {
-		t.Errorf("op codes renumbered: classify %d, pool trim %d", OpClassify, OpPoolTrim)
+	if OpClassify != 4 || OpGenerate != 6 || OpScale != 8 || OpPoolTrim != 15 {
+		t.Errorf("op codes renumbered: classify %d, generate %d, scale %d, pool trim %d",
+			OpClassify, OpGenerate, OpScale, OpPoolTrim)
+	}
+}
+
+// A generator spec draws at least one cell: an empty cell list is refused
+// at decode, before any worker or aggregator sees it.
+func TestDecodeRejectsGenSpecWithoutCells(t *testing.T) {
+	d := &Directive{Op: OpGenerate, Round: 1, Gen: &GenSpec{InjectKind: 1, InjectHi: 0.99}}
+	if _, err := DecodeDirective(EncodeDirective(nil, d)); err == nil || !strings.Contains(err.Error(), "without cells") {
+		t.Fatalf("zero-cell generator spec: error = %v, want a refusal", err)
+	}
+}
+
+// Byte budget of the v10 layout: a one-cell generator spec costs what the
+// aggregate seed and counts plus an empty sub-shard list did (20 B), and a
+// report's percentile sums cost one f64 per cell behind the list length.
+func TestCellLayoutSize(t *testing.T) {
+	one := &Directive{Op: OpGenerate, Gen: &GenSpec{Cells: []Cell{{Seed: 1}}}}
+	none := &Directive{Op: OpGenerate}
+	// flag + 4-byte cell count + 16 B per cell + inject kind/p/lo/hi + jitter
+	// + empty scale block, against the flag alone.
+	if got, want := len(EncodeDirective(nil, one))-len(EncodeDirective(nil, none)), 4+16+1+4*8+4; got != want {
+		t.Errorf("one-cell generator spec costs %d B, want %d", got, want)
+	}
+	gen := EncodeReport(nil, &Report{PctSums: []float64{0.5}})
+	ack := EncodeReport(nil, &Report{})
+	if got := len(gen) - len(ack); got != 8 {
+		t.Errorf("one percentile sum costs %d B, want 8", got)
 	}
 }
 
