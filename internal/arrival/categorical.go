@@ -3,7 +3,6 @@ package arrival
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/ldp"
 	"repro/internal/stats"
@@ -32,7 +31,9 @@ type Categorical struct {
 }
 
 // NewCategorical builds the generator, validating every pool entry against
-// the channel's category domain and sorting a private percentile scale.
+// the channel's category domain and sorting a private percentile scale with
+// stats.SortFloat64s (radix over the integral categories, so a
+// duplicate-heavy pool skips its tie runs; the order is sort.Float64s's).
 func NewCategorical(pool []int, mech *ldp.GRRValue) (*Categorical, error) {
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("arrival: categorical generator needs a category pool")
@@ -47,7 +48,7 @@ func NewCategorical(pool []int, mech *ldp.GRRValue) (*Categorical, error) {
 		}
 		sorted[i] = float64(c)
 	}
-	sort.Float64s(sorted)
+	stats.SortFloat64s(sorted)
 	return &Categorical{Pool: pool, Mech: mech, sorted: sorted}, nil
 }
 

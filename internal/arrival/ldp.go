@@ -2,7 +2,6 @@ package arrival
 
 import (
 	"fmt"
-	"sort"
 
 	"math/rand"
 
@@ -75,7 +74,10 @@ type LDP struct {
 	sorted []float64 // Pool sorted, for forged-input percentile resolution
 }
 
-// NewLDP builds the generator, sorting a private copy of the pool once.
+// NewLDP builds the generator, sorting a private copy of the pool once with
+// stats.SortFloat64s. Every worker of a shard-local LDP game builds one when
+// it is configured, so this radix sort is the bulk of the game's set-up; it
+// orders the pool exactly as sort.Float64s would.
 func NewLDP(pool []float64, mech ldp.Mechanism) (*LDP, error) {
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("arrival: LDP generator needs an input pool")
@@ -84,7 +86,7 @@ func NewLDP(pool []float64, mech ldp.Mechanism) (*LDP, error) {
 		return nil, fmt.Errorf("arrival: LDP generator needs a mechanism")
 	}
 	sorted := append([]float64(nil), pool...)
-	sort.Float64s(sorted)
+	stats.SortFloat64s(sorted)
 	return &LDP{Pool: pool, Mech: mech, sorted: sorted}, nil
 }
 

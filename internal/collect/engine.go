@@ -507,6 +507,11 @@ func (p *workerPool) callWorker(w int, req []byte) ([]byte, error) {
 // phase timings feed the per-worker straggler metrics, and the busiest
 // worker's share is subtracted from the fan-out elapsed time to estimate
 // the coordinator+network share (trimlab_phase_net_seconds).
+//
+// A directive several slots share — configure's one template — is encoded
+// once and every one of those slots is sent the same bytes (transports and
+// handlers only read a request). Egress still counts the bytes each slot
+// is sent.
 func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([]*wire.Report, error) {
 	start := obs.Now()
 	var maxBusy time.Duration
@@ -523,9 +528,15 @@ func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([
 	reps := make([]*wire.Report, len(alive))
 	errs := make([]error, len(alive))
 	reqs := make([][]byte, len(alive))
+	encoded := map[*wire.Directive][]byte{}
 	for i := range alive {
-		dirs[i].Trace = trace
-		reqs[i] = wire.EncodeDirective(nil, dirs[i])
+		req, ok := encoded[dirs[i]]
+		if !ok {
+			dirs[i].Trace = trace
+			req = wire.EncodeDirective(nil, dirs[i])
+			encoded[dirs[i]] = req
+		}
+		reqs[i] = req
 		p.egress += int64(len(reqs[i]))
 		p.met.Counter("trimlab_egress_bytes_total").Add(int64(len(reqs[i])))
 		if phase == "configure" {

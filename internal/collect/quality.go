@@ -2,7 +2,6 @@ package collect
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/stats"
 	"repro/internal/stats/summary"
@@ -139,12 +138,9 @@ func evasionScore(obs, attackRatio float64) float64 {
 // sortedCopy returns a sorted copy of xs.
 func sortedCopy(xs []float64) []float64 {
 	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
+	stats.SortFloat64s(out)
 	return out
 }
-
-// sortInPlace sorts xs ascending.
-func sortInPlace(xs []float64) { sort.Float64s(xs) }
 
 // jitterScale returns the tie-breaking jitter width for a sorted reference:
 // 10⁻⁶ of the data range (1 when the range is degenerate).

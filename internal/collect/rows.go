@@ -236,7 +236,7 @@ func RunRows(cfg RowConfig) (*RowResult, error) {
 			for i, row := range cfg.Data.X {
 				roundScale[i] = stats.Euclidean(row, refCentroid)
 			}
-			sortInPlace(roundScale)
+			stats.SortFloat64s(roundScale)
 			jscale = jitterScale(roundScale)
 			scaleQ = func(pct float64) float64 { return stats.QuantileSorted(roundScale, pct) }
 		} else {

@@ -1,8 +1,10 @@
 package collect
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/attack"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/ldp"
 	"repro/internal/stats"
 	"repro/internal/trim"
+	"repro/internal/wire"
 )
 
 // shardLocalConfig is baseConfig stripped of everything the shard-local
@@ -237,6 +240,94 @@ func TestShardLocalEgressOWorkers(t *testing.T) {
 	if local.EgressConfigBytes <= 0 {
 		t.Error("shard-local configure shipped no pool/reference")
 	}
+}
+
+// recordingTransport records the requests each slot is sent, in order.
+type recordingTransport struct {
+	cluster.Transport
+	mu   sync.Mutex
+	reqs map[int][][]byte
+}
+
+func newRecordingTransport(inner cluster.Transport) *recordingTransport {
+	return &recordingTransport{Transport: inner, reqs: map[int][][]byte{}}
+}
+
+func (r *recordingTransport) Call(w int, req []byte) ([]byte, error) {
+	r.mu.Lock()
+	r.reqs[w] = append(r.reqs[w], req)
+	r.mu.Unlock()
+	return r.Transport.Call(w, req)
+}
+
+// checkConfigureBroadcast asserts that the game's first fan-out sent every
+// slot the same configure bytes — one encoding of one template — that the
+// configure egress counts those bytes once per slot, and that the game
+// still equals its sharded reference record for record.
+func checkConfigureBroadcast(t *testing.T, rec *recordingTransport, workers int, cs ClusterStats, want, got Board) {
+	t.Helper()
+	first := rec.reqs[0][0]
+	d, err := wire.DecodeDirective(first)
+	if err != nil {
+		t.Fatalf("slot 0's first request: %v", err)
+	}
+	if d.Op != wire.OpConfigure {
+		t.Fatalf("slot 0's first request is op %d, not a configure", d.Op)
+	}
+	for w := 1; w < workers; w++ {
+		req := rec.reqs[w][0]
+		if !bytes.Equal(req, first) {
+			t.Fatalf("slot %d was sent different configure bytes (%d B vs %d B)", w, len(req), len(first))
+		}
+		if &req[0] != &first[0] {
+			t.Errorf("slot %d's configure was encoded separately", w)
+		}
+	}
+	if n := int64(workers * len(first)); cs.EgressConfigBytes != n {
+		t.Errorf("EgressConfigBytes = %d, want %d slots × %d B = %d", cs.EgressConfigBytes, workers, len(first), n)
+	}
+	if len(got.Records) != len(want.Records) {
+		t.Fatalf("%d rounds, reference has %d", len(got.Records), len(want.Records))
+	}
+	for i := range want.Records {
+		if !want.Records[i].Equal(got.Records[i]) {
+			t.Errorf("round %d diverged:\nreference %+v\ncluster   %+v", i+1, want.Records[i], got.Records[i])
+		}
+	}
+}
+
+// The configure broadcast is encoded once per game and sent to every slot;
+// the games it configures — scalar and LDP — still equal their sharded
+// references record for record, and the egress accounting still charges
+// every slot its copy.
+func TestConfigureBroadcastEncodedOnce(t *testing.T) {
+	const workers = 4
+	t.Run("scalar", func(t *testing.T) {
+		gen := &ShardGen{MasterSeed: 91}
+		reference, err := RunSharded(ShardedConfig{Config: shardLocalConfig(t), Shards: workers, Gen: gen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := newRecordingTransport(cluster.NewLoopback(workers))
+		res, err := RunCluster(ClusterConfig{Config: shardLocalConfig(t), Transport: rec, Gen: gen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConfigureBroadcast(t, rec, workers, res.ClusterStats, reference.Board, res.Board)
+	})
+	t.Run("ldp", func(t *testing.T) {
+		gen := &ShardGen{MasterSeed: 92}
+		reference, err := RunShardedLDP(LDPShardedConfig{LDPConfig: shardLocalLDPConfig(t), Shards: workers, Gen: gen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := newRecordingTransport(cluster.NewLoopback(workers))
+		res, err := RunClusterLDP(LDPClusterConfig{LDPConfig: shardLocalLDPConfig(t), Transport: rec, Gen: gen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConfigureBroadcast(t, rec, workers, res.ClusterStats, reference.Board, res.Board)
+	})
 }
 
 // Worker loss under shard-local generation: drop-and-continue, with the

@@ -15,7 +15,7 @@ func Quantile(xs []float64, q float64) float64 {
 		return math.NaN()
 	}
 	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	SortFloat64s(sorted)
 	return QuantileSorted(sorted, q)
 }
 
@@ -53,7 +53,7 @@ func PercentileRank(xs []float64, v float64) float64 {
 		return math.NaN()
 	}
 	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
+	SortFloat64s(sorted)
 	return PercentileRankSorted(sorted, v)
 }
 

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"repro/internal/stats"
 )
 
 // Batch ingestion (DESIGN.md §12). PushBatch feeds the level counter in
@@ -40,23 +42,6 @@ import (
 // 256 KiB, sized to stay resident in a per-core L2 while amortizing the
 // carry cascade over many blocks. Chunks are max(blockSize, batchChunk).
 const batchChunk = 1 << 15
-
-// radixMin is the chunk size below which key sorting falls back to the
-// stdlib: resetting the 48 KiB histogram array would dominate tiny chunks.
-const radixMin = 512
-
-const (
-	radixBits    = 8
-	radixBuckets = 1 << radixBits
-	radixMask    = radixBuckets - 1
-	// Only the high word is radix-sorted (4 passes); ties below — short,
-	// rare runs for continuous data, whose neighbors usually differ within
-	// the top 20 mantissa bits — are resolved by a comparison sort per run.
-	// (3 passes over the top 24 bits measured slower: the longer cleanup
-	// runs cost more than the saved scatter pass.)
-	radixPasses = 4
-	radixShift  = 32
-)
 
 // batchScratch is the pooled working set of one chunk flush: the filtered
 // value/weight copies (weighted path), the radix key buffers (unit path),
@@ -161,46 +146,43 @@ func (st *Stream) flushChunkUnit(chunk []float64) {
 	w := 0
 	cnt, sm := st.count, st.sum
 	var sorted []uint64
-	if len(chunk) < radixMin {
+	if len(chunk) < stats.RadixMin {
 		for _, v := range chunk {
 			if math.IsNaN(v) {
 				continue
 			}
 			cnt++
 			sm += v
-			keys[w] = f64key(v)
+			keys[w] = stats.Float64Key(v)
 			w++
 		}
 		keys = keys[:w]
 		slices.Sort(keys)
 		sorted = keys
 	} else {
-		var counts [radixPasses][radixBuckets]int32
+		var hist stats.RadixHist
 		for _, v := range chunk {
 			if math.IsNaN(v) {
 				continue
 			}
 			cnt++
 			sm += v
-			k := f64key(v)
+			k := stats.Float64Key(v)
 			keys[w] = k
 			w++
-			counts[0][k>>32&radixMask]++
-			counts[1][k>>40&radixMask]++
-			counts[2][k>>48&radixMask]++
-			counts[3][k>>56]++
+			hist.Add(k)
 		}
 		keys = keys[:w]
 		var spare []uint64
-		sorted, spare = radixSortKeys(keys, sc.tmp[:w], &counts)
+		sorted, spare = stats.RadixSortKeys(keys, sc.tmp[:w], &hist)
 		sc.keys, sc.tmp = sorted[:cap(sorted)], spare[:cap(spare)]
 	}
 	st.count, st.sum = cnt, sm
 	if n := len(sorted); n > 0 {
-		if lo := keyf64(sorted[0]); lo < st.min {
+		if lo := stats.KeyFloat64(sorted[0]); lo < st.min {
 			st.min = lo
 		}
-		if hi := keyf64(sorted[n-1]); hi > st.max {
+		if hi := stats.KeyFloat64(sorted[n-1]); hi > st.max {
 			st.max = hi
 		}
 		st.carry(st.buildBlockKeys(sorted))
@@ -386,98 +368,10 @@ func (r keyRun) mid() float64 {
 }
 
 func (r keyRun) entry() Entry {
-	return Entry{Value: keyf64(r.k), Weight: float64(r.end - r.start), MinRank: float64(r.start), MaxRank: float64(r.end)}
+	return Entry{Value: stats.KeyFloat64(r.k), Weight: float64(r.end - r.start), MinRank: float64(r.start), MaxRank: float64(r.end)}
 }
 
 const (
-	negZeroKey = ^uint64(1 << 63) // f64key(-0.0)
-	posZeroKey = uint64(1 << 63)  // f64key(+0.0)
+	negZeroKey = ^uint64(1 << 63) // stats.Float64Key(-0.0)
+	posZeroKey = uint64(1 << 63)  // stats.Float64Key(+0.0)
 )
-
-// f64key maps a float64 onto a uint64 whose unsigned order matches float
-// order: the sign bit is flipped for non-negatives, all bits for negatives.
-// NaNs are filtered before keying; −0.0 keys below +0.0 (the two compare
-// equal as floats, so the run scan folds them back together).
-func f64key(v float64) uint64 {
-	k := math.Float64bits(v)
-	if k&(1<<63) != 0 {
-		return ^k
-	}
-	return k | 1<<63
-}
-
-// keyf64 inverts f64key.
-func keyf64(k uint64) float64 {
-	if k&(1<<63) != 0 {
-		return math.Float64frombits(k &^ (1 << 63))
-	}
-	return math.Float64frombits(^k)
-}
-
-// radixSortKeys sorts keys ascending: an LSD radix sort over the high word
-// (histograms pre-built by the caller's conversion scan; passes whose keys
-// all share one digit are skipped, so narrow-range data pays only for the
-// digits that vary), then a cleanup walk that comparison-sorts any run of
-// equal high words on the full key. Continuous data almost never ties in
-// the top 20 mantissa bits, so cleanup is a read-only scan; duplicate-heavy
-// data ties with fully equal keys, which the all-equal check skips. Returns
-// the sorted buffer and the spare (callers re-home both into the scratch).
-func radixSortKeys(keys, tmp []uint64, counts *[radixPasses][radixBuckets]int32) (sorted, spare []uint64) {
-	n := int32(len(keys))
-	src, dst := keys, tmp
-	for p, shift := 0, uint(radixShift); p < radixPasses; p, shift = p+1, shift+radixBits {
-		c := &counts[p]
-		if c[src[0]>>shift&radixMask] == n {
-			continue // every key shares this digit
-		}
-		sum := int32(0)
-		for b := range c {
-			c[b], sum = sum, sum+c[b]
-		}
-		for _, k := range src {
-			b := k >> shift & radixMask
-			dst[c[b]] = k
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	for i, nn := 0, len(src); i < nn; {
-		hi := src[i] >> radixShift
-		j := i + 1
-		for j < nn && src[j]>>radixShift == hi {
-			j++
-		}
-		if j > i+1 && !keysAllEqual(src[i:j]) {
-			sortRun(src[i:j])
-		}
-		i = j
-	}
-	return src, dst
-}
-
-// sortRun orders one tie run on the full key: insertion sort for the short
-// runs continuous data produces, the stdlib for anything longer.
-func sortRun(ks []uint64) {
-	if len(ks) > 24 {
-		slices.Sort(ks)
-		return
-	}
-	for i := 1; i < len(ks); i++ {
-		k := ks[i]
-		j := i - 1
-		for j >= 0 && ks[j] > k {
-			ks[j+1] = ks[j]
-			j--
-		}
-		ks[j+1] = k
-	}
-}
-
-func keysAllEqual(ks []uint64) bool {
-	for _, k := range ks[1:] {
-		if k != ks[0] {
-			return false
-		}
-	}
-	return true
-}

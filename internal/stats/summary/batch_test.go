@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -410,55 +409,23 @@ func TestVectorPushRows(t *testing.T) {
 	}
 }
 
-// TestRadixSortKeys drives the high-word radix + tie-run cleanup against the
-// stdlib on shapes that stress each path: random continuous data, keys that
-// collide in the high word but differ below (the cleanup's comparison sort),
-// heavy duplicates (the all-equal fast path), and signed zeros.
-func TestRadixSortKeys(t *testing.T) {
-	rng := stats.NewRand(41)
-	cases := map[string][]uint64{}
-	rand32k := make([]uint64, 1<<15)
-	for i := range rand32k {
-		rand32k[i] = f64key(rng.NormFloat64())
+// A direct chunk with no observable value — all NaN, at or above the radix
+// threshold — leaves the stream empty instead of sorting zero keys.
+func TestPushBatchAllNaN(t *testing.T) {
+	st, err := New(0.01, 4096)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases["random"] = rand32k
-	loTies := make([]uint64, 1<<14)
-	for i := range loTies {
-		// Shared high word, random low word: every key lands in one
-		// cleanup run.
-		loTies[i] = 0xbff0000000000000&^(0xffffffff) | uint64(rng.Int63())&0xffffffff
+	xs := make([]float64, 2*batchChunk)
+	for i := range xs {
+		xs[i] = math.NaN()
 	}
-	cases["low-word-ties"] = loTies
-	dups := make([]uint64, 1<<14)
-	for i := range dups {
-		dups[i] = f64key(float64(rng.Intn(7)))
+	st.PushBatch(xs)
+	if st.Count() != 0 || st.Sum() != 0 {
+		t.Fatalf("all-NaN batch: count %d sum %v, want an empty stream", st.Count(), st.Sum())
 	}
-	cases["duplicates"] = dups
-	zeros := make([]uint64, 2048)
-	for i := range zeros {
-		switch i % 3 {
-		case 0:
-			zeros[i] = f64key(math.Copysign(0, -1))
-		case 1:
-			zeros[i] = f64key(0)
-		default:
-			zeros[i] = f64key(rng.NormFloat64())
-		}
-	}
-	cases["signed-zeros"] = zeros
-	for name, base := range cases {
-		keys := append([]uint64(nil), base...)
-		var counts [radixPasses][radixBuckets]int32
-		for _, k := range keys {
-			for p := 0; p < radixPasses; p++ {
-				counts[p][k>>(radixShift+uint(p)*radixBits)&radixMask]++
-			}
-		}
-		sorted, _ := radixSortKeys(keys, make([]uint64, len(keys)), &counts)
-		want := append([]uint64(nil), base...)
-		slices.Sort(want)
-		if !slices.Equal(sorted, want) {
-			t.Errorf("%s: radix order diverges from stdlib sort", name)
-		}
+	st.PushBatch([]float64{1, 2, 3})
+	if st.Count() != 3 || st.Query(0.5) != 2 {
+		t.Fatalf("stream after an all-NaN batch: count %d median %v", st.Count(), st.Query(0.5))
 	}
 }

@@ -10,9 +10,12 @@ import (
 // decode, encode, decode, encode yields the same bytes — so no worker,
 // aggregator or coordinator ever acts on a message it could not forward
 // bit for bit. Seeds are the round-trip tables' messages, the layouts this
-// format changed (multi-cell generator specs, scale attachments) and the
-// retired op codes. Run longer with
-// `go test ./internal/wire -run=NONE -fuzz=FuzzDecodeDirective -fuzztime=15s`.
+// format changed (multi-cell generator specs, scale attachments), a
+// configure carrying several blocks (dataset rows, labels and a pool) and
+// the retired op codes. Run longer with
+// `go test ./internal/wire -run=NONE -fuzz=FuzzDecodeDirective -fuzztime=15s`
+// (likewise FuzzDecodeReport, FuzzDecodeSummary, FuzzDecodeVector and
+// FuzzDecodeSnapshot).
 
 func FuzzDecodeDirective(f *testing.F) {
 	for _, d := range roundTripDirectives() {
@@ -22,6 +25,13 @@ func FuzzDecodeDirective(f *testing.F) {
 		f.Add(EncodeDirective(nil, &Directive{Op: op, Round: 1}))
 	}
 	f.Add(EncodeDirective(nil, &Directive{Op: OpGenerate, Gen: &GenSpec{}}))
+	f.Add(EncodeDirective(nil, &Directive{
+		Op: OpConfigure, Epsilon: 0.01,
+		Rows:     [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {-1, 0.5, 2.5}},
+		Labels:   []int{0, 1, 1, 0},
+		Pool:     []float64{0.25, -3, 8, 1e-9, 42},
+		Clusters: 2, PoisonLabel: -1,
+	}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		d, err := DecodeDirective(raw)
 		if err != nil {
@@ -54,6 +64,82 @@ func FuzzDecodeReport(f *testing.F) {
 		}
 		if enc2 := EncodeReport(nil, again); !bytes.Equal(enc, enc2) {
 			t.Fatalf("report encoding is not a fixed point:\n%x\n%x", enc, enc2)
+		}
+	})
+}
+
+// FuzzDecodeSummary drives the entry-block decoder and the summary.FromEntries
+// validation behind it, which every summary-bearing message shares.
+func FuzzDecodeSummary(f *testing.F) {
+	for _, s := range roundTripSummaries(f) {
+		f.Add(EncodeSummary(nil, s))
+	}
+	f.Add(EncodeSummary(nil, nil))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := DecodeSummary(raw)
+		if err != nil {
+			return
+		}
+		enc := EncodeSummary(nil, s)
+		again, err := DecodeSummary(enc)
+		if err != nil {
+			t.Fatalf("re-encoded summary does not decode: %v", err)
+		}
+		if enc2 := EncodeSummary(nil, again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("summary encoding is not a fixed point:\n%x\n%x", enc, enc2)
+		}
+	})
+}
+
+// encodeVectorDelta re-encodes a decoded vector as a KindVector message.
+func encodeVectorDelta(d *VectorDelta) []byte {
+	buf := appendHeader(nil, KindVector)
+	if d == nil {
+		return appendU32(buf, 0)
+	}
+	return appendVectorDelta(buf, d)
+}
+
+// FuzzDecodeVector drives the per-coordinate summary blocks of a vector
+// delta through summary.FromEntries.
+func FuzzDecodeVector(f *testing.F) {
+	for _, v := range roundTripVectors(f) {
+		f.Add(EncodeVector(nil, v))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		d, err := DecodeVector(raw)
+		if err != nil {
+			return
+		}
+		enc := encodeVectorDelta(d)
+		again, err := DecodeVector(enc)
+		if err != nil {
+			t.Fatalf("re-encoded vector does not decode: %v", err)
+		}
+		if enc2 := encodeVectorDelta(again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("vector encoding is not a fixed point:\n%x\n%x", enc, enc2)
+		}
+	})
+}
+
+// FuzzDecodeSnapshot drives the checkpoint decoder a resuming coordinator
+// trusts: records, losses, events, stream states and the rows extension.
+func FuzzDecodeSnapshot(f *testing.F) {
+	for _, s := range roundTripSnapshots(f) {
+		f.Add(EncodeSnapshot(nil, s))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := DecodeSnapshot(raw)
+		if err != nil {
+			return
+		}
+		enc := EncodeSnapshot(nil, s)
+		again, err := DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if enc2 := EncodeSnapshot(nil, again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("snapshot encoding is not a fixed point:\n%x\n%x", enc, enc2)
 		}
 	})
 }

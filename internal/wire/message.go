@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/stats/summary"
 )
@@ -270,9 +272,10 @@ func EncodeReport(buf []byte, rep *Report) []byte {
 	return buf
 }
 
-// appendVectorDelta writes a decoded-form delta (the worker holds a live
-// vector, so it normally encodes via appendVectorBlock; this form exists so
-// Encode∘Decode round-trips a Report).
+// appendVectorDelta writes a vector block: u32 dim, ε, the row count, then
+// per coordinate its sum and summary block. Workers snapshot their live
+// vector with DeltaFromVector and encode that; aggregators forward decoded
+// deltas unchanged, and Encode∘Decode round-trips a Report.
 func appendVectorDelta(buf []byte, d *VectorDelta) []byte {
 	buf = appendU32(buf, uint32(len(d.Dims)))
 	buf = appendF64(buf, d.Epsilon)
@@ -320,7 +323,7 @@ func DecodeReport(buf []byte) (*Report, error) {
 	if rep.Kept, err = readSummaryBlock(r); err != nil {
 		return nil, err
 	}
-	rep.KeptRows = readRowsBlock(r, "kept row")
+	rep.KeptRows = readRowsBlock(r, "kept rows")
 	rep.KeptLabels = readIntList(r, "kept label")
 	rep.PoolRows = readIntList(r, "pool rows")
 	if rep.Vec, err = readVectorBlock(r); err != nil {
@@ -512,7 +515,7 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	d.FocusPct = r.f64("focus pct")
 	d.FocusWidth = r.f64("focus width")
 	d.FocusTighten = int(r.u32("focus tighten"))
-	d.Rows = readRowsBlock(r, "row")
+	d.Rows = readRowsBlock(r, "rows")
 	d.Center = r.f64s("center")
 	d.Pool = r.f64s("pool")
 	d.RefSorted = r.f64s("reference")
@@ -568,10 +571,9 @@ func appendRowsBlock(buf []byte, rows [][]float64) []byte {
 		dim = len(rows[0])
 	}
 	buf = appendU32(buf, uint32(dim))
+	buf = slices.Grow(buf, 8*dim*len(rows))
 	for _, row := range rows {
-		for _, v := range row {
-			buf = appendF64(buf, v)
-		}
+		buf = appendF64Block(buf, row)
 	}
 	return buf
 }
@@ -580,8 +582,8 @@ func appendRowsBlock(buf []byte, rows [][]float64) []byte {
 // one backing array; a corrupt count or dim fails with ErrTruncated before
 // allocating.
 func readRowsBlock(r *reader, what string) [][]float64 {
-	nRows := r.count(what+" rows", 4)
-	dim := int(r.u32(what + " dim"))
+	nRows := r.count(what, 4)
+	dim := int(r.u32(what))
 	if r.err != nil || nRows == 0 {
 		return nil
 	}
@@ -589,11 +591,9 @@ func readRowsBlock(r *reader, what string) [][]float64 {
 		r.fail(what + " elements")
 		return nil
 	}
-	rows := make([][]float64, nRows)
 	flat := make([]float64, nRows*dim)
-	for i := range flat {
-		flat[i] = r.f64(what + " element")
-	}
+	getF64s(flat, r.next(8*len(flat)))
+	rows := make([][]float64, nRows)
 	for i := range rows {
 		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
@@ -602,9 +602,9 @@ func readRowsBlock(r *reader, what string) [][]float64 {
 
 // appendIntList writes a u32-counted list of non-negative ints as u32s.
 func appendIntList(buf []byte, xs []int) []byte {
-	buf = appendU32(buf, uint32(len(xs)))
-	for _, x := range xs {
-		buf = appendU32(buf, uint32(x))
+	buf, b := extend(appendU32(buf, uint32(len(xs))), 4*len(xs))
+	for i, x := range xs {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
 	return buf
 }
@@ -612,12 +612,13 @@ func appendIntList(buf []byte, xs []int) []byte {
 // readIntList reads a list written by appendIntList; empty decodes to nil.
 func readIntList(r *reader, what string) []int {
 	n := r.count(what, 4)
-	if r.err != nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
+	b := r.next(4 * n)
 	out := make([]int, n)
 	for i := range out {
-		out[i] = int(r.u32(what))
+		out[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }

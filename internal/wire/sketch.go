@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/stats/summary"
 )
@@ -18,12 +19,13 @@ func appendSummaryBlock(buf []byte, s *summary.Summary) []byte {
 		return appendU32(buf, 0)
 	}
 	entries := s.Entries()
-	buf = appendU32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = appendF64(buf, e.Value)
-		buf = appendF64(buf, e.Weight)
-		buf = appendF64(buf, e.MinRank)
-		buf = appendF64(buf, e.MaxRank)
+	buf, b := extend(appendU32(buf, uint32(len(entries))), entrySize*len(entries))
+	for i, e := range entries {
+		eb := b[entrySize*i : entrySize*(i+1)]
+		putF64(eb[0:], e.Value)
+		putF64(eb[8:], e.Weight)
+		putF64(eb[16:], e.MinRank)
+		putF64(eb[24:], e.MaxRank)
 	}
 	return buf
 }
@@ -31,7 +33,8 @@ func appendSummaryBlock(buf []byte, s *summary.Summary) []byte {
 // readSummaryBlock reads a block written by appendSummaryBlock and rebuilds
 // the summary through summary.FromEntries, so structurally invalid entries
 // (unsorted values, negative weights, inconsistent ranks) are rejected here
-// rather than corrupting a later merge.
+// rather than corrupting a later merge. Entries decode into the reader's
+// scratch, which FromEntries copies out of.
 func readSummaryBlock(r *reader) (*summary.Summary, error) {
 	n := r.count("summary entries", entrySize)
 	if r.err != nil {
@@ -42,18 +45,18 @@ func readSummaryBlock(r *reader) (*summary.Summary, error) {
 		// observations", so decoding to nil keeps Encode∘Decode idempotent.
 		return nil, nil
 	}
-	entries := make([]summary.Entry, n)
+	b := r.next(entrySize * n)
+	entries := slices.Grow(r.entries[:0], n)[:n]
 	for i := range entries {
+		eb := b[entrySize*i : entrySize*(i+1)]
 		entries[i] = summary.Entry{
-			Value:   r.f64("entry value"),
-			Weight:  r.f64("entry weight"),
-			MinRank: r.f64("entry min rank"),
-			MaxRank: r.f64("entry max rank"),
+			Value:   getF64(eb[0:]),
+			Weight:  getF64(eb[8:]),
+			MinRank: getF64(eb[16:]),
+			MaxRank: getF64(eb[24:]),
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
+	r.entries = entries
 	return summary.FromEntries(entries)
 }
 
@@ -114,8 +117,9 @@ func DeltaFromVector(v *summary.Vector) *VectorDelta {
 	return d
 }
 
-// readVectorBlock reads a block written by appendVectorBlock. A zero dim
-// yields a nil delta (the encoding of "no rows accepted this round").
+// readVectorBlock reads a block written by appendVectorDelta (a zero dim
+// is also what EncodeVector and EncodeReport write for a nil delta). A zero
+// dim yields a nil delta (the encoding of "no rows accepted this round").
 func readVectorBlock(r *reader) (*VectorDelta, error) {
 	// Each coordinate carries at least a sum and an entry count.
 	dim := r.count("vector dim", 12)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/stats/summary"
 )
 
-func testStreamState(t *testing.T, weighted bool, n int) *summary.StreamState {
+func testStreamState(t testing.TB, weighted bool, n int) *summary.StreamState {
 	t.Helper()
 	st, err := summary.New(0.02, 500)
 	if err != nil {
@@ -25,7 +25,7 @@ func testStreamState(t *testing.T, weighted bool, n int) *summary.StreamState {
 	return st.State()
 }
 
-func testSnapshot(t *testing.T) *Snapshot {
+func testSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	return &Snapshot{
 		Game: SnapScalar,
@@ -110,11 +110,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// A rows-game snapshot additionally carries the accepted-vector state, both
-// trailing taps of the late-center delay line (the doubly-late scale
-// schedule needs D_{r−3}) and the kept-pool manifest — all of which must
-// survive the wire bit for bit.
-func TestSnapshotRowsRoundTrip(t *testing.T) {
+// testRowsSnapshot is testSnapshot cut from a row game: it additionally
+// carries the accepted-vector state, both trailing taps of the late-center
+// delay line and the kept-pool manifest.
+func testRowsSnapshot(t testing.TB) *Snapshot {
 	snap := testSnapshot(t)
 	snap.Game = SnapRows
 	snap.LateCenter = true
@@ -126,6 +125,21 @@ func TestSnapshotRowsRoundTrip(t *testing.T) {
 	snap.PrevCenter = []float64{0.5, -1.5}
 	snap.Prev2Center = []float64{0.25, -1.25}
 	snap.PoolRows = []int{120, 80, 0, 99}
+	return snap
+}
+
+// roundTripSnapshots are both games' snapshots — the snapshot fuzzer's seed
+// corpus and the golden table.
+func roundTripSnapshots(t testing.TB) []*Snapshot {
+	return []*Snapshot{testSnapshot(t), testRowsSnapshot(t)}
+}
+
+// A rows-game snapshot additionally carries the accepted-vector state, both
+// trailing taps of the late-center delay line (the doubly-late scale
+// schedule needs D_{r−3}) and the kept-pool manifest — all of which must
+// survive the wire bit for bit.
+func TestSnapshotRowsRoundTrip(t *testing.T) {
+	snap := testRowsSnapshot(t)
 	raw := EncodeSnapshot(nil, snap)
 	back, err := DecodeSnapshot(raw)
 	if err != nil {

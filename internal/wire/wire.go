@@ -21,6 +21,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+
+	"repro/internal/stats/summary"
 )
 
 // Version is the current wire-format version. Bump it when the payload
@@ -133,6 +136,42 @@ func appendF64(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
+// Block codecs. A block is the elements behind one length prefix — floats,
+// row elements, summary entries, ints — wherever it nests: configure
+// payloads, round summaries, kept-row pages, snapshot stream states. It is
+// written by growing the output once and storing each element at its
+// offset, and read by slicing the whole block out of the payload once
+// (reader.next, after count has checked the prefix) and loading each
+// element from that slice. Each element is its fields, little-endian, in
+// declaration order — the bytes the scalar appenders would write.
+
+// extend grows buf once by n bytes and returns it together with the new
+// n-byte tail for the caller to fill.
+func extend(buf []byte, n int) (out, tail []byte) {
+	off := len(buf)
+	out = slices.Grow(buf, n)[:off+n]
+	return out, out[off:]
+}
+
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+// appendF64Block writes vs as consecutive f64s, without a length prefix.
+func appendF64Block(buf []byte, vs []float64) []byte {
+	buf, b := extend(buf, 8*len(vs))
+	for i, v := range vs {
+		putF64(b[8*i:], v)
+	}
+	return buf
+}
+
+// getF64s fills out from the f64 block b (8·len(out) bytes).
+func getF64s(out []float64, b []byte) {
+	for i := range out {
+		out[i] = getF64(b[8*i:])
+	}
+}
+
 // reader is a bounds-checked little-endian cursor over a payload. The first
 // failed read latches err; subsequent reads return zero values, so decoders
 // can read a whole struct and check err once.
@@ -140,6 +179,11 @@ type reader struct {
 	buf []byte
 	off int
 	err error
+
+	// entries is the summary-entry scratch readSummaryBlock decodes into;
+	// summary.FromEntries copies, so one buffer serves every block of a
+	// message.
+	entries []summary.Entry
 }
 
 func (r *reader) fail(what string) {
@@ -203,6 +247,15 @@ func (r *reader) count(what string, elemSize int) int {
 	return n
 }
 
+// next returns the next n payload bytes and advances past them — a whole
+// block in one bounds check. n must come from a length prefix count has
+// accepted (count·elemSize bytes are known to remain).
+func (r *reader) next(n int) []byte {
+	b := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return b
+}
+
 // finish rejects trailing bytes: a well-formed message is consumed exactly.
 func (r *reader) finish() error {
 	if r.err != nil {
@@ -214,22 +267,18 @@ func (r *reader) finish() error {
 	return nil
 }
 
+// f64s reads a u32-counted f64 block; empty decodes to nil.
 func (r *reader) f64s(what string) []float64 {
 	n := r.count(what, 8)
-	if r.err != nil || n == 0 {
+	if n == 0 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64(what)
-	}
+	getF64s(out, r.next(8*n))
 	return out
 }
 
+// appendF64s writes a u32-counted f64 block.
 func appendF64s(buf []byte, vs []float64) []byte {
-	buf = appendU32(buf, uint32(len(vs)))
-	for _, v := range vs {
-		buf = appendF64(buf, v)
-	}
-	return buf
+	return appendF64Block(appendU32(buf, uint32(len(vs))), vs)
 }

@@ -46,11 +46,12 @@ func sameEntries(a, b *summary.Summary) bool {
 	return reflect.DeepEqual(a.Entries(), b.Entries())
 }
 
-// Wire round-trip identity: DecodeSummary(EncodeSummary(s)) reproduces the
-// entries bit-exactly for random summaries across distribution shapes and
-// compression levels.
-func TestSummaryRoundTrip(t *testing.T) {
+// roundTripSummaries are random summaries across distribution shapes and
+// compression levels, 20 per shape — the summary round-trip table and the
+// summary fuzzer's seed corpus.
+func roundTripSummaries(t testing.TB) []*summary.Summary {
 	rng := rand.New(rand.NewSource(1))
+	var out []*summary.Summary
 	for _, shape := range []string{"uniform", "heavy", "duplicate"} {
 		for trial := 0; trial < 20; trial++ {
 			n := 1 + rng.Intn(2000)
@@ -58,19 +59,28 @@ func TestSummaryRoundTrip(t *testing.T) {
 			if trial%2 == 1 {
 				b = 8 + rng.Intn(64)
 			}
-			s := randomSummary(t, rng, shape, n, b)
-			got, err := DecodeSummary(EncodeSummary(nil, s))
-			if err != nil {
-				t.Fatalf("%s trial %d: decode: %v", shape, trial, err)
-			}
-			if !sameEntries(s, got) {
-				t.Fatalf("%s trial %d: entries not identical after round trip", shape, trial)
-			}
-			// Bit-exact entries imply identical queries; spot-check anyway.
-			for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-				if a, b := s.Query(q), got.Query(q); a != b {
-					t.Fatalf("%s trial %d: Query(%v) %v != %v", shape, trial, q, a, b)
-				}
+			out = append(out, randomSummary(t, rng, shape, n, b))
+		}
+	}
+	return out
+}
+
+// Wire round-trip identity: DecodeSummary(EncodeSummary(s)) reproduces the
+// entries bit-exactly for random summaries across distribution shapes and
+// compression levels.
+func TestSummaryRoundTrip(t *testing.T) {
+	for i, s := range roundTripSummaries(t) {
+		got, err := DecodeSummary(EncodeSummary(nil, s))
+		if err != nil {
+			t.Fatalf("summary %d: decode: %v", i, err)
+		}
+		if !sameEntries(s, got) {
+			t.Fatalf("summary %d: entries not identical after round trip", i)
+		}
+		// Bit-exact entries imply identical queries; spot-check anyway.
+		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
+			if a, b := s.Query(q), got.Query(q); a != b {
+				t.Fatalf("summary %d: Query(%v) %v != %v", i, q, a, b)
 			}
 		}
 	}
@@ -86,7 +96,10 @@ func TestSummaryRoundTripEmpty(t *testing.T) {
 	}
 }
 
-func TestVectorRoundTrip(t *testing.T) {
+// roundTripVectors are the vector shapes a row shard ships — a populated
+// multi-coordinate vector and an empty one (dim 0 on the wire) — the vector
+// round-trip table and the vector fuzzer's seed corpus.
+func roundTripVectors(t testing.TB) []*summary.Vector {
 	rng := rand.New(rand.NewSource(2))
 	vec, err := summary.NewVector(5, 0.01, 1000)
 	if err != nil {
@@ -101,19 +114,35 @@ func TestVectorRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := DecodeVector(EncodeVector(nil, vec))
+	empty, err := summary.NewVector(3, 0.01, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Count != vec.Count() || d.Epsilon != vec.Epsilon() || len(d.Dims) != vec.Dim() {
-		t.Fatalf("meta mismatch: %+v", d)
-	}
-	for i := range d.Dims {
-		if !sameEntries(vec.Coord(i).Snapshot(), d.Dims[i]) {
-			t.Fatalf("coordinate %d entries not identical", i)
+	return []*summary.Vector{vec, empty}
+}
+
+func TestVectorRoundTrip(t *testing.T) {
+	for k, vec := range roundTripVectors(t) {
+		d, err := DecodeVector(EncodeVector(nil, vec))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d.Sums[i] != vec.Coord(i).Sum() {
-			t.Fatalf("coordinate %d sum %v != %v", i, d.Sums[i], vec.Coord(i).Sum())
+		if vec.Count() == 0 {
+			if d != nil {
+				t.Fatalf("vector %d: empty vector decoded to %+v", k, d)
+			}
+			continue
+		}
+		if d.Count != vec.Count() || d.Epsilon != vec.Epsilon() || len(d.Dims) != vec.Dim() {
+			t.Fatalf("vector %d: meta mismatch: %+v", k, d)
+		}
+		for i := range d.Dims {
+			if !sameEntries(vec.Coord(i).Snapshot(), d.Dims[i]) {
+				t.Fatalf("vector %d: coordinate %d entries not identical", k, i)
+			}
+			if d.Sums[i] != vec.Coord(i).Sum() {
+				t.Fatalf("vector %d: coordinate %d sum %v != %v", k, i, d.Sums[i], vec.Coord(i).Sum())
+			}
 		}
 	}
 }
