@@ -480,6 +480,8 @@ func coordinatorMain(args []string) error {
 	fmt.Printf("  coordinator egress: %d B total, %d B configure, %.0f B/round\n",
 		clustered.EgressBytes, clustered.EgressConfigBytes,
 		float64(clustered.EgressBytes-clustered.EgressConfigBytes)/float64(*rounds))
+	fmt.Printf("  coordinator ingress: %d B total, %.0f B/round\n",
+		clustered.IngressBytes, float64(clustered.IngressBytes)/float64(*rounds))
 	tm := clustered.Timing
 	fmt.Printf("  phase timing: generate %v, classify %v, configure %v, admission %v — %v/round over %d rounds\n",
 		tm.Generate.Round(time.Millisecond),

@@ -219,6 +219,12 @@ type ClusterStats struct {
 	EgressBytes       int64
 	EgressConfigBytes int64
 
+	// IngressBytes is the coordinator's total inbound reply traffic over
+	// the same calls: every report a slot answered with, including the
+	// row game's kept-row pages. Unlike egress it is not checkpointed, so
+	// a resumed run counts only the replies its own process received.
+	IngressBytes int64
+
 	// Timing is the per-phase wall-clock account of the run's fan-outs.
 	Timing Timing
 }
@@ -306,6 +312,8 @@ type workerPool struct {
 	// not counted.
 	egress       int64
 	egressConfig int64
+	// ingress counts every reply byte those calls returned.
+	ingress int64
 
 	// timing accumulates the wall clock of every fan-out by phase.
 	timing Timing
@@ -467,6 +475,7 @@ func (p *workerPool) finishStats(s *ClusterStats) {
 	s.WholeSince = p.wholeSince()
 	s.EgressBytes = p.egress
 	s.EgressConfigBytes = p.egressConfig
+	s.IngressBytes = p.ingress
 	s.TreeLeaves = p.totalLeaves()
 	s.TreeHeight = p.treeHeight()
 	s.Timing = p.timing
@@ -511,7 +520,7 @@ func (p *workerPool) callWorker(w int, req []byte) ([]byte, error) {
 // A directive several slots share — configure's one template — is encoded
 // once and every one of those slots is sent the same bytes (transports and
 // handlers only read a request). Egress still counts the bytes each slot
-// is sent.
+// is sent; ingress counts the bytes each slot answers with.
 func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([]*wire.Report, error) {
 	start := obs.Now()
 	var maxBusy time.Duration
@@ -528,6 +537,7 @@ func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([
 	reps := make([]*wire.Report, len(alive))
 	errs := make([]error, len(alive))
 	reqs := make([][]byte, len(alive))
+	replied := make([]int, len(alive))
 	encoded := map[*wire.Directive][]byte{}
 	for i := range alive {
 		req, ok := encoded[dirs[i]]
@@ -554,10 +564,17 @@ func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([
 				errs[i] = err
 				return
 			}
+			replied[i] = len(out)
 			reps[i], errs[i] = wire.DecodeReport(out)
 		}(i)
 	}
 	wg.Wait()
+	ingress := 0
+	for _, n := range replied {
+		ingress += n
+	}
+	p.ingress += int64(ingress)
+	p.met.Counter("trimlab_ingress_bytes_total").Add(int64(ingress))
 
 	kept := reps[:0]
 	for i, w := range alive {
@@ -703,6 +720,8 @@ func (p *workerPool) call1(w int, d *wire.Directive, isConfig bool) (*wire.Repor
 	if err != nil {
 		return nil, err
 	}
+	p.ingress += int64(len(out))
+	p.met.Counter("trimlab_ingress_bytes_total").Add(int64(len(out)))
 	return wire.DecodeReport(out)
 }
 

@@ -2,8 +2,10 @@ package collect
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -242,22 +244,92 @@ func TestShardLocalEgressOWorkers(t *testing.T) {
 	}
 }
 
-// recordingTransport records the requests each slot is sent, in order.
+// recordingTransport records the requests each slot is sent, in order, and
+// the reply to each (nil for a failed call). A game without fleet
+// supervision calls each slot one call at a time, so reps[w][k] answers
+// reqs[w][k].
 type recordingTransport struct {
 	cluster.Transport
 	mu   sync.Mutex
 	reqs map[int][][]byte
+	reps map[int][][]byte
 }
 
 func newRecordingTransport(inner cluster.Transport) *recordingTransport {
-	return &recordingTransport{Transport: inner, reqs: map[int][][]byte{}}
+	return &recordingTransport{Transport: inner, reqs: map[int][][]byte{}, reps: map[int][][]byte{}}
 }
 
 func (r *recordingTransport) Call(w int, req []byte) ([]byte, error) {
 	r.mu.Lock()
 	r.reqs[w] = append(r.reqs[w], req)
 	r.mu.Unlock()
-	return r.Transport.Call(w, req)
+	out, err := r.Transport.Call(w, req)
+	r.mu.Lock()
+	r.reps[w] = append(r.reps[w], out)
+	r.mu.Unlock()
+	return out, err
+}
+
+// checkTraffic asserts that a game's egress and ingress accounts are the
+// bytes its transport carried: every request and every reply but the
+// final stop broadcast's, which both accounts leave out.
+func checkTraffic(t *testing.T, rec *recordingTransport, cs ClusterStats) {
+	t.Helper()
+	var egress, ingress int64
+	for _, w := range slices.Sorted(maps.Keys(rec.reqs)) {
+		reqs := rec.reqs[w]
+		if len(rec.reps[w]) != len(reqs) {
+			t.Fatalf("slot %d: %d replies to %d requests", w, len(rec.reps[w]), len(reqs))
+		}
+		for k, req := range reqs {
+			d, err := wire.DecodeDirective(req)
+			if err != nil {
+				t.Fatalf("slot %d request %d: %v", w, k, err)
+			}
+			if d.Op == wire.OpStop {
+				continue
+			}
+			egress += int64(len(req))
+			ingress += int64(len(rec.reps[w][k]))
+		}
+	}
+	if ingress == 0 {
+		t.Fatal("the transport carried no reply bytes")
+	}
+	if cs.IngressBytes != ingress {
+		t.Errorf("IngressBytes = %d, want the %d reply bytes the transport returned", cs.IngressBytes, ingress)
+	}
+	if cs.EgressBytes != egress {
+		t.Errorf("EgressBytes = %d, want the %d request bytes the transport carried", cs.EgressBytes, egress)
+	}
+}
+
+// The coordinator counts what its slots answer with: IngressBytes is the
+// sum of the reply lengths — round reports on every schedule, and the row
+// game's kept-row pages fetched one call at a time at game end.
+func TestIngressCountsReplies(t *testing.T) {
+	const workers = 3
+	for _, pipeline := range []bool{false, true} {
+		rec := newRecordingTransport(cluster.NewLoopback(workers))
+		res, err := RunCluster(ClusterConfig{
+			Config: shardLocalConfig(t), Transport: rec, Gen: &ShardGen{MasterSeed: 94}, Pipeline: pipeline,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTraffic(t, rec, res.ClusterStats)
+	}
+	rec := newRecordingTransport(cluster.NewLoopback(workers))
+	res, err := RunClusterRows(RowClusterConfig{
+		RowConfig: rowsPipelineConfig(t, 95), Transport: rec, Gen: &ShardGen{MasterSeed: 96}, CollectKept: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Kept.X) == 0 {
+		t.Fatal("row game paged out no kept rows")
+	}
+	checkTraffic(t, rec, res.ClusterStats)
 }
 
 // checkConfigureBroadcast asserts that the game's first fan-out sent every

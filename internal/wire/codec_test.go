@@ -3,6 +3,8 @@ package wire
 import (
 	"hash/fnv"
 	"testing"
+
+	"repro/internal/stats/summary"
 )
 
 // goldenTables are the encoded round-trip tables, one message list per
@@ -27,20 +29,19 @@ func goldenTables(t testing.TB) map[string][][]byte {
 	return tables
 }
 
-// TestEncodingGolden pins the bytes of format 10: the FNV-64a digest of each
-// round-trip table's messages, concatenated in table order, as the
-// field-at-a-time codec wrote them before the block codecs replaced it. The
-// wirever analyzer fingerprints the declared message structs only, so an
-// encoder that changed bytes without changing a struct would pass it — and
+// TestEncodingGolden pins the bytes of format 11: the FNV-64a digest of each
+// round-trip table's messages, concatenated in table order. The wirever
+// analyzer fingerprints the declared message structs only, so an encoder
+// that changed bytes without changing a struct would pass it — and
 // silently split a cluster whose processes run different builds. A digest
 // may change only together with Version.
 func TestEncodingGolden(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0x3f21c6febe3a935e,
-		"report":    0xa9e14b65b76c89b7,
-		"summary":   0x34c4f6b4246d8596,
-		"vector":    0x4bff6813da8db706,
-		"snapshot":  0x3b0454b79e820b20,
+		"directive": 0xe0c73aef0cec973a,
+		"report":    0xf986ead21ddbb538,
+		"summary":   0x8da000a2868165f2,
+		"vector":    0x450184a914e47413,
+		"snapshot":  0x3f463246e9301de5,
 	}
 	tables := goldenTables(t)
 	if len(tables) != len(want) {
@@ -55,6 +56,91 @@ func TestEncodingGolden(t *testing.T) {
 		}
 		if got := h.Sum64(); got != want[name] {
 			t.Errorf("%s table (%d messages, %d B): digest %#016x, want %#016x", name, len(msgs), size, got, want[name])
+		}
+	}
+}
+
+// entryFreeTables are messages of every kind that carry no summary entry:
+// the directive table's rows without a scale summary, reports whose
+// summaries and vectors are absent, nil and empty summaries, an empty
+// vector, and snapshots whose stream states hold only raw buffers.
+func entryFreeTables(t testing.TB) map[string][][]byte {
+	tables := map[string][][]byte{}
+	for _, d := range roundTripDirectives() {
+		if d.Gen == nil || d.Gen.Scale == nil {
+			tables["directive"] = append(tables["directive"], EncodeDirective(nil, d))
+		}
+	}
+	for _, rep := range []*Report{
+		{},
+		{Round: 3, Worker: 2, Epoch: 4, Configured: true, Epsilon: 0.01},
+		{
+			Round: 9, Worker: 1, Epsilon: 0.005,
+			Counts:    Counts{HonestKept: 10, HonestTrimmed: 2, PoisonKept: 1, PoisonTrimmed: 4},
+			KeptCount: 11, KeptSum: -9.5,
+		},
+		{Round: 12, Worker: 1, Epsilon: 0.01, PctSums: []float64{1.25, 1.75, 2.5}, InputSum: -1.25},
+		{
+			Round: 11, Worker: 2, Epoch: 3, Trace: 0x9e3779b97f4a7c15,
+			GenerateNanos: 1_250_000, SummarizeNanos: 640_000, ClassifyNanos: 87_500,
+		},
+		{Round: 13, Leaves: 3, Height: 2, LostLeaves: []int{1, 3}, MergeNanos: []int64{40_000, 125_000}},
+		{KeptRows: [][]float64{{1, 2}, {3, 4}, {5, 6}}, KeptLabels: []int{0, 2, 1}, PoolRows: []int{3, 0}},
+		{Round: 4, ScaleMin: 0.001, ScaleMax: 17.5},
+	} {
+		tables["report"] = append(tables["report"], EncodeReport(nil, rep))
+	}
+	tables["summary"] = [][]byte{EncodeSummary(nil, nil), EncodeSummary(nil, &summary.Summary{})}
+	for _, v := range roundTripVectors(t) {
+		if v.Count() == 0 {
+			tables["vector"] = append(tables["vector"], EncodeVector(nil, v))
+		}
+	}
+	// 40 pushes stay in a stream's raw buffer: no level, so no entry.
+	buffered := func(weighted bool) *summary.StreamState {
+		st := testStreamState(t, weighted, 40)
+		if len(st.Levels) != 0 {
+			t.Fatalf("40-push stream state holds %d levels", len(st.Levels))
+		}
+		return st
+	}
+	scalar := testSnapshot(t)
+	scalar.Received, scalar.Kept = buffered(false), nil
+	rows := testRowsSnapshot(t)
+	rows.Received, rows.Kept = nil, buffered(true)
+	rows.VecState = []*summary.StreamState{buffered(false), nil}
+	tables["snapshot"] = [][]byte{EncodeSnapshot(nil, scalar), EncodeSnapshot(nil, rows)}
+	return tables
+}
+
+// TestEntryFreeBytesUnchanged pins what format 11 kept of format 10: a
+// message without summary entries has the bytes it had, version byte
+// aside. The digests are FNV-64a over each kind's entry-free messages in
+// table order, with byte 2 masked, recorded under format 10.
+func TestEntryFreeBytesUnchanged(t *testing.T) {
+	want := map[string]uint64{
+		"directive": 0x2518b806630739fc,
+		"report":    0xeec78378723d6d15,
+		"summary":   0x1ca9375c652f1175,
+		"vector":    0xa651683bace37860,
+		"snapshot":  0x58585232e8530c07,
+	}
+	tables := entryFreeTables(t)
+	if len(tables) != len(want) {
+		t.Fatalf("%d entry-free tables, %d digests", len(tables), len(want))
+	}
+	for name, msgs := range tables {
+		h := fnv.New64a()
+		for _, m := range msgs {
+			if m[2] != Version {
+				t.Fatalf("%s message carries version %d, want %d", name, m[2], Version)
+			}
+			masked := append([]byte(nil), m...)
+			masked[2] = 0
+			h.Write(masked)
+		}
+		if got := h.Sum64(); got != want[name] {
+			t.Errorf("%s entry-free table (%d messages): digest %#016x, want %#016x", name, len(msgs), got, want[name])
 		}
 	}
 }

@@ -69,15 +69,19 @@ import (
 // row game's GenerateRows op (code 7, never reused) folds into Generate,
 // and a clean-scale request is one attachment (ScaleCenter plus the
 // dataset range, answered in ScaleSum/ScaleMin/ScaleMax) whether it
-// travels alone as Scale or rides ClassifyGenerate.
-const Version = 10
+// travels alone as Scale or rides ClassifyGenerate; 11 made the summary
+// block compact — each entry a key delta of its value plus, for integral
+// ranks, three uvarints, instead of four raw f64s (sketch.go) — in every
+// summary-bearing block alike; entry-free messages keep their bytes apart
+// from the version byte, and a v10 checkpoint cannot resume under v11.
+const Version = 11
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game), so its predecessor is retired: a
 // mixed-version cluster fails loudly at the configure fan-out instead of
 // misparsing or dying rounds later.
-const MinVersion = 10
+const MinVersion = 11
 
 const (
 	magic0 = 'T'
@@ -137,13 +141,14 @@ func appendF64(buf []byte, v float64) []byte {
 }
 
 // Block codecs. A block is the elements behind one length prefix — floats,
-// row elements, summary entries, ints — wherever it nests: configure
-// payloads, round summaries, kept-row pages, snapshot stream states. It is
-// written by growing the output once and storing each element at its
-// offset, and read by slicing the whole block out of the payload once
-// (reader.next, after count has checked the prefix) and loading each
-// element from that slice. Each element is its fields, little-endian, in
-// declaration order — the bytes the scalar appenders would write.
+// row elements, ints — wherever it nests: configure payloads, kept-row
+// pages, snapshot stream states. It is written by growing the output once
+// and storing each element at its offset, and read by slicing the whole
+// block out of the payload once (reader.next, after count has checked the
+// prefix) and loading each element from that slice. Each element is its
+// fields, little-endian, in declaration order — the bytes the scalar
+// appenders would write. Summary blocks have a compact, variable-length
+// layout of their own (sketch.go).
 
 // extend grows buf once by n bytes and returns it together with the new
 // n-byte tail for the caller to fill.
@@ -190,6 +195,14 @@ func (r *reader) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: reading %s at offset %d of %d", ErrTruncated, what, r.off, len(r.buf))
 	}
+}
+
+// failAt latches ErrTruncated for a read at off and returns it — for block
+// decoders that walk the payload with their own cursor.
+func (r *reader) failAt(off int, what string) error {
+	r.off = off
+	r.fail(what)
+	return r.err
 }
 
 func (r *reader) u8(what string) byte {

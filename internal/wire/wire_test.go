@@ -1,13 +1,16 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/stats/summary"
 )
 
@@ -39,17 +42,33 @@ func randomSummary(t testing.TB, rng *rand.Rand, shape string, n, b int) *summar
 	return s
 }
 
+// sameEntries compares two summaries' entries bit for bit (== would let a
+// −0 stand for a +0).
 func sameEntries(a, b *summary.Summary) bool {
-	if a == nil || b == nil {
-		return a.Size() == 0 && b.Size() == 0
+	var ea, eb []summary.Entry
+	if a != nil {
+		ea = a.Entries()
 	}
-	return reflect.DeepEqual(a.Entries(), b.Entries())
+	if b != nil {
+		eb = b.Entries()
+	}
+	if len(ea) != len(eb) {
+		return false
+	}
+	for i := range ea {
+		x, y := ea[i], eb[i]
+		for _, f := range [][2]float64{{x.Value, y.Value}, {x.Weight, y.Weight}, {x.MinRank, y.MinRank}, {x.MaxRank, y.MaxRank}} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
-// roundTripSummaries are random summaries across distribution shapes and
-// compression levels, 20 per shape — the summary round-trip table and the
-// summary fuzzer's seed corpus.
-func roundTripSummaries(t testing.TB) []*summary.Summary {
+// unitSummaries are random unit-weight summaries across distribution
+// shapes and compression levels, 20 per shape.
+func unitSummaries(t testing.TB) []*summary.Summary {
 	rng := rand.New(rand.NewSource(1))
 	var out []*summary.Summary
 	for _, shape := range []string{"uniform", "heavy", "duplicate"} {
@@ -65,9 +84,82 @@ func roundTripSummaries(t testing.TB) []*summary.Summary {
 	return out
 }
 
+// fromEntries is summary.FromEntries for entries a test knows are valid.
+func fromEntries(t testing.TB, entries ...summary.Entry) *summary.Summary {
+	t.Helper()
+	s, err := summary.FromEntries(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// floatSummaries take the block's float form: streams fed fractional
+// PushWeighted weights, integral ranks past 2^53, and a −0 rank, which the
+// integer form would turn into +0. The compressed stream's weights are
+// multiples of 1/8: with arbitrary fractions its merged rank bounds can
+// round below MinRank + Weight, which summary.FromEntries refuses in any
+// format (the raw 40-point buffer sums them exactly).
+func floatSummaries(t testing.TB) []*summary.Summary {
+	rng := rand.New(rand.NewSource(6))
+	var out []*summary.Summary
+	for _, c := range []struct {
+		n      int
+		weight func() float64
+	}{
+		{40, func() float64 { return 0.25 + rng.Float64() }},
+		{3000, func() float64 { return float64(2+rng.Intn(9)) / 8 }},
+	} {
+		st, err := summary.New(0.01, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < c.n; i++ {
+			st.PushWeighted(rng.NormFloat64(), c.weight())
+		}
+		out = append(out, st.Snapshot())
+	}
+	const big = 1 << 54
+	out = append(out,
+		fromEntries(t, summary.Entry{Value: 1, Weight: big, MaxRank: big}, summary.Entry{Value: 2, Weight: 1, MinRank: big, MaxRank: big + 2}),
+		fromEntries(t, summary.Entry{Value: 1, Weight: 1, MinRank: math.Copysign(0, -1), MaxRank: 1}),
+	)
+	return out
+}
+
+// edgeSummaries are unit-weight summaries over the values whose keys sit
+// at the ends of the key space and on either side of zero: −0 next to a
+// positive value, ±Inf, subnormals, ±MaxFloat64, and first keys that need
+// all 8 bytes.
+func edgeSummaries() []*summary.Summary {
+	negZero := math.Copysign(0, -1)
+	const sub = 5e-324 // the smallest subnormal
+	var out []*summary.Summary
+	for _, vs := range [][]float64{
+		{negZero, 1.5},
+		{negZero, sub},
+		{math.Inf(-1), -math.MaxFloat64, -1, -sub, sub, 0x1p-1022, 1, math.MaxFloat64, math.Inf(1)}, // 0x1p-1022: the smallest normal
+		{math.Inf(-1)},
+		{math.Inf(1)},
+		{math.MaxFloat64},
+		{sub},
+	} {
+		out = append(out, summary.FromSorted(vs, nil))
+	}
+	return out
+}
+
+// roundTripSummaries are the unit-weight, float-form and edge-value
+// summaries — the summary round-trip table and the summary fuzzer's seed
+// corpus.
+func roundTripSummaries(t testing.TB) []*summary.Summary {
+	return slices.Concat(unitSummaries(t), floatSummaries(t), edgeSummaries())
+}
+
 // Wire round-trip identity: DecodeSummary(EncodeSummary(s)) reproduces the
-// entries bit-exactly for random summaries across distribution shapes and
-// compression levels.
+// entries bit-exactly in both block forms — random unit-weight summaries
+// across distribution shapes and compression levels, fractional weights,
+// and the edge values of the key space.
 func TestSummaryRoundTrip(t *testing.T) {
 	for i, s := range roundTripSummaries(t) {
 		got, err := DecodeSummary(EncodeSummary(nil, s))
@@ -460,20 +552,89 @@ func TestDecodeRejectsOversizedCount(t *testing.T) {
 	}
 }
 
-// Structurally invalid entries (the bytes parse, the summary is broken) are
-// rejected by the FromEntries validation behind the decoder.
-func TestDecodeRejectsInvalidEntries(t *testing.T) {
-	s := summary.FromUnsorted([]float64{1, 2, 3})
-	msg := EncodeSummary(nil, s)
-	// Overwrite the second entry's value (offset: header + count + one
-	// entry + value field) with one below the first, breaking sort order.
-	off := headerSize + 4 + entrySize
-	le := msg[off : off+8]
-	for i := range le {
-		le[i] = 0
+// summaryMsg hand-assembles a KindSummary message: a header, the entry
+// count, a form byte and the given entry bytes.
+func summaryMsg(n uint32, form byte, entries ...[]byte) []byte {
+	msg := append(appendU32(appendHeader(nil, KindSummary), n), form)
+	for _, e := range entries {
+		msg = append(msg, e...)
 	}
-	le[7] = 0xbf // float64(-1) high byte pattern: 0xbff0... — close enough: -0.0078125?
-	if _, err := DecodeSummary(msg); err == nil {
-		t.Fatal("out-of-order entries decoded successfully")
+	return msg
+}
+
+// entry hand-assembles one entry: the key delta d behind a length byte of
+// its significant bytes, then the rank fields (uvarints in the integer
+// form, f64s in the float form).
+func entry(d uint64, form byte, ranks ...float64) []byte {
+	n := deltaLen(d)
+	b := append([]byte{byte(n)}, binary.LittleEndian.AppendUint64(nil, d)[:n]...)
+	for _, x := range ranks {
+		if form == formFloat {
+			b = appendF64(b, x)
+		} else {
+			b = binary.AppendUvarint(b, uint64(x))
+		}
+	}
+	return b
+}
+
+// Every class of malformed summary block is refused — by the block decoder
+// where the layout cannot express the entry, by the summary.FromEntries
+// validation behind it where the entry parses but breaks the summary —
+// and a block cut inside an entry fails as truncated.
+func TestDecodeRejectsInvalidEntries(t *testing.T) {
+	one := stats.Float64Key(1)
+	valid := summaryMsg(2, formInt, entry(one, formInt, 1, 0, 0), entry(1, formInt, 1, 1, 0))
+	if _, err := DecodeSummary(valid); err != nil {
+		t.Fatalf("hand-assembled block does not decode: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		msg  []byte
+		want string
+	}{
+		{"repeated value", summaryMsg(2, formInt, entry(one, formInt, 1, 0, 0), entry(0, formInt, 1, 1, 0)), "not above predecessor"},
+		{"key overflow", summaryMsg(2, formInt, entry(one, formInt, 1, 0, 0), entry(1<<63, formInt, 1, 1, 0)), "key overflows"},
+		{"length byte above 8", summaryMsg(1, formInt, append([]byte{9}, make([]byte, 12)...)), "9-byte value delta"},
+		{"unknown form", summaryMsg(1, 2, entry(one, formInt, 1, 0, 0)), "unknown summary block form 2"},
+		{"NaN value", summaryMsg(1, formInt, entry(stats.Float64Key(math.Inf(1))+1, formInt, 1, 0, 0)), "NaN value"},
+		{"zero weight", summaryMsg(1, formInt, entry(one, formInt, 0, 0, 0)), "weight 0"},
+		{"MaxRank regress", summaryMsg(2, formFloat, entry(one, formFloat, 1, 0, 5), entry(1, formFloat, 1, 1, 4)), "rank bounds regress"},
+		{"rank above 2^53", summaryMsg(1, formInt, entry(one, formInt, 1, maxExact, 0)), "rank 9007199254740993 above 2^53"},
+		{"truncated entry", valid[:len(valid)-2], ErrTruncated.Error()},
+	} {
+		_, err := DecodeSummary(c.msg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error = %v, want one mentioning %q", c.name, err, c.want)
+		}
+		if c.want == ErrTruncated.Error() && !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: error = %v, want ErrTruncated", c.name, err)
+		}
+	}
+}
+
+// Byte budget of the format-11 summary block, pinned without timing: the
+// summary a worker ships per cell encodes in at most 11 B per entry
+// (format 10 spent 32), and a unit-weight summary — fresh, compressed,
+// merged, or over edge values — always takes the integer form.
+func TestSummaryBlockBytes(t *testing.T) {
+	game := gameSummary(t)
+	msg := EncodeSummary(nil, game)
+	if per := float64(len(msg)-headerSize-4) / float64(game.Size()); per > 11 {
+		t.Errorf("game-shaped summary: %.2f B/entry over %d entries, want ≤ 11", per, game.Size())
+	}
+	merged := game.Clone()
+	for _, s := range unitSummaries(t) {
+		merged.Merge(s)
+	}
+	for i, s := range slices.Concat([]*summary.Summary{game, merged}, unitSummaries(t), edgeSummaries()) {
+		if form := EncodeSummary(nil, s)[headerSize+4]; form != formInt {
+			t.Errorf("unit-weight summary %d takes form %d, want the integer form", i, form)
+		}
+	}
+	for i, s := range floatSummaries(t) {
+		if form := EncodeSummary(nil, s)[headerSize+4]; form != formFloat {
+			t.Errorf("float-form summary %d takes form %d", i, form)
+		}
 	}
 }

@@ -28,9 +28,11 @@
 #
 # Scenario A also exercises the observability endpoint mid-chaos: the
 # coordinator serves -obs-addr, and while the game is still running the
-# script scrapes /metrics until trimlab_shard_loss_total goes nonzero and
-# /events until the fleet-admit (re-join) event lands — then asserts the
-# event ring shows the loss strictly before the re-admission.
+# script scrapes /metrics until trimlab_shard_loss_total and
+# trimlab_ingress_bytes_total (the reply bytes the coordinator received
+# over TCP) go nonzero and /events until the fleet-admit (re-join) event
+# lands — then asserts the event ring shows the loss strictly before the
+# re-admission.
 set -euo pipefail
 
 TRIMLAB="${TRIMLAB:-/tmp/trimlab-chaos}"
@@ -83,6 +85,7 @@ sleep 0.5
 if command -v curl >/dev/null 2>&1; then
   echo "-- scraping $OBS_URL mid-game"
   poll_obs /metrics '^trimlab_shard_loss_total [1-9]' "nonzero trimlab_shard_loss_total"
+  poll_obs /metrics '^trimlab_ingress_bytes_total [1-9]' "nonzero trimlab_ingress_bytes_total"
   poll_obs /events '"kind":"fleet-admit"' "fleet-admit (re-join) event"
   curl -fsS "$OBS_URL/events" >"$WORKDIR/events.ndjson"
   loss_line="$(grep -n '"kind":"shard-loss"' "$WORKDIR/events.ndjson" | head -1 | cut -d: -f1)"
@@ -92,7 +95,7 @@ if command -v curl >/dev/null 2>&1; then
     cat "$WORKDIR/events.ndjson" >&2
     exit 1
   fi
-  echo "-- /metrics and /events live: shard loss observed, then re-join (events $loss_line < $admit_line)"
+  echo "-- /metrics and /events live: reply bytes counted, shard loss observed, then re-join (events $loss_line < $admit_line)"
 else
   echo "curl not installed; skipping the mid-game /metrics + /events scrape" >&2
 fi
