@@ -530,7 +530,7 @@ func coordinatorMain(args []string) error {
 // reported busy time), and a straggler ranking of the workers by mean
 // busy time per answered call.
 func printObsSummary(met *obs.Registry, workers int) {
-	phases := []string{"configure", "join", "scale", "generate", "classify", "classify+generate", "admission"}
+	phases := []string{"configure", "join", "generate", "classify", "classify+generate", "admission"}
 	header := false
 	for _, ph := range phases {
 		h := met.Histogram("trimlab_phase_seconds", obs.TimeBuckets, "phase", ph)

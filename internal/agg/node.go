@@ -91,8 +91,8 @@ func CompressBudget(eps float64, height int) int {
 
 // Node is one aggregator: a cluster.Handler that stands for a subtree of
 // worker slots. Handle decodes the coordinator's directive, splits it
-// positionally among its children (generator cells, scale cuts and pool-trim
-// targets slice by child leaf counts; everything else broadcasts verbatim),
+// positionally among its children (generator cells and pool-trim targets
+// slice by child leaf counts; everything else broadcasts verbatim),
 // fans out in parallel, and merges the replies strictly in child order — child
 // order is leaf order, so every order-sensitive fold at the coordinator
 // sees the same sequence a flat fleet would produce.
@@ -243,7 +243,7 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 			return nil, fmt.Errorf("agg: node %d: join (epoch %d) before configure", n.id, d.Epoch)
 		}
 	case wire.OpConfigure, wire.OpStop, wire.OpHeartbeat, wire.OpTreeInfo,
-		wire.OpScale, wire.OpGenerate, wire.OpClassify,
+		wire.OpGenerate, wire.OpClassify,
 		wire.OpClassifyGenerate, wire.OpFetchRows, wire.OpPoolTrim:
 		// No node-side pre-check before the fan-out.
 	}
@@ -265,7 +265,7 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 		rep.Epoch = n.epoch
 	case wire.OpStop:
 		n.stopOnce.Do(func() { close(n.done) })
-	case wire.OpHello, wire.OpHeartbeat, wire.OpTreeInfo, wire.OpScale,
+	case wire.OpHello, wire.OpHeartbeat, wire.OpTreeInfo,
 		wire.OpGenerate, wire.OpClassify,
 		wire.OpClassifyGenerate, wire.OpFetchRows, wire.OpPoolTrim:
 		// No node-side state transition after the fan-out.
@@ -283,17 +283,16 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 // leaf, and any directive with nothing positional in it, forwards the raw
 // request bytes — a leaf worker then receives exactly the bytes a flat
 // coordinator would have sent its slot — and a directive with positional
-// parts (generator cells, a clean-scale attachment's per-leaf cuts, pool-trim
-// targets) is sliced by child leaf counts (splitLeaves).
+// parts (generator cells, pool-trim targets) is sliced by child leaf counts
+// (splitLeaves).
 func (n *Node) split(d *wire.Directive, raw []byte) ([][]byte, error) {
 	switch {
 	case d.Op == wire.OpFetchRows:
 		return n.splitFetch(d)
-	case (d.Op == wire.OpGenerate || d.Op == wire.OpClassifyGenerate) && d.Gen == nil,
-		d.Op == wire.OpScale && len(d.ScaleCenter) == 0:
-		return nil, fmt.Errorf("agg: node %d: op %d without its generator spec or scale center", n.id, d.Op)
+	case (d.Op == wire.OpGenerate || d.Op == wire.OpClassifyGenerate) && d.Gen == nil:
+		return nil, fmt.Errorf("agg: node %d: op %d without its generator spec", n.id, d.Op)
 	}
-	if n.totalLeaves() > 1 && (d.Gen != nil || len(d.ScaleCenter) > 0 || d.Op == wire.OpPoolTrim) {
+	if n.totalLeaves() > 1 && (d.Gen != nil || d.Op == wire.OpPoolTrim) {
 		return n.splitLeaves(d)
 	}
 	reqs := make([][]byte, len(n.children))
@@ -332,9 +331,6 @@ func (n *Node) splitFetch(d *wire.Directive) ([][]byte, error) {
 //
 //   - its run of l·C consecutive generator cells (the subtree's cells are
 //     the flat (leaf, sub-shard) cell run it covers, C per leaf);
-//   - for a clean-scale attachment, the cut segment covering its leaves — as
-//     Lo/Hi, plus a narrower Cuts list when it aggregates further down (a
-//     one-leaf child's directive omits Cuts, like a flat worker's);
 //   - for a PoolTrim, its l per-leaf row targets.
 //
 // Everything else in the directive is forwarded unchanged.
@@ -346,10 +342,6 @@ func (n *Node) splitLeaves(d *wire.Directive) ([][]byte, error) {
 			return nil, fmt.Errorf("agg: node %d: %d generator cells do not divide over %d leaves", n.id, len(d.Gen.Cells), total)
 		}
 		per = len(d.Gen.Cells) / total
-	}
-	scaled := len(d.ScaleCenter) > 0
-	if scaled && len(d.Cuts) != total+1 {
-		return nil, fmt.Errorf("agg: node %d: %d scale cuts for %d leaves", n.id, len(d.Cuts), total)
 	}
 	if d.Op == wire.OpPoolTrim && len(d.Cuts) != total {
 		return nil, fmt.Errorf("agg: node %d: %d pool-trim targets for %d leaves", n.id, len(d.Cuts), total)
@@ -367,14 +359,7 @@ func (n *Node) splitLeaves(d *wire.Directive) ([][]byte, error) {
 			g.Cells = d.Gen.Cells[off*per : (off+l)*per]
 			cd.Gen = &g
 		}
-		switch {
-		case scaled:
-			seg := d.Cuts[off : off+l+1]
-			cd.Lo, cd.Hi, cd.Cuts = seg[0], seg[l], nil
-			if l > 1 {
-				cd.Cuts = seg
-			}
-		case d.Op == wire.OpPoolTrim:
+		if d.Op == wire.OpPoolTrim {
 			cd.Cuts = d.Cuts[off : off+l]
 		}
 		off += l
@@ -467,9 +452,6 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 		if out.Kept != nil {
 			out.Kept.Compress(n.compress)
 		}
-		if out.ScaleSum != nil {
-			out.ScaleSum.Compress(n.compress)
-		}
 	}
 	out.Leaves = n.totalLeaves()
 	out.Height = maxHeight + 1
@@ -482,10 +464,10 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 }
 
 // mergeChild folds one child reply into the subtree report. Associative
-// folds (summary merges, integer tallies, extrema, straggler maxima) merge
-// here; order-sensitive float sequences (per-cell percentile subtotals,
-// per-leaf vector deltas) concatenate in leaf order so the coordinator
-// folds the exact sequence a flat fleet would have produced.
+// folds (summary merges, integer tallies, straggler maxima) merge here;
+// order-sensitive float sequences (per-cell percentile subtotals, per-leaf
+// vector deltas) concatenate in leaf order so the coordinator folds the
+// exact sequence a flat fleet would have produced.
 func mergeChild(out, rep *wire.Report) {
 	if rep.Epsilon > out.Epsilon {
 		out.Epsilon = rep.Epsilon
@@ -500,22 +482,6 @@ func mergeChild(out, rep *wire.Report) {
 	out.ValueSum += rep.ValueSum
 	out.InputSum += rep.InputSum
 	out.PctSums = append(out.PctSums, rep.PctSums...)
-	// A clean-scale attachment's summaries and extrema, from a standalone
-	// Scale or a ClassifyGenerate reply alike (an empty dataset range
-	// contributes neither).
-	if rep.ScaleSum != nil && rep.ScaleSum.TotalWeight() > 0 {
-		if out.ScaleSum == nil {
-			out.ScaleSum = &summary.Summary{}
-			out.ScaleMin, out.ScaleMax = math.Inf(1), math.Inf(-1)
-		}
-		out.ScaleSum.Merge(rep.ScaleSum)
-		if rep.ScaleMin < out.ScaleMin {
-			out.ScaleMin = rep.ScaleMin
-		}
-		if rep.ScaleMax > out.ScaleMax {
-			out.ScaleMax = rep.ScaleMax
-		}
-	}
 	out.Counts.HonestKept += rep.Counts.HonestKept
 	out.Counts.HonestTrimmed += rep.Counts.HonestTrimmed
 	out.Counts.PoisonKept += rep.Counts.PoisonKept

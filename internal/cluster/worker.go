@@ -16,8 +16,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/arrival"
@@ -32,12 +30,11 @@ import (
 // wire.Directive messages: Configure sets the sketch budget and installs
 // the game's generator state (honest pool, reference, dataset, mechanism),
 // Generate draws the shard's cells locally from derived seeds with that
-// generator and returns their summary delta, Scale answers a clean-scale
-// attachment (a dataset range's distances from a broadcast center),
-// Classify tallies the stored shard against the threshold and returns
-// counts plus kept-pool deltas, Stop releases the worker. One worker
-// serves one coordinator; Handle is serialized by an internal mutex so
-// transports may deliver from any goroutine.
+// generator and returns their summary delta, Classify tallies the stored
+// shard against the threshold and returns counts plus kept-pool deltas,
+// Stop releases the worker. One worker serves one coordinator; Handle is
+// serialized by an internal mutex so transports may deliver from any
+// goroutine.
 type Worker struct {
 	mu  sync.Mutex
 	id  int
@@ -183,11 +180,6 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 			return nil, err
 		}
 
-	case wire.OpScale:
-		if err := w.scale(d, rep); err != nil {
-			return nil, err
-		}
-
 	case wire.OpClassify:
 		if err := w.classifyHeld(d, rep); err != nil {
 			return nil, err
@@ -207,15 +199,6 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 		next.Round = d.Round + 1
 		if err := w.generate(&next, rep); err != nil {
 			return nil, err
-		}
-		if len(d.ScaleCenter) > 0 {
-			// Piggybacked clean-scale attachment for round d.Round+2: the
-			// distances of the dataset range from a center one round staler
-			// than the speculated generation's, answered in the scale fields
-			// so the reply carries all three phases at once.
-			if err := w.scale(d, rep); err != nil {
-				return nil, err
-			}
 		}
 
 	case wire.OpTreeInfo:
@@ -490,61 +473,6 @@ func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float6
 		rep.Sum = &summary.Summary{}
 		for _, st := range sums {
 			rep.Sum.Merge(st.Snapshot())
-		}
-	}
-	rep.SummarizeNanos += obs.Since(start).Nanoseconds()
-	return nil
-}
-
-// scale answers a clean-scale attachment, whether it came alone (OpScale)
-// or riding a ClassifyGenerate: the Euclidean distances of dataset rows
-// [Lo, Hi) from ScaleCenter, summarized, with their exact extrema. It never
-// touches the held round state. Distance computation is embarrassingly
-// parallel (each slot writes its own index); the stream ingest stays one
-// PushBatch so the sketch is independent of the chunking.
-func (w *Worker) scale(d *wire.Directive, rep *wire.Report) error {
-	start := obs.Now()
-	center := d.ScaleCenter
-	if w.rowGen == nil {
-		return fmt.Errorf("cluster: worker %d: scale without a configured dataset", w.id)
-	}
-	if len(center) == 0 {
-		return fmt.Errorf("cluster: worker %d: scale without a center", w.id)
-	}
-	if n := len(w.rowGen.X); d.Lo < 0 || d.Hi < d.Lo || d.Hi > n {
-		return fmt.Errorf("cluster: worker %d: scale range [%d, %d) outside dataset of %d", w.id, d.Lo, d.Hi, n)
-	}
-	rows := w.rowGen.X[d.Lo:d.Hi]
-	dists := make([]float64, len(rows))
-	par := max(1, min(runtime.GOMAXPROCS(0), len(rows)))
-	errs := make([]error, par)
-	parallel(par, func(k int) {
-		for i := len(rows) * k / par; i < len(rows)*(k+1)/par; i++ {
-			if len(rows[i]) != len(center) {
-				errs[k] = fmt.Errorf("cluster: worker %d: dataset row dim %d, center dim %d", w.id, len(rows[i]), len(center))
-				return
-			}
-			dists[i] = stats.Euclidean(rows[i], center)
-		}
-	})
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	sum, err := summary.New(w.eps, len(dists))
-	if err != nil {
-		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-	}
-	sum.PushBatch(dists)
-	rep.ScaleSum = sum.Snapshot()
-	rep.ScaleMin, rep.ScaleMax = math.Inf(1), math.Inf(-1)
-	for _, dist := range dists {
-		if dist < rep.ScaleMin {
-			rep.ScaleMin = dist
-		}
-		if dist > rep.ScaleMax {
-			rep.ScaleMax = dist
 		}
 	}
 	rep.SummarizeNanos += obs.Since(start).Nanoseconds()

@@ -1,8 +1,11 @@
 package collect
 
 import (
+	"bytes"
+	"maps"
 	"math"
 	"net"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // treeShapes are the aggregator topologies the equality matrix runs:
@@ -166,14 +170,13 @@ func TestAggTreeEqualsFlatRows(t *testing.T) {
 }
 
 // The one-RTT pipelined row schedule through the tier: combined directives
-// carry a piggybacked clean-scale request whose per-leaf dataset cuts
-// aggregators split positionally (exactly like a standalone Scale), and the
-// piggybacked summaries merge up the tree in child order with the same
-// compression as a standalone pass — so the pipelined tree run reproduces
-// the unpipelined LateCenter tree run record for record, kept row for kept
-// row, without losing a shard on a healthy tree. The 3-leaf fan-in-2 shape
-// puts a one-leaf aggregator at the second top slot, and its sub-shards give
-// that aggregator two generator cells to pass through with the scale request.
+// carry the speculated round's generator cells, which aggregators split
+// positionally exactly like a standalone Generate's, and its center and
+// clean scale, which they forward unchanged — so the pipelined tree run
+// reproduces the unpipelined LateCenter tree run record for record, kept
+// row for kept row, without losing a shard on a healthy tree. The 3-leaf
+// fan-in-2 shape puts a one-leaf aggregator at the second top slot, and its
+// sub-shards give that aggregator two generator cells to pass through.
 func TestAggTreePipelinedRowsEqualsUnpipelined(t *testing.T) {
 	mk := func() RowConfig {
 		d := dataset.VehicleN(stats.NewRand(209), 400)
@@ -222,6 +225,74 @@ func TestAggTreePipelinedRowsEqualsUnpipelined(t *testing.T) {
 				t.Fatal("late-center tree run kept no rows")
 			}
 		})
+	}
+}
+
+// A round's clean scale is the coordinator's dataset measured from the
+// round's center, so it cannot depend on the fleet: rounds 1 and 2 of a
+// LateCenter game both run against the X0 seed center D_0, and every
+// generate directive of those rounds — on a 2-leaf and a 5-leaf flat fleet
+// and on a 4-leaf fan-in-2 tree — carries the same scale, byte for byte.
+// ε = 0.05 compresses the 300-row scale, so a scale merged from per-leaf
+// pieces would show.
+func TestCleanScaleIndependentOfFleet(t *testing.T) {
+	cfg := rowsPipelineConfig(t, 92)
+	cfg.SummaryEpsilon = 0.05
+	fleets := []struct {
+		name string
+		tr   func() cluster.Transport
+	}{
+		{"flat-2", func() cluster.Transport { return cluster.NewLoopback(2) }},
+		{"flat-5", func() cluster.Transport { return cluster.NewLoopback(5) }},
+		{"tree-4-fanin2", func() cluster.Transport {
+			tr, err := agg.NewTree(4, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}},
+	}
+	var want map[int][]byte // round → encoded scale
+	for _, fl := range fleets {
+		rec := newRecordingTransport(fl.tr())
+		if _, err := RunClusterRows(RowClusterConfig{
+			RowConfig: cfg, Transport: rec,
+			Gen: &ShardGen{MasterSeed: 93}, LateCenter: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		got := map[int][]byte{}
+		for _, w := range slices.Sorted(maps.Keys(rec.reqs)) {
+			for _, req := range rec.reqs[w] {
+				d, err := wire.DecodeDirective(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Op != wire.OpGenerate || d.Round > 2 {
+					continue
+				}
+				scale := wire.EncodeSummary(nil, d.Gen.Scale)
+				if prev, ok := got[d.Round]; ok && !bytes.Equal(prev, scale) {
+					t.Fatalf("%s: round %d slots carry different scales", fl.name, d.Round)
+				}
+				got[d.Round] = scale
+			}
+		}
+		if len(got) != 2 {
+			t.Fatalf("%s: scales recorded for rounds %v, want 1 and 2", fl.name, slices.Sorted(maps.Keys(got)))
+		}
+		if !bytes.Equal(got[1], got[2]) {
+			t.Errorf("%s: rounds 1 and 2 share the center D_0 but carry different scales", fl.name)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for _, r := range slices.Sorted(maps.Keys(want)) {
+			if !bytes.Equal(got[r], want[r]) {
+				t.Errorf("%s: round %d scale differs from %s's (%d B vs %d B)", fl.name, r, fleets[0].name, len(got[r]), len(want[r]))
+			}
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func (g *rowsGame) snapGame() wire.SnapGame { return wire.SnapRows }
 
 // save adds the row game's coordinator state. Unlike the scalar game there
 // is no raw data here at all: the accepted-pool state is the O(dim/ε)
-// per-coordinate summary vector plus the delayed centers, and the kept rows
+// per-coordinate summary vector plus the trailing center, and the kept rows
 // themselves stay worker-side — the snapshot carries only their per-leaf
 // manifest, which resume verifies against the live pools (OpPoolTrim).
 // Coordinator snapshot size is flat in the total number of kept rows.
@@ -106,18 +106,18 @@ func (g *rowsGame) save(en *engine, s *wire.Snapshot) {
 	s.LateCenter = g.cfg.LateCenter
 	s.KeptPoison = g.res.KeptPoison
 	s.VecState = g.acceptedVec.States()
-	s.PrevCenter = append([]float64(nil), g.prevCenter...)
-	s.Prev2Center = append([]float64(nil), g.prev2Center...)
+	s.PrevCenter = append([]float64(nil), g.prev...)
 	s.PoolRows = g.flatPoolRows(en.pool)
 }
 
 // load restores the row game's state: the accepted-pool vector is rebuilt
 // from its full per-coordinate states and the current center re-derived
 // from it (Medians is a pure function of the absorbed deltas, so the
-// resumed center matches the uninterrupted run bit for bit); the delay
-// line's trailing centers come from the snapshot. Then every worker pool is
-// rolled back to the snapshot's manifest: rows the original run appended
-// after the checkpoint round must not survive into the resumed run's pools.
+// resumed center matches the uninterrupted run bit for bit); the trailing
+// center comes from the snapshot. Round NextRound's clean scale is rebuilt
+// from its center like any other round's. Then every worker pool is rolled
+// back to the snapshot's manifest: rows the original run appended after the
+// checkpoint round must not survive into the resumed run's pools.
 func (g *rowsGame) load(en *engine, s *wire.Snapshot) error {
 	vec, err := summary.VectorFromState(s.VecState)
 	if err != nil {
@@ -129,13 +129,10 @@ func (g *rowsGame) load(en *engine, s *wire.Snapshot) error {
 	if len(s.PrevCenter) != g.dim {
 		return fmt.Errorf("collect: snapshot trailing center has %d coordinates, dataset has %d", len(s.PrevCenter), g.dim)
 	}
-	if len(s.Prev2Center) != g.dim {
-		return fmt.Errorf("collect: snapshot third-tap center has %d coordinates, dataset has %d", len(s.Prev2Center), g.dim)
-	}
 	g.acceptedVec = vec
-	g.curCenter = vec.Medians(nil)
-	g.prevCenter = append([]float64(nil), s.PrevCenter...)
-	g.prev2Center = append([]float64(nil), s.Prev2Center...)
+	g.done = s.NextRound - 1
+	g.cur = vec.Medians(nil)
+	g.prev = append([]float64(nil), s.PrevCenter...)
 	g.res.KeptPoison = s.KeptPoison
 	return g.restorePools(en.pool, s.PoolRows, s.NextRound)
 }

@@ -163,13 +163,8 @@ func (g *scalarGame) confDirective() wire.Directive {
 	return wire.Directive{Epsilon: g.cfg.SummaryEpsilon, Pool: g.genPool, RefSorted: g.ref}
 }
 
-func (g *scalarGame) preRound(*engine, int) error      { return nil }
-func (g *scalarGame) preSpec(*engine, int, bool) error { return nil }
-func (g *scalarGame) jitter() float64                  { return g.jscale }
-func (g *scalarGame) decorate(*wire.Directive)         {}
-func (g *scalarGame) speculative() bool                { return true }
-
-func (g *scalarGame) specAttach(*engine, int, []*wire.Directive) {}
+func (g *scalarGame) genRound(int) roundGen { return roundGen{jitter: g.jscale} }
+func (g *scalarGame) speculative() bool     { return true }
 
 func (g *scalarGame) foldGen(*wire.Report, arrival.Spec) {}
 

@@ -121,13 +121,8 @@ func (g *ldpGame) confDirective() wire.Directive {
 	}
 }
 
-func (g *ldpGame) preRound(*engine, int) error      { return nil }
-func (g *ldpGame) preSpec(*engine, int, bool) error { return nil }
-func (g *ldpGame) jitter() float64                  { return 0 }
-func (g *ldpGame) decorate(*wire.Directive)         {}
-func (g *ldpGame) speculative() bool                { return true }
-
-func (g *ldpGame) specAttach(*engine, int, []*wire.Directive) {}
+func (g *ldpGame) genRound(int) roundGen { return roundGen{} }
+func (g *ldpGame) speculative() bool     { return true }
 
 // foldGen accumulates the exact honest-input aggregates behind a generated
 // shard — the TrueMean the estimate is measured against.

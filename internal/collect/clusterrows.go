@@ -16,25 +16,24 @@ import (
 )
 
 // RowClusterConfig parameterizes the row collection game distributed over a
-// cluster.Transport. The coordinator owns the dataset, the clean reference
-// and the round loop; workers hold a copy of the dataset (shipped once at
-// configure), run the per-round clean-scale pass over their dataset ranges,
-// summarize arrival distances, classify against the broadcast threshold,
-// and ship back counts and the per-coordinate summary.Vector delta of the
-// rows they accepted. The coordinator's robust center is maintained purely
-// by absorbing those mergeable vector deltas — it never recomputes a median
-// from raw accepted rows, which is what lets the accepted pool live on the
-// workers at scale.
+// cluster.Transport. The coordinator owns the dataset, the clean reference,
+// each round's clean scale and the round loop; workers hold a copy of the
+// dataset (shipped once at configure), summarize arrival distances,
+// classify against the broadcast threshold, and ship back counts and the
+// per-coordinate summary.Vector delta of the rows they accepted. The
+// coordinator's robust center is maintained purely by absorbing those
+// mergeable vector deltas — it never recomputes a median from raw accepted
+// rows, which is what lets the accepted pool live on the workers at scale.
 //
 // Generation is shard-local: each worker draws its own rows from its
 // derived seed stream, the per-round directive is a generator spec plus the
-// center and the merged clean-scale summary — O(dim + 1/ε) per worker — and
-// the kept rows themselves never travel per round. Each worker appends them
-// to its own rowstore.Pool (in-memory, or spill-to-disk under `trimlab
-// worker -spill-dir`) and classify replies carry only the per-leaf pool
-// totals, so coordinator memory and per-round ingress stay flat in the
-// total kept-row count (DESIGN.md §14). The pools are paged out at game end (CollectKept /
-// Consume) or left worker-side entirely.
+// center and the round's clean-scale summary — O(dim + 1/ε) per worker —
+// and the kept rows themselves never travel per round. Each worker appends
+// them to its own rowstore.Pool (in-memory, or spill-to-disk under
+// `trimlab worker -spill-dir`) and classify replies carry only the
+// per-leaf pool totals, so coordinator memory and per-round ingress stay
+// flat in the total kept-row count (DESIGN.md §14). The pools are paged out
+// at game end (CollectKept / Consume) or left worker-side entirely.
 type RowClusterConfig struct {
 	RowConfig
 
@@ -56,27 +55,23 @@ type RowClusterConfig struct {
 	FocusTighten int
 	FocusWidth   float64
 
-	// LateCenter generates each round against the robust center as of TWO
-	// completed rounds back (D_{r−2}) instead of one (D_{r−1}), and runs
-	// the clean-scale pass one round later still (D_{r−3}): the centers a
-	// round's arrivals resolve their percentiles against are then already
-	// fixed one full round before the previous round's classify broadcast
-	// goes out, which is what lets the row game pipeline at one fan-out per
-	// round (see Pipeline). The extra lag costs one round of center
-	// freshness per tap — bounded by the summary ε and the per-round
-	// accepted mass — and is a game-semantics change: a late-center board
-	// matches the late-center reference, not the fresh-center one. Rounds
-	// 1–2 generate and rounds 1–3 scale against the X0 seed center D_0.
+	// LateCenter generates, scales and trims each round against the robust
+	// center as of TWO completed rounds back (D_{r−2}) instead of one
+	// (D_{r−1}): round r+1's center is then already fixed when round r's
+	// classify broadcast goes out, which is what lets the row game pipeline
+	// (see Pipeline). The extra lag costs one round of center freshness —
+	// bounded by the summary ε and the per-round accepted mass — and is a
+	// game-semantics change: a late-center board matches the late-center
+	// reference, not the fresh-center one. Rounds 1–2 run against the X0
+	// seed center D_0.
 	LateCenter bool
 
 	// Pipeline enables the overlapped round schedule for the row game
-	// (DESIGN.md §9/§14). It requires LateCenter: with the centers one
-	// extra round late, round r+1's generation AND round r+2's clean-scale
-	// pass depend only on state fixed before round r's classify broadcast,
-	// so the engine piggybacks both there (wire.OpClassifyGenerate with a
-	// ScaleCenter) and a steady-state row round costs ONE fan-out instead
-	// of the unpipelined three — one round trip of latency per round. The
-	// board reproduces the unpipelined LateCenter run record for record.
+	// (DESIGN.md §9/§14). It requires LateCenter: round r+1's generation
+	// then depends only on state fixed before round r's classify broadcast,
+	// so the engine piggybacks it there (wire.OpClassifyGenerate) and R
+	// rounds cost R+1 fan-outs instead of the unpipelined 2R. The board
+	// reproduces the unpipelined LateCenter run record for record.
 	Pipeline bool
 
 	// CollectKept materializes the worker-held kept pools into
@@ -95,9 +90,9 @@ type RowClusterConfig struct {
 	Consume func(leaf int, rows [][]float64, labels []int) error
 
 	// Log receives shard-loss and lifecycle events; nil discards. Failure
-	// semantics match ClusterConfig: drop-and-continue, the lost shard's
-	// slice of the round (counts, kept rows, center delta) is gone, and
-	// its dataset range is missing from that round's clean scale.
+	// semantics match ClusterConfig: drop-and-continue, and the lost
+	// shard's slice of the round (counts, kept rows, center delta) is gone.
+	// The clean scale is the coordinator's own and loses nothing.
 	Log *obs.Logger
 
 	// Metrics, when non-nil, receives the run's live metrics. See
@@ -177,74 +172,10 @@ func (c *RowClusterConfig) validate() (*clusterOpts, error) {
 	return o, nil
 }
 
-// attachScale writes one clean-scale request onto dirs (one per live slot,
-// alive order) — the directives of a standalone scale fan-out and the
-// combined broadcast a request piggybacks on alike: the center each live
-// leaf worker measures its dataset range's distances from, and each slot's
-// cut. The dataset is cut per LEAF (shardBounds over the live leaf count),
-// so the merged scale is identical however the leaves are grouped: a plain
-// worker slot gets its one range as Lo/Hi, an aggregator slot also gets
-// its leaves' consecutive ranges as Cuts to slice among its children. It
-// returns each slot's per-leaf ranges — the loss-report payload of a
-// standalone pass.
-func (g *rowsGame) attachScale(pool *workerPool, center []float64, dirs []*wire.Directive) map[int][][2]int {
-	alive := pool.alive()
-	leavesTotal := pool.totalLeaves()
-	bounds := make(map[int][][2]int, len(alive))
-	off := 0
-	for i, w := range alive {
-		l := pool.leavesOf(w)
-		cuts := make([]int, l+1)
-		bs := make([][2]int, l)
-		for j := 0; j < l; j++ {
-			lo, hi := shardBounds(g.cfg.Data.Len(), leavesTotal, off+j)
-			cuts[j], cuts[j+1] = lo, hi
-			bs[j] = [2]int{lo, hi}
-		}
-		dirs[i].ScaleCenter = center
-		dirs[i].Lo, dirs[i].Hi = cuts[0], cuts[l]
-		if l > 1 {
-			dirs[i].Cuts = cuts
-		}
-		bounds[w] = bs
-		off += l
-	}
-	return bounds
-}
-
-// scaleFold is one clean-scale pass folded from the replies to its
-// requests, in report order — the slot order of the fan-out — so a pass
-// folded from a standalone fan-out and one folded from piggybacked replies
-// over the same membership are bit-identical: the merged distance summary
-// and the exact extrema the jitter width derives from.
-type scaleFold struct {
-	sum      *summary.Summary
-	min, max float64
-}
-
-func newScaleFold() *scaleFold {
-	return &scaleFold{sum: &summary.Summary{}, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// add folds one reply's ScaleSum/ScaleMin/ScaleMax; an empty dataset range
-// contributes neither a summary nor extrema.
-func (f *scaleFold) add(rep *wire.Report) {
-	if rep.ScaleSum == nil || rep.ScaleSum.TotalWeight() == 0 {
-		return
-	}
-	f.sum.Merge(rep.ScaleSum)
-	if rep.ScaleMin < f.min {
-		f.min = rep.ScaleMin
-	}
-	if rep.ScaleMax > f.max {
-		f.max = rep.ScaleMax
-	}
-}
-
-// rowsGame adapts the row collection game to the round engine: a
-// clean-scale pre-phase, distance thresholds, a robust center maintained
-// from worker vector deltas, and worker-held kept pools tracked only by
-// their per-leaf totals.
+// rowsGame adapts the row collection game to the round engine: per-round
+// clean scales, distance thresholds, a robust center maintained from
+// worker vector deltas, and worker-held kept pools tracked only by their
+// per-leaf totals.
 type rowsGame struct {
 	cfg       *RowClusterConfig
 	res       *RowResult
@@ -255,67 +186,42 @@ type rowsGame struct {
 	// exclusively by worker deltas (after the clean seed round X0).
 	acceptedVec *summary.Vector
 
-	// The center delay line. curCenter is the robust center after the last
-	// completed round's deltas (D_r once endRound(r) ran; D_0 at game
-	// start); prevCenter is one round older, prev2Center one older still. A
-	// plain round generates AND scales against curCenter (D_{r−1}); a
-	// LateCenter round generates against prevCenter (D_{r−2}) and scales
-	// against prev2Center (D_{r−3}) — the doubly-late scale schedule that
-	// lets round r+2's scale request ride round r's classify broadcast
-	// (its center, D_{r−1}, is already fixed), making the steady-state
-	// pipelined round a single fan-out. A speculated round r+1, built
-	// before endRound(r) advances the line, finds its late gen center still
-	// sitting in curCenter and its scale center in prevCenter.
-	curCenter   []float64
-	prevCenter  []float64
-	prev2Center []float64
+	// The center delay line, keyed by round number: cur is D_done, the
+	// robust center after the last completed round's deltas (D_0, the X0
+	// seed center, before round 1), and prev is D_{done−1} (D_0 until round
+	// 2). A round's center is at most two rounds old (roundCenter).
+	done      int
+	cur, prev []float64
 
-	// Round state, refreshed by scalePass. refCentroid is the center
-	// the current round's directives carry; scaleRound stamps which round
-	// the clean-scale state is valid for (a speculated scale pass runs one
-	// round ahead, and preRound must not redo it).
-	refCentroid []float64
-	scaleRound  int
-	scaleSum    *summary.Summary
-	jscale      float64
+	// Round state of the latest round built (genRound): its center, clean
+	// scale and jitter. The engine resolves a round's threshold before it
+	// builds the next round, so threshold reads this round's scale. scaleSt
+	// and dists are the clean-scale stream and distance buffer, reused
+	// every round.
+	round   roundGen
+	scaleSt *summary.Stream
+	dists   []float64
 
 	// poolRows is the fleet-wide kept-pool manifest: each slot's per-leaf
 	// pool totals as of its last classify (or trim) reply, leaves in the
 	// slot's merge order. Snapshots persist it flat; the game-end fetch
 	// pages against it.
 	poolRows map[int][]int
-
-	// The piggybacked scale pass: combined classify+generate replies of
-	// round r answer the clean-scale request for round r+2 that specAttach
-	// put on the broadcast, folded here as they arrive. pendRound stamps
-	// which round the pass is for; pendEpoch/pendTopo stamp the membership
-	// it was merged over — preSpec consumes it only when all three still
-	// match, otherwise it fans a standalone scale pass.
-	pend      *scaleFold
-	pendRound int
-	pendEpoch int
-	pendTopo  int
 }
 
-// roundCenter is the center the round being prepared generates against,
-// given that the delay line has already advanced past the previous round.
-func (g *rowsGame) roundCenter() []float64 {
+// roundCenter is the center round r generates, scales and trims against:
+// D_{r−1}, or D_{r−2} under LateCenter (D_0 before that exists). The
+// engine builds round r only once D_{r−1} is absorbed — or, speculating
+// under LateCenter, once D_{r−2} is — so the center is always cur or prev.
+func (g *rowsGame) roundCenter(r int) []float64 {
+	lag := 1
 	if g.cfg.LateCenter {
-		return g.prevCenter
+		lag = 2
 	}
-	return g.curCenter
-}
-
-// scaleCenter is the center the round being prepared scales its clean
-// dataset against, under the same delay-line-advanced convention. LateCenter
-// scales one round later than it generates (D_{r−3} vs D_{r−2}): the scale
-// center of round r+2 is then already fixed when round r's classify
-// broadcast goes out, which is what lets the scale request piggyback there.
-func (g *rowsGame) scaleCenter() []float64 {
-	if g.cfg.LateCenter {
-		return g.prev2Center
+	if max(r-lag, 0) < g.done {
+		return g.prev
 	}
-	return g.curCenter
+	return g.cur
 }
 
 func (g *rowsGame) confDirective() wire.Directive {
@@ -331,106 +237,25 @@ func (g *rowsGame) confDirective() wire.Directive {
 	return conf
 }
 
-// scalePass fans the clean-scale pass for round r out over the workers'
-// dataset ranges against scaleCenter — the scale is the distances of the
-// collector's own clean dataset from that center, merged ε-losslessly in
-// shard order — and installs the round's threshold/jitter state, with
-// genCenter as the centroid the round's generate directives will carry
-// (identical to scaleCenter except under LateCenter, where generation runs
-// one round fresher than the scale). A pass already run for r (by a
-// speculating preSpec) is not redone unless force is set (a pipeline flush
-// re-fans over a changed membership).
-func (g *rowsGame) scalePass(en *engine, r int, scaleCenter, genCenter []float64, force bool) error {
-	if !force && g.scaleRound == r {
-		return nil
+// genRound builds round r's generation state: its center and its clean
+// scale — the distances of the collector's own clean dataset from that
+// center, pushed once through one stream at the game's ε — with the jitter
+// width from their exact extrema. Everything is a pure function of r, so a
+// speculated build, a flush rebuild and a resumed game's first build agree
+// bit for bit.
+func (g *rowsGame) genRound(r int) roundGen {
+	center := g.roundCenter(r)
+	for i, row := range g.cfg.Data.X {
+		g.dists[i] = stats.Euclidean(row, center)
 	}
-	dirs := make([]*wire.Directive, len(en.pool.alive()))
-	for i := range dirs {
-		dirs[i] = &wire.Directive{Op: wire.OpScale, Round: r}
+	g.scaleSt.Reset()
+	g.scaleSt.PushBatch(g.dists)
+	g.round = roundGen{
+		jitter: jitterRange(g.scaleSt.Min(), g.scaleSt.Max()),
+		center: center,
+		scale:  g.scaleSt.Snapshot(),
 	}
-	en.pool.setRanges(g.attachScale(en.pool, scaleCenter, dirs))
-	reps, err := en.pool.callAll(r, "scale", dirs)
-	if err != nil {
-		return err
-	}
-	f := newScaleFold()
-	for _, rep := range reps {
-		f.add(rep)
-	}
-	g.installScale(r, genCenter, f)
-	return nil
-}
-
-// installScale commits round r's threshold/jitter state, however its pass
-// arrived (a standalone scale fan-out, or the piggybacked replies of the
-// previous combined broadcast).
-func (g *rowsGame) installScale(r int, genCenter []float64, f *scaleFold) {
-	g.refCentroid = genCenter
-	g.scaleSum = f.sum
-	g.jscale = jitterRange(f.min, f.max)
-	g.scaleRound = r
-}
-
-// preRound runs the round's clean-scale pass against the round's scale
-// center (skipped when a speculating preSpec already ran it one round
-// ahead).
-func (g *rowsGame) preRound(en *engine, r int) error {
-	return g.scalePass(en, r, g.scaleCenter(), g.roundCenter(), false)
-}
-
-// preSpec is the scale install outside the preRound slot. flush=true
-// re-fans round r's pass over a changed membership (the speculated pass
-// merged over the old live set). flush=false prepares the scale state for a
-// speculated round r (= current round + 1) before its generator directives
-// are built: the delay line has not advanced yet, so the speculated round's
-// late gen center is still curCenter and its scale center prevCenter. If
-// the previous combined broadcast piggybacked round r's scale summaries and
-// the membership has not changed since, they are consumed here at zero
-// fan-outs — the one-RTT steady state; otherwise a standalone pass fans out
-// (round 2's bootstrap, a membership change, or a pipeline cut at a
-// checkpoint). The standalone fan-out registers dataset loss ranges on the
-// pool; the in-flight round's batch ranges are restored afterwards so a
-// classify loss still charges the right slice.
-func (g *rowsGame) preSpec(en *engine, r int, flush bool) error {
-	if flush {
-		return g.scalePass(en, r, g.scaleCenter(), g.roundCenter(), true)
-	}
-	pend := g.pend
-	g.pend = nil
-	if pend != nil && g.pendRound == r && g.pendEpoch == en.pool.epoch() && g.pendTopo == en.pool.topo {
-		g.installScale(r, g.curCenter, pend)
-		return nil
-	}
-	saved := en.pool.ranges
-	err := g.scalePass(en, r, g.prevCenter, g.curCenter, false)
-	en.pool.ranges = saved
-	return err
-}
-
-// specAttach piggybacks the clean-scale request for round r+1 onto
-// speculated round r's combined directives: under the doubly-late schedule
-// (speculation implies LateCenter) round r+1 scales against D_{(r+1)−3} =
-// D_{r−2}, which is curCenter while round r−1 is still in flight — already
-// fixed, so the request can go out before round r−1 even resolves. The
-// workers answer it in the same replies and foldClassify folds them into a
-// fresh pending pass for preSpec(r+1) to consume, which is what makes the
-// steady-state pipelined row round a single fan-out (DESIGN.md §14). Loss
-// ranges are NOT re-registered — the combined call's losses charge the
-// in-flight round's batch ranges, and a membership change invalidates the
-// pending pass anyway.
-func (g *rowsGame) specAttach(en *engine, r int, dirs []*wire.Directive) {
-	g.attachScale(en.pool, g.curCenter, dirs)
-	g.pend, g.pendRound = newScaleFold(), r+1
-}
-
-func (g *rowsGame) jitter() float64 { return g.jscale }
-
-// decorate attaches the per-round row-generation state: the round's robust
-// center and the merged clean-scale summary poison percentiles resolve
-// against.
-func (g *rowsGame) decorate(d *wire.Directive) {
-	d.Center = g.refCentroid
-	d.Gen.Scale = g.scaleSum
+	return g.round
 }
 
 // speculative: under LateCenter, round r+1 generates against D_{r−1} —
@@ -445,7 +270,7 @@ func (g *rowsGame) threshold(pct float64, merged *summary.Summary) float64 {
 	if g.cfg.TrimOnBatch {
 		return merged.Query(pct)
 	}
-	return g.scaleSum.Query(pct)
+	return g.round.scale.Query(pct)
 }
 
 func (g *rowsGame) quality(merged *summary.Summary) float64 {
@@ -481,29 +306,17 @@ func (g *rowsGame) foldClassify(en *engine, r int, _ *RoundRecord, rep *wire.Rep
 			g.acceptedVec.Coord(i).AbsorbCounted(d.Dims[i], d.Count, d.Sums[i])
 		}
 	}
-	// The replies of round r's combined broadcast answer round r+2's
-	// piggybacked scale request: they fold into the pending pass in report
-	// order, exactly as a standalone pass over the same membership would.
-	// The stamps are refreshed per report: they end up describing the
-	// membership after any mid-call losses, which is exactly the set the
-	// surviving replies cover.
-	if g.pend != nil && g.pendRound == r+2 {
-		g.pend.add(rep)
-		g.pendEpoch, g.pendTopo = en.pool.epoch(), en.pool.topo
-	}
 	return nil
 }
 
 // endRound advances the center delay line now that the round's accepted
-// deltas are absorbed: the one-round-old center becomes two rounds old and
-// the fresh medians take its place. Medians re-queries the vector sketch,
-// so the value is a pure function of the absorbed deltas — the property the
-// checkpoint restore path (which re-derives curCenter the same way) and the
-// pipelined schedule both rely on.
+// deltas are absorbed. Medians re-queries the vector sketch, so the center
+// is a pure function of the absorbed deltas — the property the checkpoint
+// restore path (which re-derives cur the same way) and the pipelined
+// schedule both rely on.
 func (g *rowsGame) endRound(*summary.Summary, int, float64) {
-	g.prev2Center = g.prevCenter
-	g.prevCenter = g.curCenter
-	g.curCenter = g.acceptedVec.Medians(nil)
+	g.prev, g.cur = g.cur, g.acceptedVec.Medians(nil)
+	g.done++
 }
 
 // flatPoolRows flattens the kept-pool manifest into global leaf order —
@@ -623,9 +436,9 @@ func (g *rowsGame) restorePools(pool *workerPool, targets []int, round int) erro
 }
 
 // RunClusterRows plays the row collection game across a worker cluster:
-// three fan-outs per round (clean scale, generate, classify) driven by the
-// shared round engine — collapsing to one combined fan-out per steady-state
-// round under Pipeline.
+// two fan-outs per round (generate, classify) driven by the shared round
+// engine — collapsing to one combined fan-out per steady-state round under
+// Pipeline.
 func RunClusterRows(cfg RowClusterConfig) (*RowResult, error) {
 	o, err := cfg.validate()
 	if err != nil {
@@ -669,17 +482,21 @@ func RunClusterRows(cfg RowClusterConfig) (*RowResult, error) {
 		}
 	}
 
-	// The delay line starts flat at D_0: in LateCenter mode rounds 1 and 2
-	// generate against the X0 seed center (D_{max(r−2,0)}) and rounds 1–3
-	// scale against it (D_{max(r−3,0)}).
+	scaleSt, err := summary.New(cfg.SummaryEpsilon, cfg.Data.Len())
+	if err != nil {
+		return nil, err
+	}
+	// The delay line starts flat at D_0: rounds before the first absorbed
+	// center run against the X0 seed center.
 	d0 := acceptedVec.Medians(nil)
 	g := &rowsGame{
 		cfg: &cfg, res: res, dim: dim,
 		refSorted:   refSorted,
 		acceptedVec: acceptedVec,
-		curCenter:   d0,
-		prevCenter:  d0,
-		prev2Center: d0,
+		cur:         d0,
+		prev:        d0,
+		scaleSt:     scaleSt,
+		dists:       make([]float64, cfg.Data.Len()),
 		poolRows:    make(map[int][]int),
 	}
 	en := o.newEngine(g, &res.Board, cfg.Collector, cfg.OnRound, poisonCount, ExcessMassQuality(baseline, refSorted))
@@ -723,9 +540,9 @@ type RowShardedConfig struct {
 	FocusWidth   float64
 }
 
-// RunShardedRows plays the row collection game with per-round sharded
-// clean-scale and distance summarization and a robust center merged from
-// per-shard summary.Vector deltas. It is the cluster game over the
+// RunShardedRows plays the row collection game with sharded distance
+// summarization and a robust center merged from per-shard summary.Vector
+// deltas. It is the cluster game over the
 // in-process loopback transport — the same wire messages and merge order
 // as a TCP run, one process — with the kept pools collected into
 // RowResult.Kept at game end.

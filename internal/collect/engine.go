@@ -57,27 +57,11 @@ type Game interface {
 	// and re-shipped to re-admitted workers (the pool sets Op).
 	confDirective() wire.Directive
 
-	// preRound runs a game-specific fan-out that must precede the round's
-	// main phase (the row game's clean-scale pass); most games no-op.
-	preRound(en *engine, r int) error
-
-	// preSpec runs the game-specific fan-out that must precede BUILDING
-	// round r's generator directives outside the normal preRound slot: the
-	// engine calls it with flush=false before speculating round r inside
-	// round r−1's classify broadcast, and with flush=true before re-fanning
-	// a flushed round r over a changed membership (the speculated pre-phase
-	// ran over the old live set and must be redone). Games whose phase-1
-	// directives carry no pre-phase state no-op; the row game refreshes the
-	// clean-scale pass against the round's (late) center.
-	preSpec(en *engine, r int, flush bool) error
-
-	// jitter is the tie-break jitter width generated poison percentiles
-	// resolve with, for the current round (valid after preRound).
-	jitter() float64
-
-	// decorate finishes one generate directive with per-round game state
-	// (the row game attaches the center and merged clean scale).
-	decorate(d *wire.Directive)
+	// genRound returns what round r's generate directives carry beyond the
+	// engine's own fields. The engine calls it for every build of round r's
+	// directives — plain, speculated, a flush rebuild, a resumed game's
+	// first round — and every build of the same round gets the same state.
+	genRound(r int) roundGen
 
 	// foldGen folds one phase-1 report beyond the engine's common
 	// accounting (the LDP game's honest-input aggregates).
@@ -104,33 +88,27 @@ type Game interface {
 	// against the center as of round r−1 (already absorbed) instead of
 	// round r's still-outstanding accepted-row deltas (DESIGN.md §14).
 	speculative() bool
+}
 
-	// specAttach decorates speculated-round r's combined classify+generate
-	// directives (one per live slot, alive order) with any pre-phase
-	// request for round r+1 that is already determined when the broadcast
-	// goes out. The row game attaches the clean-scale request for round
-	// r+1 — its center, D_{(r+1)−3} under the doubly-late scale schedule,
-	// is exactly the generation center already on the directive — so the
-	// scale state arrives in the same reply and the steady-state pipelined
-	// round needs no standalone fan-out at all (one RTT, DESIGN.md §14).
-	// foldClassify stashes the piggybacked replies; preSpec consumes them.
-	// Most games no-op. Only called when the engine will also speculate
-	// round r+1, so an attached request is always consumed or invalidated,
-	// never silently wasted.
-	specAttach(en *engine, r int, dirs []*wire.Directive)
+// roundGen is a round's generation state: the tie-break jitter width its
+// poison percentiles resolve with and, for the row game, the center it
+// generates around and the clean scale those percentiles resolve on.
+type roundGen struct {
+	jitter float64
+	center []float64
+	scale  *summary.Summary
 }
 
 // Timing is the coordinator's per-phase wall-clock account of a cluster
 // run: how long it sat blocked on each phase's fan-out, summed over the
 // game. Configure covers the one-time configure broadcast and initial
-// membership grant; Scale the row game's clean-scale pass; Generate the
-// standalone phase-1 fan-outs; Classify every threshold broadcast —
-// including the combined classify+generate broadcasts of a pipelined run,
-// which is why pipelining shows up as the Generate share collapsing into
-// Classify; Admission the re-admission handshakes of a supervised run.
+// membership grant; Generate the standalone phase-1 fan-outs; Classify
+// every threshold broadcast — including the combined classify+generate
+// broadcasts of a pipelined run, which is why pipelining shows up as the
+// Generate share collapsing into Classify; Admission the re-admission
+// handshakes of a supervised run.
 type Timing struct {
 	Configure time.Duration
-	Scale     time.Duration
 	Generate  time.Duration
 	Classify  time.Duration
 	Admission time.Duration
@@ -152,7 +130,7 @@ type Timing struct {
 // DataPlane is the total round fan-out time: everything but the one-time
 // configure and the supervision-plane admissions.
 func (t Timing) DataPlane() time.Duration {
-	return t.Scale + t.Generate + t.Classify
+	return t.Generate + t.Classify
 }
 
 // PerRound is the average data-plane fan-out time per round played — the
@@ -169,8 +147,6 @@ func (t *Timing) add(phase string, d time.Duration) {
 	switch phase {
 	case "configure", "join":
 		t.Configure += d
-	case "scale":
-		t.Scale += d
 	case "generate":
 		t.Generate += d
 	case "classify", "classify+generate":
@@ -926,9 +902,6 @@ func (en *engine) run() error {
 		}
 		en.pool.beginRound(r)
 		pct := en.collector.Threshold(r, en.board.collectorView())
-		if err := en.game.preRound(en, r); err != nil {
-			return err
-		}
 
 		// Phase 1: obtain the round's shard summaries — from the pipeline's
 		// speculative fan-out when it is still valid, else a fresh fan-out.
@@ -1056,9 +1029,6 @@ func (en *engine) phase1(r int, pct float64, pend **pending) ([]*wire.Report, ma
 		// overwrite their speculated round state.
 		en.pool.log.PipelineFlush(r, p.epoch, en.pool.epoch())
 		en.pool.met.Counter("trimlab_pipeline_flush_total").Inc()
-		if err := en.game.preSpec(en, r, true); err != nil {
-			return nil, nil, err
-		}
 		return en.generate(r, anchor, p.inject)
 	}
 	return en.generate(r, anchor, en.si.InjectionSpec(r, en.board.adversaryView()))
@@ -1085,7 +1055,8 @@ func (en *engine) genDirs(r int, anchor float64, inject attack.InjectionSpec) ([
 		leafCount[i] = en.pool.leavesOf(w)
 		leavesTotal += leafCount[i]
 	}
-	flat := genSpecs(en.batch, en.poison, inject, en.game.jitter(), leavesTotal*subs)
+	rg := en.game.genRound(r)
+	flat := genSpecs(en.batch, en.poison, inject, rg.jitter, leavesTotal*subs)
 	dirs := make([]*wire.Directive, len(alive))
 	byWorker := make(map[int]genShare, len(alive))
 	bounds := make(map[int][][2]int, len(alive))
@@ -1097,8 +1068,8 @@ func (en *engine) genDirs(r int, anchor float64, inject attack.InjectionSpec) ([
 		for c := range cells {
 			seeds[c] = en.gen.seed(off*subs+c, r)
 		}
-		dirs[i] = &wire.Directive{Op: wire.OpGenerate, Round: r, Gen: arrival.SpecToWire(seeds, cells)}
-		en.game.decorate(dirs[i])
+		dirs[i] = &wire.Directive{Op: wire.OpGenerate, Round: r, Center: rg.center, Gen: arrival.SpecToWire(seeds, cells)}
+		dirs[i].Gen.Scale = rg.scale
 		en.stampFocus(dirs[i], anchor)
 		byWorker[w] = cells
 		bs := make([][2]int, l)
@@ -1157,18 +1128,6 @@ func (en *engine) growFleet(r, k int) error {
 // are stashed in pend for the next iteration.
 func (en *engine) classifyRound(r int, pct, threshold float64, pend **pending) ([]*wire.Report, error) {
 	if en.speculate(r) {
-		// Run the game's pre-phase for the speculated round first (the row
-		// game's clean-scale install against the doubly-late center). In
-		// the steady state it consumes the summaries piggybacked on the
-		// PREVIOUS combined broadcast at zero fan-outs, so a pipelined row
-		// round costs a single combined fan-out; only the bootstrap round
-		// and post-flush rounds actually fan a standalone scale here. Any
-		// fan-out runs before classifyDirs below: a worker lost during the
-		// pre-phase shrinks the live set, and both directive builds must see
-		// the same membership.
-		if err := en.game.preSpec(en, r+1, false); err != nil {
-			return nil, err
-		}
 		// Draw round r+1's injection spec now: the adversary's view after
 		// round r is {Round, ThresholdPct}, both already fixed — identical
 		// to what an unpipelined run would pass after posting the record.
@@ -1184,15 +1143,6 @@ func (en *engine) classifyRound(r int, pct, threshold float64, pend **pending) (
 			dirs[i].FocusPct = gdirs[i].FocusPct
 			dirs[i].FocusWidth = gdirs[i].FocusWidth
 			dirs[i].FocusTighten = gdirs[i].FocusTighten
-		}
-		if en.speculate(r + 1) {
-			// Round r+2 will also be speculated, so its pre-phase request can
-			// ride this broadcast and be consumed by preSpec(r+2) at zero
-			// fan-outs (the row game's piggybacked scale). When round r+1
-			// won't speculate (last round, or a checkpoint cuts the pipeline
-			// there), nothing rides along and round r+2 — if any — fans its
-			// pre-phase fresh in its preRound slot.
-			en.game.specAttach(en, r+1, dirs)
 		}
 		// The epoch and topology stamps are taken before the call: a worker
 		// (or subtree leaf) lost during the combined broadcast bumps one of

@@ -201,11 +201,10 @@ func assertSameRowResult(t *testing.T, label string, want, got *RowResult) {
 // The row-game acceptance bar of the pipelined schedule (DESIGN.md §14): a
 // pipelined LateCenter run must reproduce the unpipelined LateCenter run —
 // board, kept rows, pool manifest — record for record, while collapsing the
-// unpipelined three round-trips per round to ONE in the steady state: the
+// unpipelined two round-trips per round to ONE in the steady state: the
 // combined classify+generate broadcast carries the next round's generator
-// spec and the round after's clean-scale request, so only round 1 (its own
-// scale + generate, plus the bootstrap scale for round 2) ever fans
-// standalone phases. R rounds cost R+3 fan-outs instead of 3R.
+// spec, so only round 1 fans a standalone generate. R rounds cost R+1
+// fan-outs instead of 2R.
 func TestLateCenterPipelinedEqualsUnpipelinedRows(t *testing.T) {
 	const workers = 3
 	gen := &ShardGen{MasterSeed: 93}
@@ -231,11 +230,33 @@ func TestLateCenterPipelinedEqualsUnpipelinedRows(t *testing.T) {
 		t.Fatal("late-center run kept no rows")
 	}
 	// Identical configure/fetch/stop traffic on both sides; the pipeline
-	// runs R+3 fan-outs where the plain schedule runs 3R.
+	// runs R+1 fan-outs where the plain schedule runs 2R.
 	r := plain.Board.Records[len(plain.Board.Records)-1].Round
-	if want := workers * (2*r - 3); plainCalls-pipedCalls != want {
+	if want := workers * (r - 1); plainCalls-pipedCalls != want {
 		t.Errorf("pipelined run saved %d calls (%d vs %d), want %d",
 			plainCalls-pipedCalls, plainCalls, pipedCalls, want)
+	}
+}
+
+// An unpipelined fresh-center row round is two fan-outs — generate, then
+// classify — because the coordinator builds each round's clean scale
+// itself: R rounds cost configure + 2R fan-outs + stop, one call per
+// worker each.
+func TestRowRoundIsTwoFanouts(t *testing.T) {
+	const workers = 3
+	ct := &countingTransport{Transport: cluster.NewLoopback(workers)}
+	res, err := RunClusterRows(RowClusterConfig{
+		RowConfig: rowsPipelineConfig(t, 92),
+		Transport: ct,
+		Gen:       &ShardGen{MasterSeed: 93},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := len(res.Board.Records)
+	if want := workers * (2*r + 2); ct.count() != want {
+		t.Errorf("%d rounds made %d calls, want %d (configure + generate and classify per round + stop)",
+			r, ct.count(), want)
 	}
 }
 

@@ -93,10 +93,10 @@ func BenchmarkRowsRoundStored(b *testing.B) {
 
 // benchRowsRoundLatency runs the latency-dominated late-center row game —
 // small batch, 5 ms injected per-call latency — and reports ms/round. The
-// unpipelined schedule fans scale, generate and classify separately (three
-// RTTs per round); the pipelined schedule rides the next generation AND the
-// round-after's clean-scale request on each classify broadcast, so R rounds
-// cost R+3 fan-outs instead of 3R and ms/round approaches one RTT.
+// unpipelined schedule fans generate and classify separately (two RTTs per
+// round); the pipelined schedule rides the next generation on each classify
+// broadcast, so R rounds cost R+1 fan-outs instead of 2R and ms/round
+// approaches one RTT.
 func benchRowsRoundLatency(b *testing.B, pipeline bool) {
 	cfg := benchRowConfig(b, 12, 100)
 	var perRound float64
@@ -117,11 +117,11 @@ func benchRowsRoundLatency(b *testing.B, pipeline bool) {
 }
 
 // BenchmarkRowsRoundDelayed is the unpipelined half of the row latency
-// pair: three 5 ms fan-outs per round (~15 ms/round floor).
+// pair: two 5 ms fan-outs per round (~10 ms/round floor).
 func BenchmarkRowsRoundDelayed(b *testing.B) { benchRowsRoundLatency(b, false) }
 
 // BenchmarkRowsRoundPipelined is the pipelined half: one combined fan-out
-// per steady-state round (~6 ms/round floor at 12 rounds) — the ≥1.5×
+// per steady-state round (~5.4 ms/round floor at 12 rounds) — the ≥1.5×
 // ms/round win over BenchmarkRowsRoundDelayed gated by
 // scripts/rows_mem_bench.sh.
 func BenchmarkRowsRoundPipelined(b *testing.B) { benchRowsRoundLatency(b, true) }

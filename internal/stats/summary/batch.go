@@ -242,6 +242,9 @@ func (st *Stream) buildBlock(sorted, wts []float64, sc *batchScratch) *Summary {
 		entries = append(entries, Entry{Value: v, Weight: w, MinRank: cum, MaxRank: cum + w})
 		cum += w
 	}
+	if wts != nil {
+		consistentRanks(entries)
+	}
 	sc.entries = entries
 	s := &Summary{entries: entries}
 	st.compress(s)

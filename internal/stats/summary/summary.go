@@ -74,6 +74,9 @@ func FromSorted(values, weights []float64) *Summary {
 		s.entries = append(s.entries, Entry{Value: v, Weight: w, MinRank: cum, MaxRank: cum + w})
 		cum += w
 	}
+	if weights != nil {
+		consistentRanks(s.entries)
+	}
 	return s
 }
 
@@ -165,6 +168,11 @@ func (s *Summary) Merge(other *Summary) {
 	}
 	a, b := s.entries, other.entries
 	merged := make([]Entry, 0, len(a)+len(b))
+	var lo, hi float64 // the last emitted entry's rank bounds
+	emit := func(v, w, minRank, maxRank float64) {
+		lo, hi = consistentBounds(minRank, maxRank, w, lo, hi)
+		merged = append(merged, Entry{Value: v, Weight: w, MinRank: lo, MaxRank: hi})
+	}
 	// aLow/bLow lower-bound the cumulative weight consumed so far from each
 	// side; the upper bound for an emitted entry comes from the first
 	// not-yet-consumed entry on the opposite side (prevMaxRank), or the
@@ -175,30 +183,15 @@ func (s *Summary) Merge(other *Summary) {
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i].Value < b[j].Value:
-			merged = append(merged, Entry{
-				Value:   a[i].Value,
-				Weight:  a[i].Weight,
-				MinRank: a[i].MinRank + bLow,
-				MaxRank: a[i].MaxRank + b[j].prevMaxRank(),
-			})
+			emit(a[i].Value, a[i].Weight, a[i].MinRank+bLow, a[i].MaxRank+b[j].prevMaxRank())
 			aLow = a[i].nextMinRank()
 			i++
 		case b[j].Value < a[i].Value:
-			merged = append(merged, Entry{
-				Value:   b[j].Value,
-				Weight:  b[j].Weight,
-				MinRank: b[j].MinRank + aLow,
-				MaxRank: b[j].MaxRank + a[i].prevMaxRank(),
-			})
+			emit(b[j].Value, b[j].Weight, b[j].MinRank+aLow, b[j].MaxRank+a[i].prevMaxRank())
 			bLow = b[j].nextMinRank()
 			j++
 		default: // equal values collapse into one entry with summed ranks
-			merged = append(merged, Entry{
-				Value:   a[i].Value,
-				Weight:  a[i].Weight + b[j].Weight,
-				MinRank: a[i].MinRank + b[j].MinRank,
-				MaxRank: a[i].MaxRank + b[j].MaxRank,
-			})
+			emit(a[i].Value, a[i].Weight+b[j].Weight, a[i].MinRank+b[j].MinRank, a[i].MaxRank+b[j].MaxRank)
 			aLow = a[i].nextMinRank()
 			bLow = b[j].nextMinRank()
 			i++
@@ -206,22 +199,45 @@ func (s *Summary) Merge(other *Summary) {
 		}
 	}
 	for ; i < len(a); i++ {
-		merged = append(merged, Entry{
-			Value:   a[i].Value,
-			Weight:  a[i].Weight,
-			MinRank: a[i].MinRank + bLow,
-			MaxRank: a[i].MaxRank + bTotal,
-		})
+		emit(a[i].Value, a[i].Weight, a[i].MinRank+bLow, a[i].MaxRank+bTotal)
 	}
 	for ; j < len(b); j++ {
-		merged = append(merged, Entry{
-			Value:   b[j].Value,
-			Weight:  b[j].Weight,
-			MinRank: b[j].MinRank + aLow,
-			MaxRank: b[j].MaxRank + aTotal,
-		})
+		emit(b[j].Value, b[j].Weight, b[j].MinRank+aLow, b[j].MaxRank+aTotal)
 	}
 	s.entries = merged
+}
+
+// consistentBounds returns an entry's rank bounds, given its weight w and
+// its predecessor's bounds (zero for a first entry), raised where float
+// round-off broke the invariants FromEntries checks: maxRank ≥ minRank+w,
+// and neither bound below its predecessor's. The rank sums of a merge or a
+// weighted dedup are exact in real arithmetic, but with fractional weights
+// a rounded bound can land a few ulps short. maxRank only ever rises, and
+// minRank rises at most to its predecessor's — itself a lower bound on
+// this entry's rank — so the interval still brackets the true rank.
+// Integer-valued ranks add exactly, so unit-weight summaries are never
+// touched.
+func consistentBounds(minRank, maxRank, w, prevMin, prevMax float64) (float64, float64) {
+	if minRank < prevMin {
+		minRank = prevMin
+	}
+	if m := minRank + w; maxRank < m {
+		maxRank = m
+	}
+	if maxRank < prevMax {
+		maxRank = prevMax
+	}
+	return minRank, maxRank
+}
+
+// consistentRanks applies consistentBounds along the entries of a weighted
+// dedup.
+func consistentRanks(es []Entry) {
+	var lo, hi float64
+	for k := range es {
+		lo, hi = consistentBounds(es[k].MinRank, es[k].MaxRank, es[k].Weight, lo, hi)
+		es[k].MinRank, es[k].MaxRank = lo, hi
+	}
 }
 
 // Compress prunes the summary to at most b+1 entries by keeping the

@@ -29,7 +29,7 @@ func goldenTables(t testing.TB) map[string][][]byte {
 	return tables
 }
 
-// TestEncodingGolden pins the bytes of format 11: the FNV-64a digest of each
+// TestEncodingGolden pins the bytes of format 12: the FNV-64a digest of each
 // round-trip table's messages, concatenated in table order. The wirever
 // analyzer fingerprints the declared message structs only, so an encoder
 // that changed bytes without changing a struct would pass it — and
@@ -37,11 +37,11 @@ func goldenTables(t testing.TB) map[string][][]byte {
 // may change only together with Version.
 func TestEncodingGolden(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0xe0c73aef0cec973a,
-		"report":    0xf986ead21ddbb538,
-		"summary":   0x8da000a2868165f2,
-		"vector":    0x450184a914e47413,
-		"snapshot":  0x3f463246e9301de5,
+		"directive": 0x1a7f83d8d2a6a53c,
+		"report":    0x6828c434adedb227,
+		"summary":   0x2d79b502f9370aa6,
+		"vector":    0x52b3e09e89bb0bb7,
+		"snapshot":  0xd3ad7cd81e7faef3,
 	}
 	tables := goldenTables(t)
 	if len(tables) != len(want) {
@@ -86,7 +86,6 @@ func entryFreeTables(t testing.TB) map[string][][]byte {
 		},
 		{Round: 13, Leaves: 3, Height: 2, LostLeaves: []int{1, 3}, MergeNanos: []int64{40_000, 125_000}},
 		{KeptRows: [][]float64{{1, 2}, {3, 4}, {5, 6}}, KeptLabels: []int{0, 2, 1}, PoolRows: []int{3, 0}},
-		{Round: 4, ScaleMin: 0.001, ScaleMax: 17.5},
 	} {
 		tables["report"] = append(tables["report"], EncodeReport(nil, rep))
 	}
@@ -113,17 +112,20 @@ func entryFreeTables(t testing.TB) map[string][][]byte {
 	return tables
 }
 
-// TestEntryFreeBytesUnchanged pins what format 11 kept of format 10: a
-// message without summary entries has the bytes it had, version byte
-// aside. The digests are FNV-64a over each kind's entry-free messages in
-// table order, with byte 2 masked, recorded under format 10.
+// TestEntryFreeBytesUnchanged pins the messages without summary entries
+// apart from the summary-block codec: a codec change that moves no field
+// must leave them byte for byte, version byte aside. The digests are
+// FNV-64a over each kind's entry-free messages in table order, with byte 2
+// masked. The summary and vector digests date from format 10; directive,
+// report and snapshot were re-recorded under format 12, which dropped the
+// clean-scale fields from all three.
 func TestEntryFreeBytesUnchanged(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0x2518b806630739fc,
-		"report":    0xeec78378723d6d15,
+		"directive": 0x03a7b29dd7ab4677,
+		"report":    0xcf36b2cb66476e68,
 		"summary":   0x1ca9375c652f1175,
 		"vector":    0xa651683bace37860,
-		"snapshot":  0x58585232e8530c07,
+		"snapshot":  0xec18690a809b6d21,
 	}
 	tables := entryFreeTables(t)
 	if len(tables) != len(want) {

@@ -9,10 +9,10 @@ import (
 // must fail cleanly or return a message that re-encodes to a fixed point —
 // decode, encode, decode, encode yields the same bytes — so no worker,
 // aggregator or coordinator ever acts on a message it could not forward
-// bit for bit. Seeds are the round-trip tables' messages, the layouts this
-// format changed (multi-cell generator specs, scale attachments), a
-// configure carrying several blocks (dataset rows, labels and a pool) and
-// the retired op codes. Run longer with
+// bit for bit. Seeds are the round-trip tables' messages (multi-cell
+// generator specs, clean-scale summaries on generate directives among
+// them), a configure carrying several blocks (dataset rows, labels and a
+// pool) and the retired op codes. Run longer with
 // `go test ./internal/wire -run=NONE -fuzz=FuzzDecodeDirective -fuzztime=15s`
 // (likewise FuzzDecodeReport, FuzzDecodeSummary, FuzzDecodeVector and
 // FuzzDecodeSnapshot).
@@ -21,7 +21,7 @@ func FuzzDecodeDirective(f *testing.F) {
 	for _, d := range roundTripDirectives() {
 		f.Add(EncodeDirective(nil, d))
 	}
-	for _, op := range []Op{2, 3, 7} {
+	for _, op := range []Op{2, 3, 7, 8} {
 		f.Add(EncodeDirective(nil, &Directive{Op: op, Round: 1}))
 	}
 	f.Add(EncodeDirective(nil, &Directive{Op: OpGenerate, Gen: &GenSpec{}}))

@@ -16,12 +16,11 @@ type Op byte
 // and each worker draws and summarizes its own slice of the round locally,
 // DESIGN.md §7) then Classify (broadcast the resolved threshold, get counts
 // and kept-pool deltas back). Which generator a Generate runs — scalar, LDP
-// or rows — was fixed by the game's Configure. Scale fans the row game's
-// clean-scale pass out over worker-held dataset ranges. Heartbeat, Hello and
-// Join belong to the fleet runtime (DESIGN.md §8): Heartbeat is the
-// supervisor's liveness probe, Hello the admission handshake that asks a
-// candidate worker for its state, and Join the membership grant that tells
-// an admitted worker which epoch it serves from.
+// or rows — was fixed by the game's Configure. Heartbeat, Hello and Join
+// belong to the fleet runtime (DESIGN.md §8): Heartbeat is the supervisor's
+// liveness probe, Hello the admission handshake that asks a candidate
+// worker for its state, and Join the membership grant that tells an
+// admitted worker which epoch it serves from.
 //
 // ClassifyGenerate is the pipelined round schedule (DESIGN.md §9): one
 // broadcast that classifies the held round (Round, Threshold) and then
@@ -33,14 +32,14 @@ type Op byte
 // Codes 2 and 3 belonged to the coordinator-fed Summarize/SummarizeRows ops
 // (raw arrival slices shipped per round), retired in format 9; code 7 to the
 // row game's GenerateRows, retired in format 10 (Generate serves every
-// game). They are never reused: a directive carrying any of them fails to
-// decode.
+// game); code 8 to the row game's distributed clean-scale pass, Scale,
+// retired in format 12 (the coordinator computes the scale itself). They
+// are never reused: a directive carrying any of them fails to decode.
 const (
 	OpConfigure        Op = 1  // set the worker's ε budget and data-plane state
 	OpClassify         Op = 4  // classify the held arrivals against Threshold
 	OpStop             Op = 5  // end of game; the worker may shut down
 	OpGenerate         Op = 6  // draw the slot's cells locally from Gen (rows: around Center), then summarize
-	OpScale            Op = 8  // answer the clean-scale attachment (ScaleCenter + Lo/Hi/Cuts) alone
 	OpHeartbeat        Op = 9  // liveness probe; reply echoes state, mutates nothing
 	OpHello            Op = 10 // admission handshake: report Configured, mutate nothing
 	OpJoin             Op = 11 // membership grant: serve shard slots from Epoch on
@@ -51,7 +50,7 @@ const (
 )
 
 // retiredOp reports whether o is a retired op code.
-func retiredOp(o Op) bool { return o == 2 || o == 3 || o == 7 }
+func retiredOp(o Op) bool { return o == 2 || o == 3 || o == 7 || o == 8 }
 
 func (o Op) valid() bool { return o >= OpConfigure && o <= OpPoolTrim && !retiredOp(o) }
 
@@ -87,9 +86,10 @@ type GenSpec struct {
 	// Jitter is the tie-breaking jitter width of the percentile scale.
 	Jitter float64
 
-	// Scale is the merged clean-distance summary row-game poison
-	// percentiles resolve against (nil for the scalar and LDP games,
-	// which resolve on the reference configured once).
+	// Scale is the round's clean-distance summary — the coordinator's
+	// dataset measured from the round's center — that row-game poison
+	// percentiles resolve against (nil for the scalar and LDP games, which
+	// resolve on the reference configured once).
 	Scale *summary.Summary
 }
 
@@ -104,10 +104,10 @@ type Cell struct {
 
 // Report is one worker → coordinator message: the reply to every directive.
 // Which fields are populated depends on the phase — Sum/Count/ValueSum plus
-// PctSums/InputSum after a Generate, Counts/Kept*/Vec after a classify, and
-// ScaleSum/ScaleMin/ScaleMax after a clean-scale attachment. Exact counts
-// and sums ride alongside each sketch so the coordinator's Count/Mean
-// estimators stay exact across shard hops (summary.Stream.AbsorbCounted).
+// PctSums/InputSum after a Generate, Counts/Kept*/Vec after a classify.
+// Exact counts and sums ride alongside each sketch so the coordinator's
+// Count/Mean estimators stay exact across shard hops
+// (summary.Stream.AbsorbCounted).
 type Report struct {
 	Round  int
 	Worker int
@@ -155,19 +155,6 @@ type Report struct {
 	// recorded percentile mean is bit-identical however the cells are
 	// spread over workers, sub-shards and aggregators.
 	PctSums []float64
-
-	// ScaleSum/ScaleMin/ScaleMax answer a clean-scale attachment
-	// (Directive.ScaleCenter), whether it travelled alone as OpScale or rode
-	// a ClassifyGenerate: the summarized distances of the worker's dataset
-	// range from ScaleCenter and their exact extrema (the coordinator
-	// derives the jitter width from the merged range). They ride their own
-	// fields because a ClassifyGenerate reply's Sum already carries the
-	// speculated round's arrival summary — with them, a steady-state
-	// pipelined row round needs no standalone Scale fan-out (DESIGN.md
-	// §14). Extrema are meaningless when ScaleSum is empty.
-	ScaleSum *summary.Summary
-	ScaleMin float64
-	ScaleMax float64
 
 	// Classify phase.
 	Counts    Counts
@@ -240,8 +227,6 @@ func EncodeReport(buf []byte, rep *Report) []byte {
 	buf = appendSummaryBlock(buf, rep.Sum)
 	buf = appendF64s(buf, rep.PctSums)
 	buf = appendF64(buf, rep.InputSum)
-	buf = appendF64(buf, rep.ScaleMin)
-	buf = appendF64(buf, rep.ScaleMax)
 	buf = appendU64(buf, uint64(rep.Counts.HonestKept))
 	buf = appendU64(buf, uint64(rep.Counts.HonestTrimmed))
 	buf = appendU64(buf, uint64(rep.Counts.PoisonKept))
@@ -268,7 +253,6 @@ func EncodeReport(buf []byte, rep *Report) []byte {
 	for _, n := range rep.MergeNanos {
 		buf = appendU64(buf, uint64(n))
 	}
-	buf = appendSummaryBlock(buf, rep.ScaleSum)
 	return buf
 }
 
@@ -312,8 +296,6 @@ func DecodeReport(buf []byte) (*Report, error) {
 	}
 	rep.PctSums = r.f64s("pct sums")
 	rep.InputSum = r.f64("input sum")
-	rep.ScaleMin = r.f64("scale min")
-	rep.ScaleMax = r.f64("scale max")
 	rep.Counts.HonestKept = int(r.u64("honest kept"))
 	rep.Counts.HonestTrimmed = int(r.u64("honest trimmed"))
 	rep.Counts.PoisonKept = int(r.u64("poison kept"))
@@ -349,9 +331,6 @@ func DecodeReport(buf []byte) (*Report, error) {
 			rep.MergeNanos[i] = int64(r.u64("merge nanos"))
 		}
 	}
-	if rep.ScaleSum, err = readSummaryBlock(r); err != nil {
-		return nil, err
-	}
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
@@ -366,9 +345,6 @@ func DecodeReport(buf []byte) (*Report, error) {
 //     Rows/Labels/Clusters/PoisonLabel (row dataset).
 //   - Generate carries Gen (and, for rows, Center) — the O(1) round
 //     directive.
-//   - Scale carries the clean-scale attachment: ScaleCenter and the dataset
-//     range [Lo, Hi) (plus Cuts for an aggregator subtree). The same
-//     attachment may ride a ClassifyGenerate.
 //   - Classify carries Threshold (and Pct for the record); Stop nothing.
 //   - Heartbeat and Hello carry nothing beyond the op; Join carries Epoch.
 //   - FetchRows carries Leaf (which kept-row pool) and the page range
@@ -415,20 +391,17 @@ type Directive struct {
 	MechEps     float64   // LDP mechanism privacy budget
 	MechK       int       // LDP mechanism arity (GRR category count; 0 otherwise)
 
-	// Lo, Hi: the dataset range of a clean-scale attachment (and the page
-	// range of a FetchRows).
+	// Lo, Hi: the page range of a FetchRows (a plain worker's PoolTrim
+	// target rides in Lo too).
 	Lo, Hi int
 
 	// Generate/ClassifyGenerate: the generation recipe.
 	Gen *GenSpec
 
-	// Cuts are the per-leaf dataset boundaries of a clean-scale attachment
-	// sent to a subtree of more than one leaf: leaf i of the subtree scales
-	// [Cuts[i], Cuts[i+1]) (so len(Cuts) = leaves+1, Lo = Cuts[0], Hi =
-	// Cuts[len-1]). The aggregator slices Cuts positionally among its
-	// children; a one-leaf subtree's directive omits it and uses Lo/Hi. A
-	// PoolTrim directive reuses Cuts as the per-leaf pool row targets (len =
-	// leaves; a plain worker reads Cuts[0]). Nil everywhere else.
+	// Cuts are a PoolTrim's per-leaf pool row targets, in leaf order (len =
+	// the receiving subtree's leaves; a plain worker reads Cuts[0]). The
+	// aggregator slices them positionally among its children. Nil
+	// everywhere else.
 	Cuts []int
 
 	// Leaf addresses one kept-row pool in a FetchRows directive: the leaf
@@ -436,16 +409,6 @@ type Directive struct {
 	// is its own single leaf, 0). Aggregators rebase it while routing the
 	// fetch to the child that owns the leaf.
 	Leaf int
-
-	// ScaleCenter is the clean-scale attachment: summarize the distances of
-	// dataset [Lo, Hi) (Cuts per leaf under an aggregator) from this center
-	// and return them as Report.ScaleSum/ScaleMin/ScaleMax. An OpScale
-	// directive carries nothing else; riding a ClassifyGenerate it asks for
-	// the scale state of the round after the one being speculated, fetched
-	// a full round early so a steady-state pipelined row round is one RTT
-	// (DESIGN.md §14) — distinct from Center, the speculated generation's
-	// center one round newer. Nil when no scale request is attached.
-	ScaleCenter []float64
 }
 
 // EncodeDirective serializes a directive, appending to buf.
@@ -492,7 +455,6 @@ func EncodeDirective(buf []byte, d *Directive) []byte {
 	}
 	buf = appendIntList(buf, d.Cuts)
 	buf = appendU32(buf, uint32(d.Leaf))
-	buf = appendF64s(buf, d.ScaleCenter)
 	return buf
 }
 
@@ -525,8 +487,8 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	d.MechKind = r.u8("mechanism kind")
 	d.MechEps = r.f64("mechanism epsilon")
 	d.MechK = int(r.u32("mechanism arity"))
-	d.Lo = int(r.u32("scale lo"))
-	d.Hi = int(r.u32("scale hi"))
+	d.Lo = int(r.u32("lo"))
+	d.Hi = int(r.u32("hi"))
 	if r.u8("gen flag") == 1 {
 		g := &GenSpec{Cells: make([]Cell, r.count("gen cells", 16))}
 		if r.err == nil && len(g.Cells) == 0 {
@@ -549,12 +511,11 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	}
 	d.Cuts = readIntList(r, "leaf cut")
 	d.Leaf = int(r.u32("fetch leaf"))
-	d.ScaleCenter = r.f64s("scale center")
 	if err := r.finish(); err != nil {
 		return nil, err
 	}
 	if retiredOp(d.Op) {
-		return nil, fmt.Errorf("wire: directive op %d is retired (format 10 serves only the shard-local data plane, every game through Generate)", d.Op)
+		return nil, fmt.Errorf("wire: directive op %d is retired (format 12 serves only the shard-local data plane, every game through Generate, with the clean scale computed at the coordinator)", d.Op)
 	}
 	if !d.Op.valid() {
 		return nil, fmt.Errorf("wire: unknown directive op %d", d.Op)

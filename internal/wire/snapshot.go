@@ -9,12 +9,12 @@ import (
 // SnapGame discriminates which collection game a snapshot belongs to.
 type SnapGame byte
 
-// The checkpointable games. SnapScalar covers the scalar and LDP cluster
-// games (their resumable state is the two game-long streams). SnapRows is
-// the shard-local row game: since workers hold their own kept-row pools
-// (rowstore.Pool, DESIGN.md §14), its snapshot is O(1/ε) — the robust-
-// center vector sketch, the late-center delay line, and the per-leaf pool
-// row counts — and never a row.
+// The checkpointable games. SnapScalar is the scalar cluster game (its
+// resumable state is the two game-long streams); the LDP cluster game does
+// not checkpoint. SnapRows is the shard-local row game: since workers hold
+// their own kept-row pools (rowstore.Pool, DESIGN.md §14), its snapshot is
+// O(dim/ε) — the robust-center vector sketch, the trailing center, and the
+// per-leaf pool row counts — and never a row.
 const (
 	SnapScalar SnapGame = 1
 	SnapRows   SnapGame = 2
@@ -57,10 +57,12 @@ type SnapEvent struct {
 }
 
 // Snapshot is a checkpointed coordinator game state (KindSnapshot): enough
-// to restart a shard-local scalar cluster game at NextRound and finish with
-// the identical board and kept-stream estimates. The fingerprint fields
-// (Seed through Workers) pin the configuration the snapshot was cut from; a
-// resume against a different configuration must be rejected, never merged.
+// to restart a scalar or row cluster game at NextRound and finish with the
+// identical board — and, for the scalar game, the identical kept-stream
+// estimates. The fingerprint fields (Seed through FocusWidth, plus
+// LateCenter for the row game) pin the configuration the snapshot was cut
+// from; a resume against a different configuration must be rejected,
+// never merged.
 type Snapshot struct {
 	Game SnapGame
 
@@ -92,8 +94,9 @@ type Snapshot struct {
 	Losses  []SnapLoss
 	Events  []SnapEvent
 
-	// Received/Kept are the full stream states of the game-long summaries;
-	// restoring them reproduces every later query bit for bit.
+	// Received/Kept are the full stream states of the scalar game's
+	// game-long summaries; restoring them reproduces every later query bit
+	// for bit.
 	Received *summary.StreamState
 	Kept     *summary.StreamState
 
@@ -105,25 +108,21 @@ type Snapshot struct {
 
 	// Row game (SnapRows) only.
 	//
-	// LateCenter extends the fingerprint: whether the run updates the
-	// robust center one round late (the row-game pipelining discipline,
-	// DESIGN.md §14). The center trajectory differs between modes, so a
-	// resume across them must be rejected.
+	// LateCenter extends the fingerprint: whether the run plays each round
+	// against the center two rounds back instead of one (the row-game
+	// pipelining discipline, DESIGN.md §14). The center trajectory differs
+	// between modes, so a resume across them must be rejected.
 	LateCenter bool
 	// KeptPoison is the running poison-rows-kept tally.
 	KeptPoison int
 	// VecState is the accepted-row vector sketch, one stream state per
 	// coordinate — the O(dim/ε) state the robust center is queried from.
 	VecState []*summary.StreamState
-	// PrevCenter is the late-center delay line: the round-before-last
-	// center (nil unless LateCenter). The latest center is re-derived from
+	// PrevCenter is the delay line's trailing tap: the center one completed
+	// round before the latest, D_{NextRound−2} — the center a LateCenter
+	// run plays NextRound against. The latest center is re-derived from
 	// VecState on restore.
 	PrevCenter []float64
-	// Prev2Center is the delay line's third tap — the center two completed
-	// rounds before the latest (nil unless LateCenter). The doubly-late
-	// clean-scale schedule scales round r against D_{r−3} (DESIGN.md §14),
-	// so the resumed round's scale pass needs it.
-	Prev2Center []float64
 	// PoolRows is the per-leaf kept-row pool manifest at snapshot time, in
 	// leaf order: resume rolls each worker pool back to exactly this many
 	// rows (OpPoolTrim) before playing NextRound.
@@ -189,7 +188,6 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 		buf = appendStreamState(buf, st)
 	}
 	buf = appendF64s(buf, s.PrevCenter)
-	buf = appendF64s(buf, s.Prev2Center)
 	buf = appendIntList(buf, s.PoolRows)
 	return buf
 }
@@ -285,7 +283,6 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 		}
 	}
 	s.PrevCenter = r.f64s("prev center")
-	s.Prev2Center = r.f64s("prev2 center")
 	s.PoolRows = readIntList(r, "pool rows")
 	if err := r.finish(); err != nil {
 		return nil, err

@@ -111,8 +111,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // testRowsSnapshot is testSnapshot cut from a row game: it additionally
-// carries the accepted-vector state, both trailing taps of the late-center
-// delay line and the kept-pool manifest.
+// carries the accepted-vector state, the delay line's trailing center and
+// the kept-pool manifest.
 func testRowsSnapshot(t testing.TB) *Snapshot {
 	snap := testSnapshot(t)
 	snap.Game = SnapRows
@@ -123,7 +123,6 @@ func testRowsSnapshot(t testing.TB) *Snapshot {
 		testStreamState(t, true, 200),
 	}
 	snap.PrevCenter = []float64{0.5, -1.5}
-	snap.Prev2Center = []float64{0.25, -1.25}
 	snap.PoolRows = []int{120, 80, 0, 99}
 	return snap
 }
@@ -134,10 +133,10 @@ func roundTripSnapshots(t testing.TB) []*Snapshot {
 	return []*Snapshot{testSnapshot(t), testRowsSnapshot(t)}
 }
 
-// A rows-game snapshot additionally carries the accepted-vector state, both
-// trailing taps of the late-center delay line (the doubly-late scale
-// schedule needs D_{r−3}) and the kept-pool manifest — all of which must
-// survive the wire bit for bit.
+// A rows-game snapshot additionally carries the accepted-vector state, the
+// delay line's trailing center (a LateCenter run plays the resumed round
+// against it) and the kept-pool manifest — all of which must survive the
+// wire bit for bit.
 func TestSnapshotRowsRoundTrip(t *testing.T) {
 	snap := testRowsSnapshot(t)
 	raw := EncodeSnapshot(nil, snap)
@@ -151,8 +150,8 @@ func TestSnapshotRowsRoundTrip(t *testing.T) {
 	if !back.LateCenter || back.KeptPoison != snap.KeptPoison {
 		t.Fatalf("rows scalars diverged: LateCenter=%v KeptPoison=%d", back.LateCenter, back.KeptPoison)
 	}
-	if !reflect.DeepEqual(back.PrevCenter, snap.PrevCenter) || !reflect.DeepEqual(back.Prev2Center, snap.Prev2Center) {
-		t.Fatalf("delay line diverged: %v / %v", back.PrevCenter, back.Prev2Center)
+	if !reflect.DeepEqual(back.PrevCenter, snap.PrevCenter) {
+		t.Fatalf("trailing center diverged: %v", back.PrevCenter)
 	}
 	if !reflect.DeepEqual(back.PoolRows, snap.PoolRows) {
 		t.Fatalf("pool manifest diverged: %v", back.PoolRows)

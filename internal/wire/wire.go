@@ -67,21 +67,24 @@ import (
 // seed and counts and the sub-shard list are gone; at least one cell),
 // reports carry only per-cell percentile sums (the total is gone), the
 // row game's GenerateRows op (code 7, never reused) folds into Generate,
-// and a clean-scale request is one attachment (ScaleCenter plus the
-// dataset range, answered in ScaleSum/ScaleMin/ScaleMax) whether it
+// and a clean-scale request is one attachment (a scale center plus the
+// dataset range, answered in a scale summary and its extrema) whether it
 // travels alone as Scale or rides ClassifyGenerate; 11 made the summary
 // block compact — each entry a key delta of its value plus, for integral
 // ranks, three uvarints, instead of four raw f64s (sketch.go) — in every
 // summary-bearing block alike; entry-free messages keep their bytes apart
-// from the version byte, and a v10 checkpoint cannot resume under v11.
-const Version = 11
+// from the version byte, and a v10 checkpoint cannot resume under v11;
+// 12 moved the row game's clean scale to the coordinator: the Scale op
+// (code 8, never reused), the directive's scale center, the report's scale
+// summary and extrema and the snapshot's third delay-line center are gone.
+const Version = 12
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game), so its predecessor is retired: a
 // mixed-version cluster fails loudly at the configure fan-out instead of
 // misparsing or dying rounds later.
-const MinVersion = 11
+const MinVersion = 12
 
 const (
 	magic0 = 'T'

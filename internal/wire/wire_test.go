@@ -94,12 +94,11 @@ func fromEntries(t testing.TB, entries ...summary.Entry) *summary.Summary {
 	return s
 }
 
-// floatSummaries take the block's float form: streams fed fractional
-// PushWeighted weights, integral ranks past 2^53, and a −0 rank, which the
-// integer form would turn into +0. The compressed stream's weights are
-// multiples of 1/8: with arbitrary fractions its merged rank bounds can
-// round below MinRank + Weight, which summary.FromEntries refuses in any
-// format (the raw 40-point buffer sums them exactly).
+// floatSummaries take the block's float form: streams fed arbitrary
+// fractional PushWeighted weights — a raw 40-point buffer and a compressed
+// 3,000-point stream, whose merged rank bounds the summary package keeps
+// consistent under round-off — integral ranks past 2^53, and a −0 rank,
+// which the integer form would turn into +0.
 func floatSummaries(t testing.TB) []*summary.Summary {
 	rng := rand.New(rand.NewSource(6))
 	var out []*summary.Summary
@@ -108,7 +107,7 @@ func floatSummaries(t testing.TB) []*summary.Summary {
 		weight func() float64
 	}{
 		{40, func() float64 { return 0.25 + rng.Float64() }},
-		{3000, func() float64 { return float64(2+rng.Intn(9)) / 8 }},
+		{3000, func() float64 { return 0.1 + 3*rng.Float64() }},
 	} {
 		st, err := summary.New(0.01, c.n)
 		if err != nil {
@@ -270,10 +269,8 @@ func roundTripReports(t testing.TB) []*Report {
 			Sum: randomSummary(t, rng, "uniform", 200, 16), Count: 200, ValueSum: 55.5,
 			PctSums: []float64{3.96}, InputSum: -1.25,
 		},
-		{ // scale reply
-			Round:    4,
-			ScaleSum: randomSummary(t, rng, "heavy", 100, 16),
-			ScaleMin: 0.001, ScaleMax: 17.5,
+		{ // pool-trim reply: a subtree's per-leaf totals after a rollback
+			Round: 4, PoolRows: []int{12, 0, 7}, Leaves: 3, Height: 1,
 		},
 		{ // shard-local rows classify reply
 			Round: 5, Worker: 1, Epsilon: 0.02,
@@ -304,14 +301,12 @@ func roundTripReports(t testing.TB) []*Report {
 			Vecs:       []*VectorDelta{DeltaFromVector(vec), DeltaFromVector(vec)},
 			MergeNanos: []int64{40_000, 125_000},
 		},
-		{ // v8: combined reply with a piggybacked clean-scale summary
+		{ // combined reply: classify round 14, generate round 15
 			Round: 14, Worker: 2, Epsilon: 0.01,
 			Sum: randomSummary(t, rng, "uniform", 120, 16), Count: 120, ValueSum: 31.5,
 			Counts:    Counts{HonestKept: 90, HonestTrimmed: 10, PoisonKept: 5, PoisonTrimmed: 15},
 			Kept:      randomSummary(t, rng, "heavy", 95, 0),
 			KeptCount: 95, KeptSum: 44.5,
-			ScaleSum: randomSummary(t, rng, "uniform", 200, 16),
-			ScaleMin: 0.25, ScaleMax: 9.75,
 			Vec: DeltaFromVector(vec),
 		},
 	}
@@ -352,9 +347,6 @@ func roundTripDirectives() []*Directive {
 			Labels:   []int{1, 0},
 			Clusters: 2, PoisonLabel: -1,
 		},
-		{ // standalone scale attachment over a dataset range
-			Op: OpScale, Round: 2, ScaleCenter: []float64{0.1, 0.2, 0.3}, Lo: 10, Hi: 20,
-		},
 		{ // O(1) shard-local round directive: one cell
 			Op: OpGenerate, Round: 3,
 			Gen: &GenSpec{
@@ -363,12 +355,20 @@ func roundTripDirectives() []*Directive {
 				Jitter: 1e-6,
 			},
 		},
-		{ // the row game's generate carries the center and the merged scale summary
+		{ // the row game's generate carries the center and the clean scale summary
 			Op: OpGenerate, Round: 4, Center: []float64{1, 2},
 			Gen: &GenSpec{
 				Cells:      []Cell{{Seed: 99, HonestN: 100, PoisonN: 20}},
 				InjectKind: 1, InjectHi: 0.99, Jitter: 0.001,
 				Scale: summary.FromUnsorted([]float64{0.5, 1.5, 2.5}),
+			},
+		},
+		{ // the row game's generate for a subtree: several cells, one center and scale
+			Op: OpGenerate, Round: 5, Center: []float64{0.5, -1},
+			Gen: &GenSpec{
+				Cells:      []Cell{{Seed: 3, HonestN: 50, PoisonN: 10}, {Seed: 4, HonestN: 50, PoisonN: 10}, {Seed: 5, HonestN: 50}},
+				InjectKind: 2, InjectP: 0.25, InjectLo: 0.9, InjectHi: 0.99, Jitter: 1e-6,
+				Scale: summary.FromUnsorted([]float64{0.75, 1.5, 2.25, 3}),
 			},
 		},
 		{ // pipelined combined op: classify round 5, generate round 6
@@ -383,10 +383,6 @@ func roundTripDirectives() []*Directive {
 			Trace: 0xbf58476d1ce4e5b9,
 		},
 		{Op: OpTreeInfo}, // v7: topology probe
-		{ // v7: a scale attachment for an aggregator subtree carries per-leaf cuts
-			Op: OpScale, Round: 6, ScaleCenter: []float64{0.1, 0.2}, Lo: 0, Hi: 40,
-			Cuts: []int{0, 10, 20, 30, 40},
-		},
 		{ // v6: multi-cell generate with the adaptive-ε focus window
 			Op: OpClassifyGenerate, Round: 9, Pct: 0.9, Threshold: 1.75,
 			FocusPct: 0.9, FocusWidth: 0.05, FocusTighten: 8,
@@ -399,15 +395,14 @@ func roundTripDirectives() []*Directive {
 				InjectKind: 1, InjectHi: 0.99, Jitter: 1e-6,
 			},
 		},
-		{ // v8: combined op carrying a piggybacked scale attachment for round+2
+		{ // the row game's combined op: the speculated round's center and clean scale
 			Op: OpClassifyGenerate, Round: 10, Pct: 0.9, Threshold: 2.25,
 			Center: []float64{0.5, 1.5},
 			Gen: &GenSpec{
 				Cells:      []Cell{{Seed: 17, HonestN: 100, PoisonN: 20}, {Seed: 18, HonestN: 100}},
 				InjectKind: 1, InjectHi: 0.99, Jitter: 1e-6,
+				Scale: summary.FromUnsorted([]float64{0.25, 0.75, 1.25, 9.75}),
 			},
-			ScaleCenter: []float64{0.75, 1.25},
-			Lo:          0, Hi: 40, Cuts: []int{0, 20, 40},
 		},
 		{Op: OpFetchRows, Leaf: 3, Lo: 4096, Hi: 8192},       // v8: kept-row page
 		{Op: OpPoolTrim, Round: 7, Lo: 5, Cuts: []int{5, 9}}, // v8: pool rollback targets
@@ -462,25 +457,26 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 // The coordinator-fed Summarize/SummarizeRows op codes (2 and 3, retired in
-// format 9) and the row game's GenerateRows (7, retired in format 10) are
-// never reused: a directive carrying any of them must fail to decode, so no
-// worker or aggregator acts on one. Their neighbours stay valid — the
-// remaining ops keep their numbers.
+// format 9), the row game's GenerateRows (7, retired in format 10) and its
+// clean-scale pass Scale (8, retired in format 12) are never reused: a
+// directive carrying any of them must fail to decode, so no worker or
+// aggregator acts on one. Their neighbours stay valid — the remaining ops
+// keep their numbers.
 func TestDecodeRejectsRetiredOps(t *testing.T) {
-	for _, op := range []Op{2, 3, 7} {
+	for _, op := range []Op{2, 3, 7, 8} {
 		_, err := DecodeDirective(EncodeDirective(nil, &Directive{Op: op, Round: 1}))
 		if err == nil || !strings.Contains(err.Error(), "retired") {
 			t.Errorf("op %d: error = %v, want a retired-op refusal", op, err)
 		}
 	}
-	for _, op := range []Op{OpConfigure, OpClassify, OpGenerate, OpScale} {
+	for _, op := range []Op{OpConfigure, OpClassify, OpGenerate, OpHeartbeat} {
 		if _, err := DecodeDirective(EncodeDirective(nil, &Directive{Op: op})); err != nil {
 			t.Errorf("op %d: %v", op, err)
 		}
 	}
-	if OpClassify != 4 || OpGenerate != 6 || OpScale != 8 || OpPoolTrim != 15 {
-		t.Errorf("op codes renumbered: classify %d, generate %d, scale %d, pool trim %d",
-			OpClassify, OpGenerate, OpScale, OpPoolTrim)
+	if OpClassify != 4 || OpGenerate != 6 || OpHeartbeat != 9 || OpPoolTrim != 15 {
+		t.Errorf("op codes renumbered: classify %d, generate %d, heartbeat %d, pool trim %d",
+			OpClassify, OpGenerate, OpHeartbeat, OpPoolTrim)
 	}
 }
 

@@ -13,7 +13,7 @@
 #      ROWS_MEM_GROWTH), proving the metric is sensitive and the stored
 #      flatness is not a measurement artifact; and
 #   3. the pipelined late-center row round wins >= ROWS_SPEEDUP_MIN on
-#      ms/round under injected latency (R+3 fan-outs vs 3R: ~2.1x at 12
+#      ms/round under injected latency (R+1 fan-outs vs 2R: ~1.85x at 12
 #      rounds; the 1.5 default leaves headroom for shared runners).
 set -euo pipefail
 cd "$(dirname "$0")/.."
