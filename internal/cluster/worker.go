@@ -7,8 +7,9 @@
 // carrying derived RNG seeds and compact parameters; raw arrivals never
 // cross the process boundary. All traffic is internal/wire messages, so the
 // same worker serves the in-process loopback transport (deterministic
-// tests, `trimlab -experiment distributed`) and the TCP/net-rpc transport
-// (`trimlab worker` / `trimlab coordinator`). The game loops themselves live in
+// tests, `trimlab -experiment distributed`) and the TCP transport
+// (`trimlab worker` / `trimlab coordinator`): net/rpc call multiplexing
+// over a raw length-prefixed frame codec (tcp.go). The game loops themselves live in
 // internal/collect (RunCluster, RunClusterRows, RunClusterLDP); this
 // package knows nothing about strategies, boards or quality standards —
 // generation is pure data plane (internal/arrival).

@@ -3,7 +3,6 @@ package collect
 import (
 	"fmt"
 	"net"
-	"net/rpc"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -145,7 +144,6 @@ func (w *restartableTCPWorker) serveWorker(addr string, worker *cluster.Worker) 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv := newWorkerRPCServer(w.t, worker)
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
@@ -154,7 +152,7 @@ func (w *restartableTCPWorker) serveWorker(addr string, worker *cluster.Worker) 
 			mu.Lock()
 			conns = append(conns, conn)
 			mu.Unlock()
-			go srv.ServeConn(conn)
+			go cluster.ServeConn(conn, worker)
 		}
 	}()
 	w.kill = func() {
@@ -814,14 +812,4 @@ func mustStatic(t *testing.T, pct float64) trim.Strategy {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// newWorkerRPCServer registers a worker on a fresh net/rpc server.
-func newWorkerRPCServer(t *testing.T, w *cluster.Worker) *rpc.Server {
-	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", cluster.NewService(w)); err != nil {
-		t.Fatal(err)
-	}
-	return srv
 }

@@ -2,7 +2,6 @@ package collect
 
 import (
 	"net"
-	"net/rpc"
 	"sync"
 	"testing"
 	"time"
@@ -28,10 +27,7 @@ func startKillableTCPWorker(t *testing.T, id int) (addr string, kill func()) {
 		t.Fatal(err)
 	}
 	k := &killableTCPWorker{ln: ln}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", cluster.NewService(cluster.NewWorker(id))); err != nil {
-		t.Fatal(err)
-	}
+	w := cluster.NewWorker(id)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -46,7 +42,7 @@ func startKillableTCPWorker(t *testing.T, id int) (addr string, kill func()) {
 			}
 			k.conns = append(k.conns, conn)
 			k.mu.Unlock()
-			go srv.ServeConn(conn)
+			go cluster.ServeConn(conn, w)
 		}
 	}()
 	kill = func() {
