@@ -240,15 +240,15 @@ func validateSeed(s int64) error {
 
 // workerMain is the `trimlab worker` subcommand: serve one cluster worker
 // until the coordinator sends the stop directive. With -rejoin the worker
-// is a re-spawned replacement: it accepts the coordinator's mid-game
-// membership grant (Hello/Configure/Join) instead of refusing to be grafted
-// into a running game.
+// is a re-spawned replacement or an elastic game's growth slot: it accepts
+// the coordinator's mid-game membership grant (Hello/Configure/Join)
+// instead of refusing to be grafted into a running game.
 func workerMain(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	var (
 		listen   = fs.String("listen", ":7101", "address to serve the worker RPC on")
 		id       = fs.Int("id", 0, "worker id for log lines (shard order is set by the coordinator's -workers list)")
-		rejoin   = fs.Bool("rejoin", false, "accept a mid-game re-join (re-spawned replacement for a lost worker)")
+		rejoin   = fs.Bool("rejoin", false, "accept a mid-game join: a re-spawned replacement for a lost worker, or a growth slot an elastic game admits at its scheduled round")
 		spillDir = fs.String("spill-dir", "", "directory for the file-backed kept-row pool (row game): kept rows spill to segment files instead of memory and survive a kill — pair with -rejoin so the re-spawned worker recovers its pool and the coordinator's -resume can roll it back")
 		seed     = seedFlag(fs)
 	)

@@ -74,6 +74,48 @@ func TestNewNodeProbesChildren(t *testing.T) {
 	}
 }
 
+// recorder is a Child that records the op of every directive it forwards
+// to its handler.
+type recorder struct {
+	h   cluster.Handler
+	ops []wire.Op
+}
+
+func (r *recorder) Call(req []byte) ([]byte, error) {
+	d, err := wire.DecodeDirective(req)
+	if err != nil {
+		return nil, err
+	}
+	r.ops = append(r.ops, d.Op)
+	return r.h.Handle(req)
+}
+
+// Construction learns each child's shape from exactly one Heartbeat — a
+// worker and a subtree alike answer it with their Leaves/Height — and
+// sends nothing else.
+func TestNewNodeProbesEachChildOnceWithHeartbeat(t *testing.T) {
+	inner, err := NewNode(0, HandlerChild(cluster.NewWorker(0)), HandlerChild(cluster.NewWorker(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kids := []*recorder{{h: cluster.NewWorker(2)}, {h: inner}, {h: cluster.NewWorker(3)}}
+	n, err := NewNode(1, kids[0], kids[1], kids[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range kids {
+		if len(k.ops) != 1 || k.ops[0] != wire.OpHeartbeat {
+			t.Errorf("child %d was sent ops %v, want one heartbeat", i, k.ops)
+		}
+	}
+	if got := n.Leaves(); got != 4 {
+		t.Errorf("Leaves() = %d, want 4", got)
+	}
+	if rep := heartbeat(t, n); rep.Leaves != 4 || rep.Height != 2 {
+		t.Errorf("reply shape %d leaves height %d, want 4/2", rep.Leaves, rep.Height)
+	}
+}
+
 // A deeper node raises the reported height and leaf count.
 func TestNodeNesting(t *testing.T) {
 	inner, err := NewNode(0, HandlerChild(cluster.NewWorker(0)), HandlerChild(cluster.NewWorker(1)))
@@ -192,7 +234,7 @@ func TestTreeShapes(t *testing.T) {
 			t.Errorf("tree(%d,%d): %d tops %d leaves, want %d/%d",
 				c.leaves, c.fanin, tr.Workers(), tr.Leaves(), c.tops, c.total)
 		}
-		raw, err := tr.Call(0, wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpTreeInfo}))
+		raw, err := tr.Call(0, wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpHeartbeat}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +259,7 @@ func TestTreeFailRespawnRevive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpTreeInfo})
+	probe := wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpHeartbeat})
 	tr.Fail(1)
 	if _, err := tr.Call(1, probe); err == nil {
 		t.Fatal("call to a failed slot should error")
@@ -241,36 +283,6 @@ func TestTreeFailRespawnRevive(t *testing.T) {
 	}
 	if rep.Leaves != 4 || rep.Height != 1 {
 		t.Errorf("respawned slot shape %d/%d, want 4/1", rep.Leaves, rep.Height)
-	}
-}
-
-func TestTreeGrowAppendsFlatSlots(t *testing.T) {
-	tr, err := NewTree(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Grow(2); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Workers() != 4 || tr.Leaves() != 10 {
-		t.Fatalf("after grow: %d tops %d leaves, want 4/10", tr.Workers(), tr.Leaves())
-	}
-	rep := func(w int) *wire.Report {
-		raw, err := tr.Call(w, wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpTreeInfo}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := wire.DecodeReport(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if r := rep(2); r.Leaves != 1 || r.Height != 0 {
-		t.Errorf("grown slot shape %d/%d, want a flat 1-leaf worker", r.Leaves, r.Height)
-	}
-	if err := tr.Grow(0); err == nil {
-		t.Error("grow by 0 should fail")
 	}
 }
 

@@ -9,9 +9,11 @@
 //
 // A Node implements cluster.Handler, so the same node serves the in-process
 // Tree transport (deterministic tests) and a `trimlab aggregator` TCP
-// process (cluster.ListenAndServe). The coordinator needs no topology flag:
-// every reply carries the subtree's live leaf count and height (wire v7)
-// and the engine discovers the shape from the configure replies.
+// process (cluster.ListenAndServe). Neither side needs a topology flag:
+// every reply carries the subtree's live leaf count and height — a plain
+// worker answers as a one-leaf subtree — so a node learns its children's
+// shape from one Heartbeat each and the engine discovers the shape from
+// the configure replies.
 package agg
 
 import (
@@ -128,9 +130,9 @@ type Node struct {
 }
 
 // NewNode builds an aggregator over its children (child order = leaf
-// order), probing each with a TreeInfo directive to learn the subtree
-// shape. Construction requires every child reachable; at run time lost
-// children are dropped and reported as lost leaves instead.
+// order), probing each with one Heartbeat, whose reply carries the
+// subtree shape. Construction requires every child reachable; at run time
+// lost children are dropped and reported as lost leaves instead.
 func NewNode(id int, children ...Child) (*Node, error) {
 	if len(children) == 0 {
 		return nil, fmt.Errorf("agg: node %d: no children", id)
@@ -143,7 +145,7 @@ func NewNode(id int, children ...Child) (*Node, error) {
 		heights:  make([]int, len(children)),
 		done:     make(chan struct{}),
 	}
-	probe := wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpTreeInfo})
+	probe := wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpHeartbeat})
 	for i, c := range children {
 		raw, err := c.Call(probe)
 		if err != nil {
@@ -154,7 +156,7 @@ func NewNode(id int, children ...Child) (*Node, error) {
 			return nil, fmt.Errorf("agg: node %d: probe child %d: %w", id, i, err)
 		}
 		n.live[i] = true
-		n.leaves[i] = leavesOf(rep)
+		n.leaves[i] = rep.Leaves
 		n.heights[i] = rep.Height
 	}
 	return n, nil
@@ -211,13 +213,6 @@ func (n *Node) totalLeaves() int {
 	return total
 }
 
-func leavesOf(rep *wire.Report) int {
-	if rep.Leaves < 1 {
-		return 1 // pre-tier replies never set it; a plain worker is one leaf
-	}
-	return rep.Leaves
-}
-
 // Handle decodes one directive, fans it out to the live children, and
 // returns the merged subtree report. It fails only when the directive is
 // undecodable (the retired coordinator-fed op codes included) or violates
@@ -242,7 +237,7 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 		if !n.hasConf {
 			return nil, fmt.Errorf("agg: node %d: join (epoch %d) before configure", n.id, d.Epoch)
 		}
-	case wire.OpConfigure, wire.OpStop, wire.OpHeartbeat, wire.OpTreeInfo,
+	case wire.OpConfigure, wire.OpStop, wire.OpHeartbeat,
 		wire.OpGenerate, wire.OpClassify,
 		wire.OpClassifyGenerate, wire.OpFetchRows, wire.OpPoolTrim:
 		// No node-side pre-check before the fan-out.
@@ -265,7 +260,7 @@ func (n *Node) Handle(req []byte) ([]byte, error) {
 		rep.Epoch = n.epoch
 	case wire.OpStop:
 		n.stopOnce.Do(func() { close(n.done) })
-	case wire.OpHello, wire.OpHeartbeat, wire.OpTreeInfo,
+	case wire.OpHello, wire.OpHeartbeat,
 		wire.OpGenerate, wire.OpClassify,
 		wire.OpClassifyGenerate, wire.OpFetchRows, wire.OpPoolTrim:
 		// No node-side state transition after the fan-out.
@@ -428,7 +423,7 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 			out.LostLeaves = append(out.LostLeaves, off+rel)
 		}
 		off += pre
-		n.leaves[i] = leavesOf(rep)
+		n.leaves[i] = rep.Leaves
 		n.heights[i] = rep.Height
 		if rep.Height > maxHeight {
 			maxHeight = rep.Height
@@ -501,11 +496,7 @@ func mergeChild(out, rep *wire.Report) {
 	out.KeptRows = append(out.KeptRows, rep.KeptRows...)
 	out.KeptLabels = append(out.KeptLabels, rep.KeptLabels...)
 	out.PoolRows = append(out.PoolRows, rep.PoolRows...)
-	if len(rep.Vecs) > 0 {
-		out.Vecs = append(out.Vecs, rep.Vecs...)
-	} else if rep.Vec != nil {
-		out.Vecs = append(out.Vecs, rep.Vec)
-	}
+	out.Vecs = append(out.Vecs, rep.Vecs...)
 	// Children ran in parallel: the straggler is the subtree's critical
 	// path, so phase timings fold by max (the coordinator's network-share
 	// estimate subtracts the busiest worker).

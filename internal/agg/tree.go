@@ -36,14 +36,14 @@ func (p *port) Done() <-chan struct{}             { return p.h.Done() }
 // top slots remain — those are the coordinator's transport slots. Requests
 // still cross the full wire encoding at every hop, so a loopback tree run
 // exercises exactly the bytes a multi-process TCP tree ships. Tree
-// implements cluster.Transport, Reviver (top-slot respawn + revive) and
-// Grower (elastic growth: fresh single-leaf top slots at the tail).
+// implements cluster.Transport and Reviver (top-slot respawn + revive).
 type Tree struct {
+	tops    []*port   // coordinator slots, in slot order (fixed)
+	topKids [][]Child // nil for a top slot that is a plain worker
+	leafs   []*port   // every leaf worker port, in leaf order
+	fanin   int
+
 	mu       sync.Mutex
-	tops     []*port   // coordinator slots, in slot order
-	topKids  [][]Child // nil for a top slot that is a plain worker
-	leafs    []*port   // every leaf worker port, in leaf order
-	fanin    int
 	compress int
 }
 
@@ -119,30 +119,18 @@ func setCompress(p *port, b int) {
 }
 
 // Workers returns the top-slot count — what the coordinator fans out to.
-func (t *Tree) Workers() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.tops)
-}
+func (t *Tree) Workers() int { return len(t.tops) }
 
 // Leaves returns the total leaf-worker count (including failed leaves —
 // liveness is the coordinator's view, learned from replies).
-func (t *Tree) Leaves() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.leafs)
-}
+func (t *Tree) Leaves() int { return len(t.leafs) }
 
 // Call dispatches to the top slot's handler.
 func (t *Tree) Call(w int, req []byte) ([]byte, error) {
-	t.mu.Lock()
 	if w < 0 || w >= len(t.tops) {
-		t.mu.Unlock()
 		return nil, fmt.Errorf("agg: no top slot %d", w)
 	}
-	p := t.tops[w]
-	t.mu.Unlock()
-	return p.Call(req)
+	return t.tops[w].Call(req)
 }
 
 // Close is a no-op: the tree is in-process.
@@ -152,8 +140,6 @@ func (t *Tree) Close() error { return nil }
 // analogue of killing an aggregator (or flat worker) process the
 // coordinator talks to directly.
 func (t *Tree) Fail(w int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if w < 0 || w >= len(t.tops) {
 		return
 	}
@@ -166,8 +152,6 @@ func (t *Tree) Fail(w int) {
 // the mid-tree subtree loss: the parent aggregator drops the child and
 // reports its leaf offsets as lost, while the coordinator keeps the slot.
 func (t *Tree) FailLeaf(i int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if i < 0 || i >= len(t.leafs) {
 		return
 	}
@@ -212,8 +196,6 @@ func (t *Tree) Respawn(w int) error {
 // Revive reports whether top slot w is reachable again (cluster.Reviver):
 // an error while the slot is still failed, nil once respawned.
 func (t *Tree) Revive(w int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if w < 0 || w >= len(t.tops) {
 		return fmt.Errorf("agg: no top slot %d", w)
 	}
@@ -222,28 +204,6 @@ func (t *Tree) Revive(w int) error {
 	t.tops[w].mu.Unlock()
 	if dead {
 		return fmt.Errorf("agg: top slot %d is down (injected failure)", w)
-	}
-	return nil
-}
-
-// Grow appends k fresh single-leaf top slots at the tail (cluster.Grower):
-// elastic growth admits new workers as direct coordinator children, and a
-// later rebalance — folding them under aggregators — is a topology change
-// the coordinator absorbs from the replies like any other. The new workers
-// accept a mid-game join.
-func (t *Tree) Grow(k int) error {
-	if k <= 0 {
-		return fmt.Errorf("agg: grow by %d workers", k)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 0; i < k; i++ {
-		w := cluster.NewWorker(len(t.tops))
-		w.AllowRejoin()
-		p := &port{h: w}
-		t.tops = append(t.tops, p)
-		t.topKids = append(t.topKids, nil)
-		t.leafs = append(t.leafs, p)
 	}
 	return nil
 }

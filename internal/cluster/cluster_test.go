@@ -103,12 +103,12 @@ func TestWorkerRowRound(t *testing.T) {
 	if len(rep.KeptRows) != 0 || len(rep.PoolRows) != 1 || rep.PoolRows[0] != 2 {
 		t.Fatalf("classify shipped rows %v / pool totals %v, want no rows and pool [2]", rep.KeptRows, rep.PoolRows)
 	}
-	if rep.Vec == nil || rep.Vec.Count != 2 || len(rep.Vec.Dims) != 2 {
-		t.Fatalf("vector delta %+v", rep.Vec)
+	if len(rep.Vecs) != 1 || rep.Vecs[0].Count != 2 || len(rep.Vecs[0].Dims) != 2 {
+		t.Fatalf("vector deltas %+v, want one 2-row delta", rep.Vecs)
 	}
 	// Kept rows (3,4) twice: coordinate sums 6 and 8.
-	if rep.Vec.Sums[0] != 6 || rep.Vec.Sums[1] != 8 {
-		t.Fatalf("vector sums %v", rep.Vec.Sums)
+	if rep.Vecs[0].Sums[0] != 6 || rep.Vecs[0].Sums[1] != 8 {
+		t.Fatalf("vector sums %v", rep.Vecs[0].Sums)
 	}
 	page := call(t, tr, 0, &wire.Directive{Op: wire.OpFetchRows, Lo: 0, Hi: 2})
 	if len(page.KeptRows) != 2 || page.KeptLabels[0] != 1 {
@@ -135,9 +135,32 @@ func TestWorkerPhaseErrors(t *testing.T) {
 		t.Fatal("row generate without center succeeded")
 	}
 	// The retired op codes do not decode.
-	for _, op := range []wire.Op{2, 3, 7} {
+	for _, op := range []wire.Op{2, 3, 7, 8, 13} {
 		if _, err := w.Handle(wire.EncodeDirective(nil, &wire.Directive{Op: op, Round: 1})); err == nil {
 			t.Fatalf("retired op %d succeeded", op)
+		}
+	}
+}
+
+// A plain worker is a one-leaf subtree: every reply says so (Leaves 1,
+// height 0), and a pool-trim directive must carry exactly its one target.
+func TestWorkerRepliesAsOneLeaf(t *testing.T) {
+	tr := NewLoopback(1)
+	for _, d := range []*wire.Directive{
+		{Op: wire.OpHeartbeat},
+		{Op: wire.OpHello},
+		{Op: wire.OpConfigure, Epsilon: 0.01, Rows: [][]float64{{1, 2}}},
+		{Op: wire.OpJoin},
+		{Op: wire.OpPoolTrim, Cuts: []int{0}},
+	} {
+		if rep := call(t, tr, 0, d); rep.Leaves != 1 || rep.Height != 0 {
+			t.Errorf("op %d reply shape %d leaves height %d, want 1/0", d.Op, rep.Leaves, rep.Height)
+		}
+	}
+	for _, cuts := range [][]int{nil, {0, 0}} {
+		_, err := tr.Call(0, wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpPoolTrim, Cuts: cuts}))
+		if err == nil || !strings.Contains(err.Error(), "pool-trim targets") {
+			t.Errorf("pool trim with %d targets: error = %v, want a refusal", len(cuts), err)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // transport's worker order determines the (deterministic) merge order at
 // the coordinator. Call must be safe for concurrent use across distinct
 // worker indices; a Call error means the worker is lost (the coordinator
-// drops the shard and continues, it never retries).
+// drops the shard and continues, it never retries). The slot space is
+// fixed: an elastic game's growth slots are listed from the start.
 type Transport interface {
 	Workers() int
 	Call(worker int, req []byte) ([]byte, error)
@@ -25,17 +26,6 @@ type Transport interface {
 type Handler interface {
 	Handle(req []byte) ([]byte, error)
 	Done() <-chan struct{}
-}
-
-// Grower is the transport-level elasticity hook: transports that can add
-// fresh worker slots mid-game implement it. Grow appends k new slots at the
-// TAIL of the worker order — existing indices keep their positions, so the
-// derived per-slot seed streams of the incumbent shards are untouched and
-// only new streams open (stats.DeriveSeed is stable under slot-count
-// growth). The new slots hold no game state; the coordinator runs the
-// Hello/Configure/Join admission handshake before they serve a round.
-type Grower interface {
-	Grow(k int) error
 }
 
 // Reviver is the transport-level liveness hook of the fleet runtime
@@ -70,7 +60,7 @@ func NewLoopback(n int) *Loopback {
 
 // NewLoopbackPrepared is NewLoopback with a per-worker preparation hook,
 // applied to every worker the transport ever constructs — the initial n
-// and any later Respawn/Grow replacement. Row-game resume tests use it to
+// and any later Respawn replacement. Row-game resume tests use it to
 // attach spill-backed kept-row pools (Worker.SetPoolOpener), so a
 // respawned in-process worker recovers its pool exactly like a re-spawned
 // `trimlab worker -spill-dir` process would.
@@ -91,11 +81,7 @@ func (l *Loopback) newWorker(i int) *Worker {
 }
 
 // Workers returns the worker count.
-func (l *Loopback) Workers() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.workers)
-}
+func (l *Loopback) Workers() int { return len(l.workers) }
 
 // Fail makes every subsequent Call to the given worker return an error —
 // the test hook for the coordinator's drop-and-continue failure handling
@@ -137,29 +123,12 @@ func (l *Loopback) Revive(worker int) error {
 	return nil
 }
 
-// Grow appends k fresh in-process workers at the tail of the worker order
-// (Grower). The new workers accept a mid-game join, like a respawned slot.
-func (l *Loopback) Grow(k int) error {
-	if k <= 0 {
-		return fmt.Errorf("cluster: grow by %d workers", k)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := 0; i < k; i++ {
-		w := l.newWorker(len(l.workers))
-		w.AllowRejoin()
-		l.workers = append(l.workers, w)
-	}
-	return nil
-}
-
 // Call dispatches to the in-process worker.
 func (l *Loopback) Call(worker int, req []byte) ([]byte, error) {
-	l.mu.Lock()
 	if worker < 0 || worker >= len(l.workers) {
-		l.mu.Unlock()
 		return nil, fmt.Errorf("cluster: no worker %d", worker)
 	}
+	l.mu.Lock()
 	w, dead := l.workers[worker], l.failed[worker]
 	l.mu.Unlock()
 	if dead {

@@ -33,7 +33,9 @@ import (
 // Generate draws the shard's cells locally from derived seeds with that
 // generator and returns their summary delta, Classify tallies the stored
 // shard against the threshold and returns counts plus kept-pool deltas,
-// Stop releases the worker. One worker serves one coordinator; Handle is
+// Stop releases the worker. Every reply is that of a one-leaf subtree
+// (Leaves 1, height 0), so a coordinator or aggregator treats a worker and
+// a subtree alike. One worker serves one coordinator; Handle is
 // serialized by an internal mutex so transports may deliver from any
 // goroutine.
 type Worker struct {
@@ -110,10 +112,11 @@ func NewWorker(id int) *Worker {
 func (w *Worker) ID() int { return w.id }
 
 // AllowRejoin permits this worker to accept a mid-game membership grant
-// (OpJoin with a non-zero epoch) — the re-spawned replacement mode behind
-// `trimlab worker -rejoin`. Without it a fresh worker can only join a game
-// at its initial admission, which guards against an operator accidentally
-// pointing a replacement at the wrong running cluster.
+// (OpJoin with a non-zero epoch) — the mode behind `trimlab worker -rejoin`
+// of a re-spawned replacement or an elastic game's growth slot. Without it
+// a fresh worker can only join a game at its initial admission, which
+// guards against an operator accidentally pointing a replacement at the
+// wrong running cluster.
 func (w *Worker) AllowRejoin() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -146,7 +149,7 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &wire.Report{Round: d.Round, Worker: w.id, Epoch: w.epoch, Configured: w.configured, Trace: d.Trace}
+	rep := &wire.Report{Round: d.Round, Worker: w.id, Epoch: w.epoch, Configured: w.configured, Trace: d.Trace, Leaves: 1}
 	switch d.Op {
 	case wire.OpConfigure:
 		if err := w.configure(d); err != nil {
@@ -201,10 +204,6 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 		if err := w.generate(&next, rep); err != nil {
 			return nil, err
 		}
-
-	case wire.OpTreeInfo:
-		// Topology probe: a plain worker is a subtree of one leaf, height 0.
-		rep.Leaves = 1
 
 	case wire.OpFetchRows:
 		if err := w.fetchRows(d, rep); err != nil {
@@ -546,7 +545,9 @@ func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 	rep.Kept = kept.Snapshot()
 	rep.KeptCount = kept.Count()
 	rep.KeptSum = kept.Sum()
-	rep.Vec = wire.DeltaFromVector(vec)
+	if d := wire.DeltaFromVector(vec); d != nil {
+		rep.Vecs = []*wire.VectorDelta{d}
+	}
 	rep.ClassifyNanos += obs.Since(start).Nanoseconds()
 	return nil
 }
@@ -570,30 +571,26 @@ func (w *Worker) fetchRows(d *wire.Directive, rep *wire.Report) error {
 	rep.KeptRows = rows
 	rep.KeptLabels = labels
 	rep.PoolRows = []int{w.pool.Len()}
-	rep.Leaves = 1
 	return nil
 }
 
-// poolTrim rolls the kept-row pool back to the directive's row target
-// (Cuts[0]; aggregators slice Cuts per leaf) — resume's rollback of rows
-// appended after the snapshot being restored. The reply reports the
-// resulting total; a pool that cannot reach the target (an in-memory pool
-// in a freshly spawned process) reports short and the coordinator rejects
-// the resume, so the check lives where the fingerprint checks live.
+// poolTrim rolls the kept-row pool back to the directive's one row target
+// (aggregators slice Cuts per leaf) — resume's rollback of rows appended
+// after the snapshot being restored. The reply reports the resulting
+// total; a pool that cannot reach the target (an in-memory pool in a
+// freshly spawned process) reports short and the coordinator rejects the
+// resume, so the check lives where the fingerprint checks live.
 func (w *Worker) poolTrim(d *wire.Directive, rep *wire.Report) error {
-	target := d.Lo
-	if len(d.Cuts) > 0 {
-		target = d.Cuts[0]
+	if len(d.Cuts) != 1 {
+		return fmt.Errorf("cluster: worker %d: %d pool-trim targets for a single-leaf worker", w.id, len(d.Cuts))
 	}
 	if w.pool == nil {
 		rep.PoolRows = []int{0}
-		rep.Leaves = 1
 		return nil
 	}
-	if err := w.pool.Truncate(target); err != nil {
+	if err := w.pool.Truncate(d.Cuts[0]); err != nil {
 		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 	}
 	rep.PoolRows = []int{w.pool.Len()}
-	rep.Leaves = 1
 	return nil
 }

@@ -620,6 +620,37 @@ func TestAggTreeCompressionDriftWithinBudget(t *testing.T) {
 	}
 }
 
+// growthLoopback is a full-width loopback whose last add slots accept a
+// mid-game join — an elastic game's growth slots, held out until their
+// round.
+func growthLoopback(base, add int) *cluster.Loopback {
+	return cluster.NewLoopbackPrepared(base+add, func(w *cluster.Worker) {
+		if w.ID() >= base {
+			w.AllowRejoin()
+		}
+	})
+}
+
+// growthSlots appends join-enabled plain worker slots after a transport's
+// own: the growth slots of an elastic game played over an aggregator tree.
+type growthSlots struct {
+	cluster.Transport
+	tail *cluster.Loopback
+}
+
+func withGrowthSlots(tr cluster.Transport, add int) *growthSlots {
+	return &growthSlots{tr, cluster.NewLoopbackPrepared(add, (*cluster.Worker).AllowRejoin)}
+}
+
+func (g *growthSlots) Workers() int { return g.Transport.Workers() + g.tail.Workers() }
+
+func (g *growthSlots) Call(w int, req []byte) ([]byte, error) {
+	if n := g.Transport.Workers(); w >= n {
+		return g.tail.Call(w-n, req)
+	}
+	return g.Transport.Call(w, req)
+}
+
 // Elastic growth before round 1 is the widest run: the grown game must
 // reproduce the full (W+k)-worker flat reference — growth only opens new
 // seed streams, existing slots keep theirs.
@@ -634,7 +665,7 @@ func TestElasticGrowAtRoundOneEqualsWiderFlat(t *testing.T) {
 	}
 	grown, err := RunCluster(ClusterConfig{
 		Config:    shardLocalConfig(t),
-		Transport: cluster.NewLoopback(base),
+		Transport: growthLoopback(base, add),
 		Gen:       gen,
 		Elastic:   []GrowStep{{Round: 1, Add: add}},
 	})
@@ -673,7 +704,7 @@ func TestElasticMidGameGrowMatchesFromGrowRound(t *testing.T) {
 	for _, pipeline := range []bool{false, true} {
 		grown, err := RunCluster(ClusterConfig{
 			Config:    shardLocalConfig(t),
-			Transport: cluster.NewLoopback(base),
+			Transport: growthLoopback(base, add),
 			Gen:       gen,
 			Pipeline:  pipeline,
 			Elastic:   []GrowStep{{Round: growAt, Add: add}},
@@ -696,7 +727,7 @@ func TestElasticMidGameGrowMatchesFromGrowRound(t *testing.T) {
 	}
 }
 
-// Elastic growth through an aggregator tree: the new slots join as direct
+// Elastic growth through an aggregator tree: the growth slots are direct
 // coordinator children next to the subtrees, and from the grow round the
 // run matches the flat (leaves+k)-shard reference.
 func TestElasticGrowThroughAggTree(t *testing.T) {
@@ -714,7 +745,7 @@ func TestElasticGrowThroughAggTree(t *testing.T) {
 	}
 	grown, err := RunCluster(ClusterConfig{
 		Config:    shardLocalConfig(t),
-		Transport: tr,
+		Transport: withGrowthSlots(tr, add),
 		Gen:       gen,
 		Elastic:   []GrowStep{{Round: growAt, Add: add}},
 	})
@@ -732,21 +763,121 @@ func TestElasticGrowThroughAggTree(t *testing.T) {
 	}
 }
 
-// noGrow hides a transport's Grow method — the non-elastic transport shape.
-type noGrow struct{ cluster.Transport }
+// Growth over real TCP sockets: the coordinator dials every slot up front,
+// holds the growth slot out of the live set until its round, and admits it
+// through the same handshake and join guard as a re-joining worker — so a
+// TCP fleet grows exactly like a loopback one, pipelined too.
+func TestElasticGrowOverTCP(t *testing.T) {
+	const base, growAt = 2, 4
+	gen := &ShardGen{MasterSeed: 217}
+	narrow, err := RunSharded(ShardedConfig{Config: shardLocalConfig(t), Shards: base, Gen: gen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := RunSharded(ShardedConfig{Config: shardLocalConfig(t), Shards: base + 1, Gen: gen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, base+1)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		w := cluster.NewWorker(i)
+		if i == base {
+			w.AllowRejoin() // the growth slot: `trimlab worker -rejoin`
+		}
+		go func() {
+			if err := cluster.Serve(ln, w); err != nil {
+				t.Errorf("worker serve: %v", err)
+			}
+		}()
+	}
+	tr, err := cluster.Dial(addrs, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := RunCluster(ClusterConfig{
+		Config:    shardLocalConfig(t),
+		Transport: tr,
+		Gen:       gen,
+		Pipeline:  true,
+		Elastic:   []GrowStep{{Round: growAt, Add: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range grown.Board.Records {
+		want := narrow.Board.Records[i]
+		if i >= growAt-1 {
+			want = wide.Board.Records[i]
+		}
+		if !want.Equal(rec) {
+			t.Errorf("round %d diverged from the reference:\nwant  %+v\ngrown %+v", i+1, want, rec)
+		}
+	}
+	want := []fleet.Event{{Kind: fleet.EventAdmit, Epoch: 1, Round: growAt, Worker: base}}
+	if !slices.Equal(grown.FleetEvents, want) {
+		t.Errorf("FleetEvents = %+v, want %+v", grown.FleetEvents, want)
+	}
+	if grown.WholeSince != growAt || grown.LostShards != 0 {
+		t.Errorf("WholeSince %d, LostShards %d; want %d and 0", grown.WholeSince, grown.LostShards, growAt)
+	}
+}
+
+// A growth slot that refuses a mid-game join (launched without re-join) is
+// refused at its round like a wrongly pointed replacement: it is charged
+// one "grow" loss, never enters the membership, and the game plays on at
+// the narrow width — record for record the narrow reference.
+func TestElasticRefusedGrowthSlotStaysOut(t *testing.T) {
+	const base, growAt = 3, 5
+	gen := &ShardGen{MasterSeed: 218}
+	narrow, err := RunSharded(ShardedConfig{Config: shardLocalConfig(t), Shards: base, Gen: gen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pipeline := range []bool{false, true} {
+		res, err := RunCluster(ClusterConfig{
+			Config:    shardLocalConfig(t),
+			Transport: cluster.NewLoopback(base + 1),
+			Gen:       gen,
+			Pipeline:  pipeline,
+			Elastic:   []GrowStep{{Round: growAt, Add: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []ShardLoss{{Round: growAt, Phase: "grow", Worker: base}}
+		if !slices.Equal(res.Losses, want) || res.LostShards != 1 {
+			t.Errorf("pipeline=%v: losses %+v (%d), want %+v", pipeline, res.Losses, res.LostShards, want)
+		}
+		if len(res.FleetEvents) != 0 || res.WholeSince != 0 || res.TreeLeaves != base {
+			t.Errorf("pipeline=%v: events %+v, WholeSince %d, TreeLeaves %d; want none, 0, %d",
+				pipeline, res.FleetEvents, res.WholeSince, res.TreeLeaves, base)
+		}
+		for i := range narrow.Board.Records {
+			if !narrow.Board.Records[i].Equal(res.Board.Records[i]) {
+				t.Errorf("pipeline=%v: round %d diverged from the %d-worker reference", pipeline, i+1, base)
+			}
+		}
+	}
+}
 
 func TestElasticValidation(t *testing.T) {
 	mk := func() ClusterConfig {
 		return ClusterConfig{
 			Config:    shardLocalConfig(t),
-			Transport: cluster.NewLoopback(2),
+			Transport: growthLoopback(1, 1),
 			Gen:       &ShardGen{MasterSeed: 1},
 			Elastic:   []GrowStep{{Round: 2, Add: 1}},
 		}
 	}
 	bad := []func(*ClusterConfig){
 		func(c *ClusterConfig) { c.Gen = nil },
-		func(c *ClusterConfig) { c.Transport = noGrow{c.Transport} },
+		// Holding out every slot leaves nobody to play round 1.
+		func(c *ClusterConfig) { c.Elastic = []GrowStep{{Round: 2, Add: 1}, {Round: 3, Add: 1}} },
 		func(c *ClusterConfig) { c.Fleet = &fleet.Config{Rejoin: true} },
 		func(c *ClusterConfig) { c.Elastic = []GrowStep{{Round: 0, Add: 1}} },
 		func(c *ClusterConfig) { c.Elastic = []GrowStep{{Round: 99, Add: 1}} },

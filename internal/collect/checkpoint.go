@@ -78,9 +78,6 @@ func restorePoolHistory(snap *wire.Snapshot, pool *workerPool) {
 			down[ev.Worker] = true
 		case fleet.EventAdmit:
 			delete(down, ev.Worker)
-		case fleet.EventGrow:
-			// Elastic runs refuse checkpointing (clusterOpts.validate), so
-			// a restored log never carries growth; nothing to track.
 		}
 	}
 	for _, w := range pool.ms.Alive() {

@@ -96,21 +96,22 @@ type ClusterConfig struct {
 	// master seed of the checkpointing run's Gen.
 	Resume *wire.Snapshot
 
-	// Elastic admits new worker slots mid-game (DESIGN.md §13): before
-	// playing each step's round the transport is grown by Add fresh tail
-	// slots, which join through the usual Hello/Configure/Join handshake and
-	// serve from that round on. Existing slots keep their ids and therefore
-	// their derived seed streams — growth only opens new streams — so a run
+	// Elastic admits worker slots mid-game (DESIGN.md §13): the last ΣAdd
+	// transport slots are held out of the live set until their step's
+	// round, then admitted like a re-joining slot (Hello/Configure/Join,
+	// one epoch each), so they must accept a mid-game join
+	// (Worker.AllowRejoin); one that refuses is charged a "grow" loss and
+	// stays out. Existing slots keep their derived seed streams, so a run
 	// that grows by k before round 1 reproduces the (W+k)-worker run record
 	// for record, and a mid-game grow matches it from the grow round on.
-	// Requires a transport implementing cluster.Grower; incompatible with
-	// Fleet supervision, checkpointing and resume. Steps must be in
-	// strictly ascending round order with Add > 0.
+	// Incompatible with Fleet supervision, checkpointing and resume. Steps
+	// must be in strictly ascending round order with Add > 0, and must
+	// leave a slot playing from round 1.
 	Elastic []GrowStep
 }
 
-// GrowStep is one elastic-fleet growth event: open Add new worker slots
-// before playing Round.
+// GrowStep is one elastic-fleet growth event: admit the next Add held-out
+// growth slots at the top of Round.
 type GrowStep struct {
 	Round int
 	Add   int

@@ -288,15 +288,11 @@ func (g *rowsGame) foldClassify(en *engine, r int, _ *RoundRecord, rep *wire.Rep
 	}
 	g.poolRows[rep.Worker] = append(g.poolRows[rep.Worker][:0], rep.PoolRows...)
 	g.res.KeptPoison += rep.Counts.PoisonKept
-	// An aggregator forwards its leaves' deltas concatenated in leaf order
-	// (Report.Vecs) instead of merging them: AbsorbCounted compresses per
-	// absorbed delta, so only absorbing exactly one delta per leaf — in
-	// leaf order — keeps the center bit-identical to the flat fleet's.
-	deltas := rep.Vecs
-	if len(deltas) == 0 && rep.Vec != nil {
-		deltas = []*wire.VectorDelta{rep.Vec}
-	}
-	for _, d := range deltas {
+	// Report.Vecs holds one delta per leaf, in leaf order — aggregators
+	// concatenate rather than merge: AbsorbCounted compresses per absorbed
+	// delta, so only absorbing exactly one delta per leaf, in leaf order,
+	// keeps the center bit-identical to the flat fleet's.
+	for _, d := range rep.Vecs {
 		if len(d.Dims) != g.dim {
 			en.pool.log.Logf("collect: round %d: worker %d vector delta dim %d, want %d (dropped)",
 				r, rep.Worker, len(d.Dims), g.dim)
@@ -328,7 +324,7 @@ func (g *rowsGame) flatPoolRows(pool *workerPool) []int {
 	var out []int
 	for _, w := range pool.alive() {
 		counts := g.poolRows[w]
-		for rel := 0; rel < pool.leavesOf(w); rel++ {
+		for rel := 0; rel < pool.leaves[w]; rel++ {
 			n := 0
 			if rel < len(counts) {
 				n = counts[rel]
@@ -348,7 +344,7 @@ func (g *rowsGame) fetchKept(pool *workerPool) error {
 	leaf := 0
 	for _, w := range pool.alive() {
 		counts := g.poolRows[w]
-		for rel := 0; rel < pool.leavesOf(w); rel++ {
+		for rel := 0; rel < pool.leaves[w]; rel++ {
 			total := 0
 			if rel < len(counts) {
 				total = counts[rel]
@@ -410,8 +406,8 @@ func (g *rowsGame) restorePools(pool *workerPool, targets []int, round int) erro
 	dirs := make([]*wire.Directive, len(alive))
 	off := 0
 	for i, w := range alive {
-		l := pool.leavesOf(w)
-		dirs[i] = &wire.Directive{Op: wire.OpPoolTrim, Round: round, Lo: targets[off], Cuts: targets[off : off+l]}
+		l := pool.leaves[w]
+		dirs[i] = &wire.Directive{Op: wire.OpPoolTrim, Round: round, Cuts: targets[off : off+l]}
 		off += l
 	}
 	reps, err := pool.callAll(round, "trim", dirs)

@@ -259,8 +259,8 @@ type workerPool struct {
 	ranges map[int][][2]int
 
 	// leaves/heights map each slot to the live leaf-worker count and merge
-	// height behind it (1 and 0 for a plain worker), learned from configure
-	// replies and refreshed from every reply — the coordinator never needs
+	// height behind it (1 and 0 for a plain worker), learned from its first
+	// reply and refreshed from every reply — the coordinator never needs
 	// to be told it is talking to an aggregator. topo counts leaf-topology
 	// changes; together with the membership epoch it is the pipeline's
 	// speculation validity stamp (a subtree leaf lost mid-call repartitions
@@ -337,21 +337,12 @@ func (p *workerPool) epoch() int { return p.ms.Epoch() }
 // lost returns the number of loss events so far.
 func (p *workerPool) lost() int { return len(p.losses) }
 
-// leavesOf returns the live leaf-worker count behind slot w: 1 until a
-// reply said otherwise (a plain worker never says otherwise).
-func (p *workerPool) leavesOf(w int) int {
-	if n, ok := p.leaves[w]; ok && n > 0 {
-		return n
-	}
-	return 1
-}
-
 // totalLeaves is the live leaf-worker count across the fleet — the shard
 // count the derived seed space partitions over this round.
 func (p *workerPool) totalLeaves() int {
 	t := 0
 	for _, w := range p.alive() {
-		t += p.leavesOf(w)
+		t += p.leaves[w]
 	}
 	return t
 }
@@ -369,16 +360,11 @@ func (p *workerPool) treeHeight() int {
 
 // noteShape refreshes slot w's subtree shape from a reply, bumping the
 // topology stamp — and with it the pipeline's validity — on any change.
-// Replies that never fill the shape fields (Leaves 0) mean a plain worker.
 func (p *workerPool) noteShape(w int, rep *wire.Report) {
-	leaves := rep.Leaves
-	if leaves < 1 {
-		leaves = 1
-	}
-	if p.leavesOf(w) == leaves && p.heights[w] == rep.Height {
+	if p.leaves[w] == rep.Leaves && p.heights[w] == rep.Height {
 		return
 	}
-	p.leaves[w] = leaves
+	p.leaves[w] = rep.Leaves
 	p.heights[w] = rep.Height
 	p.topo++
 	p.met.Gauge("trimlab_tree_leaves").Set(float64(p.totalLeaves()))
@@ -861,11 +847,11 @@ type engine struct {
 	pipeline bool
 
 	// elastic is the remaining fleet-growth schedule (ClusterConfig
-	// .Elastic, validated ascending): at the top of round Round, Add fresh
-	// worker slots are appended to the transport and admitted before the
-	// fan-out, so the round repartitions the derived seed space over the
-	// wider fleet exactly as a game started at that width would.
-	elastic []GrowStep
+	// .Elastic, validated ascending) and nextGrow the first held-out growth
+	// slot not yet offered admission: at the top of round Round the next Add
+	// of them are admitted (growFleet).
+	elastic  []GrowStep
+	nextGrow int
 
 	onRound func(RoundRecord)
 
@@ -893,12 +879,11 @@ func (en *engine) run() error {
 	}
 	var pend *pending
 	for r := start; r <= en.rounds; r++ {
-		for len(en.elastic) > 0 && en.elastic[0].Round == r {
-			step := en.elastic[0]
-			en.elastic = en.elastic[1:]
-			if err := en.growFleet(r, step.Add); err != nil {
+		if len(en.elastic) > 0 && en.elastic[0].Round == r {
+			if err := en.growFleet(r, en.elastic[0].Add); err != nil {
 				return err
 			}
+			en.elastic = en.elastic[1:]
 		}
 		en.pool.beginRound(r)
 		pct := en.collector.Threshold(r, en.board.collectorView())
@@ -1052,7 +1037,7 @@ func (en *engine) genDirs(r int, anchor float64, inject attack.InjectionSpec) ([
 	leafCount := make([]int, len(alive))
 	leavesTotal := 0
 	for i, w := range alive {
-		leafCount[i] = en.pool.leavesOf(w)
+		leafCount[i] = en.pool.leaves[w]
 		leavesTotal += leafCount[i]
 	}
 	rg := en.game.genRound(r)
@@ -1091,34 +1076,29 @@ func (en *engine) generate(r int, anchor float64, inject attack.InjectionSpec) (
 	return reps, byWorker, err
 }
 
-// growFleet extends the fleet by k brand-new slots at a round boundary
-// (the elastic-fleet epoch boundary, DESIGN.md §13): the transport appends
-// the slots, the membership opens them under a new epoch — flushing any
-// speculated round built over the old width — and each new slot runs the
-// standard admission handshake before round r's fan-out. A slot that fails
-// admission is dropped like any other loss; the survivors serve from round
-// r, which therefore repartitions the derived seed space exactly as a game
-// started at the wider width would.
+// growFleet admits the next k held-out growth slots at the top of round r
+// (the elastic-fleet epoch boundary, DESIGN.md §13) exactly as the
+// supervisor re-admits a lost slot (§8): the Hello/Configure/Join
+// handshake, then one membership epoch and one fleet-admit event per
+// slot — which flushes any round speculated over the old width. A slot
+// whose handshake fails is charged one loss and stays out; the survivors
+// serve from round r, which therefore repartitions the derived seed space
+// exactly as a game started at the wider width would.
 func (en *engine) growFleet(r, k int) error {
-	g, ok := en.pool.tr.(cluster.Grower)
-	if !ok {
-		return fmt.Errorf("collect: transport %T cannot grow", en.pool.tr)
-	}
-	if err := g.Grow(k); err != nil {
-		return err
-	}
-	base := en.pool.ms.Slots()
-	if err := en.pool.ms.Grow(k, r); err != nil {
-		return err
-	}
-	epoch := en.pool.epoch()
-	for s := base; s < base+k; s++ {
-		if err := en.pool.admit(r, s, epoch); err != nil {
-			en.pool.drop(r, "grow", s, err)
+	p := en.pool
+	for s := en.nextGrow; s < en.nextGrow+k; s++ {
+		epoch := p.epoch() + 1
+		if err := p.admit(r, s, epoch); err != nil {
+			p.drop(r, "grow", s, err)
+			continue
 		}
+		if err := p.ms.Admit(s, r); err != nil {
+			return err
+		}
+		p.log.FleetAdmit(r, s, epoch)
 	}
-	en.pool.log.Logf("collect: round %d: fleet grown by %d to %d slots (epoch %d)", r, k, en.pool.ms.Slots(), epoch)
-	en.pool.met.Gauge("trimlab_tree_leaves").Set(float64(en.pool.totalLeaves()))
+	en.nextGrow += k
+	p.met.Gauge("trimlab_tree_leaves").Set(float64(p.totalLeaves()))
 	return nil
 }
 

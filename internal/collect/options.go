@@ -70,15 +70,12 @@ func (o *clusterOpts) validate() error {
 	return o.validateElastic()
 }
 
-// validateElastic checks the growth schedule against the run modes that can
-// host it: a growing slot space has no stable fingerprint for supervision
-// epochs or snapshots to pin.
+// validateElastic checks the growth schedule against the transport and the
+// run modes that can host it: supervision would re-admit held-out slots as
+// if lost, and a snapshot does not record which slots are still held.
 func (o *clusterOpts) validateElastic() error {
 	if len(o.elastic) == 0 {
 		return nil
-	}
-	if _, ok := o.transport.(cluster.Grower); !ok {
-		return fmt.Errorf("collect: elastic growth requires a transport implementing cluster.Grower")
 	}
 	if o.fleet != nil || o.checkpoint != nil || o.resume != nil {
 		return fmt.Errorf("collect: elastic growth is incompatible with fleet supervision, checkpoint and resume")
@@ -96,7 +93,19 @@ func (o *clusterOpts) validateElastic() error {
 		}
 		last = s.Round
 	}
+	if held := o.held(); held >= o.transport.Workers() {
+		return fmt.Errorf("collect: elastic schedule holds out all %d transport slots", held)
+	}
 	return nil
+}
+
+// held is the number of growth slots — the transport's last — the elastic
+// schedule holds out of the live set until their rounds.
+func (o *clusterOpts) held() (n int) {
+	for _, s := range o.elastic {
+		n += s.Add
+	}
+	return n
 }
 
 // subs normalizes the sub-shard knob: 0 and 1 are the same layout.
@@ -188,8 +197,10 @@ func (o *clusterOpts) newEngine(g Game, board *Board, collector trim.Strategy, o
 		focusWidth:   fw,
 		pipeline:     o.pipeline,
 		elastic:      o.elastic,
+		nextGrow:     o.transport.Workers() - o.held(),
 		onRound:      onRound,
 	}
+	en.pool.ms.Hold(o.held())
 	sg, ok := g.(snapshotter)
 	if !ok {
 		return en

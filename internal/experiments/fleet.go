@@ -126,9 +126,6 @@ func FaultTolerance(sc Scale, workers int) (*FaultToleranceResult, error) {
 				}
 			case fleet.EventAdmit:
 				row.RejoinRound = ev.Round
-			case fleet.EventGrow:
-				// The fault-tolerance study runs a fixed-width fleet; growth
-				// events never appear in its logs.
 			}
 		}
 		firstLoss := rounds + 1

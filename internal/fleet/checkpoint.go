@@ -14,10 +14,11 @@ import (
 const snapPattern = "checkpoint-%06d.tq"
 
 // Checkpointer persists coordinator snapshots every k rounds. Files are
-// written atomically (temp file + rename), so a coordinator killed mid-write
-// leaves the previous checkpoint intact, and every checkpoint is retained —
-// a resume can start from any of them, and the fault-tolerance experiments
-// replay several.
+// written atomically and durably (temp file, sync, rename, directory
+// sync), so neither a coordinator killed mid-write nor a machine crash
+// after Write returned leaves a partial newest checkpoint, and every
+// checkpoint is retained — a resume can start from any of them, and the
+// fault-tolerance experiments replay several.
 type Checkpointer struct {
 	dir   string
 	every int
@@ -50,20 +51,39 @@ func (c *Checkpointer) Write(snap *wire.Snapshot) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("fleet: checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(c.buf); err != nil {
-		tmp.Close()
+	// The bytes reach the disk before the rename publishes them, and the
+	// rename (a directory entry) before Write returns.
+	_, err = tmp.Write(c.buf)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return "", fmt.Errorf("fleet: checkpoint: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("fleet: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := syncDir(c.dir); err != nil {
 		return "", fmt.Errorf("fleet: checkpoint: %w", err)
 	}
 	return path, nil
+}
+
+// syncDir flushes a directory's entries to disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // LoadLatest decodes the newest checkpoint in dir, returning it and its

@@ -6,7 +6,7 @@
 //
 //   - an epoch-numbered Membership tracks which shard slots are live;
 //     every change — a drop after a failed call or heartbeat timeout, an
-//     admission after a successful re-join — bumps the epoch and is
+//     admission of a re-joining or growth slot — bumps the epoch and is
 //     recorded as an Event;
 //   - a heartbeat Monitor probes live workers on a configurable interval
 //     (liveness for workers that hang rather than fail) and probes down
@@ -86,11 +86,10 @@ func (c Config) now() func() time.Time {
 // EventKind tags a membership event.
 type EventKind byte
 
-// The membership events.
+// The membership events (an elastic game's growth slot enters by admission).
 const (
 	EventDrop  EventKind = 1 // a slot left the live set
 	EventAdmit EventKind = 2 // a slot (re-)entered the live set
-	EventGrow  EventKind = 3 // a brand-new slot extended the slot space (elastic fleet)
 )
 
 // String names the kind.
@@ -100,8 +99,6 @@ func (k EventKind) String() string {
 		return "drop"
 	case EventAdmit:
 		return "admit"
-	case EventGrow:
-		return "grow"
 	}
 	return "unknown"
 }

@@ -57,6 +57,36 @@ func TestMembershipDropAdmitEpochs(t *testing.T) {
 	}
 }
 
+// An elastic game's growth slots start held out — not live, no event, no
+// epoch — and enter through Admit, one epoch each; the fleet is whole from
+// the round the last of them serves.
+func TestMembershipHoldAdmitsGrowthSlots(t *testing.T) {
+	m := NewMembership(5)
+	m.Hold(2)
+	if got := m.Alive(); len(got) != 3 || got[2] != 2 {
+		t.Fatalf("alive after hold = %v, want [0 1 2]", got)
+	}
+	if m.Live(3) || m.Live(4) || m.Whole() || m.Epoch() != 0 || len(m.Events()) != 0 || m.WholeSince() != 0 {
+		t.Fatalf("after hold: live(3) %v live(4) %v whole %v epoch %d events %v since %d",
+			m.Live(3), m.Live(4), m.Whole(), m.Epoch(), m.Events(), m.WholeSince())
+	}
+	for i, s := range []int{3, 4} {
+		if err := m.Admit(s, 6); err != nil {
+			t.Fatal(err)
+		}
+		if m.Epoch() != i+1 {
+			t.Fatalf("admitting slot %d: epoch %d, want %d", s, m.Epoch(), i+1)
+		}
+	}
+	if !m.Whole() || m.WholeSince() != 6 || len(m.Events()) != 2 || m.Events()[1].Kind != EventAdmit {
+		t.Fatalf("after growth: whole %v since %d events %+v", m.Whole(), m.WholeSince(), m.Events())
+	}
+	m.Hold(0) // nothing held: a no-op
+	if len(m.Alive()) != 5 {
+		t.Fatalf("Hold(0) changed the live set: %v", m.Alive())
+	}
+}
+
 // WholeSinceLog mirrors Membership.WholeSince over a bare log — including
 // logs that end degraded or restore wholeness through interleaved
 // drop/admit pairs across different slots.

@@ -106,25 +106,14 @@ func (m *Membership) Admit(slot, round int) error {
 	return nil
 }
 
-// Grow extends the slot space by k brand-new live slots appended at the
-// tail (the elastic-fleet epoch boundary). Existing slots keep their ids —
-// and therefore their derived per-slot seed streams — so growth only opens
-// new streams; round is the first round the new slots serve. The epoch
-// bumps once per grow, which is what flushes a pipelined round speculated
-// over the old width.
-func (m *Membership) Grow(k, round int) error {
-	if k <= 0 {
-		return fmt.Errorf("fleet: grow by %d slots", k)
+// Hold takes the last k slots out of the live set before the game starts,
+// with no event and no epoch: an elastic game's growth slots, which enter
+// later through Admit like any re-joining slot. k must leave a slot live.
+func (m *Membership) Hold(k int) {
+	for _, s := range m.alive[len(m.alive)-k:] {
+		m.live[s] = false
 	}
-	m.epoch++
-	for i := 0; i < k; i++ {
-		s := m.n + i
-		m.alive = append(m.alive, s)
-		m.live = append(m.live, true)
-		m.events = append(m.events, Event{Kind: EventGrow, Epoch: m.epoch, Round: round, Worker: s})
-	}
-	m.n += k
-	return nil
+	m.alive = m.alive[:len(m.alive)-k]
 }
 
 // Events returns the membership change log in order. The slice is shared;
@@ -158,13 +147,6 @@ func WholeSinceLog(n int, events []Event) int {
 			delete(down, ev.Worker)
 			if len(down) == 0 {
 				// The admission that restored wholeness serves from ev.Round.
-				since = ev.Round
-			}
-		case EventGrow:
-			// A new slot serves from ev.Round, so the (wider) fleet has only
-			// been whole in its current shape from there; if slots are down,
-			// the admission that restores wholeness will re-stamp since.
-			if len(down) == 0 {
 				since = ev.Round
 			}
 		}

@@ -29,7 +29,7 @@ func goldenTables(t testing.TB) map[string][][]byte {
 	return tables
 }
 
-// TestEncodingGolden pins the bytes of format 12: the FNV-64a digest of each
+// TestEncodingGolden pins the bytes of format 13: the FNV-64a digest of each
 // round-trip table's messages, concatenated in table order. The wirever
 // analyzer fingerprints the declared message structs only, so an encoder
 // that changed bytes without changing a struct would pass it — and
@@ -37,11 +37,11 @@ func goldenTables(t testing.TB) map[string][][]byte {
 // may change only together with Version.
 func TestEncodingGolden(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0x1a7f83d8d2a6a53c,
-		"report":    0x6828c434adedb227,
-		"summary":   0x2d79b502f9370aa6,
-		"vector":    0x52b3e09e89bb0bb7,
-		"snapshot":  0xd3ad7cd81e7faef3,
+		"directive": 0xb3101021a397cab1,
+		"report":    0x277fccf7bbf8138e,
+		"summary":   0x81ad2bef4b1434eb,
+		"vector":    0x28fe903a6a32ae67,
+		"snapshot":  0xbaba19483dcc2977,
 	}
 	tables := goldenTables(t)
 	if len(tables) != len(want) {
@@ -72,20 +72,20 @@ func entryFreeTables(t testing.TB) map[string][][]byte {
 		}
 	}
 	for _, rep := range []*Report{
-		{},
-		{Round: 3, Worker: 2, Epoch: 4, Configured: true, Epsilon: 0.01},
+		{Leaves: 1},
+		{Round: 3, Worker: 2, Epoch: 4, Configured: true, Epsilon: 0.01, Leaves: 1},
 		{
-			Round: 9, Worker: 1, Epsilon: 0.005,
+			Round: 9, Worker: 1, Epsilon: 0.005, Leaves: 1,
 			Counts:    Counts{HonestKept: 10, HonestTrimmed: 2, PoisonKept: 1, PoisonTrimmed: 4},
 			KeptCount: 11, KeptSum: -9.5,
 		},
-		{Round: 12, Worker: 1, Epsilon: 0.01, PctSums: []float64{1.25, 1.75, 2.5}, InputSum: -1.25},
+		{Round: 12, Worker: 1, Epsilon: 0.01, Leaves: 1, PctSums: []float64{1.25, 1.75, 2.5}, InputSum: -1.25},
 		{
-			Round: 11, Worker: 2, Epoch: 3, Trace: 0x9e3779b97f4a7c15,
+			Round: 11, Worker: 2, Epoch: 3, Trace: 0x9e3779b97f4a7c15, Leaves: 1,
 			GenerateNanos: 1_250_000, SummarizeNanos: 640_000, ClassifyNanos: 87_500,
 		},
 		{Round: 13, Leaves: 3, Height: 2, LostLeaves: []int{1, 3}, MergeNanos: []int64{40_000, 125_000}},
-		{KeptRows: [][]float64{{1, 2}, {3, 4}, {5, 6}}, KeptLabels: []int{0, 2, 1}, PoolRows: []int{3, 0}},
+		{KeptRows: [][]float64{{1, 2}, {3, 4}, {5, 6}}, KeptLabels: []int{0, 2, 1}, PoolRows: []int{3, 0}, Leaves: 2},
 	} {
 		tables["report"] = append(tables["report"], EncodeReport(nil, rep))
 	}
@@ -116,13 +116,15 @@ func entryFreeTables(t testing.TB) map[string][][]byte {
 // apart from the summary-block codec: a codec change that moves no field
 // must leave them byte for byte, version byte aside. The digests are
 // FNV-64a over each kind's entry-free messages in table order, with byte 2
-// masked. The summary and vector digests date from format 10; directive,
-// report and snapshot were re-recorded under format 12, which dropped the
-// clean-scale fields from all three.
+// masked. The summary and vector digests date from format 10 and the
+// snapshot digest from format 12, which dropped the clean-scale fields;
+// directive and report were re-recorded under format 13, which retired the
+// TreeInfo op (its table row is a Heartbeat now) and the report's Vec slot
+// and stamps Leaves on every reply.
 func TestEntryFreeBytesUnchanged(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0x03a7b29dd7ab4677,
-		"report":    0xcf36b2cb66476e68,
+		"directive": 0x5ad5e62683d9c288,
+		"report":    0x24313eb8af09da67,
 		"summary":   0x1ca9375c652f1175,
 		"vector":    0xa651683bace37860,
 		"snapshot":  0xec18690a809b6d21,
@@ -168,7 +170,7 @@ func TestDecodeAllocsPerBlock(t *testing.T) {
 			pool[i] = float64(i) * 0.5
 		}
 		conf = EncodeDirective(nil, &Directive{Op: OpConfigure, Epsilon: 0.01, Rows: rows, Labels: labels, Pool: pool})
-		page = EncodeReport(nil, &Report{KeptRows: rows, KeptLabels: labels, PoolRows: []int{nRows}})
+		page = EncodeReport(nil, &Report{KeptRows: rows, KeptLabels: labels, PoolRows: []int{nRows}, Leaves: 1})
 		return conf, page
 	}
 	allocs := func(conf, page []byte) (dir, rep float64) {

@@ -12,7 +12,8 @@ import (
 // bit for bit. Seeds are the round-trip tables' messages (multi-cell
 // generator specs, clean-scale summaries on generate directives among
 // them), a configure carrying several blocks (dataset rows, labels and a
-// pool) and the retired op codes. Run longer with
+// pool), the retired op codes, a report claiming 0 leaves and a snapshot
+// with an unknown membership event kind. Run longer with
 // `go test ./internal/wire -run=NONE -fuzz=FuzzDecodeDirective -fuzztime=15s`
 // (likewise FuzzDecodeReport, FuzzDecodeSummary, FuzzDecodeVector and
 // FuzzDecodeSnapshot).
@@ -32,6 +33,7 @@ func FuzzDecodeDirective(f *testing.F) {
 		Pool:     []float64{0.25, -3, 8, 1e-9, 42},
 		Clusters: 2, PoisonLabel: -1,
 	}))
+	f.Add(EncodeDirective(nil, &Directive{Op: 13})) // the retired TreeInfo probe
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		d, err := DecodeDirective(raw)
 		if err != nil {
@@ -52,6 +54,7 @@ func FuzzDecodeReport(f *testing.F) {
 	for _, rep := range roundTripReports(f) {
 		f.Add(EncodeReport(nil, rep))
 	}
+	f.Add(EncodeReport(nil, &Report{Round: 2, PctSums: []float64{0.5}})) // claims 0 leaves
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		rep, err := DecodeReport(raw)
 		if err != nil {
@@ -128,6 +131,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for _, s := range roundTripSnapshots(f) {
 		f.Add(EncodeSnapshot(nil, s))
 	}
+	f.Add(EncodeSnapshot(nil, badEventKindSnapshot(f, 3))) // retired grow kind
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := DecodeSnapshot(raw)
 		if err != nil {

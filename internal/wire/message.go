@@ -33,8 +33,10 @@ type Op byte
 // (raw arrival slices shipped per round), retired in format 9; code 7 to the
 // row game's GenerateRows, retired in format 10 (Generate serves every
 // game); code 8 to the row game's distributed clean-scale pass, Scale,
-// retired in format 12 (the coordinator computes the scale itself). They
-// are never reused: a directive carrying any of them fails to decode.
+// retired in format 12 (the coordinator computes the scale itself); code
+// 13 to the aggregator tier's TreeInfo topology probe, retired in format
+// 13 (every reply carries the subtree shape, so a Heartbeat probes it).
+// They are never reused: a directive carrying any of them fails to decode.
 const (
 	OpConfigure        Op = 1  // set the worker's ε budget and data-plane state
 	OpClassify         Op = 4  // classify the held arrivals against Threshold
@@ -44,13 +46,12 @@ const (
 	OpHello            Op = 10 // admission handshake: report Configured, mutate nothing
 	OpJoin             Op = 11 // membership grant: serve shard slots from Epoch on
 	OpClassifyGenerate Op = 12 // classify round Round, then generate round Round+1 from Gen
-	OpTreeInfo         Op = 13 // topology probe: report subtree Leaves/Height, mutate nothing
 	OpFetchRows        Op = 14 // page [Lo,Hi) of leaf Leaf's kept-row pool (game-end fan-in)
 	OpPoolTrim         Op = 15 // roll kept-row pools back to per-leaf row counts (resume)
 )
 
 // retiredOp reports whether o is a retired op code.
-func retiredOp(o Op) bool { return o == 2 || o == 3 || o == 7 || o == 8 }
+func retiredOp(o Op) bool { return o == 2 || o == 3 || o == 7 || o == 8 || o == 13 }
 
 func (o Op) valid() bool { return o >= OpConfigure && o <= OpPoolTrim && !retiredOp(o) }
 
@@ -104,7 +105,7 @@ type Cell struct {
 
 // Report is one worker → coordinator message: the reply to every directive.
 // Which fields are populated depends on the phase — Sum/Count/ValueSum plus
-// PctSums/InputSum after a Generate, Counts/Kept*/Vec after a classify.
+// PctSums/InputSum after a Generate, Counts/Kept*/Vecs after a classify.
 // Exact counts and sums ride alongside each sketch so the coordinator's
 // Count/Mean estimators stay exact across shard hops
 // (summary.Stream.AbsorbCounted).
@@ -161,7 +162,6 @@ type Report struct {
 	Kept      *summary.Summary // summary of the values this shard kept
 	KeptCount int
 	KeptSum   float64
-	Vec       *VectorDelta // accepted-row vector delta (row game)
 
 	// KeptRows/KeptLabels are one page of a worker-held kept-row pool —
 	// the reply to OpFetchRows (labels ride along when the dataset is
@@ -183,19 +183,19 @@ type Report struct {
 	// Aggregator tier (DESIGN.md §13). A report forwarded by an aggregator
 	// stands for a whole subtree of worker slots:
 	//
-	//   - Leaves is the live leaf-worker count behind this report (a plain
-	//     worker reports 1; decoders treat 0 as 1 for compatibility with
-	//     replies that never set it, e.g. Stop).
+	//   - Leaves is the live leaf-worker count behind this report, at least
+	//     1 on every reply: a plain worker is a one-leaf subtree and
+	//     reports 1 (DecodeReport refuses 0).
 	//   - Height is the merge-graph height above the leaves (worker: 0).
 	//   - LostLeaves lists leaf offsets — relative to the leaf order this
 	//     directive's fan-out covered — whose shards were lost mid-call
 	//     (a dead child subtree, or a grandchild loss remapped upward).
-	//   - Vecs are the concatenated per-leaf accepted-row vector deltas in
-	//     leaf order. Aggregators concatenate rather than merge so the
-	//     coordinator absorbs exactly one delta per leaf, in leaf order —
-	//     Stream.AbsorbCounted compresses per absorbed delta, so only
-	//     per-leaf absorption keeps the robust center bit-identical to the
-	//     flat run. (Vec stays the single-worker field.)
+	//   - Vecs are the row game's per-leaf accepted-row vector deltas in
+	//     leaf order: a plain worker ships at most one, and aggregators
+	//     concatenate rather than merge so the coordinator absorbs exactly
+	//     one delta per leaf, in leaf order — Stream.AbsorbCounted
+	//     compresses per absorbed delta, so only per-leaf absorption keeps
+	//     the robust center bit-identical to the flat run.
 	//   - MergeNanos[l] is the merge wall-clock at tree level l+1 (leaf-most
 	//     aggregator level first): each aggregator folds its children's
 	//     lists element-wise by max and appends its own merge time.
@@ -237,11 +237,6 @@ func EncodeReport(buf []byte, rep *Report) []byte {
 	buf = appendRowsBlock(buf, rep.KeptRows)
 	buf = appendIntList(buf, rep.KeptLabels)
 	buf = appendIntList(buf, rep.PoolRows)
-	if rep.Vec == nil {
-		buf = appendU32(buf, 0)
-	} else {
-		buf = appendVectorDelta(buf, rep.Vec)
-	}
 	buf = appendU32(buf, uint32(rep.Leaves))
 	buf = appendU32(buf, uint32(rep.Height))
 	buf = appendIntList(buf, rep.LostLeaves)
@@ -308,10 +303,10 @@ func DecodeReport(buf []byte) (*Report, error) {
 	rep.KeptRows = readRowsBlock(r, "kept rows")
 	rep.KeptLabels = readIntList(r, "kept label")
 	rep.PoolRows = readIntList(r, "pool rows")
-	if rep.Vec, err = readVectorBlock(r); err != nil {
-		return nil, err
-	}
 	rep.Leaves = int(r.u32("leaves"))
+	if r.err == nil && rep.Leaves == 0 {
+		return nil, fmt.Errorf("wire: report claims 0 leaves (every reply stands for at least one)")
+	}
 	rep.Height = int(r.u32("height"))
 	rep.LostLeaves = readIntList(r, "lost leaf")
 	if nVecs := r.count("leaf vectors", 16); nVecs > 0 {
@@ -348,8 +343,9 @@ func DecodeReport(buf []byte) (*Report, error) {
 //   - Classify carries Threshold (and Pct for the record); Stop nothing.
 //   - Heartbeat and Hello carry nothing beyond the op; Join carries Epoch.
 //   - FetchRows carries Leaf (which kept-row pool) and the page range
-//     [Lo, Hi) in pool row indices; PoolTrim carries Cuts as the per-leaf
-//     pool row targets to roll back to (one entry per leaf, leaf order).
+//     [Lo, Hi) in pool row indices; PoolTrim carries only Cuts, the
+//     per-leaf pool row targets to roll back to (one entry per leaf, leaf
+//     order).
 type Directive struct {
 	Op    Op
 	Round int
@@ -391,16 +387,15 @@ type Directive struct {
 	MechEps     float64   // LDP mechanism privacy budget
 	MechK       int       // LDP mechanism arity (GRR category count; 0 otherwise)
 
-	// Lo, Hi: the page range of a FetchRows (a plain worker's PoolTrim
-	// target rides in Lo too).
+	// Lo, Hi: the page range of a FetchRows.
 	Lo, Hi int
 
 	// Generate/ClassifyGenerate: the generation recipe.
 	Gen *GenSpec
 
 	// Cuts are a PoolTrim's per-leaf pool row targets, in leaf order (len =
-	// the receiving subtree's leaves; a plain worker reads Cuts[0]). The
-	// aggregator slices them positionally among its children. Nil
+	// the receiving subtree's leaves; a plain worker takes exactly one).
+	// The aggregator slices them positionally among its children. Nil
 	// everywhere else.
 	Cuts []int
 
@@ -515,7 +510,7 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 		return nil, err
 	}
 	if retiredOp(d.Op) {
-		return nil, fmt.Errorf("wire: directive op %d is retired (format 12 serves only the shard-local data plane, every game through Generate, with the clean scale computed at the coordinator)", d.Op)
+		return nil, fmt.Errorf("wire: directive op %d is retired (format 13 serves only the shard-local data plane, every game through Generate, with the clean scale computed at the coordinator and the subtree shape on every reply)", d.Op)
 	}
 	if !d.Op.valid() {
 		return nil, fmt.Errorf("wire: unknown directive op %d", d.Op)

@@ -46,8 +46,9 @@ type SnapLoss struct {
 }
 
 // SnapEvent is one membership change (fleet.Event): Kind 1 = drop, 2 =
-// admit. Snapshots carry the full log so a resumed coordinator reports the
-// same loss/recovery history — and the same WholeSince — as the run it
+// admit, the only two kinds there are; DecodeSnapshot refuses any other.
+// Snapshots carry the full log so a resumed coordinator reports the same
+// loss/recovery history — and the same WholeSince — as the run it
 // continues.
 type SnapEvent struct {
 	Kind   byte
@@ -258,6 +259,9 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 		}
 		if r.err != nil {
 			return nil, r.err
+		}
+		if e.Kind != 1 && e.Kind != 2 {
+			return nil, fmt.Errorf("wire: snapshot membership event %d has unknown kind %d", i, e.Kind)
 		}
 		s.Events = append(s.Events, e)
 	}

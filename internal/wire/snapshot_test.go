@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/stats/summary"
@@ -174,6 +175,15 @@ func TestSnapshotRowsRoundTrip(t *testing.T) {
 	}
 }
 
+// badEventKindSnapshot is a snapshot whose membership log carries a kind
+// other than drop (1) or admit (2) — the corrupt checkpoint a resume must
+// refuse rather than replay a wrong loss/recovery history from.
+func badEventKindSnapshot(t testing.TB, kind byte) *Snapshot {
+	snap := testSnapshot(t)
+	snap.Events[1].Kind = kind
+	return snap
+}
+
 func TestSnapshotRejectsMalformed(t *testing.T) {
 	snap := testSnapshot(t)
 	raw := EncodeSnapshot(nil, snap)
@@ -199,6 +209,14 @@ func TestSnapshotRejectsMalformed(t *testing.T) {
 	badRound.NextRound = 3 // 7 records say otherwise
 	if _, err := DecodeSnapshot(EncodeSnapshot(nil, badRound)); err == nil {
 		t.Fatal("inconsistent next round accepted")
+	}
+	// Drop and admit are the only membership event kinds: any other byte
+	// fails to decode instead of being skipped by the history readers.
+	for _, kind := range []byte{0, 3, 7} {
+		_, err := DecodeSnapshot(EncodeSnapshot(nil, badEventKindSnapshot(t, kind)))
+		if err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Errorf("event kind %d: error = %v, want an unknown-kind refusal", kind, err)
+		}
 	}
 }
 
@@ -227,7 +245,7 @@ func TestFleetFieldsRoundTrip(t *testing.T) {
 	if back.MechKind != 3 || back.MechEps != 2.5 || back.MechK != 8 {
 		t.Fatalf("mechanism fields diverged: %+v", back)
 	}
-	rep := &Report{Round: 3, Worker: 2, Epoch: 4, Configured: true, Epsilon: 0.01}
+	rep := &Report{Round: 3, Worker: 2, Epoch: 4, Configured: true, Epsilon: 0.01, Leaves: 1}
 	brep, err := DecodeReport(EncodeReport(nil, rep))
 	if err != nil {
 		t.Fatal(err)

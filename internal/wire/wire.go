@@ -76,15 +76,21 @@ import (
 // from the version byte, and a v10 checkpoint cannot resume under v11;
 // 12 moved the row game's clean scale to the coordinator: the Scale op
 // (code 8, never reused), the directive's scale center, the report's scale
-// summary and extrema and the snapshot's third delay-line center are gone.
-const Version = 12
+// summary and extrema and the snapshot's third delay-line center are gone;
+// 13 made a plain worker answer as the one-leaf subtree it is: every reply
+// carries Leaves ≥ 1 (a decoder refuses 0), the row game's vector deltas
+// ride only in the per-leaf Vecs list (the single-worker Vec slot is
+// gone), a pool-trim target rides only in Cuts, and the TreeInfo probe
+// (code 13, never reused) is retired — an aggregator probes a child with
+// a Heartbeat, whose reply carries the shape.
+const Version = 13
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game), so its predecessor is retired: a
 // mixed-version cluster fails loudly at the configure fan-out instead of
 // misparsing or dying rounds later.
-const MinVersion = 12
+const MinVersion = 13
 
 const (
 	magic0 = 'T'

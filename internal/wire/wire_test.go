@@ -252,20 +252,20 @@ func roundTripReports(t testing.TB) []*Report {
 		}
 	}
 	return []*Report{
-		{}, // zero report (a bare ack)
+		{Leaves: 1}, // a bare ack: a plain worker is one leaf on every reply
 		{
-			Round: 7, Worker: 3, Epsilon: 0.01,
+			Round: 7, Worker: 3, Epsilon: 0.01, Leaves: 1,
 			Sum: randomSummary(t, rng, "uniform", 500, 32), Count: 500, ValueSum: 123.456,
 		},
 		{
-			Round: 9, Worker: 1, Epsilon: 0.005,
+			Round: 9, Worker: 1, Epsilon: 0.005, Leaves: 1,
 			Counts:    Counts{HonestKept: 10, HonestTrimmed: 2, PoisonKept: 1, PoisonTrimmed: 4},
 			Kept:      randomSummary(t, rng, "heavy", 300, 0),
 			KeptCount: 11, KeptSum: -9.5,
-			Vec: DeltaFromVector(vec),
+			Vecs: []*VectorDelta{DeltaFromVector(vec)},
 		},
 		{ // shard-local generate reply
-			Round: 3, Worker: 2, Epsilon: 0.01,
+			Round: 3, Worker: 2, Epsilon: 0.01, Leaves: 1,
 			Sum: randomSummary(t, rng, "uniform", 200, 16), Count: 200, ValueSum: 55.5,
 			PctSums: []float64{3.96}, InputSum: -1.25,
 		},
@@ -273,23 +273,23 @@ func roundTripReports(t testing.TB) []*Report {
 			Round: 4, PoolRows: []int{12, 0, 7}, Leaves: 3, Height: 1,
 		},
 		{ // shard-local rows classify reply
-			Round: 5, Worker: 1, Epsilon: 0.02,
+			Round: 5, Worker: 1, Epsilon: 0.02, Leaves: 1,
 			Counts:    Counts{HonestKept: 2, PoisonKept: 1},
 			Kept:      randomSummary(t, rng, "duplicate", 40, 0),
 			KeptCount: 3, KeptSum: 4.5,
 			KeptRows:   [][]float64{{1, 2}, {3, 4}, {5, 6}},
 			KeptLabels: []int{0, 2, 1},
-			Vec:        DeltaFromVector(vec),
+			Vecs:       []*VectorDelta{DeltaFromVector(vec)},
 		},
 		{ // v5: trace echo + per-phase timings (a ClassifyGenerate reply fills all three)
-			Round: 11, Worker: 2, Epoch: 3, Epsilon: 0.01,
+			Round: 11, Worker: 2, Epoch: 3, Epsilon: 0.01, Leaves: 1,
 			Trace:         0x9e3779b97f4a7c15,
 			GenerateNanos: 1_250_000, SummarizeNanos: 640_000, ClassifyNanos: 87_500,
 			Sum: randomSummary(t, rng, "uniform", 64, 16), Count: 64, ValueSum: 12.5,
 			Counts: Counts{HonestKept: 60, HonestTrimmed: 4},
 		},
 		{ // v6: sub-sharded generate reply with per-cell percentile sums
-			Round: 12, Worker: 1, Epsilon: 0.01,
+			Round: 12, Worker: 1, Epsilon: 0.01, Leaves: 1,
 			Sum: randomSummary(t, rng, "uniform", 128, 16), Count: 128, ValueSum: 64.25,
 			PctSums: []float64{1.25, 1.75, 2.5},
 		},
@@ -302,12 +302,12 @@ func roundTripReports(t testing.TB) []*Report {
 			MergeNanos: []int64{40_000, 125_000},
 		},
 		{ // combined reply: classify round 14, generate round 15
-			Round: 14, Worker: 2, Epsilon: 0.01,
+			Round: 14, Worker: 2, Epsilon: 0.01, Leaves: 1,
 			Sum: randomSummary(t, rng, "uniform", 120, 16), Count: 120, ValueSum: 31.5,
 			Counts:    Counts{HonestKept: 90, HonestTrimmed: 10, PoisonKept: 5, PoisonTrimmed: 15},
 			Kept:      randomSummary(t, rng, "heavy", 95, 0),
 			KeptCount: 95, KeptSum: 44.5,
-			Vec: DeltaFromVector(vec),
+			Vecs: []*VectorDelta{DeltaFromVector(vec)},
 		},
 	}
 }
@@ -382,7 +382,7 @@ func roundTripDirectives() []*Directive {
 			Op: OpClassify, Round: 8, Epoch: 2, Pct: 0.95, Threshold: 2.5,
 			Trace: 0xbf58476d1ce4e5b9,
 		},
-		{Op: OpTreeInfo}, // v7: topology probe
+		{Op: OpHeartbeat}, // v13: the aggregator's construction probe
 		{ // v6: multi-cell generate with the adaptive-ε focus window
 			Op: OpClassifyGenerate, Round: 9, Pct: 0.9, Threshold: 1.75,
 			FocusPct: 0.9, FocusWidth: 0.05, FocusTighten: 8,
@@ -404,8 +404,8 @@ func roundTripDirectives() []*Directive {
 				Scale: summary.FromUnsorted([]float64{0.25, 0.75, 1.25, 9.75}),
 			},
 		},
-		{Op: OpFetchRows, Leaf: 3, Lo: 4096, Hi: 8192},       // v8: kept-row page
-		{Op: OpPoolTrim, Round: 7, Lo: 5, Cuts: []int{5, 9}}, // v8: pool rollback targets
+		{Op: OpFetchRows, Leaf: 3, Lo: 4096, Hi: 8192}, // v8: kept-row page
+		{Op: OpPoolTrim, Round: 7, Cuts: []int{5, 9}},  // v8: pool rollback targets (v13: Cuts only)
 	}
 }
 
@@ -429,7 +429,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	msgs := map[string][]byte{
 		"summary": EncodeSummary(nil, s),
 		"report": EncodeReport(nil, &Report{
-			Round: 1, Sum: s, Count: 64, ValueSum: 30, PoolRows: []int{1, 2},
+			Round: 1, Sum: s, Count: 64, ValueSum: 30, PoolRows: []int{1, 2}, Leaves: 2,
 		}),
 		"directive": EncodeDirective(nil, &Directive{
 			Op: OpGenerate, Round: 1, Center: []float64{1, 2, 3}, Gen: &GenSpec{Cells: []Cell{{Seed: 1, HonestN: 2}}},
@@ -457,26 +457,42 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 // The coordinator-fed Summarize/SummarizeRows op codes (2 and 3, retired in
-// format 9), the row game's GenerateRows (7, retired in format 10) and its
-// clean-scale pass Scale (8, retired in format 12) are never reused: a
-// directive carrying any of them must fail to decode, so no worker or
-// aggregator acts on one. Their neighbours stay valid — the remaining ops
-// keep their numbers.
+// format 9), the row game's GenerateRows (7, retired in format 10), its
+// clean-scale pass Scale (8, retired in format 12) and the aggregator's
+// TreeInfo probe (13, retired in format 13) are never reused: a directive
+// carrying any of them must fail to decode, so no worker or aggregator
+// acts on one. Their neighbours stay valid — the remaining ops keep their
+// numbers.
 func TestDecodeRejectsRetiredOps(t *testing.T) {
-	for _, op := range []Op{2, 3, 7, 8} {
+	for _, op := range []Op{2, 3, 7, 8, 13} {
 		_, err := DecodeDirective(EncodeDirective(nil, &Directive{Op: op, Round: 1}))
 		if err == nil || !strings.Contains(err.Error(), "retired") {
 			t.Errorf("op %d: error = %v, want a retired-op refusal", op, err)
 		}
 	}
-	for _, op := range []Op{OpConfigure, OpClassify, OpGenerate, OpHeartbeat} {
+	for _, op := range []Op{OpConfigure, OpClassify, OpGenerate, OpHeartbeat, OpClassifyGenerate, OpFetchRows} {
 		if _, err := DecodeDirective(EncodeDirective(nil, &Directive{Op: op})); err != nil {
 			t.Errorf("op %d: %v", op, err)
 		}
 	}
-	if OpClassify != 4 || OpGenerate != 6 || OpHeartbeat != 9 || OpPoolTrim != 15 {
-		t.Errorf("op codes renumbered: classify %d, generate %d, heartbeat %d, pool trim %d",
-			OpClassify, OpGenerate, OpHeartbeat, OpPoolTrim)
+	if OpClassify != 4 || OpGenerate != 6 || OpHeartbeat != 9 || OpClassifyGenerate != 12 ||
+		OpFetchRows != 14 || OpPoolTrim != 15 {
+		t.Errorf("op codes renumbered: classify %d, generate %d, heartbeat %d, classify+generate %d, fetch rows %d, pool trim %d",
+			OpClassify, OpGenerate, OpHeartbeat, OpClassifyGenerate, OpFetchRows, OpPoolTrim)
+	}
+}
+
+// Every reply stands for a subtree of at least one leaf — a plain worker
+// is a one-leaf subtree — so a report claiming 0 leaves is refused at
+// decode, before a coordinator or aggregator sizes a split by it.
+func TestDecodeRejectsZeroLeaves(t *testing.T) {
+	for _, rep := range []*Report{{}, {Round: 4, PoolRows: []int{3}, Counts: Counts{HonestKept: 3}}} {
+		if _, err := DecodeReport(EncodeReport(nil, rep)); err == nil || !strings.Contains(err.Error(), "0 leaves") {
+			t.Errorf("report %+v: error = %v, want a 0-leaves refusal", rep, err)
+		}
+	}
+	if _, err := DecodeReport(EncodeReport(nil, &Report{Leaves: 1})); err != nil {
+		t.Errorf("one-leaf report: %v", err)
 	}
 }
 
