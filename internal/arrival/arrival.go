@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/stats"
@@ -85,22 +86,48 @@ func SpecFromWire(g *wire.GenSpec) ([]Spec, error) {
 	return specs, nil
 }
 
-// Scalar draws one shard's slice of a scalar round: honest values sampled
-// uniformly with replacement from Pool, then poison values placed at
-// injection percentiles of the sorted reference Ref (with tie-breaking
+// Scalar draws one shard's slice of a scalar round from the sorted clean
+// reference Ref alone: honest values sampled uniformly with replacement
+// from it (a uniform draw does not depend on the order it indexes), then
+// poison values placed at injection percentiles of it (with tie-breaking
 // jitter). The draw order per arrival is part of the reproducibility
 // contract:
 //
-//	honest i:  one Intn (pool index)
+//	honest i:  one Intn (index into Ref)
 //	poison i:  Inject.Sample, then one Float64 (jitter)
 type Scalar struct {
-	Pool []float64 // honest pool; index order matters (Intn addressing)
-	Ref  []float64 // sorted clean reference (injection percentile scale)
+	Ref []float64 // sorted clean reference: the honest pool and the injection percentile scale
+}
+
+// NewScalar builds the generator over a shipped reference, which must be
+// non-empty and in stats.SortFloat64s order — the worker-side guard, so a
+// reference the coordinator did not sort is a protocol error rather than
+// a silently skewed percentile scale.
+func NewScalar(ref []float64) (*Scalar, error) {
+	if err := checkSorted(ref, "scalar reference"); err != nil {
+		return nil, err
+	}
+	return &Scalar{Ref: ref}, nil
 }
 
 func (g *Scalar) validate() error {
-	if g == nil || len(g.Pool) == 0 || len(g.Ref) == 0 {
-		return fmt.Errorf("arrival: scalar generator needs a pool and a reference")
+	if g == nil || len(g.Ref) == 0 {
+		return fmt.Errorf("arrival: scalar generator needs a reference")
+	}
+	return nil
+}
+
+// checkSorted accepts a non-empty pool in stats.SortFloat64s order — which
+// is sort.Float64s's, NaNs first — that holds no NaN (a sorted pool holds
+// one only at its head). It is O(n) and allocates nothing.
+func checkSorted(xs []float64, what string) error {
+	switch {
+	case len(xs) == 0:
+		return fmt.Errorf("arrival: empty %s", what)
+	case !slices.IsSorted(xs):
+		return fmt.Errorf("arrival: %s is not sorted", what)
+	case math.IsNaN(xs[0]):
+		return fmt.Errorf("arrival: %s holds NaN", what)
 	}
 	return nil
 }
@@ -117,7 +144,7 @@ func (g *Scalar) Draw(rng *rand.Rand, s Spec) (values []float64, pctSum float64,
 	}
 	values = make([]float64, 0, s.HonestN+s.PoisonN)
 	for i := 0; i < s.HonestN; i++ {
-		values = append(values, g.Pool[rng.Intn(len(g.Pool))])
+		values = append(values, g.Ref[rng.Intn(len(g.Ref))])
 	}
 	for i := 0; i < s.PoisonN; i++ {
 		pct := s.Inject.Sample(rng)

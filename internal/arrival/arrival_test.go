@@ -2,6 +2,7 @@ package arrival
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestScalarDrawDeterministicAndShaped(t *testing.T) {
 	ref := stats.NormalSlice(stats.NewRand(1), 2000, 0, 1)
 	sorted := append([]float64(nil), ref...)
 	sort.Float64s(sorted)
-	g := &Scalar{Pool: ref, Ref: sorted}
+	g := &Scalar{Ref: sorted}
 	spec := scalarSpec(300, 60)
 
 	a, pctA, err := g.Draw(stats.NewShardRand(7, 2, 3), spec)
@@ -108,7 +109,7 @@ func TestScalarDrawDeterministicAndShaped(t *testing.T) {
 }
 
 func TestScalarDrawValidation(t *testing.T) {
-	ok := &Scalar{Pool: []float64{1}, Ref: []float64{1}}
+	ok := &Scalar{Ref: []float64{1}}
 	if _, _, err := ok.Draw(stats.NewRand(1), Spec{HonestN: -1}); err == nil {
 		t.Fatal("negative honest count accepted")
 	}
@@ -184,6 +185,7 @@ func TestLDPDraw(t *testing.T) {
 	for i := range pool {
 		pool[i] = stats.Clamp(rng.NormFloat64()*0.3, -1, 1)
 	}
+	sort.Float64s(pool)
 	mech, err := ldp.NewPiecewise(2)
 	if err != nil {
 		t.Fatal(err)
@@ -216,6 +218,98 @@ func TestLDPDraw(t *testing.T) {
 	for i, v := range a {
 		if v < lo || v > hi {
 			t.Fatalf("report %d = %v outside mechanism support [%v, %v]", i, v, lo, hi)
+		}
+	}
+}
+
+// Every generator samples honest arrivals from its one sorted pool: the
+// i-th honest draw is pool[rng.Intn(n)] on the cell's stream (then, for
+// LDP and GRR, that input's Perturb draws), and a constructor refuses a
+// pool that is not in sort.Float64s order or holds a NaN.
+func TestHonestDrawsIndexTheSortedPool(t *testing.T) {
+	const n, seed = 300, 41
+	rng := stats.NewRand(6)
+	sorted := make([]float64, n)
+	cats := make([]float64, n)
+	for i := range sorted {
+		sorted[i] = stats.Clamp(rng.NormFloat64()*0.4, -1, 1)
+		cats[i] = float64(rng.Intn(5))
+	}
+	sort.Float64s(sorted)
+	sort.Float64s(cats)
+	pw, err := ldp.NewPiecewise(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grr, err := ldp.NewGRRValue(1.5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{HonestN: 80}
+
+	scalar, err := NewScalar(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := scalar.Draw(stats.NewRand(seed), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stats.NewRand(seed)
+	for i, v := range got {
+		if w := sorted[want.Intn(n)]; v != w {
+			t.Fatalf("scalar honest %d = %v, want Ref[Intn] = %v", i, v, w)
+		}
+	}
+
+	ldpGen, err := NewLDP(sorted, pw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	catGen, err := NewCategorical(cats, grr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		pool []float64
+		mech ldp.Mechanism
+		draw func(*rand.Rand, Spec) ([]float64, float64, float64, error)
+	}{
+		{"LDP", sorted, pw, ldpGen.Draw},
+		{"GRR", cats, grr, catGen.Draw},
+	} {
+		got, inputSum, _, err := c.draw(stats.NewRand(seed), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := stats.NewRand(seed)
+		var wantSum float64
+		for i, v := range got {
+			x := c.pool[want.Intn(n)]
+			wantSum += x
+			if w := c.mech.Perturb(want, x); v != w {
+				t.Fatalf("%s honest %d = %v, want Perturb(pool[Intn]) = %v", c.name, i, v, w)
+			}
+		}
+		if inputSum != wantSum {
+			t.Fatalf("%s input sum %v, want %v", c.name, inputSum, wantSum)
+		}
+	}
+
+	for name, pool := range map[string][]float64{
+		"unsorted": {0, 2, 1},
+		"NaN-led":  {math.NaN(), 0, 1},
+		"empty":    nil,
+	} {
+		if _, err := NewScalar(pool); err == nil {
+			t.Errorf("NewScalar accepted the %s reference", name)
+		}
+		if _, err := NewLDP(pool, pw); err == nil {
+			t.Errorf("NewLDP accepted the %s pool", name)
+		}
+		if _, err := NewCategorical(pool, grr); err == nil {
+			t.Errorf("NewCategorical accepted the %s pool", name)
 		}
 	}
 }

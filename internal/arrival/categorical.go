@@ -9,15 +9,16 @@ import (
 )
 
 // Categorical draws one shard's slice of a categorical (frequency-oracle)
-// round: honest categories sampled from the clean pool and perturbed
-// through the k-ary GRR channel, then input-manipulation poison — forge the
-// category at a commanded percentile of the clean category distribution and
-// follow the protocol (GRRValue rounds the forged percentile value to its
-// nearest legal category, exactly as ldp.NewInputManipulator would). The
-// draw order per arrival is part of the reproducibility contract and
-// matches LDP's:
+// round from one sorted pool of float-embedded categories: honest
+// categories sampled uniformly from it and perturbed through the k-ary GRR
+// channel, then input-manipulation poison — forge the category at a
+// commanded percentile of the same pool and follow the protocol (GRRValue
+// rounds the forged percentile value to its nearest legal category,
+// exactly as ldp.NewInputManipulator would). The draw order per arrival is
+// part of the reproducibility contract and matches LDP's:
 //
-//	honest i:  one Intn (pool index), then the channel's Perturb draws
+//	honest i:  one Intn (index into the sorted pool), then the channel's
+//	           Perturb draws
 //	poison i:  Inject.Sample, then the channel's Perturb draws on the
 //	           forged category
 //
@@ -25,52 +26,39 @@ import (
 // pipeline — summaries, trim thresholds, classification — treats a
 // categorical round exactly like a numeric one over the ordinal scale.
 type Categorical struct {
-	Pool   []int // honest category pool; index order matters (Intn addressing)
-	Mech   *ldp.GRRValue
-	sorted []float64 // Pool as sorted floats (forged-percentile resolution)
+	Pool []float64 // sorted honest categories, each an integral value in [0, k)
+	Mech *ldp.GRRValue
 }
 
-// NewCategorical builds the generator, validating every pool entry against
-// the channel's category domain and sorting a private percentile scale with
-// stats.SortFloat64s (radix over the integral categories, so a
-// duplicate-heavy pool skips its tie runs; the order is sort.Float64s's).
-func NewCategorical(pool []int, mech *ldp.GRRValue) (*Categorical, error) {
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("arrival: categorical generator needs a category pool")
+// NewCategorical builds the generator over a pool of float-embedded
+// categories already in stats.SortFloat64s order, validating the order and
+// every entry against the channel's category domain; the pool is kept as
+// is, not copied.
+func NewCategorical(pool []float64, mech *ldp.GRRValue) (*Categorical, error) {
+	if err := checkSorted(pool, "category pool"); err != nil {
+		return nil, err
 	}
 	if mech == nil {
 		return nil, fmt.Errorf("arrival: categorical generator needs a GRR channel")
 	}
-	sorted := make([]float64, len(pool))
-	for i, c := range pool {
-		if c < 0 || c >= mech.K() {
-			return nil, fmt.Errorf("arrival: pool category %d outside [0, %d)", c, mech.K())
+	for _, v := range pool {
+		if c := int(v); float64(c) != v || c < 0 || c >= mech.K() {
+			return nil, fmt.Errorf("arrival: pool entry %v is not a category in [0, %d)", v, mech.K())
 		}
-		sorted[i] = float64(c)
 	}
-	stats.SortFloat64s(sorted)
-	return &Categorical{Pool: pool, Mech: mech, sorted: sorted}, nil
+	return &Categorical{Pool: pool, Mech: mech}, nil
 }
 
 // NewCategoricalFromWire rebuilds the generator from its configure payload:
-// the pool shipped as floats (validated to be integral categories) plus the
-// GRR channel's (ε, k). This is the worker-side guard — a non-categorical
-// pool behind a MechGRR configure is a protocol error, never a silently
-// rounded draw.
+// the sorted pool plus the GRR channel's (ε, k). This is the worker-side
+// guard — an unsorted or non-categorical pool behind a MechGRR configure
+// is a protocol error, never a silently rounded draw.
 func NewCategoricalFromWire(pool []float64, eps float64, k int) (*Categorical, error) {
 	mech, err := ldp.NewGRRValue(eps, k)
 	if err != nil {
 		return nil, err
 	}
-	cats := make([]int, len(pool))
-	for i, v := range pool {
-		c := int(v)
-		if float64(c) != v {
-			return nil, fmt.Errorf("arrival: pool entry %v is not a category index", v)
-		}
-		cats[i] = c
-	}
-	return NewCategorical(cats, mech)
+	return NewCategorical(pool, mech)
 }
 
 // Draw generates the shard's reports for one round. Poison occupies the
@@ -87,13 +75,13 @@ func (g *Categorical) Draw(rng *rand.Rand, s Spec) (reports []float64, inputSum,
 	reports = make([]float64, 0, s.HonestN+s.PoisonN)
 	for i := 0; i < s.HonestN; i++ {
 		c := g.Pool[rng.Intn(len(g.Pool))]
-		inputSum += float64(c)
-		reports = append(reports, g.Mech.Perturb(rng, float64(c)))
+		inputSum += c
+		reports = append(reports, g.Mech.Perturb(rng, c))
 	}
 	for i := 0; i < s.PoisonN; i++ {
 		pct := s.Inject.Sample(rng)
 		pctSum += pct
-		forged := stats.QuantileSorted(g.sorted, pct)
+		forged := stats.QuantileSorted(g.Pool, pct)
 		reports = append(reports, g.Mech.Perturb(rng, forged))
 	}
 	return reports, inputSum, pctSum, nil

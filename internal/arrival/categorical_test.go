@@ -1,6 +1,7 @@
 package arrival
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/attack"
@@ -8,12 +9,15 @@ import (
 	"repro/internal/stats"
 )
 
-func catPool(n, k int, seed int64) []int {
+// catPool draws n categories in [0, k) as the sorted float-embedded pool
+// a categorical generator takes.
+func catPool(n, k int, seed int64) []float64 {
 	rng := stats.NewRand(seed)
-	pool := make([]int, n)
+	pool := make([]float64, n)
 	for i := range pool {
-		pool[i] = rng.Intn(k)
+		pool[i] = float64(rng.Intn(k))
 	}
+	sort.Float64s(pool)
 	return pool
 }
 
@@ -25,10 +29,10 @@ func TestCategoricalValidation(t *testing.T) {
 	if _, err := NewCategorical(nil, mech); err == nil {
 		t.Fatal("empty pool accepted")
 	}
-	if _, err := NewCategorical([]int{0, 1}, nil); err == nil {
+	if _, err := NewCategorical([]float64{0, 1}, nil); err == nil {
 		t.Fatal("nil mechanism accepted")
 	}
-	if _, err := NewCategorical([]int{0, 4}, mech); err == nil {
+	if _, err := NewCategorical([]float64{0, 4}, mech); err == nil {
 		t.Fatal("out-of-domain category accepted")
 	}
 	if _, err := NewCategoricalFromWire([]float64{0, 1.5}, 2, 4); err == nil {
@@ -55,11 +59,7 @@ func TestCategoricalDrawMatchesLDPEmbedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floatPool := make([]float64, len(pool))
-	for i, c := range pool {
-		floatPool[i] = float64(c)
-	}
-	num, err := NewLDP(floatPool, mech)
+	num, err := NewLDP(pool, mech)
 	if err != nil {
 		t.Fatal(err)
 	}

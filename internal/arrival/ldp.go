@@ -2,7 +2,6 @@ package arrival
 
 import (
 	"fmt"
-
 	"math/rand"
 
 	"repro/internal/ldp"
@@ -59,35 +58,33 @@ func MechFromWire(kind Mech, eps float64, k int) (ldp.Mechanism, error) {
 	}
 }
 
-// LDP draws one shard's slice of a privacy-preserving round: honest inputs
-// sampled from the clean pool and perturbed through the mechanism, then
-// input-manipulation poison (forge an input at a commanded percentile of
-// the clean input distribution, follow the protocol). The draw order per
-// arrival is part of the reproducibility contract:
+// LDP draws one shard's slice of a privacy-preserving round from one
+// sorted clean input pool: honest inputs sampled uniformly from it and
+// perturbed through the mechanism, then input-manipulation poison (forge
+// an input at a commanded percentile of the same pool, follow the
+// protocol). The draw order per arrival is part of the reproducibility
+// contract:
 //
-//	honest i:  one Intn (pool index), then the mechanism's Perturb draws
+//	honest i:  one Intn (index into the sorted pool), then the
+//	           mechanism's Perturb draws
 //	poison i:  Inject.Sample, then the mechanism's Perturb draws on the
 //	           forged input
 type LDP struct {
-	Pool   []float64 // clean input pool; index order matters (Intn addressing)
-	Mech   ldp.Mechanism
-	sorted []float64 // Pool sorted, for forged-input percentile resolution
+	Pool []float64 // sorted clean input pool: honest draws index it, forged percentiles resolve on it
+	Mech ldp.Mechanism
 }
 
-// NewLDP builds the generator, sorting a private copy of the pool once with
-// stats.SortFloat64s. Every worker of a shard-local LDP game builds one when
-// it is configured, so this radix sort is the bulk of the game's set-up; it
-// orders the pool exactly as sort.Float64s would.
+// NewLDP builds the generator over a pool that is already in
+// stats.SortFloat64s order (the coordinator sorts it once and every worker
+// checks the order in O(n)); the pool is kept as is, not copied.
 func NewLDP(pool []float64, mech ldp.Mechanism) (*LDP, error) {
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("arrival: LDP generator needs an input pool")
+	if err := checkSorted(pool, "LDP input pool"); err != nil {
+		return nil, err
 	}
 	if mech == nil {
 		return nil, fmt.Errorf("arrival: LDP generator needs a mechanism")
 	}
-	sorted := append([]float64(nil), pool...)
-	stats.SortFloat64s(sorted)
-	return &LDP{Pool: pool, Mech: mech, sorted: sorted}, nil
+	return &LDP{Pool: pool, Mech: mech}, nil
 }
 
 // Draw generates the shard's reports for one round. Poison occupies the
@@ -110,7 +107,7 @@ func (g *LDP) Draw(rng *rand.Rand, s Spec) (reports []float64, inputSum, pctSum 
 	for i := 0; i < s.PoisonN; i++ {
 		pct := s.Inject.Sample(rng)
 		pctSum += pct
-		forged := stats.QuantileSorted(g.sorted, pct)
+		forged := stats.QuantileSorted(g.Pool, pct)
 		m, err := ldp.NewInputManipulator(g.Mech, forged)
 		if err != nil {
 			return nil, 0, 0, err

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"math"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/arrival"
 	"repro/internal/attack"
 	"repro/internal/stats/summary"
 	"repro/internal/wire"
@@ -24,19 +28,16 @@ func call(t *testing.T, tr Transport, w int, d *wire.Directive) *wire.Report {
 	return rep
 }
 
-// scalarConf configures a scalar worker whose honest pool is all 2s and
-// whose reference tops out at 10: with a point injection at the top
-// percentile and no jitter, every generated arrival is known exactly.
+// scalarConf configures a scalar worker whose sorted reference is 99 2s
+// topped by one 10: seed 1's first honest draws all land on a 2, and a
+// point injection at the top percentile without jitter lands on the 10,
+// so every generated arrival is known exactly.
 func scalarConf() *wire.Directive {
-	return &wire.Directive{
-		Op: wire.OpConfigure, Epsilon: 0.01,
-		Pool:      []float64{2},
-		RefSorted: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-	}
+	return refConf(append(slices.Repeat([]float64{2}, 99), 10))
 }
 
 // scalarGen is a generate directive drawing honest arrivals from
-// scalarConf's pool and poison at the reference's top (value 10).
+// scalarConf's reference and poison at its top (value 10).
 func scalarGen(round, honest, poison int) *wire.Directive {
 	return &wire.Directive{Op: wire.OpGenerate, Round: round, Gen: &wire.GenSpec{
 		Cells:      []wire.Cell{{Seed: 1, HonestN: honest, PoisonN: poison}},
@@ -70,6 +71,117 @@ func TestWorkerRound(t *testing.T) {
 	if rep.KeptCount != 8 || rep.KeptSum != 16 {
 		t.Fatalf("kept aggregates: count %d sum %v", rep.KeptCount, rep.KeptSum)
 	}
+}
+
+// refConf, ldpConf and grrConf configure a scalar worker over the given
+// reference and an LDP (Piecewise) or categorical (GRR) worker over the
+// given input pool.
+func refConf(ref []float64) *wire.Directive {
+	return &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01, RefSorted: ref}
+}
+
+func ldpConf(pool []float64) *wire.Directive {
+	return &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01, Pool: pool, MechKind: byte(arrival.MechPiecewise), MechEps: 2}
+}
+
+func grrConf(pool []float64) *wire.Directive {
+	return &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01, Pool: pool, MechKind: byte(arrival.MechGRR), MechEps: 1.5, MechK: 4}
+}
+
+// A worker keeps exactly the one sorted pool it is shipped, so it refuses
+// a configure it could only use by guessing: a scalar configure carrying a
+// pool besides (or instead of) its reference, and a reference or LDP/GRR
+// pool that is not in sort order or holds a NaN. A refused configure
+// leaves no generator behind.
+func TestWorkerConfigureRefusals(t *testing.T) {
+	ref := []float64{1, 2, 3}
+	for _, c := range []struct {
+		name string
+		d    *wire.Directive
+		want string
+	}{
+		{"scalar with a pool", &wire.Directive{Op: wire.OpConfigure, Pool: ref, RefSorted: ref}, "carries a pool"},
+		{"scalar with a pool and no reference", &wire.Directive{Op: wire.OpConfigure, Pool: ref}, "carries a pool"},
+		{"unsorted reference", refConf([]float64{1, 3, 2}), "not sorted"},
+		{"reference with a NaN", refConf([]float64{math.NaN(), 1}), "NaN"},
+		{"unsorted LDP pool", ldpConf([]float64{0.5, -0.5}), "not sorted"},
+		{"unsorted GRR pool", grrConf([]float64{0, 2, 1}), "not sorted"},
+		{"empty LDP pool", ldpConf(nil), "empty"},
+	} {
+		w := NewWorker(0)
+		_, err := w.Handle(wire.EncodeDirective(nil, c.d))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: configure error %v, want one saying %q", c.name, err, c.want)
+		}
+		if _, err := w.Handle(wire.EncodeDirective(nil, scalarGen(1, 1, 0))); err == nil {
+			t.Errorf("%s: a refused configure left a generator behind", c.name)
+		}
+	}
+}
+
+// A configured worker holds one copy of its pool — the decoded one — and
+// nothing else: 1M values are 8 MB, where a second copy (a sorted LDP
+// scale beside the pool, or a scalar pool beside the reference) doubles
+// it. The request bytes are garbage once Handle returns.
+func TestWorkerConfigureKeepsOnePool(t *testing.T) {
+	const n, bound = 1_000_000, 12 << 20
+	sorted := func() []float64 {
+		pool := make([]float64, n)
+		for i := range pool {
+			pool[i] = float64(i)/n*2 - 1
+		}
+		return pool
+	}
+	for _, c := range []struct {
+		name string
+		conf func([]float64) *wire.Directive
+	}{{"LDP", ldpConf}, {"scalar", refConf}} {
+		w := NewWorker(0)
+		before := heapAfterGC()
+		if _, err := w.Handle(wire.EncodeDirective(nil, c.conf(sorted()))); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		after := heapAfterGC()
+		runtime.KeepAlive(w)
+		if grew := int64(after) - int64(before); grew >= bound {
+			t.Errorf("%s worker retains %.1f MiB for a %d-value pool (8 MB a copy), want < %d MiB",
+				c.name, float64(grew)/(1<<20), n, bound>>20)
+		}
+	}
+}
+
+// The configure is where a coordinator's bytes reach the most worker code:
+// whatever they hold, neither they nor one fixed small generate after them
+// (one cell, 10 honest, 2 poison) may panic, and when both are accepted
+// the report counts all 12 arrivals. The generate stays fixed because cell
+// counts are unbounded on the wire.
+func FuzzWorkerConfigure(f *testing.F) {
+	for _, d := range []*wire.Directive{
+		scalarConf(),
+		ldpConf([]float64{-0.5, 0, 0.25, 0.5}),
+		grrConf([]float64{0, 1, 1, 3}),
+		{Op: wire.OpConfigure, Epsilon: 0.01, Rows: [][]float64{{3, 4}, {1, 2}}, Labels: []int{1, 0}, Clusters: 2, PoisonLabel: -1},
+	} {
+		f.Add(wire.EncodeDirective(nil, d))
+	}
+	gen := wire.EncodeDirective(nil, scalarGen(1, 10, 2))
+	f.Fuzz(func(t *testing.T, conf []byte) {
+		w := NewWorker(0)
+		if _, err := w.Handle(conf); err != nil {
+			return
+		}
+		out, err := w.Handle(gen)
+		if err != nil {
+			return
+		}
+		rep, err := wire.DecodeReport(out)
+		if err != nil {
+			t.Fatalf("generate reply does not decode: %v", err)
+		}
+		if rep.Count != 12 {
+			t.Fatalf("generate report counts %d arrivals, want 12", rep.Count)
+		}
+	})
 }
 
 // The row phase: distances from the broadcast center, kept rows appended to

@@ -29,13 +29,13 @@ import (
 
 // Worker executes game shards. It is a request/reply state machine over
 // wire.Directive messages: Configure sets the sketch budget and installs
-// the game's generator state (honest pool, reference, dataset, mechanism),
-// Generate draws the shard's cells locally from derived seeds with that
-// generator and returns their summary delta, Classify tallies the stored
-// shard against the threshold and returns counts plus kept-pool deltas,
-// Stop releases the worker. Every reply is that of a one-leaf subtree
-// (Leaves 1, height 0), so a coordinator or aggregator treats a worker and
-// a subtree alike. One worker serves one coordinator; Handle is
+// the game's generator state (sorted reference or input pool, dataset,
+// mechanism), Generate draws the shard's cells locally from derived seeds
+// with that generator and returns their summary delta, Classify tallies
+// the stored shard against the threshold and returns counts plus kept-pool
+// deltas, Stop releases the worker. Every reply is that of a one-leaf
+// subtree (Leaves 1, height 0), so a coordinator or aggregator treats a
+// worker and a subtree alike. One worker serves one coordinator; Handle is
 // serialized by an internal mutex so transports may deliver from any
 // goroutine.
 type Worker struct {
@@ -228,11 +228,14 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 	return wire.EncodeReport(nil, rep), nil
 }
 
-// configure installs the sketch budget and the generator state: pool +
-// reference (scalar), pool + mechanism (LDP, categorical LDP), or dataset
-// rows + labels (row game). Re-configuring mid-game (the re-admission
-// path) discards any held round state: a re-joined worker starts cold at
-// the next round boundary.
+// configure installs the sketch budget and the generator state: the sorted
+// reference alone (scalar), the sorted input pool + mechanism (LDP,
+// categorical LDP), or dataset rows + labels (row game). A shipped pool or
+// reference is kept as decoded — its order is checked, never re-sorted —
+// and a scalar configure that also carries a pool is refused: honest draws
+// sample the reference. Re-configuring mid-game (the re-admission path)
+// discards any held round state: a re-joined worker starts cold at the
+// next round boundary.
 func (w *Worker) configure(d *wire.Directive) error {
 	w.eps = d.Epsilon
 	w.scalarGen, w.ldpGen, w.catGen, w.rowGen = nil, nil, nil, nil
@@ -272,11 +275,14 @@ func (w *Worker) configure(d *wire.Directive) error {
 				w.pool = rowstore.NewMem()
 			}
 		}
-	case len(d.Pool) > 0 || len(d.RefSorted) > 0:
-		if len(d.Pool) == 0 || len(d.RefSorted) == 0 {
-			return fmt.Errorf("cluster: worker %d: scalar generator needs pool and reference", w.id)
+	case len(d.Pool) > 0:
+		return fmt.Errorf("cluster: worker %d: scalar configure carries a pool; honest draws sample the reference", w.id)
+	case len(d.RefSorted) > 0:
+		gen, err := arrival.NewScalar(d.RefSorted)
+		if err != nil {
+			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 		}
-		w.scalarGen = &arrival.Scalar{Pool: d.Pool, Ref: d.RefSorted}
+		w.scalarGen = gen
 	}
 	w.configured = true
 	return nil
@@ -356,9 +362,12 @@ type cellDraw struct {
 }
 
 // draw generates one cell from its derived seed with the generator the
-// configure installed; a row cell resolves its poison percentiles on the
-// directive's clean scale (Summary.Query is a pure read, so cells may draw
-// concurrently) and measures its rows' distances from the center.
+// configure installed. A scalar, LDP or GRR cell samples its honest
+// arrivals from the configure's one sorted pool and resolves poison
+// percentiles on the same array; a row cell resolves its poison
+// percentiles on the directive's clean scale (Summary.Query is a pure
+// read, so cells may draw concurrently) and measures its rows' distances
+// from the center.
 func (w *Worker) draw(d *wire.Directive, seed int64, spec arrival.Spec) (c cellDraw) {
 	rng := stats.NewRand(seed)
 	switch {

@@ -30,10 +30,10 @@ type ClusterConfig struct {
 	Transport cluster.Transport
 
 	// Gen seeds the shard-local data plane and is required: the configure
-	// fan-out ships the honest pool and reference once, and every round
-	// directive is an O(1) generator spec (derived seed + counts +
-	// injection parameters), so coordinator egress per round is
-	// O(workers). The run reproduces RunSharded with the same Gen and
+	// fan-out ships the sorted reference once — honest draws sample it and
+	// poison lands at its percentiles — and every round directive is an
+	// O(1) generator spec (derived seed + counts + injection parameters),
+	// so coordinator egress per round is O(workers). The run reproduces RunSharded with the same Gen and
 	// worker count record for record.
 	Gen *ShardGen
 
@@ -153,15 +153,14 @@ func (c *ClusterConfig) validate() (*clusterOpts, error) {
 // arrivals, thresholds on the clean reference scale (or the batch), and a
 // kept-value stream.
 type scalarGame struct {
-	cfg     *ClusterConfig
-	res     *Result
-	ref     []float64 // sorted clean reference
-	genPool []float64 // the honest pool workers sample
-	jscale  float64
+	cfg    *ClusterConfig
+	res    *Result
+	ref    []float64 // sorted clean reference, the one pool workers sample
+	jscale float64
 }
 
 func (g *scalarGame) confDirective() wire.Directive {
-	return wire.Directive{Epsilon: g.cfg.SummaryEpsilon, Pool: g.genPool, RefSorted: g.ref}
+	return wire.Directive{Epsilon: g.cfg.SummaryEpsilon, RefSorted: g.ref}
 }
 
 func (g *scalarGame) genRound(int) roundGen { return roundGen{jitter: g.jscale} }
@@ -208,14 +207,10 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 	cfg.Collector.Reset()
 	cfg.Adversary.Reset()
 	ref := sortedCopy(cfg.Reference)
-	genPool := cfg.Gen.Pool
-	if genPool == nil {
-		genPool = cfg.Reference
-	}
 
 	// Baseline quality: the same pre-game draw as RunSharded with the same
 	// Gen, so the boards stay comparable record for record.
-	gen := &arrival.Scalar{Pool: genPool, Ref: ref}
+	gen := &arrival.Scalar{Ref: ref}
 	baseline, _, err := gen.Draw(cfg.Gen.preRand(), arrival.Spec{HonestN: cfg.Batch})
 	if err != nil {
 		return nil, err
@@ -230,7 +225,7 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 		return nil, err
 	}
 
-	g := &scalarGame{cfg: &cfg, res: res, ref: ref, genPool: genPool, jscale: jitterScale(ref)}
+	g := &scalarGame{cfg: &cfg, res: res, ref: ref, jscale: jitterScale(ref)}
 	en := o.newEngine(g, &res.Board, cfg.Collector, cfg.OnRound, cfg.poisonPerRound(), ExcessMassQuality(baseline, ref))
 	defer en.pool.stop()
 	if err := en.run(); err != nil {

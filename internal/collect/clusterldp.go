@@ -17,10 +17,10 @@ import (
 
 // LDPClusterConfig parameterizes the privacy-preserving collection game
 // distributed over a cluster.Transport. The data plane is shard-local: the
-// configure fan-out ships the clean input pool and the mechanism's wire
-// code once, and each worker perturbs its own honest draws and runs its own
-// input-manipulation poison from its derived seed stream — the per-round
-// directive is O(1). The mean estimate is reduced from the workers' exact
+// configure fan-out ships the clean input pool, sorted once on the
+// coordinator, and the mechanism's wire code once, and each worker
+// perturbs its own honest draws and runs its own input-manipulation poison
+// from its derived seed stream — the per-round directive is O(1). The mean estimate is reduced from the workers' exact
 // (kept sum, kept count) aggregates, so the mechanism must implement
 // ldp.SumMeanEstimator — no raw report ever returns from a worker — and be
 // wire-codable (arrival.MechToWire).
@@ -37,7 +37,7 @@ type LDPClusterConfig struct {
 	Transport cluster.Transport
 
 	// Gen seeds the shard-local report generation and is required (see
-	// ShardGen; Pool is ignored — inputs come from LDPConfig.Inputs).
+	// ShardGen).
 	Gen *ShardGen
 
 	// SubShards splits each worker's shard-local generation into this many
@@ -103,6 +103,7 @@ func (c *LDPClusterConfig) validate() (*clusterOpts, error) {
 type ldpGame struct {
 	cfg        *LDPClusterConfig
 	res        *LDPResult
+	inputs     []float64 // sorted clean input pool, the one pool workers sample
 	refReports []float64 // sorted clean perturbed reference
 
 	// Game-long aggregates.
@@ -116,7 +117,7 @@ func (g *ldpGame) confDirective() wire.Directive {
 	kind, eps, k, _ := arrival.MechToWire(g.cfg.Mechanism) // validated
 	return wire.Directive{
 		Epsilon:  g.cfg.SummaryEpsilon,
-		Pool:     g.cfg.Inputs,
+		Pool:     g.inputs,
 		MechKind: byte(kind), MechEps: eps, MechK: k,
 	}
 }
@@ -161,6 +162,10 @@ func RunClusterLDP(cfg LDPClusterConfig) (*LDPResult, error) {
 	cfg.Collector.Reset()
 	cfg.Adversary.Reset()
 
+	// The input pool is sorted once, here: every worker samples and
+	// resolves forged percentiles on the shipped copy as is.
+	inputs := sortedCopy(cfg.Inputs)
+
 	// The report-space reference for quality evaluation: what clean
 	// perturbed traffic looks like. One synthetic clean round, drawn on the
 	// coordinator from the derived pre-game stream so the run stays a pure
@@ -168,13 +173,13 @@ func RunClusterLDP(cfg LDPClusterConfig) (*LDPResult, error) {
 	preRng := cfg.Gen.preRand()
 	cleanReports := make([]float64, cfg.Batch)
 	for i := range cleanReports {
-		x := cfg.Inputs[preRng.Intn(len(cfg.Inputs))]
+		x := inputs[preRng.Intn(len(inputs))]
 		cleanReports[i] = cfg.Mechanism.Perturb(preRng, x)
 	}
 	refReports := sortedCopy(cleanReports)
 
 	res := &LDPResult{}
-	g := &ldpGame{cfg: &cfg, res: res, refReports: refReports}
+	g := &ldpGame{cfg: &cfg, res: res, inputs: inputs, refReports: refReports}
 	poison := int(math.Round(cfg.AttackRatio * float64(cfg.Batch)))
 	en := o.newEngine(g, &res.Board, cfg.Collector, cfg.OnRound, poison, ExcessMassQuality(cleanReports, refReports))
 	defer en.pool.stop()

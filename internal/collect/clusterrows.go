@@ -42,7 +42,7 @@ type RowClusterConfig struct {
 	Transport cluster.Transport
 
 	// Gen seeds the shard-local row generation and is required (see
-	// ShardGen; Pool is ignored — rows come from the configured dataset).
+	// ShardGen).
 	Gen *ShardGen
 
 	// SubShards splits each worker's shard-local row generation into this

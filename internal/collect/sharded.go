@@ -77,16 +77,12 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 	var gen *arrival.Scalar
 	var si attack.SpecInjector
 	if cfg.Gen != nil {
-		pool := cfg.Gen.Pool
-		if pool == nil {
-			pool = cfg.Reference
-		}
-		gen = &arrival.Scalar{Pool: pool, Ref: ref}
+		gen = &arrival.Scalar{Ref: ref}
 		si, _ = specInjector(cfg.Adversary) // validated above
 	}
 
 	// The baseline quality is scored the same way rounds are: from one
-	// clean batch. Shard-local games draw it from the pool on the
+	// clean batch. Shard-local games draw it from the reference on the
 	// coordinator's pre-game stream (cell shard 0 / round 0); central
 	// games draw it from the honest sampler on the game RNG.
 	var baseline []float64

@@ -24,19 +24,15 @@ import (
 //
 //   - the adversary must implement attack.SpecInjector (an opaque sampling
 //     closure cannot cross a process boundary);
-//   - Config.Honest/Rng are ignored — honest draws sample the shared pool
-//     (Pool, defaulting to the game's reference/input pool/dataset);
+//   - Config.Honest/Rng are ignored — honest draws sample the game's own
+//     clean data: the sorted reference (scalar), the sorted input pool
+//     (LDP) or the dataset (rows);
 //   - Quality must be nil (the coordinator never sees raw values, so only
 //     summary-native standards apply).
 type ShardGen struct {
 	// MasterSeed is the run's single seed. Shard and round streams derive
 	// from it; workers only ever learn derived seeds.
 	MasterSeed int64
-
-	// Pool overrides the honest pool shards sample from (scalar game
-	// only; index order is part of the reproducibility contract).
-	// Config.Reference when nil.
-	Pool []float64
 }
 
 // seed derives the RNG seed of one (shard, round) cell; round 0 / shard 0

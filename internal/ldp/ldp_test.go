@@ -8,7 +8,7 @@ import (
 )
 
 func TestCheckEpsilon(t *testing.T) {
-	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), 1e-300, maxEpsilon * 2} {
 		if _, err := NewDuchi(eps); err == nil {
 			t.Errorf("NewDuchi(%v) should error", eps)
 		}

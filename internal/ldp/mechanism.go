@@ -11,7 +11,6 @@ package ldp
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -56,10 +55,19 @@ type InputClamper interface {
 	ClampInput(x float64) float64
 }
 
+// minEpsilon and maxEpsilon bound the privacy budgets the mechanisms
+// accept. Beyond them e^ε (Duchi, GRR) or e^(ε/2) (Piecewise) rounds to 1
+// or overflows in float64, and an output bound or a keep probability
+// becomes infinite or NaN.
+const (
+	minEpsilon = 1e-9
+	maxEpsilon = 500.0
+)
+
 // checkEpsilon validates a privacy budget.
 func checkEpsilon(eps float64) error {
-	if !(eps > 0) || math.IsInf(eps, 0) || math.IsNaN(eps) {
-		return fmt.Errorf("ldp: epsilon %v must be positive and finite", eps)
+	if !(eps >= minEpsilon && eps <= maxEpsilon) {
+		return fmt.Errorf("ldp: epsilon %v outside [%g, %g]", eps, minEpsilon, maxEpsilon)
 	}
 	return nil
 }

@@ -9,6 +9,11 @@ import (
 // DefaultEpsilon is the rank-error budget used when a caller passes 0.
 const DefaultEpsilon = 0.005
 
+// minEpsilon is the smallest rank-error budget New accepts. A stream
+// buffers blocks of about 2/ε values, so 10⁻⁶ already means 16 MB blocks;
+// a smaller budget sizes buffers no process can hold.
+const minEpsilon = 1e-6
+
 // defaultHint is the stream length assumed when a caller passes no size
 // hint. Exceeding the hint degrades the guarantee gracefully (one extra
 // 1/blockSize of error per extra doubling) rather than failing.
@@ -64,8 +69,8 @@ func New(eps float64, hint int) (*Stream, error) {
 	if eps == 0 {
 		eps = DefaultEpsilon
 	}
-	if eps < 0 || eps >= 1 {
-		return nil, fmt.Errorf("summary: epsilon %v outside (0, 1)", eps)
+	if !(eps >= minEpsilon && eps < 1) {
+		return nil, fmt.Errorf("summary: epsilon %v outside [%g, 1)", eps, minEpsilon)
 	}
 	if hint <= 0 {
 		hint = defaultHint

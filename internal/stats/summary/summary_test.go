@@ -366,6 +366,13 @@ func TestEdgeCases(t *testing.T) {
 	if _, err := New(-0.1, 0); err == nil {
 		t.Error("negative epsilon must error")
 	}
+	// Below minEpsilon (or NaN) the block buffer of ~2/ε values could not
+	// be allocated; it must be refused, not attempted.
+	for _, eps := range []float64{math.NaN(), minEpsilon / 2, 1e-300} {
+		if _, err := New(eps, 0); err == nil {
+			t.Errorf("epsilon %v must error", eps)
+		}
+	}
 	st, err := New(0, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func goldenTables(t testing.TB) map[string][][]byte {
 	return tables
 }
 
-// TestEncodingGolden pins the bytes of format 13: the FNV-64a digest of each
+// TestEncodingGolden pins the bytes of format 14: the FNV-64a digest of each
 // round-trip table's messages, concatenated in table order. The wirever
 // analyzer fingerprints the declared message structs only, so an encoder
 // that changed bytes without changing a struct would pass it — and
@@ -37,11 +37,11 @@ func goldenTables(t testing.TB) map[string][][]byte {
 // may change only together with Version.
 func TestEncodingGolden(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0xb3101021a397cab1,
-		"report":    0x277fccf7bbf8138e,
-		"summary":   0x81ad2bef4b1434eb,
-		"vector":    0x28fe903a6a32ae67,
-		"snapshot":  0xbaba19483dcc2977,
+		"directive": 0xc5ae1cbea702366d,
+		"report":    0x908ae9373a98f4dc,
+		"summary":   0x9b19d86c4e3d3610,
+		"vector":    0x22746f4468413fbb,
+		"snapshot":  0x9c7ef2350979b197,
 	}
 	tables := goldenTables(t)
 	if len(tables) != len(want) {
@@ -118,12 +118,12 @@ func entryFreeTables(t testing.TB) map[string][][]byte {
 // FNV-64a over each kind's entry-free messages in table order, with byte 2
 // masked. The summary and vector digests date from format 10 and the
 // snapshot digest from format 12, which dropped the clean-scale fields;
-// directive and report were re-recorded under format 13, which retired the
-// TreeInfo op (its table row is a Heartbeat now) and the report's Vec slot
-// and stamps Leaves on every reply.
+// report was re-recorded under format 13, which retired the report's Vec
+// slot and stamps Leaves on every reply, and directive under format 14,
+// whose scalar configure row ships its reference without a pool.
 func TestEntryFreeBytesUnchanged(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0x5ad5e62683d9c288,
+		"directive": 0xb65932ff77b297d6,
 		"report":    0x24313eb8af09da67,
 		"summary":   0x1ca9375c652f1175,
 		"vector":    0xa651683bace37860,

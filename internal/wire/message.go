@@ -336,8 +336,8 @@ func DecodeReport(buf []byte) (*Report, error) {
 // meaningful depends on Op:
 //
 //   - Configure carries Epsilon plus the one-time data-plane state of the
-//     game: Pool/RefSorted (scalar), Pool/MechKind/MechEps (LDP), or
-//     Rows/Labels/Clusters/PoisonLabel (row dataset).
+//     game: RefSorted (scalar), Pool/MechKind/MechEps (LDP; MechK too for
+//     GRR), or Rows/Labels/Clusters/PoisonLabel (row dataset).
 //   - Generate carries Gen (and, for rows, Center) — the O(1) round
 //     directive.
 //   - Classify carries Threshold (and Pct for the record); Stop nothing.
@@ -378,8 +378,8 @@ type Directive struct {
 	FocusTighten int
 
 	// Configure: the game's one-time data-plane state.
-	Pool        []float64 // honest pool (scalar) / clean input pool (LDP)
-	RefSorted   []float64 // sorted clean reference (scalar percentile scale)
+	Pool        []float64 // sorted clean input pool (LDP/GRR); empty in a scalar configure
+	RefSorted   []float64 // sorted clean reference (scalar: the honest pool and the percentile scale)
 	Labels      []int     // dataset labels (row game; nil when unlabeled)
 	Clusters    int       // row game: class count for random poison labels
 	PoisonLabel int       // row game: fixed poison label (−1: random class)
@@ -510,7 +510,7 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 		return nil, err
 	}
 	if retiredOp(d.Op) {
-		return nil, fmt.Errorf("wire: directive op %d is retired (format 13 serves only the shard-local data plane, every game through Generate, with the clean scale computed at the coordinator and the subtree shape on every reply)", d.Op)
+		return nil, fmt.Errorf("wire: directive op %d is retired (format 14 serves only the shard-local data plane, every game through Generate, with the clean scale computed at the coordinator and the subtree shape on every reply)", d.Op)
 	}
 	if !d.Op.valid() {
 		return nil, fmt.Errorf("wire: unknown directive op %d", d.Op)

@@ -82,15 +82,21 @@ import (
 // ride only in the per-leaf Vecs list (the single-worker Vec slot is
 // gone), a pool-trim target rides only in Cuts, and the TreeInfo probe
 // (code 13, never reused) is retired — an aggregator probes a child with
-// a Heartbeat, whose reply carries the shape.
-const Version = 13
+// a Heartbeat, whose reply carries the shape; 14 changed the configure
+// contract and not the layout: a shard-local worker keeps one sorted pool,
+// so a scalar configure ships only RefSorted (its Pool is empty, and a
+// worker refuses one that is not), an LDP or GRR configure ships its input
+// pool sorted, and honest draws index that sorted array instead of a
+// caller-ordered pool — one game must not be played under two draw
+// contracts, so v13 is retired.
+const Version = 14
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
-// worker would reject mid-game), so its predecessor is retired: a
-// mixed-version cluster fails loudly at the configure fan-out instead of
-// misparsing or dying rounds later.
-const MinVersion = 13
+// worker would reject mid-game, or — v14 — what a configure's pool means),
+// so its predecessor is retired: a mixed-version cluster fails loudly at
+// the configure fan-out instead of misparsing or dying rounds later.
+const MinVersion = 14
 
 const (
 	magic0 = 'T'

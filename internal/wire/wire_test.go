@@ -331,12 +331,11 @@ func roundTripDirectives() []*Directive {
 		{Op: OpConfigure, Epsilon: 0.01},
 		{Op: OpClassify, Round: 6, Pct: 0.9, Threshold: 1.234},
 		{Op: OpStop},
-		{ // shard-local configure: scalar pool + reference
+		{ // shard-local configure: scalar reference (v14: the only pool)
 			Op: OpConfigure, Epsilon: 0.01,
-			Pool:      []float64{3, 1, 2},
 			RefSorted: []float64{1, 2, 3},
 		},
-		{ // shard-local configure: LDP pool + mechanism
+		{ // shard-local configure: sorted LDP pool + mechanism
 			Op: OpConfigure, Epsilon: 0.02,
 			Pool:     []float64{-0.5, 0.5},
 			MechKind: 1, MechEps: 2,
