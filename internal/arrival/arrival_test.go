@@ -266,7 +266,7 @@ func TestHonestDrawsIndexTheSortedPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	catGen, err := NewCategorical(cats, grr)
+	grrGen, err := NewLDP(cats, grr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestHonestDrawsIndexTheSortedPool(t *testing.T) {
 		draw func(*rand.Rand, Spec) ([]float64, float64, float64, error)
 	}{
 		{"LDP", sorted, pw, ldpGen.Draw},
-		{"GRR", cats, grr, catGen.Draw},
+		{"GRR", cats, grr, grrGen.Draw},
 	} {
 		got, inputSum, _, err := c.draw(stats.NewRand(seed), spec)
 		if err != nil {
@@ -308,8 +308,8 @@ func TestHonestDrawsIndexTheSortedPool(t *testing.T) {
 		if _, err := NewLDP(pool, pw); err == nil {
 			t.Errorf("NewLDP accepted the %s pool", name)
 		}
-		if _, err := NewCategorical(pool, grr); err == nil {
-			t.Errorf("NewCategorical accepted the %s pool", name)
+		if _, err := NewLDP(pool, grr); err == nil {
+			t.Errorf("NewLDP accepted the %s GRR pool", name)
 		}
 	}
 }

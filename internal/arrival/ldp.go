@@ -62,7 +62,12 @@ func MechFromWire(kind Mech, eps float64, k int) (ldp.Mechanism, error) {
 // sorted clean input pool: honest inputs sampled uniformly from it and
 // perturbed through the mechanism, then input-manipulation poison (forge
 // an input at a commanded percentile of the same pool, follow the
-// protocol). The draw order per arrival is part of the reproducibility
+// protocol). A categorical (frequency-oracle) round is the same draw over
+// a pool of float-embedded categories behind ldp.GRRValue, whose
+// InputClamper rounds a forged percentile value to its nearest legal
+// category; its reports are category indices embedded in float64, so the
+// rest of the pipeline treats it like a numeric round over the ordinal
+// scale. The draw order per arrival is part of the reproducibility
 // contract:
 //
 //	honest i:  one Intn (index into the sorted pool), then the
@@ -76,13 +81,25 @@ type LDP struct {
 
 // NewLDP builds the generator over a pool that is already in
 // stats.SortFloat64s order (the coordinator sorts it once and every worker
-// checks the order in O(n)); the pool is kept as is, not copied.
+// checks the order in O(n)); the pool is kept as is, not copied. When the
+// mechanism is an ldp.InputClamper, every entry must already lie in its
+// input domain — for GRRValue, an integral category in [0, k) — so a
+// non-categorical pool behind a MechGRR configure is a protocol error,
+// never a silently rounded draw.
 func NewLDP(pool []float64, mech ldp.Mechanism) (*LDP, error) {
 	if err := checkSorted(pool, "LDP input pool"); err != nil {
 		return nil, err
 	}
 	if mech == nil {
 		return nil, fmt.Errorf("arrival: LDP generator needs a mechanism")
+	}
+	if c, ok := mech.(ldp.InputClamper); ok {
+		for _, v := range pool {
+			if x := c.ClampInput(v); x != v {
+				return nil, fmt.Errorf("arrival: pool entry %v is outside the mechanism's input domain (%T clamps it to %v)",
+					v, mech, x)
+			}
+		}
 	}
 	return &LDP{Pool: pool, Mech: mech}, nil
 }

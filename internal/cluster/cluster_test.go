@@ -90,9 +90,9 @@ func grrConf(pool []float64) *wire.Directive {
 
 // A worker keeps exactly the one sorted pool it is shipped, so it refuses
 // a configure it could only use by guessing: a scalar configure carrying a
-// pool besides (or instead of) its reference, and a reference or LDP/GRR
-// pool that is not in sort order or holds a NaN. A refused configure
-// leaves no generator behind.
+// pool besides (or instead of) its reference, a reference or LDP/GRR pool
+// that is not in sort order or holds a NaN, and a GRR pool entry that is
+// not a category. A refused configure leaves no generator behind.
 func TestWorkerConfigureRefusals(t *testing.T) {
 	ref := []float64{1, 2, 3}
 	for _, c := range []struct {
@@ -106,6 +106,7 @@ func TestWorkerConfigureRefusals(t *testing.T) {
 		{"reference with a NaN", refConf([]float64{math.NaN(), 1}), "NaN"},
 		{"unsorted LDP pool", ldpConf([]float64{0.5, -0.5}), "not sorted"},
 		{"unsorted GRR pool", grrConf([]float64{0, 2, 1}), "not sorted"},
+		{"non-category GRR pool", grrConf([]float64{0, 1.5}), "pool entry 1.5"},
 		{"empty LDP pool", ldpConf(nil), "empty"},
 	} {
 		w := NewWorker(0)

@@ -63,7 +63,6 @@ type Worker struct {
 	// Generator state, installed by Configure.
 	scalarGen *arrival.Scalar
 	ldpGen    *arrival.LDP
-	catGen    *arrival.Categorical
 	rowGen    *arrival.Rows
 
 	// Kept-row pool (row game, DESIGN.md §14): classify
@@ -229,24 +228,18 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 }
 
 // configure installs the sketch budget and the generator state: the sorted
-// reference alone (scalar), the sorted input pool + mechanism (LDP,
-// categorical LDP), or dataset rows + labels (row game). A shipped pool or
-// reference is kept as decoded — its order is checked, never re-sorted —
-// and a scalar configure that also carries a pool is refused: honest draws
-// sample the reference. Re-configuring mid-game (the re-admission path)
-// discards any held round state: a re-joined worker starts cold at the
-// next round boundary.
+// reference alone (scalar), the sorted input pool + mechanism (LDP, with
+// GRR's pool of categories among them), or dataset rows + labels (row
+// game). A shipped pool or reference is kept as decoded — its order is
+// checked, never re-sorted — and a scalar configure that also carries a
+// pool is refused: honest draws sample the reference. Re-configuring
+// mid-game (the re-admission path) discards any held round state: a
+// re-joined worker starts cold at the next round boundary.
 func (w *Worker) configure(d *wire.Directive) error {
 	w.eps = d.Epsilon
-	w.scalarGen, w.ldpGen, w.catGen, w.rowGen = nil, nil, nil, nil
+	w.scalarGen, w.ldpGen, w.rowGen = nil, nil, nil
 	w.held, w.dists, w.rows, w.labels, w.dim, w.poison = false, nil, nil, nil, 0, nil
 	switch {
-	case arrival.Mech(d.MechKind) == arrival.MechGRR:
-		gen, err := arrival.NewCategoricalFromWire(d.Pool, d.MechEps, d.MechK)
-		if err != nil {
-			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-		}
-		w.catGen = gen
 	case arrival.Mech(d.MechKind) != arrival.MechNone:
 		mech, err := arrival.MechFromWire(arrival.Mech(d.MechKind), d.MechEps, d.MechK)
 		if err != nil {
@@ -386,8 +379,6 @@ func (w *Worker) draw(d *wire.Directive, seed int64, spec arrival.Spec) (c cellD
 			}
 			c.values[i] = stats.Euclidean(row, d.Center)
 		}
-	case w.catGen != nil:
-		c.values, c.inputSum, c.pctSum, c.err = w.catGen.Draw(rng, spec)
 	case w.ldpGen != nil:
 		c.values, c.inputSum, c.pctSum, c.err = w.ldpGen.Draw(rng, spec)
 	case w.scalarGen != nil:

@@ -728,6 +728,19 @@ func TestClusterResumeValidation(t *testing.T) {
 		t.Errorf("tampered baseline: err = %v", err)
 	}
 
+	// A stream state New could not have built is refused, not restored: as
+	// claimed, its 2^31−1 block size would allocate a 16 GiB push buffer
+	// and kill the resuming process.
+	huge := *snap
+	kept := *snap.Kept
+	kept.BlockSize = 1<<31 - 1
+	huge.Kept = &kept
+	cfg = base()
+	cfg.Resume = &huge
+	if _, err := RunCluster(cfg); err == nil || !strings.Contains(err.Error(), "block size") {
+		t.Errorf("oversized stream block: err = %v", err)
+	}
+
 	// A different collector strategy breaks the replay check.
 	replay := base()
 	replay.Collector = mustStatic(t, 0.8)

@@ -13,16 +13,13 @@ import (
 // from clean data). Both parties agree on this function — its existence is
 // what makes the game well-defined.
 //
-// Each standard exists in two forms: the slice form (exact one-pass
-// counting — the reference implementation, and the one the ExactQuantiles
-// paths keep bit-stable) and a summary-native form the engines call on the
-// round summary they already maintain, within ε of the exact score.
+// A QualityFn is the slice form: exact one-pass counting, the reference
+// implementation and the one the ExactQuantiles paths keep bit-stable. The
+// default standard, ExcessMassQuality, also has a summary-native form
+// (ExcessMassQualitySummary) that the engines call on the round summary
+// they already maintain, within ε of the exact score; the cluster games,
+// whose shard workers never gather raw values, score with it alone.
 type QualityFn func(roundValues, sortedReference []float64) float64
-
-// SummaryQualityFn scores a round from its quantile summary instead of the
-// raw values — the form the engines use internally and the sharded
-// collector uses exclusively (shard workers never gather raw values).
-type SummaryQualityFn func(round *summary.Summary, sortedReference []float64) float64
 
 // ExcessMassQuality is the default quality standard: it measures how much
 // probability mass the round carries above the reference's 90th percentile
@@ -99,40 +96,16 @@ func EvasionQuality(attackRatio float64) QualityFn {
 				in++
 			}
 		}
-		return evasionScore(float64(in)/float64(len(roundValues)), attackRatio)
-	}
-}
-
-// EvasionQualitySummary is EvasionQuality resolved by two rank queries
-// against a round summary the caller already holds; within 2ε of the exact
-// slice form.
-func EvasionQualitySummary(attackRatio float64) SummaryQualityFn {
-	return func(round *summary.Summary, sortedReference []float64) float64 {
-		if round == nil || round.Size() == 0 || len(sortedReference) == 0 || attackRatio <= 0 {
-			return math.NaN()
+		// Honest mass expected in the window, diluted by the poison share.
+		poisonShare := attackRatio / (1 + attackRatio)
+		expectedHonest := 0.04 * (1 - poisonShare)
+		excess := float64(in)/float64(len(roundValues)) - expectedHonest
+		if excess < 0 {
+			excess = 0
 		}
-		lo := stats.QuantileSorted(sortedReference, 0.88)
-		hi := stats.QuantileSorted(sortedReference, 0.92)
-		obs := round.Rank(hi) - round.Rank(lo) // window mass, within 2ε
-		if obs < 0 {
-			obs = 0
-		}
-		return evasionScore(obs, attackRatio)
+		evading := excess / poisonShare // fraction of the poison budget that evades
+		return stats.Clamp(1-evading, 0, 1)
 	}
-}
-
-// evasionScore converts observed [Q88, Q92] window mass into the evasion
-// quality score shared by both forms.
-func evasionScore(obs, attackRatio float64) float64 {
-	// Honest mass expected in the window, diluted by the poison share.
-	poisonShare := attackRatio / (1 + attackRatio)
-	expectedHonest := 0.04 * (1 - poisonShare)
-	excess := obs - expectedHonest
-	if excess < 0 {
-		excess = 0
-	}
-	evading := excess / poisonShare // fraction of the poison budget that evades
-	return stats.Clamp(1-evading, 0, 1)
 }
 
 // sortedCopy returns a sorted copy of xs.

@@ -1,18 +1,16 @@
 package summary
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/stats"
 )
 
 // Batch ingestion (DESIGN.md §12). PushBatch feeds the level counter in
-// L2-cache-sized chunks instead of touching the stream per item. The
-// unit-weight hot path is a fused pipeline over pooled scratch:
+// L2-cache-sized chunks instead of touching the stream per item. Each
+// chunk runs a fused pipeline over pooled scratch:
 //
 //  1. one scan filters NaNs, folds the Count/Sum accounting, converts each
 //     value to its order-preserving uint64 key and builds all radix
@@ -43,39 +41,21 @@ import (
 // carry cascade over many blocks. Chunks are max(blockSize, batchChunk).
 const batchChunk = 1 << 15
 
-// batchScratch is the pooled working set of one chunk flush: the filtered
-// value/weight copies (weighted path), the radix key buffers (unit path),
-// and the exact block entries. Everything is length-reset and
-// capacity-retained between uses.
+// batchScratch is the pooled working set of one chunk flush — the radix
+// key buffers — and of one Vector.PushRows, which gathers each column into
+// vals. Everything is length-reset and capacity-retained between uses.
 type batchScratch struct {
-	vals    []float64
-	wts     []float64
-	keys    []uint64
-	tmp     []uint64
-	entries []Entry
+	vals []float64
+	keys []uint64
+	tmp  []uint64
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// PushBatch absorbs a slice of unit-weight observations. Equivalent to
-// pushing each value in order (NaNs skipped; Count/Sum/Min/Max identical),
-// with the snapshot cache invalidated once for the whole batch.
+// PushBatch absorbs a slice of observations. Equivalent to pushing each
+// value in order (NaNs skipped; Count/Sum/Min/Max identical), with the
+// snapshot cache invalidated once for the whole batch.
 func (st *Stream) PushBatch(values []float64) {
-	st.pushBatch(values, nil)
-}
-
-// PushBatchWeighted absorbs parallel value/weight slices (weights may be
-// nil for all-unit weights; otherwise the lengths must match). Values with
-// NaN or non-positive weight are skipped, as in PushWeighted.
-func (st *Stream) PushBatchWeighted(values, weights []float64) error {
-	if weights != nil && len(weights) != len(values) {
-		return fmt.Errorf("summary: %d weights for %d values", len(weights), len(values))
-	}
-	st.pushBatch(values, weights)
-	return nil
-}
-
-func (st *Stream) pushBatch(values, weights []float64) {
 	if len(values) == 0 {
 		return
 	}
@@ -86,34 +66,26 @@ func (st *Stream) pushBatch(values, weights []float64) {
 		// chunk directly; otherwise feed the buffer item-wise — topping a
 		// partial buffer up to its flush point, or parking a sub-block tail.
 		if len(st.bufV) == 0 && n-i >= st.blockSize {
-			i += st.flushChunk(values[i:], weightTail(weights, i))
+			i += st.flushChunk(values[i:])
 			continue
 		}
-		v, w := values[i], 1.0
-		if weights != nil {
-			w = weights[i]
-		}
+		v := values[i]
 		i++
-		if w <= 0 || math.IsNaN(v) {
+		if math.IsNaN(v) {
 			continue
 		}
-		st.push1(v, w)
+		st.push1(v)
 	}
 }
 
-// weightTail returns weights[i:], tolerating a nil slice.
-func weightTail(weights []float64, i int) []float64 {
-	if weights == nil {
-		return nil
-	}
-	return weights[i:]
-}
-
-// flushChunk absorbs one direct chunk from the head of rem (with parallel
-// weights, or nil for unit weights) and returns how many inputs it
-// consumed. The chunk boundary is a pure function of (remaining length,
-// blockSize), so identical push sequences chunk identically everywhere.
-func (st *Stream) flushChunk(rem, wts []float64) int {
+// flushChunk absorbs one direct chunk from the head of rem and returns how
+// many inputs it consumed. The chunk boundary is a pure function of
+// (remaining length, blockSize), so identical push sequences chunk
+// identically everywhere. The chunk runs the fused pipeline: filter +
+// accounting + key conversion + histogramming in one scan, radix sort,
+// then a block summary streamed off the sorted keys. Min/Max fall out of
+// the sorted extremes.
+func (st *Stream) flushChunk(rem []float64) int {
 	m := st.blockSize
 	if m < batchChunk {
 		m = batchChunk
@@ -121,19 +93,7 @@ func (st *Stream) flushChunk(rem, wts []float64) int {
 	if m > len(rem) {
 		m = len(rem)
 	}
-	if wts == nil {
-		st.flushChunkUnit(rem[:m])
-	} else {
-		st.flushChunkWeighted(rem[:m], wts[:m])
-	}
-	return m
-}
-
-// flushChunkUnit is the fused unit-weight pipeline: filter + accounting +
-// key conversion + histogramming in one scan, radix sort, then a block
-// summary streamed off the sorted keys. Min/Max fall out of the sorted
-// extremes.
-func (st *Stream) flushChunkUnit(chunk []float64) {
+	chunk := rem[:m]
 	sc := batchPool.Get().(*batchScratch)
 	if cap(sc.keys) < len(chunk) || cap(sc.tmp) < len(chunk) {
 		sc.keys = make([]uint64, len(chunk))
@@ -188,72 +148,12 @@ func (st *Stream) flushChunkUnit(chunk []float64) {
 		st.carry(st.buildBlockKeys(sorted))
 	}
 	batchPool.Put(sc)
+	return m
 }
 
-// flushChunkWeighted is the weighted chunk path: filtered copies, a
-// comparison sort carrying the weights along, then an exact dedup into
-// pooled entries compressed to the block budget.
-func (st *Stream) flushChunkWeighted(chunk, wts []float64) {
-	sc := batchPool.Get().(*batchScratch)
-	vals, ws := sc.vals[:0], sc.wts[:0]
-	for k, v := range chunk {
-		w := wts[k]
-		if w <= 0 || math.IsNaN(v) {
-			continue
-		}
-		st.count++
-		st.sum += v * w
-		if v < st.min {
-			st.min = v
-		}
-		if v > st.max {
-			st.max = v
-		}
-		vals = append(vals, v)
-		ws = append(ws, w)
-	}
-	if len(vals) > 0 {
-		sort.Sort(&byValue{vals, ws})
-		st.carry(st.buildBlock(vals, ws, sc))
-	}
-	sc.vals, sc.wts = vals, ws
-	batchPool.Put(sc)
-}
-
-// buildBlock turns a sorted (value, weight) chunk into a compressed block
-// summary: an exact FromSorted-equivalent dedup into pooled entry storage,
-// one compression to the stream's block budget, then a compact copy — the
-// level counter retains carried summaries, so pooled backing must not
-// escape.
-func (st *Stream) buildBlock(sorted, wts []float64, sc *batchScratch) *Summary {
-	entries := sc.entries[:0]
-	cum := 0.0
-	for i, v := range sorted {
-		w := 1.0
-		if wts != nil {
-			w = wts[i]
-		}
-		if n := len(entries); n > 0 && entries[n-1].Value == v {
-			entries[n-1].Weight += w
-			entries[n-1].MaxRank += w
-			cum += w
-			continue
-		}
-		entries = append(entries, Entry{Value: v, Weight: w, MinRank: cum, MaxRank: cum + w})
-		cum += w
-	}
-	if wts != nil {
-		consistentRanks(entries)
-	}
-	sc.entries = entries
-	s := &Summary{entries: entries}
-	st.compress(s)
-	return &Summary{entries: append(make([]Entry, 0, len(s.entries)), s.entries...)}
-}
-
-// buildBlockKeys turns a sorted unit-weight key chunk into a compressed
-// block summary without materializing the exact per-value entries: runs of
-// equal values stream off the keys through the same target-grid walk as
+// buildBlockKeys turns a sorted key chunk into a compressed block summary
+// without materializing the exact per-value entries: runs of equal values
+// stream off the keys through the same target-grid walk as
 // compressTargets, so only survivors are written. The result is identical
 // to dedup-then-compress — run boundaries, rank arithmetic (exact integers
 // in float64), grid targets and the nearest-midpoint/lastIdx selection all

@@ -23,7 +23,7 @@ func benchData() []float64 {
 	return xs
 }
 
-// BenchmarkStreamPush is the pre-batch baseline: one PushWeighted per point.
+// BenchmarkStreamPush is the pre-batch baseline: one Push per point.
 func BenchmarkStreamPush(b *testing.B) {
 	xs := benchData()
 	b.SetBytes(benchPoints * 8)

@@ -59,56 +59,6 @@ func TestPushBatchMatchesPushWithinEpsilon(t *testing.T) {
 	}
 }
 
-// Property: the weighted batch path matches PushWeighted semantics — skips
-// NaN values and non-positive weights, keeps exact accounting, and stays
-// rank-equivalent — and rejects mismatched slices.
-func TestPushBatchWeighted(t *testing.T) {
-	rng := stats.NewRand(12)
-	const n, eps = 30000, 0.01
-	vs := make([]float64, n)
-	ws := make([]float64, n)
-	for i := range vs {
-		vs[i] = rng.NormFloat64()
-		ws[i] = float64(1 + rng.Intn(4))
-		switch i % 97 {
-		case 13:
-			vs[i] = math.NaN()
-		case 29:
-			ws[i] = 0
-		case 31:
-			ws[i] = -2
-		}
-	}
-	item, err := New(eps, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := New(eps, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vs {
-		item.PushWeighted(vs[i], ws[i])
-	}
-	if err := batch.PushBatchWeighted(vs, ws); err != nil {
-		t.Fatal(err)
-	}
-	if item.Count() != batch.Count() || item.Sum() != batch.Sum() ||
-		item.Min() != batch.Min() || item.Max() != batch.Max() {
-		t.Fatalf("weighted accounting diverged: count %d/%d sum %v/%v",
-			item.Count(), batch.Count(), item.Sum(), batch.Sum())
-	}
-	for q := 0.05; q < 1; q += 0.05 {
-		a, b := item.Query(q), batch.Query(q)
-		if ra, rb := item.Rank(a), item.Rank(b); math.Abs(ra-rb) > 3*eps {
-			t.Errorf("q=%.2f: item %v (rank %v) vs batch %v (rank %v)", q, a, ra, b, rb)
-		}
-	}
-	if err := batch.PushBatchWeighted(vs, ws[:10]); err == nil {
-		t.Error("mismatched weight slice must error")
-	}
-}
-
 // Batches that never reach a direct chunk ride the item-wise buffer path
 // and are bit-identical to per-item pushes, including interleaved with
 // them — so mixing the two APIs below the flush point is safe.

@@ -20,9 +20,9 @@ func TestStreamStateRoundTripContinues(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		st.Push(rng.NormFloat64())
 	}
-	// Leave a partial buffer and some weighted pushes in the state.
+	// Leave a partial buffer in the state.
 	for i := 0; i < 37; i++ {
-		st.PushWeighted(rng.NormFloat64(), 2)
+		st.Push(rng.NormFloat64())
 	}
 
 	restored, err := FromState(st.State())
@@ -79,8 +79,8 @@ func TestStreamStateEmptyAndUnweighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := st.State()
-	if s.BufW != nil {
-		t.Fatal("unit-weight stream state grew a weight buffer")
+	if len(s.BufV) != 0 || len(s.Levels) != 0 {
+		t.Fatal("empty stream state holds observations")
 	}
 	if !math.IsInf(s.Min, 1) || !math.IsInf(s.Max, -1) {
 		t.Fatal("empty extrema not infinite")
@@ -131,9 +131,11 @@ func TestStreamStateValidation(t *testing.T) {
 	cases := map[string]func(*StreamState){
 		"nil":            nil,
 		"bad epsilon":    func(s *StreamState) { s.Epsilon = 1.5 },
+		"NaN epsilon":    func(s *StreamState) { s.Epsilon = math.NaN() },
+		"tiny epsilon":   func(s *StreamState) { s.Epsilon = minEpsilon / 2 },
 		"bad block size": func(s *StreamState) { s.BlockSize = 0 },
+		"small block":    func(s *StreamState) { s.BlockSize = 39 }, // ⌈2/0.05⌉ = 40
 		"overfull buf":   func(s *StreamState) { s.BufV = make([]float64, s.BlockSize) },
-		"weight skew":    func(s *StreamState) { s.BufW = make([]float64, len(s.BufV)+1) },
 		"negative count": func(s *StreamState) { s.Count = -1 },
 	}
 	for name, mutate := range cases {
@@ -144,6 +146,51 @@ func TestStreamStateValidation(t *testing.T) {
 		}
 		if _, err := FromState(s); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// Regression: FromState allocates its push buffer at the state's block
+// size, and a checkpoint carries that size as an unchecked u32. A state
+// claiming 2^31−1 asked for a 16 GiB buffer and killed the resuming
+// process with a fatal out-of-memory error before anything could refuse
+// the snapshot. A block size New's sizing never yields for the state's ε
+// is refused instead.
+func TestFromStateRefusesBlockSizeNewCannotBuild(t *testing.T) {
+	st, err := New(0.01, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Push(1)
+	for _, bs := range []int{1<<31 - 1, 1 << 40} {
+		s := st.State()
+		s.BlockSize = bs
+		if _, err := FromState(s); err == nil {
+			t.Errorf("block size %d accepted for epsilon %v", bs, s.Epsilon)
+		}
+		if _, err := VectorFromState([]*StreamState{st.State(), s}); err == nil {
+			t.Errorf("vector coordinate with block size %d accepted", bs)
+		}
+	}
+}
+
+// Every state New can build restores: the FromState bound admits New's
+// block size for every ε it accepts and every hint, from one pair of
+// blocks to the largest int.
+func TestFromStateAcceptsEveryNewSize(t *testing.T) {
+	for _, eps := range []float64{minEpsilon, 1e-4, DefaultEpsilon, 0.05, 0.5, 0.999} {
+		for _, hint := range []int{-1, 1, 1000, 1 << 20, 1 << 40, 1 << 62, math.MaxInt} {
+			if eps < 1e-4 && hint > 1<<20 {
+				continue // hundreds of MB of push buffer
+			}
+			st, err := New(eps, hint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Push(1)
+			if _, err := FromState(st.State()); err != nil {
+				t.Errorf("New(%v, %d): block size %d: %v", eps, hint, st.BlockSize(), err)
+			}
 		}
 	}
 }

@@ -20,11 +20,11 @@ const minEpsilon = 1e-6
 const defaultHint = 1 << 21
 
 // Stream is an unbounded ε-approximate quantile sketch: values are pushed
-// one at a time (optionally weighted), buffered in blocks, and folded into
-// a binary counter of summaries — level l holds a summary of 2^l blocks
-// that has been compressed at most l+1 times, so the total rank error stays
-// ≤ maxLevels/blockSize ≤ ε while memory stays O(maxLevels·blockSize) =
-// O(log(εn)/ε) regardless of stream length.
+// one at a time or in batches, each counting once, buffered in blocks, and
+// folded into a binary counter of summaries — level l holds a summary of
+// 2^l blocks that has been compressed at most l+1 times, so the total rank
+// error stays ≤ maxLevels/blockSize ≤ ε while memory stays
+// O(maxLevels·blockSize) = O(log(εn)/ε) regardless of stream length.
 //
 // Queries are served from a cached merged snapshot of all levels plus the
 // current partial buffer, so interleaving Push and Query costs one merge
@@ -32,15 +32,12 @@ const defaultHint = 1 << 21
 type Stream struct {
 	eps       float64
 	blockSize int
-	// The buffer holds raw pushes as parallel slices; bufW is nil until the
-	// first non-unit weight arrives, which keeps the hot unweighted path on
-	// sort.Float64s instead of an interface-based sort.
-	bufV   []float64
-	bufW   []float64
+
+	bufV   []float64  // raw pushes since the last flush
 	levels []*Summary // levels[l] == nil when the slot is empty
 
-	count    int     // observations pushed (unweighted count)
-	sum      float64 // Σ value·weight of everything pushed/absorbed
+	count    int     // observations pushed or absorbed
+	sum      float64 // Σ value of everything pushed/absorbed
 	min, max float64
 
 	cache *Summary // merged snapshot; invalidated by Push/Absorb
@@ -80,7 +77,7 @@ func New(eps float64, hint int) (*Stream, error) {
 	// blockSize ≥ (maxLevels+1)/eps keeps the total error strictly below
 	// eps with one level of headroom for hint overshoot.
 	blockSize := int(math.Ceil(2 / eps))
-	for maxLevels := 1; (1<<uint(maxLevels))*blockSize < hint; maxLevels++ {
+	for maxLevels := 1; maxLevels <= maxSizingLevels && (1<<uint(maxLevels))*blockSize < hint; maxLevels++ {
 		blockSize = int(math.Ceil(float64(maxLevels+2)/eps)) + 1
 	}
 	return &Stream{
@@ -90,6 +87,19 @@ func New(eps float64, hint int) (*Stream, error) {
 		min:       math.Inf(1),
 		max:       math.Inf(-1),
 	}, nil
+}
+
+// maxSizingLevels caps New's sizing loop. A block holds at least 3 values
+// (ε < 1), so 2^61 blocks cover any int hint, and hints up to 2^62 end
+// the loop well below the cap. Near the int limit the loop's product
+// overflows, and only the cap ends it.
+const maxSizingLevels = 61
+
+// blockSizeRange returns the block sizes New resolves eps to over every
+// hint: ⌈2/ε⌉ when two blocks cover the hint, up to the size the loop
+// sets at maxSizingLevels.
+func blockSizeRange(eps float64) (lo, hi int) {
+	return int(math.Ceil(2 / eps)), int(math.Ceil(float64(maxSizingLevels+2)/eps)) + 1
 }
 
 // Epsilon returns the configured rank-error budget.
@@ -134,39 +144,27 @@ func (st *Stream) compress(s *Summary) {
 	s.Compress(st.blockSize)
 }
 
-// Push absorbs one observation with weight 1.
-func (st *Stream) Push(v float64) { st.PushWeighted(v, 1) }
-
-// PushWeighted absorbs one observation with the given positive weight.
-func (st *Stream) PushWeighted(v, w float64) {
-	if w <= 0 || math.IsNaN(v) {
+// Push absorbs one observation; NaN is skipped.
+func (st *Stream) Push(v float64) {
+	if math.IsNaN(v) {
 		return
 	}
 	st.cache = nil
-	st.push1(v, w)
+	st.push1(v)
 }
 
-// push1 is PushWeighted after validation and cache invalidation — shared
-// with the batch path, which invalidates once per call instead.
-func (st *Stream) push1(v, w float64) {
+// push1 is Push after the NaN check and cache invalidation — shared with
+// the batch path, which invalidates once per call instead.
+func (st *Stream) push1(v float64) {
 	st.count++
-	st.sum += v * w
+	st.sum += v
 	if v < st.min {
 		st.min = v
 	}
 	if v > st.max {
 		st.max = v
 	}
-	if w != 1 && st.bufW == nil {
-		st.bufW = make([]float64, len(st.bufV), cap(st.bufV))
-		for i := range st.bufW {
-			st.bufW[i] = 1
-		}
-	}
 	st.bufV = append(st.bufV, v)
-	if st.bufW != nil {
-		st.bufW = append(st.bufW, w)
-	}
 	if len(st.bufV) >= st.blockSize {
 		st.flush()
 	}
@@ -178,16 +176,9 @@ func (st *Stream) flush() {
 	if len(st.bufV) == 0 {
 		return
 	}
-	if st.bufW == nil {
-		sort.Float64s(st.bufV)
-	} else {
-		sort.Sort(&byValue{st.bufV, st.bufW})
-	}
-	s := FromSorted(st.bufV, st.bufW)
+	sort.Float64s(st.bufV)
+	s := FromSorted(st.bufV)
 	st.bufV = st.bufV[:0]
-	if st.bufW != nil {
-		st.bufW = st.bufW[:0]
-	}
 	st.carry(s)
 }
 
@@ -211,25 +202,13 @@ func (st *Stream) carry(s *Summary) {
 	}
 }
 
-// Absorb merges another summary into the stream — the scale-out primitive:
-// per-shard summaries produced elsewhere are absorbed by a coordinator
-// stream. The absorbed summary is carried through the levels like a block,
-// so the coordinator's error stays ≤ max(ε_self, ε_other) + ε_self.
-//
-// A bare summary does not carry its observation count or value sum, so both
-// are estimated (count from total weight — exact for unit-weight streams;
-// sum via ApproxSum). Callers that know the true values should use
-// AbsorbCounted (the wire report ships them alongside the summary).
-func (st *Stream) Absorb(s *Summary) {
-	if s == nil || s.Size() == 0 {
-		return
-	}
-	st.AbsorbCounted(s, int(math.Round(s.TotalWeight())), s.ApproxSum())
-}
-
-// AbsorbCounted merges a summary whose exact observation count and value sum
-// are known (shipped alongside it, as the cluster's wire reports do), so the
-// stream's Count and Mean stay exact across shard hops.
+// AbsorbCounted merges another summary into the stream — the scale-out
+// primitive: per-shard summaries produced elsewhere are absorbed by a
+// coordinator stream. The absorbed summary is carried through the levels
+// like a block, so the coordinator's error stays ≤ max(ε_self, ε_other) +
+// ε_self. A summary does not carry its observation count or value sum, so
+// the caller passes both (the cluster's wire reports ship them alongside
+// it), and the stream's Count and Mean stay exact across shard hops.
 func (st *Stream) AbsorbCounted(s *Summary, count int, sum float64) {
 	if s == nil || s.Size() == 0 {
 		return
@@ -272,8 +251,8 @@ func (st *Stream) AbsorbStream(other *Stream) {
 // survives pushes (only a flush/carry dirties it), so the steady
 // Push/Query interleaving of the collection game re-merges the partial
 // buffer against one pre-merged summary instead of re-walking every
-// level. Merge is associative, so the regrouping leaves unit-weight
-// snapshots bit-identical (integer rank arithmetic is exact in float64).
+// level. Merge is associative, so the regrouping leaves snapshots
+// bit-identical (their integer rank arithmetic is exact in float64).
 func (st *Stream) Snapshot() *Summary {
 	if st.cache != nil {
 		return st.cache
@@ -292,16 +271,7 @@ func (st *Stream) Snapshot() *Summary {
 		st.cache = st.levelCache
 		return st.cache
 	}
-	vals := append([]float64(nil), st.bufV...)
-	var merged *Summary
-	if st.bufW == nil {
-		sort.Float64s(vals)
-		merged = FromSorted(vals, nil)
-	} else {
-		wts := append([]float64(nil), st.bufW...)
-		sort.Sort(&byValue{vals, wts})
-		merged = FromSorted(vals, wts)
-	}
+	merged := FromUnsorted(st.bufV)
 	merged.Merge(st.levelCache)
 	st.cache = merged
 	return merged
@@ -319,13 +289,11 @@ func (st *Stream) Median() float64 { return st.Query(0.5) }
 // Count returns the number of observations pushed.
 func (st *Stream) Count() int { return st.count }
 
-// Sum returns the Σ value·weight of everything pushed. Exact for pushed and
-// AbsorbCounted/AbsorbStream input; estimated (ApproxSum) for bare Absorbs.
+// Sum returns the exact Σ value of everything pushed or absorbed.
 func (st *Stream) Sum() float64 { return st.sum }
 
-// Mean returns the weighted mean of the stream (Sum/TotalWeight) — the
-// downstream mean estimator that replaces buffering raw values. NaN when
-// empty.
+// Mean returns the mean of the stream (Sum/TotalWeight) — the downstream
+// mean estimator that replaces buffering raw values. NaN when empty.
 func (st *Stream) Mean() float64 {
 	w := st.TotalWeight()
 	if w == 0 {
@@ -357,11 +325,8 @@ type StreamState struct {
 	Sum       float64
 	Min, Max  float64
 
-	// BufV/BufW mirror the raw push buffer; BufW is nil for unit-weight
-	// streams (the nil-ness is part of the state: it selects the hot
-	// unweighted sort path).
+	// BufV mirrors the raw push buffer.
 	BufV []float64
-	BufW []float64
 
 	// Levels mirrors the binary counter; nil slots are empty levels and are
 	// significant (they decide where the next carry lands).
@@ -383,9 +348,6 @@ func (st *Stream) State() *StreamState {
 	if len(st.bufV) > 0 {
 		s.BufV = append([]float64(nil), st.bufV...)
 	}
-	if st.bufW != nil {
-		s.BufW = append([]float64(nil), st.bufW...)
-	}
 	for _, lv := range st.levels {
 		if lv == nil {
 			s.Levels = append(s.Levels, nil)
@@ -397,24 +359,23 @@ func (st *Stream) State() *StreamState {
 }
 
 // FromState rebuilds a Stream from a State() copy (or a decoded wire
-// snapshot). The input is deep-copied; structural nonsense — a non-positive
-// block size, a weight buffer out of step with the value buffer, a buffer at
-// or past the flush point — is rejected rather than resumed.
+// snapshot). The input is deep-copied. A state New could not have built —
+// an ε outside New's range, a block size New's sizing never yields for that
+// ε (the push buffer is allocated at that size, so an unchecked one could
+// ask for any amount of memory), a buffer at or past the flush point, a
+// negative count — is rejected rather than resumed.
 func FromState(s *StreamState) (*Stream, error) {
 	if s == nil {
 		return nil, fmt.Errorf("summary: nil stream state")
 	}
-	if s.Epsilon <= 0 || s.Epsilon >= 1 {
-		return nil, fmt.Errorf("summary: stream state epsilon %v outside (0, 1)", s.Epsilon)
+	if !(s.Epsilon >= minEpsilon && s.Epsilon < 1) {
+		return nil, fmt.Errorf("summary: stream state epsilon %v outside [%g, 1)", s.Epsilon, minEpsilon)
 	}
-	if s.BlockSize <= 0 {
-		return nil, fmt.Errorf("summary: stream state block size %d", s.BlockSize)
+	if lo, hi := blockSizeRange(s.Epsilon); s.BlockSize < lo || s.BlockSize > hi {
+		return nil, fmt.Errorf("summary: stream state block size %d outside [%d, %d] for epsilon %v", s.BlockSize, lo, hi, s.Epsilon)
 	}
 	if len(s.BufV) >= s.BlockSize {
 		return nil, fmt.Errorf("summary: stream state buffer %d at/past flush point %d", len(s.BufV), s.BlockSize)
-	}
-	if s.BufW != nil && len(s.BufW) != len(s.BufV) {
-		return nil, fmt.Errorf("summary: stream state weight buffer %d for %d values", len(s.BufW), len(s.BufV))
 	}
 	if s.Count < 0 {
 		return nil, fmt.Errorf("summary: stream state count %d", s.Count)
@@ -429,10 +390,6 @@ func FromState(s *StreamState) (*Stream, error) {
 		max:       s.Max,
 	}
 	copy(st.bufV, s.BufV)
-	if s.BufW != nil {
-		st.bufW = make([]float64, len(s.BufW), s.BlockSize)
-		copy(st.bufW, s.BufW)
-	}
 	for _, lv := range s.Levels {
 		if lv == nil {
 			st.levels = append(st.levels, nil)
@@ -446,7 +403,6 @@ func FromState(s *StreamState) (*Stream, error) {
 // Reset empties the stream, keeping its configuration.
 func (st *Stream) Reset() {
 	st.bufV = st.bufV[:0]
-	st.bufW = nil
 	st.levels = st.levels[:0]
 	st.count = 0
 	st.sum = 0
@@ -454,17 +410,4 @@ func (st *Stream) Reset() {
 	st.max = math.Inf(-1)
 	st.cache = nil
 	st.levelCache = nil
-}
-
-// byValue sorts a parallel (values, weights) pair by value.
-type byValue struct {
-	v []float64
-	w []float64
-}
-
-func (s *byValue) Len() int           { return len(s.v) }
-func (s *byValue) Less(i, j int) bool { return s.v[i] < s.v[j] }
-func (s *byValue) Swap(i, j int) {
-	s.v[i], s.v[j] = s.v[j], s.v[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
 }

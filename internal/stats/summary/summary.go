@@ -55,27 +55,20 @@ type Summary struct {
 }
 
 // FromSorted builds an exact summary (ε = 0) from values sorted ascending,
-// each carrying the paired weight (all 1 when weights is nil). Duplicate
-// values are combined into one entry.
-func FromSorted(values, weights []float64) *Summary {
+// each observed once. Duplicate values are combined into one entry whose
+// weight counts them.
+func FromSorted(values []float64) *Summary {
 	s := &Summary{entries: make([]Entry, 0, len(values))}
 	cum := 0.0
-	for i, v := range values {
-		w := 1.0
-		if weights != nil {
-			w = weights[i]
-		}
+	for _, v := range values {
 		if n := len(s.entries); n > 0 && s.entries[n-1].Value == v {
-			s.entries[n-1].Weight += w
-			s.entries[n-1].MaxRank += w
-			cum += w
+			s.entries[n-1].Weight++
+			s.entries[n-1].MaxRank++
+			cum++
 			continue
 		}
-		s.entries = append(s.entries, Entry{Value: v, Weight: w, MinRank: cum, MaxRank: cum + w})
-		cum += w
-	}
-	if weights != nil {
-		consistentRanks(s.entries)
+		s.entries = append(s.entries, Entry{Value: v, Weight: 1, MinRank: cum, MaxRank: cum + 1})
+		cum++
 	}
 	return s
 }
@@ -84,7 +77,7 @@ func FromSorted(values, weights []float64) *Summary {
 func FromUnsorted(values []float64) *Summary {
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
-	return FromSorted(sorted, nil)
+	return FromSorted(sorted)
 }
 
 // FromEntries reconstructs a summary from externally supplied entries — the
@@ -117,22 +110,6 @@ func FromEntries(entries []Entry) (*Summary, error) {
 		prev = e
 	}
 	return &Summary{entries: append([]Entry(nil), entries...)}, nil
-}
-
-// ApproxSum estimates the sum of the summarized stream (Σ value·weight) from
-// the surviving entries. Compression drops entries without reassigning their
-// weight, so the raw entry sum is scaled by TotalWeight/Σweights; the result
-// is exact for uncompressed summaries and within ε·W·range in general.
-func (s *Summary) ApproxSum() float64 {
-	var sw, vw float64
-	for _, e := range s.entries {
-		sw += e.Weight
-		vw += e.Value * e.Weight
-	}
-	if sw == 0 {
-		return 0
-	}
-	return vw * s.TotalWeight() / sw
 }
 
 // Clone returns a deep copy.
@@ -210,13 +187,14 @@ func (s *Summary) Merge(other *Summary) {
 // consistentBounds returns an entry's rank bounds, given its weight w and
 // its predecessor's bounds (zero for a first entry), raised where float
 // round-off broke the invariants FromEntries checks: maxRank ≥ minRank+w,
-// and neither bound below its predecessor's. The rank sums of a merge or a
-// weighted dedup are exact in real arithmetic, but with fractional weights
-// a rounded bound can land a few ulps short. maxRank only ever rises, and
+// and neither bound below its predecessor's. The rank sums of a merge are
+// exact in real arithmetic, but a peer's decoded summary can carry
+// fractional ranks, and merges of decoded summaries can pass 2^53, where a
+// rounded bound can land a few ulps short. maxRank only ever rises, and
 // minRank rises at most to its predecessor's — itself a lower bound on
 // this entry's rank — so the interval still brackets the true rank.
-// Integer-valued ranks add exactly, so unit-weight summaries are never
-// touched.
+// Integer ranks up to 2^53 add exactly, so summaries of pushed streams
+// are never touched.
 func consistentBounds(minRank, maxRank, w, prevMin, prevMax float64) (float64, float64) {
 	if minRank < prevMin {
 		minRank = prevMin
@@ -228,16 +206,6 @@ func consistentBounds(minRank, maxRank, w, prevMin, prevMax float64) (float64, f
 		maxRank = prevMax
 	}
 	return minRank, maxRank
-}
-
-// consistentRanks applies consistentBounds along the entries of a weighted
-// dedup.
-func consistentRanks(es []Entry) {
-	var lo, hi float64
-	for k := range es {
-		lo, hi = consistentBounds(es[k].MinRank, es[k].MaxRank, es[k].Weight, lo, hi)
-		es[k].MinRank, es[k].MaxRank = lo, hi
-	}
 }
 
 // Compress prunes the summary to at most b+1 entries by keeping the

@@ -248,75 +248,63 @@ func TestCompressBound(t *testing.T) {
 	}
 }
 
-// Property: weight w at value v is equivalent to pushing v w times.
-func TestWeightedEquivalence(t *testing.T) {
-	rng := stats.NewRand(6)
-	wtd, err := New(0.01, 0)
+// fractionalSummary builds through FromEntries — the decode half of a
+// peer's float-form block, the one way fractional ranks still enter — an
+// exact summary of n values drawn by value, each with a fractional weight
+// in [0.1, 3.1) and duplicates combined, then compresses it to b.
+func fractionalSummary(t *testing.T, rng *rand.Rand, n, b int, value func() float64) *Summary {
+	t.Helper()
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = value()
+	}
+	sort.Float64s(vals)
+	var entries []Entry
+	for _, v := range vals {
+		w := 0.1 + 3*rng.Float64()
+		if k := len(entries); k > 0 && entries[k-1].Value == v {
+			entries[k-1].Weight += w
+			continue
+		}
+		entries = append(entries, Entry{Value: v, Weight: w})
+	}
+	cum := 0.0
+	for i := range entries {
+		entries[i].MinRank, entries[i].MaxRank = cum, cum+entries[i].Weight
+		cum = entries[i].MaxRank
+	}
+	s, err := FromEntries(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := New(0.01, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4000; i++ {
-		v := rng.NormFloat64()
-		w := float64(1 + rng.Intn(4))
-		wtd.PushWeighted(v, w)
-		for k := 0; k < int(w); k++ {
-			rep.Push(v)
-		}
-	}
-	if a, b := wtd.TotalWeight(), rep.TotalWeight(); math.Abs(a-b) > 1e-9 {
-		t.Fatalf("total weight %v vs %v", a, b)
-	}
-	for q := 0.05; q < 1; q += 0.05 {
-		a, b := wtd.Query(q), rep.Query(q)
-		// Both are ε-approximate against the same weighted distribution.
-		if ra, rb := rep.Rank(a), rep.Rank(b); math.Abs(ra-rb) > 3*0.01 {
-			t.Errorf("q=%.2f: weighted %v (rank %v) vs repeated %v (rank %v)", q, a, ra, b, rb)
-		}
-	}
+	s.Compress(b)
+	return s
 }
 
-// Regression: fractional weights must never produce a summary whose rank
-// bounds FromEntries — and so every wire decoder — refuses. The rank sums
-// of a merge or a weighted dedup are exact only for integer ranks; round-off
-// used to leave a MaxRank a few ulps below MinRank+Weight or below its
-// predecessor's (47 of the item-wise seeds below failed, seed 4 at entry
-// 339). Three cases per seed: item-wise pushes of distinct values, one
-// batch of duplicate-heavy values, and the merge of the two snapshots.
+// Regression: merging summaries with fractional ranks must never produce
+// rank bounds FromEntries — and so every wire decoder — refuses. A merge's
+// rank sums are exact only for integer ranks; round-off used to leave a
+// MaxRank a few ulps below MinRank+Weight or below its predecessor's.
+// Per seed: a compressed summary of distinct values, a compressed
+// duplicate-heavy one and an exact one, merged, compressed and merged
+// again as a stream's carries would.
 func TestFractionalWeightsKeepRanksConsistent(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := stats.NewRand(seed)
-		pushed, err := New(0.05, 2000)
-		if err != nil {
-			t.Fatal(err)
+		distinct := fractionalSummary(t, rng, 3000, 40, rng.NormFloat64)
+		dups := fractionalSummary(t, rng, 3000, 40, func() float64 {
+			return math.Round(20*rng.NormFloat64()) / 20
+		})
+		exact := fractionalSummary(t, rng, 500, 1000, rng.NormFloat64)
+		merged := distinct.Clone()
+		merged.Merge(dups)
+		if _, err := FromEntries(merged.Entries()); err != nil {
+			t.Errorf("seed %d, first merge: %v", seed, err)
 		}
-		for i := 0; i < 3000; i++ {
-			pushed.PushWeighted(rng.NormFloat64(), 0.1+3*rng.Float64())
-		}
-		vals, wts := make([]float64, 3000), make([]float64, 3000)
-		for i := range vals {
-			vals[i] = math.Round(20*rng.NormFloat64()) / 20
-			wts[i] = 0.1 + 3*rng.Float64()
-		}
-		batched, err := New(0.05, 2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := batched.PushBatchWeighted(vals, wts); err != nil {
-			t.Fatal(err)
-		}
-		merged := pushed.Snapshot().Clone()
-		merged.Merge(batched.Snapshot())
-		for _, c := range []struct {
-			name string
-			s    *Summary
-		}{{"pushed", pushed.Snapshot()}, {"batched", batched.Snapshot()}, {"merged", merged}} {
-			if _, err := FromEntries(c.s.Entries()); err != nil {
-				t.Errorf("seed %d, %s: %v", seed, c.name, err)
-			}
+		merged.Compress(40)
+		merged.Merge(exact)
+		if _, err := FromEntries(merged.Entries()); err != nil {
+			t.Errorf("seed %d, second merge: %v", seed, err)
 		}
 	}
 }
@@ -391,12 +379,10 @@ func TestEdgeCases(t *testing.T) {
 	if st.Count() != 0 || !math.IsNaN(st.Query(0.5)) {
 		t.Error("Reset must empty the stream")
 	}
-	// NaN and nonpositive weights are ignored, not absorbed.
+	// NaN is ignored, not absorbed.
 	st.Push(math.NaN())
-	st.PushWeighted(1, 0)
-	st.PushWeighted(1, -3)
 	if st.Count() != 0 {
-		t.Error("NaN/nonpositive-weight pushes must be ignored")
+		t.Error("NaN pushes must be ignored")
 	}
 
 	if _, err := NewVector(0, 0.01, 0); err == nil {

@@ -29,7 +29,7 @@ func goldenTables(t testing.TB) map[string][][]byte {
 	return tables
 }
 
-// TestEncodingGolden pins the bytes of format 14: the FNV-64a digest of each
+// TestEncodingGolden pins the bytes of format 15: the FNV-64a digest of each
 // round-trip table's messages, concatenated in table order. The wirever
 // analyzer fingerprints the declared message structs only, so an encoder
 // that changed bytes without changing a struct would pass it — and
@@ -37,11 +37,11 @@ func goldenTables(t testing.TB) map[string][][]byte {
 // may change only together with Version.
 func TestEncodingGolden(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0xc5ae1cbea702366d,
-		"report":    0x908ae9373a98f4dc,
-		"summary":   0x9b19d86c4e3d3610,
-		"vector":    0x22746f4468413fbb,
-		"snapshot":  0x9c7ef2350979b197,
+		"directive": 0x348e2553a297780f,
+		"report":    0x775a2313f1d725ce,
+		"summary":   0x6e9adbb16e3dee4d,
+		"vector":    0xe3d8d4655bbe7c8b,
+		"snapshot":  0x8b865a6888a53c3c,
 	}
 	tables := goldenTables(t)
 	if len(tables) != len(want) {
@@ -96,18 +96,18 @@ func entryFreeTables(t testing.TB) map[string][][]byte {
 		}
 	}
 	// 40 pushes stay in a stream's raw buffer: no level, so no entry.
-	buffered := func(weighted bool) *summary.StreamState {
-		st := testStreamState(t, weighted, 40)
+	buffered := func() *summary.StreamState {
+		st := testStreamState(t, 40)
 		if len(st.Levels) != 0 {
 			t.Fatalf("40-push stream state holds %d levels", len(st.Levels))
 		}
 		return st
 	}
 	scalar := testSnapshot(t)
-	scalar.Received, scalar.Kept = buffered(false), nil
+	scalar.Received, scalar.Kept = buffered(), nil
 	rows := testRowsSnapshot(t)
-	rows.Received, rows.Kept = nil, buffered(true)
-	rows.VecState = []*summary.StreamState{buffered(false), nil}
+	rows.Received, rows.Kept = nil, buffered()
+	rows.VecState = []*summary.StreamState{buffered(), nil}
 	tables["snapshot"] = [][]byte{EncodeSnapshot(nil, scalar), EncodeSnapshot(nil, rows)}
 	return tables
 }
@@ -116,18 +116,18 @@ func entryFreeTables(t testing.TB) map[string][][]byte {
 // apart from the summary-block codec: a codec change that moves no field
 // must leave them byte for byte, version byte aside. The digests are
 // FNV-64a over each kind's entry-free messages in table order, with byte 2
-// masked. The summary and vector digests date from format 10 and the
-// snapshot digest from format 12, which dropped the clean-scale fields;
-// report was re-recorded under format 13, which retired the report's Vec
-// slot and stamps Leaves on every reply, and directive under format 14,
-// whose scalar configure row ships its reference without a pool.
+// masked. The summary and vector digests date from format 10; report was
+// re-recorded under format 13, which retired the report's Vec slot and
+// stamps Leaves on every reply, directive under format 14, whose scalar
+// configure row ships its reference without a pool, and snapshot under
+// format 15, whose stream states carry no weight flag or weight buffer.
 func TestEntryFreeBytesUnchanged(t *testing.T) {
 	want := map[string]uint64{
 		"directive": 0xb65932ff77b297d6,
 		"report":    0x24313eb8af09da67,
 		"summary":   0x1ca9375c652f1175,
 		"vector":    0xa651683bace37860,
-		"snapshot":  0xec18690a809b6d21,
+		"snapshot":  0x8167f372b5d8b7f8,
 	}
 	tables := entryFreeTables(t)
 	if len(tables) != len(want) {

@@ -23,12 +23,13 @@ import (
 //	       formFloat: Weight, MinRank and MaxRank as raw f64s
 //
 // A block takes formInt when every rank field in it is an exact integer in
-// [0, 2^53], not −0, and both differences are non-negative — every
-// unit-weight summary, since valid ranks never regress — and formFloat
-// otherwise (PushWeighted admits fractional weights). Float64Key orders
-// keys like the values, so a sorted summary's deltas are positive and,
-// for a continuous sample, a few bytes each. Both forms reproduce every
-// field bit for bit.
+// [0, 2^53], not −0, and both differences are non-negative — every summary
+// of at most 2^53 pushed observations, since valid ranks never regress —
+// and formFloat otherwise: a fraction or −0, which only a peer's
+// float-form bytes carry, or a rank past 2^53, which merges can reach.
+// Float64Key orders keys like the values, so a sorted summary's deltas are
+// positive and, for a continuous sample, a few bytes each. Both forms
+// reproduce every field bit for bit.
 const (
 	formInt   byte = 0
 	formFloat byte = 1

@@ -301,9 +301,9 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 }
 
 // appendStreamState writes a stream-state block: a presence flag, the fixed
-// scalars, the push buffer (weights behind their own presence flag — a nil
-// weight buffer selects the unweighted path and is part of the state), and
-// the level counter with nil slots preserved.
+// scalars, the push buffer, and the level counter with nil slots
+// preserved. Whether the state is one a stream could hold is for
+// summary.FromState to decide.
 func appendStreamState(buf []byte, st *summary.StreamState) []byte {
 	if st == nil {
 		return append(buf, 0)
@@ -316,12 +316,6 @@ func appendStreamState(buf []byte, st *summary.StreamState) []byte {
 	buf = appendF64(buf, st.Min)
 	buf = appendF64(buf, st.Max)
 	buf = appendF64s(buf, st.BufV)
-	if st.BufW == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		buf = appendF64s(buf, st.BufW)
-	}
 	buf = appendU32(buf, uint32(len(st.Levels)))
 	for _, lv := range st.Levels {
 		if lv == nil {
@@ -351,14 +345,6 @@ func readStreamState(r *reader) (*summary.StreamState, error) {
 		Max:       r.f64("stream max"),
 	}
 	st.BufV = r.f64s("stream buffer")
-	if r.u8("stream weight flag") == 1 {
-		st.BufW = r.f64s("stream weights")
-		if st.BufW == nil {
-			// An empty-but-present weight buffer still selects the weighted
-			// path; preserve the distinction FromState validates against.
-			st.BufW = []float64{}
-		}
-	}
 	nLevels := r.count("stream levels", 1)
 	for l := 0; l < nLevels; l++ {
 		if r.u8("level flag") == 0 {

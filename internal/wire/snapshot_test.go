@@ -10,18 +10,14 @@ import (
 	"repro/internal/stats/summary"
 )
 
-func testStreamState(t testing.TB, weighted bool, n int) *summary.StreamState {
+func testStreamState(t testing.TB, n int) *summary.StreamState {
 	t.Helper()
 	st, err := summary.New(0.02, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if weighted && i%3 == 0 {
-			st.PushWeighted(float64(i%97), 2)
-		} else {
-			st.Push(float64(i % 89))
-		}
+		st.Push(float64(i % 89))
 	}
 	return st.State()
 }
@@ -50,15 +46,15 @@ func testSnapshot(t testing.TB) *Snapshot {
 			{Kind: 2, Epoch: 2, Round: 6, Worker: 2},
 			{Kind: 1, Epoch: 3, Round: 5, Worker: 0},
 		},
-		Received:     testStreamState(t, false, 1200),
-		Kept:         testStreamState(t, true, 800),
+		Received:     testStreamState(t, 1200),
+		Kept:         testStreamState(t, 800),
 		Egress:       987654,
 		EgressConfig: 4321,
 	}
 }
 
 // Encode∘Decode is the identity on snapshots, including NaN record fields,
-// loss phase strings, weighted stream buffers and nil level slots.
+// loss phase strings, stream push buffers and nil level slots.
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := testSnapshot(t)
 	raw := EncodeSnapshot(nil, snap)
@@ -120,8 +116,8 @@ func testRowsSnapshot(t testing.TB) *Snapshot {
 	snap.LateCenter = true
 	snap.KeptPoison = 42
 	snap.VecState = []*summary.StreamState{
-		testStreamState(t, false, 300),
-		testStreamState(t, true, 200),
+		testStreamState(t, 300),
+		testStreamState(t, 200),
 	}
 	snap.PrevCenter = []float64{0.5, -1.5}
 	snap.PoolRows = []int{120, 80, 0, 99}

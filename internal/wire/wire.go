@@ -88,15 +88,17 @@ import (
 // worker refuses one that is not), an LDP or GRR configure ships its input
 // pool sorted, and honest draws index that sorted array instead of a
 // caller-ordered pool — one game must not be played under two draw
-// contracts, so v13 is retired.
-const Version = 14
+// contracts, so v13 is retired; 15 dropped the snapshot stream state's
+// weight flag and weight buffer (streams count observations, so a push
+// buffer holds values only), and a v14 checkpoint cannot resume under v15.
+const Version = 15
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game, or — v14 — what a configure's pool means),
 // so its predecessor is retired: a mixed-version cluster fails loudly at
 // the configure fan-out instead of misparsing or dying rounds later.
-const MinVersion = 14
+const MinVersion = 15
 
 const (
 	magic0 = 'T'

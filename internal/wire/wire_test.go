@@ -94,36 +94,43 @@ func fromEntries(t testing.TB, entries ...summary.Entry) *summary.Summary {
 	return s
 }
 
-// floatSummaries take the block's float form: streams fed arbitrary
-// fractional PushWeighted weights — a raw 40-point buffer and a compressed
-// 3,000-point stream, whose merged rank bounds the summary package keeps
-// consistent under round-off — integral ranks past 2^53, and a −0 rank,
-// which the integer form would turn into +0.
+// fractionalSummary is the exact summary of n normal draws, each with a
+// fractional weight in [lo, lo+span), built through FromEntries — the ranks
+// only a peer's float-form block carries.
+func fractionalSummary(t testing.TB, rng *rand.Rand, n int, lo, span float64) *summary.Summary {
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = rng.NormFloat64()
+	}
+	slices.Sort(vals)
+	entries := make([]summary.Entry, n)
+	cum := 0.0
+	for i, v := range vals {
+		w := lo + span*rng.Float64()
+		entries[i] = summary.Entry{Value: v, Weight: w, MinRank: cum, MaxRank: cum + w}
+		cum = entries[i].MaxRank
+	}
+	return fromEntries(t, entries...)
+}
+
+// floatSummaries take the block's float form: fractional ranks — a raw
+// 40-entry summary and a compressed merge of two 3,000-entry ones, whose
+// merged rank bounds the summary package keeps consistent under
+// round-off — integral ranks past 2^53, and a −0 rank, which the integer
+// form would turn into +0.
 func floatSummaries(t testing.TB) []*summary.Summary {
 	rng := rand.New(rand.NewSource(6))
-	var out []*summary.Summary
-	for _, c := range []struct {
-		n      int
-		weight func() float64
-	}{
-		{40, func() float64 { return 0.25 + rng.Float64() }},
-		{3000, func() float64 { return 0.1 + 3*rng.Float64() }},
-	} {
-		st, err := summary.New(0.01, c.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < c.n; i++ {
-			st.PushWeighted(rng.NormFloat64(), c.weight())
-		}
-		out = append(out, st.Snapshot())
-	}
+	raw := fractionalSummary(t, rng, 40, 0.25, 1)
+	compressed := fractionalSummary(t, rng, 3000, 0.1, 3)
+	compressed.Merge(fractionalSummary(t, rng, 3000, 0.1, 3))
+	compressed.Compress(100)
 	const big = 1 << 54
-	out = append(out,
+	return []*summary.Summary{
+		raw,
+		compressed,
 		fromEntries(t, summary.Entry{Value: 1, Weight: big, MaxRank: big}, summary.Entry{Value: 2, Weight: 1, MinRank: big, MaxRank: big + 2}),
 		fromEntries(t, summary.Entry{Value: 1, Weight: 1, MinRank: math.Copysign(0, -1), MaxRank: 1}),
-	)
-	return out
+	}
 }
 
 // edgeSummaries are unit-weight summaries over the values whose keys sit
@@ -143,7 +150,7 @@ func edgeSummaries() []*summary.Summary {
 		{math.MaxFloat64},
 		{sub},
 	} {
-		out = append(out, summary.FromSorted(vs, nil))
+		out = append(out, summary.FromSorted(vs))
 	}
 	return out
 }
