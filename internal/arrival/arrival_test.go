@@ -131,7 +131,10 @@ func TestRowsDraw(t *testing.T) {
 		x[i] = stats.NormalSlice(rng, dim, 0, 1)
 		y[i] = i % 4
 	}
-	g := &Rows{X: x, Y: y, Clusters: 4, PoisonLabel: -1}
+	g, err := NewRows(x, y, 4, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	center := []float64{0, 0, 0}
 	scaleQ := func(pct float64) float64 { return 1 + pct } // injective scale
 	spec := Spec{HonestN: 50, PoisonN: 10, Inject: attack.PointSpec(0.95), Jitter: 0}
@@ -169,7 +172,10 @@ func TestRowsDraw(t *testing.T) {
 		}
 	}
 	// Unlabeled dataset → nil labels.
-	gu := &Rows{X: x}
+	gu, err := NewRows(x, nil, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, labels, _, err = gu.Draw(stats.NewShardRand(9, 0, 1), spec, center, scaleQ)
 	if err != nil {
 		t.Fatal(err)

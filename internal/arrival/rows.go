@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/stats"
 )
 
 // Rows draws one shard's slice of a row-game round: honest rows sampled
@@ -22,6 +24,25 @@ type Rows struct {
 
 	Clusters    int // class count for random poison labels
 	PoisonLabel int // fixed poison label; −1: random existing class
+}
+
+// NewRows builds the generator over a shipped dataset — the worker-side
+// guard, the row counterpart of NewScalar and NewLDP. It refuses a
+// dataset it cannot draw from: an empty one, a label count other than the
+// row count, random poison labels (PoisonLabel < 0) without a class count,
+// and a NaN or ±Inf coordinate, whose distance from any center the
+// summary would silently drop. The rows are kept as given, not copied.
+func NewRows(x [][]float64, y []int, clusters, poisonLabel int) (*Rows, error) {
+	g := &Rows{X: x, Y: y, Clusters: clusters, PoisonLabel: poisonLabel}
+	if err := g.validate(); err != nil {
+		return nil, err
+	}
+	for i, row := range x {
+		if !stats.IsFiniteSlice(row) {
+			return nil, fmt.Errorf("arrival: dataset row %d holds a NaN or infinite coordinate", i)
+		}
+	}
+	return g, nil
 }
 
 // Labeled reports whether generated arrivals carry labels.
@@ -44,7 +65,8 @@ func (g *Rows) validate() error {
 // percentile on the clean distance scale (the merged per-shard scale
 // summary); center is the collector's current robust center. Poison
 // occupies the tail: poisonFrom = s.HonestN. labels is nil for unlabeled
-// datasets, else aligned with rows.
+// datasets, else aligned with rows. Honest rows are X's own slices, not
+// copies, so the caller must not modify them.
 func (g *Rows) Draw(rng *rand.Rand, s Spec, center []float64, scaleQ func(float64) float64) (rows [][]float64, labels []int, pctSum float64, err error) {
 	if err := g.validate(); err != nil {
 		return nil, nil, 0, err

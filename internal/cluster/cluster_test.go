@@ -88,13 +88,23 @@ func grrConf(pool []float64) *wire.Directive {
 	return &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01, Pool: pool, MechKind: byte(arrival.MechGRR), MechEps: 1.5, MechK: 4}
 }
 
+// rowConf configures a row worker over the given dataset and labels, with
+// poison labels drawn at random from clusters classes.
+func rowConf(rows [][]float64, labels []int, clusters int) *wire.Directive {
+	return &wire.Directive{Op: wire.OpConfigure, Epsilon: 0.01, Rows: rows, Labels: labels, Clusters: clusters, PoisonLabel: -1}
+}
+
 // A worker keeps exactly the one sorted pool it is shipped, so it refuses
 // a configure it could only use by guessing: a scalar configure carrying a
 // pool besides (or instead of) its reference, a reference or LDP/GRR pool
 // that is not in sort order or holds a NaN, and a GRR pool entry that is
-// not a category. A refused configure leaves no generator behind.
+// not a category. It refuses a row dataset it cannot draw from: labels
+// that do not pair with the rows, random poison labels without a class
+// count, and a NaN or infinite coordinate, whose distances the summary
+// would drop. A refused configure leaves no generator behind.
 func TestWorkerConfigureRefusals(t *testing.T) {
 	ref := []float64{1, 2, 3}
+	rows := [][]float64{{3, 4}, {1, 2}}
 	for _, c := range []struct {
 		name string
 		d    *wire.Directive
@@ -108,6 +118,10 @@ func TestWorkerConfigureRefusals(t *testing.T) {
 		{"unsorted GRR pool", grrConf([]float64{0, 2, 1}), "not sorted"},
 		{"non-category GRR pool", grrConf([]float64{0, 1.5}), "pool entry 1.5"},
 		{"empty LDP pool", ldpConf(nil), "empty"},
+		{"row with a NaN coordinate", rowConf([][]float64{{3, 4}, {1, math.NaN()}}, []int{1, 0}, 2), "row 1 holds a NaN"},
+		{"row with an infinite coordinate", rowConf([][]float64{{math.Inf(-1), 4}, {1, 2}}, nil, 2), "row 0 holds a NaN or infinite"},
+		{"short label list", rowConf(rows, []int{1}, 2), "1 labels for 2 rows"},
+		{"random poison labels without a class count", rowConf(rows, []int{1, 0}, 0), "class count"},
 	} {
 		w := NewWorker(0)
 		_, err := w.Handle(wire.EncodeDirective(nil, c.d))
@@ -155,17 +169,23 @@ func TestWorkerConfigureKeepsOnePool(t *testing.T) {
 // whatever they hold, neither they nor one fixed small generate after them
 // (one cell, 10 honest, 2 poison) may panic, and when both are accepted
 // the report counts all 12 arrivals. The generate stays fixed because cell
-// counts are unbounded on the wire.
+// counts are unbounded on the wire; it carries a 2-dim center and a clean
+// scale, so a configured 2-dim row dataset draws too (a scalar or LDP
+// worker ignores both).
 func FuzzWorkerConfigure(f *testing.F) {
 	for _, d := range []*wire.Directive{
 		scalarConf(),
 		ldpConf([]float64{-0.5, 0, 0.25, 0.5}),
 		grrConf([]float64{0, 1, 1, 3}),
-		{Op: wire.OpConfigure, Epsilon: 0.01, Rows: [][]float64{{3, 4}, {1, 2}}, Labels: []int{1, 0}, Clusters: 2, PoisonLabel: -1},
+		rowConf([][]float64{{3, 4}, {1, 2}}, []int{1, 0}, 2),
+		// Finite, but rescaling it to a poison distance overflows to NaN.
+		rowConf([][]float64{{1.7e308, 0}}, nil, 0),
 	} {
 		f.Add(wire.EncodeDirective(nil, d))
 	}
-	gen := wire.EncodeDirective(nil, scalarGen(1, 10, 2))
+	d := scalarGen(1, 10, 2)
+	d.Center, d.Gen.Scale = []float64{0, 0}, summary.FromUnsorted([]float64{5, 10})
+	gen := wire.EncodeDirective(nil, d)
 	f.Fuzz(func(t *testing.T, conf []byte) {
 		w := NewWorker(0)
 		if _, err := w.Handle(conf); err != nil {
@@ -183,6 +203,48 @@ func FuzzWorkerConfigure(f *testing.F) {
 			t.Fatalf("generate report counts %d arrivals, want 12", rep.Count)
 		}
 	})
+}
+
+// A row worker's pool keeps the rows the worker holds, not copies: a kept
+// honest row already lives in the configured dataset, so it costs its
+// slice header and its label. Honest-only rounds from a 2,000 × 18
+// dataset under a threshold that keeps every row retain at most 64 B per
+// kept row once each round's state is dropped; a pool that copies every
+// row retains about 180 B (its 144 B of coordinates besides).
+func TestWorkerPoolKeepsHeldRows(t *testing.T) {
+	const n, dim, rounds, perRound, bound = 2000, 18, 8, 4000, 64
+	x := make([][]float64, n)
+	labels := make([]int, n)
+	for i := range x {
+		x[i] = make([]float64, dim)
+		for j := range x[i] {
+			x[i][j] = float64((i*31+j*7)%101) / 10
+		}
+		labels[i] = i % 3
+	}
+	w := NewWorker(0)
+	handle := func(d *wire.Directive) {
+		t.Helper()
+		if _, err := w.Handle(wire.EncodeDirective(nil, d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handle(rowConf(x, labels, 3))
+	before := heapAfterGC()
+	for r := 1; r <= rounds; r++ {
+		handle(&wire.Directive{Op: wire.OpGenerate, Round: r, Center: make([]float64, dim),
+			Gen: &wire.GenSpec{Cells: []wire.Cell{{Seed: int64(r), HonestN: perRound}}}})
+		handle(&wire.Directive{Op: wire.OpClassify, Round: r, Threshold: math.Inf(1)})
+	}
+	after := heapAfterGC()
+	runtime.KeepAlive(w)
+	kept := rounds * perRound
+	if w.pool.Len() != kept {
+		t.Fatalf("pool holds %d rows, want all %d kept", w.pool.Len(), kept)
+	}
+	if per := (int64(after) - int64(before)) / int64(kept); per > bound {
+		t.Errorf("worker retains %d B per kept %d-dim row, want ≤ %d", per, dim, bound)
+	}
 }
 
 // The row phase: distances from the broadcast center, kept rows appended to

@@ -17,6 +17,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/arrival"
@@ -74,16 +75,28 @@ type Worker struct {
 	// re-admitted worker's pool still holds the rows it kept before the
 	// partition, and a re-spawned spill-backed worker recovers its pool
 	// from disk — the property row-game resume rides on.
+	//
+	// The pool keeps the held row slices themselves (rowstore.Pool.Append
+	// takes the rows it is given; the round state says why that is sound),
+	// so a kept honest row costs an in-memory pool a slice header and a
+	// label, not a second copy of the dataset's coordinates. An in-memory
+	// pool therefore references the dataset it kept rows of: a re-configure
+	// that ships a new dataset leaves the old one alive while the pool
+	// holds rows of it.
 	pool     rowstore.Pool
 	poolOpen func() (rowstore.Pool, error)
 
 	// Round state, valid between a Generate and its Classify. held is the
 	// authoritative "a generate happened" flag — an empty shard draws a nil
-	// dists, so nil-ness cannot stand in for it.
+	// dists, so nil-ness cannot stand in for it. No held row is ever
+	// written, so classify hands its kept rows to the pool as they are:
+	// honest rows are capacity-capped slices of rowGen's dataset (the wire
+	// decodes it into one backing array, and arrival.Rows draws rows by
+	// reference), and poison rows are fresh from arrival.PoisonRow.
 	held   bool
 	round  int
 	dists  []float64   // scalar arrivals, or row distances from center
-	rows   [][]float64 // row game only
+	rows   [][]float64 // row game only; never written
 	labels []int       // row game only (nil when unlabeled)
 	dim    int         // row game only: len(center)
 	poison []poisonSeg // poison layout of dists (cells concatenate)
@@ -251,10 +264,11 @@ func (w *Worker) configure(d *wire.Directive) error {
 		}
 		w.ldpGen = gen
 	case len(d.Rows) > 0:
-		w.rowGen = &arrival.Rows{
-			X: d.Rows, Y: d.Labels,
-			Clusters: d.Clusters, PoisonLabel: d.PoisonLabel,
+		gen, err := arrival.NewRows(d.Rows, d.Labels, d.Clusters, d.PoisonLabel)
+		if err != nil {
+			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 		}
+		w.rowGen = gen
 		// Ensure the kept-row pool exists (see the field doc for why an
 		// existing pool survives a re-configure).
 		if w.pool == nil {
@@ -378,6 +392,11 @@ func (w *Worker) draw(d *wire.Directive, seed int64, spec arrival.Spec) (c cellD
 				return c
 			}
 			c.values[i] = stats.Euclidean(row, d.Center)
+			if math.IsNaN(c.values[i]) {
+				// The summary would drop it while classify tallies it.
+				c.err = fmt.Errorf("generated row %d at NaN distance from the center", i)
+				return c
+			}
 		}
 	case w.ldpGen != nil:
 		c.values, c.inputSum, c.pctSum, c.err = w.ldpGen.Draw(rng, spec)
@@ -484,6 +503,8 @@ func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float6
 // and for the row game the accepted-row vector delta plus an append of the
 // kept rows to the worker's own pool, with just the pool total reported
 // (rows never travel per round; OpFetchRows pages them out at game end).
+// It only reads the held rows, and the pool keeps the kept ones as they
+// are: no row is copied and none is modified afterwards.
 func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 	start := obs.Now()
 	kept, err := summary.New(w.eps, len(w.dists))

@@ -14,6 +14,12 @@
 // they were appended, so two runs that keep the same rows in the same
 // order produce byte-identical pools — the property the record-for-record
 // equality tests lean on.
+//
+// A pool keeps the rows it is given: the caller hands each appended row
+// over and must not modify it afterwards. MemPool stores the very slices
+// (a kept row costs its slice header, not a copy of its coordinates), and
+// SpillPool writes them out, so a worker can append rows that alias its
+// dataset without paying for them twice.
 package rowstore
 
 import "fmt"
@@ -25,20 +31,18 @@ import "fmt"
 // dimension and labeledness; later appends must agree.
 type Pool interface {
 	// Append adds rows (and, for labeled datasets, their labels — one per
-	// row) to the end of the pool. The rows are copied; the caller may
-	// reuse the backing arrays.
+	// row) to the end of the pool. The pool keeps the rows it is given:
+	// the caller must not modify a row's coordinates afterwards, though it
+	// may reuse the rows and labels slices themselves.
 	Append(rows [][]float64, labels []int) error
 
 	// Len reports the number of rows currently stored.
 	Len() int
 
 	// Page returns rows [lo, hi) in append order, with labels when the
-	// pool is labeled (nil otherwise). hi is clamped to Len.
+	// pool is labeled (nil otherwise). hi is clamped to Len. The rows may
+	// be the very slices Append kept, so the caller must not modify them.
 	Page(lo, hi int) ([][]float64, []int, error)
-
-	// Manifest describes the pool's current contents — row count,
-	// dimension, and the backing segments (empty for in-memory pools).
-	Manifest() Manifest
 
 	// Truncate discards every row at index n and beyond, rolling the pool
 	// back to exactly n rows. Resume uses it to drop rows appended after
@@ -49,26 +53,9 @@ type Pool interface {
 	Close() error
 }
 
-// Manifest is a pool's self-description: the coordinator checkpoints only
-// each pool's row count, and the worker-local manifest ties that count to
-// concrete on-disk segments (empty for in-memory pools).
-type Manifest struct {
-	Rows    int
-	Dim     int
-	Labeled bool
-	// Segments lists the on-disk segment files in append order; nil for
-	// in-memory pools.
-	Segments []Segment
-}
-
-// Segment is one on-disk chunk of a spill pool.
-type Segment struct {
-	Name string // file name within the pool directory
-	Rows int    // whole records stored
-}
-
 // MemPool is the in-memory Pool: plain slices, used by loopback clusters
-// and anywhere durability across process restarts is not needed.
+// and anywhere durability across process restarts is not needed. It holds
+// the appended row slices themselves, never copies of them.
 type MemPool struct {
 	rows    [][]float64
 	labels  []int
@@ -94,7 +81,8 @@ func (p *MemPool) seal(dim int, labeled bool) error {
 	return nil
 }
 
-// Append implements Pool.
+// Append implements Pool. Every row's dimension is checked before any row
+// is kept.
 func (p *MemPool) Append(rows [][]float64, labels []int) error {
 	if len(rows) == 0 {
 		return nil
@@ -109,10 +97,8 @@ func (p *MemPool) Append(rows [][]float64, labels []int) error {
 		if len(r) != p.dim {
 			return fmt.Errorf("rowstore: ragged row (dim %d, pool dim %d)", len(r), p.dim)
 		}
-		cp := make([]float64, p.dim)
-		copy(cp, r)
-		p.rows = append(p.rows, cp)
 	}
+	p.rows = append(p.rows, rows...)
 	p.labels = append(p.labels, labels...)
 	return nil
 }
@@ -139,11 +125,6 @@ func (p *MemPool) Page(lo, hi int) ([][]float64, []int, error) {
 		copy(labels, p.labels[lo:hi])
 	}
 	return rows, labels, nil
-}
-
-// Manifest implements Pool.
-func (p *MemPool) Manifest() Manifest {
-	return Manifest{Rows: len(p.rows), Dim: p.dim, Labeled: p.labeled}
 }
 
 // Truncate implements Pool.

@@ -3,6 +3,7 @@ package rowstore
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -74,9 +75,6 @@ func poolCases(t *testing.T, open func(t *testing.T) Pool) {
 		checkPage(t, p, 0, 17, dim, true)
 		checkPage(t, p, 5, 12, dim, true)
 		checkPage(t, p, 15, 40, dim, true) // clamped past the end
-		if m := p.Manifest(); m.Rows != 17 || m.Dim != dim || !m.Labeled {
-			t.Fatalf("Manifest = %+v", m)
-		}
 		if err := p.Truncate(6); err != nil {
 			t.Fatal(err)
 		}
@@ -106,9 +104,6 @@ func poolCases(t *testing.T, open func(t *testing.T) Pool) {
 		if len(got) != 5 || labels != nil {
 			t.Fatalf("got %d rows, labels %v (want 5, nil)", len(got), labels)
 		}
-		if m := p.Manifest(); m.Labeled {
-			t.Fatal("Manifest.Labeled = true for unlabeled pool")
-		}
 	})
 
 	t.Run("shape-mismatch", func(t *testing.T) {
@@ -133,6 +128,45 @@ func TestMemPool(t *testing.T) {
 	poolCases(t, func(t *testing.T) Pool { return NewMem() })
 }
 
+// MemPool keeps the rows it is given: Page hands back the very slices
+// Append was passed — no per-row copy — labeled or not, and still after a
+// Truncate and a further Append.
+func TestMemPoolKeepsAppendedRows(t *testing.T) {
+	for _, labeled := range []bool{true, false} {
+		p := NewMem()
+		rows, labels := genRows(6, 3, 0)
+		more, moreL := genRows(4, 3, 4)
+		if !labeled {
+			labels, moreL = nil, nil
+		}
+		if err := p.Append(rows, labels); err != nil {
+			t.Fatal(err)
+		}
+		same := func(want [][]float64, lo int) {
+			t.Helper()
+			got, _, err := p.Page(lo, lo+len(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if &got[i][0] != &want[i][0] {
+					t.Fatalf("labeled %v: row %d pages back a copy, want the appended slice", labeled, lo+i)
+				}
+			}
+		}
+		same(rows, 0)
+		if err := p.Truncate(4); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Append(more, moreL); err != nil {
+			t.Fatal(err)
+		}
+		same(rows[:4], 0)
+		same(more, 4)
+		checkPage(t, p, 0, 8, 3, labeled)
+	}
+}
+
 func TestSpillPool(t *testing.T) {
 	poolCases(t, func(t *testing.T) Pool {
 		p, err := OpenSpill(t.TempDir(), SpillConfig{})
@@ -143,8 +177,28 @@ func TestSpillPool(t *testing.T) {
 	})
 }
 
+// segRows lists the whole records each of a spill directory's segment
+// files holds, in name order, read off the file sizes.
+func segRows(t *testing.T, dir string, dim int, labeled bool) []int {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.rows"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []int
+	for _, path := range paths {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, int((st.Size()-headerSize)/int64(recSize(dim, labeled))))
+	}
+	return rows
+}
+
 // TestSpillSegmentsRotateAndReopen fills several segments, reopens the
-// pool from disk, and checks contents and manifest survive intact.
+// pool from disk, and checks its contents and segment files survive
+// intact.
 func TestSpillSegmentsRotateAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	p, err := OpenSpill(dir, SpillConfig{MaxSegmentRows: 4})
@@ -155,12 +209,8 @@ func TestSpillSegmentsRotateAndReopen(t *testing.T) {
 	if err := p.Append(rows, labels); err != nil {
 		t.Fatal(err)
 	}
-	m := p.Manifest()
-	if len(m.Segments) != 3 {
-		t.Fatalf("%d segments, want 3 (4+4+3 rows): %+v", len(m.Segments), m)
-	}
-	if m.Segments[0].Rows != 4 || m.Segments[2].Rows != 3 {
-		t.Fatalf("segment fill: %+v", m.Segments)
+	if segs := segRows(t, dir, 2, true); !slices.Equal(segs, []int{4, 4, 3}) {
+		t.Fatalf("segment fill %v, want [4 4 3]", segs)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -180,8 +230,8 @@ func TestSpillSegmentsRotateAndReopen(t *testing.T) {
 	if err := re.Append(more, moreL); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(re.Manifest().Segments); got != 4 {
-		t.Fatalf("%d segments after append, want 4", got)
+	if segs := segRows(t, dir, 2, true); !slices.Equal(segs, []int{4, 4, 4, 1}) {
+		t.Fatalf("segment fill after append %v, want [4 4 4 1]", segs)
 	}
 	checkPage(t, re, 0, 13, 2, true)
 }
@@ -198,13 +248,12 @@ func TestSpillCrashRecovery(t *testing.T) {
 	if err := p.Append(rows, labels); err != nil {
 		t.Fatal(err)
 	}
-	seg := p.Manifest().Segments[0].Name
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Tear the tail: cut the last record short by 5 bytes.
-	path := filepath.Join(dir, seg)
+	path := filepath.Join(dir, "seg-000000.rows")
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -246,16 +295,11 @@ func TestSpillTruncateDropsSegments(t *testing.T) {
 	if err := p.Truncate(4); err != nil { // mid second segment
 		t.Fatal(err)
 	}
-	m := p.Manifest()
-	if m.Rows != 4 || len(m.Segments) != 2 || m.Segments[1].Rows != 1 {
-		t.Fatalf("after truncate: %+v", m)
+	if p.Len() != 4 {
+		t.Fatalf("Len after truncate = %d, want 4", p.Len())
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 2 {
-		t.Fatalf("%d segment files on disk, want 2", len(ents))
+	if segs := segRows(t, dir, 2, true); !slices.Equal(segs, []int{3, 1}) {
+		t.Fatalf("segment files hold %v rows after truncate, want [3 1]", segs)
 	}
 	checkPage(t, p, 0, 4, 2, true)
 }

@@ -322,15 +322,6 @@ func (p *SpillPool) Page(lo, hi int) ([][]float64, []int, error) {
 	return rows, labels, nil
 }
 
-// Manifest implements Pool.
-func (p *SpillPool) Manifest() Manifest {
-	m := Manifest{Rows: p.total, Dim: p.dim, Labeled: p.labeled}
-	for _, seg := range p.segs {
-		m.Segments = append(m.Segments, Segment{Name: seg.name, Rows: seg.rows})
-	}
-	return m
-}
-
 // Truncate implements Pool.
 func (p *SpillPool) Truncate(n int) error {
 	if n < 0 {

@@ -123,10 +123,12 @@ func Clamp(x, lo, hi float64) float64 {
 
 // IsFiniteSlice reports whether every element of xs is finite (no NaN/Inf).
 func IsFiniteSlice(xs []float64) bool {
+	// x − x is 0 for a finite x and NaN for NaN or ±Inf, and a NaN stays in
+	// the sum, so one branch-free pass decides: a worker checks every
+	// coordinate of its row dataset this way at configure.
+	s := 0.0
 	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
+		s += x - x
 	}
-	return true
+	return s == 0
 }

@@ -123,6 +123,9 @@ func TestIsFiniteSlice(t *testing.T) {
 	if IsFiniteSlice([]float64{math.Inf(1)}) {
 		t.Error("Inf slice misreported")
 	}
+	if IsFiniteSlice([]float64{math.MaxFloat64, math.Inf(-1), -math.MaxFloat64}) {
+		t.Error("-Inf slice misreported")
+	}
 	if !IsFiniteSlice(nil) {
 		t.Error("empty slice should count as finite")
 	}

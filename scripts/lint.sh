@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Single entry point for every style and static check. CI's lint job runs
 # this same script (after installing staticcheck/govulncheck), so a clean
-# local run means a clean lint job. Tools that are not installed locally
-# are skipped with a warning rather than failing the run.
+# local run means a clean lint job; its gofmt and vet steps cover what the
+# test job's do, the separate bench module included. Tools that are not
+# installed locally are skipped with a warning rather than failing the run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== gofmt -l -s"
-out="$(gofmt -l -s cmd internal examples ./*.go)"
+out="$(gofmt -l -s bench cmd internal examples ./*.go)"
 if [ -n "$out" ]; then
   echo "gofmt -s needed on:" >&2
   echo "$out" >&2
@@ -16,6 +17,8 @@ fi
 
 echo "== go vet"
 go vet ./...
+# bench/ is its own module, so ./... above does not reach it.
+go -C bench vet ./...
 
 echo "== trimlint"
 go run ./cmd/trimlint ./...
