@@ -185,6 +185,79 @@ func TestRowsDraw(t *testing.T) {
 	}
 }
 
+// PoisonRow places a row at the commanded distance along the base row's
+// offset. An ordinary row keeps the plain formula bit for bit, which every
+// pinned row-game board rests on; a base so far out that its squared
+// offset or its offset times the distance overflows is measured in units
+// of its largest coordinate instead; and a row that cannot be represented
+// is an error, never a NaN or a silent row at the center.
+func TestPoisonRow(t *testing.T) {
+	plain := func(center, base []float64, dist float64) []float64 {
+		row := make([]float64, len(center))
+		norm := 0.0
+		for i := range row {
+			row[i] = base[i] - center[i]
+			norm += row[i] * row[i]
+		}
+		norm = math.Sqrt(norm)
+		for i := range row {
+			row[i] = center[i] + row[i]*dist/norm
+		}
+		return row
+	}
+	for _, c := range []struct {
+		name         string
+		center, base []float64
+		dist         float64
+		want         []float64 // nil: compare with the plain formula
+		err          bool
+	}{
+		{name: "ordinary row", center: []float64{0.5, -1, 2}, base: []float64{1.25, 3, -0.75}, dist: 2.5},
+		{name: "squared offset overflows", center: []float64{1, 1}, base: []float64{1e200, 1e200}, dist: 3,
+			want: []float64{1 + 3/math.Sqrt2, 1 + 3/math.Sqrt2}},
+		{name: "base coordinate near the float64 limit", center: []float64{0, 0}, base: []float64{1.7e308, 0}, dist: 3,
+			want: []float64{3, 0}},
+		{name: "offset times distance overflows", center: []float64{0}, base: []float64{1e200}, dist: 1e200,
+			want: []float64{1e200}},
+		{name: "offset overflows", center: []float64{-1e308}, base: []float64{1e308}, dist: 3, err: true},
+	} {
+		row, err := PoisonRow(c.center, c.base, c.dist)
+		if c.err {
+			if err == nil {
+				t.Errorf("%s: row %v, want an error", c.name, row)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		want := c.want
+		if want == nil {
+			want = plain(c.center, c.base, c.dist)
+			for i := range row {
+				if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s: row %v, plain formula %v", c.name, row, want)
+					break
+				}
+			}
+		}
+		for i := range row {
+			if !(math.Abs(row[i]-want[i]) <= 1e-12*math.Max(1, math.Abs(want[i]))) {
+				t.Errorf("%s: row %v, want %v", c.name, row, want)
+				break
+			}
+		}
+		d := 0.0 // the distance from the center, folded without squaring
+		for i := range row {
+			d = math.Hypot(d, row[i]-c.center[i])
+		}
+		if !(math.Abs(d-c.dist) <= 1e-12*c.dist) {
+			t.Errorf("%s: row %v at distance %v from the center, want %v", c.name, row, d, c.dist)
+		}
+	}
+}
+
 func TestLDPDraw(t *testing.T) {
 	rng := stats.NewRand(3)
 	pool := make([]float64, 1000)

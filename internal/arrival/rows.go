@@ -95,8 +95,11 @@ func (g *Rows) Draw(rng *rand.Rand, s Spec, center []float64, scaleQ func(float6
 		if dist < 0 {
 			dist = 0
 		}
-		base := g.X[rng.Intn(len(g.X))]
-		rows = append(rows, PoisonRow(center, base, dist))
+		row, err := PoisonRow(center, g.X[rng.Intn(len(g.X))], dist)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		rows = append(rows, row)
 		if labels != nil {
 			label := g.PoisonLabel
 			if label < 0 {
@@ -112,8 +115,13 @@ func (g *Rows) Draw(rng *rand.Rand, s Spec, center []float64, scaleQ func(float6
 // distance from the center equals dist exactly — the evasive counterfeit
 // record of §III-A: the game-relevant quantity (distance) is coordinated,
 // everything else looks like data. Degenerate bases (at the center) fall
-// back to a unit offset in the first coordinate.
-func PoisonRow(center, base []float64, dist float64) []float64 {
+// back to a unit offset in the first coordinate. When the squared offset
+// or an offset times dist overflows (a base row about 1e154 or further
+// from the center), the offset is measured in units of its largest
+// coordinate instead, so the row still lands at dist. It returns an error
+// when the offset or the placed row does not fit in a float64, as for base
+// 1e308 around center −1e308.
+func PoisonRow(center, base []float64, dist float64) ([]float64, error) {
 	row := make([]float64, len(center))
 	norm := 0.0
 	for i := range row {
@@ -126,10 +134,32 @@ func PoisonRow(center, base []float64, dist float64) []float64 {
 		for i := range center {
 			row[i] += center[i]
 		}
-		return row
+		return row, nil
 	}
+	if !math.IsInf(norm, 1) {
+		for i := range row {
+			row[i] = center[i] + row[i]*dist/norm
+		}
+		if stats.IsFiniteSlice(row) {
+			return row, nil
+		}
+	}
+	unit := 0.0
 	for i := range row {
-		row[i] = center[i] + row[i]*dist/norm
+		row[i] = base[i] - center[i]
+		unit = math.Max(unit, math.Abs(row[i]))
 	}
-	return row
+	norm = 0
+	for i := range row {
+		row[i] /= unit
+		norm += row[i] * row[i]
+	}
+	norm = math.Sqrt(norm)
+	for i := range row {
+		row[i] = center[i] + row[i]/norm*dist
+	}
+	if !stats.IsFiniteSlice(row) {
+		return nil, fmt.Errorf("arrival: no finite poison row at distance %v from the center along the base row's offset", dist)
+	}
+	return row, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/arrival"
 	"repro/internal/attack"
+	"repro/internal/stats"
 	"repro/internal/stats/summary"
 	"repro/internal/wire"
 )
@@ -71,6 +72,70 @@ func TestWorkerRound(t *testing.T) {
 	if rep.KeptCount != 8 || rep.KeptSum != 16 {
 		t.Fatalf("kept aggregates: count %d sum %v", rep.KeptCount, rep.KeptSum)
 	}
+	// The scalar coordinator absorbs the kept values' summary.
+	if rep.Kept == nil || rep.Kept.TotalWeight() != 8 {
+		t.Fatalf("kept summary %v, want one of total weight 8", rep.Kept)
+	}
+}
+
+// An LDP worker's classify reply carries what its coordinator folds into
+// the mean estimate — the tallies and the exact kept count and sum — and
+// no kept-value summary. The kept values are the held reports at or below
+// the threshold, regenerated here from the cell seed. A default-budget
+// configure resolves the budget, and every reply reports it.
+func TestWorkerLDPRound(t *testing.T) {
+	const threshold = 0.25
+	pool := []float64{-0.5, 0, 0.25, 0.5}
+	conf := ldpConf(pool)
+	conf.Epsilon = 0
+	gen := &wire.Directive{Op: wire.OpGenerate, Round: 1, Gen: &wire.GenSpec{
+		Cells:      []wire.Cell{{Seed: 7, HonestN: 40, PoisonN: 8}},
+		InjectKind: byte(attack.SpecPoint), InjectHi: 1,
+	}}
+	tr := NewLoopback(1)
+	reps := []*wire.Report{call(t, tr, 0, conf), call(t, tr, 0, gen)}
+	rep := call(t, tr, 0, &wire.Directive{Op: wire.OpClassify, Round: 1, Threshold: threshold})
+	for i, r := range append(reps, rep) {
+		if r.Epsilon != summary.DefaultEpsilon {
+			t.Errorf("reply %d reports budget %v, want the default %v", i, r.Epsilon, summary.DefaultEpsilon)
+		}
+	}
+
+	mech, err := arrival.MechFromWire(arrival.MechPiecewise, conf.MechEps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := arrival.NewLDP(pool, mech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := arrival.SpecFromWire(gen.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, _, _, err := g.Draw(stats.NewRand(7), specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, sum := 0, 0.0
+	for _, v := range held {
+		if v <= threshold {
+			n++
+			sum += v
+		}
+	}
+	if n == 0 || n == len(held) {
+		t.Fatalf("threshold %v keeps %d of %d reports; pick one that splits them", threshold, n, len(held))
+	}
+	if rep.Kept != nil {
+		t.Errorf("LDP classify shipped a kept summary of %d entries, want none", rep.Kept.Size())
+	}
+	if rep.KeptCount != n || rep.KeptSum != sum {
+		t.Errorf("kept aggregates: count %d sum %v, want %d and %v", rep.KeptCount, rep.KeptSum, n, sum)
+	}
+	if c := rep.Counts; c.HonestKept+c.PoisonKept != n || c.HonestTrimmed+c.PoisonTrimmed != len(held)-n {
+		t.Errorf("counts %+v for %d kept of %d", c, n, len(held))
+	}
 }
 
 // refConf, ldpConf and grrConf configure a scalar worker over the given
@@ -122,6 +187,7 @@ func TestWorkerConfigureRefusals(t *testing.T) {
 		{"row with an infinite coordinate", rowConf([][]float64{{math.Inf(-1), 4}, {1, 2}}, nil, 2), "row 0 holds a NaN or infinite"},
 		{"short label list", rowConf(rows, []int{1}, 2), "1 labels for 2 rows"},
 		{"random poison labels without a class count", rowConf(rows, []int{1, 0}, 0), "class count"},
+		{"sketch budget too small to size", &wire.Directive{Op: wire.OpConfigure, Epsilon: 1e-9, RefSorted: ref}, "epsilon 1e-09 outside"},
 	} {
 		w := NewWorker(0)
 		_, err := w.Handle(wire.EncodeDirective(nil, c.d))
@@ -167,8 +233,13 @@ func TestWorkerConfigureKeepsOnePool(t *testing.T) {
 
 // The configure is where a coordinator's bytes reach the most worker code:
 // whatever they hold, neither they nor one fixed small generate after them
-// (one cell, 10 honest, 2 poison) may panic, and when both are accepted
-// the report counts all 12 arrivals. The generate stays fixed because cell
+// (one cell, 10 honest, 2 poison) nor one fixed classify after that may
+// panic. When the configure and the generate are accepted, the generate
+// report counts all 12 arrivals and the classify is accepted too. Its
+// reply holds the per-report checks a coordinator could make: the four
+// tallies add up to 12, the kept ones to KeptCount, and a kept-value
+// summary comes back from the scalar game only, weighing KeptCount (an
+// empty one is nil on the wire). The generate stays fixed because cell
 // counts are unbounded on the wire; it carries a 2-dim center and a clean
 // scale, so a configured 2-dim row dataset draws too (a scalar or LDP
 // worker ignores both).
@@ -178,7 +249,9 @@ func FuzzWorkerConfigure(f *testing.F) {
 		ldpConf([]float64{-0.5, 0, 0.25, 0.5}),
 		grrConf([]float64{0, 1, 1, 3}),
 		rowConf([][]float64{{3, 4}, {1, 2}}, []int{1, 0}, 2),
-		// Finite, but rescaling it to a poison distance overflows to NaN.
+		// Finite, but its squared distance from the center overflows:
+		// poison rows measure its offset in units of its largest
+		// coordinate, so all 12 arrivals draw.
 		rowConf([][]float64{{1.7e308, 0}}, nil, 0),
 	} {
 		f.Add(wire.EncodeDirective(nil, d))
@@ -186,6 +259,7 @@ func FuzzWorkerConfigure(f *testing.F) {
 	d := scalarGen(1, 10, 2)
 	d.Center, d.Gen.Scale = []float64{0, 0}, summary.FromUnsorted([]float64{5, 10})
 	gen := wire.EncodeDirective(nil, d)
+	classify := wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpClassify, Round: 1, Threshold: 6})
 	f.Fuzz(func(t *testing.T, conf []byte) {
 		w := NewWorker(0)
 		if _, err := w.Handle(conf); err != nil {
@@ -202,7 +276,36 @@ func FuzzWorkerConfigure(f *testing.F) {
 		if rep.Count != 12 {
 			t.Fatalf("generate report counts %d arrivals, want 12", rep.Count)
 		}
+		if out, err = w.Handle(classify); err != nil {
+			t.Fatalf("classify after an accepted generate: %v", err)
+		}
+		if rep, err = wire.DecodeReport(out); err != nil {
+			t.Fatalf("classify reply does not decode: %v", err)
+		}
+		c := rep.Counts
+		if n := c.HonestKept + c.HonestTrimmed + c.PoisonKept + c.PoisonTrimmed; n != 12 {
+			t.Fatalf("classify tallies %+v count %d arrivals, want 12", c, n)
+		}
+		if c.HonestKept+c.PoisonKept != rep.KeptCount {
+			t.Fatalf("classify tallies %+v keep %d, KeptCount %d", c, c.HonestKept+c.PoisonKept, rep.KeptCount)
+		}
+		if w.scalarGen == nil {
+			if rep.Kept != nil {
+				t.Fatalf("a non-scalar classify shipped a kept summary of %d entries", rep.Kept.Size())
+			}
+		} else if weight := keptWeight(rep); weight != float64(rep.KeptCount) {
+			t.Fatalf("kept summary weighs %v, KeptCount %d", weight, rep.KeptCount)
+		}
 	})
+}
+
+// keptWeight is the total weight of a reply's kept summary, 0 when none
+// came back.
+func keptWeight(rep *wire.Report) float64 {
+	if rep.Kept == nil {
+		return 0
+	}
+	return rep.Kept.TotalWeight()
 }
 
 // A row worker's pool keeps the rows the worker holds, not copies: a kept
@@ -280,6 +383,10 @@ func TestWorkerRowRound(t *testing.T) {
 	}
 	if len(rep.Vecs) != 1 || rep.Vecs[0].Count != 2 || len(rep.Vecs[0].Dims) != 2 {
 		t.Fatalf("vector deltas %+v, want one 2-row delta", rep.Vecs)
+	}
+	// The row coordinator folds the vector deltas, not a kept-distance summary.
+	if rep.Kept != nil {
+		t.Fatalf("row classify shipped a kept summary of %d entries, want none", rep.Kept.Size())
 	}
 	// Kept rows (3,4) twice: coordinate sums 6 and 8.
 	if rep.Vecs[0].Sums[0] != 6 || rep.Vecs[0].Sums[1] != 8 {

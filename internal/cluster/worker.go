@@ -243,15 +243,21 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 // configure installs the sketch budget and the generator state: the sorted
 // reference alone (scalar), the sorted input pool + mechanism (LDP, with
 // GRR's pool of categories among them), or dataset rows + labels (row
-// game). A shipped pool or reference is kept as decoded — its order is
-// checked, never re-sorted — and a scalar configure that also carries a
-// pool is refused: honest draws sample the reference. Re-configuring
-// mid-game (the re-admission path) discards any held round state: a
-// re-joined worker starts cold at the next round boundary.
+// game). The budget is resolved here, once (0 selects the default, and one
+// no stream can be built with is refused), so every reply reports the
+// budget its sketches use. A shipped pool or reference is kept as decoded
+// — its order is checked, never re-sorted — and a scalar configure that
+// also carries a pool is refused: honest draws sample the reference.
+// Re-configuring mid-game (the re-admission path) discards any held round
+// state: a re-joined worker starts cold at the next round boundary.
 func (w *Worker) configure(d *wire.Directive) error {
-	w.eps = d.Epsilon
 	w.scalarGen, w.ldpGen, w.rowGen = nil, nil, nil
 	w.held, w.dists, w.rows, w.labels, w.dim, w.poison = false, nil, nil, nil, 0, nil
+	eps, err := summary.ResolveEpsilon(d.Epsilon)
+	if err != nil {
+		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
+	}
+	w.eps = eps
 	switch {
 	case arrival.Mech(d.MechKind) != arrival.MechNone:
 		mech, err := arrival.MechFromWire(arrival.Mech(d.MechKind), d.MechEps, d.MechK)
@@ -485,7 +491,7 @@ func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float6
 		rep.Count += st.Count()
 		rep.ValueSum += st.Sum()
 	}
-	rep.Epsilon = sums[0].Epsilon()
+	rep.Epsilon = w.eps
 	if len(sums) == 1 {
 		rep.Sum = sums[0].Snapshot()
 	} else {
@@ -498,20 +504,25 @@ func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float6
 	return nil
 }
 
-// classify tallies the held shard against the threshold and builds the
-// kept-pool deltas: a kept-value summary (plus exact count/sum) always,
-// and for the row game the accepted-row vector delta plus an append of the
-// kept rows to the worker's own pool, with just the pool total reported
-// (rows never travel per round; OpFetchRows pages them out at game end).
-// It only reads the held rows, and the pool keeps the kept ones as they
-// are: no row is copied and none is modified afterwards.
+// classify tallies the held shard against the threshold and reports what
+// the game's coordinator folds: the tallies and the exact kept count and
+// sum always; the kept-value summary in the scalar game only, the one game
+// whose coordinator absorbs it; and in the row game the accepted-row
+// vector delta plus an append of the kept rows to the worker's own pool,
+// with just the pool total reported (rows never travel per round;
+// OpFetchRows pages them out at game end). It only reads the held rows,
+// and the pool keeps the kept ones as they are: no row is copied and none
+// is modified afterwards.
 func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 	start := obs.Now()
-	kept, err := summary.New(w.eps, len(w.dists))
-	if err != nil {
-		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-	}
+	var kept *summary.Stream
 	var vec *summary.Vector
+	var err error
+	if w.scalarGen != nil {
+		if kept, err = summary.New(w.eps, len(w.dists)); err != nil {
+			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
+		}
+	}
 	if w.rows != nil && w.dim > 0 {
 		if vec, err = summary.NewVector(w.dim, w.eps, len(w.rows)); err != nil {
 			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
@@ -519,6 +530,7 @@ func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 	}
 	var keptRows [][]float64
 	var keptLabels []int
+	keptN, keptSum := 0, 0.0
 	si := 0
 	for i, v := range w.dists {
 		keep := v <= threshold
@@ -539,7 +551,13 @@ func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 		if !keep {
 			continue
 		}
-		kept.Push(v)
+		// A NaN is never kept, so this running sum is the one a kept
+		// stream's Push accumulates, bit for bit.
+		keptN++
+		keptSum += v
+		if kept != nil {
+			kept.Push(v)
+		}
 		if vec != nil {
 			if err := vec.PushRow(w.rows[i]); err != nil {
 				return fmt.Errorf("cluster: worker %d: %w", w.id, err)
@@ -562,10 +580,11 @@ func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 		}
 		rep.PoolRows = []int{w.pool.Len()}
 	}
-	rep.Epsilon = kept.Epsilon()
-	rep.Kept = kept.Snapshot()
-	rep.KeptCount = kept.Count()
-	rep.KeptSum = kept.Sum()
+	rep.Epsilon = w.eps
+	rep.KeptCount, rep.KeptSum = keptN, keptSum
+	if kept != nil {
+		rep.Kept = kept.Snapshot()
+	}
 	if d := wire.DeltaFromVector(vec); d != nil {
 		rep.Vecs = []*wire.VectorDelta{d}
 	}

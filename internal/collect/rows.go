@@ -266,7 +266,10 @@ func RunRows(cfg RowConfig) (*RowResult, error) {
 			// looks like data, the counterfeit-record analogue of the input
 			// manipulation attack.
 			base := cfg.Data.X[cfg.Rng.Intn(cfg.Data.Len())]
-			row := arrival.PoisonRow(refCentroid, base, dist)
+			row, err := arrival.PoisonRow(refCentroid, base, dist)
+			if err != nil {
+				return nil, fmt.Errorf("collect: round %d: %w", r, err)
+			}
 			label := cfg.PoisonLabel
 			if label < 0 && cfg.Data.Labeled() {
 				label = cfg.Rng.Intn(cfg.Data.Clusters)

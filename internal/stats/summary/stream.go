@@ -60,14 +60,24 @@ type Stream struct {
 	focusTighten     int
 }
 
+// ResolveEpsilon returns the rank-error budget New builds a stream with for
+// eps: DefaultEpsilon when 0, and an error outside [10⁻⁶, 1).
+func ResolveEpsilon(eps float64) (float64, error) {
+	if eps == 0 {
+		return DefaultEpsilon, nil
+	}
+	if !(eps >= minEpsilon && eps < 1) {
+		return 0, fmt.Errorf("summary: epsilon %v outside [%g, 1)", eps, minEpsilon)
+	}
+	return eps, nil
+}
+
 // New returns a Stream with rank-error budget eps (DefaultEpsilon when 0)
 // sized for about hint elements (defaultHint when ≤ 0).
 func New(eps float64, hint int) (*Stream, error) {
-	if eps == 0 {
-		eps = DefaultEpsilon
-	}
-	if !(eps >= minEpsilon && eps < 1) {
-		return nil, fmt.Errorf("summary: epsilon %v outside [%g, 1)", eps, minEpsilon)
+	eps, err := ResolveEpsilon(eps)
+	if err != nil {
+		return nil, err
 	}
 	if hint <= 0 {
 		hint = defaultHint

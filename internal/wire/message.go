@@ -105,10 +105,11 @@ type Cell struct {
 
 // Report is one worker → coordinator message: the reply to every directive.
 // Which fields are populated depends on the phase — Sum/Count/ValueSum plus
-// PctSums/InputSum after a Generate, Counts/Kept*/Vecs after a classify.
-// Exact counts and sums ride alongside each sketch so the coordinator's
-// Count/Mean estimators stay exact across shard hops
-// (summary.Stream.AbsorbCounted).
+// PctSums/InputSum after a Generate; after a classify, Counts and
+// KeptCount/KeptSum in every game, plus the Kept summary in the scalar game
+// and PoolRows/Vecs in the row game. Exact counts and sums ride alongside
+// each sketch so the coordinator's Count/Mean estimators stay exact across
+// shard hops (summary.Stream.AbsorbCounted).
 type Report struct {
 	Round  int
 	Worker int
@@ -137,7 +138,8 @@ type Report struct {
 	// answers false and is re-configured before it rejoins.
 	Configured bool
 
-	// Epsilon is the rank-error budget of the shipped sketches; the
+	// Epsilon is the rank-error budget of the shipped sketches, resolved
+	// at configure (a configure asking for 0 gets the default); the
 	// coordinator's merged budget is the max across shards.
 	Epsilon float64
 
@@ -157,9 +159,14 @@ type Report struct {
 	// spread over workers, sub-shards and aggregators.
 	PctSums []float64
 
-	// Classify phase.
+	// Classify phase. KeptCount and KeptSum are the exact count and sum of
+	// the values this shard kept (row game: distances from the center), in
+	// every game. Kept summarizes those values in the scalar game only, the
+	// one game whose coordinator absorbs them into a stream; the LDP
+	// coordinator folds KeptCount/KeptSum and the row coordinator Vecs, so
+	// their workers leave Kept nil.
 	Counts    Counts
-	Kept      *summary.Summary // summary of the values this shard kept
+	Kept      *summary.Summary
 	KeptCount int
 	KeptSum   float64
 
