@@ -299,6 +299,24 @@ func FuzzWorkerConfigure(f *testing.F) {
 	})
 }
 
+// A finite row whose squared distance from the center overflows still
+// measures finite: FuzzWorkerConfigure's seed dataset {1.7e308, 0}, drawn
+// honest-only about the origin, enters the round summary at its distance
+// 1.7e308 rather than at +Inf.
+func TestWorkerRowDistanceOverflow(t *testing.T) {
+	tr := NewLoopback(1)
+	call(t, tr, 0, rowConf([][]float64{{1.7e308, 0}}, nil, 0))
+	rep := call(t, tr, 0, &wire.Directive{Op: wire.OpGenerate, Round: 1, Center: []float64{0, 0},
+		Gen: &wire.GenSpec{Cells: []wire.Cell{{Seed: 1, HonestN: 4}}}})
+	e := rep.Sum.Entries()
+	if len(e) == 0 {
+		t.Fatal("empty round summary")
+	}
+	if max := e[len(e)-1].Value; max != 1.7e308 {
+		t.Fatalf("round summary maximum %v, want the row's distance 1.7e308", max)
+	}
+}
+
 // keptWeight is the total weight of a reply's kept summary, 0 when none
 // came back.
 func keptWeight(rep *wire.Report) float64 {

@@ -92,25 +92,19 @@ type Worker struct {
 	// written, so classify hands its kept rows to the pool as they are:
 	// honest rows are capacity-capped slices of rowGen's dataset (the wire
 	// decodes it into one backing array, and arrival.Rows draws rows by
-	// reference), and poison rows are fresh from arrival.PoisonRow.
+	// reference), and poison rows are fresh from arrival.PoisonRow. dists
+	// is the one held slice that is written: classify is its last reader
+	// and compacts the kept values to its front (arrival.Keep).
 	held   bool
 	round  int
-	dists  []float64   // scalar arrivals, or row distances from center
-	rows   [][]float64 // row game only; never written
-	labels []int       // row game only (nil when unlabeled)
-	dim    int         // row game only: len(center)
-	poison []poisonSeg // poison layout of dists (cells concatenate)
+	dists  []float64         // scalar arrivals, or row distances from center
+	rows   [][]float64       // row game only; never written
+	labels []int             // row game only (nil when unlabeled)
+	dim    int               // row game only: len(center)
+	segs   []arrival.Segment // cell layout of dists (cells concatenate)
 
 	stopOnce sync.Once
 	done     chan struct{}
-}
-
-// poisonSeg marks one cell's slice of the held round: the segment starts at
-// start and is poison from poisonFrom on (both absolute indices into
-// dists). A generate concatenates one segment per cell, each honest-first.
-type poisonSeg struct {
-	start      int
-	poisonFrom int
 }
 
 // NewWorker returns a worker with the given id (its shard index; echoed in
@@ -252,7 +246,7 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 // state: a re-joined worker starts cold at the next round boundary.
 func (w *Worker) configure(d *wire.Directive) error {
 	w.scalarGen, w.ldpGen, w.rowGen = nil, nil, nil
-	w.held, w.dists, w.rows, w.labels, w.dim, w.poison = false, nil, nil, nil, 0, nil
+	w.held, w.dists, w.rows, w.labels, w.dim, w.segs = false, nil, nil, nil, 0, nil
 	eps, err := summary.ResolveEpsilon(d.Epsilon)
 	if err != nil {
 		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
@@ -312,7 +306,7 @@ func (w *Worker) classifyHeld(d *wire.Directive, rep *wire.Report) error {
 	if err := w.classify(d.Threshold, rep); err != nil {
 		return err
 	}
-	w.held, w.dists, w.rows, w.labels, w.dim, w.poison = false, nil, nil, nil, 0, nil
+	w.held, w.dists, w.rows, w.labels, w.dim, w.segs = false, nil, nil, nil, 0, nil
 	return nil
 }
 
@@ -445,7 +439,7 @@ func (w *Worker) generate(d *wire.Directive, rep *wire.Report) error {
 	values := make([][]float64, len(draws))
 	rows := make([][][]float64, len(draws))
 	labels := make([][]int, len(draws))
-	segs := make([]poisonSeg, len(draws))
+	segs := make([]arrival.Segment, len(draws))
 	rep.PctSums = make([]float64, len(draws))
 	off := 0
 	for c := range draws {
@@ -453,13 +447,13 @@ func (w *Worker) generate(d *wire.Directive, rep *wire.Report) error {
 			return fmt.Errorf("cluster: worker %d: cell %d: %w", w.id, c, draws[c].err)
 		}
 		values[c], rows[c], labels[c] = draws[c].values, draws[c].rows, draws[c].labels
-		segs[c] = poisonSeg{start: off, poisonFrom: off + specs[c].HonestN}
+		segs[c] = arrival.Segment{Start: off, PoisonFrom: off + specs[c].HonestN}
 		off += len(values[c])
 		rep.PctSums[c] = draws[c].pctSum
 		rep.InputSum += draws[c].inputSum
 	}
 	w.held, w.round = true, d.Round
-	w.dists, w.rows, w.labels, w.dim, w.poison = concat(values), concat(rows), concat(labels), len(d.Center), segs
+	w.dists, w.rows, w.labels, w.dim, w.segs = concat(values), concat(rows), concat(labels), len(d.Center), segs
 	rep.GenerateNanos += obs.Since(start).Nanoseconds()
 	return w.summarize(d, rep, values)
 }
@@ -510,85 +504,77 @@ func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float6
 // whose coordinator absorbs it; and in the row game the accepted-row
 // vector delta plus an append of the kept rows to the worker's own pool,
 // with just the pool total reported (rows never travel per round;
-// OpFetchRows pages them out at game end). It only reads the held rows,
-// and the pool keeps the kept ones as they are: no row is copied and none
-// is modified afterwards.
+// OpFetchRows pages them out at game end). The tallies and the kept values
+// come from arrival.Keep, the kernel RunSharded's classify runs too: it
+// compacts the kept values to the front of the held slice in held order,
+// and the kept summary ingests them with one PushBatch.
 func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 	start := obs.Now()
-	var kept *summary.Stream
-	var vec *summary.Vector
-	var err error
-	if w.scalarGen != nil {
-		if kept, err = summary.New(w.eps, len(w.dists)); err != nil {
-			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
+	if w.rowGen != nil {
+		// The row branch reads the held distances by index, so it runs
+		// before the kernel compacts them.
+		if err := w.keepRows(threshold, rep); err != nil {
+			return err
 		}
 	}
-	if w.rows != nil && w.dim > 0 {
+	var kept []float64
+	rep.Counts, kept = arrival.Keep(w.dists, w.segs, threshold)
+	rep.Epsilon = w.eps
+	rep.KeptCount = len(kept)
+	if w.scalarGen != nil {
+		st, err := summary.New(w.eps, len(w.dists))
+		if err != nil {
+			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
+		}
+		st.PushBatch(kept)
+		rep.Kept, rep.KeptSum = st.Snapshot(), st.Sum()
+	} else {
+		// The held-order running sum, as a kept stream's Sum is.
+		for _, v := range kept {
+			rep.KeptSum += v
+		}
+	}
+	rep.ClassifyNanos += obs.Since(start).Nanoseconds()
+	return nil
+}
+
+// keepRows hands the held rows at or below the threshold, in held order,
+// to the accepted-row vector delta and to the worker's kept-row pool, and
+// reports the pool total. It only reads the held rows, and the pool keeps
+// the kept ones as they are: no row is copied and none is modified
+// afterwards.
+func (w *Worker) keepRows(threshold float64, rep *wire.Report) error {
+	if w.pool == nil {
+		return fmt.Errorf("cluster: worker %d: row classify without a kept-row pool", w.id)
+	}
+	var vec *summary.Vector
+	if w.rows != nil {
+		var err error
 		if vec, err = summary.NewVector(w.dim, w.eps, len(w.rows)); err != nil {
 			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 		}
 	}
 	var keptRows [][]float64
 	var keptLabels []int
-	keptN, keptSum := 0, 0.0
-	si := 0
 	for i, v := range w.dists {
-		keep := v <= threshold
-		for si+1 < len(w.poison) && i >= w.poison[si+1].start {
-			si++
-		}
-		poison := len(w.poison) > 0 && i >= w.poison[si].poisonFrom
-		switch {
-		case keep && poison:
-			rep.Counts.PoisonKept++
-		case keep:
-			rep.Counts.HonestKept++
-		case poison:
-			rep.Counts.PoisonTrimmed++
-		default:
-			rep.Counts.HonestTrimmed++
-		}
-		if !keep {
+		if !(v <= threshold) {
 			continue
 		}
-		// A NaN is never kept, so this running sum is the one a kept
-		// stream's Push accumulates, bit for bit.
-		keptN++
-		keptSum += v
-		if kept != nil {
-			kept.Push(v)
-		}
-		if vec != nil {
-			if err := vec.PushRow(w.rows[i]); err != nil {
-				return fmt.Errorf("cluster: worker %d: %w", w.id, err)
-			}
-			keptRows = append(keptRows, w.rows[i])
-			if w.labels != nil {
-				keptLabels = append(keptLabels, w.labels[i])
-			}
-		}
-	}
-	if w.rowGen != nil {
-		if w.pool == nil {
-			return fmt.Errorf("cluster: worker %d: row classify without a kept-row pool", w.id)
-		}
-		if w.labels == nil {
-			keptLabels = nil
-		}
-		if err := w.pool.Append(keptRows, keptLabels); err != nil {
+		if err := vec.PushRow(w.rows[i]); err != nil {
 			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 		}
-		rep.PoolRows = []int{w.pool.Len()}
+		keptRows = append(keptRows, w.rows[i])
+		if w.labels != nil {
+			keptLabels = append(keptLabels, w.labels[i])
+		}
 	}
-	rep.Epsilon = w.eps
-	rep.KeptCount, rep.KeptSum = keptN, keptSum
-	if kept != nil {
-		rep.Kept = kept.Snapshot()
+	if err := w.pool.Append(keptRows, keptLabels); err != nil {
+		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 	}
+	rep.PoolRows = []int{w.pool.Len()}
 	if d := wire.DeltaFromVector(vec); d != nil {
 		rep.Vecs = []*wire.VectorDelta{d}
 	}
-	rep.ClassifyNanos += obs.Since(start).Nanoseconds()
 	return nil
 }
 

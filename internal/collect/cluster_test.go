@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -359,6 +360,41 @@ func TestKeptEstimatorsAgreeAcrossEngines(t *testing.T) {
 			if lo, hi := ref.KeptQuantile(q-2*cfg.SummaryEpsilon-0.02), ref.KeptQuantile(q+2*cfg.SummaryEpsilon+0.02); got < lo || got > hi {
 				t.Errorf("%s: KeptQuantile(%v) = %v outside reference band [%v, %v] around %v", en.name, q, got, lo, hi, want)
 			}
+		}
+	}
+}
+
+// The cluster's workers and RunSharded classify through one kernel
+// (arrival.Keep, then one PushBatch per shard), so with the same Gen the
+// game-long Kept stream is the same stream: entry for entry, with
+// bit-identical count and sum, plain and pipelined. Every shard keeps more
+// than one 32,768-value batch chunk a round, so the kept summaries are
+// built from several pre-compressed chunk blocks.
+func TestKeptStreamLockstep(t *testing.T) {
+	cfg := baseConfig(t, 41)
+	cfg.Rounds, cfg.Batch = 3, 120_000
+	gen := &ShardGen{MasterSeed: 42}
+	sharded, err := RunSharded(ShardedConfig{Config: cfg, Shards: 3, Gen: gen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range sharded.Board.Records {
+		if kept := rec.HonestKept + rec.PoisonKept; kept <= 3<<15 {
+			t.Fatalf("round %d keeps %d values over 3 shards, want more than a 32,768-value chunk per shard", rec.Round, kept)
+		}
+	}
+	want := sharded.Kept
+	for _, pipeline := range []bool{false, true} {
+		res, err := RunCluster(ClusterConfig{Config: cfg, Transport: cluster.NewLoopback(3), Gen: gen, Pipeline: pipeline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Kept
+		if !slices.Equal(got.Snapshot().Entries(), want.Snapshot().Entries()) {
+			t.Errorf("pipeline=%v: kept summary differs from RunSharded's (%d vs %d entries)", pipeline, got.Snapshot().Size(), want.Snapshot().Size())
+		}
+		if got.Count() != want.Count() || math.Float64bits(got.Sum()) != math.Float64bits(want.Sum()) {
+			t.Errorf("pipeline=%v: kept count %d sum %v, RunSharded %d and %v", pipeline, got.Count(), got.Sum(), want.Count(), want.Sum())
 		}
 	}
 }

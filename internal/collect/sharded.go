@@ -10,6 +10,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/stats"
 	"repro/internal/stats/summary"
+	"repro/internal/wire"
 )
 
 // ShardedConfig parameterizes a sharded scalar collection game: the same
@@ -115,12 +116,12 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 	}
 
 	type shardOut struct {
-		values     []float64 // the shard's slice of the round's arrivals
+		values     []float64 // the shard's slice of the round's arrivals; phase 3 compacts it
 		poisonFrom int       // index in values where poison starts
 		pctSum     float64   // Σ injection percentiles this shard drew
 		sum        *summary.Stream
-		rec        RoundRecord // per-shard kept/trimmed counts
-		kept       *summary.Stream
+		counts     wire.Counts     // the shard's classify tallies
+		kept       *summary.Stream // the shard's kept values
 		err        error
 	}
 	outs := make([]shardOut, shards)
@@ -242,43 +243,24 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 		}
 
 		// Phase 3: shards classify their slices against the shared
-		// threshold; the coordinator reduces the counts.
+		// threshold with cluster.Worker's kernel and stream, and the
+		// coordinator reduces the counts.
 		for s := 0; s < shards; s++ {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				var part RoundRecord
-				kept, serr := summary.New(cfg.SummaryEpsilon, len(outs[s].values))
+				counts, kept := arrival.Keep(outs[s].values, []arrival.Segment{{PoisonFrom: outs[s].poisonFrom}}, thresholdValue)
+				st, serr := summary.New(cfg.SummaryEpsilon, len(outs[s].values))
 				if serr != nil { // unreachable: epsilon validated above
 					panic(serr)
 				}
-				for i, v := range outs[s].values {
-					keep := v <= thresholdValue
-					isPoison := i >= outs[s].poisonFrom
-					switch {
-					case keep && isPoison:
-						part.PoisonKept++
-					case keep:
-						part.HonestKept++
-					case isPoison:
-						part.PoisonTrimmed++
-					default:
-						part.HonestTrimmed++
-					}
-					if keep {
-						kept.Push(v)
-					}
-				}
-				outs[s].rec = part
-				outs[s].kept = kept
+				st.PushBatch(kept)
+				outs[s].counts, outs[s].kept = counts, st
 			}(s)
 		}
 		wg.Wait()
 		for s := 0; s < shards; s++ {
-			rec.HonestKept += outs[s].rec.HonestKept
-			rec.HonestTrimmed += outs[s].rec.HonestTrimmed
-			rec.PoisonKept += outs[s].rec.PoisonKept
-			rec.PoisonTrimmed += outs[s].rec.PoisonTrimmed
+			addCounts(&rec, outs[s].counts)
 			res.Kept.AbsorbStream(outs[s].kept)
 		}
 		// The shard streams carry exact counts and sums; ship them with the

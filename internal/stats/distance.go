@@ -20,9 +20,28 @@ func SquaredEuclidean(a, b []float64) float64 {
 	return s
 }
 
-// Euclidean returns ‖a−b‖.
+// Euclidean returns ‖a−b‖. When the squared sum overflows (vectors about
+// 1e154 or further apart), it measures the difference in units of its
+// largest |a_i − b_i| instead, so only a distance past math.MaxFloat64
+// reads +Inf.
 func Euclidean(a, b []float64) float64 {
-	return math.Sqrt(SquaredEuclidean(a, b))
+	s := SquaredEuclidean(a, b)
+	if !math.IsInf(s, 1) {
+		return math.Sqrt(s)
+	}
+	unit := 0.0
+	for i := range a {
+		unit = math.Max(unit, math.Abs(a[i]-b[i]))
+	}
+	if math.IsInf(unit, 1) {
+		return unit
+	}
+	s = 0
+	for i := range a {
+		d := (a[i] - b[i]) / unit
+		s += d * d
+	}
+	return unit * math.Sqrt(s)
 }
 
 // Manhattan returns the L1 distance Σ|a_i − b_i|.

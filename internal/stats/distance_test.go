@@ -106,3 +106,34 @@ func TestEuclideanMetricAxioms(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A squared sum that overflows does not make a finite distance +Inf: the
+// difference is measured in units of its largest coordinate instead, so
+// only a distance past math.MaxFloat64 reads +Inf. A squared sum that
+// fits keeps the plain formula bit for bit.
+func TestEuclideanOverflow(t *testing.T) {
+	for _, c := range []struct {
+		a, b []float64
+		want float64
+		ulps uint64
+	}{
+		{[]float64{1e155}, []float64{0}, 1e155, 0},
+		{[]float64{1.7e308, 0}, []float64{0, 0}, 1.7e308, 0},
+		{[]float64{3e200, 4e200}, []float64{0, 0}, 5e200, 2},
+		{[]float64{1.7e308, 1.7e308}, []float64{0, 0}, math.Inf(1), 0},
+		{[]float64{1.7e308}, []float64{-1.7e308}, math.Inf(1), 0},
+	} {
+		got := Euclidean(c.a, c.b)
+		d := math.Float64bits(got) - math.Float64bits(c.want)
+		if math.Float64bits(got) < math.Float64bits(c.want) {
+			d = -d
+		}
+		if math.IsNaN(got) || d > c.ulps {
+			t.Errorf("Euclidean(%v, %v) = %v, want %v within %d ulps", c.a, c.b, got, c.want, c.ulps)
+		}
+	}
+	a, b := []float64{0.3, -1.7, 2.9, 1e-3}, []float64{1.1, 0.2, -0.5, 4}
+	if got, want := Euclidean(a, b), math.Sqrt(SquaredEuclidean(a, b)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("Euclidean(%v, %v) = %v, want the plain formula's %v", a, b, got, want)
+	}
+}

@@ -40,7 +40,10 @@ WORKDIR="$(mktemp -d)"
 PORT0="${PORT0:-7401}"
 PORT1="${PORT1:-7402}"
 OBS_PORT="${OBS_PORT:-7403}"
-ROUNDS=150
+# The kills below land at fixed times (1.5 s, and 2.5 s for the
+# coordinator), so a game must outlast them with room for the re-join:
+# 400 rounds of 100k arrivals keep each kill in the first half of the game.
+ROUNDS=400
 BATCH=100000
 SEED=7
 COORD_FLAGS="${COORD_FLAGS:-}"
