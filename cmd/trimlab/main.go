@@ -12,8 +12,7 @@
 //	    [-heartbeat D] [-hb-timeout D] [-rejoin] [-checkpoint-dir DIR] [-checkpoint-every K] [-resume]
 //
 // Experiments: table1, table2, table3, table4, fig4, fig5, fig6, fig7,
-// fig8, fig9, variants, blackbox, sharded, distributed, fleet, pipeline,
-// all.
+// fig8, fig9, variants, blackbox, distributed, fleet, pipeline, all.
 //
 // The coordinator/worker subcommands run the scalar collection game as a
 // real multi-process cluster: start one `trimlab worker` per machine (or
@@ -113,7 +112,7 @@ func main() {
 		}
 	}
 	var (
-		exp    = flag.String("experiment", "all", "experiment to run: table1..table4, fig4..fig9, variants, blackbox, sharded, distributed, fleet, pipeline, all")
+		exp    = flag.String("experiment", "all", "experiment to run: table1..table4, fig4..fig9, variants, blackbox, distributed, fleet, pipeline, all")
 		scale  = flag.String("scale", "quick", "effort: quick, bench, or paper")
 		points = flag.Int("points", 3, "attack-ratio points per interval (fig4/fig5)")
 		seed   = seedFlag(flag.CommandLine)
@@ -152,7 +151,6 @@ func main() {
 		}},
 		{"variants", func() (printer, error) { return experiments.Variants(sc) }},
 		{"blackbox", func() (printer, error) { return experiments.BlackBox(sc) }},
-		{"sharded", func() (printer, error) { return experiments.Sharded(sc, nil) }},
 		{"distributed", func() (printer, error) { return experiments.Distributed(sc, nil) }},
 		{"fleet", func() (printer, error) { return experiments.FaultTolerance(sc, 0) }},
 		{"pipeline", func() (printer, error) { return experiments.Pipelining(sc, nil, nil) }},

@@ -6,9 +6,10 @@
 // workers (internal/cluster), which is what lets a loopback or TCP cluster
 // reproduce a single-process reference run record for record while the
 // coordinator ships only O(1) round directives (wire.GenSpec) instead of
-// O(batch) value slices. Keep, the classify kernel, runs in both places
-// too, over the honest-then-poison layout the draws return. See DESIGN.md
-// §7 for the seed-derivation and draw-order contracts.
+// O(batch) value slices. Summarize, the stream-building step, and Keep,
+// the classify kernel, run in both places too, over the honest-then-poison
+// layout the draws return. See DESIGN.md §7 for the seed-derivation and
+// draw-order contracts.
 package arrival
 
 import (

@@ -1,6 +1,9 @@
 package arrival
 
-import "repro/internal/wire"
+import (
+	"repro/internal/stats/summary"
+	"repro/internal/wire"
+)
 
 // Segment marks one cell's slice of a held round: the cell starts at Start
 // and is poison from PoisonFrom on (both indices into the held slice). A
@@ -11,6 +14,33 @@ type Segment struct {
 	Start, PoisonFrom int
 }
 
+// Focus is a round's adaptive-ε focus window (wire v6): a stream keeps
+// Tighten× denser rank coverage within ±Width of the percentile Pct.
+// Tighten ≤ 1 is no window.
+type Focus struct {
+	Pct, Width float64
+	Tighten    int
+}
+
+// Summarize is the stream-building step of the shard kernel, shared by
+// cluster.Worker (every cell's round summary and the scalar kept stream)
+// and the single-process collect.RunSharded reference (both phases), so the
+// two build bit-identical streams by construction (DESIGN.md §12): a stream
+// at budget eps sized for hint values, the focus window, then one
+// PushBatch of values. Batch and item-wise ingestion are rank-equivalent
+// but not bit-identical, which is why both engines must build here.
+func Summarize(values []float64, eps float64, hint int, f Focus) (*summary.Stream, error) {
+	st, err := summary.New(eps, hint)
+	if err != nil {
+		return nil, err
+	}
+	if f.Tighten > 1 {
+		st.SetFocus(f.Pct, f.Width, f.Tighten)
+	}
+	st.PushBatch(values)
+	return st, nil
+}
+
 // Keep is the classify kernel of a held round, shared by cluster.Worker and
 // the single-process collect.RunSharded reference so that the two stay in
 // lockstep (DESIGN.md §12). It tallies every held value as honest or poison
@@ -19,7 +49,7 @@ type Segment struct {
 // returns them as held[:n]; what held[n:] then holds is unspecified.
 // Classify is the held slice's last reader, so the compaction allocates
 // nothing, and a caller that needs the kept values in held order (one
-// Stream.PushBatch, a running sum) reads them off the returned prefix.
+// Summarize, a running sum) reads them off the returned prefix.
 func Keep(held []float64, segs []Segment, threshold float64) (wire.Counts, []float64) {
 	var c wire.Counts
 	n := 0

@@ -310,16 +310,6 @@ func (w *Worker) classifyHeld(d *wire.Directive, rep *wire.Report) error {
 	return nil
 }
 
-// focusStream applies the directive's adaptive-ε focus window (wire v6) to
-// a freshly built stream: when the coordinator announced a trim-threshold
-// window, the worker keeps FocusTighten× denser rank coverage around it.
-// Tighten ≤ 1 is a no-op.
-func focusStream(st *summary.Stream, d *wire.Directive) {
-	if d.FocusTighten > 1 {
-		st.SetFocus(d.FocusPct, d.FocusWidth, d.FocusTighten)
-	}
-}
-
 // parallel runs f(0) … f(n−1): inline when n is 1, else on one goroutine
 // each, returning when all are done.
 func parallel(n int, f func(i int)) {
@@ -458,25 +448,19 @@ func (w *Worker) generate(d *wire.Directive, rep *wire.Report) error {
 	return w.summarize(d, rep, values)
 }
 
-// summarize builds the held round's summary delta: one stream per cell
-// through the pooled batch path, sized exactly like collect.RunSharded's
-// shard streams (hint = cell length) and fed through the same PushBatch
-// call with the same focus window, so a loopback cluster reproduces
-// RunSharded's merged summaries bit for bit. Several cells summarize in
-// parallel and fold into one merged delta strictly in cell order.
+// summarize builds the held round's summary delta: one stream per cell,
+// each built by arrival.Summarize — the step collect.RunSharded builds its
+// shard streams with — at hint = cell length and the directive's focus
+// window, so a loopback cluster reproduces RunSharded's merged summaries
+// bit for bit. Several cells summarize in parallel and fold into one
+// merged delta strictly in cell order.
 func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float64) error {
 	start := obs.Now()
+	focus := arrival.Focus{Pct: d.FocusPct, Width: d.FocusWidth, Tighten: d.FocusTighten}
 	sums := make([]*summary.Stream, len(cells))
 	errs := make([]error, len(cells))
 	parallel(len(cells), func(c int) {
-		st, err := summary.New(w.eps, len(cells[c]))
-		if err != nil {
-			errs[c] = err
-			return
-		}
-		focusStream(st, d)
-		st.PushBatch(cells[c])
-		sums[c] = st
+		sums[c], errs[c] = arrival.Summarize(cells[c], w.eps, len(cells[c]), focus)
 	})
 	for c, st := range sums {
 		if errs[c] != nil {
@@ -507,7 +491,7 @@ func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float6
 // OpFetchRows pages them out at game end). The tallies and the kept values
 // come from arrival.Keep, the kernel RunSharded's classify runs too: it
 // compacts the kept values to the front of the held slice in held order,
-// and the kept summary ingests them with one PushBatch.
+// and arrival.Summarize builds the kept summary from them.
 func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 	start := obs.Now()
 	if w.rowGen != nil {
@@ -522,11 +506,10 @@ func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 	rep.Epsilon = w.eps
 	rep.KeptCount = len(kept)
 	if w.scalarGen != nil {
-		st, err := summary.New(w.eps, len(w.dists))
+		st, err := arrival.Summarize(kept, w.eps, len(w.dists), arrival.Focus{})
 		if err != nil {
 			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 		}
-		st.PushBatch(kept)
 		rep.Kept, rep.KeptSum = st.Snapshot(), st.Sum()
 	} else {
 		// The held-order running sum, as a kept stream's Sum is.

@@ -109,10 +109,6 @@ func BenchmarkRunSharded(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(benchName("Shards", shards), func(b *testing.B) {
 			ref := stats.NormalSlice(stats.NewRand(1), 5000, 0, 1)
-			honest, err := PoolSampler(ref)
-			if err != nil {
-				b.Fatal(err)
-			}
 			for i := 0; i < b.N; i++ {
 				static, err := newStaticForBench()
 				if err != nil {
@@ -125,12 +121,12 @@ func BenchmarkRunSharded(b *testing.B) {
 				if _, err := RunSharded(ShardedConfig{
 					Config: Config{
 						Rounds: 3, Batch: 100000, AttackRatio: 0.2,
-						Reference: ref, Honest: honest,
+						Reference: ref,
 						Collector: static, Adversary: adv,
 						TrimOnBatch: true,
-						Rng:         stats.NewRand(int64(i)),
 					},
 					Shards: shards,
+					Gen:    &ShardGen{MasterSeed: int64(i)},
 				}); err != nil {
 					b.Fatal(err)
 				}

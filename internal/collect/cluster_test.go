@@ -15,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/stats/summary"
 	"repro/internal/trim"
 )
 
@@ -48,14 +49,17 @@ func TestRunClusterValidation(t *testing.T) {
 	}
 }
 
-// Every cluster entry point, and the sharded wrappers that run the cluster
-// game over the loopback, refuses a config without a ShardGen up front,
-// with the same error: cluster rounds exist only on the shard-local data
-// plane.
+// Every cluster entry point and every sharded engine refuses a config
+// without a ShardGen up front, with the same error: sharded and cluster
+// rounds exist only on the shard-local data plane.
 func TestClusterGamesRequireShardGen(t *testing.T) {
 	rows := func() RowConfig { return rowsPipelineConfig(t, 40) }
 	ldpCfg := func() LDPConfig { return shardLocalLDPConfig(t) }
 	runs := map[string]func() error{
+		"RunSharded": func() error {
+			_, err := RunSharded(ShardedConfig{Config: baseConfig(t, 30), Shards: 2})
+			return err
+		},
 		"RunCluster": func() error {
 			cfg := clusterConfig(t, 30, 2)
 			cfg.Gen = nil
@@ -302,12 +306,12 @@ func TestRunClusterOverTCP(t *testing.T) {
 	}
 }
 
-// Kept-pool estimators: engines that play the same game over the same
-// stream — the central Run and RunSharded on one RNG, the shard-local
-// RunSharded and RunCluster on one master seed — must match the tallies
-// exactly in their Kept counts, and the summary-driven mean/quantiles must
-// agree within each pair (exact running sums for the mean; the ε budget
-// plus merge slack for quantiles).
+// Kept-pool estimators: every engine — the central Run, the shard-local
+// RunSharded and RunCluster — must match the tallies exactly in its Kept
+// count, and engines that play the same game over the same stream (the
+// shard-local pair on one master seed) must agree on the summary-driven
+// mean/quantiles (exact running sums for the mean; the ε budget plus merge
+// slack for quantiles).
 func TestKeptEstimatorsAgreeAcrossEngines(t *testing.T) {
 	cfg := baseConfig(t, 37)
 	cfg.TrimOnBatch = true
@@ -318,7 +322,6 @@ func TestKeptEstimatorsAgreeAcrossEngines(t *testing.T) {
 		run  func() (*Result, error)
 	}{
 		{"run", false, func() (*Result, error) { return Run(cfg) }},
-		{"sharded", true, func() (*Result, error) { return RunSharded(ShardedConfig{Config: cfg, Shards: 3}) }},
 		{"sharded-local", false, func() (*Result, error) {
 			return RunSharded(ShardedConfig{Config: cfg, Shards: 3, Gen: gen})
 		}},
@@ -328,7 +331,7 @@ func TestKeptEstimatorsAgreeAcrossEngines(t *testing.T) {
 	}
 	var ref *Result
 	for _, en := range engines {
-		cfg.Rng = stats.NewRand(38) // fresh but identical stream per engine
+		cfg.Rng = stats.NewRand(38) // a fresh stream for Run; the shard-local engines ignore it
 		res, err := en.run()
 		if err != nil {
 			t.Fatalf("%s: %v", en.name, err)
@@ -364,38 +367,89 @@ func TestKeptEstimatorsAgreeAcrossEngines(t *testing.T) {
 	}
 }
 
-// The cluster's workers and RunSharded classify through one kernel
-// (arrival.Keep, then one PushBatch per shard), so with the same Gen the
-// game-long Kept stream is the same stream: entry for entry, with
-// bit-identical count and sum, plain and pipelined. Every shard keeps more
-// than one 32,768-value batch chunk a round, so the kept summaries are
-// built from several pre-compressed chunk blocks.
+// The cluster's workers and RunSharded build every shard stream with one
+// kernel (arrival.Summarize, after arrival.Keep on classify), so with the
+// same Gen a flat cluster's game-long Received and Kept streams are
+// RunSharded's: entry for entry, with bit-identical counts and sums, plain,
+// pipelined and focused. Every shard keeps more than one 32,768-value batch
+// chunk a round, so the summaries are built from several pre-compressed
+// chunk blocks. A W×C cluster reproduces the flat W·C reference's boards,
+// Received entries and both streams' counts; its Kept entries and the
+// streams' sums are not shape-invariant (a worker builds one kept stream
+// over all its cells, and sums its cells before the coordinator sums its
+// workers).
 func TestKeptStreamLockstep(t *testing.T) {
 	cfg := baseConfig(t, 41)
 	cfg.Rounds, cfg.Batch = 3, 120_000
 	gen := &ShardGen{MasterSeed: 42}
-	sharded, err := RunSharded(ShardedConfig{Config: cfg, Shards: 3, Gen: gen})
-	if err != nil {
-		t.Fatal(err)
+	reference := func(shards, tighten int) *Result {
+		t.Helper()
+		c := cfg
+		c.FocusTighten = tighten
+		res, err := RunSharded(ShardedConfig{Config: c, Shards: shards, Gen: gen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	for _, rec := range sharded.Board.Records {
+	sameBoard := func(name string, got, want *Result) {
+		t.Helper()
+		for i := range want.Board.Records {
+			if !got.Board.Records[i].Equal(want.Board.Records[i]) {
+				t.Errorf("%s: round %d record %+v, RunSharded %+v", name, i+1, got.Board.Records[i], want.Board.Records[i])
+			}
+		}
+	}
+	sameEntries := func(name, stream string, got, want *summary.Stream) {
+		t.Helper()
+		if !slices.Equal(got.Snapshot().Entries(), want.Snapshot().Entries()) {
+			t.Errorf("%s: %s summary differs from RunSharded's (%d vs %d entries)", name, stream, got.Snapshot().Size(), want.Snapshot().Size())
+		}
+		if got.Count() != want.Count() {
+			t.Errorf("%s: %s count %d, RunSharded %d", name, stream, got.Count(), want.Count())
+		}
+	}
+	sameSum := func(name, stream string, got, want *summary.Stream) {
+		t.Helper()
+		if math.Float64bits(got.Sum()) != math.Float64bits(want.Sum()) {
+			t.Errorf("%s: %s sum %v, RunSharded %v", name, stream, got.Sum(), want.Sum())
+		}
+	}
+
+	flat := map[int]*Result{0: reference(3, 0), 4: reference(3, 4)}
+	for _, rec := range flat[0].Board.Records {
 		if kept := rec.HonestKept + rec.PoisonKept; kept <= 3<<15 {
 			t.Fatalf("round %d keeps %d values over 3 shards, want more than a 32,768-value chunk per shard", rec.Round, kept)
 		}
 	}
-	want := sharded.Kept
-	for _, pipeline := range []bool{false, true} {
-		res, err := RunCluster(ClusterConfig{Config: cfg, Transport: cluster.NewLoopback(3), Gen: gen, Pipeline: pipeline})
+	for _, c := range []struct {
+		name     string
+		pipeline bool
+		tighten  int
+	}{{"plain", false, 0}, {"pipelined", true, 0}, {"focused", false, 4}} {
+		ccfg := cfg
+		ccfg.FocusTighten = c.tighten
+		res, err := RunCluster(ClusterConfig{Config: ccfg, Transport: cluster.NewLoopback(3), Gen: gen, Pipeline: c.pipeline})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.Kept
-		if !slices.Equal(got.Snapshot().Entries(), want.Snapshot().Entries()) {
-			t.Errorf("pipeline=%v: kept summary differs from RunSharded's (%d vs %d entries)", pipeline, got.Snapshot().Size(), want.Snapshot().Size())
-		}
-		if got.Count() != want.Count() || math.Float64bits(got.Sum()) != math.Float64bits(want.Sum()) {
-			t.Errorf("pipeline=%v: kept count %d sum %v, RunSharded %d and %v", pipeline, got.Count(), got.Sum(), want.Count(), want.Sum())
-		}
+		want := flat[c.tighten]
+		sameBoard(c.name, res, want)
+		sameEntries(c.name, "received", res.Received, want.Received)
+		sameSum(c.name, "received", res.Received, want.Received)
+		sameEntries(c.name, "kept", res.Kept, want.Kept)
+		sameSum(c.name, "kept", res.Kept, want.Kept)
+	}
+
+	res, err := RunCluster(ClusterConfig{Config: cfg, Transport: cluster.NewLoopback(2), Gen: gen, SubShards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reference(6, 0)
+	sameBoard("2x3", res, want)
+	sameEntries("2x3", "received", res.Received, want.Received)
+	if res.Kept.Count() != want.Kept.Count() {
+		t.Errorf("2x3: kept count %d, RunSharded %d", res.Kept.Count(), want.Kept.Count())
 	}
 }
 

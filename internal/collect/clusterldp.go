@@ -3,7 +3,6 @@ package collect
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/arrival"
 	"repro/internal/cluster"
@@ -202,7 +201,7 @@ type LDPShardedConfig struct {
 	// summaries; summary.DefaultEpsilon when 0.
 	SummaryEpsilon float64
 
-	// Shards is the number of in-process workers; GOMAXPROCS when 0.
+	// Shards is the number of in-process workers, at least 1.
 	Shards int
 
 	// Gen seeds the shard-local report generation and is required (see
@@ -221,17 +220,13 @@ type LDPShardedConfig struct {
 // Unlike RunLDP it never pools raw reports: the mean estimate reduces the
 // workers' exact (sum, count) aggregates, so AllReports stays empty.
 func RunShardedLDP(cfg LDPShardedConfig) (*LDPResult, error) {
-	if cfg.Shards < 0 {
+	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("collect: shards = %d", cfg.Shards)
-	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
 	}
 	return RunClusterLDP(LDPClusterConfig{
 		LDPConfig:      cfg.LDPConfig,
 		SummaryEpsilon: cfg.SummaryEpsilon,
-		Transport:      cluster.NewLoopback(shards),
+		Transport:      cluster.NewLoopback(cfg.Shards),
 		Gen:            cfg.Gen,
 		SubShards:      cfg.SubShards,
 		FocusTighten:   cfg.FocusTighten,

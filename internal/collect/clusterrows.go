@@ -3,7 +3,6 @@ package collect
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/arrival"
 	"repro/internal/cluster"
@@ -516,9 +515,7 @@ func RunClusterRows(cfg RowClusterConfig) (*RowResult, error) {
 type RowShardedConfig struct {
 	RowConfig
 
-	// Shards is the number of in-process workers; GOMAXPROCS when 0. As
-	// with ShardedConfig, pin it explicitly for cross-machine
-	// reproducibility.
+	// Shards is the number of in-process workers, at least 1.
 	Shards int
 
 	// Gen seeds the shard-local row generation and is required (see
@@ -543,16 +540,12 @@ type RowShardedConfig struct {
 // as a TCP run, one process — with the kept pools collected into
 // RowResult.Kept at game end.
 func RunShardedRows(cfg RowShardedConfig) (*RowResult, error) {
-	if cfg.Shards < 0 {
+	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("collect: shards = %d", cfg.Shards)
-	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
 	}
 	return RunClusterRows(RowClusterConfig{
 		RowConfig:    cfg.RowConfig,
-		Transport:    cluster.NewLoopback(shards),
+		Transport:    cluster.NewLoopback(cfg.Shards),
 		Gen:          cfg.Gen,
 		LateCenter:   cfg.LateCenter,
 		CollectKept:  true,

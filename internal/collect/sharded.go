@@ -3,11 +3,9 @@ package collect
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/arrival"
-	"repro/internal/attack"
 	"repro/internal/stats"
 	"repro/internal/stats/summary"
 	"repro/internal/wire"
@@ -15,99 +13,76 @@ import (
 
 // ShardedConfig parameterizes a sharded scalar collection game: the same
 // game as Run, but each round's arrivals are handled by Shards parallel
-// workers. Each worker builds an ε-approximate summary of its slice of the
-// stream; the coordinator merges the shard summaries (ε_merge = max ε_i) to
-// resolve the threshold and the quality score, then the workers classify
-// their slices against the shared threshold. No worker ever sees another
-// worker's values and the coordinator never sees raw values at all — the
-// concrete scale-out shape for a collector serving arrivals too heavy for
-// one machine. See DESIGN.md §5, and §7 for the shard-local data plane.
+// workers. Each worker draws its own slice of the round on the shard-local
+// data plane (DESIGN.md §7) and builds an ε-approximate summary of it; the
+// coordinator merges the shard summaries (ε_merge = max ε_i) to resolve the
+// threshold and the quality score, then the workers classify their slices
+// against the shared threshold. No worker ever sees another worker's values
+// and the coordinator never sees raw values at all — the concrete scale-out
+// shape for a collector serving arrivals too heavy for one machine. See
+// DESIGN.md §5.
 type ShardedConfig struct {
 	Config
 
-	// Shards is the number of parallel workers; GOMAXPROCS when 0. Note
-	// that the shard count shapes the merged summary's entries, so results
-	// are reproducible given (seed, Shards) — pin Shards explicitly for
-	// cross-machine reproducibility; 0 ties the ε-level details of each
-	// run to the machine's core count.
+	// Shards is the number of parallel workers, at least 1. The shard count
+	// shapes the merged summary's entries, so a run is a pure function of
+	// (Gen.MasterSeed, Shards).
 	Shards int
 
-	// Gen, when non-nil, switches the game to shard-local arrival
-	// generation: each shard draws its own slice of every round from a
-	// derived RNG stream instead of slicing one centrally drawn batch.
-	// RunSharded with a Gen is the single-process reference a loopback or
-	// TCP cluster run with the same Gen reproduces record for record.
+	// Gen seeds the shard-local data plane and is required: each shard
+	// draws its slice of every round from a derived RNG stream. RunSharded
+	// is the single-process reference a loopback or TCP cluster run with
+	// the same Gen reproduces record for record.
 	Gen *ShardGen
 }
 
 func (c *ShardedConfig) validate() error {
-	if c.Shards < 0 {
+	if c.Shards < 1 {
 		return fmt.Errorf("collect: shards = %d", c.Shards)
 	}
 	if c.ExactQuantiles {
 		return fmt.Errorf("collect: sharded collection requires summaries (ExactQuantiles must be false)")
 	}
-	if c.Gen != nil {
-		if _, err := specInjector(c.Adversary); err != nil {
-			return err
-		}
-		return c.Config.validateMode(true)
+	if c.Gen == nil {
+		return fmt.Errorf("collect: sharded games run on the shard-local data plane: Gen (a ShardGen) is required")
 	}
-	return c.Config.validate()
+	if _, err := specInjector(c.Adversary); err != nil {
+		return err
+	}
+	return c.Config.validateMode(true)
 }
 
 // RunSharded plays the scalar collection game with per-round sharded
-// summary building. Without a ShardGen, arrival generation stays on the
-// coordinator (it owns the single RNG, so a run is reproducible given the
-// seed and the shard count); with one, each shard generates its own
-// arrivals from its derived seed stream and the coordinator never touches
-// a raw value. Summary construction and trim classification always run on
-// the shard workers.
+// summary building: each shard generates its own arrivals from its derived
+// seed stream, summarizes them with arrival.Summarize and classifies them
+// with arrival.Keep — the kernel cluster.Worker runs — while this loop
+// keeps the coordinator's part (threshold, shard-order merge, board) to
+// itself, so it checks the cluster engine from outside.
 func RunSharded(cfg ShardedConfig) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	shards := cfg.Shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
 	cfg.Collector.Reset()
 	cfg.Adversary.Reset()
 	ref := sortedCopy(cfg.Reference)
-
-	var gen *arrival.Scalar
-	var si attack.SpecInjector
-	if cfg.Gen != nil {
-		gen = &arrival.Scalar{Ref: ref}
-		si, _ = specInjector(cfg.Adversary) // validated above
-	}
+	gen := &arrival.Scalar{Ref: ref}
+	si, _ := specInjector(cfg.Adversary) // validated above
 
 	// The baseline quality is scored the same way rounds are: from one
-	// clean batch. Shard-local games draw it from the reference on the
-	// coordinator's pre-game stream (cell shard 0 / round 0); central
-	// games draw it from the honest sampler on the game RNG.
-	var baseline []float64
-	if gen != nil {
-		var err error
-		if baseline, _, err = gen.Draw(cfg.Gen.preRand(), arrival.Spec{HonestN: cfg.Batch}); err != nil {
-			return nil, err
-		}
-	} else {
-		baseline = cleanBatch(cfg.Config)
+	// clean batch, drawn from the reference on the coordinator's pre-game
+	// stream (cell shard 0 / round 0).
+	baseline, _, err := gen.Draw(cfg.Gen.preRand(), arrival.Spec{HonestN: cfg.Batch})
+	if err != nil {
+		return nil, err
 	}
-	var baselineQ float64
-	if cfg.Quality != nil {
-		baselineQ = cfg.Quality(baseline, ref)
-	} else {
-		baselineQ = ExcessMassQuality(baseline, ref)
-	}
+	baselineQ := ExcessMassQuality(baseline, ref)
 
 	poisonCount := cfg.poisonPerRound()
 	jscale := jitterScale(ref)
 	roundLen := cfg.Batch + poisonCount
 
 	res := &Result{}
-	var err error
 	if res.Received, err = summary.New(cfg.SummaryEpsilon, cfg.Rounds*roundLen); err != nil {
 		return nil, err
 	}
@@ -126,90 +101,47 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 	}
 	outs := make([]shardOut, shards)
 
-	// Shard streams ingest via SetFocus+PushBatch in lockstep with
-	// cluster.Worker (batch and item-wise ingestion are rank-equivalent but
-	// not bit-identical, so the reference and the cluster must agree on the
-	// API); the focus anchor schedule mirrors engine.lastPct.
+	// The focus anchor schedule mirrors engine.lastPct.
 	ft, fw := focusParams(cfg.FocusTighten, cfg.FocusWidth)
 	var lastPct float64
 	haveLast := false
 
 	for r := 1; r <= cfg.Rounds; r++ {
 		thresholdPct := cfg.Collector.Threshold(r, res.Board.collectorView())
-		anchor := thresholdPct
+		focus := arrival.Focus{Pct: thresholdPct, Width: fw, Tighten: ft}
 		if haveLast {
-			anchor = lastPct
+			focus.Pct = lastPct
 		}
 
-		// Phase 1: every shard obtains and summarizes its slice of the
-		// round's arrivals in parallel — by local generation from its
-		// derived seed, or by slicing the centrally drawn batch.
-		var totalPct float64
+		// Phase 1: every shard generates its slice of the round's arrivals
+		// from its derived seed and summarizes it, in parallel.
+		inject := si.InjectionSpec(r, res.Board.adversaryView())
+		specs := genSpecs(cfg.Batch, poisonCount, inject, jscale, shards)
 		var wg sync.WaitGroup
-		if gen != nil {
-			inject := si.InjectionSpec(r, res.Board.adversaryView())
-			specs := genSpecs(cfg.Batch, poisonCount, inject, jscale, shards)
-			for s := 0; s < shards; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					rng := stats.NewRand(cfg.Gen.seed(s, r))
-					values, pctSum, err := gen.Draw(rng, specs[s])
-					if err != nil {
-						outs[s] = shardOut{err: err}
-						return
-					}
-					sum, serr := summary.New(cfg.SummaryEpsilon, len(values))
-					if serr != nil { // unreachable: epsilon validated above
-						panic(serr)
-					}
-					if ft > 1 {
-						sum.SetFocus(anchor, fw, ft)
-					}
-					sum.PushBatch(values)
-					outs[s] = shardOut{
-						values: values, poisonFrom: specs[s].HonestN,
-						pctSum: pctSum, sum: sum,
-					}
-				}(s)
-			}
-		} else {
-			inject := cfg.Adversary.Injection(r, res.Board.adversaryView())
-			values, pctSum := drawArrivals(&cfg.Config, inject, ref, jscale, poisonCount)
-			totalPct = pctSum
-			poisonStart := cfg.Batch
-			for s := 0; s < shards; s++ {
-				lo, hi := shardBounds(len(values), shards, s)
-				wg.Add(1)
-				go func(s, lo, hi int) {
-					defer wg.Done()
-					sum, serr := summary.New(cfg.SummaryEpsilon, hi-lo)
-					if serr != nil { // unreachable: epsilon validated above
-						panic(serr)
-					}
-					if ft > 1 {
-						sum.SetFocus(anchor, fw, ft)
-					}
-					sum.PushBatch(values[lo:hi])
-					outs[s] = shardOut{
-						values:     values[lo:hi],
-						poisonFrom: slicePoisonFrom(poisonStart, lo, hi),
-						sum:        sum,
-					}
-				}(s, lo, hi)
-			}
+		for s := 0; s < shards; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				out := shardOut{poisonFrom: specs[s].HonestN}
+				out.values, out.pctSum, out.err = gen.Draw(stats.NewRand(cfg.Gen.seed(s, r)), specs[s])
+				if out.err == nil {
+					out.sum, out.err = arrival.Summarize(out.values, cfg.SummaryEpsilon, len(out.values), focus)
+				}
+				outs[s] = out
+			}(s)
 		}
 		wg.Wait()
+
+		// Phase 2: the coordinator merges shard summaries in shard order
+		// (deterministic) and resolves threshold and quality from the
+		// merged summary alone.
+		var totalPct float64
 		for s := 0; s < shards; s++ {
 			if outs[s].err != nil {
 				return nil, outs[s].err
 			}
 			totalPct += outs[s].pctSum
 		}
-
-		// Phase 2: the coordinator merges shard summaries in shard order
-		// (deterministic) and resolves threshold and quality from the
-		// merged summary alone.
 		merged := outs[0].sum.Snapshot().Clone()
 		for s := 1; s < shards; s++ {
 			merged.Merge(outs[s].sum.Snapshot())
@@ -225,16 +157,8 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 			Round:           r,
 			ThresholdPct:    thresholdPct,
 			ThresholdValue:  thresholdValue,
+			Quality:         ExcessMassQualitySummary(merged, ref),
 			BaselineQuality: baselineQ,
-		}
-		if cfg.Quality != nil {
-			all := make([]float64, 0, roundLen)
-			for s := 0; s < shards; s++ {
-				all = append(all, outs[s].values...)
-			}
-			rec.Quality = cfg.Quality(all, ref)
-		} else {
-			rec.Quality = ExcessMassQualitySummary(merged, ref)
 		}
 		if poisonCount > 0 {
 			rec.MeanInjectionPct = totalPct / float64(poisonCount)
@@ -250,24 +174,21 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 			go func(s int) {
 				defer wg.Done()
 				counts, kept := arrival.Keep(outs[s].values, []arrival.Segment{{PoisonFrom: outs[s].poisonFrom}}, thresholdValue)
-				st, serr := summary.New(cfg.SummaryEpsilon, len(outs[s].values))
-				if serr != nil { // unreachable: epsilon validated above
-					panic(serr)
-				}
-				st.PushBatch(kept)
-				outs[s].counts, outs[s].kept = counts, st
+				outs[s].counts = counts
+				outs[s].kept, outs[s].err = arrival.Summarize(kept, cfg.SummaryEpsilon, len(outs[s].values), arrival.Focus{})
 			}(s)
 		}
 		wg.Wait()
-		for s := 0; s < shards; s++ {
-			addCounts(&rec, outs[s].counts)
-			res.Kept.AbsorbStream(outs[s].kept)
-		}
 		// The shard streams carry exact counts and sums; ship them with the
 		// merged summary so the game-long estimators stay exact.
 		var mCount int
 		var mSum float64
 		for s := 0; s < shards; s++ {
+			if outs[s].err != nil {
+				return nil, outs[s].err
+			}
+			addCounts(&rec, outs[s].counts)
+			res.Kept.AbsorbStream(outs[s].kept)
 			mCount += outs[s].sum.Count()
 			mSum += outs[s].sum.Sum()
 		}
@@ -279,20 +200,6 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// slicePoisonFrom maps the global poison start index onto one shard's
-// [lo, hi) slice: the index within the slice where poison begins (= slice
-// length when the slice is all honest).
-func slicePoisonFrom(poisonStart, lo, hi int) int {
-	pf := poisonStart - lo
-	if pf < 0 {
-		pf = 0
-	}
-	if pf > hi-lo {
-		pf = hi - lo
-	}
-	return pf
 }
 
 // shardBounds splits n items into near-equal contiguous ranges.

@@ -15,10 +15,10 @@ import (
 // and draws its slice of every round locally. A cluster coordinator
 // broadcasts an O(1) round directive (seed material, counts, the injection
 // spec, the resolved threshold) instead of an O(batch) value slice, and a
-// run is a pure function of (MasterSeed, shard count). Every cluster
-// config and the RunSharded{Rows,LDP} wrappers require one; the scalar
-// RunSharded takes one optionally (without it, it slices a centrally drawn
-// batch).
+// run is a pure function of (MasterSeed, shard count). Every sharded
+// engine (RunSharded, RunShardedRows, RunShardedLDP) and every cluster
+// config requires one; only the in-process Run, RunRows and RunLDP keep
+// central generation.
 //
 // The mode trades generality for locality, enforced at validation:
 //

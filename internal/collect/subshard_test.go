@@ -365,6 +365,15 @@ func TestScaleKnobValidation(t *testing.T) {
 	if _, err := RunShardedRows(rows); err == nil {
 		t.Error("rows sub-shards without gen: accepted")
 	}
+	// Both sharded wrappers need at least one shard.
+	for _, shards := range []int{0, -1} {
+		if _, err := RunShardedLDP(LDPShardedConfig{LDPConfig: subShardLDPConfig(t), Shards: shards, Gen: gen}); err == nil {
+			t.Errorf("LDP shards %d: accepted", shards)
+		}
+		if _, err := RunShardedRows(RowShardedConfig{RowConfig: rowsPipelineConfig(t, 40), Shards: shards, Gen: gen}); err == nil {
+			t.Errorf("rows shards %d: accepted", shards)
+		}
+	}
 }
 
 // Ingest accounting: every summarize-bearing reply carries the exact point

@@ -23,13 +23,11 @@ type DistributedRow struct {
 	Millis       float64
 	RoundsPerSec float64
 	// MaxRankDelta is the largest per-round threshold difference from the
-	// unsharded run, in reference-rank space — the observable cost of
-	// merging (possibly wire-hopped) shard summaries instead of
-	// summarizing centrally. Bounded by the summary ε budget for the
-	// in-process sharded variants, which replay the identical arrivals; the
-	// cluster variants draw their arrivals from derived per-shard streams,
-	// not the baseline's RNG, so theirs additionally carries the batch
-	// sampling noise.
+	// unsharded run, in reference-rank space. The sharded and cluster
+	// variants draw their arrivals from derived per-shard streams, not the
+	// unsharded run's RNG, so it carries the batch sampling noise on top of
+	// the summary ε budget. A sharded-N row and its local-N row play the
+	// same arrivals through the same kernel, so they read the same delta.
 	MaxRankDelta    float64
 	PoisonRetention float64
 	HonestLoss      float64
@@ -48,9 +46,11 @@ type DistributedRow struct {
 
 // DistributedResult compares the same heavy-batch scalar game run
 // unsharded, sharded in-process (goroutine fan-out), and across a loopback
-// worker cluster on the shard-local data plane (full wire protocol, two
-// fan-outs per round; workers generate their own arrivals from derived
-// seed streams and the coordinator ships O(1) seed directives). It is the
+// worker cluster (full wire protocol, two fan-outs per round; the
+// coordinator ships O(1) seed directives). Both sharded shapes play the
+// shard-local data plane from one master seed: each shard generates its
+// own arrivals from derived seed streams, so a sharded-N row and its
+// local-N row are the same game, record for record. It is the
 // reproduction's distributed-collector study: the cluster must track the
 // unsharded thresholds within tolerance while its per-round coordinator
 // egress stays O(workers).
@@ -143,9 +143,12 @@ func Distributed(sc Scale, workerCounts []int) (*DistributedResult, error) {
 	}
 	record("unsharded", baseline, baseMillis, baseline)
 
+	// Shards generate their own arrivals; the central Honest/Rng are unused
+	// (a run is a pure function of the master seed and the shard count).
+	gen := &collect.ShardGen{MasterSeed: sc.Seed + 1}
 	for _, n := range workerCounts {
 		out, millis, err := timed(func(cfg collect.Config) (*collect.Result, error) {
-			return collect.RunSharded(collect.ShardedConfig{Config: cfg, Shards: n})
+			return collect.RunSharded(collect.ShardedConfig{Config: cfg, Shards: n, Gen: gen})
 		})
 		if err != nil {
 			return nil, err
@@ -154,15 +157,10 @@ func Distributed(sc Scale, workerCounts []int) (*DistributedResult, error) {
 	}
 	for _, n := range workerCounts {
 		out, millis, err := timed(func(cfg collect.Config) (*collect.Result, error) {
-			// Workers generate their own arrivals; the central Honest/Rng
-			// are unused (the run is a pure function of the master seed and
-			// the worker count).
-			cfg.Honest = nil
-			cfg.Rng = nil
 			return collect.RunCluster(collect.ClusterConfig{
 				Config:    cfg,
 				Transport: cluster.NewLoopback(n),
-				Gen:       &collect.ShardGen{MasterSeed: sc.Seed + 1},
+				Gen:       gen,
 			})
 		})
 		if err != nil {

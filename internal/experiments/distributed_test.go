@@ -35,13 +35,31 @@ func TestDistributed(t *testing.T) {
 	if local.EgressConfig <= 0 {
 		t.Error("shard-local variant shipped no configure payload")
 	}
-	// Identical arrivals → within the summary budget; shard-local arrivals
-	// → within budget plus batch sampling noise.
-	if sharded := byVariant["sharded-2"]; sharded.MaxRankDelta > 0.05 {
+	// Both sharded shapes draw their own arrivals from the same master
+	// seed, so they trail the unsharded run by the summary budget plus
+	// batch sampling noise.
+	sharded := byVariant["sharded-2"]
+	if sharded.MaxRankDelta > 0.05 {
 		t.Errorf("sharded max rank delta %v", sharded.MaxRankDelta)
 	}
 	if local.MaxRankDelta > 0.1 {
 		t.Errorf("shard-local max rank delta %v", local.MaxRankDelta)
+	}
+	// And they play the same game through the same kernel: every
+	// board-derived column agrees exactly.
+	for _, c := range []struct {
+		name           string
+		sharded, local float64
+	}{
+		{"poison retention", sharded.PoisonRetention, local.PoisonRetention},
+		{"honest loss", sharded.HonestLoss, local.HonestLoss},
+		{"kept mean", sharded.KeptMean, local.KeptMean},
+		{"kept p99", sharded.KeptP99, local.KeptP99},
+		{"max rank delta", sharded.MaxRankDelta, local.MaxRankDelta},
+	} {
+		if c.sharded != c.local {
+			t.Errorf("%s: sharded-2 %v, local-2 %v", c.name, c.sharded, c.local)
+		}
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)

@@ -33,6 +33,11 @@
 # over TCP) go nonzero and /events until the fleet-admit (re-join) event
 # lands — then asserts the event ring shows the loss strictly before the
 # re-admission.
+#
+# Every kill lands at a round the game has reached, not at a wall time: the
+# script polls the coordinator's trimlab_round gauge on its -obs-addr
+# /metrics (each scenario's coordinator serves its own port) until round
+# KILL_ROUND, and fails if the coordinator exits first. Needs curl.
 set -euo pipefail
 
 TRIMLAB="${TRIMLAB:-/tmp/trimlab-chaos}"
@@ -40,14 +45,21 @@ WORKDIR="$(mktemp -d)"
 PORT0="${PORT0:-7401}"
 PORT1="${PORT1:-7402}"
 OBS_PORT="${OBS_PORT:-7403}"
-# The kills below land at fixed times (1.5 s, and 2.5 s for the
-# coordinator), so a game must outlast them with room for the re-join:
-# 400 rounds of 100k arrivals keep each kill in the first half of the game.
+OBS_PORT_B="${OBS_PORT_B:-7406}"
+OBS_PORT_C="${OBS_PORT_C:-7407}"
+# Each kill lands at round KILL_ROUND of ROUNDS, leaving most of the game
+# for the re-join and the verified post-recovery records.
 ROUNDS=400
+KILL_ROUND=40
 BATCH=100000
 SEED=7
 COORD_FLAGS="${COORD_FLAGS:-}"
 OBS_URL="http://127.0.0.1:$OBS_PORT"
+
+command -v curl >/dev/null 2>&1 || {
+  echo "FAIL: curl is required to read the coordinator's round from /metrics" >&2
+  exit 1
+}
 
 # poll_obs PATH PATTERN LABEL: curl $OBS_URL$PATH until a line matches
 # PATTERN (extended regex) or ~20 s pass — the coordinator must still be
@@ -62,6 +74,27 @@ poll_obs() {
   done
   echo "FAIL: $label never appeared on $path while the game ran" >&2
   curl -fsS "$OBS_URL$path" >&2 2>/dev/null || true
+  return 1
+}
+
+# wait_round URL PID LABEL: poll URL/metrics until the coordinator's
+# trimlab_round gauge reaches KILL_ROUND. Fails if the coordinator (PID)
+# exits first or ~60 s pass.
+wait_round() {
+  local url="$1" pid="$2" label="$3" i r
+  for i in $(seq 1 600); do
+    if ! kill -0 "$pid" 2>/dev/null; then
+      echo "FAIL: $label: the coordinator exited before round $KILL_ROUND, so the kill would miss the game" >&2
+      return 1
+    fi
+    r="$(curl -fsS "$url/metrics" 2>/dev/null | awk '$1 == "trimlab_round" { print int($2) }')" || r=""
+    if [ -n "$r" ] && [ "$r" -ge "$KILL_ROUND" ]; then
+      echo "-- $label: coordinator at round $r"
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "FAIL: $label: the coordinator did not reach round $KILL_ROUND within 60 s" >&2
   return 1
 }
 
@@ -81,27 +114,23 @@ W1_PID=$!
   -obs-addr "127.0.0.1:$OBS_PORT" $COORD_FLAGS \
   >"$WORKDIR/coordA.log" 2>&1 &
 COORD_PID=$!
-sleep 1.5
+wait_round "$OBS_URL" "$COORD_PID" "scenario A" || { cat "$WORKDIR/coordA.log" >&2; exit 1; }
 kill -9 "$W1_PID"
 sleep 0.5
 "$TRIMLAB" worker -listen "127.0.0.1:$PORT1" -id 1 -rejoin >"$WORKDIR/w1b.log" 2>&1 &
-if command -v curl >/dev/null 2>&1; then
-  echo "-- scraping $OBS_URL mid-game"
-  poll_obs /metrics '^trimlab_shard_loss_total [1-9]' "nonzero trimlab_shard_loss_total"
-  poll_obs /metrics '^trimlab_ingress_bytes_total [1-9]' "nonzero trimlab_ingress_bytes_total"
-  poll_obs /events '"kind":"fleet-admit"' "fleet-admit (re-join) event"
-  curl -fsS "$OBS_URL/events" >"$WORKDIR/events.ndjson"
-  loss_line="$(grep -n '"kind":"shard-loss"' "$WORKDIR/events.ndjson" | head -1 | cut -d: -f1)"
-  admit_line="$(grep -n '"kind":"fleet-admit"' "$WORKDIR/events.ndjson" | head -1 | cut -d: -f1)"
-  if [ -z "$loss_line" ] || [ -z "$admit_line" ] || [ "$loss_line" -ge "$admit_line" ]; then
-    echo "FAIL: event ring does not show shard-loss (line ${loss_line:-none}) before fleet-admit (line ${admit_line:-none})" >&2
-    cat "$WORKDIR/events.ndjson" >&2
-    exit 1
-  fi
-  echo "-- /metrics and /events live: reply bytes counted, shard loss observed, then re-join (events $loss_line < $admit_line)"
-else
-  echo "curl not installed; skipping the mid-game /metrics + /events scrape" >&2
+echo "-- scraping $OBS_URL mid-game"
+poll_obs /metrics '^trimlab_shard_loss_total [1-9]' "nonzero trimlab_shard_loss_total"
+poll_obs /metrics '^trimlab_ingress_bytes_total [1-9]' "nonzero trimlab_ingress_bytes_total"
+poll_obs /events '"kind":"fleet-admit"' "fleet-admit (re-join) event"
+curl -fsS "$OBS_URL/events" >"$WORKDIR/events.ndjson"
+loss_line="$(grep -n '"kind":"shard-loss"' "$WORKDIR/events.ndjson" | head -1 | cut -d: -f1)"
+admit_line="$(grep -n '"kind":"fleet-admit"' "$WORKDIR/events.ndjson" | head -1 | cut -d: -f1)"
+if [ -z "$loss_line" ] || [ -z "$admit_line" ] || [ "$loss_line" -ge "$admit_line" ]; then
+  echo "FAIL: event ring does not show shard-loss (line ${loss_line:-none}) before fleet-admit (line ${admit_line:-none})" >&2
+  cat "$WORKDIR/events.ndjson" >&2
+  exit 1
 fi
+echo "-- /metrics and /events live: reply bytes counted, shard loss observed, then re-join (events $loss_line < $admit_line)"
 if ! wait "$COORD_PID"; then
   echo "FAIL: coordinator exited non-zero after kill/re-join" >&2
   cat "$WORKDIR/coordA.log" >&2
@@ -126,11 +155,22 @@ CKPT="$WORKDIR/ckpt"
 "$TRIMLAB" worker -listen "127.0.0.1:$PORT0" -id 0 >"$WORKDIR/w0b.log" 2>&1 &
 "$TRIMLAB" worker -listen "127.0.0.1:$PORT1" -id 1 >"$WORKDIR/w1c.log" 2>&1 &
 "$TRIMLAB" coordinator -workers "127.0.0.1:$PORT0,127.0.0.1:$PORT1" \
-  -checkpoint-dir "$CKPT" -checkpoint-every 10 -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" $COORD_FLAGS \
+  -checkpoint-dir "$CKPT" -checkpoint-every 10 -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" \
+  -obs-addr "127.0.0.1:$OBS_PORT_B" $COORD_FLAGS \
   >"$WORKDIR/coordB1.log" 2>&1 &
 COORD_PID=$!
-sleep 2.5
-kill -9 "$COORD_PID" 2>/dev/null || true
+wait_round "http://127.0.0.1:$OBS_PORT_B" "$COORD_PID" "scenario B" || { cat "$WORKDIR/coordB1.log" >&2; exit 1; }
+# A checkpoint lands every 10 rounds; wait for the first file too.
+for i in $(seq 1 100); do
+  ls "$CKPT"/checkpoint-*.tq >/dev/null 2>&1 && break
+  kill -0 "$COORD_PID" 2>/dev/null || break
+  sleep 0.1
+done
+kill -9 "$COORD_PID" 2>/dev/null || {
+  echo "FAIL: scenario B: the coordinator exited before the kill" >&2
+  cat "$WORKDIR/coordB1.log" >&2
+  exit 1
+}
 wait "$COORD_PID" 2>/dev/null || true
 ls "$CKPT"/checkpoint-*.tq >/dev/null 2>&1 || {
   echo "FAIL: no checkpoints written before the coordinator was killed" >&2
@@ -176,10 +216,11 @@ done
 "$TRIMLAB" aggregator -listen "127.0.0.1:$AGG_PORT1" -id 1 -children "$KIDS1" >"$WORKDIR/agg1.log" 2>&1 &
 AGG1_PID=$!
 "$TRIMLAB" coordinator -workers "127.0.0.1:$AGG_PORT0,127.0.0.1:$AGG_PORT1" \
-  -rejoin -heartbeat 100ms -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" $COORD_FLAGS \
+  -rejoin -heartbeat 100ms -rounds "$ROUNDS" -batch "$BATCH" -seed "$SEED" \
+  -obs-addr "127.0.0.1:$OBS_PORT_C" $COORD_FLAGS \
   >"$WORKDIR/coordC.log" 2>&1 &
 COORD_PID=$!
-sleep 1.5
+wait_round "http://127.0.0.1:$OBS_PORT_C" "$COORD_PID" "scenario C" || { cat "$WORKDIR/coordC.log" >&2; exit 1; }
 kill -9 "$AGG1_PID"
 sleep 0.5
 # The subtree's workers survived the dead aggregator; the re-spawned one
