@@ -200,10 +200,11 @@ func TestWorkerConfigureRefusals(t *testing.T) {
 	}
 }
 
-// A configured worker holds one copy of its pool — the decoded one — and
-// nothing else: 1M values are 8 MB, where a second copy (a sorted LDP
-// scale beside the pool, or a scalar pool beside the reference) doubles
-// it. The request bytes are garbage once Handle returns.
+// A configured worker holds one copy of its pool and nothing else: 1M
+// values are 8 MB, where a second copy (a sorted LDP scale beside the
+// pool, a scalar pool beside the reference, or a decoded pool beside the
+// request it came in) doubles it. The one copy is the request itself: the
+// worker keeps a view of the configure message's pool.
 func TestWorkerConfigureKeepsOnePool(t *testing.T) {
 	const n, bound = 1_000_000, 12 << 20
 	sorted := func() []float64 {
@@ -261,6 +262,10 @@ func FuzzWorkerConfigure(f *testing.F) {
 	gen := wire.EncodeDirective(nil, d)
 	classify := wire.EncodeDirective(nil, &wire.Directive{Op: wire.OpClassify, Round: 1, Threshold: 6})
 	f.Fuzz(func(t *testing.T, conf []byte) {
+		// A fresh worker per input: a configured worker keeps views of its
+		// configure message, and the fuzz engine may reuse an input's memory
+		// once the call returns, so no worker may outlive the input it was
+		// configured from.
 		w := NewWorker(0)
 		if _, err := w.Handle(conf); err != nil {
 			return

@@ -12,7 +12,11 @@ import (
 // the coordinator. Call must be safe for concurrent use across distinct
 // worker indices; a Call error means the worker is lost (the coordinator
 // drops the shard and continues, it never retries). The slot space is
-// fixed: an elastic game's growth slots are listed from the start.
+// fixed: an elastic game's growth slots are listed from the start. A
+// transport hands req to its handler unmodified, and a handler may keep
+// read-only views of it (Handler), so a caller must neither modify nor
+// reuse req after Call, and a transport that buffers requests gives each
+// its own bytes.
 type Transport interface {
 	Workers() int
 	Call(worker int, req []byte) ([]byte, error)
@@ -23,6 +27,14 @@ type Transport interface {
 // one encoded reply out, plus a Done channel that closes when the handler
 // has been stopped (OpStop). Worker implements it, and so does an
 // aggregator node (internal/agg) — anything a Transport can point at.
+//
+// Handle may keep read-only views of req beyond the call: a Worker keeps
+// its configure's reference, pool and dataset as views of the configure
+// message (wire.DecodeDirective), and a node forwards req to its children
+// as is. So no caller may modify or reuse a request buffer after handing
+// it to Handle. The engine encodes every request afresh, an aggregator
+// forwards the bytes it was given, and the TCP frame reader reads each
+// body into a fresh slice.
 type Handler interface {
 	Handle(req []byte) ([]byte, error)
 	Done() <-chan struct{}

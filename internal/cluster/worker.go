@@ -61,7 +61,13 @@ type Worker struct {
 	rejoin          bool
 	helloConfigured bool
 
-	// Generator state, installed by Configure.
+	// Generator state, installed by Configure. The sorted reference
+	// (scalarGen.Ref), the sorted input pool (ldpGen.Pool) and the dataset
+	// rows (rowGen.X) are the configure directive's own blocks, read-only
+	// views of the configure message wherever wire.DecodeDirective can view
+	// them: an in-process fleet configured from one encoded message holds
+	// one copy of that data for every worker, and a TCP worker keeps its
+	// frame and no decoded copy. Nothing here ever writes them.
 	scalarGen *arrival.Scalar
 	ldpGen    *arrival.LDP
 	rowGen    *arrival.Rows
@@ -80,9 +86,10 @@ type Worker struct {
 	// takes the rows it is given; the round state says why that is sound),
 	// so a kept honest row costs an in-memory pool a slice header and a
 	// label, not a second copy of the dataset's coordinates. An in-memory
-	// pool therefore references the dataset it kept rows of: a re-configure
-	// that ships a new dataset leaves the old one alive while the pool
-	// holds rows of it.
+	// pool therefore references the dataset it kept rows of — the configure
+	// message, when the dataset is a view of it: a re-configure that ships
+	// a new dataset leaves the old message alive while the pool holds rows
+	// of it.
 	pool     rowstore.Pool
 	poolOpen func() (rowstore.Pool, error)
 
@@ -91,10 +98,11 @@ type Worker struct {
 	// dists, so nil-ness cannot stand in for it. No held row is ever
 	// written, so classify hands its kept rows to the pool as they are:
 	// honest rows are capacity-capped slices of rowGen's dataset (the wire
-	// decodes it into one backing array, and arrival.Rows draws rows by
-	// reference), and poison rows are fresh from arrival.PoisonRow. dists
-	// is the one held slice that is written: classify is its last reader
-	// and compacts the kept values to its front (arrival.Keep).
+	// decodes it into one backing array, a view of the configure message
+	// where it can, and arrival.Rows draws rows by reference), and poison
+	// rows are fresh from arrival.PoisonRow. dists is the one held slice
+	// that is written: classify is its last reader and compacts the kept
+	// values to its front (arrival.Keep).
 	held   bool
 	round  int
 	dists  []float64         // scalar arrivals, or row distances from center
@@ -239,9 +247,11 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 // GRR's pool of categories among them), or dataset rows + labels (row
 // game). The budget is resolved here, once (0 selects the default, and one
 // no stream can be built with is refused), so every reply reports the
-// budget its sketches use. A shipped pool or reference is kept as decoded
-// — its order is checked, never re-sorted — and a scalar configure that
-// also carries a pool is refused: honest draws sample the reference.
+// budget its sketches use. A shipped pool, reference or dataset is kept as
+// decoded — a view of the configure message where the wire can view it —
+// and validated in place: its order and values are checked, never
+// re-sorted or rewritten. A scalar configure that also carries a pool is
+// refused: honest draws sample the reference.
 // Re-configuring mid-game (the re-admission path) discards any held round
 // state: a re-joined worker starts cold at the next round boundary.
 func (w *Worker) configure(d *wire.Directive) error {

@@ -480,9 +480,12 @@ func (p *workerPool) callWorker(w int, req []byte) ([]byte, error) {
 // the coordinator+network share (trimlab_phase_net_seconds).
 //
 // A directive several slots share — configure's one template — is encoded
-// once and every one of those slots is sent the same bytes (transports and
-// handlers only read a request). Egress still counts the bytes each slot
-// is sent; ingress counts the bytes each slot answers with.
+// once and every one of those slots is sent the same bytes: transports and
+// handlers only read a request, and a worker keeps read-only views of its
+// configure (cluster.Handler), so an in-process fleet holds one copy of the
+// configure data for all its workers. No request is modified or reused
+// once sent. Egress still counts the bytes each slot is sent; ingress
+// counts the bytes each slot answers with.
 func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([]*wire.Report, error) {
 	start := obs.Now()
 	var maxBusy time.Duration

@@ -13,7 +13,10 @@ import (
 // generator specs, clean-scale summaries on generate directives among
 // them), a configure carrying several blocks (dataset rows, labels and a
 // pool), the retired op codes, a report claiming 0 leaves and a snapshot
-// with an unknown membership event kind. Run longer with
+// with an unknown membership event kind. A directive is decoded twice, as
+// given and copied to an odd offset, so every input drives both ways a
+// configure's padded blocks decode — as views of the message and by
+// copying — and the two must agree. Run longer with
 // `go test ./internal/wire -run=NONE -fuzz=FuzzDecodeDirective -fuzztime=15s`
 // (likewise FuzzDecodeReport, FuzzDecodeSummary, FuzzDecodeVector and
 // FuzzDecodeSnapshot).
@@ -34,12 +37,22 @@ func FuzzDecodeDirective(f *testing.F) {
 		Clusters: 2, PoisonLabel: -1,
 	}))
 	f.Add(EncodeDirective(nil, &Directive{Op: 13})) // the retired TreeInfo probe
+	f.Add(EncodeDirective(nil, viewConfigure()))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		d, err := DecodeDirective(raw)
+		odd := make([]byte, len(raw)+1)[1:]
+		copy(odd, raw)
+		dOdd, errOdd := DecodeDirective(odd)
+		if (err == nil) != (errOdd == nil) {
+			t.Fatalf("as given: %v; at an odd offset: %v", err, errOdd)
+		}
 		if err != nil {
 			return
 		}
 		enc := EncodeDirective(nil, d)
+		if encOdd := EncodeDirective(nil, dOdd); !bytes.Equal(enc, encOdd) {
+			t.Fatalf("decodes as given and at an odd offset re-encode apart:\n%x\n%x", enc, encOdd)
+		}
 		again, err := DecodeDirective(enc)
 		if err != nil {
 			t.Fatalf("re-encoded directive does not decode: %v", err)

@@ -241,7 +241,7 @@ func EncodeReport(buf []byte, rep *Report) []byte {
 	buf = appendU64(buf, uint64(rep.KeptCount))
 	buf = appendF64(buf, rep.KeptSum)
 	buf = appendSummaryBlock(buf, rep.Kept)
-	buf = appendRowsBlock(buf, rep.KeptRows)
+	buf = appendRowsBlock(buf, rep.KeptRows, -1)
 	buf = appendIntList(buf, rep.KeptLabels)
 	buf = appendIntList(buf, rep.PoolRows)
 	buf = appendU32(buf, uint32(rep.Leaves))
@@ -307,7 +307,7 @@ func DecodeReport(buf []byte) (*Report, error) {
 	if rep.Kept, err = readSummaryBlock(r); err != nil {
 		return nil, err
 	}
-	rep.KeptRows = readRowsBlock(r, "kept rows")
+	rep.KeptRows = readRowsBlock(r, "kept rows", false)
 	rep.KeptLabels = readIntList(r, "kept label")
 	rep.PoolRows = readIntList(r, "pool rows")
 	rep.Leaves = int(r.u32("leaves"))
@@ -413,8 +413,13 @@ type Directive struct {
 	Leaf int
 }
 
-// EncodeDirective serializes a directive, appending to buf.
+// EncodeDirective serializes a directive, appending to buf. A configure's
+// bulk blocks — Rows, Pool and RefSorted — are padded so their elements
+// start 8-byte aligned from the message start (buf[len(buf)] on entry);
+// DecodeDirective views them in place when the message lies 8-byte aligned
+// in memory, as a fresh EncodeDirective(nil, …) does.
 func EncodeDirective(buf []byte, d *Directive) []byte {
+	start := len(buf)
 	buf = appendHeader(buf, KindDirective)
 	buf = append(buf, byte(d.Op))
 	buf = appendU32(buf, uint32(d.Round))
@@ -426,10 +431,10 @@ func EncodeDirective(buf []byte, d *Directive) []byte {
 	buf = appendF64(buf, d.FocusPct)
 	buf = appendF64(buf, d.FocusWidth)
 	buf = appendU32(buf, uint32(d.FocusTighten))
-	buf = appendRowsBlock(buf, d.Rows)
+	buf = appendRowsBlock(buf, d.Rows, start)
 	buf = appendF64s(buf, d.Center)
-	buf = appendF64s(buf, d.Pool)
-	buf = appendF64s(buf, d.RefSorted)
+	buf = appendPaddedF64s(buf, start, d.Pool)
+	buf = appendPaddedF64s(buf, start, d.RefSorted)
 	buf = appendIntList(buf, d.Labels)
 	buf = appendU32(buf, uint32(d.Clusters))
 	buf = appendU64(buf, uint64(int64(d.PoisonLabel)))
@@ -460,7 +465,12 @@ func EncodeDirective(buf []byte, d *Directive) []byte {
 	return buf
 }
 
-// DecodeDirective decodes an EncodeDirective message.
+// DecodeDirective decodes an EncodeDirective message. A configure's Rows,
+// Pool and RefSorted are read-only views of buf when the host is
+// little-endian and their elements lie 8-byte aligned in memory (f64View),
+// and copies otherwise: the caller must neither modify nor reuse buf while
+// the directive, or anything that kept one of those blocks, is alive.
+// Center, Labels and every other field are copied.
 func DecodeDirective(buf []byte) (*Directive, error) {
 	payload, err := checkHeader(buf, KindDirective)
 	if err != nil {
@@ -479,10 +489,10 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	d.FocusPct = r.f64("focus pct")
 	d.FocusWidth = r.f64("focus width")
 	d.FocusTighten = int(r.u32("focus tighten"))
-	d.Rows = readRowsBlock(r, "rows")
+	d.Rows = readRowsBlock(r, "rows", true)
 	d.Center = r.f64s("center")
-	d.Pool = r.f64s("pool")
-	d.RefSorted = r.f64s("reference")
+	d.Pool = r.paddedF64s("pool")
+	d.RefSorted = r.paddedF64s("reference")
 	d.Labels = readIntList(r, "label")
 	d.Clusters = int(r.u32("clusters"))
 	d.PoisonLabel = int(int64(r.u64("poison label")))
@@ -526,14 +536,20 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 }
 
 // appendRowsBlock writes a row matrix: u32 row count, u32 dim, then the
-// elements row-major. Nil and empty both encode as count 0.
-func appendRowsBlock(buf []byte, rows [][]float64) []byte {
+// elements row-major. Nil and empty both encode as count 0. A start ≥ 0
+// pads a non-empty matrix's elements to an 8-byte boundary from the message
+// that starts at buf[start] (a configure's dataset); a kept-row page passes
+// −1 and is not padded.
+func appendRowsBlock(buf []byte, rows [][]float64, start int) []byte {
 	buf = appendU32(buf, uint32(len(rows)))
 	dim := 0
 	if len(rows) > 0 {
 		dim = len(rows[0])
 	}
 	buf = appendU32(buf, uint32(dim))
+	if start >= 0 && len(rows) > 0 {
+		buf = appendPad(buf, start)
+	}
 	buf = slices.Grow(buf, 8*dim*len(rows))
 	for _, row := range rows {
 		buf = appendF64Block(buf, row)
@@ -541,21 +557,30 @@ func appendRowsBlock(buf []byte, rows [][]float64) []byte {
 	return buf
 }
 
-// readRowsBlock reads a block written by appendRowsBlock. Row slices share
-// one backing array; a corrupt count or dim fails with ErrTruncated before
-// allocating.
-func readRowsBlock(r *reader, what string) [][]float64 {
+// readRowsBlock reads a block written by appendRowsBlock, padded when
+// padded is set. Row slices share one backing array, capacity-capped per
+// row: a view of the message when the block is padded and paddedBlock can
+// view it, a copy otherwise. A corrupt count or dim fails with
+// ErrTruncated before allocating.
+func readRowsBlock(r *reader, what string, padded bool) [][]float64 {
 	nRows := r.count(what, 4)
 	dim := int(r.u32(what))
 	if r.err != nil || nRows == 0 {
 		return nil
 	}
-	if dim <= 0 || nRows*dim*8 > len(r.buf)-r.off {
+	if dim <= 0 || dim > (len(r.buf)-r.off)/8/nRows {
 		r.fail(what + " elements")
 		return nil
 	}
-	flat := make([]float64, nRows*dim)
-	getF64s(flat, r.next(8*len(flat)))
+	var flat []float64
+	if padded {
+		if flat = r.paddedBlock(what, nRows*dim); flat == nil {
+			return nil
+		}
+	} else {
+		flat = make([]float64, nRows*dim)
+		getF64s(flat, r.next(8*len(flat)))
+	}
 	rows := make([][]float64, nRows)
 	for i := range rows {
 		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/stats/summary"
 )
@@ -90,15 +91,21 @@ import (
 // caller-ordered pool — one game must not be played under two draw
 // contracts, so v13 is retired; 15 dropped the snapshot stream state's
 // weight flag and weight buffer (streams count observations, so a push
-// buffer holds values only), and a v14 checkpoint cannot resume under v15.
-const Version = 15
+// buffer holds values only), and a v14 checkpoint cannot resume under v15;
+// 16 pads a configure's three bulk blocks (the row matrix, Pool and
+// RefSorted) with zero bytes so each block's elements start 8-byte aligned
+// from the message start, which lets DecodeDirective return them as views
+// of the message instead of copies (an empty block gets no pad, so every
+// per-round directive keeps its v15 bytes apart from the version byte; a
+// v15 checkpoint cannot resume under v16, although no snapshot byte moved).
+const Version = 16
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game, or — v14 — what a configure's pool means),
 // so its predecessor is retired: a mixed-version cluster fails loudly at
 // the configure fan-out instead of misparsing or dying rounds later.
-const MinVersion = 15
+const MinVersion = 16
 
 const (
 	magic0 = 'T'
@@ -194,6 +201,53 @@ func getF64s(out []float64, b []byte) {
 	}
 }
 
+// Padded blocks. A configure's bulk blocks — the row matrix, Pool and
+// RefSorted — pad their elements to an 8-byte boundary from the message
+// start (format 16), so a decoder can hand them out as views of the message
+// instead of copies. The pad is the zero bytes between the block's prefix
+// and its first element; an empty block has no elements and no pad.
+
+// littleEndian reports whether the host stores a float64 in the wire's byte
+// order, the first condition for viewing an f64 block in place.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// appendPad appends the zero bytes that bring buf to an 8-byte boundary
+// from the message that starts at buf[start].
+func appendPad(buf []byte, start int) []byte {
+	for (len(buf)-start)%8 != 0 {
+		buf = append(buf, 0)
+	}
+	return buf
+}
+
+// appendPaddedF64s writes a u32-counted f64 block whose elements start
+// 8-byte aligned from the message that starts at buf[start].
+func appendPaddedF64s(buf []byte, start int, vs []float64) []byte {
+	buf = appendU32(buf, uint32(len(vs)))
+	if len(vs) > 0 {
+		buf = appendPad(buf, start)
+	}
+	return appendF64Block(buf, vs)
+}
+
+// f64View returns the f64 block b as a []float64 that shares b's memory —
+// length and capacity len(b)/8, so an append cannot reach past the block —
+// or nil when it cannot: on a big-endian host, where the bytes are not a
+// float64's, and when b does not start 8-byte aligned. It is the package's
+// one use of unsafe. The view aliases the message, so it is valid only
+// while the caller neither modifies nor reuses the message's bytes, and its
+// holder must only read it.
+func f64View(b []byte) []float64 {
+	if !littleEndian || len(b) < 8 {
+		return nil
+	}
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(p), len(b)/8)
+}
+
 // reader is a bounds-checked little-endian cursor over a payload. The first
 // failed read latches err; subsequent reads return zero values, so decoders
 // can read a whole struct and check err once.
@@ -286,6 +340,50 @@ func (r *reader) next(n int) []byte {
 	return b
 }
 
+// pad skips a padded block's pad — the bytes that bring the cursor to an
+// 8-byte boundary from the message start, which lies headerSize bytes
+// before the payload. A pad that runs past the payload fails with
+// ErrTruncated and a non-zero pad byte is refused, so an accepted message
+// re-encodes to its own bytes.
+func (r *reader) pad(what string) {
+	if r.err != nil {
+		return
+	}
+	n := (8 - (headerSize+r.off)%8) % 8
+	if n > len(r.buf)-r.off {
+		r.fail(what + " pad")
+		return
+	}
+	for i, b := range r.buf[r.off : r.off+n] {
+		if b != 0 {
+			r.err = fmt.Errorf("wire: non-zero pad byte %#02x before %s at offset %d", b, what, r.off+i)
+			return
+		}
+	}
+	r.off += n
+}
+
+// paddedBlock returns the next n elements of a padded block: the pad is
+// skipped and the 8·n element bytes checked against the payload, then the
+// elements are returned as a view of the message when f64View allows it
+// and copied otherwise. nil on failure.
+func (r *reader) paddedBlock(what string, n int) []float64 {
+	r.pad(what)
+	if r.err == nil && n > (len(r.buf)-r.off)/8 {
+		r.fail(what + " elements")
+	}
+	if r.err != nil {
+		return nil
+	}
+	b := r.next(8 * n)
+	if v := f64View(b); v != nil {
+		return v
+	}
+	out := make([]float64, n)
+	getF64s(out, b)
+	return out
+}
+
 // finish rejects trailing bytes: a well-formed message is consumed exactly.
 func (r *reader) finish() error {
 	if r.err != nil {
@@ -306,6 +404,16 @@ func (r *reader) f64s(what string) []float64 {
 	out := make([]float64, n)
 	getF64s(out, r.next(8*n))
 	return out
+}
+
+// paddedF64s reads a u32-counted padded f64 block (paddedBlock); empty
+// decodes to nil.
+func (r *reader) paddedF64s(what string) []float64 {
+	n := r.count(what, 8)
+	if n == 0 {
+		return nil
+	}
+	return r.paddedBlock(what, n)
 }
 
 // appendF64s writes a u32-counted f64 block.

@@ -440,11 +440,14 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		"directive": EncodeDirective(nil, &Directive{
 			Op: OpGenerate, Round: 1, Center: []float64{1, 2, 3}, Gen: &GenSpec{Cells: []Cell{{Seed: 1, HonestN: 2}}},
 		}),
+		// Cuts inside each padded block's pad and elements.
+		"configure": EncodeDirective(nil, viewConfigure()),
 	}
 	decode := map[string]func([]byte) error{
 		"summary":   func(b []byte) error { _, err := DecodeSummary(b); return err },
 		"report":    func(b []byte) error { _, err := DecodeReport(b); return err },
 		"directive": func(b []byte) error { _, err := DecodeDirective(b); return err },
+		"configure": func(b []byte) error { _, err := DecodeDirective(b); return err },
 	}
 	for name, msg := range msgs {
 		for cut := 0; cut < len(msg); cut++ {

@@ -98,8 +98,17 @@ wait_round() {
   return 1
 }
 
+# cleanup stops every child process, then removes the work directory after
+# a passing run; a failing run keeps its logs and checkpoints and says where.
 cleanup() {
+  local status=$?
   pkill -P $$ 2>/dev/null || true
+  wait 2>/dev/null || true
+  if [ "$status" -eq 0 ]; then
+    rm -rf "$WORKDIR"
+  else
+    echo "chaos smoke: logs and checkpoints kept in $WORKDIR" >&2
+  fi
 }
 trap cleanup EXIT
 

@@ -17,6 +17,7 @@ MERGE_FANIN_WIN="${MERGE_FANIN_WIN:-3.0}"
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-2x}"
 OUT="$(mktemp)"
+trap 'rm -f "$OUT"' EXIT
 
 go test ./internal/collect -run=NONE \
   -bench='^BenchmarkMergeFanin$/(Flat4|Flat64|Tree64)$' \

@@ -16,6 +16,7 @@ COUNT="${COUNT:-6}"
 BENCHTIME="${BENCHTIME:-2x}"
 JSON="${JSON:-BENCH_ingest.json}"
 OUT="$(mktemp)"
+trap 'rm -f "$OUT"' EXIT
 
 go test ./internal/stats/summary -run=NONE \
   -bench='^BenchmarkStreamPush(Batch|Parallel)?$' \

@@ -26,6 +26,7 @@ COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-2x}"
 JSON="${JSON:-BENCH_rows.json}"
 OUT="$(mktemp)"
+trap 'rm -f "$OUT"' EXIT
 
 go test ./internal/collect -run=NONE \
   -bench='^BenchmarkRowsRound(Resident|Stored)$/Rows(1|4)x$|^BenchmarkRowsRound(Delayed|Pipelined)$' \
