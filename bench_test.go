@@ -227,6 +227,8 @@ func BenchmarkPercentileExact(b *testing.B) {
 	}
 }
 
+// BenchmarkPercentileP2 times the P² estimator that DESIGN.md §5 rules
+// out as the system estimator; it is staged for deletion with P² itself.
 func BenchmarkPercentileP2(b *testing.B) {
 	rng := stats.NewRand(1)
 	xs := stats.NormalSlice(rng, 100000, 0, 1)

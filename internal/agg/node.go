@@ -75,6 +75,8 @@ func DialChildren(addrs []string, wait time.Duration) ([]Child, error) {
 // budget, and an aggregator level that recompresses (SetCompress with
 // b = ceil((height+1)/ε)) adds at most ε/(height+1) per level (Summary.
 // Compress: ε' = ε + 1/b). Height 0 (a flat fleet) returns ε unchanged.
+//
+//trimlint:allow deadexport test oracle: the aggregator tier's ε-budget tests read it
 func LevelEpsilon(eps float64, height int) float64 {
 	if height < 1 {
 		return eps
@@ -84,6 +86,8 @@ func LevelEpsilon(eps float64, height int) float64 {
 
 // CompressBudget is the per-level recompression budget matching
 // LevelEpsilon: b entries keep the per-level error within ε/(height+1).
+//
+//trimlint:allow deadexport test oracle: the aggregator tier's ε-budget tests read it
 func CompressBudget(eps float64, height int) int {
 	if height < 1 || eps <= 0 {
 		return 0

@@ -51,6 +51,8 @@ type Tree struct {
 // consecutive groups of fanin leaves fold under one aggregator, repeatedly,
 // while more than fanin slots remain. leaves ≤ fanin yields a flat fleet
 // (no aggregators), making the tree a drop-in Loopback generalization.
+//
+//trimlint:allow deadexport fixture: the collect, cluster and agg tests build in-process trees with it
 func NewTree(leaves, fanin int) (*Tree, error) {
 	if leaves < 1 {
 		return nil, fmt.Errorf("agg: tree with %d leaves", leaves)
@@ -93,6 +95,8 @@ func NewTree(leaves, fanin int) (*Tree, error) {
 // SetCompress applies a per-level sketch recompression budget to every
 // aggregator in the tree (Node.SetCompress); b ≤ 0 restores the lossless
 // default.
+//
+//trimlint:allow deadexport fixture: the collect, cluster and agg tests build in-process trees with it
 func (t *Tree) SetCompress(b int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -123,6 +127,8 @@ func (t *Tree) Workers() int { return len(t.tops) }
 
 // Leaves returns the total leaf-worker count (including failed leaves —
 // liveness is the coordinator's view, learned from replies).
+//
+//trimlint:allow deadexport fixture: the collect, cluster and agg tests build in-process trees with it
 func (t *Tree) Leaves() int { return len(t.leafs) }
 
 // Call dispatches to the top slot's handler.
@@ -139,6 +145,8 @@ func (t *Tree) Close() error { return nil }
 // Fail makes every subsequent call to top slot w fail — the loopback
 // analogue of killing an aggregator (or flat worker) process the
 // coordinator talks to directly.
+//
+//trimlint:allow deadexport fixture: the collect, cluster and agg tests build in-process trees with it
 func (t *Tree) Fail(w int) {
 	if w < 0 || w >= len(t.tops) {
 		return
@@ -151,6 +159,8 @@ func (t *Tree) Fail(w int) {
 // FailLeaf makes leaf worker i (leaf order) unreachable from its parent —
 // the mid-tree subtree loss: the parent aggregator drops the child and
 // reports its leaf offsets as lost, while the coordinator keeps the slot.
+//
+//trimlint:allow deadexport fixture: the collect, cluster and agg tests build in-process trees with it
 func (t *Tree) FailLeaf(i int) {
 	if i < 0 || i >= len(t.leafs) {
 		return
@@ -164,6 +174,8 @@ func (t *Tree) FailLeaf(i int) {
 // mid-game join: a fresh aggregator over the same children (the tree
 // analogue of re-launching `trimlab aggregator -rejoin` against its old
 // child addresses), or a fresh worker for a flat slot.
+//
+//trimlint:allow deadexport fixture: the collect, cluster and agg tests build in-process trees with it
 func (t *Tree) Respawn(w int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -33,6 +33,8 @@ import (
 
 // TestData returns the caller's testdata directory, like
 // analysistest.TestData.
+//
+//trimlint:allow deadexport fixture: every analyzer's tests run through it
 func TestData(t *testing.T) string {
 	t.Helper()
 	_, file, _, ok := runtime.Caller(1)
@@ -44,6 +46,8 @@ func TestData(t *testing.T) string {
 
 // Run loads each package from testdata/src and checks the analyzer's
 // diagnostics against the // want comments in its files.
+//
+//trimlint:allow deadexport fixture: every analyzer's tests run through it
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	src := filepath.Join(testdata, "src")

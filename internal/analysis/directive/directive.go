@@ -25,13 +25,17 @@ import (
 
 const prefix = "//trimlint:"
 
-// Known is the set of analyzer names an allow directive may reference.
-// trimlint's registry test asserts it stays in sync with the suite.
+// Known is the set of check names an allow directive may reference: the
+// suite's analyzers, plus deadexport, the whole-module check of the root
+// TestNoDeadExports (an exported function or method under internal/ that
+// no non-test code references). trimlint's registry test asserts it stays
+// in sync with both.
 var Known = map[string]bool{
-	"detrand":  true,
-	"maporder": true,
-	"wirever":  true,
-	"opswitch": true,
+	"detrand":    true,
+	"maporder":   true,
+	"wirever":    true,
+	"opswitch":   true,
+	"deadexport": true,
 }
 
 // Analyzer validates every trimlint directive in the package: the verb

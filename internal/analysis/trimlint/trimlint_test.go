@@ -7,11 +7,23 @@ import (
 	"repro/internal/analysis/trimlint"
 )
 
-// TestRegistryMatchesDirectives pins the suite roster to directive.Known:
-// an analyzer that cannot be named in an allow directive would be
-// unsuppressable, and a Known entry with no analyzer would let authors
-// write directives that suppress nothing.
+// moduleChecks are the checks that run over the whole module instead of
+// one package at a time, so they are not analyzers: deadexport is the root
+// TestNoDeadExports.
+var moduleChecks = []string{"deadexport"}
+
+// TestRegistryMatchesDirectives pins directive.Known to the suite roster
+// plus the module checks: a check that cannot be named in an allow
+// directive would be unsuppressable, and a Known entry that nothing checks
+// would let authors write directives that suppress nothing.
 func TestRegistryMatchesDirectives(t *testing.T) {
+	checked := make(map[string]bool)
+	for _, name := range moduleChecks {
+		checked[name] = true
+		if !directive.Known[name] {
+			t.Errorf("module check %s is not in directive.Known: its findings could never be suppressed", name)
+		}
+	}
 	suite := make(map[string]bool)
 	for _, a := range trimlint.Analyzers() {
 		if a.Name == directive.Analyzer.Name {
@@ -23,8 +35,8 @@ func TestRegistryMatchesDirectives(t *testing.T) {
 		}
 	}
 	for name := range directive.Known {
-		if !suite[name] {
-			t.Errorf("directive.Known lists %s but no such analyzer is in the suite: allows naming it would silently do nothing", name)
+		if !suite[name] && !checked[name] {
+			t.Errorf("directive.Known lists %s but no analyzer or module check has that name: allows naming it would silently do nothing", name)
 		}
 	}
 	if len(suite) != 4 {

@@ -104,9 +104,6 @@ func (p *Probing) Injection(r int, prev Observation) func(*rand.Rand) float64 {
 	return p.InjectionSpec(r, prev).Sampler()
 }
 
-// Estimate returns the current bracket.
-func (p *Probing) Estimate() (lo, hi float64) { return p.lo, p.hi }
-
 // Reset implements Strategy.
 func (p *Probing) Reset() {
 	p.lo, p.hi = p.InitLo, p.InitHi

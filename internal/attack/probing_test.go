@@ -39,7 +39,7 @@ func TestProbingConvergesOnStaticThreshold(t *testing.T) {
 		// semantics with the margin applied).
 		p.Observe(inj+p.Margin < threshold)
 	}
-	lo, hi := p.Estimate()
+	lo, hi := p.lo, p.hi
 	if math.Abs((lo+hi)/2-threshold) > 0.01 {
 		t.Errorf("bracket [%v, %v] did not converge to %v", lo, hi, threshold)
 	}
@@ -67,7 +67,7 @@ func TestProbingTracksMovingThreshold(t *testing.T) {
 		inj := p.Injection(r, Observation{})(rng)
 		p.Observe(inj+p.Margin < threshold)
 	}
-	lo, hi := p.Estimate()
+	lo, hi := p.lo, p.hi
 	if math.Abs((lo+hi)/2-0.85) > 0.03 {
 		t.Errorf("bracket [%v, %v] did not re-converge to the new threshold 0.85", lo, hi)
 	}
@@ -79,7 +79,7 @@ func TestProbingReset(t *testing.T) {
 	p.Injection(1, Observation{})(rng)
 	p.Observe(false)
 	p.Reset()
-	lo, hi := p.Estimate()
+	lo, hi := p.lo, p.hi
 	if lo != 0.8 || hi != 1.0 {
 		t.Errorf("Reset bracket = [%v, %v]", lo, hi)
 	}

@@ -25,6 +25,8 @@ type rpcService struct {
 }
 
 // Call handles one coordinator request.
+//
+//trimlint:allow deadexport net/rpc reaches it by reflection
 func (s *rpcService) Call(req []byte, resp *[]byte) error {
 	out, err := s.h.Handle(req)
 	if err != nil {

@@ -123,6 +123,8 @@ func NewWorker(id int) *Worker {
 
 // ID returns the worker's slot index — loopback preparation hooks use it
 // to key per-worker resources such as spill directories.
+//
+//trimlint:allow deadexport fixture: the slot key a NewLoopbackPrepared hook reads in the collect tests
 func (w *Worker) ID() int { return w.id }
 
 // AllowRejoin permits this worker to accept a mid-game membership grant

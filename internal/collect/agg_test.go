@@ -271,7 +271,8 @@ func TestCleanScaleIndependentOfFleet(t *testing.T) {
 				if d.Op != wire.OpGenerate || d.Round > 2 {
 					continue
 				}
-				scale := wire.EncodeSummary(nil, d.Gen.Scale)
+				// The scale's summary block, behind a fixed report prefix.
+				scale := wire.EncodeReport(nil, &wire.Report{Leaves: 1, Sum: d.Gen.Scale})
 				if prev, ok := got[d.Round]; ok && !bytes.Equal(prev, scale) {
 					t.Fatalf("%s: round %d slots carry different scales", fl.name, d.Round)
 				}

@@ -57,9 +57,6 @@ type Board struct {
 // Post appends a round record.
 func (b *Board) Post(r RoundRecord) { b.Records = append(b.Records, r) }
 
-// Rounds returns the number of recorded rounds.
-func (b *Board) Rounds() int { return len(b.Records) }
-
 // Last returns the most recent record and true, or a zero record and false
 // when the board is empty.
 func (b *Board) Last() (RoundRecord, bool) {

@@ -77,8 +77,8 @@ func TestRunBasicAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Board.Rounds() != cfg.Rounds {
-		t.Fatalf("%d rounds recorded, want %d", res.Board.Rounds(), cfg.Rounds)
+	if len(res.Board.Records) != cfg.Rounds {
+		t.Fatalf("%d rounds recorded, want %d", len(res.Board.Records), cfg.Rounds)
 	}
 	poisonCount := int(math.Round(cfg.AttackRatio * float64(cfg.Batch)))
 	for _, rec := range res.Board.Records {

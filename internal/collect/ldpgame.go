@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/ldp"
@@ -54,6 +55,10 @@ func (c *LDPConfig) validateMode(shardLocal bool) error {
 	}
 	if len(c.Inputs) == 0 {
 		return fmt.Errorf("collect: empty input pool")
+	}
+	// An LDP worker refuses an input pool holding NaN at configure.
+	if slices.ContainsFunc(c.Inputs, math.IsNaN) {
+		return fmt.Errorf("collect: Inputs holds NaN")
 	}
 	if c.Mechanism == nil {
 		return fmt.Errorf("collect: nil mechanism")

@@ -71,6 +71,11 @@ func (c *RowConfig) validateMode(shardLocal bool) error {
 	if c.Data == nil || c.Data.Len() == 0 {
 		return fmt.Errorf("collect: empty dataset")
 	}
+	// Every row worker refuses a ragged, non-finite or mislabeled dataset
+	// at configure; refuse it here too, before any engine indexes it.
+	if err := c.Data.Validate(); err != nil {
+		return fmt.Errorf("collect: Data: %w", err)
+	}
 	if c.Collector == nil || c.Adversary == nil {
 		return fmt.Errorf("collect: nil strategy")
 	}

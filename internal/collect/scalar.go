@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/stats"
@@ -110,6 +111,10 @@ func (c *Config) validateMode(shardLocal bool) error {
 	}
 	if len(c.Reference) == 0 {
 		return fmt.Errorf("collect: empty reference distribution")
+	}
+	// A scalar worker refuses a reference holding NaN at configure.
+	if slices.ContainsFunc(c.Reference, math.IsNaN) {
+		return fmt.Errorf("collect: Reference holds NaN")
 	}
 	if c.Collector == nil || c.Adversary == nil {
 		return fmt.Errorf("collect: nil strategy")

@@ -33,6 +33,8 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 // ReadCSV parses a dataset written by WriteCSV (or a real dataset exported
 // to the same shape). When labeled is true the last column is read as an
 // integer class label.
+//
+//trimlint:allow deadexport staged: only tests call it (TestCSVRoundtrip, TestCSVUnlabeledRoundtrip, TestReadCSVErrors)
 func ReadCSV(r io.Reader, name string, labeled bool, clusters int) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // validated manually for a better error message

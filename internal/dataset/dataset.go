@@ -1,6 +1,6 @@
 // Package dataset provides the five evaluation datasets of the paper
 // (Control, Vehicle, Letter, Taxi, Creditcard) as deterministic synthetic
-// generators plus CSV I/O so that the real files can be dropped in.
+// generators, which cmd/datagen writes out as CSV.
 //
 // The paper's experiments act on *percentiles* of a numeric view of the data
 // (poison values are injected at a percentile; trimming removes everything
@@ -12,7 +12,6 @@ package dataset
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/stats"
 )
@@ -77,56 +76,6 @@ func (d *Dataset) Distances() ([]float64, error) {
 		ds[i] = stats.Euclidean(row, c)
 	}
 	return ds, nil
-}
-
-// Sample returns a new dataset of n instances drawn without replacement
-// (n ≤ Len) using rng. Labels travel with their rows.
-func (d *Dataset) Sample(rng *rand.Rand, n int) (*Dataset, error) {
-	if n > d.Len() {
-		return nil, fmt.Errorf("dataset %s: sample %d > %d instances", d.Name, n, d.Len())
-	}
-	idx := stats.SampleWithout(rng, d.Len(), n)
-	out := &Dataset{Name: d.Name, Clusters: d.Clusters, X: make([][]float64, n)}
-	if d.Y != nil {
-		out.Y = make([]int, n)
-	}
-	for i, j := range idx {
-		out.X[i] = append([]float64(nil), d.X[j]...)
-		if d.Y != nil {
-			out.Y[i] = d.Y[j]
-		}
-	}
-	return out, nil
-}
-
-// Clone returns a deep copy.
-func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{Name: d.Name, Clusters: d.Clusters, X: make([][]float64, len(d.X))}
-	for i, row := range d.X {
-		out.X[i] = append([]float64(nil), row...)
-	}
-	if d.Y != nil {
-		out.Y = append([]int(nil), d.Y...)
-	}
-	return out
-}
-
-// Append adds rows (and labels, when both sides are labeled) from other.
-func (d *Dataset) Append(other *Dataset) error {
-	if other.Len() == 0 {
-		return nil
-	}
-	if d.Dim() != 0 && other.Dim() != d.Dim() {
-		return fmt.Errorf("dataset %s: append dim %d onto %d", d.Name, other.Dim(), d.Dim())
-	}
-	d.X = append(d.X, other.X...)
-	if d.Y != nil {
-		if other.Y == nil {
-			return fmt.Errorf("dataset %s: appending unlabeled rows to labeled dataset", d.Name)
-		}
-		d.Y = append(d.Y, other.Y...)
-	}
-	return nil
 }
 
 // Column extracts feature j as a fresh slice.

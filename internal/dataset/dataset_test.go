@@ -117,10 +117,8 @@ func TestTaxiNormalization(t *testing.T) {
 	if got := NormalizeTaxi(TaxiMaxSec); got != 1 {
 		t.Errorf("NormalizeTaxi(max) = %v", got)
 	}
-	for _, sec := range []float64{0, 1000, 43170, 86340} {
-		if got := DenormalizeTaxi(NormalizeTaxi(sec)); math.Abs(got-sec) > 1e-9 {
-			t.Errorf("roundtrip(%v) = %v", sec, got)
-		}
+	if got := NormalizeTaxi(TaxiMaxSec / 2); got != 0 {
+		t.Errorf("NormalizeTaxi(max/2) = %v", got)
 	}
 }
 
@@ -195,39 +193,16 @@ func TestSummaryTableII(t *testing.T) {
 	}
 }
 
-func TestSampleCloneAppendColumn(t *testing.T) {
+func TestColumn(t *testing.T) {
 	d := VehicleN(stats.NewRand(9), 100)
-	s, err := d.Sample(stats.NewRand(10), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 40 || s.Dim() != d.Dim() || len(s.Y) != 40 {
-		t.Errorf("Sample shape %d×%d labels %d", s.Len(), s.Dim(), len(s.Y))
-	}
-	if _, err := d.Sample(stats.NewRand(1), 1000); err == nil {
-		t.Error("oversample should error")
-	}
-
-	c := d.Clone()
-	c.X[0][0] = 1e9
-	if d.X[0][0] == 1e9 {
-		t.Error("Clone is shallow")
-	}
-
-	if err := d.Append(s); err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 140 {
-		t.Errorf("Append len = %d, want 140", d.Len())
-	}
-	bad := &Dataset{Name: "bad", X: [][]float64{{1, 2}}}
-	if err := d.Append(bad); err == nil {
-		t.Error("dim-mismatch append should error")
-	}
-
 	col, err := d.Column(0)
-	if err != nil || len(col) != 140 {
-		t.Errorf("Column = %d values, err %v", len(col), err)
+	if err != nil || len(col) != 100 {
+		t.Fatalf("Column = %d values, err %v", len(col), err)
+	}
+	for i, v := range col {
+		if v != d.X[i][0] {
+			t.Fatalf("Column[%d] = %v, want %v", i, v, d.X[i][0])
+		}
 	}
 	if _, err := d.Column(99); err == nil {
 		t.Error("out-of-range column should error")

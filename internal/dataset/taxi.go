@@ -60,8 +60,3 @@ func TaxiN(rng *rand.Rand, n int) *Dataset {
 func NormalizeTaxi(sec float64) float64 {
 	return 2*sec/TaxiMaxSec - 1
 }
-
-// DenormalizeTaxi inverts NormalizeTaxi.
-func DenormalizeTaxi(v float64) float64 {
-	return (v + 1) / 2 * TaxiMaxSec
-}

@@ -198,6 +198,8 @@ func (r *KMeansResult) Print(w io.Writer) {
 
 // SchemeSeries extracts the (ratio, SSE, Distance) series of one scheme in
 // one panel, for tests and downstream analysis.
+//
+//trimlint:allow deadexport reproduction evidence: the figure tests read the paper's series through it
 func (r *KMeansResult) SchemeSeries(datasetName string, interval [2]float64, scheme SchemeName) []KMeansPoint {
 	var out []KMeansPoint
 	for _, panel := range r.Panels {

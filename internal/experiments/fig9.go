@@ -172,6 +172,8 @@ func (r *Fig9Result) Print(w io.Writer) {
 }
 
 // SchemeMSE extracts one scheme's MSE series in one panel.
+//
+//trimlint:allow deadexport reproduction evidence: the figure tests read the paper's series through it
 func (r *Fig9Result) SchemeMSE(ratio float64, scheme SchemeName) []Fig9Point {
 	for _, panel := range r.Panels {
 		if panel.AttackRatio != ratio {

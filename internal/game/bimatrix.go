@@ -56,6 +56,8 @@ func (g *Bimatrix) Rows() int { return len(g.RowNames) }
 func (g *Bimatrix) Cols() int { return len(g.ColNames) }
 
 // IsZeroSum reports whether P1 + P2 == 0 everywhere (within tol).
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func (g *Bimatrix) IsZeroSum(tol float64) bool {
 	for i := range g.P1 {
 		for j := range g.P1[i] {
@@ -134,6 +136,8 @@ func (g *Bimatrix) ParetoDominates(a, b Outcome) bool {
 // collector) as leader: for each committed row, the column player
 // best-responds (breaking ties in the leader's favor, the standard strong
 // Stackelberg assumption); the leader picks the row maximizing her payoff.
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func (g *Bimatrix) StackelbergRow() (Outcome, error) {
 	if g.Rows() == 0 {
 		return Outcome{}, fmt.Errorf("game: empty game")

@@ -28,6 +28,8 @@ func (m MixedStrategy) Validate() error {
 
 // ExpectedPayoffs returns both players' expected payoffs when the row
 // player mixes with x and the column player with y.
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func (g *Bimatrix) ExpectedPayoffs(x, y MixedStrategy) (float64, float64, error) {
 	if len(x) != g.Rows() || len(y) != g.Cols() {
 		return 0, 0, fmt.Errorf("game: mixed strategy lengths %d/%d for %d×%d game",
@@ -75,6 +77,8 @@ func ReducePoint(x, xL, xR float64) (EndpointMix, error) {
 // argument of §III-C2. Values outside the domain are clamped, mirroring the
 // paper's observation that a rational adversary never plays outside
 // [xL, xR].
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func ReduceDistribution(xs []float64, xL, xR float64) (EndpointMix, error) {
 	if len(xs) == 0 {
 		return EndpointMix{}, stats.ErrEmpty
@@ -90,6 +94,8 @@ func ReduceDistribution(xs []float64, xL, xR float64) (EndpointMix, error) {
 }
 
 // Value returns the point the mix represents, pL·xL + pR·xR.
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func (m EndpointMix) Value() float64 {
 	return m.PL*m.XL + m.PR*m.XR
 }
@@ -98,6 +104,8 @@ func (m EndpointMix) Value() float64 {
 // under the mix. For any affine payoff this equals payoff(m.Value()) —
 // the property the paper's completeness argument relies on, covered by
 // property tests.
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func (m EndpointMix) ExpectedPayoff(payoff func(x float64) float64) float64 {
 	return m.PL*payoff(m.XL) + m.PR*payoff(m.XR)
 }

@@ -41,6 +41,8 @@ func (rp RepeatedParams) MaxDelta() (float64, error) {
 
 // Complies reports whether the adversary's rational choice is compliance
 // under compromise delta (Theorem 3).
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func (rp RepeatedParams) Complies(delta float64) (bool, error) {
 	maxD, err := rp.MaxDelta()
 	if err != nil {
@@ -65,6 +67,8 @@ func (rp RepeatedParams) GainDefect() float64 {
 // discounted gain over n rounds, converging to GainComply as n → ∞. It
 // exists so tests can verify the closed forms of equations 10-11 against
 // explicit summation.
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func (rp RepeatedParams) SimulateComply(delta float64, n int) float64 {
 	g0 := rp.GAC() - delta
 	var sum, w float64 = 0, 1
@@ -78,6 +82,8 @@ func (rp RepeatedParams) SimulateComply(delta float64, n int) float64 {
 // SimulateDefect numerically accumulates the defecting adversary's expected
 // discounted gain over n rounds: each round the defector is re-admitted
 // with probability p, so the round-i weight is (d·p)^i.
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func (rp RepeatedParams) SimulateDefect(n int) float64 {
 	var sum, w float64 = 0, 1
 	for i := 0; i < n; i++ {
@@ -91,6 +97,8 @@ func (rp RepeatedParams) SimulateDefect(n int) float64 {
 // with per-round false-trigger probability fp has terminated by round n:
 // 1 − (1−fp)^n. §V-B's motivation for the Elastic strategy is that this
 // converges to 1 for any fp > 0.
+//
+//trimlint:allow deadexport reproduction evidence: the analytical model's tests pin the paper's game theory with it
 func TerminationProbability(fp float64, n int) (float64, error) {
 	if fp < 0 || fp > 1 {
 		return 0, fmt.Errorf("game: false-positive rate %v outside [0,1]", fp)

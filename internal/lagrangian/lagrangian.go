@@ -31,6 +31,8 @@ func (p *Path) Knots() int { return len(p.Q) }
 // Action computes S = ∫ L(q, q̇, r) dr over the path with centered finite
 // differences for q̇ and trapezoidal quadrature — the functional the least
 // action principle (equation 1/3) minimizes.
+//
+//trimlint:allow deadexport reproduction evidence: the least-action model's tests pin the paper's derivation with it
 func Action(L Lagrangian, p *Path) (float64, error) {
 	n := p.Knots()
 	if n < 3 {
@@ -67,6 +69,8 @@ func Action(L Lagrangian, p *Path) (float64, error) {
 // LinearPath builds the straight-line trajectory between q0 and q1 with n
 // knots — the free-particle solution whose action the least-action tests
 // compare against perturbed paths.
+//
+//trimlint:allow deadexport reproduction evidence: the least-action model's tests pin the paper's derivation with it
 func LinearPath(r0, r1 float64, q0, q1 []float64, n int) (*Path, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("lagrangian: need ≥3 knots, got %d", n)
@@ -89,6 +93,8 @@ func LinearPath(r0, r1 float64, q0, q1 []float64, n int) (*Path, error) {
 // PerturbPath returns a copy of p with a smooth interior bump added to
 // every coordinate: amp·sin(π·i/(n−1)) keeps the endpoints fixed, as the
 // variational principle requires.
+//
+//trimlint:allow deadexport reproduction evidence: the least-action model's tests pin the paper's derivation with it
 func PerturbPath(p *Path, amp float64) *Path {
 	n := p.Knots()
 	out := &Path{R0: p.R0, R1: p.R1, Q: make([][]float64, n)}

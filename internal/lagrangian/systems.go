@@ -14,6 +14,8 @@ type FreeSystem struct {
 }
 
 // NewFreeSystem validates the inertial factors.
+//
+//trimlint:allow deadexport reproduction evidence: the least-action model's tests pin the paper's derivation with it
 func NewFreeSystem(ma, mc float64) (*FreeSystem, error) {
 	if !(ma > 0) || !(mc > 0) {
 		return nil, fmt.Errorf("lagrangian: masses must be positive, got %v, %v", ma, mc)
@@ -22,6 +24,8 @@ func NewFreeSystem(ma, mc float64) (*FreeSystem, error) {
 }
 
 // Lagrangian returns L(q, q̇) with q = (u_a, u_c).
+//
+//trimlint:allow deadexport reproduction evidence: the least-action model's tests pin the paper's derivation with it
 func (s *FreeSystem) Lagrangian() Lagrangian {
 	return func(q, qdot []float64, r float64) float64 {
 		return s.MA*qdot[0]*qdot[0]/2 + s.MC*qdot[1]*qdot[1]/2
@@ -29,6 +33,8 @@ func (s *FreeSystem) Lagrangian() Lagrangian {
 }
 
 // Acceleration returns the E-L dynamics ü = 0.
+//
+//trimlint:allow deadexport reproduction evidence: the least-action model's tests pin the paper's derivation with it
 func (s *FreeSystem) Acceleration() Acceleration {
 	return func(q, qdot []float64, r float64) []float64 {
 		return []float64{0, 0}
@@ -56,6 +62,8 @@ func NewElasticSystem(ma, mc, k float64) (*ElasticSystem, error) {
 
 // Lagrangian returns L = T − U in the mechanics sign convention, so the
 // E-L equations restore the relative utility toward 0 (equation 14).
+//
+//trimlint:allow deadexport reproduction evidence: the least-action model's tests pin the paper's derivation with it
 func (s *ElasticSystem) Lagrangian() Lagrangian {
 	return func(q, qdot []float64, r float64) float64 {
 		rel := q[0] - q[1]
@@ -85,6 +93,8 @@ func (s *ElasticSystem) Period() float64 {
 
 // Energy returns the conserved total energy T + U at a state, used by the
 // integrator tests.
+//
+//trimlint:allow deadexport reproduction evidence: the least-action model's tests pin the paper's derivation with it
 func (s *ElasticSystem) Energy(st State) float64 {
 	rel := st.Q[0] - st.Q[1]
 	return s.MA*st.Qdot[0]*st.Qdot[0]/2 + s.MC*st.Qdot[1]*st.Qdot[1]/2 + s.K*rel*rel/2

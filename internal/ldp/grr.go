@@ -32,12 +32,6 @@ func NewGRR(eps float64, k int) (*GRR, error) {
 	return &GRR{eps: eps, k: k, p: p, q: (1 - p) / float64(k-1)}, nil
 }
 
-// Epsilon returns the privacy budget.
-func (g *GRR) Epsilon() float64 { return g.eps }
-
-// K returns the category count.
-func (g *GRR) K() int { return g.k }
-
 // Perturb randomizes category v ∈ [0, k).
 func (g *GRR) Perturb(rng *rand.Rand, v int) (int, error) {
 	if v < 0 || v >= g.k {
@@ -83,10 +77,6 @@ func (m *GRRValue) Epsilon() float64 { return m.g.eps }
 
 // K returns the category count.
 func (m *GRRValue) K() int { return m.g.k }
-
-// InputBounds returns the category domain [0, k−1] — honest inputs and
-// forged manipulation inputs alike are clamped into it (Clamper).
-func (m *GRRValue) InputBounds() (lo, hi float64) { return 0, float64(m.g.k - 1) }
 
 // OutputBounds returns the report support [0, k−1].
 func (m *GRRValue) OutputBounds() (lo, hi float64) { return 0, float64(m.g.k - 1) }
@@ -139,6 +129,8 @@ func (m *GRRValue) MeanEstimateFromSum(sum float64, n int) float64 {
 // counts per category, return unbiased frequency estimates of the true
 // distribution. Estimates may fall slightly outside [0,1]; they are NOT
 // clipped so that unbiasedness (and the tests asserting it) hold.
+//
+//trimlint:allow deadexport staged: only tests call it (TestGRRFrequencyRecovery, TestGRRValidation)
 func (g *GRR) EstimateFrequencies(counts []int) ([]float64, error) {
 	if len(counts) != g.k {
 		return nil, fmt.Errorf("ldp: GRR got %d counts for k=%d", len(counts), g.k)

@@ -15,9 +15,6 @@ func TestGRRValueBoundsAndClamp(t *testing.T) {
 	if m.Epsilon() != 2 || m.K() != 5 {
 		t.Fatalf("eps %v k %d", m.Epsilon(), m.K())
 	}
-	if lo, hi := m.InputBounds(); lo != 0 || hi != 4 {
-		t.Fatalf("input bounds [%v, %v]", lo, hi)
-	}
 	if lo, hi := m.OutputBounds(); lo != 0 || hi != 4 {
 		t.Fatalf("output bounds [%v, %v]", lo, hi)
 	}
@@ -106,8 +103,8 @@ func TestInputManipulatorRespectsInputClamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Input() != 7 {
-		t.Fatalf("forged input %v, want category 7", man.Input())
+	if man.input != 7 {
+		t.Fatalf("forged input %v, want category 7", man.input)
 	}
 	// Numeric mechanisms keep the [−1, 1] clamp.
 	pw, err := NewPiecewise(2)
@@ -118,7 +115,7 @@ func TestInputManipulatorRespectsInputClamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Input() != 1 {
-		t.Fatalf("numeric forged input %v, want 1", man.Input())
+	if man.input != 1 {
+		t.Fatalf("numeric forged input %v, want 1", man.input)
 	}
 }

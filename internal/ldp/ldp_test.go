@@ -179,8 +179,8 @@ func TestGRRValidation(t *testing.T) {
 	if _, err := g.EstimateFrequencies([]int{-1, 1, 1, 1}); err == nil {
 		t.Error("negative count should error")
 	}
-	if g.K() != 4 || g.Epsilon() != 1 {
-		t.Errorf("K=%d eps=%v", g.K(), g.Epsilon())
+	if g.k != 4 || g.eps != 1 {
+		t.Errorf("K=%d eps=%v", g.k, g.eps)
 	}
 }
 
@@ -280,22 +280,19 @@ func TestEMFilterHonestOnly(t *testing.T) {
 }
 
 func TestEMFilterCatchesGeneralManipulation(t *testing.T) {
-	// General manipulators park all reports at the output extreme — a
-	// channel-inconsistent spike the EM should attribute to attackers.
+	// General manipulators ignore the mechanism and park all reports at
+	// the output extreme — a channel-inconsistent spike the EM should
+	// attribute to attackers.
 	p, _ := NewPiecewise(2.0)
 	f, _ := NewEMFilter(p, 32, 64)
 	rng := stats.NewRand(10)
-	gm, err := NewGeneralManipulator(p, p.C())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var reports []float64
 	for i := 0; i < 30000; i++ {
 		x := stats.Clamp(stats.Normal(rng, 0, 0.2), -1, 1)
 		reports = append(reports, p.Perturb(rng, x))
 	}
 	for i := 0; i < 6000; i++ { // 20% attackers
-		reports = append(reports, gm.Report(rng))
+		reports = append(reports, p.C())
 	}
 	res, err := f.Fit(reports)
 	if err != nil {
@@ -322,8 +319,8 @@ func TestEMFilterBlindToInputManipulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Input() != 1.0 {
-		t.Errorf("Input = %v", im.Input())
+	if im.input != 1.0 {
+		t.Errorf("Input = %v", im.input)
 	}
 	var reports []float64
 	for i := 0; i < 30000; i++ {
@@ -345,23 +342,12 @@ func TestEMFilterBlindToInputManipulation(t *testing.T) {
 }
 
 func TestManipulatorValidation(t *testing.T) {
-	if _, err := NewGeneralManipulator(nil, 1); err == nil {
-		t.Error("nil mechanism should error")
-	}
 	if _, err := NewInputManipulator(nil, 1); err == nil {
 		t.Error("nil mechanism should error")
 	}
 	p, _ := NewPiecewise(1.0)
-	gm, err := NewGeneralManipulator(p, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, hi := p.OutputBounds()
-	if gm.Report(nil) != hi {
-		t.Errorf("out-of-domain general report should clamp to %v, got %v", hi, gm.Report(nil))
-	}
 	imr, _ := NewInputManipulator(p, 42)
-	if imr.Input() != 1 {
-		t.Errorf("input should clamp to 1, got %v", imr.Input())
+	if imr.input != 1 {
+		t.Errorf("input should clamp to 1, got %v", imr.input)
 	}
 }

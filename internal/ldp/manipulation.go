@@ -16,33 +16,9 @@ import (
 //     mechanism honestly. Weaker skew but channel-consistent, giving the
 //     attacker deniability; this is the "potent evasion strategy" the
 //     paper's Fig 9 uses against the EMF.
-
-// GeneralManipulator reports a fixed value in the mechanism's output domain.
-type GeneralManipulator struct {
-	mech  Mechanism
-	value float64
-}
-
-// NewGeneralManipulator builds an attacker that always reports value,
-// clamped to the mechanism's output bounds (out-of-support reports would be
-// trivially detectable).
-func NewGeneralManipulator(mech Mechanism, value float64) (*GeneralManipulator, error) {
-	if mech == nil {
-		return nil, fmt.Errorf("ldp: nil mechanism")
-	}
-	lo, hi := mech.OutputBounds()
-	if value < lo {
-		value = lo
-	}
-	if value > hi {
-		value = hi
-	}
-	return &GeneralManipulator{mech: mech, value: value}, nil
-}
-
-// Report returns the poison report (the rng is unused but kept for
-// interface symmetry with honest reporting).
-func (g *GeneralManipulator) Report(*rand.Rand) float64 { return g.value }
+//
+// Only input manipulation needs a type: a general manipulator reports a
+// constant.
 
 // InputManipulator forges an in-domain input and perturbs it honestly.
 type InputManipulator struct {
@@ -64,9 +40,6 @@ func NewInputManipulator(mech Mechanism, input float64) (*InputManipulator, erro
 	}
 	return &InputManipulator{mech: mech, input: input}, nil
 }
-
-// Input returns the forged input value.
-func (m *InputManipulator) Input() float64 { return m.input }
 
 // Report perturbs the forged input through the real mechanism.
 func (m *InputManipulator) Report(rng *rand.Rand) float64 {

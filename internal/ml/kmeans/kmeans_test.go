@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,16 +159,16 @@ func TestOnControlDataset(t *testing.T) {
 	}
 	// Poisoning the dataset must increase SSE relative to clean data when
 	// measured against the clean centroids — sanity for the Fig 4 pipeline.
-	poisoned := d.Clone()
+	poisoned := slices.Clone(d.X)
 	rng := stats.NewRand(11)
 	for i := 0; i < 120; i++ {
 		row := make([]float64, d.Dim())
 		for j := range row {
 			row[j] = 200 + rng.Float64()*50 // far outside control-chart range
 		}
-		poisoned.X = append(poisoned.X, row)
+		poisoned = append(poisoned, row)
 	}
-	resP, err := Fit(stats.NewRand(12), poisoned.X, Config{K: d.Clusters, Restarts: 2})
+	resP, err := Fit(stats.NewRand(12), poisoned, Config{K: d.Clusters, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,6 +130,8 @@ func (m *Map) QuantizationError(rows [][]float64) float64 {
 // UMatrix returns the unified distance matrix: for each neuron, the mean
 // Euclidean distance to its 4-connected grid neighbours. Large values mark
 // cluster boundaries — the "color depth" of the paper's SOM figures.
+//
+//trimlint:allow deadexport staged: only tests call it (TestUMatrixShapeAndBoundary)
 func (m *Map) UMatrix() [][]float64 {
 	u := make([][]float64, m.Rows)
 	for r := range u {
@@ -153,6 +155,8 @@ func (m *Map) UMatrix() [][]float64 {
 }
 
 // HitMap returns, for each neuron, how many of rows map to it.
+//
+//trimlint:allow deadexport staged: only tests call it (TestHitMap)
 func (m *Map) HitMap(rows [][]float64) []int {
 	hits := make([]int, len(m.Weights))
 	for _, x := range rows {

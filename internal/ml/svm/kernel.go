@@ -10,7 +10,7 @@ import (
 
 // KernelModel is a binary RBF-kernel SVM trained with kernelized Pegasos:
 // f(x) = (1/(λT)) Σ_i α_i y_i K(x_i, x). MATLAB's fitcsvm — the paper's SVM
-// — defaults to a kernel machine; the linear Model above cannot separate
+// — defaults to a kernel machine; the linear Model cannot separate
 // control-chart classes that share a mean, so the Fig 6(a)/Fig 7 pipeline
 // uses this type.
 type KernelModel struct {
@@ -76,14 +76,6 @@ func (m *KernelModel) Decision(x []float64) float64 {
 		s += m.Coef[i] * rbf(sv, x, m.Gamma)
 	}
 	return s
-}
-
-// Predict returns the binary label in {−1, +1}.
-func (m *KernelModel) Predict(x []float64) int {
-	if m.Decision(x) >= 0 {
-		return 1
-	}
-	return -1
 }
 
 // gram precomputes the RBF Gram matrix, shared by all one-vs-rest

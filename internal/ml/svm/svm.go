@@ -1,8 +1,11 @@
-// Package svm implements a linear support vector machine trained with the
-// Pegasos primal sub-gradient solver (Shalev-Shwartz et al., 2007) and a
-// one-vs-rest reduction for multiclass problems. It is the classification
-// consumer of the paper's Fig 6(a)/Fig 7 experiments, which report accuracy
-// and per-class PPV/FDR on the labeled Control dataset.
+// Package svm implements an RBF-kernel support vector machine trained with
+// kernelized Pegasos (Shalev-Shwartz et al., 2007) and a one-vs-rest
+// reduction for multiclass problems (TrainKernel, kernel.go). It is the
+// classification consumer of the paper's Fig 6(a)/Fig 7 experiments, which
+// report accuracy and per-class PPV/FDR (Confusion) on the labeled Control
+// dataset. The linear Pegasos SVM below (Train) cannot separate
+// control-chart classes that share a mean, so no harness uses it; it is
+// staged for deletion with its tests.
 package svm
 
 import (
@@ -25,6 +28,8 @@ func (m *Model) Decision(x []float64) float64 {
 }
 
 // Predict returns the binary label in {−1, +1}.
+//
+//trimlint:allow deadexport staged: only tests call it (the linear SVM and Multiclass tests)
 func (m *Model) Predict(x []float64) int {
 	if m.Decision(x) >= 0 {
 		return 1
@@ -102,6 +107,8 @@ type Multiclass struct {
 }
 
 // Train fits a one-vs-rest multiclass SVM. Labels must be in [0, classes).
+//
+//trimlint:allow deadexport staged: only tests call it (the linear SVM and Multiclass tests)
 func Train(rng *rand.Rand, rows [][]float64, labels []int, classes int, cfg Config) (*Multiclass, error) {
 	if classes < 2 {
 		return nil, fmt.Errorf("svm: %d classes", classes)
@@ -145,6 +152,8 @@ func (mc *Multiclass) Predict(x []float64) int {
 }
 
 // Accuracy returns the fraction of rows whose prediction matches labels.
+//
+//trimlint:allow deadexport staged: only tests call it (the linear SVM and Multiclass tests)
 func (mc *Multiclass) Accuracy(rows [][]float64, labels []int) float64 {
 	if len(rows) == 0 {
 		return math.NaN()
@@ -165,6 +174,8 @@ type Confusion struct {
 }
 
 // NewConfusion evaluates the model on rows/labels.
+//
+//trimlint:allow deadexport staged: only tests call it (the linear SVM and Multiclass tests)
 func (mc *Multiclass) NewConfusion(rows [][]float64, labels []int) *Confusion {
 	cm := &Confusion{Classes: mc.Classes, Counts: make([][]int, mc.Classes)}
 	for i := range cm.Counts {

@@ -222,16 +222,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the exact sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
 // within the bucket the rank falls in — the resolution is the bucket
 // ladder, which is what fixed buckets buy. NaN on an empty (or nil)

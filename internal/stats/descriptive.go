@@ -42,11 +42,15 @@ func Variance(xs []float64) float64 {
 }
 
 // StdDev returns the population standard deviation of xs.
+//
+//trimlint:allow deadexport staged: only tests call it (TestVarianceAndStdDev, TestNormalMoments)
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
 // Min returns the minimum of xs.
+//
+//trimlint:allow deadexport staged: only tests call it (TestMinMax, TestMeanVarianceProperties)
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
@@ -61,6 +65,8 @@ func Min(xs []float64) (float64, error) {
 }
 
 // Max returns the maximum of xs.
+//
+//trimlint:allow deadexport staged: only tests call it (TestMinMax, TestMeanVarianceProperties)
 func Max(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
@@ -76,6 +82,8 @@ func Max(xs []float64) (float64, error) {
 
 // MSE returns the mean squared error between observed ys and predicted yhat.
 // The slices must have equal, non-zero length.
+//
+//trimlint:allow deadexport staged: only tests call it (TestMSEAndSSE)
 func MSE(ys, yhat []float64) (float64, error) {
 	if len(ys) == 0 {
 		return 0, ErrEmpty
@@ -93,6 +101,8 @@ func MSE(ys, yhat []float64) (float64, error) {
 
 // SSE returns the sum of squared errors between observed ys and predicted
 // yhat, matching the paper's SSE = Σ (y_i − ŷ_i)².
+//
+//trimlint:allow deadexport staged: only tests call it (TestMSEAndSSE)
 func SSE(ys, yhat []float64) (float64, error) {
 	if len(ys) != len(yhat) {
 		return 0, errors.New("stats: SSE length mismatch")
@@ -103,11 +113,6 @@ func SSE(ys, yhat []float64) (float64, error) {
 		s += d * d
 	}
 	return s, nil
-}
-
-// AbsError returns |a−b|.
-func AbsError(a, b float64) float64 {
-	return math.Abs(a - b)
 }
 
 // Clamp limits x to [lo, hi].

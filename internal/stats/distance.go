@@ -45,6 +45,8 @@ func Euclidean(a, b []float64) float64 {
 }
 
 // Manhattan returns the L1 distance Σ|a_i − b_i|.
+//
+//trimlint:allow deadexport staged: only tests call it (TestEuclideanDistances, TestDistancePanicsOnMismatch/Manhattan)
 func Manhattan(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("stats: dimension mismatch %d vs %d", len(a), len(b)))

@@ -26,9 +26,6 @@ func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
 	return &Histogram{Lo: lo, Hi: hi, Counts: make([]float64, bins)}, nil
 }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.Counts) }
-
 // BinOf returns the bin index for x, clamping out-of-domain values to the
 // boundary bins (poison values may exceed the honest domain on purpose).
 func (h *Histogram) BinOf(x float64) int {
@@ -61,9 +58,6 @@ func (h *Histogram) AddWeighted(x, w float64) {
 	h.total += w
 }
 
-// Total returns the summed weight.
-func (h *Histogram) Total() float64 { return h.total }
-
 // Frequencies returns the normalized bin frequencies (summing to 1). An
 // empty histogram yields all zeros.
 func (h *Histogram) Frequencies() []float64 {
@@ -78,6 +72,8 @@ func (h *Histogram) Frequencies() []float64 {
 }
 
 // Mean returns the histogram-approximated mean using bin centers.
+//
+//trimlint:allow deadexport staged: only tests call it (TestHistogramFrequenciesAndMean, TestHistogramInvariants)
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
 		return math.NaN()
@@ -87,44 +83,6 @@ func (h *Histogram) Mean() float64 {
 		s += h.Center(i) * c
 	}
 	return s / h.total
-}
-
-// QuantileValue returns the value at the q-th quantile of the histogram
-// using linear interpolation within the containing bin.
-func (h *Histogram) QuantileValue(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	q = Clamp(q, 0, 1)
-	target := q * h.total
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	var cum float64
-	for i, c := range h.Counts {
-		if cum+c >= target {
-			frac := 0.0
-			if c > 0 {
-				frac = (target - cum) / c
-			}
-			return h.Lo + (float64(i)+frac)*w
-		}
-		cum += c
-	}
-	return h.Hi
-}
-
-// L1Distance returns the total-variation-style L1 distance between the
-// normalized frequencies of h and other. The histograms must have the same
-// bin count.
-func (h *Histogram) L1Distance(other *Histogram) (float64, error) {
-	if len(h.Counts) != len(other.Counts) {
-		return 0, fmt.Errorf("stats: histogram bin mismatch %d vs %d", len(h.Counts), len(other.Counts))
-	}
-	a, b := h.Frequencies(), other.Frequencies()
-	var d float64
-	for i := range a {
-		d += math.Abs(a[i] - b[i])
-	}
-	return d, nil
 }
 
 // FromSamples builds a histogram over [lo,hi] with bins bins from xs.

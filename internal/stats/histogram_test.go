@@ -37,8 +37,8 @@ func TestHistogramBinning(t *testing.T) {
 	if h.Counts[5] != 1 {
 		t.Errorf("bin 5 = %v, want 1", h.Counts[5])
 	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %v, want 5", h.Total())
+	if h.total != 5 {
+		t.Errorf("total = %v, want 5", h.total)
 	}
 }
 
@@ -82,41 +82,6 @@ func TestHistogramFrequenciesAndMean(t *testing.T) {
 		if v != 0 {
 			t.Errorf("empty Frequencies = %v", ef)
 		}
-	}
-}
-
-func TestHistogramQuantileValue(t *testing.T) {
-	h, _ := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		got := h.QuantileValue(q)
-		if math.Abs(got-q*100) > 2 {
-			t.Errorf("QuantileValue(%v) = %v, want ≈%v", q, got, q*100)
-		}
-	}
-	empty, _ := NewHistogram(0, 1, 2)
-	if !math.IsNaN(empty.QuantileValue(0.5)) {
-		t.Error("empty QuantileValue should be NaN")
-	}
-}
-
-func TestHistogramL1Distance(t *testing.T) {
-	a, _ := NewHistogram(0, 1, 2)
-	b, _ := NewHistogram(0, 1, 2)
-	a.Add(0.25)
-	b.Add(0.75)
-	d, err := a.L1Distance(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-2) > 1e-12 {
-		t.Errorf("L1Distance = %v, want 2 (disjoint)", d)
-	}
-	c, _ := NewHistogram(0, 1, 3)
-	if _, err := a.L1Distance(c); err == nil {
-		t.Error("bin mismatch should error")
 	}
 }
 

@@ -30,6 +30,8 @@ type P2Quantile struct {
 
 // NewP2Quantile returns a streaming estimator for the q-th quantile,
 // 0 < q < 1.
+//
+//trimlint:allow deadexport staged: only tests call it (the TestP2 tests, BenchmarkPercentileP2)
 func NewP2Quantile(q float64) (*P2Quantile, error) {
 	if !(q > 0 && q < 1) {
 		return nil, fmt.Errorf("stats: P2 quantile %v outside (0,1)", q)
@@ -38,6 +40,8 @@ func NewP2Quantile(q float64) (*P2Quantile, error) {
 }
 
 // Add absorbs one observation.
+//
+//trimlint:allow deadexport staged: only tests call it (the TestP2 tests, BenchmarkPercentileP2)
 func (p *P2Quantile) Add(x float64) {
 	p.n++
 	if !p.ready {
@@ -117,6 +121,8 @@ func (p *P2Quantile) linear(i int, d float64) float64 {
 // Value returns the current quantile estimate. Before five observations it
 // falls back to an exact computation on the buffered values; with no
 // observations it returns NaN.
+//
+//trimlint:allow deadexport staged: only tests call it (the TestP2 tests, BenchmarkPercentileP2)
 func (p *P2Quantile) Value() float64 {
 	if p.ready {
 		return p.h[2]
@@ -130,4 +136,6 @@ func (p *P2Quantile) Value() float64 {
 }
 
 // Count returns the number of observations absorbed.
+//
+//trimlint:allow deadexport staged: only tests call it (the TestP2 tests, BenchmarkPercentileP2)
 func (p *P2Quantile) Count() int { return p.n }

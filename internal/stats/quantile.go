@@ -45,19 +45,10 @@ func Percentile(xs []float64, p float64) float64 {
 	return Quantile(xs, p/100)
 }
 
-// PercentileRank returns the fraction of elements in xs that are ≤ v, i.e.
-// the empirical CDF of xs evaluated at v. It is the inverse operation of
-// Quantile and is used to express injection/trim positions as percentiles.
-func PercentileRank(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	SortFloat64s(sorted)
-	return PercentileRankSorted(sorted, v)
-}
-
-// PercentileRankSorted is PercentileRank for already-sorted input.
+// PercentileRankSorted returns the fraction of elements in sorted (which
+// must be in ascending order) that are ≤ v, i.e. the empirical CDF
+// evaluated at v. It is the inverse of QuantileSorted and expresses
+// injection and trim positions as percentiles.
 func PercentileRankSorted(sorted []float64, v float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
@@ -88,6 +79,8 @@ func TrimAbove(xs []float64, threshold float64) []float64 {
 // TrimAtPercentile removes all elements strictly above the p-th percentile
 // (0 ≤ p ≤ 100) of xs and returns the kept elements along with the threshold
 // value used.
+//
+//trimlint:allow deadexport staged: only tests call it (TestTrimAtPercentile)
 func TrimAtPercentile(xs []float64, p float64) (kept []float64, threshold float64) {
 	threshold = Percentile(xs, p)
 	return TrimAbove(xs, threshold), threshold

@@ -74,12 +74,12 @@ func TestPercentileRank(t *testing.T) {
 		{0, 0}, {1, 0.2}, {3, 0.6}, {5, 1}, {10, 1}, {2.5, 0.4},
 	}
 	for _, c := range cases {
-		if got := PercentileRank(xs, c.v); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("PercentileRank(%v) = %v, want %v", c.v, got, c.want)
+		if got := PercentileRankSorted(xs, c.v); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("PercentileRankSorted(%v) = %v, want %v", c.v, got, c.want)
 		}
 	}
-	if !math.IsNaN(PercentileRank(nil, 1)) {
-		t.Error("PercentileRank(empty) should be NaN")
+	if !math.IsNaN(PercentileRankSorted(nil, 1)) {
+		t.Error("PercentileRankSorted(empty) should be NaN")
 	}
 }
 
@@ -169,8 +169,9 @@ func TestTrimIdempotent(t *testing.T) {
 	}
 }
 
-// Property: PercentileRank is the inverse of Quantile in the sense that
-// Quantile(xs, PercentileRank(xs, v)) ≤ v for v in range.
+// Property: PercentileRankSorted is the inverse of QuantileSorted in the
+// sense that QuantileSorted(xs, PercentileRankSorted(xs, v)) ≤ v for v in
+// range.
 func TestRankQuantileGalois(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := finite(raw)

@@ -27,6 +27,8 @@ func NormalSlice(rng *rand.Rand, n int, mu, sigma float64) []float64 {
 }
 
 // UniformSlice draws n samples from U[lo, hi).
+//
+//trimlint:allow deadexport staged: only tests call it (TestUniformSliceRange)
 func UniformSlice(rng *rand.Rand, n int, lo, hi float64) []float64 {
 	xs := make([]float64, n)
 	for i := range xs {
@@ -37,6 +39,8 @@ func UniformSlice(rng *rand.Rand, n int, lo, hi float64) []float64 {
 
 // Laplace draws one sample from the Laplace distribution with location mu
 // and scale b, the noise primitive of ε-differential privacy.
+//
+//trimlint:allow deadexport staged: only tests call it (TestLaplaceMoments)
 func Laplace(rng *rand.Rand, mu, b float64) float64 {
 	u := rng.Float64() - 0.5
 	return mu - b*sign(u)*math.Log(1-2*math.Abs(u))
@@ -75,22 +79,17 @@ func Mixture(rng *rand.Rand, comps []MixtureComponent) float64 {
 	return Normal(rng, last.Mu, last.Sigma)
 }
 
-// MixtureSlice draws n samples from the mixture.
-func MixtureSlice(rng *rand.Rand, n int, comps []MixtureComponent) []float64 {
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = Mixture(rng, comps)
-	}
-	return xs
-}
-
 // Shuffle permutes xs in place using rng.
+//
+//trimlint:allow deadexport staged: only tests call it (TestShufflePreservesMultiset)
 func Shuffle(rng *rand.Rand, xs []float64) {
 	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
 }
 
 // SampleWithout returns k indices sampled without replacement from [0, n).
 // It panics if k > n.
+//
+//trimlint:allow deadexport staged: only tests call it (TestSampleWithout)
 func SampleWithout(rng *rand.Rand, n, k int) []int {
 	if k > n {
 		panic("stats: sample larger than population")
@@ -100,6 +99,8 @@ func SampleWithout(rng *rand.Rand, n, k int) []int {
 }
 
 // Bernoulli returns true with probability p.
+//
+//trimlint:allow deadexport staged: only tests call it (TestBernoulli)
 func Bernoulli(rng *rand.Rand, p float64) bool {
 	return rng.Float64() < p
 }

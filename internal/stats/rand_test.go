@@ -60,7 +60,10 @@ func TestMixtureWeights(t *testing.T) {
 		{Weight: 3, Mu: -10, Sigma: 0.1},
 		{Weight: 1, Mu: 10, Sigma: 0.1},
 	}
-	xs := MixtureSlice(rng, 40000, comps)
+	xs := make([]float64, 40000)
+	for i := range xs {
+		xs[i] = Mixture(rng, comps)
+	}
 	var left int
 	for _, x := range xs {
 		if x < 0 {

@@ -349,7 +349,7 @@ func TestVectorPushRows(t *testing.T) {
 		for q := 0.1; q < 1; q += 0.2 {
 			a := byRow.Coord(d).Query(q)
 			b := byBatch.Coord(d).Query(q)
-			if ra, rb := byRow.Coord(d).Rank(a), byRow.Coord(d).Rank(b); math.Abs(ra-rb) > 3*eps {
+			if ra, rb := byRow.Coord(d).Snapshot().Rank(a), byRow.Coord(d).Snapshot().Rank(b); math.Abs(ra-rb) > 3*eps {
 				t.Errorf("dim %d q=%.1f: row-wise %v vs batch %v", d, q, a, b)
 			}
 		}

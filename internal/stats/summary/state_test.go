@@ -189,7 +189,7 @@ func TestFromStateAcceptsEveryNewSize(t *testing.T) {
 			}
 			st.Push(1)
 			if _, err := FromState(st.State()); err != nil {
-				t.Errorf("New(%v, %d): block size %d: %v", eps, hint, st.BlockSize(), err)
+				t.Errorf("New(%v, %d): block size %d: %v", eps, hint, st.blockSize, err)
 			}
 		}
 	}

@@ -115,9 +115,6 @@ func blockSizeRange(eps float64) (lo, hi int) {
 // Epsilon returns the configured rank-error budget.
 func (st *Stream) Epsilon() float64 { return st.eps }
 
-// BlockSize returns the flush-buffer size the error budget resolved to.
-func (st *Stream) BlockSize() int { return st.blockSize }
-
 // SetFocus narrows the compression budget around the rank window
 // [pct−width, pct+width] (clamped to [0,1]): every subsequent compression
 // keeps tighten× denser rank coverage inside the window, so queries near
@@ -289,12 +286,6 @@ func (st *Stream) Snapshot() *Summary {
 
 // Query returns the ε-approximate q-th quantile of the stream.
 func (st *Stream) Query(q float64) float64 { return st.Snapshot().Query(q) }
-
-// Rank returns the ε-approximate empirical CDF of the stream at v.
-func (st *Stream) Rank(v float64) float64 { return st.Snapshot().Rank(v) }
-
-// Median is Query(0.5).
-func (st *Stream) Median() float64 { return st.Query(0.5) }
 
 // Count returns the number of observations pushed.
 func (st *Stream) Count() int { return st.count }

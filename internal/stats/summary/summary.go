@@ -397,6 +397,8 @@ func (s *Summary) Rank(v float64) float64 {
 // total weight: the largest rank gap a query can fall into. A fresh exact
 // summary reports 0; Compress(b) grows it by at most 1/b and Merge by
 // nothing beyond max of the inputs.
+//
+//trimlint:allow deadexport test oracle: the ε bound the merge and compress property tests read
 func (s *Summary) ApproxError() float64 {
 	if len(s.entries) == 0 {
 		return 0

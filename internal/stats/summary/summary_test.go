@@ -136,7 +136,7 @@ func TestRankWithinEpsilonAcrossStreams(t *testing.T) {
 			for f := 0.0; f <= 1.0001; f += 0.05 {
 				v := sorted[0] + f*span
 				lo, hi := rankInterval(sorted, v)
-				r := st.Rank(v)
+				r := st.Snapshot().Rank(v)
 				if r < lo-eps || r > hi+eps {
 					t.Errorf("Rank(%v) = %v with true CDF [%v, %v]: outside ε=%v",
 						v, r, lo, hi, eps)
@@ -365,11 +365,11 @@ func TestEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(st.Query(0.5)) || !math.IsNaN(st.Rank(0)) {
+	if !math.IsNaN(st.Query(0.5)) || !math.IsNaN(st.Snapshot().Rank(0)) {
 		t.Error("empty stream must report NaN")
 	}
 	st.Push(42)
-	if st.Query(0) != 42 || st.Query(1) != 42 || st.Median() != 42 {
+	if st.Query(0) != 42 || st.Query(1) != 42 || st.Query(0.5) != 42 {
 		t.Error("single-value stream must return the value at every quantile")
 	}
 	if st.Min() != 42 || st.Max() != 42 || st.Count() != 1 {

@@ -100,6 +100,8 @@ func (v *Vector) PushRow(row []float64) error {
 // one pooled column gather and one PushBatch per dimension, so ingesting a
 // round's accepted rows costs dim chunk flushes instead of dim·rows
 // item pushes. Rank-equivalent to row-wise PushRow within each stream's ε.
+//
+//trimlint:allow deadexport the row workers are to batch their kept rows through it (ROADMAP, the row game's vector path)
 func (v *Vector) PushRows(rows [][]float64) error {
 	for _, row := range rows {
 		if len(row) != len(v.dims) {

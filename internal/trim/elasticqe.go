@@ -22,6 +22,8 @@ type ElasticQE struct {
 }
 
 // NewElasticQE validates and builds the strategy.
+//
+//trimlint:allow deadexport reproduction evidence: the paper's Algorithm 2, which the trim tests pin Elastic against
 func NewElasticQE(softPct, hardPct, k float64) (*ElasticQE, error) {
 	if err := validatePct("soft", softPct); err != nil {
 		return nil, err

@@ -27,8 +27,9 @@ func gameSummary(tb testing.TB) *summary.Summary {
 }
 
 // BenchmarkWireEncodeDecode measures the serialize/deserialize round trip of
-// one quantile summary and reports it per entry (ns/entry, and B/entry of
-// the encoded message). The cases are a game-shaped summary (gameSummary:
+// one quantile summary through the summary block codec every
+// summary-bearing message nests, and reports it per entry (ns/entry, and
+// B/entry of the encoded block). The cases are a game-shaped summary (gameSummary:
 // compressed, unit weights) and uncompressed summaries of 1k and 100k
 // distinct values — a small delta and a full-stream snapshot. It reports
 // no MB/s: bytes per second of a compact block do not compare across
@@ -48,12 +49,12 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	for i, s := range sums {
 		b.Run(names[i], func(b *testing.B) {
 			n := float64(s.Size())
-			buf := EncodeSummary(nil, s)
+			buf := appendSummaryBlock(nil, s)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = EncodeSummary(buf[:0], s)
-				if _, err := DecodeSummary(buf); err != nil {
+				buf = appendSummaryBlock(buf[:0], s)
+				if _, err := decodeSummaryBlock(buf); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,7 +12,8 @@ import (
 )
 
 // goldenTables are the encoded round-trip tables, one message list per
-// payload kind, each in table order.
+// table, each in table order. The summary and vector tables are reports
+// carrying the round-trip summaries and vectors.
 func goldenTables(t testing.TB) map[string][][]byte {
 	tables := map[string][][]byte{}
 	for _, d := range roundTripDirectives() {
@@ -21,11 +22,11 @@ func goldenTables(t testing.TB) map[string][][]byte {
 	for _, rep := range roundTripReports(t) {
 		tables["report"] = append(tables["report"], EncodeReport(nil, rep))
 	}
-	for _, s := range roundTripSummaries(t) {
-		tables["summary"] = append(tables["summary"], EncodeSummary(nil, s))
+	for _, rep := range summaryReports(t) {
+		tables["summary"] = append(tables["summary"], EncodeReport(nil, rep))
 	}
-	for _, v := range roundTripVectors(t) {
-		tables["vector"] = append(tables["vector"], EncodeVector(nil, v))
+	for _, rep := range vectorReports(t) {
+		tables["vector"] = append(tables["vector"], EncodeReport(nil, rep))
 	}
 	for _, s := range roundTripSnapshots(t) {
 		tables["snapshot"] = append(tables["snapshot"], EncodeSnapshot(nil, s))
@@ -33,25 +34,28 @@ func goldenTables(t testing.TB) map[string][][]byte {
 	return tables
 }
 
-// TestEncodingGolden pins the bytes of format 16: the FNV-64a digest of each
+// TestEncodingGolden pins the bytes of format 17: the FNV-64a digest of each
 // round-trip table's messages, concatenated in table order. The wirever
 // analyzer fingerprints the declared message structs only, so an encoder
 // that changed bytes without changing a struct would pass it — and
 // silently split a cluster whose processes run different builds. A digest
-// may change only together with Version. Format 16 padded the configure
-// rows' bulk blocks: directive 0x348e2553a297780f → 0xa19f3fa436372e49.
-// Every message carries the version byte, so the other four moved with it
-// alone (report 0x775a2313f1d725ce → 0x6060282ea3b36368, summary
-// 0x6e9adbb16e3dee4d → 0x904df8d9c6adedf4, vector 0xe3d8d4655bbe7c8b →
-// 0x42bfef964ec6c587, snapshot 0x8b865a6888a53c3c → 0x928f81601eab7522);
-// their version-masked bytes are those of format 15.
+// may change only together with Version. Format 17 retired the standalone
+// summary and vector messages, so those two tables became reports carrying
+// the same summaries and vectors (summary 0x904df8d9c6adedf4 →
+// 0x16049f73da401907, vector 0x42bfef964ec6c587 → 0xaaa485fbf22ad9c0; their
+// version-masked digests, 0xd0786517e76230da and 0x8f474c83b4648052, are
+// the same under format 16). Every message carries the version byte, so
+// the other three moved with it alone (directive 0xa19f3fa436372e49 →
+// 0xe5ac290dcbb3ab39, report 0x6060282ea3b36368 → 0x58505fa279793c86,
+// snapshot 0x928f81601eab7522 → 0xa23b54331ab7bfc4); their version-masked
+// bytes are those of format 16.
 func TestEncodingGolden(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0xa19f3fa436372e49,
-		"report":    0x6060282ea3b36368,
-		"summary":   0x904df8d9c6adedf4,
-		"vector":    0x42bfef964ec6c587,
-		"snapshot":  0x928f81601eab7522,
+		"directive": 0xe5ac290dcbb3ab39,
+		"report":    0x58505fa279793c86,
+		"summary":   0x16049f73da401907,
+		"vector":    0xaaa485fbf22ad9c0,
+		"snapshot":  0xa23b54331ab7bfc4,
 	}
 	tables := goldenTables(t)
 	if len(tables) != len(want) {
@@ -72,8 +76,9 @@ func TestEncodingGolden(t *testing.T) {
 
 // entryFreeTables are messages of every kind that carry no summary entry:
 // the directive table's rows without a scale summary, reports whose
-// summaries and vectors are absent, nil and empty summaries, an empty
-// vector, and snapshots whose stream states hold only raw buffers.
+// summaries and vectors are absent, reports carrying nil and empty
+// summaries and the empty vector's (absent) delta, and snapshots whose
+// stream states hold only raw buffers.
 func entryFreeTables(t testing.TB) map[string][][]byte {
 	tables := map[string][][]byte{}
 	for _, d := range roundTripDirectives() {
@@ -99,10 +104,12 @@ func entryFreeTables(t testing.TB) map[string][][]byte {
 	} {
 		tables["report"] = append(tables["report"], EncodeReport(nil, rep))
 	}
-	tables["summary"] = [][]byte{EncodeSummary(nil, nil), EncodeSummary(nil, &summary.Summary{})}
-	for _, v := range roundTripVectors(t) {
-		if v.Count() == 0 {
-			tables["vector"] = append(tables["vector"], EncodeVector(nil, v))
+	for _, rep := range []*Report{{Leaves: 1}, {Leaves: 1, Sum: &summary.Summary{}, Kept: &summary.Summary{}}} {
+		tables["summary"] = append(tables["summary"], EncodeReport(nil, rep))
+	}
+	for _, rep := range vectorReports(t) {
+		if len(rep.Vecs) == 0 {
+			tables["vector"] = append(tables["vector"], EncodeReport(nil, rep))
 		}
 	}
 	// 40 pushes stay in a stream's raw buffer: no level, so no entry.
@@ -126,18 +133,20 @@ func entryFreeTables(t testing.TB) map[string][][]byte {
 // apart from the summary-block codec: a codec change that moves no field
 // must leave them byte for byte, version byte aside. The digests are
 // FNV-64a over each kind's entry-free messages in table order, with byte 2
-// masked. The summary and vector digests date from format 10; report was
-// re-recorded under format 13, which retired the report's Vec slot and
-// stamps Leaves on every reply, snapshot under format 15, whose stream
-// states carry no weight flag or weight buffer, and directive under format
-// 16, which pads the configure rows' reference, pool and dataset
-// (0xb65932ff77b297d6 → 0xfe14913936a73782).
+// masked. Report was re-recorded under format 13, which retired the
+// report's Vec slot and stamps Leaves on every reply, snapshot under format
+// 15, whose stream states carry no weight flag or weight buffer, directive
+// under format 16, which pads the configure rows' reference, pool and
+// dataset (0xb65932ff77b297d6 → 0xfe14913936a73782), and summary and vector
+// under format 17, which made them reports (summary 0x1ca9375c652f1175 →
+// 0xe815586f5892034f, vector 0xa651683bace37860 → 0xd44baeb72cb0ac28, the
+// same digests under format 16).
 func TestEntryFreeBytesUnchanged(t *testing.T) {
 	want := map[string]uint64{
 		"directive": 0xfe14913936a73782,
 		"report":    0x24313eb8af09da67,
-		"summary":   0x1ca9375c652f1175,
-		"vector":    0xa651683bace37860,
+		"summary":   0xe815586f5892034f,
+		"vector":    0xd44baeb72cb0ac28,
 		"snapshot":  0x8167f372b5d8b7f8,
 	}
 	tables := entryFreeTables(t)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -16,7 +17,11 @@ import (
 // with an unknown membership event kind. A directive is decoded twice, as
 // given and copied to an odd offset, so every input drives both ways a
 // configure's padded blocks decode — as views of the message and by
-// copying — and the two must agree. Run longer with
+// copying — and the two must agree. The summary and vector block readers
+// are fuzzed twice over: inside whole reports (FuzzDecodeReport, seeded
+// with reports carrying every round-trip summary and vector) and on their
+// own (FuzzDecodeSummary, FuzzDecodeVector), where every mutation lands
+// in the block. Run longer with
 // `go test ./internal/wire -run=NONE -fuzz=FuzzDecodeDirective -fuzztime=15s`
 // (likewise FuzzDecodeReport, FuzzDecodeSummary, FuzzDecodeVector and
 // FuzzDecodeSnapshot).
@@ -68,6 +73,9 @@ func FuzzDecodeReport(f *testing.F) {
 		f.Add(EncodeReport(nil, rep))
 	}
 	f.Add(EncodeReport(nil, &Report{Round: 2, PctSums: []float64{0.5}})) // claims 0 leaves
+	for _, rep := range slices.Concat(summaryReports(f), vectorReports(f)) {
+		f.Add(EncodeReport(nil, rep))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		rep, err := DecodeReport(raw)
 		if err != nil {
@@ -84,55 +92,47 @@ func FuzzDecodeReport(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSummary drives the entry-block decoder and the summary.FromEntries
-// validation behind it, which every summary-bearing message shares.
+// FuzzDecodeSummary drives the summary block reader and the
+// summary.FromEntries validation behind it, which every summary-bearing
+// message shares, on raw block bytes.
 func FuzzDecodeSummary(f *testing.F) {
 	for _, s := range roundTripSummaries(f) {
-		f.Add(EncodeSummary(nil, s))
+		f.Add(appendSummaryBlock(nil, s))
 	}
-	f.Add(EncodeSummary(nil, nil))
+	f.Add(appendSummaryBlock(nil, nil))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		s, err := DecodeSummary(raw)
+		s, err := decodeSummaryBlock(raw)
 		if err != nil {
 			return
 		}
-		enc := EncodeSummary(nil, s)
-		again, err := DecodeSummary(enc)
+		enc := appendSummaryBlock(nil, s)
+		again, err := decodeSummaryBlock(enc)
 		if err != nil {
 			t.Fatalf("re-encoded summary does not decode: %v", err)
 		}
-		if enc2 := EncodeSummary(nil, again); !bytes.Equal(enc, enc2) {
+		if enc2 := appendSummaryBlock(nil, again); !bytes.Equal(enc, enc2) {
 			t.Fatalf("summary encoding is not a fixed point:\n%x\n%x", enc, enc2)
 		}
 	})
 }
 
-// encodeVectorDelta re-encodes a decoded vector as a KindVector message.
-func encodeVectorDelta(d *VectorDelta) []byte {
-	buf := appendHeader(nil, KindVector)
-	if d == nil {
-		return appendU32(buf, 0)
-	}
-	return appendVectorDelta(buf, d)
-}
-
-// FuzzDecodeVector drives the per-coordinate summary blocks of a vector
-// delta through summary.FromEntries.
+// FuzzDecodeVector drives the vector block reader, and the per-coordinate
+// summary blocks behind it, on raw block bytes.
 func FuzzDecodeVector(f *testing.F) {
 	for _, v := range roundTripVectors(f) {
-		f.Add(EncodeVector(nil, v))
+		f.Add(vectorBlock(DeltaFromVector(v)))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		d, err := DecodeVector(raw)
+		d, err := decodeVectorBlock(raw)
 		if err != nil {
 			return
 		}
-		enc := encodeVectorDelta(d)
-		again, err := DecodeVector(enc)
+		enc := vectorBlock(d)
+		again, err := decodeVectorBlock(enc)
 		if err != nil {
 			t.Fatalf("re-encoded vector does not decode: %v", err)
 		}
-		if enc2 := encodeVectorDelta(again); !bytes.Equal(enc, enc2) {
+		if enc2 := vectorBlock(again); !bytes.Equal(enc, enc2) {
 			t.Fatalf("vector encoding is not a fixed point:\n%x\n%x", enc, enc2)
 		}
 	})

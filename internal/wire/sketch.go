@@ -108,9 +108,8 @@ func putUvarint(b []byte, off int, v uint64) int {
 
 // appendSummaryBlock writes a headerless summary block in the layout
 // above. Blocks nest inside vectors, reports, directives and snapshot
-// stream states; the standalone KindSummary message is the same block
-// behind a header. blockLayout sizes the block exactly, so the output
-// grows once.
+// stream states; no message is a summary on its own. blockLayout sizes
+// the block exactly, so the output grows once.
 func appendSummaryBlock(buf []byte, s *summary.Summary) []byte {
 	if s == nil {
 		return appendU32(buf, 0)
@@ -256,31 +255,6 @@ func readSummaryBlock(r *reader) (*summary.Summary, error) {
 	return summary.FromEntries(entries)
 }
 
-// EncodeSummary serializes one quantile summary, appending to buf (pass nil
-// for a fresh allocation). The encoding is bit-exact: DecodeSummary returns
-// a summary with identical entries, so merge results are identical on both
-// sides of the wire.
-func EncodeSummary(buf []byte, s *summary.Summary) []byte {
-	return appendSummaryBlock(appendHeader(buf, KindSummary), s)
-}
-
-// DecodeSummary decodes an EncodeSummary message.
-func DecodeSummary(buf []byte) (*summary.Summary, error) {
-	payload, err := checkHeader(buf, KindSummary)
-	if err != nil {
-		return nil, err
-	}
-	r := &reader{buf: payload}
-	s, err := readSummaryBlock(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // VectorDelta is the decoded form of a serialized summary.Vector: one
 // summary per coordinate plus the exact row count and per-coordinate value
 // sums, and the ε budget the streams were built with. It is the unit a row
@@ -294,7 +268,7 @@ type VectorDelta struct {
 }
 
 // DeltaFromVector snapshots a live vector into its wire form. A nil or
-// empty vector yields nil (encoded as dim 0).
+// empty vector yields nil, which a worker leaves out of its report.
 func DeltaFromVector(v *summary.Vector) *VectorDelta {
 	if v == nil || v.Dim() == 0 || v.Count() == 0 {
 		return nil
@@ -313,9 +287,8 @@ func DeltaFromVector(v *summary.Vector) *VectorDelta {
 	return d
 }
 
-// readVectorBlock reads a block written by appendVectorDelta (a zero dim
-// is also what EncodeVector and EncodeReport write for a nil delta). A zero
-// dim yields a nil delta (the encoding of "no rows accepted this round").
+// readVectorBlock reads a block written by appendVectorDelta. A zero dim
+// yields a nil delta, which a report refuses as a leaf's vector.
 func readVectorBlock(r *reader) (*VectorDelta, error) {
 	// Each coordinate carries at least a sum and an entry count.
 	dim := r.count("vector dim", 12)
@@ -344,33 +317,6 @@ func readVectorBlock(r *reader) (*VectorDelta, error) {
 	}
 	if d.Count < 0 {
 		return nil, fmt.Errorf("wire: vector count %d", d.Count)
-	}
-	return d, nil
-}
-
-// EncodeVector serializes the current state of a summary.Vector.
-func EncodeVector(buf []byte, v *summary.Vector) []byte {
-	buf = appendHeader(buf, KindVector)
-	d := DeltaFromVector(v)
-	if d == nil {
-		return appendU32(buf, 0)
-	}
-	return appendVectorDelta(buf, d)
-}
-
-// DecodeVector decodes an EncodeVector message.
-func DecodeVector(buf []byte) (*VectorDelta, error) {
-	payload, err := checkHeader(buf, KindVector)
-	if err != nil {
-		return nil, err
-	}
-	r := &reader{buf: payload}
-	d, err := readVectorBlock(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.finish(); err != nil {
-		return nil, err
 	}
 	return d, nil
 }

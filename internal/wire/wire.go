@@ -4,7 +4,7 @@
 //
 //	offset 0–1  magic "TQ" (0x54 0x51)
 //	offset 2    format version
-//	offset 3    payload kind (KindSummary, KindVector, KindReport, KindDirective)
+//	offset 3    payload kind (KindReport, KindDirective, KindSnapshot)
 //
 // — followed by a little-endian payload. Decoders reject foreign bytes
 // (ErrMagic), payloads from outside the supported version window
@@ -97,15 +97,19 @@ import (
 // from the message start, which lets DecodeDirective return them as views
 // of the message instead of copies (an empty block gets no pad, so every
 // per-round directive keeps its v15 bytes apart from the version byte; a
-// v15 checkpoint cannot resume under v16, although no snapshot byte moved).
-const Version = 16
+// v15 checkpoint cannot resume under v16, although no snapshot byte moved);
+// 17 retired the standalone summary and vector messages (kinds 1 and 2,
+// never reused): summaries and vector deltas travel only as blocks inside
+// reports, directives and snapshots, whose bytes are those of v16 apart
+// from the version byte.
+const Version = 17
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game, or — v14 — what a configure's pool means),
 // so its predecessor is retired: a mixed-version cluster fails loudly at
 // the configure fan-out instead of misparsing or dying rounds later.
-const MinVersion = 16
+const MinVersion = 17
 
 const (
 	magic0 = 'T'
@@ -117,11 +121,11 @@ const (
 // Kind tags the payload type carried after the header.
 type Kind byte
 
-// The message kinds. Summary through Directive shipped with format
-// version 1; Snapshot (a checkpointed coordinator game state) with 3.
+// The message kinds. Report and Directive shipped with format version 1;
+// Snapshot (a checkpointed coordinator game state) with 3. Codes 1 and 2,
+// the standalone summary and vector messages, were retired in format 17
+// and are never reused.
 const (
-	KindSummary   Kind = 1 // one quantile summary
-	KindVector    Kind = 2 // per-coordinate summaries of a row stream
 	KindReport    Kind = 3 // worker → coordinator shard report
 	KindDirective Kind = 4 // coordinator → worker directive
 	KindSnapshot  Kind = 5 // checkpointed coordinator game state

@@ -162,13 +162,24 @@ func roundTripSummaries(t testing.TB) []*summary.Summary {
 	return slices.Concat(unitSummaries(t), floatSummaries(t), edgeSummaries())
 }
 
-// Wire round-trip identity: DecodeSummary(EncodeSummary(s)) reproduces the
-// entries bit-exactly in both block forms — random unit-weight summaries
-// across distribution shapes and compression levels, fractional weights,
-// and the edge values of the key space.
+// decodeSummaryBlock reads b as exactly one summary block, the layout every
+// summary-bearing message nests.
+func decodeSummaryBlock(b []byte) (*summary.Summary, error) {
+	r := &reader{buf: b}
+	s, err := readSummaryBlock(r)
+	if err != nil {
+		return nil, err
+	}
+	return s, r.finish()
+}
+
+// Wire round-trip identity: the summary block codec reproduces the entries
+// bit-exactly in both block forms — random unit-weight summaries across
+// distribution shapes and compression levels, fractional weights, and the
+// edge values of the key space.
 func TestSummaryRoundTrip(t *testing.T) {
 	for i, s := range roundTripSummaries(t) {
-		got, err := DecodeSummary(EncodeSummary(nil, s))
+		got, err := decodeSummaryBlock(appendSummaryBlock(nil, s))
 		if err != nil {
 			t.Fatalf("summary %d: decode: %v", i, err)
 		}
@@ -185,7 +196,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 }
 
 func TestSummaryRoundTripEmpty(t *testing.T) {
-	got, err := DecodeSummary(EncodeSummary(nil, nil))
+	got, err := decodeSummaryBlock(appendSummaryBlock(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +205,9 @@ func TestSummaryRoundTripEmpty(t *testing.T) {
 	}
 }
 
-// roundTripVectors are the vector shapes a row shard ships — a populated
-// multi-coordinate vector and an empty one (dim 0 on the wire) — the vector
-// round-trip table and the vector fuzzer's seed corpus.
+// roundTripVectors are the vector shapes a row shard holds — a populated
+// multi-coordinate vector and an empty one (no delta, dim 0 as a block) —
+// the vector round-trip table and the vector fuzzer's seed corpus.
 func roundTripVectors(t testing.TB) []*summary.Vector {
 	rng := rand.New(rand.NewSource(2))
 	vec, err := summary.NewVector(5, 0.01, 1000)
@@ -219,9 +230,52 @@ func roundTripVectors(t testing.TB) []*summary.Vector {
 	return []*summary.Vector{vec, empty}
 }
 
+// vectorBlock encodes d as a vector block, a nil delta as dim 0.
+func vectorBlock(d *VectorDelta) []byte {
+	if d == nil {
+		return appendU32(nil, 0)
+	}
+	return appendVectorDelta(nil, d)
+}
+
+// decodeVectorBlock reads b as exactly one vector block.
+func decodeVectorBlock(b []byte) (*VectorDelta, error) {
+	r := &reader{buf: b}
+	d, err := readVectorBlock(r)
+	if err != nil {
+		return nil, err
+	}
+	return d, r.finish()
+}
+
+// summaryReports carry every roundTripSummaries entry as a report's Sum and
+// Kept: the golden summary table and report fuzzer seeds.
+func summaryReports(t testing.TB) []*Report {
+	var out []*Report
+	for _, s := range roundTripSummaries(t) {
+		out = append(out, &Report{Leaves: 1, Sum: s, Kept: s})
+	}
+	return out
+}
+
+// vectorReports carry each roundTripVectors delta as a report's one leaf
+// vector (none for the empty vector): the golden vector table and report
+// fuzzer seeds.
+func vectorReports(t testing.TB) []*Report {
+	var out []*Report
+	for _, v := range roundTripVectors(t) {
+		rep := &Report{Leaves: 1}
+		if d := DeltaFromVector(v); d != nil {
+			rep.Vecs = []*VectorDelta{d}
+		}
+		out = append(out, rep)
+	}
+	return out
+}
+
 func TestVectorRoundTrip(t *testing.T) {
 	for k, vec := range roundTripVectors(t) {
-		d, err := DecodeVector(EncodeVector(nil, vec))
+		d, err := decodeVectorBlock(vectorBlock(DeltaFromVector(vec)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +487,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := randomSummary(t, rng, "uniform", 64, 16)
 	msgs := map[string][]byte{
-		"summary": EncodeSummary(nil, s),
+		"summary": appendSummaryBlock(nil, s),
 		"report": EncodeReport(nil, &Report{
 			Round: 1, Sum: s, Count: 64, ValueSum: 30, PoolRows: []int{1, 2}, Leaves: 2,
 		}),
@@ -444,7 +498,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 		"configure": EncodeDirective(nil, viewConfigure()),
 	}
 	decode := map[string]func([]byte) error{
-		"summary":   func(b []byte) error { _, err := DecodeSummary(b); return err },
+		"summary":   func(b []byte) error { _, err := decodeSummaryBlock(b); return err },
 		"report":    func(b []byte) error { _, err := DecodeReport(b); return err },
 		"directive": func(b []byte) error { _, err := DecodeDirective(b); return err },
 		"configure": func(b []byte) error { _, err := DecodeDirective(b); return err },
@@ -533,22 +587,30 @@ func TestCellLayoutSize(t *testing.T) {
 }
 
 func TestDecodeRejectsWrongVersionMagicKind(t *testing.T) {
-	msg := EncodeSummary(nil, summary.FromUnsorted([]float64{1, 2, 3}))
+	msg := EncodeReport(nil, &Report{Leaves: 1, Sum: summary.FromUnsorted([]float64{1, 2, 3})})
 
 	future := append([]byte(nil), msg...)
 	future[2] = Version + 1
-	if _, err := DecodeSummary(future); !errors.Is(err, ErrVersion) {
+	if _, err := DecodeReport(future); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future version: %v, want ErrVersion", err)
 	}
 
 	bad := append([]byte(nil), msg...)
 	bad[0] = 'X'
-	if _, err := DecodeSummary(bad); !errors.Is(err, ErrMagic) {
+	if _, err := DecodeReport(bad); !errors.Is(err, ErrMagic) {
 		t.Fatalf("bad magic: %v, want ErrMagic", err)
 	}
 
-	if _, err := DecodeReport(msg); !errors.Is(err, ErrKind) {
+	if _, err := DecodeDirective(msg); !errors.Is(err, ErrKind) {
 		t.Fatalf("kind mismatch: %v, want ErrKind", err)
+	}
+	// The retired standalone summary and vector kinds (format 17).
+	for _, k := range []byte{1, 2} {
+		retired := append([]byte(nil), msg...)
+		retired[3] = k
+		if _, err := DecodeReport(retired); !errors.Is(err, ErrKind) {
+			t.Fatalf("retired kind %d: %v, want ErrKind", k, err)
+		}
 	}
 
 	// A retired version (below MinVersion) must be rejected too: version 1
@@ -556,27 +618,24 @@ func TestDecodeRejectsWrongVersionMagicKind(t *testing.T) {
 	// than a loud ErrVersion at the configure fan-out.
 	old := append([]byte(nil), msg...)
 	old[2] = MinVersion - 1
-	if _, err := DecodeSummary(old); !errors.Is(err, ErrVersion) {
+	if _, err := DecodeReport(old); !errors.Is(err, ErrVersion) {
 		t.Fatalf("retired version: %v, want ErrVersion", err)
 	}
 }
 
 // A corrupt element count must fail cleanly instead of allocating gigabytes.
 func TestDecodeRejectsOversizedCount(t *testing.T) {
-	msg := EncodeSummary(nil, summary.FromUnsorted([]float64{1, 2, 3}))
-	msg[headerSize] = 0xff
-	msg[headerSize+1] = 0xff
-	msg[headerSize+2] = 0xff
-	msg[headerSize+3] = 0xff
-	if _, err := DecodeSummary(msg); !errors.Is(err, ErrTruncated) {
+	block := appendSummaryBlock(nil, summary.FromUnsorted([]float64{1, 2, 3}))
+	block[0], block[1], block[2], block[3] = 0xff, 0xff, 0xff, 0xff
+	if _, err := decodeSummaryBlock(block); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("oversized count: %v, want ErrTruncated", err)
 	}
 }
 
-// summaryMsg hand-assembles a KindSummary message: a header, the entry
-// count, a form byte and the given entry bytes.
+// summaryMsg hand-assembles a summary block: the entry count, a form byte
+// and the given entry bytes.
 func summaryMsg(n uint32, form byte, entries ...[]byte) []byte {
-	msg := append(appendU32(appendHeader(nil, KindSummary), n), form)
+	msg := append(appendU32(nil, n), form)
 	for _, e := range entries {
 		msg = append(msg, e...)
 	}
@@ -606,7 +665,7 @@ func entry(d uint64, form byte, ranks ...float64) []byte {
 func TestDecodeRejectsInvalidEntries(t *testing.T) {
 	one := stats.Float64Key(1)
 	valid := summaryMsg(2, formInt, entry(one, formInt, 1, 0, 0), entry(1, formInt, 1, 1, 0))
-	if _, err := DecodeSummary(valid); err != nil {
+	if _, err := decodeSummaryBlock(valid); err != nil {
 		t.Fatalf("hand-assembled block does not decode: %v", err)
 	}
 	for _, c := range []struct {
@@ -624,7 +683,7 @@ func TestDecodeRejectsInvalidEntries(t *testing.T) {
 		{"rank above 2^53", summaryMsg(1, formInt, entry(one, formInt, 1, maxExact, 0)), "rank 9007199254740993 above 2^53"},
 		{"truncated entry", valid[:len(valid)-2], ErrTruncated.Error()},
 	} {
-		_, err := DecodeSummary(c.msg)
+		_, err := decodeSummaryBlock(c.msg)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error = %v, want one mentioning %q", c.name, err, c.want)
 		}
@@ -640,8 +699,8 @@ func TestDecodeRejectsInvalidEntries(t *testing.T) {
 // merged, or over edge values — always takes the integer form.
 func TestSummaryBlockBytes(t *testing.T) {
 	game := gameSummary(t)
-	msg := EncodeSummary(nil, game)
-	if per := float64(len(msg)-headerSize-4) / float64(game.Size()); per > 11 {
+	block := appendSummaryBlock(nil, game)
+	if per := float64(len(block)-4) / float64(game.Size()); per > 11 {
 		t.Errorf("game-shaped summary: %.2f B/entry over %d entries, want ≤ 11", per, game.Size())
 	}
 	merged := game.Clone()
@@ -649,12 +708,12 @@ func TestSummaryBlockBytes(t *testing.T) {
 		merged.Merge(s)
 	}
 	for i, s := range slices.Concat([]*summary.Summary{game, merged}, unitSummaries(t), edgeSummaries()) {
-		if form := EncodeSummary(nil, s)[headerSize+4]; form != formInt {
+		if form := appendSummaryBlock(nil, s)[4]; form != formInt {
 			t.Errorf("unit-weight summary %d takes form %d, want the integer form", i, form)
 		}
 	}
 	for i, s := range floatSummaries(t) {
-		if form := EncodeSummary(nil, s)[headerSize+4]; form != formFloat {
+		if form := appendSummaryBlock(nil, s)[4]; form != formFloat {
 			t.Errorf("float-form summary %d takes form %d", i, form)
 		}
 	}

@@ -23,6 +23,11 @@ go -C bench vet ./...
 echo "== trimlint"
 go run ./cmd/trimlint ./...
 
+# The dead-export check needs the whole module (bench/ included) at once,
+# so it is a root test rather than a trimlint analyzer (DESIGN.md §10).
+echo "== deadexport"
+go test -count=1 -run '^(TestNoDeadExports|TestDeadExportsFixture)$' .
+
 echo "== staticcheck"
 if command -v staticcheck >/dev/null 2>&1; then
   staticcheck ./...
