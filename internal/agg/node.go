@@ -398,6 +398,7 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 
 	start := obs.Now()
 	out := &wire.Report{Round: d.Round, Worker: n.id, Epoch: n.epoch, Trace: d.Trace}
+	var sums, kepts []*summary.Summary
 	var mergeNanos []int64
 	confAll := true
 	anyLive := false
@@ -423,6 +424,12 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 		rep := replies[i].rep
 		anyLive = true
 		mergeChild(out, rep)
+		if rep.Sum != nil {
+			sums = append(sums, rep.Sum)
+		}
+		if rep.Kept != nil {
+			kepts = append(kepts, rep.Kept)
+		}
 		for _, rel := range rep.LostLeaves {
 			out.LostLeaves = append(out.LostLeaves, off+rel)
 		}
@@ -444,6 +451,13 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 	if !anyLive {
 		return nil, fmt.Errorf("agg: node %d: every child subtree is lost", n.id)
 	}
+	// The summaries merge once each, over every reply in child order.
+	if len(sums) > 0 {
+		out.Sum = summary.MergeAll(sums)
+	}
+	if len(kepts) > 0 {
+		out.Kept = summary.MergeAll(kepts)
+	}
 	if n.compress > 0 {
 		if out.Sum != nil {
 			out.Sum.Compress(n.compress)
@@ -462,20 +476,15 @@ func (n *Node) fanout(d *wire.Directive, reqs [][]byte) (*wire.Report, error) {
 	return out, nil
 }
 
-// mergeChild folds one child reply into the subtree report. Associative
-// folds (summary merges, integer tallies, straggler maxima) merge here;
+// mergeChild folds one child reply into the subtree report, all but its
+// summaries, which fanout merges once all replies are in (MergeAll).
+// Associative folds (integer tallies, straggler maxima) merge here;
 // order-sensitive float sequences (per-cell percentile subtotals, per-leaf
 // vector deltas) concatenate in leaf order so the coordinator folds the
 // exact sequence a flat fleet would have produced.
 func mergeChild(out, rep *wire.Report) {
 	if rep.Epsilon > out.Epsilon {
 		out.Epsilon = rep.Epsilon
-	}
-	if rep.Sum != nil {
-		if out.Sum == nil {
-			out.Sum = &summary.Summary{}
-		}
-		out.Sum.Merge(rep.Sum)
 	}
 	out.Count += rep.Count
 	out.ValueSum += rep.ValueSum
@@ -487,12 +496,6 @@ func mergeChild(out, rep *wire.Report) {
 	out.Counts.PoisonTrimmed += rep.Counts.PoisonTrimmed
 	out.KeptCount += rep.KeptCount
 	out.KeptSum += rep.KeptSum
-	if rep.Kept != nil {
-		if out.Kept == nil {
-			out.Kept = &summary.Summary{}
-		}
-		out.Kept.Merge(rep.Kept)
-	}
 	// KeptRows/KeptLabels only ever arrive on a FetchRows reply (wire v8),
 	// whose fan-out reaches exactly one child — the page passes through
 	// without the node accumulating pool contents. PoolRows concatenate in

@@ -124,12 +124,8 @@ func (g *LDP) Draw(rng *rand.Rand, s Spec) (reports []float64, inputSum, pctSum 
 	for i := 0; i < s.PoisonN; i++ {
 		pct := s.Inject.Sample(rng)
 		pctSum += pct
-		forged := stats.QuantileSorted(g.Pool, pct)
-		m, err := ldp.NewInputManipulator(g.Mech, forged)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		reports = append(reports, m.Report(rng))
+		forged := ldp.ForgeInput(g.Mech, stats.QuantileSorted(g.Pool, pct))
+		reports = append(reports, g.Mech.Perturb(rng, forged))
 	}
 	return reports, inputSum, pctSum, nil
 }

@@ -464,8 +464,8 @@ func (w *Worker) generate(d *wire.Directive, rep *wire.Report) error {
 // each built by arrival.Summarize — the step collect.RunSharded builds its
 // shard streams with — at hint = cell length and the directive's focus
 // window, so a loopback cluster reproduces RunSharded's merged summaries
-// bit for bit. Several cells summarize in parallel and fold into one
-// merged delta strictly in cell order.
+// bit for bit. Several cells summarize in parallel and merge into one
+// delta strictly in cell order (summary.MergeAll).
 func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float64) error {
 	start := obs.Now()
 	focus := arrival.Focus{Pct: d.FocusPct, Width: d.FocusWidth, Tighten: d.FocusTighten}
@@ -485,10 +485,11 @@ func (w *Worker) summarize(d *wire.Directive, rep *wire.Report, cells [][]float6
 	if len(sums) == 1 {
 		rep.Sum = sums[0].Snapshot()
 	} else {
-		rep.Sum = &summary.Summary{}
-		for _, st := range sums {
-			rep.Sum.Merge(st.Snapshot())
+		snaps := make([]*summary.Summary, len(sums))
+		for c, st := range sums {
+			snaps[c] = st.Snapshot()
 		}
+		rep.Sum = summary.MergeAll(snaps)
 	}
 	rep.SummarizeNanos += obs.Since(start).Nanoseconds()
 	return nil

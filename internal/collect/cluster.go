@@ -155,12 +155,8 @@ func (c *ClusterConfig) validate() (*clusterOpts, error) {
 type scalarGame struct {
 	cfg    *ClusterConfig
 	res    *Result
-	ref    []float64 // sorted clean reference, the one pool workers sample
+	ref    []float64 // sorted clean reference, the one pool workers sample: a view of the configure message
 	jscale float64
-}
-
-func (g *scalarGame) confDirective() wire.Directive {
-	return wire.Directive{Epsilon: g.cfg.SummaryEpsilon, RefSorted: g.ref}
 }
 
 func (g *scalarGame) genRound(int) roundGen { return roundGen{jitter: g.jscale} }
@@ -200,37 +196,53 @@ func (g *scalarGame) endRound(merged *summary.Summary, count int, sum float64) {
 // deltas. With Pipeline the two fan-outs of consecutive rounds overlap (one
 // RTT per steady-state round); the board is identical either way.
 func RunCluster(cfg ClusterConfig) (*Result, error) {
-	o, err := cfg.validate()
+	g, en, err := newScalarCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer en.pool.stop()
+	if err := en.run(); err != nil {
+		return nil, err
+	}
+	en.pool.finishStats(&g.res.ClusterStats)
+	return g.res, nil
+}
+
+// newScalarCluster validates cfg and sets the scalar cluster game up: the
+// reference is sorted once into the configure message, and the game reads
+// it back as a view of that message (configureMessage).
+func newScalarCluster(cfg ClusterConfig) (*scalarGame, *engine, error) {
+	o, err := cfg.validate()
+	if err != nil {
+		return nil, nil, err
+	}
 	cfg.Collector.Reset()
 	cfg.Adversary.Reset()
-	ref := sortedCopy(cfg.Reference)
+	conf := configureMessage(wire.Directive{Epsilon: cfg.SummaryEpsilon, RefSorted: sortedCopy(cfg.Reference)})
+	view, err := wire.DecodeDirective(conf)
+	if err != nil {
+		return nil, nil, err
+	}
+	ref := view.RefSorted
 
 	// Baseline quality: the same pre-game draw as RunSharded with the same
 	// Gen, so the boards stay comparable record for record.
 	gen := &arrival.Scalar{Ref: ref}
 	baseline, _, err := gen.Draw(cfg.Gen.preRand(), arrival.Spec{HonestN: cfg.Batch})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	roundLen := cfg.Batch + cfg.poisonPerRound()
 	res := &Result{}
 	if res.Received, err = summary.New(cfg.SummaryEpsilon, cfg.Rounds*roundLen); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if res.Kept, err = summary.New(cfg.SummaryEpsilon, cfg.Rounds*roundLen); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	g := &scalarGame{cfg: &cfg, res: res, ref: ref, jscale: jitterScale(ref)}
-	en := o.newEngine(g, &res.Board, cfg.Collector, cfg.OnRound, cfg.poisonPerRound(), ExcessMassQuality(baseline, ref))
-	defer en.pool.stop()
-	if err := en.run(); err != nil {
-		return nil, err
-	}
-	en.pool.finishStats(&res.ClusterStats)
-	return res, nil
+	en := o.newEngine(g, conf, &res.Board, cfg.Collector, cfg.OnRound, cfg.poisonPerRound(), ExcessMassQuality(baseline, ref))
+	return g, en, nil
 }

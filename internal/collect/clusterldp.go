@@ -102,7 +102,7 @@ func (c *LDPClusterConfig) validate() (*clusterOpts, error) {
 type ldpGame struct {
 	cfg        *LDPClusterConfig
 	res        *LDPResult
-	inputs     []float64 // sorted clean input pool, the one pool workers sample
+	inputs     []float64 // sorted clean input pool, the one pool workers sample: a view of the configure message
 	refReports []float64 // sorted clean perturbed reference
 
 	// Game-long aggregates.
@@ -110,15 +110,6 @@ type ldpGame struct {
 	keptN     int
 	honestSum float64
 	honestN   int
-}
-
-func (g *ldpGame) confDirective() wire.Directive {
-	kind, eps, k, _ := arrival.MechToWire(g.cfg.Mechanism) // validated
-	return wire.Directive{
-		Epsilon:  g.cfg.SummaryEpsilon,
-		Pool:     g.inputs,
-		MechKind: byte(kind), MechEps: eps, MechK: k,
-	}
 }
 
 func (g *ldpGame) genRound(int) roundGen { return roundGen{} }
@@ -154,16 +145,45 @@ func (g *ldpGame) endRound(*summary.Summary, int, float64) {}
 
 // RunClusterLDP plays the LDP collection game across a worker cluster.
 func RunClusterLDP(cfg LDPClusterConfig) (*LDPResult, error) {
-	o, err := cfg.validate()
+	g, en, err := newLDPCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer en.pool.stop()
+	if err := en.run(); err != nil {
+		return nil, err
+	}
+	res := g.res
+	res.MeanEstimate = g.cfg.Mechanism.(ldp.SumMeanEstimator).MeanEstimateFromSum(g.keptSum, g.keptN)
+	if g.honestN > 0 {
+		res.TrueMean = g.honestSum / float64(g.honestN)
+	}
+	en.pool.finishStats(&res.ClusterStats)
+	return res, nil
+}
+
+// newLDPCluster validates cfg and sets the LDP cluster game up: the input
+// pool is sorted once into the configure message — every worker samples
+// and resolves forged percentiles on it as is — and the game reads it back
+// as a view of that message (configureMessage).
+func newLDPCluster(cfg LDPClusterConfig) (*ldpGame, *engine, error) {
+	o, err := cfg.validate()
+	if err != nil {
+		return nil, nil, err
+	}
 	cfg.Collector.Reset()
 	cfg.Adversary.Reset()
-
-	// The input pool is sorted once, here: every worker samples and
-	// resolves forged percentiles on the shipped copy as is.
-	inputs := sortedCopy(cfg.Inputs)
+	kind, eps, k, _ := arrival.MechToWire(cfg.Mechanism) // validated
+	conf := configureMessage(wire.Directive{
+		Epsilon:  cfg.SummaryEpsilon,
+		Pool:     sortedCopy(cfg.Inputs),
+		MechKind: byte(kind), MechEps: eps, MechK: k,
+	})
+	view, err := wire.DecodeDirective(conf)
+	if err != nil {
+		return nil, nil, err
+	}
+	inputs := view.Pool
 
 	// The report-space reference for quality evaluation: what clean
 	// perturbed traffic looks like. One synthetic clean round, drawn on the
@@ -180,17 +200,8 @@ func RunClusterLDP(cfg LDPClusterConfig) (*LDPResult, error) {
 	res := &LDPResult{}
 	g := &ldpGame{cfg: &cfg, res: res, inputs: inputs, refReports: refReports}
 	poison := int(math.Round(cfg.AttackRatio * float64(cfg.Batch)))
-	en := o.newEngine(g, &res.Board, cfg.Collector, cfg.OnRound, poison, ExcessMassQuality(cleanReports, refReports))
-	defer en.pool.stop()
-	if err := en.run(); err != nil {
-		return nil, err
-	}
-	res.MeanEstimate = cfg.Mechanism.(ldp.SumMeanEstimator).MeanEstimateFromSum(g.keptSum, g.keptN)
-	if g.honestN > 0 {
-		res.TrueMean = g.honestSum / float64(g.honestN)
-	}
-	en.pool.finishStats(&res.ClusterStats)
-	return res, nil
+	en := o.newEngine(g, conf, &res.Board, cfg.Collector, cfg.OnRound, poison, ExcessMassQuality(cleanReports, refReports))
+	return g, en, nil
 }
 
 // LDPShardedConfig parameterizes RunShardedLDP.

@@ -223,19 +223,6 @@ func (g *rowsGame) roundCenter(r int) []float64 {
 	return g.cur
 }
 
-func (g *rowsGame) confDirective() wire.Directive {
-	conf := wire.Directive{
-		Epsilon:     g.cfg.SummaryEpsilon,
-		Rows:        g.cfg.Data.X,
-		Clusters:    g.cfg.Data.Clusters,
-		PoisonLabel: g.cfg.PoisonLabel,
-	}
-	if g.cfg.Data.Labeled() {
-		conf.Labels = g.cfg.Data.Y
-	}
-	return conf
-}
-
 // genRound builds round r's generation state: its center and its clean
 // scale — the distances of the collector's own clean dataset from that
 // center, pushed once through one stream at the game's ε — with the jitter
@@ -494,7 +481,18 @@ func RunClusterRows(cfg RowClusterConfig) (*RowResult, error) {
 		dists:       make([]float64, cfg.Data.Len()),
 		poolRows:    make(map[int][]int),
 	}
-	en := o.newEngine(g, &res.Board, cfg.Collector, cfg.OnRound, poisonCount, ExcessMassQuality(baseline, refSorted))
+	// The configure message carries the caller's dataset; the game reads
+	// the dataset itself, so nothing is decoded back out of it.
+	conf := wire.Directive{
+		Epsilon:     cfg.SummaryEpsilon,
+		Rows:        cfg.Data.X,
+		Clusters:    cfg.Data.Clusters,
+		PoisonLabel: cfg.PoisonLabel,
+	}
+	if cfg.Data.Labeled() {
+		conf.Labels = cfg.Data.Y
+	}
+	en := o.newEngine(g, configureMessage(conf), &res.Board, cfg.Collector, cfg.OnRound, poisonCount, ExcessMassQuality(baseline, refSorted))
 	defer en.pool.stop()
 	if err := en.run(); err != nil {
 		return nil, err

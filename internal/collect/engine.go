@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -53,10 +54,6 @@ import (
 // games. Round state a game needs across phases (drawn values, centers,
 // clean scales) lives on the implementation.
 type Game interface {
-	// confDirective is the configure template broadcast once at game start
-	// and re-shipped to re-admitted workers (the pool sets Op).
-	confDirective() wire.Directive
-
 	// genRound returns what round r's generate directives carry beyond the
 	// engine's own fields. The engine calls it for every build of round r's
 	// directives — plain, speculated, a flush rebuild, a resumed game's
@@ -246,10 +243,10 @@ type workerPool struct {
 	log *obs.Logger
 	met *obs.Registry
 
-	// conf is the saved configure template, re-shipped to re-joining
-	// workers whose state died with their process.
-	conf    wire.Directive
-	hasConf bool
+	// conf is the game's configure message (configureMessage), encoded once
+	// before the engine starts: every slot is sent these bytes at game
+	// start, and a re-admitted or growth slot is sent them again.
+	conf []byte
 
 	// ranges maps each slot to the per-leaf honest-batch [lo, hi) shares it
 	// holds this round — the loss-report payload when a call to it fails. A
@@ -295,12 +292,13 @@ type workerPool struct {
 	timing Timing
 }
 
-func newWorkerPool(tr cluster.Transport, log *obs.Logger, met *obs.Registry, fcfg *fleet.Config) *workerPool {
+func newWorkerPool(tr cluster.Transport, conf []byte, log *obs.Logger, met *obs.Registry, fcfg *fleet.Config) *workerPool {
 	p := &workerPool{
 		tr:      tr,
 		ms:      fleet.NewMembership(tr.Workers()),
 		log:     log,
 		met:     met,
+		conf:    conf,
 		ranges:  make(map[int][][2]int),
 		leaves:  make(map[int]int),
 		heights: make(map[int]int),
@@ -468,25 +466,38 @@ func (p *workerPool) callWorker(w int, req []byte) ([]byte, error) {
 }
 
 // callAll sends dirs[i] to the i-th live worker in parallel and returns the
+// decoded reports of the workers that answered, in shard order (fanOut).
+// Every directive is stamped with the round's trace ID — a pure function
+// of the round number, so tracing never perturbs determinism — and
+// encoded afresh.
+func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([]*wire.Report, error) {
+	trace := obs.TraceID(round)
+	reqs := make([][]byte, len(dirs))
+	for i, d := range dirs {
+		d.Trace = trace
+		reqs[i] = wire.EncodeDirective(nil, d)
+	}
+	return p.fanOut(round, phase, reqs)
+}
+
+// fanOut sends reqs[i] to the i-th live worker in parallel and returns the
 // decoded reports of the workers that answered, in shard order. Workers
 // that fail are logged, recorded as shard losses and dropped from the
-// membership; an empty pool is an error — the game cannot continue with
-// zero shards.
+// membership; an empty pool is an error that carries the failed workers'
+// own errors — the game cannot continue with zero shards.
 //
-// Every directive is stamped with the round's trace ID (a pure function of
-// the round number, so tracing never perturbs determinism); the replies'
-// phase timings feed the per-worker straggler metrics, and the busiest
-// worker's share is subtracted from the fan-out elapsed time to estimate
-// the coordinator+network share (trimlab_phase_net_seconds).
+// The replies' phase timings feed the per-worker straggler metrics, and
+// the busiest worker's share is subtracted from the fan-out elapsed time
+// to estimate the coordinator+network share (trimlab_phase_net_seconds).
 //
-// A directive several slots share — configure's one template — is encoded
-// once and every one of those slots is sent the same bytes: transports and
-// handlers only read a request, and a worker keeps read-only views of its
-// configure (cluster.Handler), so an in-process fleet holds one copy of the
-// configure data for all its workers. No request is modified or reused
-// once sent. Egress still counts the bytes each slot is sent; ingress
-// counts the bytes each slot answers with.
-func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([]*wire.Report, error) {
+// Several slots may be sent the same bytes — the configure message goes
+// to every slot: transports and handlers only read a request, and a
+// worker keeps read-only views of its configure (cluster.Handler), so an
+// in-process fleet holds one copy of the configure data for all its
+// workers and the coordinator. No request is modified or reused once
+// sent. Egress still counts the bytes each slot is sent; ingress counts
+// the bytes each slot answers with.
+func (p *workerPool) fanOut(round int, phase string, reqs [][]byte) ([]*wire.Report, error) {
 	start := obs.Now()
 	var maxBusy time.Duration
 	defer func() {
@@ -497,21 +508,11 @@ func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([
 			p.met.Histogram("trimlab_phase_net_seconds", obs.TimeBuckets, "phase", phase).Observe(net.Seconds())
 		}
 	}()
-	trace := obs.TraceID(round)
 	alive := append([]int(nil), p.alive()...)
 	reps := make([]*wire.Report, len(alive))
 	errs := make([]error, len(alive))
-	reqs := make([][]byte, len(alive))
 	replied := make([]int, len(alive))
-	encoded := map[*wire.Directive][]byte{}
 	for i := range alive {
-		req, ok := encoded[dirs[i]]
-		if !ok {
-			dirs[i].Trace = trace
-			req = wire.EncodeDirective(nil, dirs[i])
-			encoded[dirs[i]] = req
-		}
-		reqs[i] = req
 		p.egress += int64(len(reqs[i]))
 		p.met.Counter("trimlab_egress_bytes_total").Add(int64(len(reqs[i])))
 		if phase == "configure" {
@@ -561,14 +562,28 @@ func (p *workerPool) callAll(round int, phase string, dirs []*wire.Directive) ([
 		}
 	}
 	if len(p.alive()) == 0 {
-		return nil, fmt.Errorf("collect: all cluster workers lost by round %d", round)
+		return nil, fmt.Errorf("collect: all cluster workers lost by round %d: %w", round, distinctErrors(errs))
 	}
 	return kept, nil
 }
 
+// distinctErrors joins the non-nil errors of errs in slot order, each
+// distinct message once — the reasons a fan-out lost every worker.
+func distinctErrors(errs []error) error {
+	var out []error
+	seen := map[string]bool{}
+	for _, err := range errs {
+		if err != nil && !seen[err.Error()] {
+			seen[err.Error()] = true
+			out = append(out, err)
+		}
+	}
+	return errors.Join(out...)
+}
+
 // recordWorker feeds one reply's phase timings into the per-worker metrics
 // and returns the worker's total busy time for this call — the straggler
-// signal callAll nets out of the fan-out elapsed time.
+// signal fanOut nets out of the fan-out elapsed time.
 func (p *workerPool) recordWorker(w int, rep *wire.Report) time.Duration {
 	busy := time.Duration(rep.GenerateNanos + rep.SummarizeNanos + rep.ClassifyNanos)
 	if p.met == nil {
@@ -652,11 +667,7 @@ func (p *workerPool) admit(round, w, epoch int) error {
 		return err
 	}
 	if !hello.Configured {
-		if !p.hasConf {
-			return fmt.Errorf("collect: no configure template saved")
-		}
-		conf := p.conf
-		if _, err := p.call1(w, &conf, true); err != nil {
+		if _, err := p.send1(w, p.conf, true); err != nil {
 			return err
 		}
 	}
@@ -674,7 +685,12 @@ func (p *workerPool) admit(round, w, epoch int) error {
 // call1 is one accounted directive round trip to a single worker.
 func (p *workerPool) call1(w int, d *wire.Directive, isConfig bool) (*wire.Report, error) {
 	d.Trace = obs.TraceID(d.Round)
-	req := wire.EncodeDirective(nil, d)
+	return p.send1(w, wire.EncodeDirective(nil, d), isConfig)
+}
+
+// send1 is one accounted round trip of an encoded request to a single
+// worker; isConfig charges its bytes to the configure share of egress.
+func (p *workerPool) send1(w int, req []byte, isConfig bool) (*wire.Report, error) {
 	p.egress += int64(len(req))
 	p.met.Counter("trimlab_egress_bytes_total").Add(int64(len(req)))
 	if isConfig {
@@ -690,31 +706,40 @@ func (p *workerPool) call1(w int, d *wire.Directive, isConfig bool) (*wire.Repor
 	return wire.DecodeReport(out)
 }
 
-// configure broadcasts one directive template to every worker — the sketch
-// budget plus the one-time data-plane state (pool, reference, dataset,
-// mechanism) — and saves it for re-admissions. Under fleet supervision the
-// initial membership grant (Join, epoch 0) follows.
-func (p *workerPool) configure(template wire.Directive) error {
-	template.Op = wire.OpConfigure
-	p.conf = template
-	p.hasConf = true
-	dirs := make([]*wire.Directive, len(p.alive()))
-	for i := range dirs {
-		dirs[i] = &template
+// configure sends the configure message — the sketch budget plus the
+// one-time data-plane state (pool, reference, dataset, mechanism) — to
+// every worker. Under fleet supervision the initial membership grant
+// (Join, epoch 0) follows.
+func (p *workerPool) configure() error {
+	reqs := make([][]byte, len(p.alive()))
+	for i := range reqs {
+		reqs[i] = p.conf
 	}
-	if _, err := p.callAll(0, "configure", dirs); err != nil {
+	if _, err := p.fanOut(0, "configure", reqs); err != nil {
 		return err
 	}
 	if p.sup != nil {
-		dirs = dirs[:0]
-		for range p.alive() {
-			dirs = append(dirs, &wire.Directive{Op: wire.OpJoin, Epoch: 0})
+		dirs := make([]*wire.Directive, len(p.alive()))
+		for i := range dirs {
+			dirs[i] = &wire.Directive{Op: wire.OpJoin, Epoch: 0}
 		}
 		if _, err := p.callAll(0, "join", dirs); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// configureMessage encodes a game's configure directive — the bytes the
+// pool sends every slot at game start and at re-admission, stamped as
+// round 0's configure. The scalar and LDP games then read their sorted
+// reference or input pool back out of it (wire.DecodeDirective) as views
+// of these very bytes, so neither the coordinator nor an in-process fleet
+// keeps a second copy.
+func configureMessage(d wire.Directive) []byte {
+	d.Op = wire.OpConfigure
+	d.Trace = obs.TraceID(0)
+	return wire.EncodeDirective(nil, &d)
 }
 
 // stop releases the workers (best effort: a worker that already died is
@@ -758,20 +783,21 @@ func addCounts(rec *RoundRecord, c wire.Counts) {
 	rec.PoisonTrimmed += c.PoisonTrimmed
 }
 
-// mergeSummarizeReports folds shard summaries in shard order — the
-// ε-lossless merge (ε_merged = max ε_i) — and accumulates the exact
-// observation count and value sum the reports carry alongside.
+// mergeSummarizeReports merges shard summaries in shard order — the
+// ε-lossless merge (ε_merged = max ε_i), one summary.MergeAll — and
+// accumulates the exact observation count and value sum the reports carry
+// alongside.
 func mergeSummarizeReports(reps []*wire.Report) (merged *summary.Summary, count int, sum float64) {
-	merged = &summary.Summary{}
+	parts := make([]*summary.Summary, 0, len(reps))
 	for _, rep := range reps {
 		if rep.Sum == nil {
 			continue
 		}
-		merged.Merge(rep.Sum)
+		parts = append(parts, rep.Sum)
 		count += rep.Count
 		sum += rep.ValueSum
 	}
-	return merged, count, sum
+	return summary.MergeAll(parts), count, sum
 }
 
 // genShare is the generation accounting behind one top-level slot: the
@@ -870,7 +896,7 @@ type engine struct {
 
 // run plays the game: configure (and resume, if any), then the round loop.
 func (en *engine) run() error {
-	if err := en.pool.configure(en.game.confDirective()); err != nil {
+	if err := en.pool.configure(); err != nil {
 		return err
 	}
 	start := 1

@@ -134,12 +134,8 @@ func RunLDP(cfg LDPConfig) (*LDPResult, error) {
 		for i := 0; i < poisonCount; i++ {
 			pct := inject(cfg.Rng)
 			pctSum += pct
-			forged := stats.QuantileSorted(inputsSorted, pct)
-			m, err := ldp.NewInputManipulator(cfg.Mechanism, forged)
-			if err != nil {
-				return nil, err
-			}
-			reports = append(reports, m.Report(cfg.Rng))
+			forged := ldp.ForgeInput(cfg.Mechanism, stats.QuantileSorted(inputsSorted, pct))
+			reports = append(reports, cfg.Mechanism.Perturb(cfg.Rng, forged))
 		}
 
 		var thresholdValue float64

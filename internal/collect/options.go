@@ -174,16 +174,16 @@ type snapshotter interface {
 	load(en *engine, s *wire.Snapshot) error
 }
 
-// newEngine builds a cluster game's engine: the worker pool, the shared
-// round-loop state, and — for a game that snapshots — the resume and
-// checkpoint closures the options ask for. The caller defers
-// en.pool.stop().
-func (o *clusterOpts) newEngine(g Game, board *Board, collector trim.Strategy, onRound func(RoundRecord), poison int, baselineQ float64) *engine {
+// newEngine builds a cluster game's engine: the worker pool, which sends
+// conf (configureMessage) to every slot, the shared round-loop state, and
+// — for a game that snapshots — the resume and checkpoint closures the
+// options ask for. The caller defers en.pool.stop().
+func (o *clusterOpts) newEngine(g Game, conf []byte, board *Board, collector trim.Strategy, onRound func(RoundRecord), poison int, baselineQ float64) *engine {
 	si, _ := specInjector(o.adversary) // validated
 	ft, fw := focusParams(o.focusTighten, o.focusWidth)
 	en := &engine{
 		game:         g,
-		pool:         newWorkerPool(o.transport, o.log, o.metrics, o.fleet),
+		pool:         newWorkerPool(o.transport, conf, o.log, o.metrics, o.fleet),
 		board:        board,
 		collector:    collector,
 		rounds:       o.rounds,

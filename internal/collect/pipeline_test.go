@@ -777,8 +777,9 @@ var raceDetector bool
 // sockets: with a 2 ms per-call latency the pipelined run's data-plane
 // wall clock must undercut the unpipelined run's by a clear margin (the
 // sleep floor alone guarantees ~2× at these fan-out counts; the assertion
-// keeps slack for scheduler noise on a loaded machine, and is checked
-// outside the race detector only — the plain test run keeps the gate).
+// keeps slack for scheduler noise on a loaded machine, compares the
+// fastest of three interleaved runs per side, and is checked outside the
+// race detector only — the plain test run keeps the gate).
 func TestPipelinedUndercutsDelayedUnpipelined(t *testing.T) {
 	gen := &ShardGen{MasterSeed: 98}
 	cfg := shardLocalConfig(t)
@@ -795,17 +796,31 @@ func TestPipelinedUndercutsDelayedUnpipelined(t *testing.T) {
 		}
 		return res.Timing
 	}
-	plain, piped := run(false), run(true)
-	if plain.DataPlane() <= 0 || piped.DataPlane() <= 0 {
-		t.Fatalf("empty timings: plain %+v piped %+v", plain, piped)
+	// Each side's figure is the minimum over interleaved runs, as the gate
+	// scripts take theirs: a run that shares the machine with other work
+	// only ever reads slower, so the minimum is the least disturbed one.
+	const runs = 3
+	var plain, piped Timing
+	for i := 0; i < runs; i++ {
+		pl, pp := run(false), run(true)
+		if pl.DataPlane() <= 0 || pp.DataPlane() <= 0 {
+			t.Fatalf("empty timings: plain %+v piped %+v", pl, pp)
+		}
+		if pp.PerRound() <= 0 {
+			t.Errorf("PerRound = %v", pp.PerRound())
+		}
+		if i == 0 || pl.DataPlane() < plain.DataPlane() {
+			plain = pl
+		}
+		if i == 0 || pp.DataPlane() < piped.DataPlane() {
+			piped = pp
+		}
 	}
 	// Sleep floors: unpipelined ≥ 2R fan-outs × 2 ms, pipelined ≥ (R+1) ×
 	// 2 ms. Demand the pipelined run beat 3/4 of the unpipelined one —
 	// far above the expected ~1/2, immune to one-sided sleep jitter.
 	if piped.DataPlane() >= plain.DataPlane()*3/4 && !raceDetector {
-		t.Errorf("pipelined data plane %v did not undercut unpipelined %v", piped.DataPlane(), plain.DataPlane())
-	}
-	if piped.PerRound() <= 0 {
-		t.Errorf("PerRound = %v", piped.PerRound())
+		t.Errorf("pipelined data plane %v (fastest of %d) did not undercut unpipelined %v (fastest of %d)",
+			piped.DataPlane(), runs, plain.DataPlane(), runs)
 	}
 }

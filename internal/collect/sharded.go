@@ -136,16 +136,15 @@ func RunSharded(cfg ShardedConfig) (*Result, error) {
 		// (deterministic) and resolves threshold and quality from the
 		// merged summary alone.
 		var totalPct float64
+		snaps := make([]*summary.Summary, shards)
 		for s := 0; s < shards; s++ {
 			if outs[s].err != nil {
 				return nil, outs[s].err
 			}
 			totalPct += outs[s].pctSum
+			snaps[s] = outs[s].sum.Snapshot()
 		}
-		merged := outs[0].sum.Snapshot().Clone()
-		for s := 1; s < shards; s++ {
-			merged.Merge(outs[s].sum.Snapshot())
-		}
+		merged := summary.MergeAll(snaps)
 		var thresholdValue float64
 		if cfg.TrimOnBatch {
 			thresholdValue = merged.Query(thresholdPct)

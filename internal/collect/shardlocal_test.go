@@ -8,10 +8,12 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/attack"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
+	"repro/internal/fleet"
 	"repro/internal/ldp"
 	"repro/internal/stats"
 	"repro/internal/trim"
@@ -332,11 +334,14 @@ func TestIngressCountsReplies(t *testing.T) {
 	checkTraffic(t, rec, res.ClusterStats)
 }
 
-// checkConfigureBroadcast asserts that the game's first fan-out sent every
-// slot the same configure bytes — one encoding of one template — that the
-// configure egress counts those bytes once per slot, and that the game
-// still equals its sharded reference record for record.
-func checkConfigureBroadcast(t *testing.T, rec *recordingTransport, workers int, cs ClusterStats, want, got Board) {
+// checkConfigureBroadcast asserts that the game sent configures requests
+// — the first of each of its slots, and a re-admitted slot's re-ship — all
+// carrying the very same bytes, one encoding of the game's configure
+// message; that the configure egress counts those bytes once per request;
+// that view, the coordinator's own sorted reference or input pool, lies
+// inside those bytes; and, when want is non-nil, that the game still
+// equals its sharded reference record for record.
+func checkConfigureBroadcast(t *testing.T, rec *recordingTransport, configures int, view []float64, cs ClusterStats, want *Board, got Board) {
 	t.Helper()
 	first := rec.reqs[0][0]
 	d, err := wire.DecodeDirective(first)
@@ -346,17 +351,32 @@ func checkConfigureBroadcast(t *testing.T, rec *recordingTransport, workers int,
 	if d.Op != wire.OpConfigure {
 		t.Fatalf("slot 0's first request is op %d, not a configure", d.Op)
 	}
-	for w := 1; w < workers; w++ {
-		req := rec.reqs[w][0]
-		if !bytes.Equal(req, first) {
-			t.Fatalf("slot %d was sent different configure bytes (%d B vs %d B)", w, len(req), len(first))
-		}
-		if &req[0] != &first[0] {
-			t.Errorf("slot %d's configure was encoded separately", w)
+	sent := 0
+	for w := range rec.reqs {
+		for k, req := range rec.reqs[w] {
+			if d, err := wire.DecodeDirective(req); err != nil || d.Op != wire.OpConfigure {
+				continue
+			}
+			sent++
+			if !bytes.Equal(req, first) {
+				t.Fatalf("slot %d request %d: different configure bytes (%d B vs %d B)", w, k, len(req), len(first))
+			}
+			if &req[0] != &first[0] {
+				t.Errorf("slot %d request %d: the configure was encoded separately", w, k)
+			}
 		}
 	}
-	if n := int64(workers * len(first)); cs.EgressConfigBytes != n {
-		t.Errorf("EgressConfigBytes = %d, want %d slots × %d B = %d", cs.EgressConfigBytes, workers, len(first), n)
+	if sent != configures {
+		t.Fatalf("%d configures sent, want %d", sent, configures)
+	}
+	if n := int64(sent * len(first)); cs.EgressConfigBytes != n {
+		t.Errorf("EgressConfigBytes = %d, want %d configures × %d B = %d", cs.EgressConfigBytes, sent, len(first), n)
+	}
+	if littleEndian() && !inside(view, first) {
+		t.Error("the coordinator's sorted data is not a view of the configure bytes its workers were sent")
+	}
+	if want == nil {
+		return
 	}
 	if len(got.Records) != len(want.Records) {
 		t.Fatalf("%d rounds, reference has %d", len(got.Records), len(want.Records))
@@ -368,12 +388,42 @@ func checkConfigureBroadcast(t *testing.T, rec *recordingTransport, workers int,
 	}
 }
 
-// The configure broadcast is encoded once per game and sent to every slot;
-// the games it configures — scalar and LDP — still equal their sharded
-// references record for record, and the egress accounting still charges
-// every slot its copy.
+// littleEndian reports whether the host is little-endian — the hosts on
+// which wire.DecodeDirective views an aligned configure's blocks.
+func littleEndian() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}
+
+// inside reports whether the non-empty xs lies within buf's bytes.
+func inside(xs []float64, buf []byte) bool {
+	if len(xs) == 0 || len(buf) == 0 {
+		return false
+	}
+	lo, p := uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(&xs[0]))
+	return p >= lo && p+uintptr(8*len(xs)) <= lo+uintptr(len(buf))
+}
+
+// playCluster runs a game newScalarCluster or newLDPCluster set up, as
+// RunCluster and RunClusterLDP do, and fills its cluster stats.
+func playCluster(t *testing.T, en *engine, cs *ClusterStats) {
+	t.Helper()
+	defer en.pool.stop()
+	if err := en.run(); err != nil {
+		t.Fatal(err)
+	}
+	en.pool.finishStats(cs)
+}
+
+// The configure message is encoded once per game and sent to every slot,
+// and the coordinator reads its own sorted reference (scalar) or input
+// pool (LDP) as a view of those bytes; the games still equal their
+// sharded references record for record, and the egress accounting still
+// charges every slot its copy. A slot re-admitted under Fleet re-join is
+// sent the same bytes again, and charged for them again.
 func TestConfigureBroadcastEncodedOnce(t *testing.T) {
 	const workers = 4
+	const failAfter, respawnAfter = 2, 4
 	t.Run("scalar", func(t *testing.T) {
 		gen := &ShardGen{MasterSeed: 91}
 		reference, err := RunSharded(ShardedConfig{Config: shardLocalConfig(t), Shards: workers, Gen: gen})
@@ -381,11 +431,26 @@ func TestConfigureBroadcastEncodedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := newRecordingTransport(cluster.NewLoopback(workers))
-		res, err := RunCluster(ClusterConfig{Config: shardLocalConfig(t), Transport: rec, Gen: gen})
+		g, en, err := newScalarCluster(ClusterConfig{Config: shardLocalConfig(t), Transport: rec, Gen: gen})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkConfigureBroadcast(t, rec, workers, res.ClusterStats, reference.Board, res.Board)
+		playCluster(t, en, &g.res.ClusterStats)
+		checkConfigureBroadcast(t, rec, workers, g.ref, g.res.ClusterStats, &reference.Board, g.res.Board)
+
+		lb := cluster.NewLoopback(workers)
+		rec = newRecordingTransport(lb)
+		cfg := ClusterConfig{Config: shardLocalConfig(t), Transport: rec, Gen: gen, Fleet: &fleet.Config{Rejoin: true}}
+		cfg.OnRound = rejoinPattern(failAfter, respawnAfter, func() { lb.Fail(1) }, func() { lb.Respawn(1) })
+		g, en, err = newScalarCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		playCluster(t, en, &g.res.ClusterStats)
+		if len(g.res.FleetEvents) != 2 {
+			t.Fatalf("fleet events %+v, want a drop and a re-admission", g.res.FleetEvents)
+		}
+		checkConfigureBroadcast(t, rec, workers+1, g.ref, g.res.ClusterStats, nil, g.res.Board)
 	})
 	t.Run("ldp", func(t *testing.T) {
 		gen := &ShardGen{MasterSeed: 92}
@@ -394,11 +459,26 @@ func TestConfigureBroadcastEncodedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := newRecordingTransport(cluster.NewLoopback(workers))
-		res, err := RunClusterLDP(LDPClusterConfig{LDPConfig: shardLocalLDPConfig(t), Transport: rec, Gen: gen})
+		g, en, err := newLDPCluster(LDPClusterConfig{LDPConfig: shardLocalLDPConfig(t), Transport: rec, Gen: gen})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkConfigureBroadcast(t, rec, workers, res.ClusterStats, reference.Board, res.Board)
+		playCluster(t, en, &g.res.ClusterStats)
+		checkConfigureBroadcast(t, rec, workers, g.inputs, g.res.ClusterStats, &reference.Board, g.res.Board)
+
+		lb := cluster.NewLoopback(workers)
+		rec = newRecordingTransport(lb)
+		cfg := LDPClusterConfig{LDPConfig: shardLocalLDPConfig(t), Transport: rec, Gen: gen, Fleet: &fleet.Config{Rejoin: true}}
+		cfg.OnRound = rejoinPattern(failAfter, respawnAfter, func() { lb.Fail(1) }, func() { lb.Respawn(1) })
+		g, en, err = newLDPCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		playCluster(t, en, &g.res.ClusterStats)
+		if len(g.res.FleetEvents) != 2 {
+			t.Fatalf("fleet events %+v, want a drop and a re-admission", g.res.FleetEvents)
+		}
+		checkConfigureBroadcast(t, rec, workers+1, g.inputs, g.res.ClusterStats, nil, g.res.Board)
 	})
 }
 

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
+	"repro/internal/rowstore"
 	"repro/internal/stats"
 )
 
@@ -119,5 +121,34 @@ func expectRefusal(t *testing.T, name, field string, play func() error) {
 	}()
 	if !strings.Contains(err.Error(), "collect: "+field) {
 		t.Errorf("%s: %v, want a refusal naming %s", name, err, field)
+	}
+}
+
+// A configure every worker refuses for a reason validation cannot see —
+// here each worker's kept-row pool fails to open — surfaces as the fleet
+// loss it is, with the workers' own errors in it: the cluster runner's
+// error names the reason, and wraps it.
+func TestAllWorkersLostCarriesTheirErrors(t *testing.T) {
+	const workers = 3
+	errOpen := errors.New("spill directory is read-only")
+	lb := cluster.NewLoopbackPrepared(workers, func(w *cluster.Worker) {
+		w.SetPoolOpener(func() (rowstore.Pool, error) { return nil, errOpen })
+	})
+	_, err := RunClusterRows(RowClusterConfig{
+		RowConfig: rowsPipelineConfig(t, 97), Transport: lb, Gen: &ShardGen{MasterSeed: 98},
+	})
+	if err == nil {
+		t.Fatal("every worker refused configure, yet the game ran")
+	}
+	if !strings.Contains(err.Error(), "all cluster workers lost by round 0") {
+		t.Errorf("error %q does not report the fleet loss", err)
+	}
+	if !errors.Is(err, errOpen) {
+		t.Errorf("error %q does not wrap the workers' refusal", err)
+	}
+	for w := 0; w < workers; w++ {
+		if want := fmt.Sprintf("cluster: worker %d: %v", w, errOpen); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name worker %d's refusal", err, w)
+		}
 	}
 }

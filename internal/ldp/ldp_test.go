@@ -315,12 +315,9 @@ func TestEMFilterBlindToInputManipulation(t *testing.T) {
 	p, _ := NewPiecewise(2.0)
 	f, _ := NewEMFilter(p, 32, 64)
 	rng := stats.NewRand(11)
-	im, err := NewInputManipulator(p, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.input != 1.0 {
-		t.Errorf("Input = %v", im.input)
+	forged := ForgeInput(p, 1.0)
+	if forged != 1.0 {
+		t.Errorf("forged input = %v", forged)
 	}
 	var reports []float64
 	for i := 0; i < 30000; i++ {
@@ -328,7 +325,7 @@ func TestEMFilterBlindToInputManipulation(t *testing.T) {
 		reports = append(reports, p.Perturb(rng, x))
 	}
 	for i := 0; i < 6000; i++ {
-		reports = append(reports, im.Report(rng))
+		reports = append(reports, p.Perturb(rng, forged))
 	}
 	res, err := f.Fit(reports)
 	if err != nil {
@@ -341,13 +338,16 @@ func TestEMFilterBlindToInputManipulation(t *testing.T) {
 	}
 }
 
+// ForgeInput clamps a forged input into the numeric mechanisms' honest
+// domain [−1, 1] and passes an in-domain one through.
 func TestManipulatorValidation(t *testing.T) {
-	if _, err := NewInputManipulator(nil, 1); err == nil {
-		t.Error("nil mechanism should error")
-	}
 	p, _ := NewPiecewise(1.0)
-	imr, _ := NewInputManipulator(p, 42)
-	if imr.input != 1 {
-		t.Errorf("input should clamp to 1, got %v", imr.input)
+	d, _ := NewDuchi(1.0)
+	for _, m := range []Mechanism{p, d} {
+		for _, c := range []struct{ in, want float64 }{{42, 1}, {-7, -1}, {0.25, 0.25}, {1, 1}} {
+			if got := ForgeInput(m, c.in); got != c.want {
+				t.Errorf("%T: ForgeInput(%v) = %v, want %v", m, c.in, got, c.want)
+			}
+		}
 	}
 }

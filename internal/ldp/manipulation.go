@@ -1,10 +1,5 @@
 package ldp
 
-import (
-	"fmt"
-	"math/rand"
-)
-
 // Manipulation attacks against LDP protocols, after Cheu, Smith & Ullman
 // (S&P 2021). Byzantine users control the *message*, not just the input:
 //
@@ -17,31 +12,15 @@ import (
 //     attacker deniability; this is the "potent evasion strategy" the
 //     paper's Fig 9 uses against the EMF.
 //
-// Only input manipulation needs a type: a general manipulator reports a
-// constant.
+// Neither needs a type: a general manipulator reports a constant, and an
+// input manipulator reports mech.Perturb(rng, ForgeInput(mech, x)).
 
-// InputManipulator forges an in-domain input and perturbs it honestly.
-type InputManipulator struct {
-	mech  Mechanism
-	input float64
-}
-
-// NewInputManipulator builds an attacker that pretends to hold input —
-// clamped into the mechanism's honest input domain ([−1, 1] unless the
-// mechanism is an InputClamper) — and follows the protocol.
-func NewInputManipulator(mech Mechanism, input float64) (*InputManipulator, error) {
-	if mech == nil {
-		return nil, fmt.Errorf("ldp: nil mechanism")
-	}
+// ForgeInput is the input an input-manipulation attacker that pretends to
+// hold x perturbs through mech: x clamped into the mechanism's honest
+// input domain — [−1, 1] unless mech is an InputClamper. It draws nothing.
+func ForgeInput(mech Mechanism, x float64) float64 {
 	if c, ok := mech.(InputClamper); ok {
-		input = c.ClampInput(input)
-	} else {
-		input = clampInput(input)
+		return c.ClampInput(x)
 	}
-	return &InputManipulator{mech: mech, input: input}, nil
-}
-
-// Report perturbs the forged input through the real mechanism.
-func (m *InputManipulator) Report(rng *rand.Rand) float64 {
-	return m.mech.Perturb(rng, m.input)
+	return clampInput(x)
 }

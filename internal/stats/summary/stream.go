@@ -254,25 +254,20 @@ func (st *Stream) AbsorbStream(other *Stream) {
 
 // Snapshot returns the merged summary of everything pushed so far. The
 // result is cached until the next Push/Absorb; callers must not mutate it
-// (Clone first). The merge of the level counter is cached separately and
-// survives pushes (only a flush/carry dirties it), so the steady
-// Push/Query interleaving of the collection game re-merges the partial
-// buffer against one pre-merged summary instead of re-walking every
-// level. Merge is associative, so the regrouping leaves snapshots
-// bit-identical (their integer rank arithmetic is exact in float64).
+// (Clone first). The merge of the level counter (MergeAll, in level
+// order) is cached separately and survives pushes (only a flush/carry
+// dirties it), so the steady Push/Query interleaving of the collection
+// game re-merges the partial buffer against one pre-merged summary
+// instead of re-walking every level. Merge is associative, so the
+// regrouping leaves snapshots bit-identical (their integer rank
+// arithmetic is exact in float64).
 func (st *Stream) Snapshot() *Summary {
 	if st.cache != nil {
 		return st.cache
 	}
 	if st.levelCache == nil {
 		st.levelBuilds++
-		lc := &Summary{}
-		for _, lv := range st.levels {
-			if lv != nil {
-				lc.Merge(lv)
-			}
-		}
-		st.levelCache = lc
+		st.levelCache = MergeAll(st.levels)
 	}
 	if len(st.bufV) == 0 {
 		st.cache = st.levelCache

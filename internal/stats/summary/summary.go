@@ -85,7 +85,7 @@ func FromUnsorted(values []float64) *Summary {
 // structural invariants every operation in this package relies on: values
 // strictly increasing and finite-ordered, weights positive, rank bounds
 // consistent (MaxRank ≥ MinRank + Weight) and monotone across entries. The
-// entries slice is copied.
+// summary takes entries over: the caller must not use the slice again.
 func FromEntries(entries []Entry) (*Summary, error) {
 	var prev Entry
 	for i, e := range entries {
@@ -109,7 +109,7 @@ func FromEntries(entries []Entry) (*Summary, error) {
 		}
 		prev = e
 	}
-	return &Summary{entries: append([]Entry(nil), entries...)}, nil
+	return &Summary{entries: entries}, nil
 }
 
 // Clone returns a deep copy.
@@ -134,7 +134,8 @@ func (s *Summary) TotalWeight() float64 {
 // Merge folds other into s, so that s summarizes the union of the two
 // disjoint streams. The merged error is max(ε_s, ε_other): merging is
 // lossless in the GK sense, which is what makes per-shard summaries
-// combinable by a coordinator. Runs in O(|s| + |other|).
+// combinable by a coordinator. Runs in O(|s| + |other|). To fold more
+// than two summaries, MergeAll is the same fold in one output allocation.
 func (s *Summary) Merge(other *Summary) {
 	if other == nil || len(other.entries) == 0 {
 		return
@@ -143,19 +144,24 @@ func (s *Summary) Merge(other *Summary) {
 		s.entries = append([]Entry(nil), other.entries...)
 		return
 	}
-	a, b := s.entries, other.entries
-	merged := make([]Entry, 0, len(a)+len(b))
+	s.entries = merge2(make([]Entry, 0, len(s.entries)+len(other.entries)), s.entries, other.entries)
+}
+
+// merge2 appends the merge of the non-empty entry lists a and b to dst
+// and returns it: Merge's two-way pass, a's entries standing for the
+// summary merged into.
+func merge2(dst, a, b []Entry) []Entry {
 	var lo, hi float64 // the last emitted entry's rank bounds
 	emit := func(v, w, minRank, maxRank float64) {
 		lo, hi = consistentBounds(minRank, maxRank, w, lo, hi)
-		merged = append(merged, Entry{Value: v, Weight: w, MinRank: lo, MaxRank: hi})
+		dst = append(dst, Entry{Value: v, Weight: w, MinRank: lo, MaxRank: hi})
 	}
 	// aLow/bLow lower-bound the cumulative weight consumed so far from each
 	// side; the upper bound for an emitted entry comes from the first
 	// not-yet-consumed entry on the opposite side (prevMaxRank), or the
 	// opposite side's total weight once it is exhausted.
 	var aLow, bLow float64
-	aTotal, bTotal := s.TotalWeight(), other.TotalWeight()
+	aTotal, bTotal := a[len(a)-1].MaxRank, b[len(b)-1].MaxRank
 	var i, j int
 	for i < len(a) && j < len(b) {
 		switch {
@@ -181,7 +187,7 @@ func (s *Summary) Merge(other *Summary) {
 	for ; j < len(b); j++ {
 		emit(b[j].Value, b[j].Weight, b[j].MinRank+aLow, b[j].MaxRank+aTotal)
 	}
-	s.entries = merged
+	return dst
 }
 
 // consistentBounds returns an entry's rank bounds, given its weight w and

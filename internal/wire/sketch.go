@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/stats/summary"
@@ -164,8 +163,8 @@ func appendSummaryBlock(buf []byte, s *summary.Summary) []byte {
 // ranks) are rejected here rather than corrupting a later merge. The
 // decoder itself rejects what the layout cannot express: an unknown form,
 // a delta longer than 8 bytes, a key past 2^64 and an integer rank past
-// 2^53. Entries decode into the reader's scratch, which FromEntries copies
-// out of.
+// 2^53. Entries decode straight into the slice the summary keeps:
+// FromEntries takes it over.
 func readSummaryBlock(r *reader) (*summary.Summary, error) {
 	n := r.count("summary entries", minEntrySize)
 	if r.err != nil {
@@ -183,7 +182,7 @@ func readSummaryBlock(r *reader) (*summary.Summary, error) {
 	if form != formInt && form != formFloat {
 		return nil, fmt.Errorf("wire: unknown summary block form %d", form)
 	}
-	entries := slices.Grow(r.entries[:0], n)[:n]
+	entries := make([]summary.Entry, n)
 	b, off := r.buf, r.off
 	var key, prevMin uint64
 	for i := range entries {
@@ -251,7 +250,6 @@ func readSummaryBlock(r *reader) (*summary.Summary, error) {
 		prevMin = lo
 	}
 	r.off = off
-	r.entries = entries
 	return summary.FromEntries(entries)
 }
 

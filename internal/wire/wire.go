@@ -23,8 +23,6 @@ import (
 	"math"
 	"slices"
 	"unsafe"
-
-	"repro/internal/stats/summary"
 )
 
 // Version is the current wire-format version. Bump it when the payload
@@ -259,11 +257,6 @@ type reader struct {
 	buf []byte
 	off int
 	err error
-
-	// entries is the summary-entry scratch readSummaryBlock decodes into;
-	// summary.FromEntries copies, so one buffer serves every block of a
-	// message.
-	entries []summary.Entry
 }
 
 func (r *reader) fail(what string) {
