@@ -3,12 +3,14 @@ package arrival
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/attack"
 	"repro/internal/ldp"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 func scalarSpec(honest, poison int) Spec {
@@ -125,11 +127,10 @@ func TestScalarDrawValidation(t *testing.T) {
 func TestRowsDraw(t *testing.T) {
 	rng := stats.NewRand(2)
 	n, dim := 200, 3
-	x := make([][]float64, n)
-	y := make([]int, n)
-	for i := range x {
-		x[i] = stats.NormalSlice(rng, dim, 0, 1)
-		y[i] = i % 4
+	x := wire.Matrix{Dim: dim, Data: stats.NormalSlice(rng, n*dim, 0, 1)}
+	y := make([]uint32, n)
+	for i := range y {
+		y[i] = uint32(i % 4)
 	}
 	g, err := NewRows(x, y, 4, -1)
 	if err != nil {
@@ -139,49 +140,55 @@ func TestRowsDraw(t *testing.T) {
 	scaleQ := func(pct float64) float64 { return 1 + pct } // injective scale
 	spec := Spec{HonestN: 50, PoisonN: 10, Inject: attack.PointSpec(0.95), Jitter: 0}
 
-	rows, labels, pctSum, err := g.Draw(stats.NewShardRand(9, 0, 1), spec, center, scaleQ)
+	d, pctSum, err := g.Draw(stats.NewShardRand(9, 0, 1), spec, center, scaleQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 60 || len(labels) != 60 {
-		t.Fatalf("drew %d rows / %d labels", len(rows), len(labels))
+	if len(d.Honest) != 50 || d.Poison.Len() != 10 || len(d.PoisonLabels) != 10 || d.Len() != 60 {
+		t.Fatalf("drew %d honest, %d poison rows, %d poison labels", len(d.Honest), d.Poison.Len(), len(d.PoisonLabels))
 	}
 	if math.Abs(pctSum-0.95*10) > 1e-9 {
 		t.Fatalf("pct sum %v", pctSum)
 	}
+	// Honest rows are dataset rows themselves, read by index.
+	for i, j := range d.Honest {
+		if row := g.Row(&d, i); &row[0] != &x.Data[int(j)*dim] {
+			t.Fatalf("honest row %d is not dataset row %d", i, j)
+		}
+	}
 	// Poison rows sit at the commanded distance exactly (jitter 0).
 	want := scaleQ(0.95)
-	for i := 50; i < 60; i++ {
-		if d := stats.Euclidean(rows[i], center); math.Abs(d-want) > 1e-9 {
-			t.Fatalf("poison row %d at distance %v, want %v", i, d, want)
+	for k := range d.Poison.Len() {
+		if dist := stats.Euclidean(g.Row(&d, 50+k), center); math.Abs(dist-want) > 1e-9 {
+			t.Fatalf("poison row %d at distance %v, want %v", k, dist, want)
 		}
-		if labels[i] < 0 || labels[i] >= 4 {
-			t.Fatalf("poison label %d outside classes", labels[i])
+		if d.PoisonLabels[k] >= 4 {
+			t.Fatalf("poison label %d outside classes", d.PoisonLabels[k])
 		}
 	}
 	// Deterministic per cell.
-	again, _, _, err := g.Draw(stats.NewShardRand(9, 0, 1), spec, center, scaleQ)
+	again, _, err := g.Draw(stats.NewShardRand(9, 0, 1), spec, center, scaleQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rows {
-		for j := range rows[i] {
-			if rows[i][j] != again[i][j] {
-				t.Fatalf("row %d diverged between identical seeds", i)
-			}
-		}
+	if !slices.Equal(d.Honest, again.Honest) || !slices.Equal(d.Poison.Data, again.Poison.Data) ||
+		!slices.Equal(d.PoisonLabels, again.PoisonLabels) {
+		t.Fatal("draw diverged between identical seeds")
 	}
 	// Unlabeled dataset → nil labels.
 	gu, err := NewRows(x, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, labels, _, err = gu.Draw(stats.NewShardRand(9, 0, 1), spec, center, scaleQ)
-	if err != nil {
+	if d, _, err = gu.Draw(stats.NewShardRand(9, 0, 1), spec, center, scaleQ); err != nil {
 		t.Fatal(err)
 	}
-	if labels != nil {
+	if d.PoisonLabels != nil {
 		t.Fatal("unlabeled draw produced labels")
+	}
+	// A center of another width is refused before any row is placed.
+	if _, _, err := g.Draw(stats.NewShardRand(9, 0, 1), spec, []float64{0, 0}, scaleQ); err == nil {
+		t.Fatal("a 2-dim center for a 3-dim dataset accepted")
 	}
 }
 
@@ -221,7 +228,8 @@ func TestPoisonRow(t *testing.T) {
 			want: []float64{1e200}},
 		{name: "offset overflows", center: []float64{-1e308}, base: []float64{1e308}, dist: 3, err: true},
 	} {
-		row, err := PoisonRow(c.center, c.base, c.dist)
+		row := make([]float64, len(c.center))
+		err := PoisonRow(row, c.center, c.base, c.dist)
 		if c.err {
 			if err == nil {
 				t.Errorf("%s: row %v, want an error", c.name, row)

@@ -63,11 +63,13 @@ type Worker struct {
 
 	// Generator state, installed by Configure. The sorted reference
 	// (scalarGen.Ref), the sorted input pool (ldpGen.Pool) and the dataset
-	// rows (rowGen.X) are the configure directive's own blocks, read-only
-	// views of the configure message wherever wire.DecodeDirective can view
-	// them: an in-process fleet configured from one encoded message holds
-	// one copy of that data for every worker, and a TCP worker keeps its
-	// frame and no decoded copy. Nothing here ever writes them.
+	// with its labels (rowGen.X, rowGen.Y) are the configure directive's own
+	// blocks, read-only views of the configure message wherever
+	// wire.DecodeDirective can view them: an in-process fleet configured
+	// from one encoded message holds one copy of that data for every
+	// worker, and a TCP worker keeps its frame and no decoded copy. The
+	// dataset is flat — no per-row slice headers — and nothing here ever
+	// writes it.
 	scalarGen *arrival.Scalar
 	ldpGen    *arrival.LDP
 	rowGen    *arrival.Rows
@@ -77,39 +79,31 @@ type Worker struct {
 	// OpFetchRows pages them out at game end. Created at the row-game
 	// configure — via poolOpen when set (`trimlab worker -spill-dir`
 	// installs a file-backed spill pool that survives process restarts),
-	// in-memory otherwise. Deliberately NOT reset by a re-configure: a
-	// re-admitted worker's pool still holds the rows it kept before the
-	// partition, and a re-spawned spill-backed worker recovers its pool
-	// from disk — the property row-game resume rides on.
-	//
-	// The pool keeps the held row slices themselves (rowstore.Pool.Append
-	// takes the rows it is given; the round state says why that is sound),
-	// so a kept honest row costs an in-memory pool a slice header and a
-	// label, not a second copy of the dataset's coordinates. An in-memory
-	// pool therefore references the dataset it kept rows of — the configure
-	// message, when the dataset is a view of it: a re-configure that ships
-	// a new dataset leaves the old message alive while the pool holds rows
-	// of it.
+	// in-memory otherwise — and bound to the configured dataset, which its
+	// kept honest rows are references into. Deliberately NOT reset by a
+	// re-configure: a re-admitted worker's pool still holds the rows it kept
+	// before the partition, and a re-spawned spill-backed worker recovers
+	// its pool from disk — the property row-game resume rides on. A
+	// re-configure re-binds the pool, which refuses a dataset that differs
+	// from the one its references index (rowstore.Pool.Bind).
 	pool     rowstore.Pool
 	poolOpen func() (rowstore.Pool, error)
 
 	// Round state, valid between a Generate and its Classify. held is the
 	// authoritative "a generate happened" flag — an empty shard draws a nil
-	// dists, so nil-ness cannot stand in for it. No held row is ever
-	// written, so classify hands its kept rows to the pool as they are:
-	// honest rows are capacity-capped slices of rowGen's dataset (the wire
-	// decodes it into one backing array, a view of the configure message
-	// where it can, and arrival.Rows draws rows by reference), and poison
-	// rows are fresh from arrival.PoisonRow. dists is the one held slice
-	// that is written: classify is its last reader and compacts the kept
-	// values to its front (arrival.Keep).
-	held   bool
-	round  int
-	dists  []float64         // scalar arrivals, or row distances from center
-	rows   [][]float64       // row game only; never written
-	labels []int             // row game only (nil when unlabeled)
-	dim    int               // row game only: len(center)
-	segs   []arrival.Segment // cell layout of dists (cells concatenate)
+	// dists, so nil-ness cannot stand in for it. dists holds the scalar
+	// arrivals, or the row distances from the center, cell after cell
+	// (segs); it is the one held slice that is written: classify is its
+	// last reader and compacts the kept values to its front (arrival.Keep).
+	// A row round also holds each cell's rows in flat form (rowCells):
+	// honest rows as indices into rowGen's dataset, poison rows as one
+	// block per cell. No held row is ever written, and classify hands the
+	// kept ones to the pool by the same reference.
+	held     bool
+	round    int
+	dists    []float64
+	segs     []arrival.Segment // cell layout of dists (cells concatenate)
+	rowCells []arrival.RowDraw // row game only: each cell's rows, in cell order
 
 	stopOnce sync.Once
 	done     chan struct{}
@@ -258,7 +252,7 @@ func (w *Worker) Handle(req []byte) ([]byte, error) {
 // state: a re-joined worker starts cold at the next round boundary.
 func (w *Worker) configure(d *wire.Directive) error {
 	w.scalarGen, w.ldpGen, w.rowGen = nil, nil, nil
-	w.held, w.dists, w.rows, w.labels, w.dim, w.segs = false, nil, nil, nil, 0, nil
+	w.held, w.dists, w.segs, w.rowCells = false, nil, nil, nil
 	eps, err := summary.ResolveEpsilon(d.Epsilon)
 	if err != nil {
 		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
@@ -275,14 +269,13 @@ func (w *Worker) configure(d *wire.Directive) error {
 			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 		}
 		w.ldpGen = gen
-	case len(d.Rows) > 0:
+	case d.Rows.Len() > 0:
 		gen, err := arrival.NewRows(d.Rows, d.Labels, d.Clusters, d.PoisonLabel)
 		if err != nil {
 			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 		}
-		w.rowGen = gen
 		// Ensure the kept-row pool exists (see the field doc for why an
-		// existing pool survives a re-configure).
+		// existing pool survives a re-configure), and bind it to the dataset.
 		if w.pool == nil {
 			if w.poolOpen != nil {
 				pool, err := w.poolOpen()
@@ -294,6 +287,10 @@ func (w *Worker) configure(d *wire.Directive) error {
 				w.pool = rowstore.NewMem()
 			}
 		}
+		if err := w.pool.Bind(d.Rows, d.Labels); err != nil {
+			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
+		}
+		w.rowGen = gen
 	case len(d.Pool) > 0:
 		return fmt.Errorf("cluster: worker %d: scalar configure carries a pool; honest draws sample the reference", w.id)
 	case len(d.RefSorted) > 0:
@@ -318,7 +315,7 @@ func (w *Worker) classifyHeld(d *wire.Directive, rep *wire.Report) error {
 	if err := w.classify(d.Threshold, rep); err != nil {
 		return err
 	}
-	w.held, w.dists, w.rows, w.labels, w.dim, w.segs = false, nil, nil, nil, 0, nil
+	w.held, w.dists, w.segs, w.rowCells = false, nil, nil, nil
 	return nil
 }
 
@@ -341,9 +338,8 @@ func parallel(n int, f func(i int)) {
 }
 
 // concat joins per-cell slices in cell order. A single cell's slice is held
-// as is, and cells that drew nothing join to nil — so an unlabeled
-// dataset's nil labels stay nil however many cells drew.
-func concat[T any](parts [][]T) []T {
+// as is, and cells that drew nothing join to nil.
+func concat(parts [][]float64) []float64 {
 	if len(parts) == 1 {
 		return parts[0]
 	}
@@ -354,7 +350,7 @@ func concat[T any](parts [][]T) []T {
 	if n == 0 {
 		return nil
 	}
-	out := make([]T, 0, n)
+	out := make([]float64, 0, n)
 	for _, p := range parts {
 		out = append(out, p...)
 	}
@@ -363,10 +359,9 @@ func concat[T any](parts [][]T) []T {
 
 // cellDraw is one cell's generated slice.
 type cellDraw struct {
-	values           []float64   // scalar/LDP arrivals, or row distances from the center
-	rows             [][]float64 // row game only
-	labels           []int       // row game only (nil when unlabeled)
-	pctSum, inputSum float64     // inputSum: LDP games only
+	values           []float64       // scalar/LDP arrivals, or row distances from the center
+	rows             arrival.RowDraw // row game only
+	pctSum, inputSum float64         // inputSum: LDP games only
 	err              error
 }
 
@@ -381,19 +376,15 @@ func (w *Worker) draw(d *wire.Directive, seed int64, spec arrival.Spec) (c cellD
 	rng := stats.NewRand(seed)
 	switch {
 	case w.rowGen != nil:
-		c.rows, c.labels, c.pctSum, c.err = w.rowGen.Draw(rng, spec, d.Center, func(pct float64) float64 {
+		c.rows, c.pctSum, c.err = w.rowGen.Draw(rng, spec, d.Center, func(pct float64) float64 {
 			return d.Gen.Scale.Query(pct)
 		})
 		if c.err != nil {
 			return c
 		}
-		c.values = make([]float64, len(c.rows))
-		for i, row := range c.rows {
-			if len(row) != len(d.Center) {
-				c.err = fmt.Errorf("generated row dim %d, center dim %d", len(row), len(d.Center))
-				return c
-			}
-			c.values[i] = stats.Euclidean(row, d.Center)
+		c.values = make([]float64, c.rows.Len())
+		for i := range c.values {
+			c.values[i] = stats.Euclidean(w.rowGen.Row(&c.rows, i), d.Center)
 			if math.IsNaN(c.values[i]) {
 				// The summary would drop it while classify tallies it.
 				c.err = fmt.Errorf("generated row %d at NaN distance from the center", i)
@@ -439,23 +430,28 @@ func (w *Worker) generate(d *wire.Directive, rep *wire.Report) error {
 	draws := make([]cellDraw, len(specs))
 	parallel(len(specs), func(c int) { draws[c] = w.draw(d, d.Gen.Cells[c].Seed, specs[c]) })
 	values := make([][]float64, len(draws))
-	rows := make([][][]float64, len(draws))
-	labels := make([][]int, len(draws))
 	segs := make([]arrival.Segment, len(draws))
+	var rowCells []arrival.RowDraw
+	if w.rowGen != nil {
+		rowCells = make([]arrival.RowDraw, len(draws))
+	}
 	rep.PctSums = make([]float64, len(draws))
 	off := 0
 	for c := range draws {
 		if draws[c].err != nil {
 			return fmt.Errorf("cluster: worker %d: cell %d: %w", w.id, c, draws[c].err)
 		}
-		values[c], rows[c], labels[c] = draws[c].values, draws[c].rows, draws[c].labels
+		values[c] = draws[c].values
+		if rowCells != nil {
+			rowCells[c] = draws[c].rows
+		}
 		segs[c] = arrival.Segment{Start: off, PoisonFrom: off + specs[c].HonestN}
 		off += len(values[c])
 		rep.PctSums[c] = draws[c].pctSum
 		rep.InputSum += draws[c].inputSum
 	}
 	w.held, w.round = true, d.Round
-	w.dists, w.rows, w.labels, w.dim, w.segs = concat(values), concat(rows), concat(labels), len(d.Center), segs
+	w.dists, w.segs, w.rowCells = concat(values), segs, rowCells
 	rep.GenerateNanos += obs.Since(start).Nanoseconds()
 	return w.summarize(d, rep, values)
 }
@@ -536,36 +532,41 @@ func (w *Worker) classify(threshold float64, rep *wire.Report) error {
 
 // keepRows hands the held rows at or below the threshold, in held order,
 // to the accepted-row vector delta and to the worker's kept-row pool, and
-// reports the pool total. It only reads the held rows, and the pool keeps
-// the kept ones as they are: no row is copied and none is modified
-// afterwards.
+// reports the pool total. Each cell's kept rows go to the pool as one
+// append of references: an honest row by its dataset index, a poison row
+// by its index into the cell's poison block, which the pool copies from.
+// No held row is copied here or modified afterwards.
 func (w *Worker) keepRows(threshold float64, rep *wire.Report) error {
 	if w.pool == nil {
 		return fmt.Errorf("cluster: worker %d: row classify without a kept-row pool", w.id)
 	}
 	var vec *summary.Vector
-	if w.rows != nil {
+	if len(w.dists) > 0 {
 		var err error
-		if vec, err = summary.NewVector(w.dim, w.eps, len(w.rows)); err != nil {
+		if vec, err = summary.NewVector(w.rowGen.X.Dim, w.eps, len(w.dists)); err != nil {
 			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 		}
 	}
-	var keptRows [][]float64
-	var keptLabels []int
-	for i, v := range w.dists {
-		if !(v <= threshold) {
-			continue
+	var refs []int32
+	for c := range w.rowCells {
+		cell := &w.rowCells[c]
+		refs = refs[:0]
+		for i, v := range w.dists[w.segs[c].Start : w.segs[c].Start+cell.Len()] {
+			if !(v <= threshold) {
+				continue
+			}
+			if err := vec.PushRow(w.rowGen.Row(cell, i)); err != nil {
+				return fmt.Errorf("cluster: worker %d: %w", w.id, err)
+			}
+			if i < len(cell.Honest) {
+				refs = append(refs, cell.Honest[i])
+			} else {
+				refs = append(refs, int32(len(cell.Honest)-1-i))
+			}
 		}
-		if err := vec.PushRow(w.rows[i]); err != nil {
+		if err := w.pool.Append(refs, cell.Poison, cell.PoisonLabels); err != nil {
 			return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 		}
-		keptRows = append(keptRows, w.rows[i])
-		if w.labels != nil {
-			keptLabels = append(keptLabels, w.labels[i])
-		}
-	}
-	if err := w.pool.Append(keptRows, keptLabels); err != nil {
-		return fmt.Errorf("cluster: worker %d: %w", w.id, err)
 	}
 	rep.PoolRows = []int{w.pool.Len()}
 	if d := wire.DeltaFromVector(vec); d != nil {

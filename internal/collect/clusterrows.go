@@ -481,16 +481,20 @@ func RunClusterRows(cfg RowClusterConfig) (*RowResult, error) {
 		dists:       make([]float64, cfg.Data.Len()),
 		poolRows:    make(map[int][]int),
 	}
-	// The configure message carries the caller's dataset; the game reads
-	// the dataset itself, so nothing is decoded back out of it.
+	// The configure message carries the caller's dataset flat, with its
+	// labels as u32s; the game reads the dataset itself, so nothing is
+	// decoded back out of it, and the flat copy is garbage once encoded.
 	conf := wire.Directive{
 		Epsilon:     cfg.SummaryEpsilon,
-		Rows:        cfg.Data.X,
+		Rows:        wire.MatrixOf(cfg.Data.X),
 		Clusters:    cfg.Data.Clusters,
 		PoisonLabel: cfg.PoisonLabel,
 	}
 	if cfg.Data.Labeled() {
-		conf.Labels = cfg.Data.Y
+		conf.Labels = make([]uint32, len(cfg.Data.Y))
+		for i, y := range cfg.Data.Y {
+			conf.Labels[i] = uint32(y)
+		}
 	}
 	en := o.newEngine(g, configureMessage(conf), &res.Board, cfg.Collector, cfg.OnRound, poisonCount, ExcessMassQuality(baseline, refSorted))
 	defer en.pool.stop()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/stats/summary"
 	"repro/internal/trim"
 	"repro/internal/wire"
 )
@@ -52,8 +53,11 @@ func (o *clusterOpts) validate() error {
 	if o.transport.Workers() < 1 {
 		return fmt.Errorf("collect: cluster transport has no workers")
 	}
-	if o.epsilon < 0 || o.epsilon >= 1 {
-		return fmt.Errorf("collect: summary epsilon = %v", o.epsilon)
+	// Every worker resolves the budget at configure and refuses one no
+	// stream can be built with (the LDP coordinator builds none); refuse
+	// it here, before the configure fan-out.
+	if _, err := summary.ResolveEpsilon(o.epsilon); err != nil {
+		return fmt.Errorf("collect: SummaryEpsilon: %w", err)
 	}
 	if o.subShards < 0 {
 		return fmt.Errorf("collect: sub-shards = %d", o.subShards)

@@ -79,8 +79,11 @@ func (c *RowConfig) validateMode(shardLocal bool) error {
 	if c.Collector == nil || c.Adversary == nil {
 		return fmt.Errorf("collect: nil strategy")
 	}
-	if c.SummaryEpsilon < 0 || c.SummaryEpsilon >= 1 {
-		return fmt.Errorf("collect: summary epsilon = %v", c.SummaryEpsilon)
+	// Every stream of the game, the coordinator's and each worker's, is
+	// built at the budget ResolveEpsilon resolves; refuse one it refuses
+	// before any stream is built.
+	if _, err := summary.ResolveEpsilon(c.SummaryEpsilon); err != nil {
+		return fmt.Errorf("collect: SummaryEpsilon: %w", err)
 	}
 	if shardLocal {
 		if c.Quality != nil {
@@ -271,8 +274,8 @@ func RunRows(cfg RowConfig) (*RowResult, error) {
 			// looks like data, the counterfeit-record analogue of the input
 			// manipulation attack.
 			base := cfg.Data.X[cfg.Rng.Intn(cfg.Data.Len())]
-			row, err := arrival.PoisonRow(refCentroid, base, dist)
-			if err != nil {
+			row := make([]float64, len(refCentroid))
+			if err := arrival.PoisonRow(row, refCentroid, base, dist); err != nil {
 				return nil, fmt.Errorf("collect: round %d: %w", r, err)
 			}
 			label := cfg.PoisonLabel

@@ -119,8 +119,11 @@ func (c *Config) validateMode(shardLocal bool) error {
 	if c.Collector == nil || c.Adversary == nil {
 		return fmt.Errorf("collect: nil strategy")
 	}
-	if c.SummaryEpsilon < 0 || c.SummaryEpsilon >= 1 {
-		return fmt.Errorf("collect: summary epsilon = %v", c.SummaryEpsilon)
+	// Every stream of the game, the coordinator's and each worker's, is
+	// built at the budget ResolveEpsilon resolves; refuse one it refuses
+	// before any stream is built.
+	if _, err := summary.ResolveEpsilon(c.SummaryEpsilon); err != nil {
+		return fmt.Errorf("collect: SummaryEpsilon: %w", err)
 	}
 	if shardLocal {
 		if c.Quality != nil {

@@ -2,13 +2,14 @@ package collect
 
 import (
 	"bytes"
+	"encoding/binary"
 	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/attack"
 	"repro/internal/cluster"
@@ -352,7 +353,7 @@ func checkConfigureBroadcast(t *testing.T, rec *recordingTransport, configures i
 		t.Fatalf("slot 0's first request is op %d, not a configure", d.Op)
 	}
 	sent := 0
-	for w := range rec.reqs {
+	for _, w := range slices.Sorted(maps.Keys(rec.reqs)) {
 		for k, req := range rec.reqs[w] {
 			if d, err := wire.DecodeDirective(req); err != nil || d.Op != wire.OpConfigure {
 				continue
@@ -390,17 +391,14 @@ func checkConfigureBroadcast(t *testing.T, rec *recordingTransport, configures i
 
 // littleEndian reports whether the host is little-endian — the hosts on
 // which wire.DecodeDirective views an aligned configure's blocks.
-func littleEndian() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}
+func littleEndian() bool { return binary.NativeEndian.Uint16([]byte{1, 0}) == 1 }
 
 // inside reports whether the non-empty xs lies within buf's bytes.
 func inside(xs []float64, buf []byte) bool {
 	if len(xs) == 0 || len(buf) == 0 {
 		return false
 	}
-	lo, p := uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(&xs[0]))
+	lo, p := reflect.ValueOf(buf).Pointer(), reflect.ValueOf(xs).Pointer()
 	return p >= lo && p+uintptr(8*len(xs)) <= lo+uintptr(len(buf))
 }
 

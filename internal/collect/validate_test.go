@@ -15,9 +15,10 @@ import (
 
 // Every engine refuses at validate time the inputs its workers' configure
 // refuses, with an error that names the field: a ragged, short-labeled or
-// non-finite row dataset, and a NaN in the scalar reference or the LDP
-// input pool. Otherwise the in-process engines panic mid-game or play on
-// NaN, and the cluster engines lose every worker at round 0.
+// non-finite row dataset, a NaN in the scalar reference or the LDP input
+// pool, and a summary budget no stream can be built with. Otherwise the
+// in-process engines panic mid-game or play on NaN, and the cluster
+// engines lose every worker at round 0.
 func TestEnginesRefuseWhatWorkersRefuse(t *testing.T) {
 	gen := &ShardGen{MasterSeed: 5}
 	rowEngines := []struct {
@@ -101,6 +102,40 @@ func TestEnginesRefuseWhatWorkersRefuse(t *testing.T) {
 		cfg := shardLocalLDPConfig(t)
 		cfg.Inputs[7] = math.NaN()
 		expectRefusal(t, "NaN input/"+e.name, "Inputs", func() error { return e.run(cfg) })
+	}
+
+	// A summary budget below 10⁻⁶, which every worker refuses at configure,
+	// and a NaN one, which fails neither comparison of a range check. The
+	// in-process LDP game builds no summary and takes no budget.
+	ldpBudgetEngines := []struct {
+		name string
+		run  func(LDPConfig, float64) error
+	}{
+		{"RunShardedLDP", func(c LDPConfig, eps float64) error {
+			_, err := RunShardedLDP(LDPShardedConfig{LDPConfig: c, SummaryEpsilon: eps, Shards: 2, Gen: gen})
+			return err
+		}},
+		{"RunClusterLDP", func(c LDPConfig, eps float64) error {
+			_, err := RunClusterLDP(LDPClusterConfig{LDPConfig: c, SummaryEpsilon: eps, Transport: cluster.NewLoopback(2), Gen: gen})
+			return err
+		}},
+	}
+	for _, eps := range []float64{1e-9, math.NaN()} {
+		name := fmt.Sprintf("SummaryEpsilon %v/", eps)
+		for _, e := range rowEngines {
+			cfg := rowsPipelineConfig(t, 71)
+			cfg.SummaryEpsilon = eps
+			expectRefusal(t, name+e.name, "SummaryEpsilon", func() error { return e.run(cfg) })
+		}
+		for _, e := range scalarEngines {
+			cfg := baseConfig(t, 73)
+			cfg.SummaryEpsilon = eps
+			expectRefusal(t, name+e.name, "SummaryEpsilon", func() error { return e.run(cfg) })
+		}
+		for _, e := range ldpBudgetEngines {
+			cfg := shardLocalLDPConfig(t)
+			expectRefusal(t, name+e.name, "SummaryEpsilon", func() error { return e.run(cfg, eps) })
+		}
 	}
 }
 

@@ -1,26 +1,67 @@
 package rowstore
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
-// genRows builds n deterministic dim-wide rows (values encode their
-// index) plus matching labels.
-func genRows(n, dim, from int) ([][]float64, []int) {
-	rows := make([][]float64, n)
-	labels := make([]int, n)
-	for i := range rows {
-		row := make([]float64, dim)
-		for j := range row {
-			row[j] = float64((from+i)*100 + j)
-		}
-		rows[i] = row
-		labels[i] = (from + i) % 3
+// testData is the dataset the test pools bind to: n rows of dim
+// coordinates whose values encode their index (row i holds i·100+j at
+// coordinate j), labeled i%3, or unlabeled.
+func testData(n, dim int, labeled bool) (wire.Matrix, []uint32) {
+	x := wire.Matrix{Dim: dim, Data: make([]float64, n*dim)}
+	var y []uint32
+	if labeled {
+		y = make([]uint32, n)
 	}
-	return rows, labels
+	for i := range n {
+		for j := range dim {
+			x.Data[i*dim+j] = float64(i*100 + j)
+		}
+		if labeled {
+			y[i] = uint32(i % 3)
+		}
+	}
+	return x, y
+}
+
+// appendRange appends pool rows from … from+n−1, each equal to the test
+// dataset's row of the same index (checkPage's expectation): every third
+// row arrives as a poison row carrying that row's coordinates and label,
+// the rest as references to the bound dataset, so a page reads the same
+// either way and truncates cut through poison runs as well as references.
+func appendRange(p Pool, from, n, dim int, labeled bool) error {
+	x, y := testData(from+n, dim, labeled)
+	poison := wire.Matrix{Dim: dim}
+	var poisonLabels []uint32
+	refs := make([]int32, n)
+	for i := range refs {
+		idx := from + i
+		if idx%3 != 2 {
+			refs[i] = int32(idx)
+			continue
+		}
+		refs[i] = int32(-1 - poison.Len())
+		poison.Data = append(poison.Data, x.Row(idx)...)
+		if labeled {
+			poisonLabels = append(poisonLabels, y[idx])
+		}
+	}
+	return p.Append(refs, poison, poisonLabels)
+}
+
+// bindTest binds p to the test dataset of rows rows.
+func bindTest(t *testing.T, p Pool, rows, dim int, labeled bool) {
+	t.Helper()
+	if err := p.Bind(testData(rows, dim, labeled)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func checkPage(t *testing.T, p Pool, lo, hi, dim int, labeled bool) {
@@ -61,12 +102,11 @@ func poolCases(t *testing.T, open func(t *testing.T) Pool) {
 		p := open(t)
 		defer p.Close()
 		const dim = 3
-		rows, labels := genRows(10, dim, 0)
-		if err := p.Append(rows, labels); err != nil {
+		bindTest(t, p, 64, dim, true)
+		if err := appendRange(p, 0, 10, dim, true); err != nil {
 			t.Fatal(err)
 		}
-		rows, labels = genRows(7, dim, 10)
-		if err := p.Append(rows, labels); err != nil {
+		if err := appendRange(p, 10, 7, dim, true); err != nil {
 			t.Fatal(err)
 		}
 		if p.Len() != 17 {
@@ -83,8 +123,7 @@ func poolCases(t *testing.T, open func(t *testing.T) Pool) {
 		}
 		checkPage(t, p, 0, 6, dim, true)
 		// Appending after a rollback continues from the cut.
-		rows, labels = genRows(4, dim, 6)
-		if err := p.Append(rows, labels); err != nil {
+		if err := appendRange(p, 6, 4, dim, true); err != nil {
 			t.Fatal(err)
 		}
 		checkPage(t, p, 0, 10, dim, true)
@@ -93,8 +132,8 @@ func poolCases(t *testing.T, open func(t *testing.T) Pool) {
 	t.Run("unlabeled", func(t *testing.T) {
 		p := open(t)
 		defer p.Close()
-		rows, _ := genRows(5, 2, 0)
-		if err := p.Append(rows, nil); err != nil {
+		bindTest(t, p, 8, 2, false)
+		if err := appendRange(p, 0, 5, 2, false); err != nil {
 			t.Fatal(err)
 		}
 		got, labels, err := p.Page(0, 5)
@@ -104,23 +143,70 @@ func poolCases(t *testing.T, open func(t *testing.T) Pool) {
 		if len(got) != 5 || labels != nil {
 			t.Fatalf("got %d rows, labels %v (want 5, nil)", len(got), labels)
 		}
+		checkPage(t, p, 0, 5, 2, false)
 	})
 
 	t.Run("shape-mismatch", func(t *testing.T) {
 		p := open(t)
 		defer p.Close()
-		rows, labels := genRows(2, 3, 0)
-		if err := p.Append(rows, labels); err != nil {
+		if err := appendRange(p, 0, 2, 3, true); err == nil {
+			t.Fatal("append to an unbound pool accepted")
+		}
+		bindTest(t, p, 4, 3, true)
+		if err := appendRange(p, 0, 2, 3, true); err != nil {
 			t.Fatal(err)
 		}
-		bad, badL := genRows(1, 4, 2)
-		if err := p.Append(bad, badL); err == nil {
-			t.Fatal("dim mismatch accepted")
+		for _, c := range []struct {
+			name   string
+			refs   []int32
+			poison wire.Matrix
+			labels []uint32
+		}{
+			{"poison dim", []int32{-1}, wire.Matrix{Dim: 4, Data: make([]float64, 4)}, []uint32{0}},
+			{"poison without labels", []int32{-1}, wire.Matrix{Dim: 3, Data: make([]float64, 3)}, nil},
+			{"a label short", []int32{-1, -2}, wire.Matrix{Dim: 3, Data: make([]float64, 6)}, []uint32{0}},
+			{"dataset row out of range", []int32{0, 4}, wire.Matrix{}, nil},
+			{"labels without poison", []int32{0}, wire.Matrix{}, []uint32{0}},
+			{"poison row out of range", []int32{1, -2}, wire.Matrix{Dim: 3, Data: make([]float64, 3)}, []uint32{0}},
+		} {
+			if err := p.Append(c.refs, c.poison, c.labels); err == nil {
+				t.Errorf("%s: append accepted", c.name)
+			}
 		}
-		ok, _ := genRows(1, 3, 2)
-		if err := p.Append(ok, nil); err == nil {
-			t.Fatal("labeledness mismatch accepted")
+		if p.Len() != 2 {
+			t.Fatalf("refused appends left Len %d, want 2", p.Len())
 		}
+		checkPage(t, p, 0, 2, 3, true)
+	})
+
+	t.Run("rebind", func(t *testing.T) {
+		p := open(t)
+		defer p.Close()
+		const n, dim = 6, 3
+		bindTest(t, p, n, dim, true)
+		if err := appendRange(p, 0, n, dim, true); err != nil {
+			t.Fatal(err)
+		}
+		// The same dataset, at the same address or in a copy, rebinds.
+		bindTest(t, p, n, dim, true)
+		x, y := testData(n, dim, true)
+		for _, c := range []struct {
+			name string
+			x    wire.Matrix
+			y    []uint32
+		}{
+			{"dim", wire.Matrix{Dim: 2, Data: x.Data[:2*n]}, y},
+			{"rows", wire.Matrix{Dim: dim, Data: x.Data[:(n-1)*dim]}, y[:n-1]},
+			{"coordinate", wire.Matrix{Dim: dim, Data: append(append([]float64(nil), x.Data[:7]...), append([]float64{-1}, x.Data[8:]...)...)}, y},
+			{"sign of zero", wire.Matrix{Dim: dim, Data: append([]float64{math.Copysign(0, -1)}, x.Data[1:]...)}, y},
+			{"label", x, append(append([]uint32(nil), y[:n-1]...), 7)},
+			{"labels dropped", x, nil},
+		} {
+			if err := p.Bind(c.x, c.y); err == nil || !strings.Contains(err.Error(), "pool") {
+				t.Errorf("%s: rebind error %v, want a refusal naming the pool", c.name, err)
+			}
+		}
+		checkPage(t, p, 0, n, dim, true)
 	})
 }
 
@@ -128,42 +214,49 @@ func TestMemPool(t *testing.T) {
 	poolCases(t, func(t *testing.T) Pool { return NewMem() })
 }
 
-// MemPool keeps the rows it is given: Page hands back the very slices
-// Append was passed — no per-row copy — labeled or not, and still after a
-// Truncate and a further Append.
+// MemPool keeps references, not rows: a kept honest row pages back as the
+// bound dataset's own row — no copy — labeled or not, still after a
+// Truncate and a further Append, and after a rebind to a copy of the
+// dataset it pages back the copy's rows.
 func TestMemPoolKeepsAppendedRows(t *testing.T) {
+	const n, dim = 12, 3
 	for _, labeled := range []bool{true, false} {
 		p := NewMem()
-		rows, labels := genRows(6, 3, 0)
-		more, moreL := genRows(4, 3, 4)
-		if !labeled {
-			labels, moreL = nil, nil
-		}
-		if err := p.Append(rows, labels); err != nil {
+		x, y := testData(n, dim, labeled)
+		if err := p.Bind(x, y); err != nil {
 			t.Fatal(err)
 		}
-		same := func(want [][]float64, lo int) {
+		honest := []int32{0, 1, 3, 4, 6, 7}
+		if err := p.Append(honest, wire.Matrix{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		same := func(x wire.Matrix, lo int, want []int32) {
 			t.Helper()
 			got, _, err := p.Page(lo, lo+len(want))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range want {
-				if &got[i][0] != &want[i][0] {
-					t.Fatalf("labeled %v: row %d pages back a copy, want the appended slice", labeled, lo+i)
+			for i, r := range want {
+				if &got[i][0] != &x.Data[int(r)*dim] {
+					t.Fatalf("labeled %v: pool row %d pages back a copy, want dataset row %d", labeled, lo+i, r)
 				}
 			}
 		}
-		same(rows, 0)
+		same(x, 0, honest)
 		if err := p.Truncate(4); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Append(more, moreL); err != nil {
+		more := []int32{9, 10}
+		if err := p.Append(more, wire.Matrix{}, nil); err != nil {
 			t.Fatal(err)
 		}
-		same(rows[:4], 0)
-		same(more, 4)
-		checkPage(t, p, 0, 8, 3, labeled)
+		same(x, 0, honest[:4])
+		same(x, 4, more)
+		copied := wire.Matrix{Dim: dim, Data: slices.Clone(x.Data)}
+		if err := p.Bind(copied, slices.Clone(y)); err != nil {
+			t.Fatal(err)
+		}
+		same(copied, 0, append(honest[:4:4], more...))
 	}
 }
 
@@ -205,8 +298,8 @@ func TestSpillSegmentsRotateAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, labels := genRows(11, 2, 0)
-	if err := p.Append(rows, labels); err != nil {
+	bindTest(t, p, 16, 2, true)
+	if err := appendRange(p, 0, 11, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	if segs := segRows(t, dir, 2, true); !slices.Equal(segs, []int{4, 4, 3}) {
@@ -225,9 +318,17 @@ func TestSpillSegmentsRotateAndReopen(t *testing.T) {
 		t.Fatalf("reopened Len = %d, want 11", re.Len())
 	}
 	checkPage(t, re, 0, 11, 2, true)
+	// A reopened pool takes its shape from its segments, so a dataset of
+	// another width or labeledness cannot bind.
+	if err := re.Bind(testData(16, 3, true)); err == nil {
+		t.Fatal("a 3-dim dataset bound to a recovered 2-dim pool")
+	}
+	if err := re.Bind(testData(16, 2, false)); err == nil {
+		t.Fatal("an unlabeled dataset bound to a recovered labeled pool")
+	}
 	// Appending after reopen fills the partial tail segment first.
-	more, moreL := genRows(2, 2, 11)
-	if err := re.Append(more, moreL); err != nil {
+	bindTest(t, re, 16, 2, true)
+	if err := appendRange(re, 11, 2, 2, true); err != nil {
 		t.Fatal(err)
 	}
 	if segs := segRows(t, dir, 2, true); !slices.Equal(segs, []int{4, 4, 4, 1}) {
@@ -244,8 +345,8 @@ func TestSpillCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, labels := genRows(6, 3, 0)
-	if err := p.Append(rows, labels); err != nil {
+	bindTest(t, p, 8, 3, true)
+	if err := appendRange(p, 0, 6, 3, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
@@ -272,8 +373,8 @@ func TestSpillCrashRecovery(t *testing.T) {
 	}
 	checkPage(t, re, 0, 5, 3, true)
 	// The healed pool keeps appending where the recovery cut it.
-	more, moreL := genRows(3, 3, 5)
-	if err := re.Append(more, moreL); err != nil {
+	bindTest(t, re, 8, 3, true)
+	if err := appendRange(re, 5, 3, 3, true); err != nil {
 		t.Fatal(err)
 	}
 	checkPage(t, re, 0, 8, 3, true)
@@ -288,8 +389,8 @@ func TestSpillTruncateDropsSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	rows, labels := genRows(10, 2, 0) // segments 3+3+3+1
-	if err := p.Append(rows, labels); err != nil {
+	bindTest(t, p, 10, 2, true)
+	if err := appendRange(p, 0, 10, 2, true); err != nil { // segments 3+3+3+1
 		t.Fatal(err)
 	}
 	if err := p.Truncate(4); err != nil { // mid second segment

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // Spill segment format: a fixed header followed by fixed-size records, so
@@ -43,12 +45,9 @@ type SpillConfig struct {
 // crash — so a re-spawned `trimlab worker -spill-dir` rejoins the game
 // with its kept pool intact.
 type SpillPool struct {
+	binding
 	dir     string
 	maxRows int
-
-	dim     int
-	labeled bool
-	sealed  bool
 
 	segs   []spillSeg
 	active *os.File // newest segment, open for append; nil before first write
@@ -163,20 +162,6 @@ func recSize(dim int, labeled bool) int {
 	return n
 }
 
-func (p *SpillPool) seal(dim int, labeled bool) error {
-	if !p.sealed {
-		p.dim, p.labeled, p.sealed = dim, labeled, true
-		return nil
-	}
-	if dim != p.dim {
-		return fmt.Errorf("dim %d, pool dim %d", dim, p.dim)
-	}
-	if labeled != p.labeled {
-		return fmt.Errorf("labeled mismatch (pool labeled=%v)", p.labeled)
-	}
-	return nil
-}
-
 func (p *SpillPool) segPath(name string) string { return filepath.Join(p.dir, name) }
 
 // openActive ensures the newest segment is open for appending, rotating
@@ -218,34 +203,35 @@ func (p *SpillPool) openActive() error {
 	return nil
 }
 
-// Append implements Pool.
-func (p *SpillPool) Append(rows [][]float64, labels []int) error {
-	if len(rows) == 0 {
+// Bind implements Pool. A recovered pool took its dimension and
+// labeledness from its segment headers, and the first Bind must match
+// them; the segments name no dataset, so nothing else is checked.
+func (p *SpillPool) Bind(x wire.Matrix, y []uint32) error { return p.bind(x, y) }
+
+// Append implements Pool: each kept row is gathered from the bound dataset
+// or the poison block and written out as one record.
+func (p *SpillPool) Append(refs []int32, poison wire.Matrix, poisonLabels []uint32) error {
+	if _, err := p.check(refs, poison, poisonLabels); err != nil {
+		return err
+	}
+	if len(refs) == 0 {
 		return nil
-	}
-	if labels != nil && len(labels) != len(rows) {
-		return fmt.Errorf("rowstore: %d rows, %d labels", len(rows), len(labels))
-	}
-	if err := p.seal(len(rows[0]), labels != nil); err != nil {
-		return fmt.Errorf("rowstore: %w", err)
 	}
 	rec := recSize(p.dim, p.labeled)
 	if cap(p.recBuf) < rec {
 		p.recBuf = make([]byte, rec)
 	}
 	buf := p.recBuf[:rec]
-	for i, r := range rows {
-		if len(r) != p.dim {
-			return fmt.Errorf("rowstore: ragged row (dim %d, pool dim %d)", len(r), p.dim)
-		}
+	for _, r := range refs {
 		if err := p.openActive(); err != nil {
 			return fmt.Errorf("rowstore: %w", err)
 		}
-		for j, v := range r {
+		row, label := p.row(r, poison, poisonLabels)
+		for j, v := range row {
 			binary.LittleEndian.PutUint64(buf[j*8:], math.Float64bits(v))
 		}
 		if p.labeled {
-			binary.LittleEndian.PutUint64(buf[p.dim*8:], uint64(int64(labels[i])))
+			binary.LittleEndian.PutUint64(buf[p.dim*8:], uint64(label))
 		}
 		if _, err := p.active.Write(buf); err != nil {
 			return fmt.Errorf("rowstore: %w", err)
@@ -253,8 +239,8 @@ func (p *SpillPool) Append(rows [][]float64, labels []int) error {
 		p.segs[len(p.segs)-1].rows++
 		p.total++
 	}
-	// One flush per Append call (per classify round), not per record: the
-	// OS page cache holds the tail; a torn write is healed by recovery.
+	// One flush per Append call, not per record: the OS page cache holds
+	// the tail; a torn write is healed by recovery.
 	if err := p.active.Sync(); err != nil {
 		return fmt.Errorf("rowstore: %w", err)
 	}

@@ -34,28 +34,30 @@ func goldenTables(t testing.TB) map[string][][]byte {
 	return tables
 }
 
-// TestEncodingGolden pins the bytes of format 17: the FNV-64a digest of each
+// TestEncodingGolden pins the bytes of format 18: the FNV-64a digest of each
 // round-trip table's messages, concatenated in table order. The wirever
 // analyzer fingerprints the declared message structs only, so an encoder
 // that changed bytes without changing a struct would pass it — and
 // silently split a cluster whose processes run different builds. A digest
-// may change only together with Version. Format 17 retired the standalone
-// summary and vector messages, so those two tables became reports carrying
-// the same summaries and vectors (summary 0x904df8d9c6adedf4 →
-// 0x16049f73da401907, vector 0x42bfef964ec6c587 → 0xaaa485fbf22ad9c0; their
-// version-masked digests, 0xd0786517e76230da and 0x8f474c83b4648052, are
-// the same under format 16). Every message carries the version byte, so
-// the other three moved with it alone (directive 0xa19f3fa436372e49 →
-// 0xe5ac290dcbb3ab39, report 0x6060282ea3b36368 → 0x58505fa279793c86,
-// snapshot 0x928f81601eab7522 → 0xa23b54331ab7bfc4); their version-masked
-// bytes are those of format 16.
+// may change only together with Version. Format 18 made the configure's
+// dataset a flat matrix and its labels a padded u32 block; no label block
+// in these tables needs a pad, so every table moved with the version byte
+// alone (directive 0xe5ac290dcbb3ab39 → 0xaad93a0ea080cf19, report
+// 0x58505fa279793c86 → 0x19d925a73476d1d4, summary 0x16049f73da401907 →
+// 0x3c12ec86f43d273c, vector 0xaaa485fbf22ad9c0 → 0xd9573ea2f1e4613a,
+// snapshot 0xa23b54331ab7bfc4 → 0xbc2458bd04c4ff2e); their version-masked
+// digests (directive 0x0a97646131a51409, report 0xdef39d4f7abb6c28,
+// summary 0xd0786517e76230da, vector 0x8f474c83b4648052, snapshot
+// 0xaf180bda12f0e702) are those of format 17. The summary and vector
+// tables are reports carrying the round-trip summaries and vectors since
+// format 17 retired the standalone messages.
 func TestEncodingGolden(t *testing.T) {
 	want := map[string]uint64{
-		"directive": 0xe5ac290dcbb3ab39,
-		"report":    0x58505fa279793c86,
-		"summary":   0x16049f73da401907,
-		"vector":    0xaaa485fbf22ad9c0,
-		"snapshot":  0xa23b54331ab7bfc4,
+		"directive": 0xaad93a0ea080cf19,
+		"report":    0x19d925a73476d1d4,
+		"summary":   0x3c12ec86f43d273c,
+		"vector":    0xd9573ea2f1e4613a,
+		"snapshot":  0xbc2458bd04c4ff2e,
 	}
 	tables := goldenTables(t)
 	if len(tables) != len(want) {
@@ -194,44 +196,45 @@ func TestRoundDirectiveBytesUnchanged(t *testing.T) {
 	}
 }
 
-// viewConfigure is a configure carrying all three padded blocks — a
-// dataset, a pool and a reference — whose values include NaN payloads of
-// both signs and kinds, −0 and ±Inf, so a decode that rounds a value
-// through an arithmetic path shows.
+// viewConfigure is a configure carrying all four padded blocks — a
+// dataset, a pool, a reference and labels — whose values include NaN
+// payloads of both signs and kinds, −0 and ±Inf, so a decode that rounds a
+// value through an arithmetic path shows, and labels past 2^31, so one
+// that reads them signed shows.
 func viewConfigure() *Directive {
 	quiet := math.Float64frombits(0x7ff8_0000_0000_0001)
 	signaling := math.Float64frombits(0xfff0_0000_dead_beef)
 	negZero := math.Copysign(0, -1)
 	return &Directive{
 		Op: OpConfigure, Epsilon: 0.01,
-		Rows:      [][]float64{{1, math.Inf(-1), quiet}, {negZero, 5, math.Inf(1)}, {signaling, 0.25, -3}},
-		Labels:    []int{0, 1, 1},
+		Rows: Matrix{Dim: 3, Data: []float64{
+			1, math.Inf(-1), quiet,
+			negZero, 5, math.Inf(1),
+			signaling, 0.25, -3,
+		}},
+		Labels:    []uint32{0, 1, math.MaxUint32},
 		Clusters:  2,
 		Pool:      []float64{signaling, negZero, 1, math.Inf(1)},
 		RefSorted: []float64{math.Inf(-1), negZero, 2, quiet, 7},
 	}
 }
 
-// blockNames name a configure's padded blocks in configureBlocks order.
+// blockNames name a configure's padded f64 blocks in configureBlocks order.
 var blockNames = [3]string{"dataset", "pool", "reference"}
 
-// configureBlocks are a configure's padded blocks, the dataset flattened
-// row-major.
+// configureBlocks are a configure's padded f64 blocks.
 func configureBlocks(d *Directive) [3][]float64 {
-	var rows []float64
-	for _, r := range d.Rows {
-		rows = append(rows, r...)
-	}
-	return [3][]float64{rows, d.Pool, d.RefSorted}
+	return [3][]float64{d.Rows.Data, d.Pool, d.RefSorted}
 }
 
 // within reports whether the first element of v lies inside msg.
-func within(v []float64, msg []byte) bool {
+func within[E any](v []E, msg []byte) bool {
 	p, lo := reflect.ValueOf(v).Pointer(), reflect.ValueOf(msg).Pointer()
 	return len(v) > 0 && p >= lo && p < lo+uintptr(len(msg))
 }
 
-// A configure decodes its padded blocks as views of the message when the
+// A configure decodes its padded blocks — the dataset's flat coordinates,
+// the pool, the reference and the labels — as views of the message when the
 // message lies 8-byte aligned — a fresh EncodeDirective(nil, …) does — and
 // by copying when the same bytes sit at an odd offset. Both decodes hold
 // the encoded values bit for bit, and every block and dataset row is
@@ -251,14 +254,21 @@ func TestConfigureBlocksDecodeAsViews(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		for i, row := range got.Rows {
-			if cap(row) != len(row) {
+		if got.Rows.Dim != d.Rows.Dim || got.Rows.Len() != d.Rows.Len() {
+			t.Fatalf("%s: dataset of %d rows × %d, want %d × %d", c.name, got.Rows.Len(), got.Rows.Dim, d.Rows.Len(), d.Rows.Dim)
+		}
+		for i := range got.Rows.Len() {
+			if row := got.Rows.Row(i); cap(row) != len(row) {
 				t.Errorf("%s: dataset row %d has capacity %d, length %d", c.name, i, cap(row), len(row))
 			}
 		}
-		if cap(got.Pool) != len(got.Pool) || cap(got.RefSorted) != len(got.RefSorted) {
-			t.Errorf("%s: pool capacity %d (length %d), reference capacity %d (length %d)",
-				c.name, cap(got.Pool), len(got.Pool), cap(got.RefSorted), len(got.RefSorted))
+		for b, v := range configureBlocks(got) {
+			if cap(v) != len(v) {
+				t.Errorf("%s: %s capacity %d, length %d", c.name, blockNames[b], cap(v), len(v))
+			}
+		}
+		if cap(got.Labels) != len(got.Labels) {
+			t.Errorf("%s: labels capacity %d, length %d", c.name, cap(got.Labels), len(got.Labels))
 		}
 		gotBlocks := configureBlocks(got)
 		for b, want := range configureBlocks(d) {
@@ -272,10 +282,13 @@ func TestConfigureBlocksDecodeAsViews(t *testing.T) {
 				}
 			}
 		}
-		for b, v := range [3][]float64{got.Rows[0], got.Pool, got.RefSorted} {
+		for b, v := range gotBlocks {
 			if in := within(v, c.msg); in != c.view {
 				t.Errorf("%s: %s inside the message = %v, want %v", c.name, blockNames[b], in, c.view)
 			}
+		}
+		if in := within(got.Labels, c.msg); in != c.view {
+			t.Errorf("%s: labels inside the message = %v, want %v", c.name, in, c.view)
 		}
 		if !reflect.DeepEqual(got.Labels, d.Labels) || got.Clusters != d.Clusters {
 			t.Errorf("%s: labels %v clusters %d, want %v %d", c.name, got.Labels, got.Clusters, d.Labels, d.Clusters)
@@ -287,17 +300,20 @@ func TestConfigureBlocksDecodeAsViews(t *testing.T) {
 // ends 73 bytes in (the 4-byte header, 61 bytes of fixed fields, the row
 // count and dim), so its pad is bytes 73–79; without a dataset the pool's
 // prefix ends at 81 (an 8-byte empty matrix, the empty center's and the
-// pool's counts), so its pad is bytes 81–87. A non-zero byte in either is
-// refused. (A message that ends inside a pad is one of the prefixes
-// TestDecodeRejectsTruncation refuses.)
+// pool's counts), so its pad is bytes 81–87; with neither, the label
+// prefix ends at 89 (the reference's and the labels' counts besides), so
+// its pad to a 4-byte boundary is bytes 89–91. A non-zero byte in any of
+// them is refused. (A message that ends inside a pad is one of the
+// prefixes TestDecodeRejectsTruncation refuses.)
 func TestDecodeRejectsBadPad(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		d      *Directive
 		lo, hi int
 	}{
-		{"dataset", &Directive{Op: OpConfigure, Rows: [][]float64{{1, 2}}}, 73, 80},
+		{"dataset", &Directive{Op: OpConfigure, Rows: Matrix{Dim: 2, Data: []float64{1, 2}}}, 73, 80},
 		{"pool", &Directive{Op: OpConfigure, Pool: []float64{1, 2}, MechKind: 1, MechEps: 1}, 81, 88},
+		{"labels", &Directive{Op: OpConfigure, Labels: []uint32{1, 2}}, 89, 92},
 	} {
 		msg := EncodeDirective(nil, c.d)
 		for i := c.lo; i < c.hi; i++ {
@@ -317,29 +333,31 @@ func TestDecodeRejectsBadPad(t *testing.T) {
 }
 
 // Decoding allocates per block, never per element: a configure carrying a
-// 1,000×18 dataset and a 250k pool, and a 1,000-row kept-row page, decode
-// in as many allocations as their 10-row, 100-value counterparts, and in a
-// handful overall (the message struct and one backing array per block).
-// An aligned configure allocates no element at all: its dataset and pool
-// are views of the message, so its bytes are the struct, the labels and
-// one slice header per row — O(rows), not O(pool).
+// labeled 1,000×18 dataset and a 250k pool, and a 1,000-row kept-row page,
+// decode in as many allocations as their 10-row, 100-value counterparts,
+// and in a handful overall (the message struct and one backing array per
+// block). An aligned configure allocates no element and no row header at
+// all: its dataset, labels and pool are views of the message, so its bytes
+// are the struct's — O(1), not O(rows) or O(pool).
 func TestDecodeAllocsPerBlock(t *testing.T) {
 	const maxAllocs = 8
 	build := func(nRows, nPool int) (conf, page []byte) {
 		rows := make([][]float64, nRows)
 		labels := make([]int, nRows)
+		u32Labels := make([]uint32, nRows)
 		for i := range rows {
 			rows[i] = make([]float64, 18)
 			for j := range rows[i] {
 				rows[i][j] = float64(i*18+j) / 7
 			}
 			labels[i] = i % 4
+			u32Labels[i] = uint32(labels[i])
 		}
 		pool := make([]float64, nPool)
 		for i := range pool {
 			pool[i] = float64(i) * 0.5
 		}
-		conf = EncodeDirective(nil, &Directive{Op: OpConfigure, Epsilon: 0.01, Rows: rows, Labels: labels, Pool: pool})
+		conf = EncodeDirective(nil, &Directive{Op: OpConfigure, Epsilon: 0.01, Rows: MatrixOf(rows), Labels: u32Labels, Pool: pool})
 		page = EncodeReport(nil, &Report{KeptRows: rows, KeptLabels: labels, PoolRows: []int{nRows}, Leaves: 1})
 		return conf, page
 	}
@@ -379,9 +397,9 @@ func TestDecodeAllocsPerBlock(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// A row costs its 24 B slice header and its 8 B label; the bound leaves
-	// room for size-class rounding and the struct.
-	if per, bound := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(48*nRows+1024); per > bound {
+	// Only the struct is allocated; the bound leaves room for size-class
+	// rounding.
+	if per, bound := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(1024); per > bound {
 		t.Errorf("DecodeDirective(configure): %d B allocated per decode of 1000×18 rows + 250k pool, want ≤ %d", per, bound)
 	}
 }

@@ -36,8 +36,8 @@ func FuzzDecodeDirective(f *testing.F) {
 	f.Add(EncodeDirective(nil, &Directive{Op: OpGenerate, Gen: &GenSpec{}}))
 	f.Add(EncodeDirective(nil, &Directive{
 		Op: OpConfigure, Epsilon: 0.01,
-		Rows:     [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {-1, 0.5, 2.5}},
-		Labels:   []int{0, 1, 1, 0},
+		Rows:     Matrix{Dim: 3, Data: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, -1, 0.5, 2.5}},
+		Labels:   []uint32{0, 1, 1, 0},
 		Pool:     []float64{0.25, -3, 8, 1e-9, 42},
 		Clusters: 2, PoisonLabel: -1,
 	}))

@@ -241,7 +241,7 @@ func EncodeReport(buf []byte, rep *Report) []byte {
 	buf = appendU64(buf, uint64(rep.KeptCount))
 	buf = appendF64(buf, rep.KeptSum)
 	buf = appendSummaryBlock(buf, rep.Kept)
-	buf = appendRowsBlock(buf, rep.KeptRows, -1)
+	buf = appendRowsBlock(buf, rep.KeptRows)
 	buf = appendIntList(buf, rep.KeptLabels)
 	buf = appendIntList(buf, rep.PoolRows)
 	buf = appendU32(buf, uint32(rep.Leaves))
@@ -307,7 +307,7 @@ func DecodeReport(buf []byte) (*Report, error) {
 	if rep.Kept, err = readSummaryBlock(r); err != nil {
 		return nil, err
 	}
-	rep.KeptRows = readRowsBlock(r, "kept rows", false)
+	rep.KeptRows = readRowsBlock(r, "kept rows")
 	rep.KeptLabels = readIntList(r, "kept label")
 	rep.PoolRows = readIntList(r, "pool rows")
 	rep.Leaves = int(r.u32("leaves"))
@@ -369,8 +369,8 @@ type Directive struct {
 
 	Epsilon float64 // Configure: worker sketch budget
 
-	Rows   [][]float64 // Configure: the row game's dataset
-	Center []float64   // Generate (rows): the center the round generates around
+	Rows   Matrix    // Configure: the row game's dataset
+	Center []float64 // Generate (rows): the center the round generates around
 
 	Pct       float64 // Classify: the percentile the threshold resolved from
 	Threshold float64 // Classify: resolved trim threshold (value domain)
@@ -387,7 +387,7 @@ type Directive struct {
 	// Configure: the game's one-time data-plane state.
 	Pool        []float64 // sorted clean input pool (LDP/GRR); empty in a scalar configure
 	RefSorted   []float64 // sorted clean reference (scalar: the honest pool and the percentile scale)
-	Labels      []int     // dataset labels (row game; nil when unlabeled)
+	Labels      []uint32  // dataset labels, one per row (row game; nil when unlabeled)
 	Clusters    int       // row game: class count for random poison labels
 	PoisonLabel int       // row game: fixed poison label (−1: random class)
 	MechKind    byte      // LDP mechanism code (0: not an LDP game)
@@ -413,11 +413,47 @@ type Directive struct {
 	Leaf int
 }
 
+// Matrix is a row matrix held flat: Len rows of Dim coordinates each,
+// row-major in Data. It is the configure's dataset: a decoded one is a view
+// of the message where the wire can view it, with no per-row slice headers.
+// The zero Matrix has no rows.
+type Matrix struct {
+	Dim  int
+	Data []float64
+}
+
+// MatrixOf copies rows, each len(rows[0]) wide, into one flat Matrix.
+func MatrixOf(rows [][]float64) Matrix {
+	if len(rows) == 0 {
+		return Matrix{}
+	}
+	m := Matrix{Dim: len(rows[0]), Data: make([]float64, 0, len(rows)*len(rows[0]))}
+	for _, row := range rows {
+		m.Data = append(m.Data, row...)
+	}
+	return m
+}
+
+// Len reports the number of rows.
+func (m Matrix) Len() int {
+	if m.Dim <= 0 {
+		return 0
+	}
+	return len(m.Data) / m.Dim
+}
+
+// Row returns row i, a slice of Data capacity-capped at its Dim
+// coordinates, so an append cannot reach the next row.
+func (m Matrix) Row(i int) []float64 {
+	return m.Data[i*m.Dim : (i+1)*m.Dim : (i+1)*m.Dim]
+}
+
 // EncodeDirective serializes a directive, appending to buf. A configure's
-// bulk blocks — Rows, Pool and RefSorted — are padded so their elements
-// start 8-byte aligned from the message start (buf[len(buf)] on entry);
-// DecodeDirective views them in place when the message lies 8-byte aligned
-// in memory, as a fresh EncodeDirective(nil, …) does.
+// bulk blocks — Rows, Pool, RefSorted and Labels — are padded so their
+// elements start aligned to their size from the message start
+// (buf[len(buf)] on entry); DecodeDirective views them in place when the
+// message lies 8-byte aligned in memory, as a fresh EncodeDirective(nil, …)
+// does.
 func EncodeDirective(buf []byte, d *Directive) []byte {
 	start := len(buf)
 	buf = appendHeader(buf, KindDirective)
@@ -431,11 +467,11 @@ func EncodeDirective(buf []byte, d *Directive) []byte {
 	buf = appendF64(buf, d.FocusPct)
 	buf = appendF64(buf, d.FocusWidth)
 	buf = appendU32(buf, uint32(d.FocusTighten))
-	buf = appendRowsBlock(buf, d.Rows, start)
+	buf = appendMatrix(buf, start, d.Rows)
 	buf = appendF64s(buf, d.Center)
 	buf = appendPaddedF64s(buf, start, d.Pool)
 	buf = appendPaddedF64s(buf, start, d.RefSorted)
-	buf = appendIntList(buf, d.Labels)
+	buf = appendPaddedU32s(buf, start, d.Labels)
 	buf = appendU32(buf, uint32(d.Clusters))
 	buf = appendU64(buf, uint64(int64(d.PoisonLabel)))
 	buf = append(buf, d.MechKind)
@@ -465,12 +501,12 @@ func EncodeDirective(buf []byte, d *Directive) []byte {
 	return buf
 }
 
-// DecodeDirective decodes an EncodeDirective message. A configure's Rows,
-// Pool and RefSorted are read-only views of buf when the host is
-// little-endian and their elements lie 8-byte aligned in memory (f64View),
+// DecodeDirective decodes an EncodeDirective message. A configure's Rows
+// data, Pool, RefSorted and Labels are read-only views of buf when the host
+// is little-endian and their elements lie aligned in memory (blockView),
 // and copies otherwise: the caller must neither modify nor reuse buf while
 // the directive, or anything that kept one of those blocks, is alive.
-// Center, Labels and every other field are copied.
+// Center and every other field are copied.
 func DecodeDirective(buf []byte) (*Directive, error) {
 	payload, err := checkHeader(buf, KindDirective)
 	if err != nil {
@@ -489,11 +525,11 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	d.FocusPct = r.f64("focus pct")
 	d.FocusWidth = r.f64("focus width")
 	d.FocusTighten = int(r.u32("focus tighten"))
-	d.Rows = readRowsBlock(r, "rows", true)
+	d.Rows = readMatrix(r, "rows")
 	d.Center = r.f64s("center")
-	d.Pool = r.paddedF64s("pool")
-	d.RefSorted = r.paddedF64s("reference")
-	d.Labels = readIntList(r, "label")
+	d.Pool = readPadded(r, "pool", 8, getF64)
+	d.RefSorted = readPadded(r, "reference", 8, getF64)
+	d.Labels = readPadded(r, "label", 4, binary.LittleEndian.Uint32)
 	d.Clusters = int(r.u32("clusters"))
 	d.PoisonLabel = int(int64(r.u64("poison label")))
 	d.MechKind = r.u8("mechanism kind")
@@ -535,21 +571,61 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	return d, nil
 }
 
-// appendRowsBlock writes a row matrix: u32 row count, u32 dim, then the
-// elements row-major. Nil and empty both encode as count 0. A start ≥ 0
-// pads a non-empty matrix's elements to an 8-byte boundary from the message
-// that starts at buf[start] (a configure's dataset); a kept-row page passes
-// −1 and is not padded.
-func appendRowsBlock(buf []byte, rows [][]float64, start int) []byte {
+// appendMatrix writes a configure's dataset: u32 row count, u32 dim, then,
+// when there are rows, the pad to an 8-byte boundary from the message that
+// starts at buf[start] and the elements row-major. A matrix without rows
+// encodes as count 0 and dim 0.
+func appendMatrix(buf []byte, start int, m Matrix) []byte {
+	n := m.Len()
+	if n == 0 {
+		return appendU32(appendU32(buf, 0), 0)
+	}
+	buf = appendU32(buf, uint32(n))
+	buf = appendU32(buf, uint32(m.Dim))
+	return appendF64Block(appendPad(buf, start, 8), m.Data[:n*m.Dim])
+}
+
+// readMatrix reads a block written by appendMatrix. Its Data is a view of
+// the message when the wire can view it and a copy otherwise (paddedBlock);
+// a count of 0 decodes to the zero Matrix. A corrupt count or dim fails
+// with ErrTruncated before allocating.
+func readMatrix(r *reader, what string) Matrix {
+	nRows, dim := readRowsPrefix(r, what)
+	if nRows == 0 {
+		return Matrix{}
+	}
+	data := paddedBlock(r, what, nRows*dim, 8, getF64)
+	if data == nil {
+		return Matrix{}
+	}
+	return Matrix{Dim: dim, Data: data}
+}
+
+// readRowsPrefix reads a row block's u32 row count and u32 dim and checks
+// that the rest of the payload can hold that many elements. It returns 0
+// rows for an empty block and on failure.
+func readRowsPrefix(r *reader, what string) (nRows, dim int) {
+	nRows = r.count(what, 4)
+	dim = int(r.u32(what))
+	if r.err != nil || nRows == 0 {
+		return 0, 0
+	}
+	if dim <= 0 || dim > (len(r.buf)-r.off)/8/nRows {
+		r.fail(what + " elements")
+		return 0, 0
+	}
+	return nRows, dim
+}
+
+// appendRowsBlock writes a kept-row page: u32 row count, u32 dim, then the
+// elements row-major, unpadded. Nil and empty both encode as count 0.
+func appendRowsBlock(buf []byte, rows [][]float64) []byte {
 	buf = appendU32(buf, uint32(len(rows)))
 	dim := 0
 	if len(rows) > 0 {
 		dim = len(rows[0])
 	}
 	buf = appendU32(buf, uint32(dim))
-	if start >= 0 && len(rows) > 0 {
-		buf = appendPad(buf, start)
-	}
 	buf = slices.Grow(buf, 8*dim*len(rows))
 	for _, row := range rows {
 		buf = appendF64Block(buf, row)
@@ -557,30 +633,15 @@ func appendRowsBlock(buf []byte, rows [][]float64, start int) []byte {
 	return buf
 }
 
-// readRowsBlock reads a block written by appendRowsBlock, padded when
-// padded is set. Row slices share one backing array, capacity-capped per
-// row: a view of the message when the block is padded and paddedBlock can
-// view it, a copy otherwise. A corrupt count or dim fails with
-// ErrTruncated before allocating.
-func readRowsBlock(r *reader, what string, padded bool) [][]float64 {
-	nRows := r.count(what, 4)
-	dim := int(r.u32(what))
-	if r.err != nil || nRows == 0 {
+// readRowsBlock reads a block written by appendRowsBlock into row slices
+// that share one freshly copied backing array, capacity-capped per row.
+func readRowsBlock(r *reader, what string) [][]float64 {
+	nRows, dim := readRowsPrefix(r, what)
+	if nRows == 0 {
 		return nil
 	}
-	if dim <= 0 || dim > (len(r.buf)-r.off)/8/nRows {
-		r.fail(what + " elements")
-		return nil
-	}
-	var flat []float64
-	if padded {
-		if flat = r.paddedBlock(what, nRows*dim); flat == nil {
-			return nil
-		}
-	} else {
-		flat = make([]float64, nRows*dim)
-		getF64s(flat, r.next(8*len(flat)))
-	}
+	flat := make([]float64, nRows*dim)
+	getF64s(flat, r.next(8*len(flat)))
 	rows := make([][]float64, nRows)
 	for i := range rows {
 		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]

@@ -99,15 +99,20 @@ import (
 // 17 retired the standalone summary and vector messages (kinds 1 and 2,
 // never reused): summaries and vector deltas travel only as blocks inside
 // reports, directives and snapshots, whose bytes are those of v16 apart
-// from the version byte.
-const Version = 17
+// from the version byte; 18 made a configure's dataset decode flat — its
+// Rows are a Matrix (Dim plus row-major Data), one view of the message with
+// no per-row slice headers — and its Labels a padded u32 block, 4-byte
+// aligned from the message start and viewed in place like the f64 blocks
+// (a label block that starts aligned gets no pad, so the configures of
+// format 17 keep their bytes apart from the version byte).
+const Version = 18
 
 // MinVersion is the oldest format this decoder still parses. Each version
 // so far changed the protocol contract (layout, or — v4 — an op an older
 // worker would reject mid-game, or — v14 — what a configure's pool means),
 // so its predecessor is retired: a mixed-version cluster fails loudly at
 // the configure fan-out instead of misparsing or dying rounds later.
-const MinVersion = 17
+const MinVersion = 18
 
 const (
 	magic0 = 'T'
@@ -203,20 +208,22 @@ func getF64s(out []float64, b []byte) {
 	}
 }
 
-// Padded blocks. A configure's bulk blocks — the row matrix, Pool and
-// RefSorted — pad their elements to an 8-byte boundary from the message
-// start (format 16), so a decoder can hand them out as views of the message
-// instead of copies. The pad is the zero bytes between the block's prefix
-// and its first element; an empty block has no elements and no pad.
+// Padded blocks. A configure's bulk blocks — the row matrix, Pool,
+// RefSorted (f64 elements) and Labels (u32 elements) — pad their elements to
+// a multiple of the element size from the message start (format 16; the
+// label block since format 18), so a decoder can hand them out as views of
+// the message instead of copies. The pad is the zero bytes between the
+// block's prefix and its first element; an empty block has no elements and
+// no pad.
 
-// littleEndian reports whether the host stores a float64 in the wire's byte
-// order, the first condition for viewing an f64 block in place.
+// littleEndian reports whether the host stores a number in the wire's byte
+// order, the first condition for viewing a block in place.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// appendPad appends the zero bytes that bring buf to an 8-byte boundary
-// from the message that starts at buf[start].
-func appendPad(buf []byte, start int) []byte {
-	for (len(buf)-start)%8 != 0 {
+// appendPad appends the zero bytes that bring buf to a multiple of size
+// bytes from the message that starts at buf[start].
+func appendPad(buf []byte, start, size int) []byte {
+	for (len(buf)-start)%size != 0 {
 		buf = append(buf, 0)
 	}
 	return buf
@@ -227,27 +234,43 @@ func appendPad(buf []byte, start int) []byte {
 func appendPaddedF64s(buf []byte, start int, vs []float64) []byte {
 	buf = appendU32(buf, uint32(len(vs)))
 	if len(vs) > 0 {
-		buf = appendPad(buf, start)
+		buf = appendPad(buf, start, 8)
 	}
 	return appendF64Block(buf, vs)
 }
 
-// f64View returns the f64 block b as a []float64 that shares b's memory —
-// length and capacity len(b)/8, so an append cannot reach past the block —
-// or nil when it cannot: on a big-endian host, where the bytes are not a
-// float64's, and when b does not start 8-byte aligned. It is the package's
-// one use of unsafe. The view aliases the message, so it is valid only
-// while the caller neither modifies nor reuses the message's bytes, and its
-// holder must only read it.
-func f64View(b []byte) []float64 {
-	if !littleEndian || len(b) < 8 {
+// appendPaddedU32s writes a u32-counted u32 block whose elements start
+// 4-byte aligned from the message that starts at buf[start].
+func appendPaddedU32s(buf []byte, start int, vs []uint32) []byte {
+	buf = appendU32(buf, uint32(len(vs)))
+	if len(vs) > 0 {
+		buf = appendPad(buf, start, 4)
+	}
+	buf, b := extend(buf, 4*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(b[4*i:], v)
+	}
+	return buf
+}
+
+// blockView returns the block b of f64 or u32 elements as a []E that shares
+// b's memory — length and capacity len(b)/size(E), so an append cannot
+// reach past the block — or nil when it cannot: on a big-endian host, where
+// the bytes are not an element's, and when b does not start aligned to the
+// element size. It is the package's one use of unsafe. The view aliases the
+// message, so it is valid only while the caller neither modifies nor reuses
+// the message's bytes, and its holder must only read it.
+func blockView[E float64 | uint32](b []byte) []E {
+	var zero E
+	size := int(unsafe.Sizeof(zero))
+	if !littleEndian || len(b) < size {
 		return nil
 	}
 	p := unsafe.Pointer(unsafe.SliceData(b))
-	if uintptr(p)%8 != 0 {
+	if uintptr(p)%uintptr(size) != 0 {
 		return nil
 	}
-	return unsafe.Slice((*float64)(p), len(b)/8)
+	return unsafe.Slice((*E)(p), len(b)/size)
 }
 
 // reader is a bounds-checked little-endian cursor over a payload. The first
@@ -337,16 +360,16 @@ func (r *reader) next(n int) []byte {
 	return b
 }
 
-// pad skips a padded block's pad — the bytes that bring the cursor to an
-// 8-byte boundary from the message start, which lies headerSize bytes
-// before the payload. A pad that runs past the payload fails with
+// pad skips a padded block's pad — the bytes that bring the cursor to a
+// multiple of size bytes from the message start, which lies headerSize
+// bytes before the payload. A pad that runs past the payload fails with
 // ErrTruncated and a non-zero pad byte is refused, so an accepted message
 // re-encodes to its own bytes.
-func (r *reader) pad(what string) {
+func (r *reader) pad(what string, size int) {
 	if r.err != nil {
 		return
 	}
-	n := (8 - (headerSize+r.off)%8) % 8
+	n := (size - (headerSize+r.off)%size) % size
 	if n > len(r.buf)-r.off {
 		r.fail(what + " pad")
 		return
@@ -360,25 +383,38 @@ func (r *reader) pad(what string) {
 	r.off += n
 }
 
-// paddedBlock returns the next n elements of a padded block: the pad is
-// skipped and the 8·n element bytes checked against the payload, then the
-// elements are returned as a view of the message when f64View allows it
-// and copied otherwise. nil on failure.
-func (r *reader) paddedBlock(what string, n int) []float64 {
-	r.pad(what)
-	if r.err == nil && n > (len(r.buf)-r.off)/8 {
+// paddedBlock returns the next n elements of a padded block of size-byte
+// elements: the pad is skipped and the element bytes checked against the
+// payload, then the elements are returned as a view of the message when
+// blockView allows it and decoded into a copy with get otherwise. nil on
+// failure.
+func paddedBlock[E float64 | uint32](r *reader, what string, n, size int, get func([]byte) E) []E {
+	r.pad(what, size)
+	if r.err == nil && n > (len(r.buf)-r.off)/size {
 		r.fail(what + " elements")
 	}
 	if r.err != nil {
 		return nil
 	}
-	b := r.next(8 * n)
-	if v := f64View(b); v != nil {
+	b := r.next(size * n)
+	if v := blockView[E](b); v != nil {
 		return v
 	}
-	out := make([]float64, n)
-	getF64s(out, b)
+	out := make([]E, n)
+	for i := range out {
+		out[i] = get(b[size*i:])
+	}
 	return out
+}
+
+// readPadded reads a u32-counted padded block (paddedBlock); empty decodes
+// to nil.
+func readPadded[E float64 | uint32](r *reader, what string, size int, get func([]byte) E) []E {
+	n := r.count(what, size)
+	if n == 0 {
+		return nil
+	}
+	return paddedBlock(r, what, n, size, get)
 }
 
 // finish rejects trailing bytes: a well-formed message is consumed exactly.
@@ -401,16 +437,6 @@ func (r *reader) f64s(what string) []float64 {
 	out := make([]float64, n)
 	getF64s(out, r.next(8*n))
 	return out
-}
-
-// paddedF64s reads a u32-counted padded f64 block (paddedBlock); empty
-// decodes to nil.
-func (r *reader) paddedF64s(what string) []float64 {
-	n := r.count(what, 8)
-	if n == 0 {
-		return nil
-	}
-	return r.paddedBlock(what, n)
 }
 
 // appendF64s writes a u32-counted f64 block.

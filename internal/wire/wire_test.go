@@ -403,8 +403,8 @@ func roundTripDirectives() []*Directive {
 		},
 		{ // shard-local configure: row dataset
 			Op: OpConfigure, Epsilon: 0.01,
-			Rows:     [][]float64{{1, 2, 3}, {4, 5, 6}},
-			Labels:   []int{1, 0},
+			Rows:     Matrix{Dim: 3, Data: []float64{1, 2, 3, 4, 5, 6}},
+			Labels:   []uint32{1, 0},
 			Clusters: 2, PoisonLabel: -1,
 		},
 		{ // O(1) shard-local round directive: one cell
