@@ -161,9 +161,6 @@ func (st *Stream) flushChunk(rem []float64) int {
 func (st *Stream) buildBlockKeys(keys []uint64) *Summary {
 	n := len(keys)
 	bs := st.blockSize
-	if bs < 2 {
-		bs = 2
-	}
 	// Upper bound on distinct values via key equality (the keys of −0.0 and
 	// +0.0 differ but decode to equal values; at most one adjacent pair
 	// collapses, which can only make the summary one entry smaller).
@@ -197,7 +194,7 @@ func (st *Stream) buildBlockKeys(keys []uint64) *Summary {
 	}
 	if runs <= bs+1 {
 		// Within the block budget: exact, no compression — mirrors the
-		// n ≤ b+1 early return in Compress/CompressFocused.
+		// n ≤ b+1 early return in Compress and compressCopy.
 		entries := make([]Entry, 0, runs)
 		for {
 			r, ok := nextRun()
@@ -208,20 +205,12 @@ func (st *Stream) buildBlockKeys(keys []uint64) *Summary {
 		}
 		return &Summary{entries: entries}
 	}
-	w := float64(n)
-	var next func() (float64, bool)
-	capHint := bs + 2
-	if st.focusTighten > 1 && st.focusHi > st.focusLo {
-		next = focusGridTargets(w, bs, st.focusLo, st.focusHi, st.focusTighten)
-		capHint += int(float64(bs)*float64(st.focusTighten)*(st.focusHi-st.focusLo)) + 2
-	} else {
-		next = gridTargets(w, bs)
-	}
+	next, size := st.grid(float64(n))
 	// Streaming mirror of compressTargets: prev/cur shadow entries i−1 and
 	// i, the one-run lookahead la tells us when cur is the final run (the
 	// walk never selects it; it is appended unconditionally at the end).
 	// runs ≥ bs+3 here, so cur and la both exist.
-	out := make([]Entry, 0, capHint)
+	out := make([]Entry, 0, size)
 	first, _ := nextRun()
 	out = append(out, first.entry())
 	prev := first

@@ -3,6 +3,7 @@ package summary
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -24,11 +25,16 @@ const defaultHint = 1 << 21
 // folded into a binary counter of summaries — level l holds a summary of
 // 2^l blocks that has been compressed at most l+1 times, so the total rank
 // error stays ≤ maxLevels/blockSize ≤ ε while memory stays
-// O(maxLevels·blockSize) = O(log(εn)/ε) regardless of stream length.
+// O(maxLevels·blockSize) = O(log(εn)/ε) regardless of stream length. Each
+// level is held in an array of at most blockSize+1 entries (the focused
+// grid's bound under SetFocus).
 //
-// Queries are served from a cached merged snapshot of all levels plus the
-// current partial buffer, so interleaving Push and Query costs one merge
-// per round at worst — the per-round pattern of the collection game.
+// Queries read the level counter and the partial buffer in place: the
+// answer is the merged snapshot's, bit for bit, found by binary searches
+// over the levels instead of by building the merge (queryParts). Only a
+// stream that absorbed a summary whose ranks do not add exactly (loose)
+// answers from a merged snapshot, which Snapshot caches until the next
+// Push or Absorb.
 type Stream struct {
 	eps       float64
 	blockSize int
@@ -40,15 +46,14 @@ type Stream struct {
 	sum      float64 // Σ value of everything pushed/absorbed
 	min, max float64
 
-	cache *Summary // merged snapshot; invalidated by Push/Absorb
+	cache *Summary // the merged snapshot Snapshot built; invalidated by Push/Absorb
 
-	// levelCache is the merged summary of the levels alone (no buffer). A
-	// Push only dirties the buffer, so the level merge survives until the
-	// next flush/carry — interleaved Push/Query re-merges the partial
-	// buffer, not the whole counter. levelBuilds counts rebuilds (the
-	// invalidate-once regression tests read it).
-	levelCache  *Summary
-	levelBuilds int
+	// loose is set once a part of the snapshot may fail mergeExact — an
+	// absorbed or restored summary fails it, a restored buffer holds NaN,
+	// or a carry passed 2^53 total weight — and cleared by Reset. A loose
+	// stream answers queries from a merged snapshot and carries by a merge
+	// then a compression.
+	loose bool
 
 	// focus*: the adaptive-ε compression window (SetFocus). When
 	// focusTighten > 1, compressions keep tighten× denser rank coverage
@@ -141,14 +146,26 @@ func (st *Stream) ClearFocus() {
 	st.focusLo, st.focusHi, st.focusTighten = 0, 0, 0
 }
 
-// compress applies the stream's compression budget to s: the plain
-// blockSize grid, or the focused grid when SetFocus is active.
-func (st *Stream) compress(s *Summary) {
-	if st.focusTighten > 1 {
-		s.CompressFocused(st.blockSize, st.focusLo, st.focusHi, st.focusTighten)
-		return
+// grid returns the stream's compression grid over total weight w — the
+// plain blockSize grid, or the focused grid when SetFocus is active — and
+// the most entries a compression to it keeps.
+func (st *Stream) grid(w float64) (next func() (float64, bool), size int) {
+	if st.focusTighten > 1 && st.focusHi > st.focusLo {
+		return focusGridTargets(w, st.blockSize, st.focusLo, st.focusHi, st.focusTighten),
+			focusGridSize(st.blockSize, st.focusLo, st.focusHi, st.focusTighten)
 	}
-	s.Compress(st.blockSize)
+	return gridTargets(w, st.blockSize), st.blockSize + 1
+}
+
+// compressCopy returns src compressed to the stream's grid in a new array
+// no longer than the grid's bound, or copied when it holds at most
+// blockSize+1 entries and needs no compression. src is not modified.
+func (st *Stream) compressCopy(src []Entry) []Entry {
+	if len(src) <= st.blockSize+1 {
+		return cloneEntries(src)
+	}
+	next, size := st.grid(src[len(src)-1].MaxRank)
+	return compressTargets(make([]Entry, 0, min(size, len(src))), src, next)
 }
 
 // Push absorbs one observation; NaN is skipped.
@@ -189,12 +206,11 @@ func (st *Stream) flush() {
 	st.carry(s)
 }
 
-// carry propagates a summary up the binary counter. The levels change, so
-// both the full snapshot cache and the level cache are invalidated here —
-// the single chokepoint every flush/absorb funnels through.
+// carry propagates a summary up the binary counter, merging and
+// compressing once per occupied level passed; the stream takes s over.
+// Every flush and absorb funnels through here, so it drops the snapshot.
 func (st *Stream) carry(s *Summary) {
 	st.cache = nil
-	st.levelCache = nil
 	for l := 0; ; l++ {
 		if l == len(st.levels) {
 			st.levels = append(st.levels, nil)
@@ -203,9 +219,118 @@ func (st *Stream) carry(s *Summary) {
 			st.levels[l] = s
 			return
 		}
-		s.Merge(st.levels[l])
-		st.compress(s)
+		s = &Summary{entries: st.mergeCompress(s.entries, st.levels[l].entries)}
 		st.levels[l] = nil
+	}
+}
+
+// mergeCompress returns the entries a.Merge(b) then a compression to the
+// stream's grid leave, bit for bit, in a new array of at most the grid's
+// bound, without modifying a or b. While the stream is not loose and the
+// merged weight stays below 2^53, the merged total is known up front, so
+// one pass (mergeSelect) merges and keeps only the grid's survivors;
+// a merge that turns out to need no compression is redone straight into
+// that array.
+func (st *Stream) mergeCompress(a, b []Entry) []Entry {
+	switch {
+	case len(b) == 0:
+		return st.compressCopy(a)
+	case len(a) == 0:
+		return st.compressCopy(b)
+	}
+	w := a[len(a)-1].MaxRank + b[len(b)-1].MaxRank
+	if !(w < 1<<53) {
+		st.loose = true
+	}
+	if st.loose {
+		return st.compressCopy(merge2(make([]Entry, 0, len(a)+len(b)), a, b))
+	}
+	if len(a)+len(b) <= st.blockSize+1 {
+		return merge2(make([]Entry, 0, len(a)+len(b)), a, b)
+	}
+	next, size := st.grid(w)
+	out, n := mergeSelect(make([]Entry, 0, min(size, len(a)+len(b))), a, b, next)
+	if n <= st.blockSize+1 {
+		out = merge2(out[:0], a, b)
+	}
+	return out
+}
+
+// mergeSelect appends to dst what compressTargets(dst, merge2(nil, a, b),
+// next) appends, in one pass over the non-empty a and b that holds only
+// the merge's last three entries, and returns it with the merge's length.
+// It runs compressTargets' walk forwards: prev and cur are the entries
+// i−1 and i of that walk, and each new entry e is its lookahead — with e
+// known, cur is not the last entry, so the pending target either moves the
+// cursor on (cur's midpoint below it) or selects prev or cur. The merge is
+// merge2's, one entry per loop.
+func mergeSelect(dst, a, b []Entry, next func() (float64, bool)) ([]Entry, int) {
+	var aLow, bLow, lo, hi float64
+	aTotal, bTotal := a[len(a)-1].MaxRank, b[len(b)-1].MaxRank
+	var i, j, n int
+	var prev, cur Entry
+	lastIdx := 0
+	t, tOK := next()
+	for {
+		var v, w, minRank, maxRank float64
+		switch {
+		case i < len(a) && j < len(b):
+			x, y := &a[i], &b[j]
+			switch {
+			case x.Value < y.Value:
+				v, w, minRank, maxRank = x.Value, x.Weight, x.MinRank+bLow, x.MaxRank+y.prevMaxRank()
+				aLow = x.nextMinRank()
+				i++
+			case y.Value < x.Value:
+				v, w, minRank, maxRank = y.Value, y.Weight, y.MinRank+aLow, y.MaxRank+x.prevMaxRank()
+				bLow = y.nextMinRank()
+				j++
+			default:
+				v, w, minRank, maxRank = x.Value, x.Weight+y.Weight, x.MinRank+y.MinRank, x.MaxRank+y.MaxRank
+				aLow = x.nextMinRank()
+				bLow = y.nextMinRank()
+				i++
+				j++
+			}
+		case i < len(a):
+			x := &a[i]
+			v, w, minRank, maxRank = x.Value, x.Weight, x.MinRank+bLow, x.MaxRank+bTotal
+			i++
+		case j < len(b):
+			y := &b[j]
+			v, w, minRank, maxRank = y.Value, y.Weight, y.MinRank+aLow, y.MaxRank+aTotal
+			j++
+		default:
+			if n > 1 {
+				dst = append(dst, cur)
+			}
+			return dst, n
+		}
+		lo, hi = consistentBounds(minRank, maxRank, w, lo, hi)
+		e := Entry{Value: v, Weight: w, MinRank: lo, MaxRank: hi}
+		n++
+		switch n {
+		case 1:
+			dst = append(dst, e)
+			cur = e
+			continue
+		case 2:
+			prev, cur = cur, e
+			continue
+		}
+		for tOK && !(cur.midRank() < t) {
+			if t-prev.midRank() <= cur.midRank()-t {
+				if n-3 > lastIdx {
+					dst = append(dst, prev)
+					lastIdx = n - 3
+				}
+			} else if n-2 > lastIdx {
+				dst = append(dst, cur)
+				lastIdx = n - 2
+			}
+			t, tOK = next()
+		}
+		prev, cur = cur, e
 	}
 }
 
@@ -230,8 +355,15 @@ func (st *Stream) AbsorbCounted(s *Summary, count int, sum float64) {
 	if last.Value > st.max {
 		st.max = last.Value
 	}
-	c := s.Clone()
-	st.compress(c)
+	if !st.loose && !mergeExact([][]Entry{s.entries}) {
+		st.loose = true
+	}
+	// The carry stores its summary only when level 0 is empty; otherwise
+	// it merges from s without keeping or modifying it.
+	c := s
+	if len(s.entries) > st.blockSize+1 || len(st.levels) == 0 || st.levels[0] == nil {
+		c = &Summary{entries: st.compressCopy(s.entries)}
+	}
 	st.carry(c)
 }
 
@@ -252,35 +384,173 @@ func (st *Stream) AbsorbStream(other *Stream) {
 	}
 }
 
-// Snapshot returns the merged summary of everything pushed so far. The
+// Snapshot returns the merged summary of everything pushed so far: the
+// buffer's summary merged with MergeAll of the levels, in level order. The
 // result is cached until the next Push/Absorb; callers must not mutate it
-// (Clone first). The merge of the level counter (MergeAll, in level
-// order) is cached separately and survives pushes (only a flush/carry
-// dirties it), so the steady Push/Query interleaving of the collection
-// game re-merges the partial buffer against one pre-merged summary
-// instead of re-walking every level. Merge is associative, so the
-// regrouping leaves snapshots bit-identical (their integer rank
-// arithmetic is exact in float64).
+// (Clone first).
 func (st *Stream) Snapshot() *Summary {
 	if st.cache != nil {
 		return st.cache
 	}
-	if st.levelCache == nil {
-		st.levelBuilds++
-		st.levelCache = MergeAll(st.levels)
+	merged := MergeAll(st.levels)
+	if len(st.bufV) > 0 {
+		buf := FromUnsorted(st.bufV)
+		buf.Merge(merged)
+		merged = buf
 	}
-	if len(st.bufV) == 0 {
-		st.cache = st.levelCache
-		return st.cache
-	}
-	merged := FromUnsorted(st.bufV)
-	merged.Merge(st.levelCache)
 	st.cache = merged
 	return merged
 }
 
-// Query returns the ε-approximate q-th quantile of the stream.
-func (st *Stream) Query(q float64) float64 { return st.Snapshot().Query(q) }
+// Query returns the ε-approximate q-th quantile of the stream:
+// Snapshot().Query(q), bit for bit, read from the levels and the buffer
+// without building the snapshot unless the stream is loose.
+func (st *Stream) Query(q float64) float64 {
+	if st.cache != nil {
+		return st.cache.Query(q)
+	}
+	total, ok := st.exactTotal()
+	if !ok {
+		return st.Snapshot().Query(q)
+	}
+	if total == 0 {
+		return math.NaN()
+	}
+	var partsBuf [16][]Entry
+	parts := partsBuf[:0]
+	if len(st.bufV) > 0 {
+		// The buffer's summary, built as Snapshot builds it (the same sort
+		// of the same copy, so a ±0 run keeps the same sign): a query's
+		// only allocation, and none once the buffer is flushed.
+		parts = append(parts, FromUnsorted(st.bufV).entries)
+	}
+	for _, lv := range st.levels {
+		if lv != nil && len(lv.entries) > 0 {
+			parts = append(parts, lv.entries)
+		}
+	}
+	return queryParts(parts, total, q)
+}
+
+// exactTotal returns the total weight of the buffer and the levels, and
+// whether queries can read them in place: the stream is not loose, so
+// every level passes mergeExact on its own (the buffer's summary always
+// does), and the total is below 2^53, so every sum of their ranks is
+// exact and the merged snapshot's bounds are those sums.
+func (st *Stream) exactTotal() (float64, bool) {
+	if st.loose {
+		return 0, false
+	}
+	w := float64(len(st.bufV))
+	for _, lv := range st.levels {
+		if lv != nil {
+			w += lv.TotalWeight()
+		}
+	}
+	return w, w < 1<<53
+}
+
+// queryParts returns Summary.Query(q) on the merge of parts — non-empty
+// entry lists in the fold order of Snapshot, each passing mergeExact, of
+// total weight total below 2^53 — without building the merge. Each merged
+// entry's bounds are the sums of the parts' own bounds at its value
+// (mergedMid), the sums mergeKWay runs, exact in any order; so each
+// midpoint has the merged entry's bits. Midpoints rise with value: one
+// binary search per part finds its least value whose merged midpoint
+// reaches the target, the least of those is the entry selectIdx's search
+// stops at, and the greatest value below it in any part is that entry's
+// predecessor, which wins selectIdx's tie. Parts are read in order and a
+// value is replaced only by a strictly smaller (or, for the predecessor
+// and the last entry, larger) one, so a value several parts hold (±0)
+// comes from the first of them — the value the fold keeps.
+func queryParts(parts [][]Entry, total, q float64) float64 {
+	if q < 0 {
+		q = 0
+	} else if q > 1 {
+		q = 1
+	}
+	target := q * total
+	hit, found := 0.0, false
+	for _, es := range parts {
+		n := len(es)
+		if found {
+			n = lowerBound(es, hit) // only a smaller value can improve the hit
+		}
+		lo, hi := 0, n
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if mergedMid(parts, es[m].Value) >= target {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		if lo < n {
+			hit, found = es[lo].Value, true
+		}
+	}
+	if !found {
+		// Every midpoint is below the target (or it is NaN): selectIdx
+		// returns the last entry, the largest value.
+		for _, es := range parts {
+			if v := es[len(es)-1].Value; !found || v > hit {
+				hit, found = v, true
+			}
+		}
+		return hit
+	}
+	pred, hasPred := 0.0, false
+	for _, es := range parts {
+		if j := lowerBound(es, hit); j > 0 && (!hasPred || es[j-1].Value > pred) {
+			pred, hasPred = es[j-1].Value, true
+		}
+	}
+	if hasPred && target-mergedMid(parts, pred) <= mergedMid(parts, hit)-target {
+		return pred
+	}
+	return hit
+}
+
+// mergedMid returns the rank midpoint of the merged entry at v, a value
+// some part holds: per part, its entry's bounds when it holds v, and
+// otherwise its bounds on its weight below v — its last entry under v's
+// MinRank+Weight and its first entry over v's MaxRank−Weight (its total
+// past its end).
+func mergedMid(parts [][]Entry, v float64) float64 {
+	var lo, hi float64
+	for _, es := range parts {
+		j := lowerBound(es, v)
+		if j < len(es) && es[j].Value == v {
+			lo += es[j].MinRank
+			hi += es[j].MaxRank
+			continue
+		}
+		if j > 0 {
+			lo += es[j-1].nextMinRank()
+		}
+		if j < len(es) {
+			hi += es[j].prevMaxRank()
+		} else {
+			hi += es[len(es)-1].MaxRank
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// lowerBound returns the index of the first entry of es whose value is at
+// least v (len(es) when none is).
+func lowerBound(es []Entry, v float64) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].Value < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
 
 // Count returns the number of observations pushed.
 func (st *Stream) Count() int { return st.count }
@@ -298,8 +568,14 @@ func (st *Stream) Mean() float64 {
 	return st.sum / w
 }
 
-// TotalWeight returns the summarized total weight.
-func (st *Stream) TotalWeight() float64 { return st.Snapshot().TotalWeight() }
+// TotalWeight returns the summarized total weight: Snapshot's, summed
+// from the levels and the buffer unless the stream is loose.
+func (st *Stream) TotalWeight() float64 {
+	if w, ok := st.exactTotal(); ok {
+		return w
+	}
+	return st.Snapshot().TotalWeight()
+}
 
 // Min returns the exact minimum pushed value (+Inf when empty).
 func (st *Stream) Min() float64 { return st.min }
@@ -386,10 +662,16 @@ func FromState(s *StreamState) (*Stream, error) {
 		max:       s.Max,
 	}
 	copy(st.bufV, s.BufV)
+	// Push skips NaN, but a decoded state's buffer can hold one, and the
+	// buffer's summary then fails mergeExact as a loose level does.
+	st.loose = slices.ContainsFunc(st.bufV, math.IsNaN)
 	for _, lv := range s.Levels {
 		if lv == nil {
 			st.levels = append(st.levels, nil)
 			continue
+		}
+		if len(lv.entries) > 0 && !mergeExact([][]Entry{lv.entries}) {
+			st.loose = true
 		}
 		st.levels = append(st.levels, lv.Clone())
 	}
@@ -399,11 +681,12 @@ func FromState(s *StreamState) (*Stream, error) {
 // Reset empties the stream, keeping its configuration.
 func (st *Stream) Reset() {
 	st.bufV = st.bufV[:0]
+	clear(st.levels)
 	st.levels = st.levels[:0]
 	st.count = 0
 	st.sum = 0
 	st.min = math.Inf(1)
 	st.max = math.Inf(-1)
 	st.cache = nil
-	st.levelCache = nil
+	st.loose = false
 }

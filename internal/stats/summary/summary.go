@@ -112,9 +112,18 @@ func FromEntries(entries []Entry) (*Summary, error) {
 	return &Summary{entries: entries}, nil
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, its entries in an array of their exact length.
 func (s *Summary) Clone() *Summary {
-	return &Summary{entries: append([]Entry(nil), s.entries...)}
+	return &Summary{entries: cloneEntries(s.entries)}
+}
+
+// cloneEntries copies es into a slice whose capacity is its length
+// (append would round a large one up to the allocator's next size).
+func cloneEntries(es []Entry) []Entry {
+	if len(es) == 0 {
+		return nil
+	}
+	return append(make([]Entry, 0, len(es)), es...)
 }
 
 // Size returns the number of entries.
@@ -226,7 +235,7 @@ func (s *Summary) Compress(b int) {
 	if n <= b+1 {
 		return
 	}
-	s.compressTargets(gridTargets(s.TotalWeight(), b))
+	s.entries = compressTargets(s.entries[:0], s.entries, gridTargets(s.TotalWeight(), b))
 }
 
 // gridTargets yields the b−1 interior rank grid points k·W/b ascending —
@@ -242,20 +251,38 @@ func gridTargets(w float64, b int) func() (float64, bool) {
 	}
 }
 
+// fineGrid returns the indices [first, last] of the tighten×-finer grid
+// points j·W/(b·tighten) inside the rank window [lo, hi] (fractions of
+// total weight), interior points only; first > last when there are none.
+func fineGrid(b int, lo, hi float64, tighten int) (fine float64, first, last int) {
+	fine = float64(b) * float64(tighten)
+	first = int(math.Ceil(lo * fine))
+	if first < 1 {
+		first = 1
+	}
+	last = int(math.Floor(hi * fine))
+	if last > int(fine)-1 {
+		last = int(fine) - 1
+	}
+	return fine, first, last
+}
+
+// focusGridSize bounds the entries a focused compression keeps: the two
+// extremes plus one per grid target, b−1 coarse and the window's fine
+// ones — b+1 when the window holds no fine point.
+func focusGridSize(b int, lo, hi float64, tighten int) int {
+	_, first, last := fineGrid(b, lo, hi, tighten)
+	return b + 1 + max(0, last-first+1)
+}
+
 // focusGridTargets yields the Compress(b) grid unioned with a tighten×
 // finer grid restricted to the rank window [lo, hi] (fractions of total
-// weight), ascending — the CompressFocused pruning grid. Coincident
-// targets may repeat; the selection pass drops them.
+// weight), ascending — the focused pruning grid: inside the window the
+// added error is at most 1/(b·tighten), everywhere else the Compress(b)
+// bound holds. Coincident targets may repeat; the selection pass drops
+// them.
 func focusGridTargets(w float64, b int, lo, hi float64, tighten int) func() (float64, bool) {
-	fine := float64(b) * float64(tighten)
-	fj := int(math.Ceil(lo * fine))
-	if fj < 1 {
-		fj = 1
-	}
-	fEnd := int(math.Floor(hi * fine))
-	if fEnd > int(fine)-1 {
-		fEnd = int(fine) - 1
-	}
+	fine, fj, fEnd := fineGrid(b, lo, hi, tighten)
 	k := 0
 	var pendingC, pendingF float64
 	haveC, haveF := false, false
@@ -283,60 +310,39 @@ func focusGridTargets(w float64, b int, lo, hi float64, tighten int) func() (flo
 	}
 }
 
-// CompressFocused is Compress(b) with an adaptive-ε window: on top of the
-// coarse grid k·W/b it keeps the entries nearest a tighten×-finer grid
-// j·W/(b·tighten) restricted to the rank window [lo, hi] (fractions of
-// total weight). Inside the window the added error is at most
-// 1/(b·tighten); everywhere else the Compress(b) bound holds — focusing
-// only ever adds grid points. The survivor count is bounded by
-// b+1 plus the window's fine points, ≈ b·(1 + (hi−lo)·tighten).
-func (s *Summary) CompressFocused(b int, lo, hi float64, tighten int) {
-	if tighten <= 1 || hi <= lo {
-		s.Compress(b)
-		return
-	}
-	if b < 2 {
-		b = 2
-	}
-	n := len(s.entries)
-	if n <= b+1 {
-		return
-	}
-	s.compressTargets(focusGridTargets(s.TotalWeight(), b, lo, hi, tighten))
-}
-
 // compressTargets is the shared one-pass pruning core: for each target rank
-// produced by next (ascending) it keeps the entry whose rank midpoint is
-// nearest, writing survivors in place. Both the targets and the midpoints
-// are nondecreasing, so the read cursor never backs up. The first and last
-// entries always survive. Callers guarantee len(entries) ≥ 2.
-func (s *Summary) compressTargets(next func() (float64, bool)) {
-	n := len(s.entries)
-	wi, lastIdx := 1, 0
+// produced by next (ascending) it keeps the entry of src whose rank
+// midpoint is nearest, appending survivors to dst, which may be src[:0]
+// (every survivor is written at or before the index it is read from).
+// Both the targets and the midpoints are nondecreasing, so the read cursor
+// never backs up. The first and last entries always survive. Callers
+// guarantee len(src) ≥ 2.
+func compressTargets(dst, src []Entry, next func() (float64, bool)) []Entry {
+	n := len(src)
+	dst = append(dst, src[0])
+	lastIdx := 0
 	i := 1
 	for i < n-1 {
 		target, ok := next()
 		if !ok {
 			break
 		}
-		for i < n-1 && s.entries[i].midRank() < target {
+		for i < n-1 && src[i].midRank() < target {
 			i++
 		}
 		if i >= n-1 {
 			break
 		}
 		j := i
-		if target-s.entries[j-1].midRank() <= s.entries[j].midRank()-target {
+		if target-src[j-1].midRank() <= src[j].midRank()-target {
 			j--
 		}
 		if j > lastIdx {
-			s.entries[wi] = s.entries[j]
-			wi++
+			dst = append(dst, src[j])
 			lastIdx = j
 		}
 	}
-	s.entries[wi] = s.entries[n-1]
-	s.entries = s.entries[:wi+1]
+	return append(dst, src[n-1])
 }
 
 // selectIdx returns the index of the entry whose rank interval midpoint is

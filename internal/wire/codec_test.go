@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"hash/fnv"
 	"math"
 	"reflect"
@@ -216,6 +217,51 @@ func viewConfigure() *Directive {
 		Clusters:  2,
 		Pool:      []float64{signaling, negZero, 1, math.Inf(1)},
 		RefSorted: []float64{math.Inf(-1), negZero, 2, quiet, 7},
+	}
+}
+
+// A configure grows its output once: a 20,000 × 18 labeled row configure
+// — the rows-tree benchmark's — lies in an array at most 64 B longer than
+// itself (block by block it sat in 3,612,672 B), with the bytes it always
+// had, at every start offset of a reused buffer; and every directive of
+// viewConfigure's, each with a block dropped, ends as short.
+func TestConfigureGrowsOnce(t *testing.T) {
+	const rows, dim = 20_000, 18
+	d := &Directive{Op: OpConfigure, Epsilon: 0.005, Rows: Matrix{Dim: dim, Data: make([]float64, rows*dim)}, Labels: make([]uint32, rows)}
+	for i := range d.Rows.Data {
+		d.Rows.Data[i] = float64(i%1013) / 7
+	}
+	for i := range d.Labels {
+		d.Labels[i] = uint32(i % 5)
+	}
+	msg := EncodeDirective(nil, d)
+	if len(msg) != 2_960_138 || cap(msg)-len(msg) > 64 {
+		t.Fatalf("row configure: %d bytes in an array of %d", len(msg), cap(msg))
+	}
+	for _, pre := range []int{1, 5, 8} {
+		got := EncodeDirective(make([]byte, pre, pre+3), d)
+		if !bytes.Equal(got[pre:], msg) {
+			t.Fatalf("encoded after %d bytes: the message differs", pre)
+		}
+		if cap(got)-len(got) > 64 {
+			t.Fatalf("encoded after %d bytes: %d bytes in an array of %d", pre, len(got), cap(got))
+		}
+	}
+	drop := []func(*Directive){
+		func(*Directive) {},
+		func(d *Directive) { d.Rows = Matrix{} },
+		func(d *Directive) { d.Pool = nil },
+		func(d *Directive) { d.RefSorted = nil },
+		func(d *Directive) { d.Labels = nil },
+	}
+	for i, f := range drop {
+		c := viewConfigure()
+		c.Center = []float64{1, 2}
+		c.Cuts = []int{3, 4, 5}
+		f(c)
+		if msg := EncodeDirective(nil, c); cap(msg)-len(msg) > 64 {
+			t.Fatalf("configure %d: %d bytes in an array of %d", i, len(msg), cap(msg))
+		}
 	}
 }
 

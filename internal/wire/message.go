@@ -454,7 +454,16 @@ func (m Matrix) Row(i int) []float64 {
 // (buf[len(buf)] on entry); DecodeDirective views them in place when the
 // message lies 8-byte aligned in memory, as a fresh EncodeDirective(nil, …)
 // does.
+//
+// A configure's bulk blocks run to megabytes, so the output grows once for
+// the whole message instead of block by block, which would leave it in an
+// array up to a quarter longer than itself for as long as it is kept.
 func EncodeDirective(buf []byte, d *Directive) []byte {
+	if bulk := directiveBulk(d); bulk > 0 {
+		rest := *d
+		rest.Rows, rest.Pool, rest.RefSorted, rest.Labels = Matrix{}, nil, nil, nil
+		buf = reserve(buf, len(EncodeDirective(nil, &rest))+bulk)
+	}
 	start := len(buf)
 	buf = appendHeader(buf, KindDirective)
 	buf = append(buf, byte(d.Op))
@@ -499,6 +508,25 @@ func EncodeDirective(buf []byte, d *Directive) []byte {
 	buf = appendIntList(buf, d.Cuts)
 	buf = appendU32(buf, uint32(d.Leaf))
 	return buf
+}
+
+// directiveBulk returns how many bytes d's non-empty bulk blocks add to its
+// message beyond their empty forms: their elements, and at most the pad
+// that aligns each.
+func directiveBulk(d *Directive) int {
+	n := 0
+	if rows := d.Rows.Len(); rows > 0 {
+		n += 8*rows*d.Rows.Dim + 7
+	}
+	for _, vs := range [][]float64{d.Pool, d.RefSorted} {
+		if len(vs) > 0 {
+			n += 8*len(vs) + 7
+		}
+	}
+	if len(d.Labels) > 0 {
+		n += 4*len(d.Labels) + 3
+	}
+	return n
 }
 
 // DecodeDirective decodes an EncodeDirective message. A configure's Rows

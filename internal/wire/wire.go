@@ -189,6 +189,17 @@ func extend(buf []byte, n int) (out, tail []byte) {
 	return out, out[off:]
 }
 
+// reserve returns buf with room for n more bytes, in an array of exactly
+// that size when it must grow (slices.Grow would round the capacity up).
+func reserve(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	out := make([]byte, len(buf), len(buf)+n)
+	copy(out, buf)
+	return out
+}
+
 func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
